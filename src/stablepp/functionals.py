@@ -155,10 +155,13 @@ def estimate_shift_laplace(campaign: FlatCampaign, g: ShiftTestFunction, u: floa
 def required_window(spec: ProcessSpec, functions, points) -> float:
     """Coarsest window adequate for every (function, evaluation point) pair.
 
-    Never coarser than the spec's own window, so estimates describe (at least)
-    the spec's stated observation region.
+    A nonzero f at scale point y sees only atoms with |x| >= y * inner_radius(f);
+    a nonzero g at shift point u sees only atoms with x >= u + support_low(g).
+    Atoms outside the returned window add exactly 0 to every integral, so the
+    window may be coarser than the spec's own without changing any estimate's
+    law. Falls back to the spec's window when no nonzero function constrains it.
     """
-    needed = spec.window
+    needed = math.inf
     for f in functions:
         if f.is_zero:
             continue
@@ -171,13 +174,13 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
                 if not math.isfinite(p):
                     raise DomainError("evaluation points must be finite")
                 needed = min(needed, p + f.support_low)
-    return needed
+    return needed if math.isfinite(needed) else spec.window
 
 
 def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, seed: int,
                       threads: int | None = 1, role: tuple = ()) -> dict:
     """Estimate Psi for every function in `functions` at every point, sharing
-    one campaign drawn on an automatically refined window.
+    one campaign drawn on the coarsest window the battery needs.
 
     Returns {(function_id, point): EstimateWithError}.
     """

@@ -1095,7 +1095,10 @@ def resolve_threads(threads: int | None) -> int:
     """Explicit value, else the STABLEPP_THREADS env var, else 1."""
     if threads is None:
         raw = os.environ.get("STABLEPP_THREADS", "")
-        threads = int(raw) if raw.strip() else 1
+        try:
+            threads = int(raw) if raw.strip() else 1
+        except ValueError:
+            raise DomainError(f"STABLEPP_THREADS must be an integer, got {raw!r}") from None
     threads = int(threads)
     if threads < 1:
         raise DomainError("threads must be >= 1")
@@ -1108,7 +1111,8 @@ def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
 
     Replicas are partitioned into fixed blocks of BLOCK_SIZE; block b uses the
     stream keyed by (master_seed, ROLE_BLOCK, *role, b). Results are identical
-    for every thread count.
+    for every thread count; at most min(threads, blocks, cpu count) worker
+    threads run.
     """
     n_reps = int(n_reps)
     if n_reps < 1:
@@ -1119,9 +1123,9 @@ def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
         size = min(BLOCK_SIZE, n_reps - b * BLOCK_SIZE)
         return source.sample_block(master_seed, role + (b,), size)
 
-    threads = resolve_threads(threads)
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(resolve_threads(threads), n_blocks, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, range(n_blocks)))
     else:
         parts = [job(b) for b in range(n_blocks)]

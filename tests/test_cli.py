@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
+import stablepp.sampler
 from stablepp.cli import main
 from stablepp.point_measure import PointMeasure, ShiftPointMeasure
 
@@ -76,6 +78,15 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg, "--reps", "100",
                      "--out", str(tmp_path / "e.csv")]) == 1
 
+    def test_non_integer_thread_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("STABLEPP_THREADS", "abc")
+        cfg = proc_config(tmp_path)
+        assert main(["sample", "--config", cfg, "--reps", "10",
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "STABLEPP_THREADS" in err
+        assert "Traceback" not in err
+
     def test_shift_config_for_scale_command_flows_through(self, tmp_path):
         cfg = proc_config(tmp_path, process=SHIFT_PROC)
         out = tmp_path / "o.jsonl"
@@ -125,6 +136,42 @@ class TestSample:
         one = out.read_bytes()
         assert main(base + ["--threads", "4"]) == 0
         assert out.read_bytes() == one
+
+
+class TestThreadBound:
+    @pytest.mark.parametrize("cpus,width", [(3, 3), (64, 4)])
+    def test_huge_thread_count_is_clamped(self, tmp_path, monkeypatch, cpus, width):
+        # 4 blocks of replicas; the pool is min(threads, blocks, cpu count) wide
+        widths = []
+
+        class RecordingPool:
+            """Stand-in for ThreadPoolExecutor: records its width, runs jobs inline."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(stablepp.sampler, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reps = 3 * stablepp.sampler.BLOCK_SIZE + 1
+        cfg = proc_config(tmp_path)
+        out = tmp_path / "e.csv"
+        argv = ["estimate", "--config", cfg, "--reps", str(reps), "--seed", "2",
+                "--out", str(out)]
+        assert main(argv + ["--threads", "1000000"]) == 0
+        assert widths == [width]
+        wide = out.read_bytes()
+        assert main(argv + ["--threads", "1"]) == 0
+        assert widths == [width]
+        assert out.read_bytes() == wide
 
 
 class TestEstimate:

@@ -13,6 +13,7 @@ from stablepp.functionals import (
     cf_estimate,
     cf_quadrature,
     default_battery,
+    default_u_grid,
     default_y_grid,
     estimate_scaled_laplace,
     estimate_shift_laplace,
@@ -32,11 +33,13 @@ from stablepp.point_measure import (
     indicator_approx,
     scale_fn,
     shift_indicator_approx,
+    shift_tent,
     tent,
     tent_family,
 )
 from stablepp.sampler import (
     DecorationSpec,
+    FlatCampaign,
     LocationLaw,
     ProcessSource,
     ProcessSpec,
@@ -344,6 +347,40 @@ class TestBatteryEstimates:
         w = required_window(spec, [tent(0.5, 1.0, 2.0)], [0.5, 1.0])
         assert w == pytest.approx(0.25)
         assert required_window(spec, [], []) == 1.0
+
+    def test_required_window_may_be_coarser_than_spec(self):
+        spec = scdppp(window=0.05)
+        assert required_window(spec, [tent(0.5, 1.0, 2.0)], [1.0, 2.0]) == 0.5
+        assert required_window(spec, default_battery().values(), default_y_grid) > 0.05
+        shift = ProcessSpec("dppp", 1.0,
+                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
+        assert required_window(shift, [shift_tent(-1.0, 0.0, 1.0)], [0.5]) == -0.5
+        # no nonzero function constrains the window: the spec's own is used
+        zero = TestFunction([(1.0, 0.0), (2.0, 0.0)])
+        assert required_window(spec, [zero], [1.0]) == 0.05
+        assert required_window(spec, [tent(0.5, 1.0, 2.0)], []) == 0.05
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    def test_atoms_outside_required_window_add_exactly_zero(self, carrier):
+        # a campaign drawn on the spec's window, cut down to the required
+        # window, gives bit-identical integrals for every battery pair
+        if carrier == "scale":
+            spec, battery, points = scdppp(), default_battery(), default_y_grid
+            norm = np.abs
+        else:
+            spec = ProcessSpec("dppp", 1.0,
+                               DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
+            battery, points, norm = shift_battery(), default_u_grid, np.asarray
+        w = required_window(spec, battery.values(), points)
+        full = run_campaign(ProcessSource(spec), 11, 5000)
+        keep = norm(full.locations) > w
+        assert 0 < keep.sum() < keep.size
+        cut = FlatCampaign(full.locations[keep], full.replica[keep], full.weights[keep],
+                           full.n_reps, full.carrier, w)
+        for f in battery.values():
+            for p in points:
+                assert np.array_equal(cut.laplace_integrals(f, p),
+                                      full.laplace_integrals(f, p))
 
     def test_battery_estimates_shape_and_determinism(self):
         spec = scdppp()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
+from stablepp.functionals import default_battery, shift_battery
 from stablepp.point_measure import (
     PointMeasure,
     ShiftPointMeasure,
@@ -204,6 +205,64 @@ class TestTestFunction:
             integrate(ShiftPointMeasure([2.0]), tent(1.0, 2.0, 3.0))
         with pytest.raises(DomainError):
             integrate(PointMeasure([2.0]), shift_tent(1.0, 2.0, 3.0))
+
+
+def _reference_eval(f, x: float) -> float:
+    """Per-point piecewise-linear evaluation: knot value on a knot, linear
+    interpolation strictly between knots, 0 outside the knot range."""
+    xs, vs = f.knots_x.tolist(), f.knots_v.tolist()
+    if not xs[0] <= x <= xs[-1]:
+        return 0.0
+    for k, xk in enumerate(xs):
+        if x == xk:
+            return vs[k]
+        if x < xk:
+            x0, x1, v0, v1 = xs[k - 1], xk, vs[k - 1], vs[k]
+            return v0 + (v1 - v0) * ((x - x0) / (x1 - x0))
+    raise AssertionError("unreachable")
+
+
+BATTERIES = {**default_battery(), **shift_battery()}
+
+
+@pytest.mark.parametrize("fid", sorted(BATTERIES))
+class TestEvalKernel:
+    def test_exact_at_knots(self, fid):
+        f = BATTERIES[fid]
+        out = f.eval(f.knots_x)
+        assert np.array_equal(out, f.knots_v)
+        assert np.array_equal(out, [_reference_eval(f, x) for x in f.knots_x.tolist()])
+
+    def test_zero_outside_knots_and_at_infinity(self, fid):
+        f = BATTERIES[fid]
+        lo, hi = f.knots_x[0], f.knots_x[-1]
+        xs = np.array([-math.inf, lo - 1.0, np.nextafter(lo, -math.inf),
+                       np.nextafter(hi, math.inf), hi + 1.0, math.inf])
+        assert np.array_equal(f.eval(xs), np.zeros(xs.size))
+        assert f.eval(-math.inf) == 0.0 and f.eval(math.inf) == 0.0
+
+    def test_ramps_within_one_ulp_of_sup_norm(self, fid):
+        f = BATTERIES[fid]
+        rng = np.random.default_rng(20180213)
+        ulp = np.spacing(f.sup_norm)
+        ramps = 0
+        for x0, x1, v0, v1 in zip(f.knots_x[:-1], f.knots_x[1:],
+                                  f.knots_v[:-1], f.knots_v[1:]):
+            if v0 == v1:
+                continue
+            ramps += 1
+            qs = rng.uniform(x0, x1, 500)
+            ref = np.array([_reference_eval(f, q) for q in qs.tolist()])
+            assert np.max(np.abs(f.eval(qs) - ref)) <= ulp
+        assert ramps > 0
+
+    def test_scalar_input_returns_float(self, fid):
+        f = BATTERIES[fid]
+        x = float(f.knots_x[1])
+        for q in (x, np.float64(x), np.array(x)):
+            out = f.eval(q)
+            assert type(out) is float
+            assert out == _reference_eval(f, x)
 
 
 class TestShapedConstructors:
