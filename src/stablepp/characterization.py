@@ -33,7 +33,6 @@ from .functionals import (
     estimate_scaled_laplace,
     maxmod_law,
 )
-from .point_measure import TestFunction
 from .sampler import (
     ProcessSource,
     ProcessSpec,
@@ -239,7 +238,7 @@ def stability_test(
     """
     if not spec.is_scale_family:
         raise DomainError("stability is a scale-carrier property")
-    law = spec.effective_scale_law()
+    law = spec.effective_law()
     if law.kind != "deterministic":
         raise DomainError(
             "stability holds for a deterministic global dilation; "
@@ -484,7 +483,7 @@ def scale_unique_support_test(
         template = law.cdf
         template_name = "analytic maxmod mixture"
     except DomainError:
-        if spec.effective_scale_law().kind != "deterministic":
+        if spec.effective_law().kind != "deterministic":
             raise DomainError(
                 "no analytic template: the decoration has no computable "
                 "moment and the global dilation is random"

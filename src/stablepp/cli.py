@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -43,8 +42,6 @@ from .functionals import (
     shift_battery,
 )
 from .point_measure import (
-    PointMeasure,
-    ShiftPointMeasure,
     ShiftTestFunction,
     TestFunction,
     indicator_approx,
@@ -55,7 +52,9 @@ from .point_measure import (
 )
 from .sampler import (
     _MEAN_CAP,
+    CARRIERS,
     _check_keys,
+    _number,
     ProcessSource,
     maxmod_samples,
     process_spec_from_config,
@@ -102,6 +101,16 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+_FUNCTION_KINDS = {"scale": {"tent", "indicator", "maxmod_indicator", "knots"},
+                   "shift": {"shift_tent", "shift_indicator", "shift_knots"}}
+
+
+def _carrier_defaults(carrier: str):
+    """(battery, points, predictor) of a carrier, built per call from the current bindings."""
+    return {"scale": (default_battery, default_y_grid, predict_scaled_laplace),
+            "shift": (shift_battery, default_u_grid, predict_shift_laplace)}[carrier]
+
+
 def _function_from_config(doc, carrier: str):
     """One battery entry {id, kind, ...} -> (id, test function)."""
     if not isinstance(doc, dict):
@@ -111,19 +120,15 @@ def _function_from_config(doc, carrier: str):
             ch.isalnum() or ch in "_.-" for ch in fid):
         raise ConfigError("battery entries need an id of letters, digits, _ . -")
     kind = doc.get("kind")
-    scale_kinds = {"tent", "indicator", "maxmod_indicator", "knots"}
-    shift_kinds = {"shift_tent", "shift_indicator", "shift_knots"}
-    if kind not in scale_kinds | shift_kinds:
+    if kind not in _FUNCTION_KINDS["scale"] | _FUNCTION_KINDS["shift"]:
         raise ConfigError(f"unknown battery function kind: {kind!r}")
-    if carrier == "scale" and kind in shift_kinds:
-        raise ConfigError(f"{fid}: {kind} functions do not apply to a scale family")
-    if carrier == "shift" and kind in scale_kinds:
-        raise ConfigError(f"{fid}: {kind} functions do not apply to a shift family")
+    if kind not in _FUNCTION_KINDS[carrier]:
+        raise ConfigError(f"{fid}: {kind} functions do not apply to a {carrier} family")
     try:
-        if kind == "tent":
-            _check_keys(doc, {"id", "kind", "left", "peak", "right"}, {"height"}, "tent")
-            return fid, tent(doc["left"], doc["peak"], doc["right"],
-                             doc.get("height", 1.0))
+        if kind in ("tent", "shift_tent"):
+            _check_keys(doc, {"id", "kind", "left", "peak", "right"}, {"height"}, kind)
+            make = tent if kind == "tent" else shift_tent
+            return fid, make(doc["left"], doc["peak"], doc["right"], doc.get("height", 1.0))
         if kind == "indicator":
             _check_keys(doc, {"id", "kind", "level", "edge"},
                         {"outer", "ramp", "symmetric"}, "indicator")
@@ -136,21 +141,14 @@ def _function_from_config(doc, carrier: str):
                         "maxmod_indicator")
             return fid, maxmod_indicator(doc["plateau"], doc.get("edge", 1.0),
                                          doc.get("outer", 1e8), doc.get("ramp", 1e-7))
-        if kind == "knots":
-            _check_keys(doc, {"id", "kind", "knots"}, set(), "knots")
-            return fid, TestFunction([(float(x), float(v)) for x, v in doc["knots"]])
-        if kind == "shift_tent":
-            _check_keys(doc, {"id", "kind", "left", "peak", "right"}, {"height"},
-                        "shift_tent")
-            return fid, shift_tent(doc["left"], doc["peak"], doc["right"],
-                                   doc.get("height", 1.0))
         if kind == "shift_indicator":
             _check_keys(doc, {"id", "kind", "level", "edge", "outer"}, {"ramp"},
                         "shift_indicator")
             return fid, shift_indicator_approx(doc["level"], doc["edge"],
                                                doc["outer"], doc.get("ramp", 1e-6))
-        _check_keys(doc, {"id", "kind", "knots"}, set(), "shift_knots")
-        return fid, ShiftTestFunction([(float(x), float(v)) for x, v in doc["knots"]])
+        _check_keys(doc, {"id", "kind", "knots"}, set(), kind)
+        cls = TestFunction if kind == "knots" else ShiftTestFunction
+        return fid, cls([(float(x), float(v)) for x, v in doc["knots"]])
     except (TypeError, KeyError, ValueError) as e:
         raise ConfigError(f"battery entry {fid}: {e}")
 
@@ -159,7 +157,7 @@ def _battery_from_config(doc: dict, carrier: str) -> dict:
     """The config's battery (or the default one) as {id: function}."""
     raw = doc.get("battery")
     if raw is None or raw == "default":
-        return default_battery() if carrier == "scale" else shift_battery()
+        return _carrier_defaults(carrier)[0]()
     if not isinstance(raw, list) or not raw:
         raise ConfigError("the battery must be a non-empty list of function objects")
     out = {}
@@ -174,7 +172,7 @@ def _battery_from_config(doc: dict, carrier: str) -> dict:
 def _points_from_config(doc: dict, carrier: str, key: str = "points"):
     raw = doc.get(key)
     if raw is None:
-        return list(default_y_grid if carrier == "scale" else default_u_grid)
+        return list(_carrier_defaults(carrier)[1])
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{key} must be a non-empty list of numbers")
     try:
@@ -243,8 +241,7 @@ def cmd_estimate(args) -> int:
     threads = resolve_threads(args.threads)
     estimates = battery_estimates(spec, functions, points, reps, args.seed,
                                   threads=threads)
-    predict = (predict_scaled_laplace if spec.is_scale_family
-               else predict_shift_laplace)
+    predict = _carrier_defaults(spec.carrier)[2]
     rows = ["f_id,point,value,std_error,predicted,predicted_error"]
     for fid in sorted(functions):
         for p in points:
@@ -281,15 +278,16 @@ def cmd_test(args) -> int:
             points = _points_from_config(doc, spec.carrier)
             battery = [(f, y) for f in functions.values() for y in points]
         report = stability_test(
-            spec, float(doc["b1"]), float(doc["b2"]), battery=battery,
+            spec, _number(doc["b1"], "b1"), _number(doc["b2"], "b2"), battery=battery,
             n_reps=reps, level=level, seed=args.seed,
-            rhs_scale_factor=float(doc.get("rhs_scale_factor", 1.0)),
+            rhs_scale_factor=_number(doc.get("rhs_scale_factor", 1.0), "rhs_scale_factor"),
             threads=threads)
     elif kind == "maxlaw":
         _check_keys(doc, {"schema", "process"}, {"censor_mass"}, "maxlaw config")
         spec = process_spec_from_config(doc["process"])
         report = maxmod_law_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 censor_mass=float(doc.get("censor_mass", 1e-6)),
+                                 censor_mass=_number(doc.get("censor_mass", 1e-6),
+                                                     "censor_mass"),
                                  threads=threads)
     elif kind == "support":
         _check_keys(doc, {"schema", "process"}, {"battery", "y_grid"}, "support config")
@@ -306,10 +304,11 @@ def cmd_test(args) -> int:
     else:
         _check_keys(doc, {"schema", "process"}, {"k"}, "tail config")
         spec = process_spec_from_config(doc["process"])
+        k = None if doc.get("k") is None else _number(doc["k"], "k", integer=True)
         mm = maxmod_samples(spec, reps, args.seed, threads=threads,
                             role=_ROLE_CLI_TAIL)
         positive = mm[mm > 0.0]
-        est = tail_index_estimate(positive, doc.get("k"))
+        est = tail_index_estimate(positive, k)
         covered = est.covers(spec.alpha)
         sub = SubCheck(
             "ci_covers_alpha",
@@ -369,12 +368,12 @@ def cmd_transform(args) -> int:
     direction = doc.get("direction")
     if direction not in ("log", "exp"):
         raise ConfigError('direction must be "log" or "exp"')
+    source, op = {"log": ("scale", log_transform), "exp": ("shift", exp_transform)}[direction]
     if ("input" in doc) == ("process" in doc):
         raise ConfigError('provide exactly one of "input" (measure lines) or "process"')
 
     if "input" in doc:
-        src_cls = PointMeasure if direction == "log" else ShiftPointMeasure
-        op = log_transform if direction == "log" else exp_transform
+        src_cls = CARRIERS[source].measure
         try:
             with open(doc["input"], "r", encoding="utf-8") as fh:
                 raw = fh.read().splitlines()
@@ -395,19 +394,16 @@ def cmd_transform(args) -> int:
         return 0
 
     spec = process_spec_from_config(doc["process"])
-    if direction == "log" and not spec.is_scale_family:
-        raise ConfigError("direction log applies to scale families")
-    if direction == "exp" and spec.is_scale_family:
-        raise ConfigError("direction exp applies to shift families")
+    if spec.carrier != source:
+        raise ConfigError(f"direction {direction} applies to {source} families")
     mapped = map_process_spec(spec)
-    rate = mapped.alpha if direction == "log" else spec.alpha
     out_doc = {"schema": _SCHEMA, "process": mapped.to_config_dict()}
     _write_text(args.out, json.dumps(out_doc, sort_keys=True, indent=2) + "\n")
     _write_manifest(args.out, "transform", doc, seed=args.seed, reps=0,
                     spec_hashes=[spec.spec_hash(), mapped.spec_hash()],
                     outputs={args.out: {"lines": 1}},
                     extra={"direction": direction,
-                           "normalization_shift": normalization_shift(rate)})
+                           "normalization_shift": normalization_shift(spec.alpha)})
     return 0
 
 

@@ -31,7 +31,7 @@ from .functionals import (
     maxmod_law,
     predict_scaled_laplace,
 )
-from .point_measure import PointMeasure, TestFunction, integrate, tent
+from .point_measure import PointMeasure, integrate, tent
 from .rng import ROLE_PERMUTE, make_generator
 from .sampler import (
     BLOCK_SIZE,
@@ -441,7 +441,7 @@ def rebuild_process(
     if not (c_max_hat > 0.0 and math.isfinite(c_max_hat)):
         raise DomainError("c_max_hat must be finite and > 0")
     orig = report.spec
-    if orig.effective_scale_law().kind != "deterministic":
+    if orig.effective_law().kind != "deterministic":
         raise DomainError(
             "rebuilding applies to a deterministic global dilation; a random "
             "dilation is not recoverable from decoration samples alone"

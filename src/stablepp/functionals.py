@@ -44,6 +44,9 @@ from .point_measure import (
 )
 from .rng import ROLE_SCALAR, make_generator
 from .sampler import (
+    CARRIERS,
+    SCALE,
+    SHIFT,
     DecorationSpec,
     FlatCampaign,
     ProcessSource,
@@ -115,6 +118,22 @@ def _mean_with_se(vals: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, se, n)
 
 
+def _estimate(cr, campaign: FlatCampaign, f, p: float) -> EstimateWithError:
+    if campaign.carrier != cr.name:
+        raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
+    if not cr.point_ok(p):
+        raise DomainError(cr.point_error)
+    if f.is_zero:
+        return EstimateWithError(1.0, 0.0, campaign.n_reps)
+    needed = cr.visible(f, p)
+    if needed < campaign.window:
+        raise WindowError(
+            f"evaluation at {cr.point}={p:g} needs {cr.window_word} <= {needed:g}, "
+            f"campaign was drawn on {cr.window_word} {campaign.window:g}"
+        )
+    return _mean_with_se(np.exp(-campaign.laplace_integrals(f, p)))
+
+
 def estimate_scaled_laplace(campaign: FlatCampaign, f: TestFunction, y: float) -> EstimateWithError:
     """Estimate Psi(f | y) from a scale-carrier campaign.
 
@@ -122,34 +141,12 @@ def estimate_scaled_laplace(campaign: FlatCampaign, f: TestFunction, y: float) -
     exactness requires y * inner_radius(f) >= window, else atoms the
     functional can see were never sampled.
     """
-    if campaign.carrier != "scale":
-        raise DomainError("scale-carrier estimate on a shift-carrier campaign")
-    if not (y > 0.0 and math.isfinite(y)):
-        raise DomainError("evaluation point y must be finite and > 0")
-    if f.is_zero:
-        return EstimateWithError(1.0, 0.0, campaign.n_reps)
-    if y * f.inner_radius < campaign.window:
-        raise WindowError(
-            f"evaluation at y={y:g} needs window <= {y * f.inner_radius:g}, "
-            f"campaign was drawn on window {campaign.window:g}"
-        )
-    return _mean_with_se(np.exp(-campaign.laplace_integrals(f, y)))
+    return _estimate(SCALE, campaign, f, y)
 
 
 def estimate_shift_laplace(campaign: FlatCampaign, g: ShiftTestFunction, u: float) -> EstimateWithError:
     """Estimate Psi(g | u) from a shift-carrier campaign."""
-    if campaign.carrier != "shift":
-        raise DomainError("shift-carrier estimate on a scale-carrier campaign")
-    if not math.isfinite(u):
-        raise DomainError("evaluation point u must be finite")
-    if g.is_zero:
-        return EstimateWithError(1.0, 0.0, campaign.n_reps)
-    if u + g.support_low < campaign.window:
-        raise WindowError(
-            f"evaluation at u={u:g} needs cutoff <= {u + g.support_low:g}, "
-            f"campaign was drawn on cutoff {campaign.window:g}"
-        )
-    return _mean_with_se(np.exp(-campaign.laplace_integrals(g, u)))
+    return _estimate(SHIFT, campaign, g, u)
 
 
 def required_window(spec: ProcessSpec, functions, points) -> float:
@@ -161,19 +158,15 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     window may be coarser than the spec's own without changing any estimate's
     law. Falls back to the spec's window when no nonzero function constrains it.
     """
+    cr = CARRIERS[spec.carrier]
     needed = math.inf
     for f in functions:
         if f.is_zero:
             continue
         for p in points:
-            if spec.is_scale_family:
-                if not (p > 0.0 and math.isfinite(p)):
-                    raise DomainError("evaluation points on the scale carrier must be > 0")
-                needed = min(needed, p * f.inner_radius)
-            else:
-                if not math.isfinite(p):
-                    raise DomainError("evaluation points must be finite")
-                needed = min(needed, p + f.support_low)
+            if not cr.point_ok(p):
+                raise DomainError(cr.points_error)
+            needed = min(needed, cr.visible(f, p))
     return needed if math.isfinite(needed) else spec.window
 
 
@@ -187,6 +180,7 @@ def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, s
     window = required_window(spec, functions.values(), points)
     campaign = run_campaign(ProcessSource(spec, window), seed, n_reps, threads, role)
     out = {}
+    # through the public names: the per-layer trace counts calls to them
     estimate = estimate_scaled_laplace if spec.is_scale_family else estimate_shift_laplace
     for fid, f in functions.items():
         for p in points:
@@ -215,54 +209,37 @@ def _exp_neg_pl_mean(f, anchor: np.ndarray, lo: float, hi: float) -> float:
     return total / (hi - lo)
 
 
-def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s: float) -> float:
-    """E[exp(-integral of u -> f(s u) against one decoration)], s > 0."""
-    if dec.carrier != "scale":
-        raise DomainError("expected a scale-carrier decoration")
+def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
+    if dec.carrier != cr.name:
+        raise DomainError(f"expected a {cr.name}-carrier decoration")
+    fp = cr.compose(f, p)
     if dec.kind == "dirac":
-        expo = sum(m * f.eval(s * a) for a, m in dec.atoms)
-        return math.exp(-expo)
+        return math.exp(-sum(m * fp(a) for a, m in dec.atoms))
     if dec.kind == "table":
         total = 0.0
-        norm = sum(p for _, p in dec.entries)
-        for atoms, p in dec.entries:
-            expo = sum(m * f.eval(s * a) for a, m in atoms)
-            total += (p / norm) * math.exp(-expo)
+        norm = sum(q for _, q in dec.entries)
+        for atoms, q in dec.entries:
+            total += (q / norm) * math.exp(-sum(m * fp(a) for a, m in atoms))
         return total
     loc = dec.location
     if loc.kind == "table":
-        v, p = loc._table
-        one = float(np.dot(p, np.exp(-f.eval(s * v))))
+        v, q = loc._table
+        one = float(np.dot(q, np.exp(-fp(v))))
     else:
         lo, hi = loc.bounds()
-        one = _exp_neg_pl_mean(lambda a: f.eval(s * a), f.knots_x / s, lo, hi)
+        one = _exp_neg_pl_mean(fp, cr.inverse(p, f.knots_x), lo, hi)
     values, probs = dec._count_arrays
     return float(np.dot(probs, one ** values.astype(np.float64)))
+
+
+def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s: float) -> float:
+    """E[exp(-integral of u -> f(s u) against one decoration)], s > 0."""
+    return _psi_decoration(SCALE, dec, f, s)
 
 
 def psi_decoration_shift(dec: DecorationSpec, g: ShiftTestFunction, t: float) -> float:
     """E[exp(-integral of q -> g(q + t) against one decoration)]."""
-    if dec.carrier != "shift":
-        raise DomainError("expected a shift-carrier decoration")
-    if dec.kind == "dirac":
-        expo = sum(m * g.eval(a + t) for a, m in dec.atoms)
-        return math.exp(-expo)
-    if dec.kind == "table":
-        total = 0.0
-        norm = sum(p for _, p in dec.entries)
-        for atoms, p in dec.entries:
-            expo = sum(m * g.eval(a + t) for a, m in atoms)
-            total += (p / norm) * math.exp(-expo)
-        return total
-    loc = dec.location
-    if loc.kind == "table":
-        v, p = loc._table
-        one = float(np.dot(p, np.exp(-g.eval(v + t))))
-    else:
-        lo, hi = loc.bounds()
-        one = _exp_neg_pl_mean(lambda a: g.eval(a + t), g.knots_x - t, lo, hi)
-    values, probs = dec._count_arrays
-    return float(np.dot(probs, one ** values.astype(np.float64)))
+    return _psi_decoration(SHIFT, dec, g, t)
 
 
 # -- quadrature -------------------------------------------------------------------
@@ -374,33 +351,26 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
 
 # -- predictions ------------------------------------------------------------------
 
+def _predict(cr, quadrature, spec: ProcessSpec, f, p: float) -> Prediction:
+    if spec.carrier != cr.name:
+        raise DomainError(f"expected a {cr.name}-family spec")
+    if not cr.point_ok(p):
+        raise DomainError(cr.point_error)
+    const = quadrature(spec.alpha, spec.decoration, f)
+    law, a = spec.effective_law(), spec.alpha
+    value = law.expect(lambda w: np.exp(-cr.weight(a, p, w) * const.value))
+    # d/dc of E exp(-weight c) is bounded by E[weight]
+    return Prediction(float(value), const.error_bound * cr.sensitivity(law, a, p))
+
+
 def predict_scaled_laplace(spec: ProcessSpec, f: TestFunction, y: float) -> Prediction:
     """Closed-form Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)] with error bound."""
-    if not spec.is_scale_family:
-        raise DomainError("expected a scale-family spec")
-    if not (y > 0.0 and math.isfinite(y)):
-        raise DomainError("evaluation point y must be finite and > 0")
-    cf = cf_quadrature(spec.alpha, spec.decoration, f)
-    law = spec.effective_scale_law()
-    a = spec.alpha
-    value = law.expect(lambda w: np.exp(-(y ** -a) * w ** a * cf.value))
-    # d/dc of E exp(-y^-a W^a c) is bounded by y^-a E[W^a]
-    sensitivity = (y ** -a) * law.expect(lambda w: w ** a)
-    return Prediction(float(value), cf.error_bound * sensitivity)
+    return _predict(SCALE, cf_quadrature, spec, f, y)
 
 
 def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u: float) -> Prediction:
     """Closed-form Psi(g | u) = E_U[exp(-e^{-c(u - U)} kappa_g)] with error bound."""
-    if spec.is_scale_family:
-        raise DomainError("expected a shift-family spec")
-    if not math.isfinite(u):
-        raise DomainError("evaluation point u must be finite")
-    kap = kappa_quadrature(spec.alpha, spec.decoration, g)
-    law = spec.effective_shift_law()
-    c = spec.alpha
-    value = law.expect(lambda uu: np.exp(-np.exp(-c * (u - uu)) * kap.value))
-    sensitivity = law.expect(lambda uu: np.exp(-c * (u - uu)))
-    return Prediction(float(value), kap.error_bound * float(sensitivity))
+    return _predict(SHIFT, kappa_quadrature, spec, g, u)
 
 
 # -- extreme-value laws -------------------------------------------------------------

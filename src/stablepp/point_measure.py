@@ -4,10 +4,11 @@ Two carriers appear throughout the package. The scale carrier hosts atoms on
 R \\ {0}; its measures are acted on by dilations and its test functions vanish
 in a neighbourhood of the origin and beyond a finite radius. The shift carrier
 hosts atoms anywhere on R; its measures are acted on by translations and its
-test functions have compact support on the line. Both measure classes are
-canonical on construction: atoms sorted by location, exactly equal locations
-merged by summing multiplicities (bit equality, no tolerance), multiplicities
-positive integers.
+test functions have compact support on the line; ``sampler.Carrier`` holds
+each carrier's measure class with the rest of what differs between the two.
+Both measure classes are canonical on construction: atoms sorted by location,
+exactly equal locations merged by summing multiplicities (bit equality, no
+tolerance), multiplicities positive integers.
 """
 from __future__ import annotations
 

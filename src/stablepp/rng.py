@@ -22,7 +22,6 @@ ROLE_BLOCK = 2
 ROLE_SCALAR = 3
 ROLE_PERMUTE = 4
 ROLE_MIXTURE = 5
-ROLE_CHILD = 6
 
 
 def splitmix64(z: int) -> int:

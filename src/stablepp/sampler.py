@@ -15,6 +15,12 @@ copies translated rather than dilated, and the deterministic normalization
 shift log(alpha)/alpha folded in so that the sampled intensity is exactly
 e^{-c x} dx.
 
+What differs between the two worlds (measure class, global law, point action,
+visible window, tail weight) lives in one ``Carrier`` value per coordinate
+system, SCALE and SHIFT; code shared by both is written once against it. The
+two block samplers stay separate: they share almost no line and own different
+random streams.
+
 Determinism contract, two documented tiers:
 
 * ``sample_process(spec, SeedSpec(ms, r))`` is a pure function of
@@ -29,7 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,13 +169,12 @@ class LocationLaw:
 
 
 def _atoms_tuple(atoms):
-    out = []
-    for a in atoms:
-        loc, mult = a
-        out.append((float(loc), int(mult)))
+    out = tuple((_number(loc, "a decoration atom location"),
+                 _number(mult, "a multiplicity", integer=True))
+                for loc, mult in _pairs(atoms, "decoration atoms"))
     if not out:
         raise DomainError("a decoration realization needs at least one atom")
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,18 +283,12 @@ class DecorationSpec:
     # -- derived bounds -------------------------------------------------------
 
     def _derived_bound(self) -> float:
-        if self.carrier == "scale":
-            if self.kind == "dirac":
-                return max(abs(a) for a, _ in self.atoms)
-            if self.kind == "table":
-                return max(max(abs(a) for a, _ in atoms) for atoms, _ in self.entries)
-            lo, hi = self.location.bounds()
-            return max(abs(lo), abs(hi))
+        norm = CARRIERS[self.carrier].norm
         if self.kind == "dirac":
-            return max(a for a, _ in self.atoms)
+            return max(norm(a) for a, _ in self.atoms)
         if self.kind == "table":
-            return max(max(a for a, _ in atoms) for atoms, _ in self.entries)
-        return self.location.bounds()[1]
+            return max(norm(a) for atoms, _ in self.entries for a, _ in atoms)
+        return max(map(norm, self.location.bounds()))
 
     @property
     def bound(self) -> float:
@@ -406,31 +407,11 @@ def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def _law_post_init(kind, allowed, value, mu, sigma, values, probs, positive_values):
-    if kind not in allowed:
-        raise DomainError(f"unknown law kind: {kind!r}")
-    if kind == "deterministic":
-        if value is None or not math.isfinite(value):
-            raise DomainError("deterministic law requires a finite value")
-        if positive_values and not value > 0.0:
-            raise DomainError("scale values must be > 0")
-    elif kind == "table":
-        if not values:
-            raise DomainError("table law requires values")
-        for v in values:
-            if not math.isfinite(v) or (positive_values and not v > 0.0):
-                raise DomainError("table law values out of range")
-        _as_prob_vector(probs, len(values), "law")
-    else:
-        if mu is None or sigma is None or not (sigma > 0.0) or not math.isfinite(mu):
-            raise DomainError(f"{kind} law requires finite mu and sigma > 0")
-
-
 @dataclass(frozen=True)
-class ScaleLaw:
-    """Law of the global random dilation W > 0.
+class _GlobalLaw:
+    """Law of a global random dilation (ScaleLaw) or translation (ShiftLaw).
 
-    kinds: "deterministic", "lognormal" (mu/sigma of log W), "table".
+    The ``gaussian`` kind maps N(mu, sigma) through ``_coord``: exp or the identity.
     """
 
     kind: str
@@ -440,31 +421,81 @@ class ScaleLaw:
     values: tuple = ()
     probs: tuple = ()
 
+    _positive = False
+
     def __post_init__(self):
-        _law_post_init(self.kind, ("deterministic", "lognormal", "table"),
-                       self.value, self.mu, self.sigma, self.values, self.probs, True)
+        if self.kind not in ("deterministic", self.gaussian, "table"):
+            raise DomainError(f"unknown law kind: {self.kind!r}")
+        if self.kind == "deterministic":
+            if self.value is None or not math.isfinite(self.value):
+                raise DomainError("deterministic law requires a finite value")
+            if self._positive and not self.value > 0.0:
+                raise DomainError("scale values must be > 0")
+        elif self.kind == "table":
+            if not self.values:
+                raise DomainError("table law requires values")
+            for v in self.values:
+                if not math.isfinite(v) or (self._positive and not v > 0.0):
+                    raise DomainError("table law values out of range")
+            _as_prob_vector(self.probs, len(self.values), "law")
+        elif self.mu is None or self.sigma is None or not (self.sigma > 0.0) \
+                or not math.isfinite(self.mu):
+            raise DomainError(f"{self.kind} law requires finite mu and sigma > 0")
 
     @classmethod
-    def deterministic(cls, w: float) -> "ScaleLaw":
-        return cls(kind="deterministic", value=float(w))
+    def deterministic(cls, value: float):
+        return cls(kind="deterministic", value=float(value))
 
     @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "ScaleLaw":
-        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
-
-    @classmethod
-    def table(cls, values, probs) -> "ScaleLaw":
+    def table(cls, values, probs):
         return cls(kind="table", values=tuple(float(v) for v in values),
                    probs=tuple(float(p) for p in probs))
-
-    @property
-    def is_random(self) -> bool:
-        return self.kind != "deterministic"
 
     @cached_property
     def _table(self):
         v = np.asarray(self.values, dtype=np.float64)
         return v, _as_prob_vector(self.probs, len(self.values), "law")
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws; the deterministic kind consumes no stream state."""
+        if self.kind == "deterministic":
+            return np.full(n, self.value)
+        if self.kind == "table":
+            v, p = self._table
+            return v[rng.choice(v.size, size=n, p=p)]
+        return self._coord(rng.normal(self.mu, self.sigma, n))
+
+    def expect(self, h) -> float:
+        """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind."""
+        if self.kind == "deterministic":
+            return float(h(np.asarray([self.value]))[0])
+        if self.kind == "table":
+            v, p = self._table
+            return float(np.dot(p, h(v)))
+        x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
+        return float(np.dot(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi))
+
+    def to_config_dict(self):
+        if self.kind == "deterministic":
+            return {"kind": "deterministic", "value": self.value}
+        if self.kind == "table":
+            return {"kind": "table", "values": list(self.values), "probs": list(self.probs)}
+        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
+
+
+class ScaleLaw(_GlobalLaw):
+    """Law of the global random dilation W > 0.
+
+    kinds: "deterministic", "lognormal" (mu/sigma of log W), "table".
+    """
+
+    gaussian = "lognormal"
+    _positive = True
+    _coord = np.exp
+
+    @classmethod
+    def lognormal(cls, mu: float, sigma: float) -> "ScaleLaw":
+        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
 
     def support(self):
         if self.kind == "deterministic":
@@ -474,101 +505,20 @@ class ScaleLaw:
             return float(v.min()), float(v.max())
         return 0.0, math.inf
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws; the deterministic kind consumes no stream state."""
-        if self.kind == "deterministic":
-            return np.full(n, self.value)
-        if self.kind == "table":
-            v, p = self._table
-            return v[rng.choice(v.size, size=n, p=p)]
-        return np.exp(rng.normal(self.mu, self.sigma, n))
 
-    def expect(self, h) -> float:
-        """E[h(W)] for vectorized h; Gauss-Hermite for the lognormal kind."""
-        if self.kind == "deterministic":
-            return float(h(np.asarray([self.value]))[0])
-        if self.kind == "table":
-            v, p = self._table
-            return float(np.dot(p, h(v)))
-        w = np.exp(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
-        return float(np.dot(_GH_WEIGHTS, h(w)) / math.sqrt(math.pi))
-
-    def to_config_dict(self):
-        if self.kind == "deterministic":
-            return {"kind": "deterministic", "value": self.value}
-        if self.kind == "table":
-            return {"kind": "table", "values": list(self.values), "probs": list(self.probs)}
-        return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
-
-
-@dataclass(frozen=True)
-class ShiftLaw:
+class ShiftLaw(_GlobalLaw):
     """Law of the global random translation U.
 
     kinds: "deterministic", "normal", "table". The log dictionary carries
     ScaleLaw lognormal(mu, sigma) to ShiftLaw normal(mu, sigma) and back.
     """
 
-    kind: str
-    value: float | None = None
-    mu: float | None = None
-    sigma: float | None = None
-    values: tuple = ()
-    probs: tuple = ()
-
-    def __post_init__(self):
-        _law_post_init(self.kind, ("deterministic", "normal", "table"),
-                       self.value, self.mu, self.sigma, self.values, self.probs, False)
-
-    @classmethod
-    def deterministic(cls, u: float) -> "ShiftLaw":
-        return cls(kind="deterministic", value=float(u))
+    gaussian = "normal"
+    _coord = staticmethod(lambda u: u)
 
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "ShiftLaw":
         return cls(kind="normal", mu=float(mu), sigma=float(sigma))
-
-    @classmethod
-    def table(cls, values, probs) -> "ShiftLaw":
-        return cls(kind="table", values=tuple(float(v) for v in values),
-                   probs=tuple(float(p) for p in probs))
-
-    @property
-    def is_random(self) -> bool:
-        return self.kind != "deterministic"
-
-    @cached_property
-    def _table(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        return v, _as_prob_vector(self.probs, len(self.values), "law")
-
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.full(n, self.value)
-        if self.kind == "table":
-            v, p = self._table
-            return v[rng.choice(v.size, size=n, p=p)]
-        return rng.normal(self.mu, self.sigma, n)
-
-    def expect(self, h) -> float:
-        if self.kind == "deterministic":
-            return float(h(np.asarray([self.value]))[0])
-        if self.kind == "table":
-            v, p = self._table
-            return float(np.dot(p, h(v)))
-        u = self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES
-        return float(np.dot(_GH_WEIGHTS, h(u)) / math.sqrt(math.pi))
-
-    def to_config_dict(self):
-        if self.kind == "deterministic":
-            return {"kind": "deterministic", "value": self.value}
-        if self.kind == "table":
-            return {"kind": "table", "values": list(self.values), "probs": list(self.probs)}
-        return {"kind": "normal", "mu": self.mu, "sigma": self.sigma}
-
-
-_SCALE_FAMILIES = ("scdppp", "sscdppp")
-_SHIFT_FAMILIES = ("dppp", "sdppp")
 
 
 @dataclass(frozen=True)
@@ -589,62 +539,51 @@ class ProcessSpec:
     shift_law: ShiftLaw | None = None
 
     def __post_init__(self):
-        if self.family not in _SCALE_FAMILIES + _SHIFT_FAMILIES:
+        cr = _family_carrier(self.family)
+        if cr is None:
             raise DomainError(f"unknown family: {self.family!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("the tail index / rate must be finite and > 0")
         if not math.isfinite(self.window):
             raise DomainError("window must be finite")
-        if self.is_scale_family:
-            if not self.window > 0.0:
-                raise DomainError("scale-family window radius must be > 0")
-            if self.decoration.carrier != "scale":
-                raise DomainError("scale families need a scale-carrier decoration")
-            if self.family == "sscdppp" and self.scale_law is None:
-                raise DomainError("sscdppp requires a scale law")
-            if self.family == "scdppp" and self.scale_law is not None:
-                raise DomainError("scdppp takes no scale law; use sscdppp")
-            if self.shift_law is not None:
-                raise DomainError("scale families take no shift law")
-        else:
-            if self.decoration.carrier != "shift":
-                raise DomainError("shift families need a shift-carrier decoration")
-            if self.family == "sdppp" and self.shift_law is None:
-                raise DomainError("sdppp requires a shift law")
-            if self.family == "dppp" and self.shift_law is not None:
-                raise DomainError("dppp takes no shift law; use sdppp")
-            if self.scale_law is not None:
-                raise DomainError("shift families take no scale law")
+        if self.is_scale_family and not self.window > 0.0:
+            raise DomainError("scale-family window radius must be > 0")
+        if self.decoration.carrier != cr.name:
+            raise DomainError(f"{cr.name} families need a {cr.name}-carrier decoration")
+        plain, decorated = cr.families
+        has_law = getattr(self, f"{cr.name}_law") is not None
+        if self.family == decorated and not has_law:
+            raise DomainError(f"{decorated} requires a {cr.name} law")
+        if self.family == plain and has_law:
+            raise DomainError(f"{plain} takes no {cr.name} law; use {decorated}")
+        if getattr(self, f"{cr.other}_law") is not None:
+            raise DomainError(f"{cr.name} families take no {cr.other} law")
 
     @property
     def is_scale_family(self) -> bool:
-        return self.family in _SCALE_FAMILIES
+        return self.family in SCALE.families
 
     @property
     def carrier(self) -> str:
-        return "scale" if self.is_scale_family else "shift"
+        return _family_carrier(self.family).name
 
-    def effective_scale_law(self) -> ScaleLaw:
-        return self.scale_law if self.scale_law is not None else ScaleLaw.deterministic(1.0)
-
-    def effective_shift_law(self) -> ShiftLaw:
-        return self.shift_law if self.shift_law is not None else ShiftLaw.deterministic(0.0)
+    def effective_law(self):
+        """The global dilation (scale) or translation (shift) law; the identity when absent."""
+        cr = _family_carrier(self.family)
+        law = getattr(self, f"{cr.name}_law")
+        return cr.law.deterministic(cr.identity) if law is None else law
 
     def with_window(self, window: float) -> "ProcessSpec":
         return ProcessSpec(self.family, self.alpha, self.decoration, float(window),
                            self.scale_law, self.shift_law)
 
     def to_config_dict(self):
+        cr = _family_carrier(self.family)
         d = {"family": self.family, "decoration": self.decoration.to_config_dict(),
-             "window": self.window}
-        if self.is_scale_family:
-            d["alpha"] = self.alpha
-            if self.scale_law is not None:
-                d["scale"] = self.scale_law.to_config_dict()
-        else:
-            d["c"] = self.alpha
-            if self.shift_law is not None:
-                d["shift"] = self.shift_law.to_config_dict()
+             "window": self.window, cr.rate_key: self.alpha}
+        law = getattr(self, f"{cr.name}_law")
+        if law is not None:
+            d[cr.name] = law.to_config_dict()
         return d
 
     def spec_hash(self) -> str:
@@ -678,11 +617,30 @@ def _check_keys(doc: dict, required: set, optional: set, what: str):
         raise ConfigError(f"{what} has unknown field(s): {sorted(unknown)}")
 
 
+def _number(v, what: str, integer: bool = False):
+    """A config number as a float (an int when `integer`); true/false are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
+        raise ConfigError(f"{what} must be {'an integer' if integer else 'a number'}")
+    return int(v) if integer else float(v)
+
+
 def _num(doc, key, what) -> float:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{what}.{key} must be a number")
-    return float(v)
+    return _number(doc[key], f"{what}.{key}")
+
+
+def _numbers(doc, key, what) -> tuple:
+    seq = doc[key]
+    if not isinstance(seq, list):
+        raise ConfigError(f"{what}.{key} must be a list of numbers")
+    return tuple(_number(v, f"{what}.{key}[{i}]") for i, v in enumerate(seq))
+
+
+def _pairs(seq, what: str):
+    """`seq` itself, once checked to be a list of two-element lists."""
+    if not isinstance(seq, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in seq):
+        raise ConfigError(f"{what} must be a list of pairs")
+    return seq
 
 
 def location_law_from_config(doc) -> LocationLaw:
@@ -694,8 +652,8 @@ def location_law_from_config(doc) -> LocationLaw:
                            high=_num(doc, "high", "location"))
     if kind == "table":
         _check_keys(doc, {"kind", "values", "probs"}, set(), "table location law")
-        return LocationLaw(kind="table", values=tuple(float(v) for v in doc["values"]),
-                           probs=tuple(float(p) for p in doc["probs"]))
+        return LocationLaw(kind="table", values=_numbers(doc, "values", "location"),
+                           probs=_numbers(doc, "probs", "location"))
     raise ConfigError(f"unknown location law kind: {kind!r}")
 
 
@@ -703,7 +661,7 @@ def decoration_from_config(doc, carrier: str) -> DecorationSpec:
     _check_keys(doc, {"kind"}, {"atoms", "entries", "count_probs", "location", "maxmod_bound"},
                 "decoration")
     kind = doc.get("kind")
-    bound = doc.get("maxmod_bound")
+    bound = None if doc.get("maxmod_bound") is None else _num(doc, "maxmod_bound", "decoration")
     try:
         if kind == "dirac":
             _check_keys(doc, {"kind", "atoms"}, {"maxmod_bound"}, "dirac decoration")
@@ -714,13 +672,16 @@ def decoration_from_config(doc, carrier: str) -> DecorationSpec:
             entries = []
             for e in doc["entries"]:
                 _check_keys(e, {"atoms", "prob"}, set(), "table decoration entry")
-                entries.append((_atoms_tuple(e["atoms"]), float(e["prob"])))
+                entries.append((_atoms_tuple(e["atoms"]),
+                                _num(e, "prob", "table decoration entry")))
             return DecorationSpec(kind="table", carrier=carrier, entries=tuple(entries),
                                   maxmod_bound=bound)
         if kind == "random_atoms":
             _check_keys(doc, {"kind", "count_probs", "location"}, {"maxmod_bound"},
                         "random_atoms decoration")
-            pairs = [(int(k), float(p)) for k, p in doc["count_probs"]]
+            pairs = [(_number(k, "a count value", integer=True),
+                      _number(p, "a count probability"))
+                     for k, p in _pairs(doc["count_probs"], "count_probs")]
             return DecorationSpec(
                 kind="random_atoms", carrier=carrier,
                 count_values=tuple(k for k, _ in pairs), count_probs=tuple(p for _, p in pairs),
@@ -730,40 +691,23 @@ def decoration_from_config(doc, carrier: str) -> DecorationSpec:
     raise ConfigError(f"unknown decoration kind: {kind!r}")
 
 
-def _scale_law_from_config(doc) -> ScaleLaw:
-    _check_keys(doc, {"kind"}, {"value", "mu", "sigma", "values", "probs"}, "scale law")
+def _law_from_config(doc, cr: Carrier):
+    what = f"{cr.name} law"
+    _check_keys(doc, {"kind"}, {"value", "mu", "sigma", "values", "probs"}, what)
     kind = doc["kind"]
     try:
         if kind == "deterministic":
-            _check_keys(doc, {"kind", "value"}, set(), "deterministic scale law")
-            return ScaleLaw.deterministic(_num(doc, "value", "scale law"))
-        if kind == "lognormal":
-            _check_keys(doc, {"kind", "mu", "sigma"}, set(), "lognormal scale law")
-            return ScaleLaw.lognormal(_num(doc, "mu", "scale law"), _num(doc, "sigma", "scale law"))
+            _check_keys(doc, {"kind", "value"}, set(), f"deterministic {what}")
+            return cr.law.deterministic(_num(doc, "value", what))
+        if kind == cr.law.gaussian:
+            _check_keys(doc, {"kind", "mu", "sigma"}, set(), f"{kind} {what}")
+            return cr.law(kind=kind, mu=_num(doc, "mu", what), sigma=_num(doc, "sigma", what))
         if kind == "table":
-            _check_keys(doc, {"kind", "values", "probs"}, set(), "table scale law")
-            return ScaleLaw.table(doc["values"], doc["probs"])
+            _check_keys(doc, {"kind", "values", "probs"}, set(), f"table {what}")
+            return cr.law.table(_numbers(doc, "values", what), _numbers(doc, "probs", what))
     except DomainError as exc:
-        raise ConfigError(f"invalid scale law: {exc}") from exc
-    raise ConfigError(f"unknown scale law kind: {kind!r}")
-
-
-def _shift_law_from_config(doc) -> ShiftLaw:
-    _check_keys(doc, {"kind"}, {"value", "mu", "sigma", "values", "probs"}, "shift law")
-    kind = doc["kind"]
-    try:
-        if kind == "deterministic":
-            _check_keys(doc, {"kind", "value"}, set(), "deterministic shift law")
-            return ShiftLaw.deterministic(_num(doc, "value", "shift law"))
-        if kind == "normal":
-            _check_keys(doc, {"kind", "mu", "sigma"}, set(), "normal shift law")
-            return ShiftLaw.normal(_num(doc, "mu", "shift law"), _num(doc, "sigma", "shift law"))
-        if kind == "table":
-            _check_keys(doc, {"kind", "values", "probs"}, set(), "table shift law")
-            return ShiftLaw.table(doc["values"], doc["probs"])
-    except DomainError as exc:
-        raise ConfigError(f"invalid shift law: {exc}") from exc
-    raise ConfigError(f"unknown shift law kind: {kind!r}")
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+    raise ConfigError(f"unknown {what} kind: {kind!r}")
 
 
 def process_spec_from_config(doc) -> ProcessSpec:
@@ -771,43 +715,29 @@ def process_spec_from_config(doc) -> ProcessSpec:
     _check_keys(doc, {"family", "decoration", "window"}, {"alpha", "c", "scale", "shift"},
                 "process")
     family = doc.get("family")
-    if family in _SCALE_FAMILIES:
-        if "alpha" not in doc:
-            raise ConfigError("scale families require 'alpha'")
-        if "c" in doc:
-            raise ConfigError("scale families use 'alpha', not 'c'")
-        alpha = _num(doc, "alpha", "process")
-        law = _scale_law_from_config(doc["scale"]) if "scale" in doc else None
-        if family == "scdppp" and law is not None:
-            raise ConfigError("scdppp takes no 'scale' law; use family sscdppp")
-        if family == "sscdppp" and law is None:
-            raise ConfigError("sscdppp requires a 'scale' law")
-        if "shift" in doc:
-            raise ConfigError("scale families take no 'shift' law")
-        dec = decoration_from_config(doc["decoration"], "scale")
-        try:
-            return ProcessSpec(family, alpha, dec, _num(doc, "window", "process"), scale_law=law)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    if family in _SHIFT_FAMILIES:
-        if "c" not in doc:
-            raise ConfigError("shift families require 'c'")
-        if "alpha" in doc:
-            raise ConfigError("shift families use 'c', not 'alpha'")
-        c = _num(doc, "c", "process")
-        law = _shift_law_from_config(doc["shift"]) if "shift" in doc else None
-        if family == "dppp" and law is not None:
-            raise ConfigError("dppp takes no 'shift' law; use family sdppp")
-        if family == "sdppp" and law is None:
-            raise ConfigError("sdppp requires a 'shift' law")
-        if "scale" in doc:
-            raise ConfigError("shift families take no 'scale' law")
-        dec = decoration_from_config(doc["decoration"], "shift")
-        try:
-            return ProcessSpec(family, c, dec, _num(doc, "window", "process"), shift_law=law)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown family: {family!r}")
+    cr = _family_carrier(family)
+    if cr is None:
+        raise ConfigError(f"unknown family: {family!r}")
+    other = CARRIERS[cr.other]
+    plain, decorated = cr.families
+    if cr.rate_key not in doc:
+        raise ConfigError(f"{cr.name} families require '{cr.rate_key}'")
+    if other.rate_key in doc:
+        raise ConfigError(f"{cr.name} families use '{cr.rate_key}', not '{other.rate_key}'")
+    rate = _num(doc, cr.rate_key, "process")
+    law = _law_from_config(doc[cr.name], cr) if cr.name in doc else None
+    if family == plain and law is not None:
+        raise ConfigError(f"{plain} takes no '{cr.name}' law; use family {decorated}")
+    if family == decorated and law is None:
+        raise ConfigError(f"{decorated} requires a '{cr.name}' law")
+    if other.name in doc:
+        raise ConfigError(f"{cr.name} families take no '{other.name}' law")
+    dec = decoration_from_config(doc["decoration"], cr.name)
+    try:
+        return ProcessSpec(family, rate, dec, _num(doc, "window", "process"),
+                           **{f"{cr.name}_law": law})
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- core block sampling -------------------------------------------------------
@@ -824,7 +754,7 @@ def _guard_mean(mean: np.ndarray, window) -> None:
 def _scale_block(spec: ProcessSpec, key: np.ndarray, size: int, window: float):
     """One vectorized block of scale-family replicas, exact on {|x| > window}."""
     rng = np.random.Generator(np.random.Philox(key=key))
-    law = spec.effective_scale_law()
+    law = spec.effective_law()
     w_draw = law.sample_block(rng, size)
     bound = spec.decoration.bound
     # Count mean (eta^-alpha with eta = window / (bound * W)); the W in eta and
@@ -860,7 +790,7 @@ def _shift_block(spec: ProcessSpec, key: np.ndarray, size: int, cutoff: float):
     """
     rng = np.random.Generator(np.random.Philox(key=key))
     c = spec.alpha
-    u_draw = spec.effective_shift_law().sample_block(rng, size)
+    u_draw = spec.effective_law().sample_block(rng, size)
     sigma = u_draw - math.log(c) / c
     bound = spec.decoration.bound
     log_mean = -c * (cutoff - sigma - bound)
@@ -887,10 +817,63 @@ def _shift_block(spec: ProcessSpec, key: np.ndarray, size: int, cutoff: float):
     return locs[keep], rep[keep], dw[keep]
 
 
-def _one_block(spec: ProcessSpec, key: np.ndarray, size: int, window: float):
-    if spec.is_scale_family:
-        return _scale_block(spec, key, size, window)
-    return _shift_block(spec, key, size, window)
+# -- the two coordinate systems ------------------------------------------------
+
+@dataclass(frozen=True)
+class Carrier:
+    """One coordinate system of the exp/log dictionary: what code written once
+    for both worlds needs to know about either. SCALE (atoms on R \\ {0},
+    dilations x -> y x) and SHIFT (atoms on R, translations x -> x + u) are the
+    only values; configs, manifests and ``carrier`` attributes use ``name``.
+    """
+
+    name: str
+    other: str  # name of the dictionary image
+    measure: type
+    law: type  # law of the global dilation / translation
+    identity: float  # the global-law value that acts trivially
+    norm: Callable  # the size the decoration bound caps: |x| or x
+    families: tuple  # (without, with a global law)
+    block: Callable  # (spec, key, size, window) -> one block of replicas
+    rate_key: str  # config key of the tail index / rate
+    point: str  # symbol of an evaluation point
+    window_word: str
+    point_ok: Callable  # p -> whether p is an evaluation point
+    point_error: str
+    points_error: str
+    compose: Callable  # (f, p) -> the function a -> f(p acting on a)
+    inverse: Callable  # (p, x) -> p's inverse acting on x
+    visible: Callable  # (f, p) -> the window x -> f(inverse(p, x)) needs
+    weight: Callable  # (a, p, w) -> tail weight at p of the global value w
+    sensitivity: Callable  # (law, a, p) -> E[weight]; scale keeps y^-a outside law.expect
+
+
+SCALE = Carrier(
+    name="scale", other="shift", measure=PointMeasure, law=ScaleLaw, identity=1.0, norm=abs,
+    families=("scdppp", "sscdppp"), block=_scale_block, rate_key="alpha",
+    point="y", window_word="window", point_ok=lambda y: y > 0.0 and math.isfinite(y),
+    point_error="evaluation point y must be finite and > 0",
+    points_error="evaluation points on the scale carrier must be > 0",
+    compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
+    visible=lambda f, y: y * f.inner_radius, weight=lambda a, y, w: (y ** -a) * w ** a,
+    sensitivity=lambda law, a, y: (y ** -a) * law.expect(lambda w: w ** a),
+)
+SHIFT = Carrier(
+    name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
+    norm=lambda x: x, families=("dppp", "sdppp"), block=_shift_block, rate_key="c",
+    point="u", window_word="cutoff", point_ok=math.isfinite,
+    point_error="evaluation point u must be finite",
+    points_error="evaluation points must be finite",
+    compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
+    visible=lambda g, u: u + g.support_low, weight=lambda c, u, w: np.exp(-c * (u - w)),
+    sensitivity=lambda law, c, u: law.expect(lambda w: np.exp(-c * (u - w))),
+)
+CARRIERS = {"scale": SCALE, "shift": SHIFT}
+
+
+def _family_carrier(family):
+    """The carrier of a process family, None for an unknown family."""
+    return next((cr for cr in CARRIERS.values() if family in cr.families), None)
 
 
 # -- single-draw operations ----------------------------------------------------
@@ -925,8 +908,7 @@ def sample_decoration(dec: DecorationSpec, seed):
     master, replica = _seed_pair(seed)
     rng = make_generator(master, ROLE_SCALAR, replica)
     _, locs, w = dec.sample_atoms_block(rng, 1)
-    cls = PointMeasure if dec.carrier == "scale" else ShiftPointMeasure
-    return cls(locs, w)
+    return CARRIERS[dec.carrier].measure(locs, w)
 
 
 def sample_process(spec: ProcessSpec, seed: SeedSpec):
@@ -938,9 +920,8 @@ def sample_process(spec: ProcessSpec, seed: SeedSpec):
     if not isinstance(seed, SeedSpec):
         seed = SeedSpec(int(seed), 0)
     key = derive_key(seed.master_seed, ROLE_REPLICA, seed.replica_index)
-    locs, _, w = _one_block(spec, key, 1, spec.window)
-    cls = PointMeasure if spec.is_scale_family else ShiftPointMeasure
-    return cls(locs, w)
+    locs, _, w = CARRIERS[spec.carrier].block(spec, key, 1, spec.window)
+    return CARRIERS[spec.carrier].measure(locs, w)
 
 
 # -- campaigns -------------------------------------------------------------------
@@ -966,10 +947,7 @@ class FlatCampaign:
         Scale carrier: integral of x -> f(x / y); shift carrier: integral of
         x -> f(x - y).
         """
-        if self.carrier == "scale":
-            vals = f.eval(self.locations / y)
-        else:
-            vals = f.eval(self.locations - y)
+        vals = f.eval(CARRIERS[self.carrier].inverse(y, self.locations))
         return np.bincount(self.replica, weights=self.weights * vals, minlength=self.n_reps)
 
     def maxmods(self) -> np.ndarray:
@@ -990,8 +968,8 @@ class FlatCampaign:
     def replica_measure(self, r: int):
         lo = np.searchsorted(self.replica, r, side="left")
         hi = np.searchsorted(self.replica, r, side="right")
-        cls = PointMeasure if self.carrier == "scale" else ShiftPointMeasure
-        return cls(self.locations[lo:hi], self.weights[lo:hi].astype(np.int64))
+        return CARRIERS[self.carrier].measure(self.locations[lo:hi],
+                                              self.weights[lo:hi].astype(np.int64))
 
 
 class ProcessSource:
@@ -1006,7 +984,7 @@ class ProcessSource:
 
     def sample_block(self, master_seed: int, path: tuple, size: int):
         key = derive_key(master_seed, ROLE_BLOCK, *path)
-        return _one_block(self.spec, key, size, self.window)
+        return CARRIERS[self.carrier].block(self.spec, key, size, self.window)
 
 
 class ScaledSource:

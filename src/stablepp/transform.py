@@ -28,7 +28,16 @@ from .point_measure import (
     ShiftTestFunction,
     TestFunction,
 )
-from .sampler import DecorationSpec, LocationLaw, ProcessSpec, ScaleLaw, ShiftLaw
+from .sampler import (
+    CARRIERS,
+    SCALE,
+    SHIFT,
+    DecorationSpec,
+    LocationLaw,
+    ProcessSpec,
+    ScaleLaw,
+    ShiftLaw,
+)
 
 __all__ = [
     "exp_transform",
@@ -194,87 +203,75 @@ def function_transform(f, tol: float = _DEFAULT_TOL):
 
 # -- decorations and laws ----------------------------------------------------------
 
-def _log_atoms(atoms):
-    for loc, _ in atoms:
-        if loc <= 0.0:
-            raise DomainError("log transport requires decoration atoms on (0, inf)")
-    return tuple((math.log(loc), mult) for loc, mult in atoms)
+def _log_checked(x: float, what: str) -> float:
+    if x <= 0.0:
+        raise DomainError(f"log transport requires {what} on (0, inf)")
+    return math.log(x)
 
 
-def _exp_atoms(atoms):
-    return tuple((_exp_checked(loc), mult) for loc, mult in atoms)
+# direction -> (source carrier, target carrier, checked map of one coordinate)
+_DIRECTIONS = {
+    "log": (SCALE, SHIFT, _log_checked),
+    "exp": (SHIFT, SCALE, lambda x, what: _exp_checked(x)),
+}
 
 
-def _log_location(law: LocationLaw) -> LocationLaw:
-    if law.kind == "uniform":
-        raise DomainError("uniform location laws have no exact log image; use a table law")
-    values = law._table[0]
-    if float(values.min()) <= 0.0:
-        raise DomainError("log transport requires location values on (0, inf)")
-    return LocationLaw(kind="table", values=tuple(math.log(v) for v in values),
-                       probs=law.probs)
+def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
+    src, dst, coord = _DIRECTIONS[direction]
+    if dec.carrier != src.name:
+        raise DomainError(f"{direction}_decoration expects a {src.name}-carrier decoration")
+    bound = None if dec.maxmod_bound is None else coord(dec.maxmod_bound, "decoration atoms")
 
+    def atoms(pairs):
+        return tuple((coord(loc, "decoration atoms"), mult) for loc, mult in pairs)
 
-def _exp_location(law: LocationLaw) -> LocationLaw:
-    if law.kind == "uniform":
-        raise DomainError("uniform location laws have no exact exp image; use a table law")
-    values = law._table[0]
-    return LocationLaw(kind="table", values=tuple(_exp_checked(v) for v in values),
-                       probs=law.probs)
+    if dec.kind == "dirac":
+        return DecorationSpec(kind="dirac", carrier=dst.name, atoms=atoms(dec.atoms),
+                              maxmod_bound=bound)
+    if dec.kind == "table":
+        entries = tuple((atoms(a), p) for a, p in dec.entries)
+        return DecorationSpec(kind="table", carrier=dst.name, entries=entries,
+                              maxmod_bound=bound)
+    loc = dec.location
+    if loc.kind == "uniform":
+        raise DomainError(
+            f"uniform location laws have no exact {direction} image; use a table law")
+    loc = LocationLaw(kind="table", probs=loc.probs,
+                      values=tuple(coord(v, "location values") for v in loc._table[0]))
+    return DecorationSpec(kind="random_atoms", carrier=dst.name,
+                          count_values=dec.count_values, count_probs=dec.count_probs,
+                          location=loc, maxmod_bound=bound)
 
 
 def log_decoration(dec: DecorationSpec) -> DecorationSpec:
     """Coordinatewise log of a scale-carrier decoration law (positive atoms only)."""
-    if dec.carrier != "scale":
-        raise DomainError("log_decoration expects a scale-carrier decoration")
-    bound = None if dec.maxmod_bound is None else math.log(dec.maxmod_bound)
-    if dec.kind == "dirac":
-        return DecorationSpec(kind="dirac", carrier="shift",
-                              atoms=_log_atoms(dec.atoms), maxmod_bound=bound)
-    if dec.kind == "table":
-        entries = tuple((_log_atoms(atoms), p) for atoms, p in dec.entries)
-        return DecorationSpec(kind="table", carrier="shift", entries=entries,
-                              maxmod_bound=bound)
-    return DecorationSpec(kind="random_atoms", carrier="shift",
-                          count_values=dec.count_values, count_probs=dec.count_probs,
-                          location=_log_location(dec.location), maxmod_bound=bound)
+    return _map_decoration(dec, "log")
 
 
 def exp_decoration(dec: DecorationSpec) -> DecorationSpec:
     """Coordinatewise exp of a shift-carrier decoration law."""
-    if dec.carrier != "shift":
-        raise DomainError("exp_decoration expects a shift-carrier decoration")
-    bound = None if dec.maxmod_bound is None else _exp_checked(dec.maxmod_bound)
-    if dec.kind == "dirac":
-        return DecorationSpec(kind="dirac", carrier="scale",
-                              atoms=_exp_atoms(dec.atoms), maxmod_bound=bound)
-    if dec.kind == "table":
-        entries = tuple((_exp_atoms(atoms), p) for atoms, p in dec.entries)
-        return DecorationSpec(kind="table", carrier="scale", entries=entries,
-                              maxmod_bound=bound)
-    return DecorationSpec(kind="random_atoms", carrier="scale",
-                          count_values=dec.count_values, count_probs=dec.count_probs,
-                          location=_exp_location(dec.location), maxmod_bound=bound)
+    return _map_decoration(dec, "exp")
+
+
+def _map_law(law, to, point, mu_shift: float):
+    """`law` as a law of class `to`: values through `point`, the Gaussian mean moved by mu_shift."""
+    if law.kind == "deterministic":
+        return to.deterministic(point(law.value))
+    if law.kind == "table":
+        return to.table([point(v) for v in law.values], law.probs)
+    return to(kind=to.gaussian, mu=float(law.mu + mu_shift), sigma=float(law.sigma))
 
 
 def scale_law_to_shift(law: ScaleLaw, c: float) -> ShiftLaw:
     """U = log W + log(c)/c, the translation matching a global dilation W."""
     adj = normalization_shift(c)
-    if law.kind == "deterministic":
-        return ShiftLaw.deterministic(math.log(law.value) + adj)
-    if law.kind == "table":
-        return ShiftLaw.table([math.log(v) + adj for v in law.values], law.probs)
-    return ShiftLaw.normal(law.mu + adj, law.sigma)
+    return _map_law(law, ShiftLaw, lambda w: math.log(w) + adj, adj)
 
 
 def shift_law_to_scale(law: ShiftLaw, c: float) -> ScaleLaw:
     """W = exp(U - log(c)/c), inverse of scale_law_to_shift."""
     adj = normalization_shift(c)
-    if law.kind == "deterministic":
-        return ScaleLaw.deterministic(_exp_checked(law.value - adj))
-    if law.kind == "table":
-        return ScaleLaw.table([_exp_checked(v - adj) for v in law.values], law.probs)
-    return ScaleLaw.lognormal(law.mu - adj, law.sigma)
+    return _map_law(law, ScaleLaw, lambda u: _exp_checked(u - adj), -adj)
 
 
 def map_process_spec(spec: ProcessSpec) -> ProcessSpec:
@@ -290,14 +287,14 @@ def map_process_spec(spec: ProcessSpec) -> ProcessSpec:
     """
     if spec.is_scale_family:
         dec = log_decoration(spec.decoration)
-        law = scale_law_to_shift(spec.effective_scale_law(), spec.alpha)
-        cutoff = math.log(spec.window)
-        if law.kind == "deterministic" and law.value == 0.0:
-            return ProcessSpec("dppp", spec.alpha, dec, cutoff)
-        return ProcessSpec("sdppp", spec.alpha, dec, cutoff, shift_law=law)
-    dec = exp_decoration(spec.decoration)
-    law = shift_law_to_scale(spec.effective_shift_law(), spec.alpha)
-    radius = _exp_checked(spec.window)
-    if law.kind == "deterministic" and law.value == 1.0:
-        return ProcessSpec("scdppp", spec.alpha, dec, radius)
-    return ProcessSpec("sscdppp", spec.alpha, dec, radius, scale_law=law)
+        law = scale_law_to_shift(spec.effective_law(), spec.alpha)
+        window = math.log(spec.window)
+    else:
+        dec = exp_decoration(spec.decoration)
+        law = shift_law_to_scale(spec.effective_law(), spec.alpha)
+        window = _exp_checked(spec.window)
+    to = CARRIERS[dec.carrier]
+    plain, decorated = to.families
+    if law.kind == "deterministic" and law.value == to.identity:
+        return ProcessSpec(plain, spec.alpha, dec, window)
+    return ProcessSpec(decorated, spec.alpha, dec, window, **{f"{to.name}_law": law})

@@ -87,6 +87,44 @@ class TestConfigErrors:
         assert err.startswith("error:") and "STABLEPP_THREADS" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        (["sample"], {"process": dict(PROC, decoration={"kind": "dirac", "atoms": [[1.0]]})}),
+        (["sample"], {"process": dict(PROC, decoration={"kind": "dirac", "atoms": ["a"]})}),
+        (["sample"], {"process": dict(PROC, decoration={"kind": "dirac", "atoms": [["a", 1]]})}),
+        (["sample"], {"process": dict(PROC, decoration={
+            "kind": "random_atoms", "count_probs": [[1]],
+            "location": {"kind": "uniform", "low": 0.5, "high": 1.0}})}),
+        (["sample"], {"process": dict(PROC, family="sscdppp", scale={
+            "kind": "table", "values": ["a"], "probs": [1.0]})}),
+        (["sample"], {"process": dict(SHIFT_PROC, family="sdppp", shift={
+            "kind": "table", "values": ["a"], "probs": [1.0]})}),
+        (["sample"], {"process": dict(PROC, family="sscdppp", scale={
+            "kind": "table", "values": [1.0], "probs": ["a"]})}),
+        (["sample"], {"process": dict(PROC, decoration={
+            "kind": "random_atoms", "count_probs": [[1, 1.0]],
+            "location": {"kind": "table", "values": ["a"], "probs": [1.0]}})}),
+        (["sample"], {"process": dict(PROC, decoration={
+            "kind": "table", "entries": [{"atoms": [[1.0, 1]], "prob": "a"}]})}),
+        (["sample"], {"process": dict(PROC, decoration={
+            "kind": "dirac", "atoms": [[1.0, 1]], "maxmod_bound": "x"})}),
+        (["test", "stability"], {"b1": "x", "b2": 1.0}),
+        (["test", "stability"], {"b1": 1.0, "b2": "x"}),
+        (["test", "stability"], {"b1": 1.0, "b2": 2.0, "rhs_scale_factor": "x"}),
+        (["test", "stability"], {"b1": True, "b2": 2.0}),
+        (["test", "maxlaw"], {"censor_mass": "x"}),
+        (["test", "tail"], {"k": "abc"}),
+    ], ids=["atom_short", "atom_string", "atom_location", "count_pair_short",
+            "scale_law_value", "shift_law_value", "law_prob", "location_value",
+            "entry_prob", "maxmod_bound", "b1", "b2", "rhs_scale_factor", "b1_bool",
+            "censor_mass", "k"])
+    def test_malformed_number_exits_one_with_error_line(self, tmp_path, capsys,
+                                                         command, extra):
+        cfg = proc_config(tmp_path, extra)
+        assert main(command + ["--config", cfg, "--reps", "100",
+                               "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_shift_config_for_scale_command_flows_through(self, tmp_path):
         cfg = proc_config(tmp_path, process=SHIFT_PROC)
         out = tmp_path / "o.jsonl"

@@ -14,7 +14,15 @@ from stablepp.point_measure import (
     shift_tent,
     tent,
 )
-from stablepp.functionals import default_battery, shift_battery
+from stablepp.functionals import (
+    default_battery,
+    default_y_grid,
+    predict_scaled_laplace,
+    predict_shift_laplace,
+    psi_decoration_scale,
+    psi_decoration_shift,
+    shift_battery,
+)
 from stablepp.sampler import (
     DecorationSpec,
     LocationLaw,
@@ -342,3 +350,46 @@ class TestMapProcessSpec:
         spec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -2.0)
         mapped = map_process_spec(spec)
         assert mapped.window == pytest.approx(math.exp(-2.0))
+
+
+class TestDictionaryParity:
+    """Closed forms agree across the dictionary: a scale prediction equals the
+    shift prediction of the mapped spec at log y, up to function transport."""
+
+    TOL = 1e-6  # twice the 5e-7 transport tolerance at sup norm 1
+
+    SPECS = {
+        "scdppp_dirac": ProcessSpec("scdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05),
+        "sscdppp_lognormal": ProcessSpec(
+            "sscdppp", 1.5, DecorationSpec.dirac([(0.5, 1), (1.0, 1)]), 0.05,
+            scale_law=ScaleLaw.lognormal(0.2, 0.5)),
+        "sscdppp_table": ProcessSpec(
+            "sscdppp", 0.8, DecorationSpec.table_from_measures(
+                [PointMeasure([1.0]), PointMeasure([0.7, 1.2])], [0.4, 0.6]), 0.05,
+            scale_law=ScaleLaw.table([0.5, 2.0], [0.3, 0.7])),
+    }
+    FUNCTIONS = ("tent_lo", "tent_hi", "step_ln2")
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_predictions(self, name):
+        spec = self.SPECS[name]
+        mapped = map_process_spec(spec)
+        battery = default_battery()
+        for fid in self.FUNCTIONS:
+            g = log_function(battery[fid])
+            for y in default_y_grid:
+                a = predict_scaled_laplace(spec, battery[fid], y)
+                b = predict_shift_laplace(mapped, g, math.log(y))
+                assert abs(a.value - b.value) <= self.TOL, (fid, y, a, b)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_decoration_functionals(self, name):
+        dec = self.SPECS[name].decoration
+        image = log_decoration(dec)
+        battery = default_battery()
+        for fid in self.FUNCTIONS:
+            g = log_function(battery[fid])
+            for s in default_y_grid:
+                a = psi_decoration_scale(dec, battery[fid], s)
+                b = psi_decoration_shift(image, g, math.log(s))
+                assert abs(a - b) <= self.TOL, (fid, s, a, b)
