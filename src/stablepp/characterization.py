@@ -52,6 +52,7 @@ __all__ = [
     "maxmod_law_test",
     "tail_index_estimate",
     "fit_scale_template",
+    "frechet_template",
     "scale_unique_support_test",
 ]
 
@@ -146,6 +147,31 @@ class TailIndexEstimate:
 # -- censored one-sample KS --------------------------------------------------------
 
 
+def _bisect(fn, q: float) -> tuple:
+    """(lo, hi) around the solution of fn(v) = q, fn increasing on v > 0.
+
+    Brackets from v = 1 by factors of 4, then halves the bracket 200 times;
+    fn(lo) <= q throughout.
+    """
+    hi = 1.0
+    while fn(hi) < q:
+        hi *= 4.0
+        if hi > 1e300:
+            raise DomainError(f"the function stays below {q} over the float range")
+    lo = hi
+    while fn(lo) > q:
+        lo /= 4.0
+        if lo < 1e-300:
+            raise DomainError(f"the function does not fall to {q} toward the origin")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > q:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def censor_window(law: FrechetMixture, mass: float = 1e-6) -> float:
     """Window below which the law leaves at most `mass` probability.
 
@@ -153,23 +179,7 @@ def censor_window(law: FrechetMixture, mass: float = 1e-6) -> float:
     """
     if not (0.0 < mass < 1.0):
         raise DomainError("censored mass must lie in (0, 1)")
-    hi = 1.0
-    while law.cdf(hi) < mass:
-        hi *= 4.0
-        if hi > 1e300:
-            raise DomainError("law places no mass below the float range")
-    lo = hi
-    while law.cdf(lo) > mass:
-        lo /= 4.0
-        if lo < 1e-300:
-            raise DomainError("law mass does not vanish toward the origin")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if law.cdf(mid) > mass:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _bisect(law.cdf, mass)[0]
 
 
 def ks_censored(samples: np.ndarray, cdf, window: float):
@@ -394,24 +404,18 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
 # -- scale-unique support ----------------------------------------------------------
 
 
+def frechet_template(alpha: float):
+    """The Frechet CDF v -> exp(-v^-alpha), 0 for v <= 0, vectorized."""
+    def template(v):
+        v = np.asarray(v, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            return np.exp(-np.where(v > 0.0, v, np.inf) ** -alpha)
+    return template
+
+
 def _template_inverse(template, q: float) -> float:
     """Solve template(v) = q for v by bisection; template is increasing."""
-    hi = 1.0
-    while template(hi) < q:
-        hi *= 4.0
-        if hi > 1e300:
-            raise DomainError("template never reaches the target level")
-    lo = hi
-    while template(lo) > q:
-        lo /= 4.0
-        if lo < 1e-300:
-            raise DomainError("template never falls below the target level")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if template(mid) > q:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(template, q)
     return 0.5 * (lo + hi)
 
 
@@ -488,13 +492,7 @@ def scale_unique_support_test(
                 "no analytic template: the decoration has no computable "
                 "moment and the global dilation is random"
             )
-        alpha = spec.alpha
-
-        def template(v):
-            v = np.asarray(v, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                return np.exp(-np.where(v > 0.0, v, np.inf) ** -alpha)
-
+        template = frechet_template(spec.alpha)
         template_name = "frechet"
 
     functions = {f"f{i:02d}": f for i, f in enumerate(battery)}

@@ -51,13 +51,12 @@ from .point_measure import (
     tent,
 )
 from .sampler import (
-    _MEAN_CAP,
     CARRIERS,
-    _check_keys,
-    _number,
+    MEAN_CAP,
     ProcessSource,
+    config_fields,
+    kind_fields,
     maxmod_samples,
-    process_spec_from_config,
     resolve_threads,
     run_campaign,
 )
@@ -86,7 +85,8 @@ class _Parser(argparse.ArgumentParser):
 # -- config plumbing ---------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, required, optional=()) -> tuple:
+    """(the raw config, its fields read by `config_fields`); "schema" is always required."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -94,15 +94,28 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ConfigError("the config must be a JSON object")
-    if doc.get("schema") != _SCHEMA:
-        raise ConfigError(f'the config must declare "schema": "{_SCHEMA}"')
-    return doc
+    if not isinstance(doc, dict) or doc.get("schema") != _SCHEMA:
+        raise ConfigError(f'the config must be a JSON object declaring "schema": "{_SCHEMA}"')
+    return doc, config_fields(doc, "config", ("schema", *required), optional)
 
 
-_FUNCTION_KINDS = {"scale": {"tent", "indicator", "maxmod_indicator", "knots"},
-                   "shift": {"shift_tent", "shift_indicator", "shift_knots"}}
+# battery function kind -> (required, optional) fields besides "id" and "kind"
+_FUNCTION_FIELDS = {
+    "tent": (("left", "peak", "right"), ("height",)),
+    "shift_tent": (("left", "peak", "right"), ("height",)),
+    "indicator": (("level", "edge"), ("outer", "ramp", "symmetric")),
+    "maxmod_indicator": (("plateau",), ("edge", "outer", "ramp")),
+    "shift_indicator": (("level", "edge", "outer"), ("ramp",)),
+    "knots": (("knots",), ()),
+    "shift_knots": (("knots",), ()),
+}
+# carrier -> {battery function kind: constructor taking the kind's fields}
+_FUNCTION_MAKERS = {
+    "scale": {"tent": tent, "indicator": indicator_approx,
+              "maxmod_indicator": maxmod_indicator, "knots": TestFunction},
+    "shift": {"shift_tent": shift_tent, "shift_indicator": shift_indicator_approx,
+              "shift_knots": ShiftTestFunction},
+}
 
 
 def _carrier_defaults(carrier: str):
@@ -111,74 +124,25 @@ def _carrier_defaults(carrier: str):
             "shift": (shift_battery, default_u_grid, predict_shift_laplace)}[carrier]
 
 
-def _function_from_config(doc, carrier: str):
-    """One battery entry {id, kind, ...} -> (id, test function)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("each battery entry must be a JSON object")
-    fid = doc.get("id")
-    if not isinstance(fid, str) or not fid or not all(
-            ch.isalnum() or ch in "_.-" for ch in fid):
-        raise ConfigError("battery entries need an id of letters, digits, _ . -")
-    kind = doc.get("kind")
-    if kind not in _FUNCTION_KINDS["scale"] | _FUNCTION_KINDS["shift"]:
-        raise ConfigError(f"unknown battery function kind: {kind!r}")
-    if kind not in _FUNCTION_KINDS[carrier]:
-        raise ConfigError(f"{fid}: {kind} functions do not apply to a {carrier} family")
-    try:
-        if kind in ("tent", "shift_tent"):
-            _check_keys(doc, {"id", "kind", "left", "peak", "right"}, {"height"}, kind)
-            make = tent if kind == "tent" else shift_tent
-            return fid, make(doc["left"], doc["peak"], doc["right"], doc.get("height", 1.0))
-        if kind == "indicator":
-            _check_keys(doc, {"id", "kind", "level", "edge"},
-                        {"outer", "ramp", "symmetric"}, "indicator")
-            return fid, indicator_approx(doc["level"], doc["edge"],
-                                         doc.get("outer", 1e8),
-                                         doc.get("ramp", 1e-7),
-                                         bool(doc.get("symmetric", False)))
-        if kind == "maxmod_indicator":
-            _check_keys(doc, {"id", "kind", "plateau"}, {"edge", "outer", "ramp"},
-                        "maxmod_indicator")
-            return fid, maxmod_indicator(doc["plateau"], doc.get("edge", 1.0),
-                                         doc.get("outer", 1e8), doc.get("ramp", 1e-7))
-        if kind == "shift_indicator":
-            _check_keys(doc, {"id", "kind", "level", "edge", "outer"}, {"ramp"},
-                        "shift_indicator")
-            return fid, shift_indicator_approx(doc["level"], doc["edge"],
-                                               doc["outer"], doc.get("ramp", 1e-6))
-        _check_keys(doc, {"id", "kind", "knots"}, set(), kind)
-        cls = TestFunction if kind == "knots" else ShiftTestFunction
-        return fid, cls([(float(x), float(v)) for x, v in doc["knots"]])
-    except (TypeError, KeyError, ValueError) as e:
-        raise ConfigError(f"battery entry {fid}: {e}")
-
-
-def _battery_from_config(doc: dict, carrier: str) -> dict:
-    """The config's battery (or the default one) as {id: function}."""
-    raw = doc.get("battery")
-    if raw is None or raw == "default":
+def _battery(fields: dict, carrier: str) -> dict:
+    """The config's battery, or the carrier's default one, as {id: function}."""
+    entries = fields.get("battery", "default")
+    if entries == "default":
         return _carrier_defaults(carrier)[0]()
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("the battery must be a non-empty list of function objects")
     out = {}
-    for entry in raw:
-        fid, f = _function_from_config(entry, carrier)
+    for i, entry in enumerate(entries):
+        params = kind_fields(entry, f"config.battery[{i}]", _FUNCTION_FIELDS, required=("id",))
+        fid, kind = params.pop("id"), params.pop("kind")
+        if kind not in _FUNCTION_MAKERS[carrier]:
+            raise ConfigError(f"{fid}: {kind} functions do not apply to a {carrier} family")
         if fid in out:
             raise ConfigError(f"duplicate battery id: {fid}")
-        out[fid] = f
+        out[fid] = _FUNCTION_MAKERS[carrier][kind](**params)
     return out
 
 
-def _points_from_config(doc: dict, carrier: str, key: str = "points"):
-    raw = doc.get(key)
-    if raw is None:
-        return list(_carrier_defaults(carrier)[1])
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{key} must be a non-empty list of numbers")
-    try:
-        return [float(p) for p in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must contain numbers only")
+def _points(fields: dict, carrier: str, key: str = "points"):
+    return fields.get(key, _carrier_defaults(carrier)[1])
 
 
 # -- output plumbing ---------------------------------------------------------------
@@ -201,7 +165,7 @@ def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
         "master_seed": seed,
         "replica_counts": reps,
         "spec_hashes": spec_hashes,
-        "truncation": {"poisson_mean_cap": _MEAN_CAP},
+        "truncation": {"poisson_mean_cap": MEAN_CAP},
         "outputs": outputs,
         "status": status,
     }
@@ -215,9 +179,8 @@ def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
 
 
 def cmd_sample(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, {"schema", "process"}, set(), "sample config")
-    spec = process_spec_from_config(doc["process"])
+    doc, fields = _load_config(args.config, ("process",))
+    spec = fields["process"]
     reps = args.reps if args.reps is not None else _DEFAULT_REPS["sample"]
     threads = resolve_threads(args.threads)
     campaign = run_campaign(ProcessSource(spec), args.seed, reps, threads)
@@ -232,11 +195,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, {"schema", "process"}, {"battery", "points"}, "estimate config")
-    spec = process_spec_from_config(doc["process"])
-    functions = _battery_from_config(doc, spec.carrier)
-    points = _points_from_config(doc, spec.carrier)
+    doc, fields = _load_config(args.config, ("process",), ("battery", "points"))
+    spec = fields["process"]
+    functions = _battery(fields, spec.carrier)
+    points = _points(fields, spec.carrier)
     reps = args.reps if args.reps is not None else _DEFAULT_REPS["estimate"]
     threads = resolve_threads(args.threads)
     estimates = battery_estimates(spec, functions, points, reps, args.seed,
@@ -261,54 +223,45 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+# test kind -> (required, optional) config fields besides "schema" and "process"
+_TEST_FIELDS = {
+    "stability": (("b1", "b2"), ("rhs_scale_factor", "battery", "points")),
+    "maxlaw": ((), ("censor_mass",)),
+    "support": ((), ("battery", "y_grid")),
+    "tail": ((), ("k",)),
+}
+
+
 def cmd_test(args) -> int:
-    doc = _load_config(args.config)
     kind = args.kind
+    required, optional = _TEST_FIELDS[kind]
+    doc, fields = _load_config(args.config, ("process", *required), optional)
+    spec = fields["process"]
     level = args.level
     threads = resolve_threads(args.threads)
     reps = args.reps if args.reps is not None else _DEFAULT_REPS[kind]
 
     if kind == "stability":
-        _check_keys(doc, {"schema", "process", "b1", "b2"},
-                    {"rhs_scale_factor", "battery", "points"}, "stability config")
-        spec = process_spec_from_config(doc["process"])
-        battery = None
-        if "battery" in doc or "points" in doc:
-            functions = _battery_from_config(doc, spec.carrier)
-            points = _points_from_config(doc, spec.carrier)
-            battery = [(f, y) for f in functions.values() for y in points]
+        functions = _battery(fields, spec.carrier)
+        battery = [(f, y) for f in functions.values() for y in _points(fields, spec.carrier)]
         report = stability_test(
-            spec, _number(doc["b1"], "b1"), _number(doc["b2"], "b2"), battery=battery,
+            spec, fields["b1"], fields["b2"], battery=battery,
             n_reps=reps, level=level, seed=args.seed,
-            rhs_scale_factor=_number(doc.get("rhs_scale_factor", 1.0), "rhs_scale_factor"),
-            threads=threads)
+            rhs_scale_factor=fields.get("rhs_scale_factor", 1.0), threads=threads)
     elif kind == "maxlaw":
-        _check_keys(doc, {"schema", "process"}, {"censor_mass"}, "maxlaw config")
-        spec = process_spec_from_config(doc["process"])
         report = maxmod_law_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 censor_mass=_number(doc.get("censor_mass", 1e-6),
-                                                     "censor_mass"),
+                                 censor_mass=fields.get("censor_mass", 1e-6),
                                  threads=threads)
     elif kind == "support":
-        _check_keys(doc, {"schema", "process"}, {"battery", "y_grid"}, "support config")
-        spec = process_spec_from_config(doc["process"])
-        battery = None
-        if "battery" in doc:
-            battery = list(_battery_from_config(doc, spec.carrier).values())
-        y_grid = doc.get("y_grid")
-        if y_grid is not None:
-            y_grid = _points_from_config(doc, spec.carrier, "y_grid")
-        report = scale_unique_support_test(spec, battery=battery, y_grid=y_grid,
-                                           n_reps=reps, seed=args.seed,
-                                           threads=threads)
+        report = scale_unique_support_test(
+            spec, battery=list(_battery(fields, spec.carrier).values()),
+            y_grid=_points(fields, spec.carrier, "y_grid"), n_reps=reps, seed=args.seed,
+            threads=threads)
     else:
-        _check_keys(doc, {"schema", "process"}, {"k"}, "tail config")
-        spec = process_spec_from_config(doc["process"])
-        k = None if doc.get("k") is None else _number(doc["k"], "k", integer=True)
         mm = maxmod_samples(spec, reps, args.seed, threads=threads,
                             role=_ROLE_CLI_TAIL)
         positive = mm[mm > 0.0]
-        est = tail_index_estimate(positive, k)
+        est = tail_index_estimate(positive, fields.get("k"))
         covered = est.covers(spec.alpha)
         sub = SubCheck(
             "ci_covers_alpha",
@@ -331,16 +284,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, {"schema", "process", "threshold", "inner_radius"},
-                {"n_accepted", "max_attempts"}, "extract config")
-    spec = process_spec_from_config(doc["process"])
-    try:
-        cfg = ExtractionConfig(
-            float(doc["threshold"]), float(doc["inner_radius"]),
-            int(doc.get("n_accepted", 500)), int(doc.get("max_attempts", 500_000)))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"extract config: {e}")
+    doc, fields = _load_config(args.config, ("process", "threshold", "inner_radius"),
+                               ("n_accepted", "max_attempts"))
+    spec = fields.pop("process")
+    del fields["schema"]
+    cfg = ExtractionConfig(**fields)
     threads = resolve_threads(args.threads)
     try:
         report = extract_decoration(spec, cfg, seed=args.seed, threads=threads)
@@ -363,19 +311,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, {"schema", "direction"}, {"input", "process"}, "transform config")
-    direction = doc.get("direction")
+    doc, fields = _load_config(args.config, ("direction",), ("input", "process"))
+    direction = fields["direction"]
     if direction not in ("log", "exp"):
         raise ConfigError('direction must be "log" or "exp"')
     source, op = {"log": ("scale", log_transform), "exp": ("shift", exp_transform)}[direction]
-    if ("input" in doc) == ("process" in doc):
+    if ("input" in fields) == ("process" in fields):
         raise ConfigError('provide exactly one of "input" (measure lines) or "process"')
 
-    if "input" in doc:
+    if "input" in fields:
         src_cls = CARRIERS[source].measure
         try:
-            with open(doc["input"], "r", encoding="utf-8") as fh:
+            with open(fields["input"], "r", encoding="utf-8") as fh:
                 raw = fh.read().splitlines()
         except OSError as e:
             raise ConfigError(f"cannot read input: {e}")
@@ -393,7 +340,7 @@ def cmd_transform(args) -> int:
                         extra={"direction": direction})
         return 0
 
-    spec = process_spec_from_config(doc["process"])
+    spec = fields["process"]
     if spec.carrier != source:
         raise ConfigError(f"direction {direction} applies to {source} families")
     mapped = map_process_spec(spec)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError, StarvationError
-from .characterization import SubCheck, TestReport, fit_scale_template
+from .characterization import SubCheck, TestReport, fit_scale_template, frechet_template
 from .functionals import (
     battery_estimates,
     cf_quadrature,
@@ -190,12 +190,7 @@ def _fit_c_max(spec: ProcessSpec, window: float, censored_frac: float,
     fhat = (k0 + np.searchsorted(exc, grid, side="right")) / n
     se = np.sqrt(np.maximum(fhat * (1.0 - fhat), 1e-12) / n)
 
-    def template(v):
-        v = np.asarray(v, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return np.exp(-np.where(v > 0.0, v, np.inf) ** -alpha)
-
-    c_hat, _, _ = fit_scale_template(grid, fhat, se, template)
+    c_hat, _, _ = fit_scale_template(grid, fhat, se, frechet_template(alpha))
     return c_hat, w_fit
 
 
@@ -235,12 +230,9 @@ def extract_decoration(
         all_maxmods.append(mm)
         for idx in np.nonzero(mm > y)[0]:
             m = campaign.replica_measure(int(idx))
-            locs = np.asarray([a for a, _ in m.atoms()], dtype=np.float64)
-            mults = [w for _, w in m.atoms()]
-            normalized = locs / mm[idx]
+            normalized = m.locations / mm[idx]
             keep = np.abs(normalized) > config.inner_radius
-            accepted_meas.append(PointMeasure.from_atoms(
-                [(float(l), int(w)) for l, w, k in zip(normalized, mults, keep) if k]))
+            accepted_meas.append(PointMeasure(normalized[keep], m.multiplicities[keep]))
             accepted_r.append(mm[idx] / y)
         attempted += batch
         batch_idx += 1

@@ -57,6 +57,9 @@ __all__ = [
     "ProcessSpec",
     "SeedSpec",
     "BLOCK_SIZE",
+    "MEAN_CAP",
+    "config_fields",
+    "kind_fields",
     "sample_truncated_poisson",
     "sample_decoration",
     "sample_process",
@@ -75,7 +78,7 @@ BLOCK_SIZE = 4096
 # Hard per-replica cap on the truncated-series Poisson mean. A window that
 # implies more work than this is almost certainly a configuration mistake and
 # would otherwise exhaust memory.
-_MEAN_CAP = 1.0e6
+MEAN_CAP = 1.0e6
 
 _HERMGAUSS_N = 96
 
@@ -169,12 +172,9 @@ class LocationLaw:
 
 
 def _atoms_tuple(atoms):
-    out = tuple((_number(loc, "a decoration atom location"),
-                 _number(mult, "a multiplicity", integer=True))
-                for loc, mult in _pairs(atoms, "decoration atoms"))
-    if not out:
+    if not atoms:
         raise DomainError("a decoration realization needs at least one atom")
-    return out
+    return READ["atoms"](atoms, "decoration atoms")
 
 
 @dataclass(frozen=True)
@@ -604,149 +604,162 @@ class SeedSpec:
 
 
 # -- config parsing (strict, fail closed) -------------------------------------
+#
+# `config_fields` reads every config object, from a process to a CLI command
+# config. READ is keyed by field name: a name means the same in every object.
 
-def _check_keys(doc: dict, required: set, optional: set, what: str):
+def _scalar(types, cast, name: str):
+    """Reader of one JSON scalar of `types`; true/false count only as booleans."""
+    def read(v, what: str):
+        if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
+            raise ConfigError(f"{what} must be {name}")
+        try:
+            return cast(v)
+        except OverflowError:
+            raise ConfigError(f"{what} is out of range") from None
+    return read
+
+
+_number = _scalar(numbers.Real, float, "a number")
+_integer = _scalar(numbers.Integral, lambda v: int(np.int64(v)), "an integer")
+_string = _scalar(str, str, "a string")
+_boolean = _scalar(bool, bool, "true or false")
+_object = _scalar(dict, dict, "a JSON object")
+
+
+def _list_of(read):
+    """Reader of a non-empty list whose items `read` reads, as a tuple."""
+    def read_list(v, what: str):
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{what} must be a non-empty list")
+        return tuple(read(x, f"{what}[{i}]") for i, x in enumerate(v))
+    return read_list
+
+
+def _pair_of(first, second):
+    """Reader of a two-element list, `first` and `second` reading its items."""
+    def read_pair(v, what: str):
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise ConfigError(f"{what} must be a pair")
+        return first(v[0], f"{what}[0]"), second(v[1], f"{what}[1]")
+    return read_pair
+
+
+def _id(v, what: str) -> str:
+    fid = _string(v, what)
+    if not fid or not all(ch.isalnum() or ch in "_.-" for ch in fid):
+        raise ConfigError(f"{what} must be made of letters, digits, _ . -")
+    return fid
+
+
+def config_fields(doc, what: str, required=(), optional=()) -> dict:
+    """The fields of config object `doc`, each read through READ.
+
+    Rejects a non-object, a missing required field and an unknown field; a
+    null value reads as an absent field.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    keys = set(doc)
-    missing = required - keys
+    present = {k: v for k, v in doc.items() if v is not None}
+    missing = [k for k in required if k not in present]
     if missing:
-        raise ConfigError(f"{what} is missing field(s): {sorted(missing)}")
-    unknown = keys - required - optional
+        raise ConfigError(f"{what} is missing field(s): {missing}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
     if unknown:
-        raise ConfigError(f"{what} has unknown field(s): {sorted(unknown)}")
+        raise ConfigError(f"{what} has unknown field(s): {unknown}")
+    return {k: _read(k, v, f"{what}.{k}") for k, v in present.items()}
 
 
-def _number(v, what: str, integer: bool = False):
-    """A config number as a float (an int when `integer`); true/false are not numbers."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
-        raise ConfigError(f"{what} must be {'an integer' if integer else 'a number'}")
-    return int(v) if integer else float(v)
+def kind_fields(doc, what: str, kinds: dict, key: str = "kind", required=(), optional=()) -> dict:
+    """`config_fields` with field lists picked by doc[key]: `kinds` maps each
+    allowed value to the (required, optional) fields it adds to the common ones."""
+    kind = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(kind, str) and kind in kinds:
+        required, optional = (*required, *kinds[kind][0]), (*optional, *kinds[kind][1])
+    elif kind is not None:
+        raise ConfigError(f"{what}.{key} must be one of {sorted(kinds)}, not {kind!r}")
+    return config_fields(doc, what, (key, *required), optional)
 
 
-def _num(doc, key, what) -> float:
-    return _number(doc[key], f"{what}.{key}")
+def _law(cls):
+    """Reader of a ScaleLaw or ShiftLaw config."""
+    kinds = {"deterministic": (("value",), ()), cls.gaussian: (("mu", "sigma"), ()),
+             "table": (("values", "probs"), ())}
+    return lambda doc, what: cls(**kind_fields(doc, what, kinds))
 
 
-def _numbers(doc, key, what) -> tuple:
-    seq = doc[key]
-    if not isinstance(seq, list):
-        raise ConfigError(f"{what}.{key} must be a list of numbers")
-    return tuple(_number(v, f"{what}.{key}[{i}]") for i, v in enumerate(seq))
+_LOCATIONS = {"uniform": (("low", "high"), ()), "table": (("values", "probs"), ())}
+_DECORATIONS = {"dirac": (("atoms",), ()), "table": (("entries",), ()),
+                "random_atoms": (("count_probs", "location"), ())}
+_FAMILIES = {"scdppp": (("alpha",), ()), "sscdppp": (("alpha", "scale"), ()),
+             "dppp": (("c",), ()), "sdppp": (("c", "shift"), ())}
 
 
-def _pairs(seq, what: str):
-    """`seq` itself, once checked to be a list of two-element lists."""
-    if not isinstance(seq, (list, tuple)) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in seq):
-        raise ConfigError(f"{what} must be a list of pairs")
-    return seq
+def _entry(doc, what: str) -> tuple:
+    fields = config_fields(doc, what, ("atoms", "prob"))
+    return fields["atoms"], fields["prob"]
 
 
-def location_law_from_config(doc) -> LocationLaw:
-    _check_keys(doc, {"kind"}, {"low", "high", "values", "probs"}, "location law")
-    kind = doc["kind"]
-    if kind == "uniform":
-        _check_keys(doc, {"kind", "low", "high"}, set(), "uniform location law")
-        return LocationLaw(kind="uniform", low=_num(doc, "low", "location"),
-                           high=_num(doc, "high", "location"))
-    if kind == "table":
-        _check_keys(doc, {"kind", "values", "probs"}, set(), "table location law")
-        return LocationLaw(kind="table", values=_numbers(doc, "values", "location"),
-                           probs=_numbers(doc, "probs", "location"))
-    raise ConfigError(f"unknown location law kind: {kind!r}")
+def _decoration(doc, what: str) -> dict:
+    """The DecorationSpec arguments of a decoration config, all but the carrier."""
+    fields = kind_fields(doc, what, _DECORATIONS, optional=("maxmod_bound",))
+    pairs = fields.pop("count_probs", ())
+    return dict(fields, count_values=tuple(k for k, _ in pairs),
+                count_probs=tuple(p for _, p in pairs))
 
 
-def decoration_from_config(doc, carrier: str) -> DecorationSpec:
-    _check_keys(doc, {"kind"}, {"atoms", "entries", "count_probs", "location", "maxmod_bound"},
-                "decoration")
-    kind = doc.get("kind")
-    bound = None if doc.get("maxmod_bound") is None else _num(doc, "maxmod_bound", "decoration")
+def _process(doc, what: str) -> ProcessSpec:
+    fields = kind_fields(doc, what, _FAMILIES, key="family", required=("decoration", "window"))
+    cr = _family_carrier(fields["family"])
+    return ProcessSpec(fields["family"], fields[cr.rate_key],
+                       DecorationSpec(carrier=cr.name, **fields["decoration"]), fields["window"],
+                       **{f"{cr.name}_law": fields.get(cr.name)})
+
+
+READ = {
+    **dict.fromkeys(("schema", "family", "kind", "direction", "input"), _string),
+    **dict.fromkeys(("alpha", "c", "window", "maxmod_bound", "prob", "low", "high", "value",
+                     "mu", "sigma", "left", "peak", "right", "height", "level", "edge", "outer",
+                     "ramp", "plateau", "b1", "b2", "rhs_scale_factor", "censor_mass",
+                     "threshold", "inner_radius"), _number),
+    **dict.fromkeys(("k", "n_accepted", "max_attempts"), _integer),
+    **dict.fromkeys(("values", "probs", "points", "y_grid"), _list_of(_number)),
+    "atoms": _list_of(_pair_of(_number, _integer)),
+    "count_probs": _list_of(_pair_of(_integer, _number)),
+    "knots": _list_of(_pair_of(_number, _number)),
+    "symmetric": _boolean,
+    "id": _id,
+    "battery": lambda v, what: v if v == "default" else _list_of(_object)(v, what),
+    "entries": _list_of(_entry),
+    "location": lambda doc, what: LocationLaw(**kind_fields(doc, what, _LOCATIONS)),
+    "scale": _law(ScaleLaw),
+    "shift": _law(ShiftLaw),
+    "decoration": _decoration,
+    "process": _process,
+}
+
+
+def _read(key: str, value, what: str):
+    """READ[key] applied to `value`; the one place where a DomainError raised
+    by the object a field builds becomes a ConfigError."""
     try:
-        if kind == "dirac":
-            _check_keys(doc, {"kind", "atoms"}, {"maxmod_bound"}, "dirac decoration")
-            return DecorationSpec(kind="dirac", carrier=carrier,
-                                  atoms=_atoms_tuple(doc["atoms"]), maxmod_bound=bound)
-        if kind == "table":
-            _check_keys(doc, {"kind", "entries"}, {"maxmod_bound"}, "table decoration")
-            entries = []
-            for e in doc["entries"]:
-                _check_keys(e, {"atoms", "prob"}, set(), "table decoration entry")
-                entries.append((_atoms_tuple(e["atoms"]),
-                                _num(e, "prob", "table decoration entry")))
-            return DecorationSpec(kind="table", carrier=carrier, entries=tuple(entries),
-                                  maxmod_bound=bound)
-        if kind == "random_atoms":
-            _check_keys(doc, {"kind", "count_probs", "location"}, {"maxmod_bound"},
-                        "random_atoms decoration")
-            pairs = [(_number(k, "a count value", integer=True),
-                      _number(p, "a count probability"))
-                     for k, p in _pairs(doc["count_probs"], "count_probs")]
-            return DecorationSpec(
-                kind="random_atoms", carrier=carrier,
-                count_values=tuple(k for k, _ in pairs), count_probs=tuple(p for _, p in pairs),
-                location=location_law_from_config(doc["location"]), maxmod_bound=bound)
-    except DomainError as exc:
-        raise ConfigError(f"invalid decoration: {exc}") from exc
-    raise ConfigError(f"unknown decoration kind: {kind!r}")
-
-
-def _law_from_config(doc, cr: Carrier):
-    what = f"{cr.name} law"
-    _check_keys(doc, {"kind"}, {"value", "mu", "sigma", "values", "probs"}, what)
-    kind = doc["kind"]
-    try:
-        if kind == "deterministic":
-            _check_keys(doc, {"kind", "value"}, set(), f"deterministic {what}")
-            return cr.law.deterministic(_num(doc, "value", what))
-        if kind == cr.law.gaussian:
-            _check_keys(doc, {"kind", "mu", "sigma"}, set(), f"{kind} {what}")
-            return cr.law(kind=kind, mu=_num(doc, "mu", what), sigma=_num(doc, "sigma", what))
-        if kind == "table":
-            _check_keys(doc, {"kind", "values", "probs"}, set(), f"table {what}")
-            return cr.law.table(_numbers(doc, "values", what), _numbers(doc, "probs", what))
+        return READ[key](value, what)
     except DomainError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
-    raise ConfigError(f"unknown {what} kind: {kind!r}")
 
 
 def process_spec_from_config(doc) -> ProcessSpec:
     """Parse a process config object; unknown fields are rejected."""
-    _check_keys(doc, {"family", "decoration", "window"}, {"alpha", "c", "scale", "shift"},
-                "process")
-    family = doc.get("family")
-    cr = _family_carrier(family)
-    if cr is None:
-        raise ConfigError(f"unknown family: {family!r}")
-    other = CARRIERS[cr.other]
-    plain, decorated = cr.families
-    if cr.rate_key not in doc:
-        raise ConfigError(f"{cr.name} families require '{cr.rate_key}'")
-    if other.rate_key in doc:
-        raise ConfigError(f"{cr.name} families use '{cr.rate_key}', not '{other.rate_key}'")
-    rate = _num(doc, cr.rate_key, "process")
-    law = _law_from_config(doc[cr.name], cr) if cr.name in doc else None
-    if family == plain and law is not None:
-        raise ConfigError(f"{plain} takes no '{cr.name}' law; use family {decorated}")
-    if family == decorated and law is None:
-        raise ConfigError(f"{decorated} requires a '{cr.name}' law")
-    if other.name in doc:
-        raise ConfigError(f"{cr.name} families take no '{other.name}' law")
-    dec = decoration_from_config(doc["decoration"], cr.name)
-    try:
-        return ProcessSpec(family, rate, dec, _num(doc, "window", "process"),
-                           **{f"{cr.name}_law": law})
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _read("process", doc, "process")
 
 
 # -- core block sampling -------------------------------------------------------
 
 def _guard_mean(mean: np.ndarray, window) -> None:
     top = float(np.max(mean)) if mean.size else 0.0
-    if not math.isfinite(top) or top > _MEAN_CAP:
+    if not math.isfinite(top) or top > MEAN_CAP:
         raise RangeError(
-            f"truncated-series Poisson mean {top:.3g} exceeds the cap {_MEAN_CAP:.0e} "
+            f"truncated-series Poisson mean {top:.3g} exceeds the cap {MEAN_CAP:.0e} "
             f"(window {window!r} too aggressive for this spec)"
         )
 
@@ -778,7 +791,7 @@ def _scale_block(spec: ProcessSpec, key: np.ndarray, size: int, window: float):
     return locs[keep], rep[keep], dw[keep]
 
 
-_LOG_MEAN_CAP = math.log(_MEAN_CAP)
+_LOG_MEAN_CAP = math.log(MEAN_CAP)
 
 
 def _shift_block(spec: ProcessSpec, key: np.ndarray, size: int, cutoff: float):
@@ -894,8 +907,8 @@ def sample_truncated_poisson(alpha: float, eta: float, seed) -> PointMeasure:
     if not (eta > 0.0 and math.isfinite(eta)):
         raise DomainError("eta must be finite and > 0")
     mean = float(intensity.tail(eta))
-    if mean > _MEAN_CAP:
-        raise RangeError(f"Poisson mean {mean:.3g} exceeds the cap {_MEAN_CAP:.0e}")
+    if mean > MEAN_CAP:
+        raise RangeError(f"Poisson mean {mean:.3g} exceeds the cap {MEAN_CAP:.0e}")
     master, replica = _seed_pair(seed)
     rng = make_generator(master, ROLE_SCALAR, replica)
     k = int(rng.poisson(mean))

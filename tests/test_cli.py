@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -113,10 +114,34 @@ class TestConfigErrors:
         (["test", "stability"], {"b1": True, "b2": 2.0}),
         (["test", "maxlaw"], {"censor_mass": "x"}),
         (["test", "tail"], {"k": "abc"}),
+        (["estimate"], {"battery": [{"id": "a", "kind": []}]}),
+        (["sample"], {"process": dict(PROC, decoration={"kind": "table", "entries": 5})}),
+        (["estimate"], {"battery": [{"id": "a", "kind": "indicator", "level": 1.0,
+                                     "edge": 1.0, "symmetric": "no"}]}),
+        (["estimate"], {"battery": [{"id": "a", "kind": "tent", "left": "0.5",
+                                     "peak": 1.0, "right": 2.0}]}),
+        (["estimate"], {"battery": [{"id": "a", "kind": "tent", "left": True,
+                                     "peak": 1.5, "right": 2.0}]}),
+        (["estimate"], {"battery": [{"id": "a", "kind": "knots",
+                                     "knots": [[0.5, 0.0], [1.0, "1"], [2.0, 0.0]]}]}),
+        (["estimate"], {"battery": [{"id": "a", "kind": "knots",
+                                     "knots": [[0.5, 0.0], [1.0, True], [2.0, 0.0]]}]}),
+        (["estimate"], {"points": ["0.5"]}),
+        (["estimate"], {"points": [True]}),
+        (["extract"], {"threshold": "3", "inner_radius": 0.5}),
+        (["extract"], {"threshold": 3.0, "inner_radius": 0.5, "n_accepted": 100.7}),
+        (["transform"], {"direction": []}),
+        (["sample"], {"process": dict(PROC, family="sscdppp", scale={"kind": []})}),
+        (["sample"], {"process": dict(PROC, window=10 ** 400)}),
+        (["sample"], {"process": dict(PROC, decoration={"kind": "dirac",
+                                                        "atoms": [[1.0, 10 ** 400]]})}),
     ], ids=["atom_short", "atom_string", "atom_location", "count_pair_short",
             "scale_law_value", "shift_law_value", "law_prob", "location_value",
             "entry_prob", "maxmod_bound", "b1", "b2", "rhs_scale_factor", "b1_bool",
-            "censor_mass", "k"])
+            "censor_mass", "k", "function_kind_list", "entries_int", "symmetric_string",
+            "left_string", "left_bool", "knot_string", "knot_bool", "point_string",
+            "point_bool", "threshold_string", "n_accepted_fraction", "direction_list",
+            "law_kind_list", "window_overflow", "multiplicity_overflow"])
     def test_malformed_number_exits_one_with_error_line(self, tmp_path, capsys,
                                                          command, extra):
         cfg = proc_config(tmp_path, extra)
@@ -124,6 +149,22 @@ class TestConfigErrors:
                                "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_transform_input_must_be_a_path(self, tmp_path, capsys):
+        # an integer is not a path: open() would read that file descriptor, then close it
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b'{"atoms": [[1.0, 1]]}\n')
+        os.close(write_fd)
+        try:
+            cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                    "input": read_fd})
+            assert main(["transform", "--config", cfg,
+                         "--out", str(tmp_path / "o.jsonl")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(read_fd)
 
     def test_shift_config_for_scale_command_flows_through(self, tmp_path):
         cfg = proc_config(tmp_path, process=SHIFT_PROC)
