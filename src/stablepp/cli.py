@@ -42,6 +42,8 @@ from .functionals import (
     shift_battery,
 )
 from .point_measure import (
+    MeasureBatch,
+    PointMeasure,
     ShiftTestFunction,
     TestFunction,
     indicator_approx,
@@ -90,7 +92,7 @@ def _load_config(path: str, required, optional=()) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
@@ -148,11 +150,19 @@ def _points(fields: dict, carrier: str, key: str = "points"):
 # -- output plumbing ---------------------------------------------------------------
 
 
+def _write_chunks(path: str, chunks) -> int:
+    """Write text chunks one after another, return their line count."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for text in chunks:
+            fh.write(text)
+            n += text.count("\n")
+    return n
+
+
 def _write_text(path: str, text: str) -> int:
     """Write text, return its line count."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text.count("\n")
+    return _write_chunks(path, (text,))
 
 
 def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
@@ -184,9 +194,7 @@ def cmd_sample(args) -> int:
     reps = args.reps if args.reps is not None else _DEFAULT_REPS["sample"]
     threads = resolve_threads(args.threads)
     campaign = run_campaign(ProcessSource(spec), args.seed, reps, threads)
-    lines = "".join(campaign.replica_measure(i).to_json_line() + "\n"
-                    for i in range(reps))
-    n = _write_text(args.out, lines)
+    n = _write_chunks(args.out, campaign.measures().json_chunks())
     _write_manifest(args.out, "sample", doc, seed=args.seed, reps=reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n}},
@@ -301,7 +309,8 @@ def cmd_extract(args) -> int:
     sidecar = args.out + ".decorations.jsonl"
     n_rep = _write_text(args.out,
                         json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-    n_dec = _write_text(sidecar, "".join(l + "\n" for l in report.decoration_lines()))
+    n_dec = _write_chunks(sidecar,
+                          MeasureBatch.of(report.decorations, PointMeasure).json_chunks())
     _write_manifest(args.out, "extract", doc, seed=args.seed, reps=report.attempts,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n_rep}, sidecar: {"lines": n_dec}},
@@ -320,21 +329,27 @@ def cmd_transform(args) -> int:
         raise ConfigError('provide exactly one of "input" (measure lines) or "process"')
 
     if "input" in fields:
-        src_cls = CARRIERS[source].measure
         try:
             with open(fields["input"], "r", encoding="utf-8") as fh:
                 raw = fh.read().splitlines()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read input: {e}")
-        out_lines = []
-        for i, line in enumerate(raw):
-            if not line.strip():
-                continue
-            try:
-                out_lines.append(op(src_cls.from_json_line(line)).to_json_line())
-            except (StableppError, ValueError) as e:
-                raise ConfigError(f"input line {i + 1}: {e}")
-        n = _write_text(args.out, "".join(l + "\n" for l in out_lines))
+        try:
+            batch = MeasureBatch.from_json_lines(raw, CARRIERS[source].measure)
+        except ConfigError as e:
+            raise ConfigError(f"input {e}")
+        try:
+            out = op(batch)
+        except StableppError:
+            # name the first measure the map fails on
+            numbers = [k for k, line in enumerate(raw, 1) if line.strip()]
+            for k, m in zip(numbers, batch):
+                try:
+                    op(m)
+                except StableppError as e:
+                    raise ConfigError(f"input line {k}: {e}")
+            raise
+        n = _write_chunks(args.out, out.json_chunks())
         _write_manifest(args.out, "transform", doc, seed=args.seed, reps=n,
                         spec_hashes=[], outputs={args.out: {"lines": n}},
                         extra={"direction": direction})

@@ -31,7 +31,7 @@ from .functionals import (
     maxmod_law,
     predict_scaled_laplace,
 )
-from .point_measure import PointMeasure, integrate, tent
+from .point_measure import MeasureBatch, PointMeasure, tent
 from .rng import ROLE_PERMUTE, make_generator
 from .sampler import (
     BLOCK_SIZE,
@@ -57,6 +57,7 @@ _ROLE_CMAX = 34
 
 _ATTEMPT_BATCH = 4 * BLOCK_SIZE
 _CMAX_FIT_REPS = 100_000
+_PERM_ENTRIES = 1 << 20  # bound on the entries of one permutation matrix
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class ExtractionReport:
 
     def decoration_lines(self):
         """Decoration samples in the point-measure line format."""
-        return [m.to_json_line() for m in self.decorations]
+        return MeasureBatch.of(self.decorations, PointMeasure).json_lines().splitlines()
 
 
 def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
@@ -147,17 +148,41 @@ def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
 def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> float:
     """Two-sided permutation p-value for |Pearson correlation| of a against b.
 
-    Degenerate inputs (either side constant) carry no dependence evidence and
-    return 1.0 by convention.
+    The n_perm permutations of b are drawn one at a time from rng and scored
+    together as a (permutations x n) matrix. A permutation's score is the dot
+    product of centred a with the permuted centred b: the norms of both stay
+    the same under permutation, so scores order permutations as |r| does. A
+    score within 1e-12 (in units of r) of the observed one counts as a tie,
+    and ties count as hits, so the p-value does not hang on rounding.
+
+    Degenerate inputs carry no dependence evidence and return 1.0 by
+    convention: either side constant, or constant up to rounding (a spread
+    within 1e-12 of its largest magnitude, as when an integral that is
+    constant in exact arithmetic is rounded differently per sample).
     """
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
+    if any(np.ptp(x) <= 1e-12 * np.max(np.abs(x)) for x in (a, b)):
         return 1.0
-    obs = abs(float(np.corrcoef(a, b)[0, 1]))
+    ac, bc = a - a.mean(), b - b.mean()
+    floor = abs(float(ac @ bc)) - 1e-12 * math.sqrt(float(ac @ ac) * float(bc @ bc))
+    rows = max(1, _PERM_ENTRIES // b.size)  # permutations scored at a time
     hits = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(b.size)
-        hits += abs(float(np.corrcoef(a, b[perm])[0, 1])) >= obs
+    for done in range(0, n_perm, rows):
+        perms = np.array([rng.permutation(b.size) for _ in range(min(rows, n_perm - done))])
+        hits += int(np.count_nonzero(np.abs(bc[perms] @ ac) >= floor))
     return (1 + hits) / (n_perm + 1)
+
+
+def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) -> MeasureBatch:
+    """The replicas `hit` of a campaign, each divided by its maximum modulus
+    `mm` and restricted to {|x| > inner_radius}."""
+    accepted = np.zeros(campaign.n_reps, dtype=bool)
+    accepted[hit] = True
+    rows = accepted[campaign.replica]
+    rep = campaign.replica[rows]
+    normalized = campaign.locations[rows] / mm[rep]
+    keep = np.abs(normalized) > inner_radius
+    return MeasureBatch(PointMeasure, normalized[keep], campaign.weights[rows][keep],
+                        np.searchsorted(hit, rep[keep]), hit.size)
 
 
 def _fit_c_max(spec: ProcessSpec, window: float, censored_frac: float,
@@ -216,11 +241,12 @@ def extract_decoration(
     window = config.inner_radius * y
     src = ProcessSource(spec, window)
 
-    accepted_meas = []
+    accepted = []
     accepted_r = []
     all_maxmods = []
     attempted = 0
     batch_idx = 0
+    n_found = 0
     target = int(config.n_accepted)
     while attempted < int(config.max_attempts):
         batch = min(_ATTEMPT_BATCH, int(config.max_attempts) - attempted)
@@ -228,18 +254,15 @@ def extract_decoration(
                                 role=(_ROLE_EXTRACT, batch_idx))
         mm = campaign.maxmods()
         all_maxmods.append(mm)
-        for idx in np.nonzero(mm > y)[0]:
-            m = campaign.replica_measure(int(idx))
-            normalized = m.locations / mm[idx]
-            keep = np.abs(normalized) > config.inner_radius
-            accepted_meas.append(PointMeasure(normalized[keep], m.multiplicities[keep]))
-            accepted_r.append(mm[idx] / y)
+        hit = np.flatnonzero(mm > y)
+        accepted.append(_normalized(campaign, mm, hit, config.inner_radius))
+        accepted_r.append(mm[hit] / y)
+        n_found += hit.size
         attempted += batch
         batch_idx += 1
-        if len(accepted_r) >= target:
+        if n_found >= target:
             break
 
-    n_found = len(accepted_r)
     if n_found < target:
         try:
             rate = predicted_acceptance(spec, y)
@@ -251,15 +274,15 @@ def extract_decoration(
             f"{attempted} attempts{hint}"
         )
 
-    decorations = tuple(accepted_meas[:target])
-    radials = np.asarray(accepted_r[:target], dtype=np.float64)
+    decorations = MeasureBatch.concatenate(accepted, PointMeasure)[:target]
+    radials = np.concatenate(accepted_r)[:target]
     maxmods = np.concatenate(all_maxmods)
     censored_frac = float(np.mean(maxmods <= window))
 
     ks = stats.kstest(radials, lambda u: 1.0 - np.asarray(u, float) ** -spec.alpha)
-    counts = np.asarray([m.total_mass for m in decorations], dtype=np.float64)
+    counts = decorations.total_mass().astype(np.float64)
     f_sens = tent(config.inner_radius, 0.5 * (1.0 + config.inner_radius), 1.0)
-    tents = np.asarray([integrate(m, f_sens) for m in decorations], dtype=np.float64)
+    tents = decorations.integrals(f_sens)
     rng = make_generator(int(seed), ROLE_PERMUTE, _ROLE_EXTRACT)
     independence_p = _permutation_p(rng, radials, counts)
     sensitivity_p = _permutation_p(rng, radials, tents)
@@ -270,7 +293,7 @@ def extract_decoration(
         spec=spec,
         config=config,
         seed=int(seed),
-        decorations=decorations,
+        decorations=tuple(decorations),
         radials=radials,
         pareto_ks=float(ks.statistic),
         pareto_p=float(ks.pvalue),

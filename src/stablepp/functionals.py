@@ -375,6 +375,17 @@ def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u: float) -> 
 
 # -- extreme-value laws -------------------------------------------------------------
 
+_EXPECT_POINTS = 1 << 14  # points per expect call, bounding its (nodes x points) arrays
+
+
+def _expect_at(law, points: np.ndarray, h) -> np.ndarray:
+    """E[h(value, x)] over `law` at every x in `points`; h maps the law's (k,)
+    nodes and m points to a (k, m) array."""
+    parts = [law.expect(lambda v: h(v, points[i:i + _EXPECT_POINTS]))
+             for i in range(0, points.size, _EXPECT_POINTS)]
+    return np.concatenate([np.zeros(0)] + parts)
+
+
 @dataclass(frozen=True)
 class FrechetMixture:
     """P(maxmod <= y) = E_W[exp(-y^-alpha W^alpha kappa)]; Frechet when W is constant."""
@@ -387,15 +398,14 @@ class FrechetMixture:
         return self.scale_law if self.scale_law is not None else ScaleLaw.deterministic(1.0)
 
     def cdf(self, y):
+        """The CDF at every point of y, many points per `expect` call; 0 for y <= 0."""
         y = np.asarray(y, dtype=np.float64)
-        law = self._law()
-        flat = np.atleast_1d(y)
-        with np.errstate(divide="ignore"):
-            out = np.array(
-                [law.expect(lambda w: np.exp(-(t ** -self.alpha) * w ** self.alpha * self.kappa))
-                 if t > 0.0 else 0.0
-                 for t in flat]
-            )
+        flat = y.ravel()
+        out = np.zeros(flat.shape)
+        pos = flat > 0.0
+        out[pos] = _expect_at(
+            self._law(), flat[pos],
+            lambda w, t: np.exp(-(t ** -self.alpha) * w[:, None] ** self.alpha * self.kappa))
         return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
     def ppf(self, q):
@@ -426,12 +436,10 @@ class GumbelMixture:
         return self.shift_law if self.shift_law is not None else ShiftLaw.deterministic(0.0)
 
     def cdf(self, t):
+        """The CDF at every point of t, many points per `expect` call."""
         t = np.asarray(t, dtype=np.float64)
-        law = self._law()
-        flat = np.atleast_1d(t)
-        out = np.array(
-            [law.expect(lambda u: np.exp(-np.exp(-self.c * (s - u)) * self.kappa)) for s in flat]
-        )
+        out = _expect_at(self._law(), t.ravel(),
+                         lambda u, s: np.exp(-np.exp(-self.c * (s - u[:, None])) * self.kappa))
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def ppf(self, q):

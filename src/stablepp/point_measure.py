@@ -8,12 +8,16 @@ test functions have compact support on the line; ``sampler.Carrier`` holds
 each carrier's measure class with the rest of what differs between the two.
 Both measure classes are canonical on construction: atoms sorted by location,
 exactly equal locations merged by summing multiplicities (bit equality, no
-tolerance), multiplicities positive integers.
+tolerance), multiplicities positive integers. ``MeasureBatch`` holds many
+measures of one class in flat arrays; it makes atoms canonical and reads and
+writes the one-measure-per-line JSON format, for one measure or for many.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .errors import ConfigError, DomainError, RangeError
 __all__ = [
     "PointMeasure",
     "ShiftPointMeasure",
+    "MeasureBatch",
     "TestFunction",
     "ShiftTestFunction",
     "scale",
@@ -40,7 +45,44 @@ __all__ = [
 ]
 
 
+def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
+               forbid_origin: bool):
+    """(locations, multiplicities, offsets) of n measures in canonical form.
+
+    Atom k belongs to measure index[k]. Unless the atoms already come in
+    canonical order (measure ascending, locations strictly increasing within
+    each), one stable lexsort by (measure, location) orders them and equal
+    neighbours merge by summing their multiplicities. Because the sort is
+    stable, a merge of the equal locations 0.0 and -0.0 keeps the sign of the
+    one given first.
+    """
+    if not np.isfinite(locs).all():
+        raise DomainError("atom locations must be finite")
+    if forbid_origin and (locs == 0.0).any():
+        raise DomainError("atoms at the origin are not allowed on the scale carrier")
+    if (mults < 1).any():
+        raise DomainError("multiplicities must be >= 1")
+    if ((index[1:] > index[:-1])
+            | ((index[1:] == index[:-1]) & (locs[1:] > locs[:-1]))).all():
+        locs, mults = locs.copy(), mults.copy()  # already canonical
+    else:
+        order = np.lexsort((locs, index))
+        locs, mults, index = locs[order], mults[order], index[order]
+        head = np.ones(locs.size, dtype=bool)
+        np.not_equal(locs[1:], locs[:-1], out=head[1:])
+        head[1:] |= index[1:] != index[:-1]
+        if not head.all():
+            starts = np.flatnonzero(head)
+            locs, mults, index = locs[starts], np.add.reduceat(mults, starts), index[starts]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n), out=offsets[1:])
+    for a in (locs, mults, offsets):
+        a.flags.writeable = False
+    return locs, mults, offsets
+
+
 def _canonical_atoms(locations, multiplicities, forbid_origin: bool):
+    """One measure's atoms in canonical form: the one-measure case of a MeasureBatch."""
     locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
     if locs.ndim != 1:
         raise DomainError("atom locations must form a one-dimensional sequence")
@@ -54,19 +96,8 @@ def _canonical_atoms(locations, multiplicities, forbid_origin: bool):
             if not np.all(raw == np.round(raw)):
                 raise DomainError("multiplicities must be integers")
         mults = raw.astype(np.int64)
-    if locs.size and not np.all(np.isfinite(locs)):
-        raise DomainError("atom locations must be finite")
-    if forbid_origin and locs.size and np.any(locs == 0.0):
-        raise DomainError("atoms at the origin are not allowed on the scale carrier")
-    if mults.size and np.any(mults < 1):
-        raise DomainError("multiplicities must be >= 1")
-    if locs.size:
-        uniq, inverse = np.unique(locs, return_inverse=True)
-        merged = np.zeros(uniq.shape, dtype=np.int64)
-        np.add.at(merged, inverse, mults)
-        locs, mults = uniq, merged
-    locs.flags.writeable = False
-    mults.flags.writeable = False
+    locs, mults, _ = _canonical(locs, mults, np.zeros(locs.size, dtype=np.int64), 1,
+                                forbid_origin)
     return locs, mults
 
 
@@ -113,24 +144,19 @@ class _BaseMeasure:
             np.concatenate([self.multiplicities, other.multiplicities]),
         )
 
+    def relocated(self, locations, measure):
+        """A measure of class `measure` with these atoms moved to `locations`."""
+        return measure(locations, self.multiplicities)
+
     def to_json_line(self) -> str:
-        return json.dumps({"atoms": [[float(x), int(m)] for x, m in zip(self.locations, self.multiplicities)]})
+        """The measure-line text of this measure, without the newline."""
+        return _json_text(self.locations, self.multiplicities, [0, self.locations.size])[:-1]
 
     @classmethod
     def from_json_line(cls, line: str):
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed point-measure line: {exc}") from exc
-        if not isinstance(doc, dict) or set(doc) != {"atoms"}:
-            raise ConfigError("point-measure line must be an object with the single key 'atoms'")
-        atoms = doc["atoms"]
-        if not isinstance(atoms, list) or any(not isinstance(a, list) or len(a) != 2 for a in atoms):
-            raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
-        try:
-            return cls.from_atoms([(float(a[0]), int(a[1])) for a in atoms])
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not line.strip():
+            raise ConfigError("a point-measure line must not be blank")
+        return MeasureBatch._parse([(1, line)], cls)[0]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -215,6 +241,201 @@ class ShiftPointMeasure(_BaseMeasure):
         """Restriction to the half line {x > cutoff}."""
         keep = self.locations > float(cutoff)
         return ShiftPointMeasure(self.locations[keep], self.multiplicities[keep])
+
+
+# -- many measures at once ------------------------------------------------------
+
+_LINE_CHUNK = 4096  # measure lines decoded at a time
+_ATOM_CHUNK = 1 << 16  # atoms encoded at a time, in whole measures
+
+
+def _json_text(locations: np.ndarray, multiplicities: np.ndarray, bounds: list) -> str:
+    """Measure lines of the atoms split at the offsets `bounds`, each ending in
+    a newline and reading exactly as ``json.dumps({"atoms": [[float(x), int(m)], ...]})``."""
+    atoms = [f"[{x!r}, {m}]" for x, m in zip(locations.tolist(), multiplicities.tolist())]
+    return "".join(['{"atoms": [' + ", ".join(atoms[s:e]) + "]}\n"
+                    for s, e in zip(bounds[:-1], bounds[1:])])
+
+
+def _decoded_atoms(line: str) -> list:
+    """The 'atoms' list of one measure line, its shape not yet checked."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed point-measure line: {exc}") from exc
+    if type(doc) is not dict or doc.keys() != {"atoms"}:
+        raise ConfigError("point-measure line must be an object with the single key 'atoms'")
+    if type(doc["atoms"]) is not list:
+        raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
+    return doc["atoms"]
+
+
+class MeasureBatch:
+    """Many measures of one carrier class held as one ragged batch.
+
+    Measure i owns the atoms ``offsets[i]:offsets[i + 1]`` of the flat
+    ``locations`` and ``multiplicities``, in the canonical form of its class:
+    sorted by location, equal locations merged, multiplicities >= 1. The batch
+    is the one code path that makes atoms canonical and that reads and writes
+    the measure-line format; a single measure is its one-measure case.
+    Indexing with an integer gives that measure, with a slice a sub-batch.
+    """
+
+    __slots__ = ("measure", "locations", "multiplicities", "offsets")
+
+    def __init__(self, measure: type, locations, multiplicities, index, n: int):
+        """Measures 0..n-1 of class `measure`; atom k belongs to measure index[k]."""
+        locs = np.asarray(locations, dtype=np.float64)
+        mults = np.asarray(multiplicities, dtype=np.int64)
+        self.measure = measure
+        self.locations, self.multiplicities, self.offsets = _canonical(
+            locs, mults, np.asarray(index, dtype=np.int64), int(n), measure._forbid_origin)
+
+    @classmethod
+    def _trusted(cls, measure, locations, multiplicities, offsets) -> "MeasureBatch":
+        """A batch of atoms already in canonical form, taken as they are."""
+        out = object.__new__(cls)
+        out.measure = measure
+        out.locations, out.multiplicities, out.offsets = locations, multiplicities, offsets
+        return out
+
+    @classmethod
+    def concatenate(cls, batches, measure: type) -> "MeasureBatch":
+        """The measures of several batches of class `measure`, in order."""
+        batches = list(batches)
+        if any(b.measure is not measure for b in batches):
+            raise DomainError(f"every batch must hold {measure.__name__} values")
+        starts = np.cumsum([0] + [b.offsets[-1] for b in batches])
+        return cls._trusted(
+            measure,
+            np.concatenate([np.zeros(0)] + [b.locations for b in batches]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [b.multiplicities for b in batches]),
+            np.concatenate([np.zeros(1, dtype=np.int64)]
+                           + [b.offsets[1:] + s for b, s in zip(batches, starts)]))
+
+    @classmethod
+    def of(cls, measures, measure: type) -> "MeasureBatch":
+        """The batch holding these measures of class `measure`, in order."""
+        measures = tuple(measures)
+        if any(type(m) is not measure for m in measures):
+            raise DomainError(f"every measure must be a {measure.__name__}")
+        offsets = np.zeros(len(measures) + 1, dtype=np.int64)
+        np.cumsum([m.locations.size for m in measures], out=offsets[1:])
+        return cls._trusted(
+            measure,
+            np.concatenate([np.zeros(0)] + [m.locations for m in measures]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [m.multiplicities for m in measures]),
+            offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(len(self))
+            if step != 1:
+                raise DomainError("a batch slice must have step 1")
+            hi = max(hi, lo)
+            a, b = self.offsets[lo], self.offsets[hi]
+            return MeasureBatch._trusted(self.measure, self.locations[a:b],
+                                           self.multiplicities[a:b],
+                                           self.offsets[lo:hi + 1] - a)
+        i = range(len(self))[key]
+        a, b = self.offsets[i], self.offsets[i + 1]
+        m = object.__new__(self.measure)
+        object.__setattr__(m, "locations", self.locations[a:b])
+        object.__setattr__(m, "multiplicities", self.multiplicities[a:b])
+        return m
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def index(self) -> np.ndarray:
+        """The measure each atom belongs to."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def total_mass(self) -> np.ndarray:
+        """Sum of multiplicities of each measure."""
+        return np.diff(np.concatenate([[0], np.cumsum(self.multiplicities)])[self.offsets])
+
+    def integrals(self, f) -> np.ndarray:
+        """Integral of f against each measure, as `integrate` computes it for one."""
+        if (self.measure is PointMeasure) != isinstance(f, TestFunction):
+            raise DomainError("measure and test function live on different carriers")
+        return np.bincount(self.index(), weights=self.multiplicities * f.eval(self.locations),
+                           minlength=len(self))
+
+    def relocated(self, locations, measure: type) -> "MeasureBatch":
+        """Measures of class `measure` with every atom moved to `locations`."""
+        return MeasureBatch(measure, locations, self.multiplicities, self.index(), len(self))
+
+    def json_chunks(self):
+        """The measure lines, one per measure, in pieces of whole measures of
+        about 65536 atoms, so only one piece's strings are alive at a time."""
+        n = len(self)
+        targets = np.arange(_ATOM_CHUNK, self.offsets[-1], _ATOM_CHUNK)
+        cuts = np.unique(np.concatenate([[0], np.searchsorted(self.offsets, targets), [n]]))
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            a, b = self.offsets[lo], self.offsets[hi]
+            yield _json_text(self.locations[a:b], self.multiplicities[a:b],
+                             (self.offsets[lo:hi + 1] - a).tolist())
+
+    def json_lines(self) -> str:
+        """Every measure line, each ending in a newline."""
+        return "".join(self.json_chunks())
+
+    @classmethod
+    def from_json_lines(cls, lines, measure: type) -> "MeasureBatch":
+        """Parse measure lines into measures of class `measure`.
+
+        A line is a JSON object with the single key "atoms", a list of
+        [location, multiplicity] pairs: a location is a JSON number (not a
+        boolean), finite and, on the scale carrier, nonzero; a multiplicity
+        is a JSON integer (not a boolean, not 2.0) from 1 to 2**63 - 1.
+        Blank lines carry no measure and are skipped. A ConfigError names the
+        first bad line by its 1-based position in `lines`.
+        """
+        numbered = ((k, line) for k, line in enumerate(lines, 1) if line.strip())
+        parts = []
+        while chunk := list(itertools.islice(numbered, _LINE_CHUNK)):
+            parts.append(cls._parse(chunk, measure))
+        return cls.concatenate(parts, measure)
+
+    @classmethod
+    def _parse(cls, numbered, measure: type) -> "MeasureBatch":
+        """Parse (line number, line) pairs, checking them all at once; on a
+        failure, parse line by line to name the first bad one."""
+        try:
+            return cls._from_atom_lists([_decoded_atoms(line) for _, line in numbered], measure)
+        except (ConfigError, DomainError):
+            for k, line in numbered:
+                try:
+                    cls._from_atom_lists([_decoded_atoms(line)], measure)
+                except (ConfigError, DomainError) as exc:
+                    raise ConfigError(f"line {k}: {exc}") from exc
+            raise
+
+    @classmethod
+    def _from_atom_lists(cls, atom_lists, measure: type) -> "MeasureBatch":
+        pairs = list(itertools.chain.from_iterable(atom_lists))
+        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+            raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
+        locs = list(map(operator.itemgetter(0), pairs))
+        mults = list(map(operator.itemgetter(1), pairs))
+        if set(map(type, locs)) - {float, int}:
+            raise ConfigError("atom locations must be numbers")
+        if set(map(type, mults)) - {int}:
+            raise ConfigError("multiplicities must be integers")
+        try:
+            locs = np.array(locs, dtype=np.float64)
+        except OverflowError:
+            raise DomainError("atom locations must be finite") from None
+        try:
+            mults = np.array(mults, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("multiplicities must be below 2**63") from None
+        counts = list(map(len, atom_lists))
+        return cls(measure, locs, mults, np.repeat(np.arange(len(counts)), counts), len(counts))
 
 
 def _support_scan(xs: np.ndarray, vs: np.ndarray):

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DecorationBoundError, DomainError, RangeError
-from .point_measure import PointMeasure, ShiftPointMeasure
+from .point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
 from .rng import ROLE_BLOCK, ROLE_MIXTURE, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generator
 
 __all__ = [
@@ -465,15 +465,21 @@ class _GlobalLaw:
             return v[rng.choice(v.size, size=n, p=p)]
         return self._coord(rng.normal(self.mu, self.sigma, n))
 
-    def expect(self, h) -> float:
-        """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind."""
+    def expect(self, h):
+        """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind.
+
+        h maps the law's k nodes, a (k,) array, to k values (the result is a
+        float) or to a (k, n) array (the result is n expectations at once).
+        """
         if self.kind == "deterministic":
-            return float(h(np.asarray([self.value]))[0])
-        if self.kind == "table":
+            out = h(np.asarray([self.value]))[0]
+        elif self.kind == "table":
             v, p = self._table
-            return float(np.dot(p, h(v)))
-        x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
-        return float(np.dot(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi))
+            out = np.dot(p, h(v))
+        else:
+            x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
+            out = np.dot(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi)
+        return float(out) if np.ndim(out) == 0 else out
 
     def to_config_dict(self):
         if self.kind == "deterministic":
@@ -977,6 +983,11 @@ class FlatCampaign:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.replica, minlength=self.n_reps)
+
+    def measures(self) -> MeasureBatch:
+        """Every replica as one canonical batch of measures."""
+        return MeasureBatch(CARRIERS[self.carrier].measure, self.locations, self.weights,
+                            self.replica, self.n_reps)
 
     def replica_measure(self, r: int):
         lo = np.searchsorted(self.replica, r, side="left")

@@ -77,23 +77,25 @@ def normalization_shift(c: float) -> float:
 
 # -- measures -------------------------------------------------------------------
 
-def log_transform(m: PointMeasure) -> ShiftPointMeasure:
-    """Coordinatewise log; every atom must lie on the positive half-line."""
+def log_transform(m):
+    """Coordinatewise log of a scale-carrier measure or MeasureBatch; every atom
+    must lie on the positive half-line."""
     if m.locations.size and float(m.locations.min()) <= 0.0:
         raise DomainError("log transport requires all atoms on (0, inf)")
     out = np.log(m.locations)
     if out.size and not np.all(np.isfinite(out)):
         raise RangeError("log transport left the float range")
-    return ShiftPointMeasure(out, m.multiplicities)
+    return m.relocated(out, ShiftPointMeasure)
 
 
-def exp_transform(m: ShiftPointMeasure) -> PointMeasure:
-    """Coordinatewise exp; overflow or underflow to 0 is an error."""
+def exp_transform(m):
+    """Coordinatewise exp of a shift-carrier measure or MeasureBatch; overflow or
+    underflow to 0 is an error."""
     with np.errstate(over="ignore"):
         out = np.exp(m.locations)
     if out.size and (not np.all(np.isfinite(out)) or np.any(out == 0.0)):
         raise RangeError("exp transport left the float range")
-    return PointMeasure(out, m.multiplicities)
+    return m.relocated(out, PointMeasure)
 
 
 # -- test functions ---------------------------------------------------------------

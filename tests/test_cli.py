@@ -166,6 +166,21 @@ class TestConfigErrors:
             with contextlib.suppress(OSError):
                 os.close(read_fd)
 
+    def test_undecodable_files_exit_one_with_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"schema": "stablepp/v1", "direction": "log", "x": "\xe9"}')
+        assert main(["transform", "--config", str(bad),
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and "Traceback" not in err
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"atoms": [[1.0, 1]]}\n\xff\xfe\n')
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(src)})
+        assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input") and "Traceback" not in err
+
     def test_shift_config_for_scale_command_flows_through(self, tmp_path):
         cfg = proc_config(tmp_path, process=SHIFT_PROC)
         out = tmp_path / "o.jsonl"
@@ -215,6 +230,28 @@ class TestSample:
         one = out.read_bytes()
         assert main(base + ["--threads", "4"]) == 0
         assert out.read_bytes() == one
+
+
+    @pytest.mark.parametrize("process", [PROC, SHIFT_PROC], ids=["scale", "shift"])
+    def test_lines_match_per_replica_reference_at_one_and_two_threads(self, tmp_path,
+                                                                        process):
+        # 5000 replicas span two sampling blocks
+        cfg = proc_config(tmp_path, process=process)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"o{threads}.jsonl"
+            assert main(["sample", "--config", cfg, "--reps", "5000", "--seed", "8",
+                         "--threads", threads, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        spec = stablepp.sampler.process_spec_from_config(process)
+        campaign = stablepp.sampler.run_campaign(stablepp.sampler.ProcessSource(spec),
+                                                 8, 5000)
+        reference = "".join(
+            json.dumps({"atoms": [[float(x), int(m)]
+                                  for x, m in campaign.replica_measure(i).atoms()]}) + "\n"
+            for i in range(5000))
+        assert outs[0].decode() == reference
 
 
 class TestThreadBound:
@@ -415,6 +452,34 @@ class TestTransform:
         assert main(["transform", "--config", cfg,
                      "--out", str(tmp_path / "o.jsonl")]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ['[["1.5", 2]]', "[[1.5, 2.7]]", "[[true, true]]",
+                                     '[[1.5, "3"]]'],
+                             ids=["location_string", "multiplicity_fraction", "booleans",
+                                  "multiplicity_string"])
+    def test_malformed_atom_exits_one_naming_first_bad_line(self, tmp_path, capsys, bad):
+        src = tmp_path / "in.jsonl"
+        # line 4 is the first bad one; line 5 is bad too, in another way
+        src.write_text('{"atoms": [[1.0, 1]]}\n\n{"atoms": []}\n'
+                       '{"atoms": %s}\n{"atoms": [[0.0, 1]]}\n' % bad)
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(src)})
+        out = tmp_path / "o.jsonl"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input line 4: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_map_failure_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"atoms": [[1.0, 1]]}\n\n{"atoms": [[-2.0, 1], [3.0, 1]]}\n'
+                       '{"atoms": [[-1.0, 1]]}\n')
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(src)})
+        assert main(["transform", "--config", cfg,
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input line 3: log transport")
 
     def test_both_input_and_process_rejected(self, tmp_path):
         cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",

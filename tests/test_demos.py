@@ -1,0 +1,21 @@
+"""The demos that draw replicas, build measures and carry them across the
+exp/log dictionary run to completion as scripts."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["sample_and_maxima.py", "shift_scale_bridge.py", "decoration_extraction.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

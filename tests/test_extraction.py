@@ -9,6 +9,7 @@ from stablepp.errors import DomainError, StarvationError
 from stablepp.extraction import (
     ExtractionConfig,
     ExtractionReport,
+    _permutation_p,
     extract_decoration,
     nstar_functional_check,
     predicted_acceptance,
@@ -195,3 +196,91 @@ class TestRebuild:
     def test_bad_c_max_rejected(self, reference_report):
         with pytest.raises(DomainError):
             rebuild_process(reference_report, 1.0, 0.0, n_reps=1000, seed=0)
+
+
+def _reference_permutation_p(rng, a, b, n_perm=999):
+    """One np.corrcoef call per permutation, drawn in the same order."""
+    if np.std(a) == 0.0 or np.std(b) == 0.0:
+        return 1.0
+    obs = abs(float(np.corrcoef(a, b)[0, 1]))
+    hits = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(b.size)
+        hits += abs(float(np.corrcoef(a, b[perm])[0, 1])) >= obs
+    return (1 + hits) / (n_perm + 1)
+
+
+def _pair(kind, seed, n):
+    """(a, b): Pareto radials against data of the given kind, some dependent."""
+    rng = np.random.default_rng(seed)
+    a = (1.0 - rng.random(n)) ** -1.0
+    if kind == "counts":  # tied integers, as the independence check sees them
+        b = rng.poisson(1.5 + 0.02 * (seed % 3) * np.minimum(a, 50.0)).astype(np.float64) + 1.0
+    elif kind == "integrals":
+        b = rng.uniform(0.0, 0.8, n) + 0.01 * (seed % 3) * np.log(a)
+    else:  # both sides tied integers
+        a = np.floor(a)
+        b = rng.integers(1, 4, n).astype(np.float64)
+    return a, b
+
+
+def _exact_permutation_p(rng, a, b, n_perm=999):
+    """The p-value of integer data in exact integer arithmetic."""
+    a, b = [int(x) for x in a], np.asarray(b).astype(np.int64)
+    n, sa, sb = len(a), sum(a), int(b.sum())
+
+    def stat(bb):
+        return abs(n * sum(x * int(y) for x, y in zip(a, bb)) - sa * sb)
+
+    obs = stat(b)
+    hits = sum(stat(b[rng.permutation(n)]) >= obs for _ in range(n_perm))
+    return (1 + hits) / (n_perm + 1)
+
+
+class TestPermutationP:
+    @pytest.mark.parametrize("kind", ["counts", "integrals"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_corrcoef_reference(self, kind, seed):
+        a, b = _pair(kind, seed, 300 + 37 * seed)
+        got = _permutation_p(np.random.default_rng(seed), a, b)
+        ref = _reference_permutation_p(np.random.default_rng(seed), a, b)
+        assert got == ref
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_ties_count_as_hits(self, seed):
+        # with integers on both sides, different pairings tie exactly; the
+        # corrcoef loop rounds some of those ties below the observed value
+        a, b = _pair("tied_both", seed, 300 + 37 * seed)
+        got = _permutation_p(np.random.default_rng(seed), a, b)
+        exact = _exact_permutation_p(np.random.default_rng(seed), a, b)
+        assert got == exact
+        assert _reference_permutation_p(np.random.default_rng(seed), a, b) <= exact
+
+    def test_random_stream_is_unchanged(self):
+        a, b = _pair("counts", 1, 200)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        _permutation_p(rng, a, b)
+        _reference_permutation_p(ref_rng, a, b)
+        assert rng.random() == ref_rng.random()
+
+    def test_scores_in_several_matrices(self, monkeypatch):
+        a, b = _pair("integrals", 2, 500)
+        whole = _permutation_p(np.random.default_rng(4), a, b)
+        monkeypatch.setattr("stablepp.extraction._PERM_ENTRIES", 7 * 500 + 3)
+        assert _permutation_p(np.random.default_rng(4), a, b) == whole
+
+    def test_constant_input_returns_one(self):
+        a, b = _pair("counts", 0, 100)
+        rng = np.random.default_rng(0)
+        assert _permutation_p(rng, a, np.full(100, 2.0)) == 1.0
+        assert _permutation_p(rng, np.full(100, 3.0), b) == 1.0
+        assert _permutation_p(rng, np.zeros(100), b) == 1.0
+        # draws nothing from the stream
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_constant_up_to_rounding_returns_one(self):
+        # an integral that is 0.8 in exact arithmetic, rounded per sample
+        a, _ = _pair("counts", 0, 300)
+        b = 0.8 + np.random.default_rng(1).integers(-2, 3, 300) * np.spacing(0.8)
+        assert np.std(b) > 0.0
+        assert _permutation_p(np.random.default_rng(0), a, b) == 1.0

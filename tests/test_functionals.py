@@ -44,6 +44,7 @@ from stablepp.sampler import (
     ProcessSource,
     ProcessSpec,
     ScaleLaw,
+    ShiftLaw,
     run_campaign,
 )
 
@@ -339,6 +340,58 @@ class TestMixtureLaws:
         g = shift_indicator_approx(LN2, edge=0.0, outer=14.0, ramp=1e-7)
         pred = kappa_quadrature(1.0, spec.decoration, g)
         assert pred.value == pytest.approx(0.5, abs=1e-6)
+
+
+def _per_point_cdf(law, points):
+    """Mixture CDF one point at a time, each through its own expect call."""
+    g = law._law()
+    if isinstance(law, FrechetMixture):
+        def one(t):
+            if not t > 0.0:
+                return 0.0
+            return g.expect(lambda w: np.exp(-(t ** -law.alpha) * w ** law.alpha * law.kappa))
+    else:
+        def one(t):
+            return g.expect(lambda u: np.exp(-np.exp(-law.c * (t - u)) * law.kappa))
+    with np.errstate(divide="ignore"):
+        return np.array([one(t) for t in points])
+
+
+MIXTURES = {
+    "frechet_deterministic": FrechetMixture(1.0, 1.3),
+    "frechet_dilated": FrechetMixture(2.0, 0.7, ScaleLaw.deterministic(1.5)),
+    "frechet_table": FrechetMixture(1.5, 0.9, ScaleLaw.table([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])),
+    "frechet_lognormal": FrechetMixture(1.0, 1.0, ScaleLaw.lognormal(0.2, 0.5)),
+    "gumbel_deterministic": GumbelMixture(1.0, 1.3),
+    "gumbel_table": GumbelMixture(1.5, 0.9, ShiftLaw.table([-1.0, 0.5], [0.4, 0.6])),
+    "gumbel_normal": GumbelMixture(0.8, 1.1, ShiftLaw.normal(0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("points_per_call", [None, 7])
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_mixture_cdf_matches_per_point_reference(name, points_per_call, monkeypatch):
+    if points_per_call:
+        monkeypatch.setattr("stablepp.functionals._EXPECT_POINTS", points_per_call)
+    law = MIXTURES[name]
+    rng = np.random.default_rng(5)
+    if isinstance(law, FrechetMixture):
+        points = np.concatenate([np.geomspace(1e-3, 1e4, 400), rng.uniform(0.0, 20.0, 400),
+                                 [-2.0, -0.0, 0.0, np.inf, 5e-324]])
+    else:
+        points = np.concatenate([np.linspace(-15.0, 30.0, 400), rng.normal(0.0, 5.0, 400),
+                                 [np.inf, -np.inf]])
+    with np.errstate(over="ignore"):
+        ref = _per_point_cdf(law, points)
+        got = law.cdf(points)
+        scalars = [law.cdf(float(t)) for t in points[::37]]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+    assert got.shape == points.shape
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(scalars, ref[::37], rtol=0.0, atol=1e-15)
+    grid = points[:12].reshape(3, 4)
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(law.cdf(grid), got[:12].reshape(3, 4))
 
 
 class TestBatteryEstimates:
