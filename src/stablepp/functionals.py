@@ -4,25 +4,40 @@ For a scale-family process and a test function f, the object of interest is
 
     Psi(f | y) = E[exp(-integral of x -> f(x / y) against the process)],
 
-and its shift-family twin uses x -> f(x - u). The key identity behind every
-prediction here: conditioning on the global dilation W, the decorated Poisson
-structure gives
+and its shift-family twin uses x -> f(x - u). Conditioning on the global
+dilation W (translation U), the decorated Poisson structure gives
 
     Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)],
-    c_f = integral over (0, inf) of (1 - psi_P(f | s)) alpha s^-alpha-1 ds,
-
-where psi_P(f | s) = E[exp(-integral of u -> f(s u) against one decoration)].
-Shift families satisfy the same formula in exponential clothing:
-
     Psi(g | u) = E_U[exp(-e^{-c (u - U)} kappa_g)],
-    kappa_g = integral over R of (1 - psi_Q(g | t)) e^{-c t} dt.
+
+both E[exp(-weight(p, W) * constant)] with ``sampler.Carrier.weight``. Write
+an evaluation point in its log coordinate v: s = e^v on the scale carrier,
+t = v on the shift carrier. The dilation process then has intensity
+rho e^{-rate v} dv (rho = alpha on the scale side, 1 on the shift side), and
+the two constants are one integral:
+
+    c_f     = integral over R of (1 - psi_P(f | e^v)) alpha e^{-alpha v} dv,
+    kappa_g = integral over R of (1 - psi_Q(g | t)) e^{-c t} dt,
+
+with psi_P(f | s) = E[exp(-integral of a -> f(s a) against one decoration)]
+and psi_Q(g | t) the same for a -> g(a + t). The integrand vanishes unless an
+atom norm m of a copy carries a support edge of f into reach, so v is bounded
+by the log coordinates of Carrier.inverse(m, edge); it is smooth between the
+log coordinates of Carrier.inverse(m, knot).
 
 Setting f to (a ramp approximation of) infinity times the indicator of
-{|x| > 1} collapses Psi to the law of the largest atom modulus, a mixture of
-Frechet distributions; on the shift carrier it is a mixture of Gumbels.
+{|x| > 1} ({x > 0} on the shift carrier) collapses Psi to the law of the
+largest atom modulus (largest atom), for both carriers
+
+    P(extreme <= p) = E_W[exp(-weight(p, W) kappa)],
+    kappa = (rho / rate) E[e^{rate v_max}],
+
+with v_max the log coordinate of the largest atom norm of one decoration:
+kappa = E[maxmod^alpha] gives a mixture of Frechet laws, and
+kappa = E[e^{c max}] / c a mixture of Gumbels.
 
 Monte Carlo estimates carry standard errors; quadrature predictions carry
-rigorous error bounds, so the two can be compared honestly.
+error bounds from the quadrature, so the two can be compared honestly.
 """
 from __future__ import annotations
 
@@ -190,35 +205,35 @@ def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, s
 
 # -- decoration one-copy functionals ----------------------------------------------
 
-def _exp_neg_pl_mean(f, anchor: np.ndarray, lo: float, hi: float) -> float:
-    """Mean of exp(-f(a)) over a ~ Uniform(lo, hi) composed with `anchor` map.
+def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
+    """Mean of exp(-f(p acting on a)) over a ~ Uniform(lo, hi).
 
-    `anchor` is the sorted array of points where f changes slope, already in
-    the uniform variable's coordinates. Piecewise linearity makes each piece
-    integrable in closed form.
+    a -> f(p acting on a) is linear between the knots of f pulled back by p, so
+    a piece from a0 to a1 with values v0, v1 contributes the closed form
+    (a1 - a0) e^{-v0} (1 - e^{-(v1 - v0)}) / (v1 - v0), taken through expm1 so
+    that a narrow steep piece does not cancel. The values at pulled-back knots
+    are the knot values: acting on the pulled-back knot can miss the knot by an
+    ulp, which on a narrow ramp is a visible error in the value.
     """
-    cuts = np.concatenate([[lo], anchor[(anchor > lo) & (anchor < hi)], [hi]])
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        va, vb = float(f(a)), float(f(b))
-        width = b - a
-        if va == vb:
-            total += width * math.exp(-va)
-        else:
-            total += width * (math.exp(-va) - math.exp(-vb)) / (vb - va)
-    return total / (hi - lo)
+    anchor = cr.inverse(p, f.knots_x)
+    inside = (anchor > lo) & (anchor < hi)
+    fp = cr.compose(f, p)
+    cuts = np.concatenate([[lo], anchor[inside], [hi]])
+    vals = np.concatenate([[fp(lo)], f.knots_v[inside], [fp(hi)]])
+    rise = np.diff(vals)
+    with np.errstate(invalid="ignore"):
+        shape = np.where(rise == 0.0, 1.0, -np.expm1(-rise) / rise)
+    return float(np.dot(np.diff(cuts), np.exp(-vals[:-1]) * shape)) / (hi - lo)
 
 
 def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
     if dec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-carrier decoration")
     fp = cr.compose(f, p)
-    if dec.kind == "dirac":
-        return math.exp(-sum(m * fp(a) for a, m in dec.atoms))
-    if dec.kind == "table":
+    if dec.kind != "random_atoms":
         total = 0.0
-        norm = sum(q for _, q in dec.entries)
-        for atoms, q in dec.entries:
+        norm = sum(q for _, q in dec._mixture)
+        for atoms, q in dec._mixture:
             total += (q / norm) * math.exp(-sum(m * fp(a) for a, m in atoms))
         return total
     loc = dec.location
@@ -226,8 +241,7 @@ def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
         v, q = loc._table
         one = float(np.dot(q, np.exp(-fp(v))))
     else:
-        lo, hi = loc.bounds()
-        one = _exp_neg_pl_mean(fp, cr.inverse(p, f.knots_x), lo, hi)
+        one = _exp_neg_pl_mean(cr, f, p, *loc.bounds())
     values, probs = dec._count_arrays
     return float(np.dot(probs, one ** values.astype(np.float64)))
 
@@ -261,69 +275,52 @@ def _quad_with_corners(fn, lo: float, hi: float, corners) -> tuple[float, float]
     return total, err
 
 
-def cf_quadrature(alpha: float, dec: DecorationSpec, f: TestFunction) -> Prediction:
-    """The scale constant c_f by adaptive quadrature, with its error bound.
+def _constant(cr, psi, rate: float, dec: DecorationSpec, f) -> Prediction:
+    """The integral of (1 - psi(dec, f, from_log(v))) rho e^{-rate v} dv over the
+    log coordinate v, with the quadrature's error estimate.
 
-    c_f = integral over (0, inf) of (1 - psi_P(f | s)) alpha s^{-alpha-1} ds;
-    the integrand vanishes outside [inner_radius / bound, outer_radius / min_abs].
+    A copy sees f only while some atom norm m carries a support edge of f into
+    reach, so v runs from the log coordinate of inverse(bound, lower edge) to
+    that of inverse(smallest norm, upper edge); the integrand is smooth between
+    the log coordinates of inverse(m, knot).
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError("alpha must be finite and > 0")
+    if not (rate > 0.0 and math.isfinite(rate)):
+        raise DomainError(f"{cr.rate_key} must be finite and > 0")
     if f.is_zero:
         return Prediction(0.0, 0.0)
-    lo = f.inner_radius / dec.bound
-    hi = f.outer_radius / dec.min_abs
-    if dec.kind == "dirac":
-        mods = {abs(a) for a, _ in dec.atoms}
-    elif dec.kind == "table":
-        mods = {abs(a) for atoms, _ in dec.entries for a, _ in atoms}
-    elif dec.location.kind == "table":
-        mods = {abs(v) for v in dec.location.values}
-    else:
-        blo, bhi = dec.location.bounds()
-        mods = {abs(blo), abs(bhi)}
-    corners = {
-        math.log(x / m) for x in np.abs(f.knots_x) if x > 0.0 for m in mods if m > 0.0
-    }
+    low, high = f.support_bounds
+    norms = set(dec._norms)
+    lo = cr.to_log(cr.inverse(dec.bound, low))
+    hi = cr.to_log(cr.inverse(min(norms), high))
+    corners = {cr.to_log(cr.inverse(m, x))
+               for x in map(cr.norm, f.knots_x) if cr.has_log(x) for m in norms}
+    rho = cr.intensity(rate)
 
-    # substitute s = e^v: the domain shrinks from possibly many decades to a
-    # a few units and the tail weight becomes a plain exponential
     def integrand(v: float) -> float:
-        return (1.0 - psi_decoration_scale(dec, f, math.exp(v))) * alpha * math.exp(-alpha * v)
-
-    val, err = _quad_with_corners(integrand, math.log(lo), math.log(hi), corners)
-    return Prediction(val, err)
-
-
-def kappa_quadrature(c: float, dec: DecorationSpec, g: ShiftTestFunction) -> Prediction:
-    """The shift constant kappa_g = integral of (1 - psi_Q(g | t)) e^{-c t} dt."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise DomainError("the rate must be finite and > 0")
-    if g.is_zero:
-        return Prediction(0.0, 0.0)
-    if dec.kind == "dirac":
-        amin = min(a for a, _ in dec.atoms)
-    elif dec.kind == "table":
-        amin = min(min(a for a, _ in atoms) for atoms, _ in dec.entries)
-    else:
-        amin = dec.location.bounds()[0]
-    lo = g.support_low - dec.bound
-    hi = g.support_high - amin
-    if dec.kind == "dirac":
-        locs = {a for a, _ in dec.atoms}
-    elif dec.kind == "table":
-        locs = {a for atoms, _ in dec.entries for a, _ in atoms}
-    elif dec.location.kind == "table":
-        locs = set(dec.location.values)
-    else:
-        locs = set(dec.location.bounds())
-    corners = {x - a for x in g.knots_x for a in locs}
-
-    def integrand(t: float) -> float:
-        return (1.0 - psi_decoration_shift(dec, g, t)) * math.exp(-c * t)
+        return (1.0 - psi(dec, f, cr.from_log(v))) * rho * math.exp(-rate * v)
 
     val, err = _quad_with_corners(integrand, lo, hi, corners)
     return Prediction(val, err)
+
+
+def cf_quadrature(alpha: float, dec: DecorationSpec, f: TestFunction) -> Prediction:
+    """The scale constant c_f by adaptive quadrature, with the quadrature's
+    error estimate as its bound.
+
+    c_f = integral over (0, inf) of (1 - psi_P(f | s)) alpha s^{-alpha-1} ds,
+    integrated after the substitution s = e^v as the integral over v of
+    (1 - psi_P(f | e^v)) alpha e^{-alpha v} dv, on
+    [log(inner_radius / bound), log(outer_radius / min_abs)] split at every
+    log(|knot| / atom modulus).
+    """
+    return _constant(SCALE, psi_decoration_scale, alpha, dec, f)
+
+
+def kappa_quadrature(c: float, dec: DecorationSpec, g: ShiftTestFunction) -> Prediction:
+    """The shift constant kappa_g = integral of (1 - psi_Q(g | t)) e^{-c t} dt,
+    on [support_low - bound, support_high - smallest atom] split at every
+    knot - atom, with the quadrature's error estimate as its bound."""
+    return _constant(SHIFT, psi_decoration_shift, c, dec, g)
 
 
 def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int,
@@ -386,82 +383,82 @@ def _expect_at(law, points: np.ndarray, h) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + parts)
 
 
+class _ExtremeLaw:
+    """P(extreme <= p) = E_W[exp(-weight(p, W) kappa)] over the global law W,
+    written once against the carrier ``_cr``. A subclass names its rate field
+    by the carrier's rate key and its global-law field ``<carrier>_law``."""
+
+    _cr = None
+
+    def _law(self):
+        law = getattr(self, f"{self._cr.name}_law")
+        return self._cr.law.deterministic(self._cr.identity) if law is None else law
+
+    def cdf(self, p):
+        """The CDF at every point of p, many points per `expect` call; 0 for
+        points without a log coordinate (p <= 0 on the scale carrier)."""
+        cr, rate = self._cr, getattr(self, self._cr.rate_key)
+        p = np.asarray(p, dtype=np.float64)
+        flat = p.ravel()
+        out = np.zeros(flat.shape)
+        live = cr.has_log(flat)
+        out[live] = _expect_at(
+            self._law(), flat[live],
+            lambda w, x: np.exp(-cr.weight(rate, x, w[:, None]) * self.kappa))
+        return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
+
+    def ppf(self, q):
+        """Quantiles; closed form requires a deterministic global law."""
+        law = self._law()
+        if law.kind != "deterministic":
+            raise DomainError("quantiles are closed-form only for a deterministic global law")
+        q = np.asarray(q, dtype=np.float64)
+        if np.any((q <= 0.0) | (q >= 1.0)):
+            raise DomainError("quantile levels must lie in (0, 1)")
+        return self._cr.quantile(getattr(self, self._cr.rate_key), self.kappa, law.value,
+                                 -np.log(q))
+
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """n i.i.d. draws by inverse CDF (deterministic global law only)."""
+        rng = make_generator(int(seed), ROLE_SCALAR, 1)
+        return self.ppf(rng.random(int(n)))
+
+
 @dataclass(frozen=True)
-class FrechetMixture:
+class FrechetMixture(_ExtremeLaw):
     """P(maxmod <= y) = E_W[exp(-y^-alpha W^alpha kappa)]; Frechet when W is constant."""
 
     alpha: float
     kappa: float
     scale_law: ScaleLaw | None = None
 
-    def _law(self) -> ScaleLaw:
-        return self.scale_law if self.scale_law is not None else ScaleLaw.deterministic(1.0)
-
-    def cdf(self, y):
-        """The CDF at every point of y, many points per `expect` call; 0 for y <= 0."""
-        y = np.asarray(y, dtype=np.float64)
-        flat = y.ravel()
-        out = np.zeros(flat.shape)
-        pos = flat > 0.0
-        out[pos] = _expect_at(
-            self._law(), flat[pos],
-            lambda w, t: np.exp(-(t ** -self.alpha) * w[:, None] ** self.alpha * self.kappa))
-        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
-
-    def ppf(self, q):
-        """Quantiles; closed form requires a deterministic global dilation."""
-        law = self._law()
-        if law.kind != "deterministic":
-            raise DomainError("quantiles are closed-form only for a deterministic dilation")
-        q = np.asarray(q, dtype=np.float64)
-        if np.any((q <= 0.0) | (q >= 1.0)):
-            raise DomainError("quantile levels must lie in (0, 1)")
-        return law.value * (self.kappa / -np.log(q)) ** (1.0 / self.alpha)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """n i.i.d. draws by inverse CDF (deterministic dilation only)."""
-        rng = make_generator(int(seed), ROLE_SCALAR, 1)
-        return self.ppf(rng.random(int(n)))
+    _cr = SCALE
 
 
 @dataclass(frozen=True)
-class GumbelMixture:
+class GumbelMixture(_ExtremeLaw):
     """P(max location <= t) = E_U[exp(-e^{-c(t - U)} kappa)]; Gumbel when U is constant."""
 
     c: float
     kappa: float
     shift_law: ShiftLaw | None = None
 
-    def _law(self) -> ShiftLaw:
-        return self.shift_law if self.shift_law is not None else ShiftLaw.deterministic(0.0)
+    _cr = SHIFT
 
-    def cdf(self, t):
-        """The CDF at every point of t, many points per `expect` call."""
-        t = np.asarray(t, dtype=np.float64)
-        out = _expect_at(self._law(), t.ravel(),
-                         lambda u, s: np.exp(-np.exp(-self.c * (s - u[:, None])) * self.kappa))
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
-    def ppf(self, q):
-        law = self._law()
-        if law.kind != "deterministic":
-            raise DomainError("quantiles are closed-form only for a deterministic translation")
-        q = np.asarray(q, dtype=np.float64)
-        if np.any((q <= 0.0) | (q >= 1.0)):
-            raise DomainError("quantile levels must lie in (0, 1)")
-        return law.value - np.log(-np.log(q) / self.kappa) / self.c
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = make_generator(int(seed), ROLE_SCALAR, 1)
-        return self.ppf(rng.random(int(n)))
+def _extreme_law(cr, mixture, spec: ProcessSpec):
+    if spec.carrier != cr.name:
+        raise DomainError(f"expected a {cr.name}-family spec")
+    rate = spec.alpha
+    # kappa = (rho / rate) E[e^{rate v_max}], the tail mass of rho e^{-rate v} dv
+    # beyond -v_max; dividing by rate / rho (1 or c) keeps E exact on the scale side
+    kappa = spec.decoration._extreme_moment(rate) / (rate / cr.intensity(rate))
+    return mixture(rate, kappa, getattr(spec, f"{cr.name}_law"))
 
 
 def maxmod_law(spec: ProcessSpec) -> FrechetMixture:
     """Analytic law of the largest atom modulus of a scale-family process."""
-    if not spec.is_scale_family:
-        raise DomainError("expected a scale-family spec")
-    kappa = spec.decoration.maxmod_moment(spec.alpha)
-    return FrechetMixture(spec.alpha, kappa, spec.scale_law)
+    return _extreme_law(SCALE, FrechetMixture, spec)
 
 
 def max_location_law(spec: ProcessSpec) -> GumbelMixture:
@@ -470,20 +467,7 @@ def max_location_law(spec: ProcessSpec) -> GumbelMixture:
     kappa = E[e^{c M_Q}] / c, with M_Q the largest atom of one decoration; the
     1/c reflects the e^{-cx} dx intensity convention.
     """
-    if spec.is_scale_family:
-        raise DomainError("expected a shift-family spec")
-    c = spec.alpha
-    dec = spec.decoration
-    if dec.kind == "dirac":
-        kappa = math.exp(c * max(a for a, _ in dec.atoms)) / c
-    elif dec.kind == "table":
-        norm = sum(p for _, p in dec.entries)
-        kappa = sum(
-            (p / norm) * math.exp(c * max(a for a, _ in atoms)) for atoms, p in dec.entries
-        ) / c
-    else:
-        raise DomainError("no closed-form max law for random-atom decorations")
-    return GumbelMixture(c, kappa, spec.shift_law)
+    return _extreme_law(SHIFT, GumbelMixture, spec)
 
 
 # -- canonical batteries -------------------------------------------------------------

@@ -236,7 +236,7 @@ class DecorationSpec:
         if declared is not None:
             declared = float(declared)
             object.__setattr__(self, "maxmod_bound", declared)
-            derived = self._derived_bound()
+            derived = max(self._norms)
             if declared < derived - 1e-12 * abs(derived):
                 raise DomainError(
                     f"declared bound {declared} is below the attainable bound {derived}"
@@ -280,65 +280,65 @@ class DecorationSpec:
             maxmod_bound=maxmod_bound,
         )
 
-    # -- derived bounds -------------------------------------------------------
+    # -- views shared by every kind --------------------------------------------
 
-    def _derived_bound(self) -> float:
+    @property
+    def _mixture(self) -> tuple:
+        """The (atoms, probability) entries of a dirac or table decoration; a
+        dirac decoration is the one-entry mixture. Empty for random_atoms."""
+        return ((self.atoms, 1.0),) if self.kind == "dirac" else self.entries
+
+    @cached_property
+    def _norms(self) -> tuple:
+        """The carrier norm (|x| or x) of every atom location a copy can carry.
+        A uniform location law contributes its two endpoints, where the norm of
+        its locations is extreme, so min and max over this view are a.s. bounds."""
         norm = CARRIERS[self.carrier].norm
-        if self.kind == "dirac":
-            return max(norm(a) for a, _ in self.atoms)
-        if self.kind == "table":
-            return max(norm(a) for atoms, _ in self.entries for a, _ in atoms)
-        return max(map(norm, self.location.bounds()))
+        if self.kind != "random_atoms":
+            return tuple(norm(a) for atoms, _ in self._mixture for a, _ in atoms)
+        if self.location.kind == "table":
+            return tuple(map(norm, self.location.values))
+        return tuple(map(norm, self.location.bounds()))
 
     @property
     def bound(self) -> float:
         """A.s. bound on maxmod (scale) or on the largest atom (shift)."""
-        return self.maxmod_bound if self.maxmod_bound is not None else self._derived_bound()
+        return self.maxmod_bound if self.maxmod_bound is not None else max(self._norms)
 
     @property
     def min_abs(self) -> float:
         """A.s. lower bound on the smallest atom modulus (scale carrier)."""
         if self.carrier != "scale":
             raise DomainError("min_abs is a scale-carrier notion")
-        if self.kind == "dirac":
-            return min(abs(a) for a, _ in self.atoms)
-        if self.kind == "table":
-            return min(min(abs(a) for a, _ in atoms) for atoms, _ in self.entries)
-        lo, hi = self.location.bounds()
-        return min(abs(lo), abs(hi))
+        return min(self._norms)
+
+    def _extreme_moment(self, rate: float) -> float:
+        """E[e^{rate v}] for v the log coordinate of the largest atom norm of one
+        copy: E[maxmod^alpha] (scale) or E[e^{c max}] (shift); dirac and table kinds."""
+        if self.kind == "random_atoms":
+            raise DomainError("no closed-form maxmod moment for random-atom decorations")
+        cr = CARRIERS[self.carrier]
+        probs = np.asarray([p for _, p in self._mixture])
+        tops = np.asarray([cr.power(rate, max(cr.norm(a) for a, _ in atoms))
+                           for atoms, _ in self._mixture])
+        return float(np.dot(probs / probs.sum(), tops))
 
     def maxmod_moment(self, alpha: float) -> float:
         """E[maxmod(decoration)^alpha]; closed form for dirac/table kinds."""
         if self.carrier != "scale":
             raise DomainError("maxmod moments are a scale-carrier notion")
-        if self.kind == "dirac":
-            return max(abs(a) for a, _ in self.atoms) ** alpha
-        if self.kind == "table":
-            probs = np.asarray([p for _, p in self.entries])
-            moms = np.asarray(
-                [max(abs(a) for a, _ in atoms) ** alpha for atoms, _ in self.entries]
-            )
-            return float(np.dot(probs / probs.sum(), moms))
-        raise DomainError("no closed-form maxmod moment for random-atom decorations")
+        return self._extreme_moment(alpha)
 
     # -- cached sampling tables ----------------------------------------------
 
     @cached_property
-    def _dirac_arrays(self):
-        locs = np.asarray([a for a, _ in self.atoms], dtype=np.float64)
-        w = np.asarray([m for _, m in self.atoms], dtype=np.int64)
-        return locs, w
-
-    @cached_property
-    def _table_arrays(self):
-        probs = _as_prob_vector([p for _, p in self.entries], len(self.entries), "table entry")
+    def _mixture_arrays(self):
+        mix = self._mixture
+        probs = _as_prob_vector([p for _, p in mix], len(mix), "table entry")
         locs = np.concatenate(
-            [np.asarray([a for a, _ in atoms], dtype=np.float64) for atoms, _ in self.entries]
-        )
-        w = np.concatenate(
-            [np.asarray([m for _, m in atoms], dtype=np.int64) for atoms, _ in self.entries]
-        )
-        natoms = np.asarray([len(atoms) for atoms, _ in self.entries], dtype=np.int64)
+            [np.asarray([a for a, _ in atoms], dtype=np.float64) for atoms, _ in mix])
+        w = np.concatenate([np.asarray([m for _, m in atoms], dtype=np.int64) for atoms, _ in mix])
+        natoms = np.asarray([len(atoms) for atoms, _ in mix], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(natoms)])
         return probs, locs, w, natoms, offsets
 
@@ -355,13 +355,12 @@ class DecorationSpec:
         ascending. Weight = multiplicity; repeated sampled locations are left
         unmerged here (merging is a representation concern, not a law one).
         """
-        if self.kind == "dirac":
-            locs, w = self._dirac_arrays
-            k = locs.size
-            copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), k)
+        if self.kind == "dirac":  # one entry, drawn without touching the stream
+            _, locs, w, _, _ = self._mixture_arrays
+            copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), locs.size)
             return copy_idx, np.tile(locs, n_copies), np.tile(w, n_copies)
         if self.kind == "table":
-            probs, locs, w, natoms, offsets = self._table_arrays
+            probs, locs, w, natoms, offsets = self._mixture_arrays
             entry = rng.choice(natoms.size, size=n_copies, p=probs)
             counts = natoms[entry]
             copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), counts)
@@ -865,6 +864,13 @@ class Carrier:
     visible: Callable  # (f, p) -> the window x -> f(inverse(p, x)) needs
     weight: Callable  # (a, p, w) -> tail weight at p of the global value w
     sensitivity: Callable  # (law, a, p) -> E[weight]; scale keeps y^-a outside law.expect
+    # the log coordinate v of a point or norm: s = e^v (scale) or t = v (shift)
+    to_log: Callable  # point -> v
+    from_log: Callable  # v -> point
+    has_log: Callable  # points -> where they have one: p > 0 (scale), everywhere (shift)
+    intensity: Callable  # a -> rho: the dilation process has intensity rho e^{-a v} dv in v
+    power: Callable  # (a, m) -> e^{a v} at the norm m = e^v (scale) or v (shift)
+    quantile: Callable  # (a, kappa, w, L) -> the point p with weight(a, p, w) * kappa = L
 
 
 SCALE = Carrier(
@@ -876,6 +882,8 @@ SCALE = Carrier(
     compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
     visible=lambda f, y: y * f.inner_radius, weight=lambda a, y, w: (y ** -a) * w ** a,
     sensitivity=lambda law, a, y: (y ** -a) * law.expect(lambda w: w ** a),
+    to_log=math.log, from_log=math.exp, has_log=lambda p: p > 0.0, intensity=lambda a: a,
+    power=lambda a, m: m ** a, quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
 )
 SHIFT = Carrier(
     name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
@@ -886,6 +894,9 @@ SHIFT = Carrier(
     compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
     visible=lambda g, u: u + g.support_low, weight=lambda c, u, w: np.exp(-c * (u - w)),
     sensitivity=lambda law, c, u: law.expect(lambda w: np.exp(-c * (u - w))),
+    to_log=lambda t: t, from_log=lambda v: v,
+    has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,
+    power=lambda c, m: math.exp(c * m), quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,
 )
 CARRIERS = {"scale": SCALE, "shift": SHIFT}
 

@@ -321,6 +321,18 @@ class TestEstimate:
         assert len(rows) == 3
         assert rows[1].startswith("t1,1.0,") or rows[1].startswith("t1,1,")
 
+    def test_uniform_location_predictions_raise_no_quadrature_warning(self, tmp_path):
+        # tier-1 turns IntegrationWarning into an error, so a quadrature that
+        # runs out of subdivisions fails this run instead of passing quietly
+        process = {"family": "sscdppp", "alpha": 1.0, "window": 0.05,
+                   "decoration": {"kind": "random_atoms", "count_probs": [[1, 0.5], [2, 0.5]],
+                                  "location": {"kind": "uniform", "low": 0.5, "high": 1.5}},
+                   "scale": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5}}
+        cfg = proc_config(tmp_path, process=process)
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--config", cfg, "--reps", "50", "--out", str(out)]) == 0
+        assert all(row.split(",")[4] for row in out.read_text().splitlines()[1:])
+
     def test_rerun_and_threads_identical(self, tmp_path):
         cfg = proc_config(tmp_path)
         out = tmp_path / "e.csv"

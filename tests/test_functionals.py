@@ -29,6 +29,7 @@ from stablepp.functionals import (
 )
 from stablepp.point_measure import (
     PointMeasure,
+    ShiftPointMeasure,
     TestFunction,
     indicator_approx,
     scale_fn,
@@ -279,6 +280,122 @@ class TestPredictions:
                                  DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
         with pytest.raises(DomainError):
             predict_scaled_laplace(shift_spec, tent(0.5, 1.0, 2.0), 1.0)
+
+
+# -- reference predictions -----------------------------------------------------
+# Predictions against a dense Gauss-Legendre reference written without the
+# package's quadrature or its closed form for uniform locations: psi averages
+# uniform locations with 64 nodes inside every piece between the knots pulled
+# back to the location variable (enough for exp(-50 t) across a ramp), and the
+# constant integrates (1 - psi) against the intensity in the log coordinate v
+# with 32 nodes on each quarter of every piece between the kinks
+# v = log(|knot| / atom modulus) (scale) or knot - atom (shift). On the two
+# uniform cases this reference is within 4e-16 of a 40-digit mpmath value.
+
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (32, 64)}
+
+
+def _gauss(lo, hi, n):
+    """n Gauss-Legendre nodes and weights on each interval [lo, hi], broadcast."""
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=np.float64)[..., None] - lo)
+    x, w = _LEGGAUSS[n]
+    return lo + half * (1.0 + x), half * w
+
+
+REF_CARRIERS = {
+    # act(p, a), pull(p, x) = the location a that p carries to x, point(v),
+    # intensity(rate, v) in the log coordinate, weight(rate, p), kink(knot, atom)
+    "scale": (lambda s, a: s * a, lambda s, x: x / s, np.exp,
+              lambda r, v: r * np.exp(-r * v), lambda r, y: y ** -r,
+              lambda x, a: np.log(abs(x) / abs(a)) if x != 0.0 else None),
+    "shift": (lambda t, a: a + t, lambda t, x: x - t, lambda v: v,
+              lambda r, v: np.exp(-r * v), lambda r, u: np.exp(-r * u),
+              lambda x, a: x - a),
+}
+
+
+def _reference_psi(carrier, dec, f, p):
+    """psi of one decoration copy at every point of the array p."""
+    act, pull = REF_CARRIERS[carrier][:2]
+    if dec.kind != "random_atoms":
+        entries = ((dec.atoms, 1.0),) if dec.kind == "dirac" else dec.entries
+        return sum(q * np.exp(-sum(m * f.eval(act(p, a)) for a, m in atoms))
+                   for atoms, q in entries)
+    loc = dec.location
+    if loc.kind == "table":
+        one = sum(q * np.exp(-f.eval(act(p, v))) for v, q in zip(loc.values, loc.probs))
+    else:
+        lo, hi = loc.low, loc.high
+        pulled = np.clip(pull(p[:, None], f.knots_x), lo, hi)
+        ends = np.full((p.size, 1), lo), np.full((p.size, 1), hi)
+        cuts = np.concatenate([ends[0], pulled, ends[1]], axis=1)
+        a, w = _gauss(cuts[:, :-1], cuts[:, 1:], 64)
+        one = (w * np.exp(-f.eval(act(p[:, None, None], a)))).sum(axis=(1, 2)) / (hi - lo)
+    return sum(q * one ** k for k, q in zip(dec.count_values, dec.count_probs))
+
+
+def _reference_prediction(carrier, spec, f, p):
+    _, _, point, intensity, weight, kink = REF_CARRIERS[carrier]
+    dec = spec.decoration
+    if dec.kind == "random_atoms":
+        lo, hi = dec.location.bounds()
+        atoms = dec.location.values if dec.location.kind == "table" else (lo, hi)
+    else:
+        entries = ((dec.atoms, 1.0),) if dec.kind == "dirac" else dec.entries
+        atoms = [a for e, _ in entries for a, _ in e]
+    kinks = sorted({k for x in f.knots_x for a in atoms if (k := kink(x, a)) is not None})
+    cuts = np.concatenate([np.linspace(a, b, 5)[:-1] for a, b in zip(kinks[:-1], kinks[1:])]
+                          + [kinks[-1:]])
+    v, w = _gauss(cuts[:-1], cuts[1:], 32)
+    v, w = v.ravel(), w.ravel()
+    integrand = (1.0 - _reference_psi(carrier, dec, f, point(v))) * intensity(spec.alpha, v)
+    return math.exp(-weight(spec.alpha, p) * float(np.dot(w, integrand)))
+
+
+REFERENCE_DECORATIONS = {
+    "scale": {
+        "dirac": DecorationSpec.dirac([(1.0, 1)]),
+        "multi_dirac": DecorationSpec.dirac([(0.5, 1), (-1.0, 2), (1.5, 1)]),
+        "table": DecorationSpec.table_from_measures(
+            [PointMeasure([1.0]), PointMeasure([-0.7, 1.2])], [0.4, 0.6]),
+        "atoms_table": DecorationSpec.random_atoms(
+            [(1, 0.3), (2, 0.7)], LocationLaw(kind="table", values=(0.6, 1.1, 1.3),
+                                              probs=(0.2, 0.5, 0.3))),
+        "atoms_uniform": DecorationSpec.random_atoms(
+            [(1, 0.5), (2, 0.5)], LocationLaw(kind="uniform", low=0.5, high=1.5)),
+    },
+    "shift": {
+        "dirac": DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
+        "multi_dirac": DecorationSpec.dirac([(-0.5, 1), (0.0, 2), (0.3, 1)], carrier="shift"),
+        "table": DecorationSpec.table_from_measures(
+            [ShiftPointMeasure([0.0]), ShiftPointMeasure([-0.3, 0.2])], [0.4, 0.6],
+            carrier="shift"),
+        "atoms_table": DecorationSpec.random_atoms(
+            [(1, 0.3), (2, 0.7)], LocationLaw(kind="table", values=(-0.6, 0.1, 0.4),
+                                              probs=(0.2, 0.5, 0.3)), carrier="shift"),
+        "atoms_uniform": DecorationSpec.random_atoms(
+            [(1, 0.5), (3, 0.5)], LocationLaw(kind="uniform", low=-1.0, high=0.0),
+            carrier="shift"),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_DECORATIONS["scale"]))
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
+def test_predictions_within_bound_of_reference(carrier, kind):
+    dec = REFERENCE_DECORATIONS[carrier][kind]
+    if carrier == "scale":
+        spec = ProcessSpec("scdppp", 1.0, dec, 0.05)
+        battery, points, predict = default_battery(), default_y_grid, predict_scaled_laplace
+    else:
+        spec = ProcessSpec("dppp", 0.6, dec, -3.0)
+        battery, points, predict = shift_battery(), default_u_grid, predict_shift_laplace
+    for fid, f in battery.items():
+        for p in points:
+            pred = predict(spec, f, p)
+            ref = _reference_prediction(carrier, spec, f, p)
+            assert abs(pred.value - ref) <= pred.error_bound, (fid, p, pred, ref)
 
 
 class TestMixtureLaws:

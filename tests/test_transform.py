@@ -17,6 +17,8 @@ from stablepp.point_measure import (
 from stablepp.functionals import (
     default_battery,
     default_y_grid,
+    max_location_law,
+    maxmod_law,
     predict_scaled_laplace,
     predict_shift_laplace,
     psi_decoration_scale,
@@ -367,6 +369,11 @@ class TestDictionaryParity:
             "sscdppp", 0.8, DecorationSpec.table_from_measures(
                 [PointMeasure([1.0]), PointMeasure([0.7, 1.2])], [0.4, 0.6]), 0.05,
             scale_law=ScaleLaw.table([0.5, 2.0], [0.3, 0.7])),
+        "sscdppp_atoms_table": ProcessSpec(
+            "sscdppp", 1.2, DecorationSpec.random_atoms(
+                [(1, 0.4), (2, 0.6)], LocationLaw(kind="table", values=(0.7, 1.3),
+                                                  probs=(0.4, 0.6))), 0.05,
+            scale_law=ScaleLaw.lognormal(0.1, 0.4)),
     }
     FUNCTIONS = ("tent_lo", "tent_hi", "step_ln2")
 
@@ -381,6 +388,15 @@ class TestDictionaryParity:
                 a = predict_scaled_laplace(spec, battery[fid], y)
                 b = predict_shift_laplace(mapped, g, math.log(y))
                 assert abs(a.value - b.value) <= self.TOL, (fid, y, a, b)
+
+    @pytest.mark.parametrize("name", ["scdppp_dirac", "sscdppp_lognormal", "sscdppp_table"])
+    def test_extreme_laws(self, name):
+        # P(maxmod <= y) is the Gumbel mixture of the mapped spec at log y
+        spec = self.SPECS[name]
+        y = np.geomspace(0.05, 50.0, 41)
+        frechet = maxmod_law(spec).cdf(y)
+        gumbel = max_location_law(map_process_spec(spec)).cdf(np.log(y))
+        np.testing.assert_allclose(frechet, gumbel, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_decoration_functionals(self, name):
