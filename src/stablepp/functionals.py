@@ -210,8 +210,10 @@ def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
 
     a -> f(p acting on a) is linear between the knots of f pulled back by p, so
     a piece from a0 to a1 with values v0, v1 contributes the closed form
-    (a1 - a0) e^{-v0} (1 - e^{-(v1 - v0)}) / (v1 - v0), taken through expm1 so
-    that a narrow steep piece does not cancel. The values at pulled-back knots
+    (a1 - a0) e^{-m} (1 - e^{-d}) / d with m = min(v0, v1) and d = |v1 - v0|,
+    taken through expm1 so that a narrow steep piece does not cancel; the
+    exponent is taken at the smaller value so that a steep fall cannot
+    overflow. The values at pulled-back knots
     are the knot values: acting on the pulled-back knot can miss the knot by an
     ulp, which on a narrow ramp is a visible error in the value.
     """
@@ -220,10 +222,11 @@ def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
     fp = cr.compose(f, p)
     cuts = np.concatenate([[lo], anchor[inside], [hi]])
     vals = np.concatenate([[fp(lo)], f.knots_v[inside], [fp(hi)]])
-    rise = np.diff(vals)
+    d = np.abs(np.diff(vals))
     with np.errstate(invalid="ignore"):
-        shape = np.where(rise == 0.0, 1.0, -np.expm1(-rise) / rise)
-    return float(np.dot(np.diff(cuts), np.exp(-vals[:-1]) * shape)) / (hi - lo)
+        shape = np.where(d == 0.0, 1.0, -np.expm1(-d) / d)
+    low = np.minimum(vals[:-1], vals[1:])
+    return float(np.dot(np.diff(cuts), np.exp(-low) * shape)) / (hi - lo)
 
 
 def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:

@@ -319,7 +319,7 @@ class DecorationSpec:
             raise DomainError("no closed-form maxmod moment for random-atom decorations")
         cr = CARRIERS[self.carrier]
         probs = np.asarray([p for _, p in self._mixture])
-        tops = np.asarray([cr.power(rate, max(cr.norm(a) for a, _ in atoms))
+        tops = np.asarray([cr.weight(rate, cr.identity, max(cr.norm(a) for a, _ in atoms))
                            for atoms, _ in self._mixture])
         return float(np.dot(probs / probs.sum(), tops))
 
@@ -869,7 +869,6 @@ class Carrier:
     from_log: Callable  # v -> point
     has_log: Callable  # points -> where they have one: p > 0 (scale), everywhere (shift)
     intensity: Callable  # a -> rho: the dilation process has intensity rho e^{-a v} dv in v
-    power: Callable  # (a, m) -> e^{a v} at the norm m = e^v (scale) or v (shift)
     quantile: Callable  # (a, kappa, w, L) -> the point p with weight(a, p, w) * kappa = L
 
 
@@ -883,7 +882,7 @@ SCALE = Carrier(
     visible=lambda f, y: y * f.inner_radius, weight=lambda a, y, w: (y ** -a) * w ** a,
     sensitivity=lambda law, a, y: (y ** -a) * law.expect(lambda w: w ** a),
     to_log=math.log, from_log=math.exp, has_log=lambda p: p > 0.0, intensity=lambda a: a,
-    power=lambda a, m: m ** a, quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
+    quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
 )
 SHIFT = Carrier(
     name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
@@ -896,7 +895,7 @@ SHIFT = Carrier(
     sensitivity=lambda law, c, u: law.expect(lambda w: np.exp(-c * (u - w))),
     to_log=lambda t: t, from_log=lambda v: v,
     has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,
-    power=lambda c, m: math.exp(c * m), quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,
+    quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,
 )
 CARRIERS = {"scale": SCALE, "shift": SHIFT}
 

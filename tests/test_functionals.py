@@ -23,6 +23,8 @@ from stablepp.functionals import (
     maxmod_law,
     predict_scaled_laplace,
     predict_shift_laplace,
+    psi_decoration_scale,
+    psi_decoration_shift,
     required_window,
     shift_battery,
     tent_family_bias_bound,
@@ -32,6 +34,7 @@ from stablepp.point_measure import (
     ShiftPointMeasure,
     TestFunction,
     indicator_approx,
+    maxmod_indicator,
     scale_fn,
     shift_indicator_approx,
     shift_tent,
@@ -396,6 +399,29 @@ def test_predictions_within_bound_of_reference(carrier, kind):
             pred = predict(spec, f, p)
             ref = _reference_prediction(carrier, spec, f, p)
             assert abs(pred.value - ref) <= pred.error_bound, (fid, p, pred, ref)
+
+
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
+def test_uniform_locations_under_a_high_plateau(carrier):
+    # a plateau far above exp's overflow exponent (~709): the falling ramps of
+    # the closed form for uniform locations must still give a finite psi
+    dec = REFERENCE_DECORATIONS[carrier]["atoms_uniform"]
+    if carrier == "scale":
+        f, spec = maxmod_indicator(1000.0), ProcessSpec("scdppp", 1.0, dec, 0.05)
+        points, psi, predict = default_y_grid, psi_decoration_scale, predict_scaled_laplace
+        grid = np.array([0.3, 0.8, 1.0, 1.3, 2.5])
+    else:
+        f = shift_indicator_approx(1000.0, edge=0.0, outer=14.0, ramp=1e-6)
+        spec = ProcessSpec("dppp", 0.6, dec, -3.0)
+        points, psi, predict = default_u_grid, psi_decoration_shift, predict_shift_laplace
+        grid = np.array([-0.5, 0.2, 0.5, 1.0, 2.0])
+    ref = _reference_psi(carrier, dec, f, grid)
+    got = [psi(dec, f, p) for p in grid]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+    for p in points:
+        pred = predict(spec, f, p)
+        ref = _reference_prediction(carrier, spec, f, p)
+        assert abs(pred.value - ref) <= pred.error_bound, (p, pred, ref)
 
 
 class TestMixtureLaws:
