@@ -52,7 +52,6 @@ __all__ = [
     "maxmod_law_test",
     "tail_index_estimate",
     "fit_scale_template",
-    "frechet_template",
     "scale_unique_support_test",
 ]
 
@@ -404,15 +403,6 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
 # -- scale-unique support ----------------------------------------------------------
 
 
-def frechet_template(alpha: float):
-    """The Frechet CDF v -> exp(-v^-alpha), 0 for v <= 0, vectorized."""
-    def template(v):
-        v = np.asarray(v, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return np.exp(-np.where(v > 0.0, v, np.inf) ** -alpha)
-    return template
-
-
 def _template_inverse(template, q: float) -> float:
     """Solve template(v) = q for v by bisection; template is increasing."""
     lo, hi = _bisect(template, q)
@@ -492,7 +482,7 @@ def scale_unique_support_test(
                 "no analytic template: the decoration has no computable "
                 "moment and the global dilation is random"
             )
-        template = frechet_template(spec.alpha)
+        template = FrechetMixture(spec.alpha, 1.0).cdf
         template_name = "frechet"
 
     functions = {f"f{i:02d}": f for i, f in enumerate(battery)}

@@ -29,7 +29,7 @@ from .characterization import (
     stability_test,
     tail_index_estimate,
 )
-from .errors import ConfigError, DomainError, StableppError, StarvationError
+from .errors import ConfigError, StableppError, StarvationError
 from .extraction import ExtractionConfig, extract_decoration
 from .functionals import (
     battery_estimates,
@@ -214,14 +214,11 @@ def cmd_estimate(args) -> int:
     predict = _carrier_defaults(spec.carrier)[2]
     rows = ["f_id,point,value,std_error,predicted,predicted_error"]
     for fid in sorted(functions):
-        for p in points:
+        # one call for all points; tolist gives Python floats, whose repr the CSV uses
+        pred = predict(spec, functions[fid], points)
+        for p, value, bound in zip(points, pred.value.tolist(), pred.error_bound.tolist()):
             est = estimates[(fid, p)]
-            try:
-                pred = predict(spec, functions[fid], p)
-                ptxt, etxt = repr(pred.value), repr(pred.error_bound)
-            except (DomainError, NotImplementedError):
-                ptxt = etxt = ""
-            rows.append(f"{fid},{p!r},{est.value!r},{est.std_error!r},{ptxt},{etxt}")
+            rows.append(f"{fid},{p!r},{est.value!r},{est.std_error!r},{value!r},{bound!r}")
     n = _write_text(args.out, "\n".join(rows) + "\n")
     _write_manifest(args.out, "estimate", doc, seed=args.seed, reps=reps,
                     spec_hashes=[spec.spec_hash()],

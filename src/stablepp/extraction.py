@@ -22,8 +22,9 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError, StarvationError
-from .characterization import SubCheck, TestReport, fit_scale_template, frechet_template
+from .characterization import SubCheck, TestReport, fit_scale_template
 from .functionals import (
+    FrechetMixture,
     battery_estimates,
     cf_quadrature,
     default_battery,
@@ -215,7 +216,7 @@ def _fit_c_max(spec: ProcessSpec, window: float, censored_frac: float,
     fhat = (k0 + np.searchsorted(exc, grid, side="right")) / n
     se = np.sqrt(np.maximum(fhat * (1.0 - fhat), 1e-12) / n)
 
-    c_hat, _, _ = fit_scale_template(grid, fhat, se, frechet_template(alpha))
+    c_hat, _, _ = fit_scale_template(grid, fhat, se, FrechetMixture(alpha, 1.0).cdf)
     return c_hat, w_fit
 
 
@@ -367,16 +368,16 @@ def nstar_functional_check(
         f_y = float(law.cdf(y))
         for fi, f in enumerate(battery):
             emp_vals, emp_ses, exact_vals = [], [], []
-            for x in xs:
+            pred = predict_scaled_laplace(spec, f, xs * y)
+            for x, value, bound in zip(xs, pred.value.tolist(), pred.error_bound.tolist()):
                 v = np.exp(-campaign.laplace_integrals(f, float(x) * y))[cond]
                 emp = float(np.mean(v))
                 se = float(np.std(v, ddof=1)) / math.sqrt(n_acc)
-                pred = predict_scaled_laplace(spec, f, float(x) * y)
-                exact = (pred.value - f_y) / (1.0 - f_y)
+                exact = (value - f_y) / (1.0 - f_y)
                 # the sample se cannot resolve mass the replicas never saw;
                 # the Bernoulli bound at the hypothesized mean can
                 se = max(se, math.sqrt(max(exact * (1.0 - exact), 0.0) / n_acc))
-                tol = 3.0 * se + pred.error_bound / (1.0 - f_y)
+                tol = 3.0 * se + bound / (1.0 - f_y)
                 emp_vals.append(emp)
                 emp_ses.append(se)
                 exact_vals.append(exact)

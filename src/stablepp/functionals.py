@@ -34,7 +34,10 @@ largest atom modulus (largest atom), for both carriers
 
 with v_max the log coordinate of the largest atom norm of one decoration:
 kappa = E[maxmod^alpha] gives a mixture of Frechet laws, and
-kappa = E[e^{c max}] / c a mixture of Gumbels.
+kappa = E[e^{c max}] / c a mixture of Gumbels. Every Laplace curve lies in
+the same family: Psi(f | .) is the CDF of that extreme law with kappa = c_f
+(kappa_g on the shift carrier), so a prediction is the law's ``cdf`` with the
+constant integrated once per function.
 
 Monte Carlo estimates carry standard errors; quadrature predictions carry
 error bounds from the quadrature, so the two can be compared honestly.
@@ -109,10 +112,11 @@ class EstimateWithError:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Deterministic prediction with a rigorous error bound."""
+    """Deterministic prediction with a rigorous error bound: floats at one
+    point, arrays of the points' shape over an array of points."""
 
-    value: float
-    error_bound: float
+    value: float | np.ndarray
+    error_bound: float | np.ndarray
 
 
 def frechet_cdf(alpha: float, x: float) -> float:
@@ -351,39 +355,35 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
 
 # -- predictions ------------------------------------------------------------------
 
-def _predict(cr, quadrature, spec: ProcessSpec, f, p: float) -> Prediction:
+def _predict(cr, quadrature, mixture, spec: ProcessSpec, f, p) -> Prediction:
+    """Psi(f | p) at one point or an array of points: the CDF of the carrier's
+    extreme law with kappa set to the constant, integrated once per call."""
     if spec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-family spec")
-    if not cr.point_ok(p):
+    points = np.asarray(p, dtype=np.float64)
+    if not all(cr.point_ok(x) for x in points.ravel()):
         raise DomainError(cr.point_error)
     const = quadrature(spec.alpha, spec.decoration, f)
-    law, a = spec.effective_law(), spec.alpha
-    value = law.expect(lambda w: np.exp(-cr.weight(a, p, w) * const.value))
+    law = mixture(spec.alpha, const.value, getattr(spec, f"{cr.name}_law"))
     # d/dc of E exp(-weight c) is bounded by E[weight]
-    return Prediction(float(value), const.error_bound * cr.sensitivity(law, a, p))
+    return Prediction(law.cdf(points), const.error_bound * law._mean_weight(points))
 
 
-def predict_scaled_laplace(spec: ProcessSpec, f: TestFunction, y: float) -> Prediction:
-    """Closed-form Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)] with error bound."""
-    return _predict(SCALE, cf_quadrature, spec, f, y)
+def predict_scaled_laplace(spec: ProcessSpec, f: TestFunction, y) -> Prediction:
+    """Closed-form Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)] with error bound,
+    at one point y or at every point of an array."""
+    return _predict(SCALE, cf_quadrature, FrechetMixture, spec, f, y)
 
 
-def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u: float) -> Prediction:
-    """Closed-form Psi(g | u) = E_U[exp(-e^{-c(u - U)} kappa_g)] with error bound."""
-    return _predict(SHIFT, kappa_quadrature, spec, g, u)
+def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Prediction:
+    """Closed-form Psi(g | u) = E_U[exp(-e^{-c(u - U)} kappa_g)] with error bound,
+    at one point u or at every point of an array."""
+    return _predict(SHIFT, kappa_quadrature, GumbelMixture, spec, g, u)
 
 
 # -- extreme-value laws -------------------------------------------------------------
 
 _EXPECT_POINTS = 1 << 14  # points per expect call, bounding its (nodes x points) arrays
-
-
-def _expect_at(law, points: np.ndarray, h) -> np.ndarray:
-    """E[h(value, x)] over `law` at every x in `points`; h maps the law's (k,)
-    nodes and m points to a (k, m) array."""
-    parts = [law.expect(lambda v: h(v, points[i:i + _EXPECT_POINTS]))
-             for i in range(0, points.size, _EXPECT_POINTS)]
-    return np.concatenate([np.zeros(0)] + parts)
 
 
 class _ExtremeLaw:
@@ -397,18 +397,28 @@ class _ExtremeLaw:
         law = getattr(self, f"{self._cr.name}_law")
         return self._cr.law.deterministic(self._cr.identity) if law is None else law
 
-    def cdf(self, p):
-        """The CDF at every point of p, many points per `expect` call; 0 for
-        points without a log coordinate (p <= 0 on the scale carrier)."""
-        cr, rate = self._cr, getattr(self, self._cr.rate_key)
+    def _expect(self, p, h):
+        """E_W[h(weight(p, W))] at every point of p, many points per `expect`
+        call; 0 for points without a log coordinate (p <= 0 on the scale
+        carrier), nan for nan points. A float for a scalar p."""
+        cr, rate, law = self._cr, getattr(self, self._cr.rate_key), self._law()
         p = np.asarray(p, dtype=np.float64)
         flat = p.ravel()
-        out = np.zeros(flat.shape)
         live = cr.has_log(flat)
-        out[live] = _expect_at(
-            self._law(), flat[live],
-            lambda w, x: np.exp(-cr.weight(rate, x, w[:, None]) * self.kappa))
+        x = flat[live]
+        out = np.zeros(flat.shape)
+        out[live] = np.concatenate([np.zeros(0)] + [
+            law.expect(lambda w: h(cr.weight(rate, x[i:i + _EXPECT_POINTS], w[:, None])))
+            for i in range(0, x.size, _EXPECT_POINTS)])
         return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
+
+    def cdf(self, p):
+        """The CDF at every point of p (see ``_expect``)."""
+        return self._expect(p, lambda weight: np.exp(-weight * self.kappa))
+
+    def _mean_weight(self, p):
+        """E_W[weight(p, W)], which bounds the CDF's derivative in kappa."""
+        return self._expect(p, lambda weight: weight)
 
     def ppf(self, q):
         """Quantiles; closed form requires a deterministic global law."""
@@ -508,6 +518,5 @@ def tent_family_bias_bound(law: FrechetMixture, n: int, y: float, outer: float =
     cutoff y * outer (tail mass kappa-weighted).
     """
     ramp = float(law.cdf(y * (1.0 + 1.0 / n)) - law.cdf(y))
-    mean_walpha = law._law().expect(lambda w: w ** law.alpha)
-    tail = law.kappa * mean_walpha * (y * outer) ** -law.alpha
+    tail = law.kappa * law._mean_weight(y * outer)
     return math.exp(-float(n)) + ramp + tail

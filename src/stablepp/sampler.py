@@ -863,11 +863,10 @@ class Carrier:
     inverse: Callable  # (p, x) -> p's inverse acting on x
     visible: Callable  # (f, p) -> the window x -> f(inverse(p, x)) needs
     weight: Callable  # (a, p, w) -> tail weight at p of the global value w
-    sensitivity: Callable  # (law, a, p) -> E[weight]; scale keeps y^-a outside law.expect
     # the log coordinate v of a point or norm: s = e^v (scale) or t = v (shift)
     to_log: Callable  # point -> v
     from_log: Callable  # v -> point
-    has_log: Callable  # points -> where they have one: p > 0 (scale), everywhere (shift)
+    has_log: Callable  # points -> where they have one: not p <= 0, nan kept (scale); all (shift)
     intensity: Callable  # a -> rho: the dilation process has intensity rho e^{-a v} dv in v
     quantile: Callable  # (a, kappa, w, L) -> the point p with weight(a, p, w) * kappa = L
 
@@ -880,9 +879,8 @@ SCALE = Carrier(
     points_error="evaluation points on the scale carrier must be > 0",
     compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
     visible=lambda f, y: y * f.inner_radius, weight=lambda a, y, w: (y ** -a) * w ** a,
-    sensitivity=lambda law, a, y: (y ** -a) * law.expect(lambda w: w ** a),
-    to_log=math.log, from_log=math.exp, has_log=lambda p: p > 0.0, intensity=lambda a: a,
-    quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
+    to_log=math.log, from_log=math.exp, has_log=lambda p: np.logical_not(p <= 0.0),
+    intensity=lambda a: a, quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
 )
 SHIFT = Carrier(
     name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
@@ -892,7 +890,6 @@ SHIFT = Carrier(
     points_error="evaluation points must be finite",
     compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
     visible=lambda g, u: u + g.support_low, weight=lambda c, u, w: np.exp(-c * (u - w)),
-    sensitivity=lambda law, c, u: law.expect(lambda w: np.exp(-c * (u - w))),
     to_log=lambda t: t, from_log=lambda v: v,
     has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,
     quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stablepp import functionals
 from stablepp.errors import DomainError, WindowError
 from stablepp.functionals import (
     EstimateWithError,
@@ -535,6 +536,60 @@ def test_mixture_cdf_matches_per_point_reference(name, points_per_call, monkeypa
     grid = points[:12].reshape(3, 4)
     with np.errstate(over="ignore"):
         np.testing.assert_array_equal(law.cdf(grid), got[:12].reshape(3, 4))
+
+
+@pytest.mark.parametrize("law", [FrechetMixture(1.0, 1.3), GumbelMixture(1.0, 1.3)],
+                         ids=["frechet", "gumbel"])
+def test_mixture_cdf_keeps_nan_points(law):
+    assert math.isnan(law.cdf(math.nan))
+    got = law.cdf(np.array([[math.nan, 1.0], [2.0, math.nan]]))
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 1])
+    assert 0.0 < got[0, 1] < got[1, 0] < 1.0
+    if isinstance(law, FrechetMixture):
+        assert law.cdf(0.0) == 0.0 and law.cdf(-1.0) == 0.0
+        np.testing.assert_array_equal(law.cdf(np.array([-np.inf, -1.0, -0.0, 0.0])), 0.0)
+
+
+ARRAY_CASES = {
+    "scale": (predict_scaled_laplace, default_battery, default_y_grid,
+              scdppp(alpha=1.5, atoms=((1.0, 1), (0.5, 2)),
+                     scale_law=ScaleLaw.lognormal(0.2, 0.5))),
+    "shift": (predict_shift_laplace, shift_battery, default_u_grid,
+              ProcessSpec("sdppp", 0.8,
+                          DecorationSpec.dirac([(0.0, 1), (-0.5, 1)], carrier="shift"), -4.0,
+                          shift_law=ShiftLaw.table([-0.5, 0.4], [0.3, 0.7]))),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(ARRAY_CASES))
+def test_predictions_over_arrays_match_scalar_calls(carrier, monkeypatch):
+    predict, battery, grid, spec = ARRAY_CASES[carrier]
+    constants = []
+    integrate = functionals._constant
+
+    def counting(*args):
+        constants.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(functionals, "_constant", counting)
+    for f in battery().values():
+        scalars = [predict(spec, f, p) for p in grid]
+        assert len(constants) == len(grid)
+        assert all(type(s.value) is float and type(s.error_bound) is float for s in scalars)
+        for shape in ((len(grid),), (2, len(grid) // 2)):
+            constants.clear()
+            pred = predict(spec, f, np.reshape(grid, shape))
+            assert len(constants) == 1  # one constant per call, whatever the point count
+            assert pred.value.shape == pred.error_bound.shape == shape
+            np.testing.assert_allclose(pred.value.ravel(), [s.value for s in scalars],
+                                       rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(pred.error_bound.ravel(),
+                                       [s.error_bound for s in scalars], rtol=1e-15, atol=0.0)
+        constants.clear()
+    # every point is checked, not only the first
+    bad = [grid[0], -1.0] if carrier == "scale" else [grid[0], math.nan]
+    with pytest.raises(DomainError):
+        predict(spec, next(iter(battery().values())), bad)
 
 
 class TestBatteryEstimates:
