@@ -149,8 +149,9 @@ class TailIndexEstimate:
 def _bisect(fn, q: float) -> tuple:
     """(lo, hi) around the solution of fn(v) = q, fn increasing on v > 0.
 
-    Brackets from v = 1 by factors of 4, then halves the bracket 200 times;
-    fn(lo) <= q throughout.
+    Brackets from v = 1 by factors of 4, then halves the bracket up to 200
+    times, stopping once lo and hi are adjacent floats (a further halving
+    would change neither); fn(lo) <= q throughout.
     """
     hi = 1.0
     while fn(hi) < q:
@@ -164,6 +165,8 @@ def _bisect(fn, q: float) -> tuple:
             raise DomainError(f"the function does not fall to {q} toward the origin")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if fn(mid) > q:
             hi = mid
         else:
@@ -455,11 +458,11 @@ def scale_unique_support_test(
 
     For each f in the battery the estimated curve y -> Psi(f || y) is fitted
     to template(y * c) by one-dimensional least squares. The template is the
-    analytic maximum-modulus mixture law when the decoration has computable
-    moments, and the pure Frechet CDF when the global dilation is
-    deterministic. A sub-check passes iff the sup-norm residual stays below 3
-    pooled standard errors; identically zero functions are excluded as
-    trivial.
+    analytic maximum-modulus mixture law, which every decoration kind has: its
+    Laplace curves are that law's CDF with kappa replaced by c_f, so the fitted
+    c estimates (kappa / c_f)^(1/alpha). A sub-check passes iff the sup-norm
+    residual stays below 3 pooled standard errors; identically zero functions
+    are excluded as trivial.
     """
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
@@ -472,19 +475,7 @@ def scale_unique_support_test(
     if len(ys) < 2:
         raise DomainError("the y grid needs at least two points")
 
-    try:
-        law = maxmod_law(spec)
-        template = law.cdf
-        template_name = "analytic maxmod mixture"
-    except DomainError:
-        if spec.effective_law().kind != "deterministic":
-            raise DomainError(
-                "no analytic template: the decoration has no computable "
-                "moment and the global dilation is random"
-            )
-        template = FrechetMixture(spec.alpha, 1.0).cdf
-        template_name = "frechet"
-
+    template = maxmod_law(spec).cdf
     functions = {f"f{i:02d}": f for i, f in enumerate(battery)}
     estimates = battery_estimates(spec, functions, ys, n_reps, seed,
                                   threads=threads, role=_ROLE_SUPPORT)
@@ -512,7 +503,7 @@ def scale_unique_support_test(
         params={
             "spec": spec.to_config_dict(),
             "y_grid": ys,
-            "template": template_name,
+            "template": "analytic maxmod mixture",
             "fitted_c": fitted_cs,
         },
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError, StarvationError
-from .characterization import SubCheck, TestReport, fit_scale_template
+from .characterization import SubCheck, TestReport, censor_window, fit_scale_template
 from .functionals import (
     FrechetMixture,
     battery_estimates,
@@ -142,7 +142,7 @@ class ExtractionReport:
 
 
 def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
-    """Analytic P(maxmod > threshold) when the decoration moment is computable."""
+    """Analytic P(maxmod > threshold), from the maxmod law of any decoration kind."""
     return 1.0 - float(maxmod_law(spec).cdf(threshold))
 
 
@@ -186,24 +186,17 @@ def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) 
                         np.searchsorted(hit, rep[keep]), hit.size)
 
 
-def _fit_c_max(spec: ProcessSpec, window: float, censored_frac: float,
-               seed: int, threads) -> tuple:
+def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     """Fit the empirical maxmod CDF to exp(-(c*v)^-alpha) over c.
 
     The extraction window sits far in the upper tail, where the CDF carries
     little information about the scale constant. A dedicated campaign is
-    drawn instead, on a window placed near the bulk of the law using the
-    censored fraction observed at the extraction window; the grid is taken
-    from exceedance quantiles, where the censored empirical CDF is exact.
+    drawn instead, on the window below which the analytic maxmod law leaves
+    35% of its mass; the grid is taken from exceedance quantiles, where the
+    censored empirical CDF is exact.
     """
     alpha = spec.alpha
-    if censored_frac >= 0.4:
-        # Frechet-form extrapolation: -log F(w) scales like w^-alpha, so this
-        # window leaves roughly 35% of the law censored
-        ratio = math.log(max(censored_frac, 1e-12)) / math.log(0.35)
-        w_fit = max(window * ratio ** (1.0 / alpha), 1e-3 * window)
-    else:
-        w_fit = window
+    w_fit = censor_window(maxmod_law(spec), 0.35)
     campaign = run_campaign(ProcessSource(spec, w_fit), seed, _CMAX_FIT_REPS,
                             threads, role=(_ROLE_CMAX,))
     mm = campaign.maxmods()
@@ -232,9 +225,8 @@ def extract_decoration(
     Attempts run in fixed-size batches with a deterministic accept order
     (replica index within the batch sequence), so the report depends only on
     (spec, config, seed). Raises StarvationError when max_attempts replicas
-    are exhausted first; the message carries the analytic acceptance rate when
-    the decoration moment is computable, as a diagnostic for a threshold set
-    too high.
+    are exhausted first; the message carries the analytic acceptance rate as
+    a diagnostic for a threshold set too high.
     """
     if not spec.is_scale_family:
         raise DomainError("extraction runs on the scale carrier; transform first")
@@ -244,7 +236,6 @@ def extract_decoration(
 
     accepted = []
     accepted_r = []
-    all_maxmods = []
     attempted = 0
     batch_idx = 0
     n_found = 0
@@ -254,7 +245,6 @@ def extract_decoration(
         campaign = run_campaign(src, seed, batch, threads,
                                 role=(_ROLE_EXTRACT, batch_idx))
         mm = campaign.maxmods()
-        all_maxmods.append(mm)
         hit = np.flatnonzero(mm > y)
         accepted.append(_normalized(campaign, mm, hit, config.inner_radius))
         accepted_r.append(mm[hit] / y)
@@ -265,20 +255,13 @@ def extract_decoration(
             break
 
     if n_found < target:
-        try:
-            rate = predicted_acceptance(spec, y)
-            hint = f"; analytic acceptance rate is {rate:.3g}"
-        except DomainError:
-            hint = ""
         raise StarvationError(
-            f"only {n_found} of {target} samples accepted after "
-            f"{attempted} attempts{hint}"
+            f"only {n_found} of {target} samples accepted after {attempted} "
+            f"attempts; analytic acceptance rate is {predicted_acceptance(spec, y):.3g}"
         )
 
     decorations = MeasureBatch.concatenate(accepted, PointMeasure)[:target]
     radials = np.concatenate(accepted_r)[:target]
-    maxmods = np.concatenate(all_maxmods)
-    censored_frac = float(np.mean(maxmods <= window))
 
     ks = stats.kstest(radials, lambda u: 1.0 - np.asarray(u, float) ** -spec.alpha)
     counts = decorations.total_mass().astype(np.float64)
@@ -288,7 +271,7 @@ def extract_decoration(
     independence_p = _permutation_p(rng, radials, counts)
     sensitivity_p = _permutation_p(rng, radials, tents)
 
-    c_max_hat, w_fit = _fit_c_max(spec, window, censored_frac, seed, threads)
+    c_max_hat, w_fit = _fit_c_max(spec, seed, threads)
 
     return ExtractionReport(
         spec=spec,
@@ -355,6 +338,8 @@ def nstar_functional_check(
 
     law = maxmod_law(spec)
     alpha = spec.alpha
+    # one constant per function: row yi of the (y, x) grid is xs * ys[yi]
+    preds = [predict_scaled_laplace(spec, f, np.outer(ys, xs)) for f in battery]
     checks = []
     analytic_dev = {}
     beta_fit = {}
@@ -366,10 +351,10 @@ def nstar_functional_check(
         cond = mm > y
         n_acc = int(np.count_nonzero(cond))
         f_y = float(law.cdf(y))
-        for fi, f in enumerate(battery):
+        for fi, (f, pred) in enumerate(zip(battery, preds)):
             emp_vals, emp_ses, exact_vals = [], [], []
-            pred = predict_scaled_laplace(spec, f, xs * y)
-            for x, value, bound in zip(xs, pred.value.tolist(), pred.error_bound.tolist()):
+            for x, value, bound in zip(xs, pred.value[yi].tolist(),
+                                       pred.error_bound[yi].tolist()):
                 v = np.exp(-campaign.laplace_integrals(f, float(x) * y))[cond]
                 emp = float(np.mean(v))
                 se = float(np.std(v, ddof=1)) / math.sqrt(n_acc)

@@ -32,9 +32,15 @@ largest atom modulus (largest atom), for both carriers
     P(extreme <= p) = E_W[exp(-weight(p, W) kappa)],
     kappa = (rho / rate) E[e^{rate v_max}],
 
-with v_max the log coordinate of the largest atom norm of one decoration:
+with v_max the log coordinate of the largest atom norm M of one decoration:
 kappa = E[maxmod^alpha] gives a mixture of Frechet laws, and
-kappa = E[e^{c max}] / c a mixture of Gumbels. Every Laplace curve lies in
+kappa = E[e^{c max}] / c a mixture of Gumbels. Every decoration kind has
+kappa. Dirac and table decorations give a finite sum over their entries. For
+random atoms with count law p_k and one atom's norm law G,
+P(M <= m) = sum_k p_k G(m)^k: a finite sum over the distinct norms of a table
+location law, and for uniform locations with norms in [a, b]
+E[e^{rate v_max}] = e^{rate v_a} + integral from v_a to v_b of
+rate e^{rate v} P(v_max > v) dv, by quadrature. Every Laplace curve lies in
 the same family: Psi(f | .) is the CDF of that extreme law with kappa = c_f
 (kappa_g on the shift carrier), so a prediction is the law's ``cdf`` with the
 constant integrated once per function.
@@ -317,8 +323,8 @@ def cf_quadrature(alpha: float, dec: DecorationSpec, f: TestFunction) -> Predict
     c_f = integral over (0, inf) of (1 - psi_P(f | s)) alpha s^{-alpha-1} ds,
     integrated after the substitution s = e^v as the integral over v of
     (1 - psi_P(f | e^v)) alpha e^{-alpha v} dv, on
-    [log(inner_radius / bound), log(outer_radius / min_abs)] split at every
-    log(|knot| / atom modulus).
+    [log(inner_radius / bound), log(outer_radius / the smallest atom norm)]
+    split at every log(|knot| / atom modulus).
     """
     return _constant(SCALE, psi_decoration_scale, alpha, dec, f)
 
@@ -459,13 +465,39 @@ class GumbelMixture(_ExtremeLaw):
     _cr = SHIFT
 
 
+def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
+    """E[e^{rate v_max}] for one copy of dec: E[maxmod^alpha] (scale) or
+    E[e^{c max}] (shift), in the forms of the module docstring. The uniform
+    case is integrated by parts in v, where the integrand stays smooth as the
+    smallest norm nears the origin."""
+    if dec.kind != "random_atoms":
+        probs = np.asarray([p for _, p in dec._mixture])
+        tops = np.asarray([cr.weight(rate, cr.identity, max(cr.norm(a) for a, _ in atoms))
+                           for atoms, _ in dec._mixture])
+        return float(np.dot(probs / probs.sum(), tops))
+    k, pk = dec._count_arrays
+    if dec.location.kind == "table":
+        v, q = dec.location._table
+        m, which = np.unique(cr.norm(v), return_inverse=True)
+        below = (np.cumsum(np.bincount(which, weights=q))[:, None] ** k) @ pk
+        return float(np.dot(cr.weight(rate, cr.identity, m), np.diff(below, prepend=0.0)))
+    a, b = sorted(map(cr.norm, dec.location.bounds()))
+
+    def integrand(v: float) -> float:
+        u = (cr.from_log(v) - a) / (b - a)
+        return rate * math.exp(rate * v) * (1.0 - float(np.dot(pk, u ** k)))
+
+    va = cr.to_log(a)
+    return math.exp(rate * va) + _quad_with_corners(integrand, va, cr.to_log(b), ())[0]
+
+
 def _extreme_law(cr, mixture, spec: ProcessSpec):
     if spec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-family spec")
     rate = spec.alpha
     # kappa = (rho / rate) E[e^{rate v_max}], the tail mass of rho e^{-rate v} dv
     # beyond -v_max; dividing by rate / rho (1 or c) keeps E exact on the scale side
-    kappa = spec.decoration._extreme_moment(rate) / (rate / cr.intensity(rate))
+    kappa = _extreme_moment(cr, rate, spec.decoration) / (rate / cr.intensity(rate))
     return mixture(rate, kappa, getattr(spec, f"{cr.name}_law"))
 
 

@@ -305,30 +305,6 @@ class DecorationSpec:
         """A.s. bound on maxmod (scale) or on the largest atom (shift)."""
         return self.maxmod_bound if self.maxmod_bound is not None else max(self._norms)
 
-    @property
-    def min_abs(self) -> float:
-        """A.s. lower bound on the smallest atom modulus (scale carrier)."""
-        if self.carrier != "scale":
-            raise DomainError("min_abs is a scale-carrier notion")
-        return min(self._norms)
-
-    def _extreme_moment(self, rate: float) -> float:
-        """E[e^{rate v}] for v the log coordinate of the largest atom norm of one
-        copy: E[maxmod^alpha] (scale) or E[e^{c max}] (shift); dirac and table kinds."""
-        if self.kind == "random_atoms":
-            raise DomainError("no closed-form maxmod moment for random-atom decorations")
-        cr = CARRIERS[self.carrier]
-        probs = np.asarray([p for _, p in self._mixture])
-        tops = np.asarray([cr.weight(rate, cr.identity, max(cr.norm(a) for a, _ in atoms))
-                           for atoms, _ in self._mixture])
-        return float(np.dot(probs / probs.sum(), tops))
-
-    def maxmod_moment(self, alpha: float) -> float:
-        """E[maxmod(decoration)^alpha]; closed form for dirac/table kinds."""
-        if self.carrier != "scale":
-            raise DomainError("maxmod moments are a scale-carrier notion")
-        return self._extreme_moment(alpha)
-
     # -- cached sampling tables ----------------------------------------------
 
     @cached_property

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -330,8 +331,16 @@ class TestEstimate:
                    "scale": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5}}
         cfg = proc_config(tmp_path, process=process)
         out = tmp_path / "e.csv"
-        assert main(["estimate", "--config", cfg, "--reps", "50", "--out", str(out)]) == 0
-        assert all(row.split(",")[4] for row in out.read_text().splitlines()[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", cfg, "--reps", "50", "--out", str(out)]) == 0
+            assert all(row.split(",")[4] for row in out.read_text().splitlines()[1:])
+            # the maxmod law of a random-atom decoration is closed-form too
+            for kind in ("maxlaw", "support"):
+                report = tmp_path / f"{kind}.json"
+                assert main(["test", kind, "--config", cfg, "--reps", "2000", "--seed", "3",
+                             "--out", str(report)]) == 0
+                assert json.loads(report.read_text())["passed"] is True
 
     def test_rerun_and_threads_identical(self, tmp_path):
         cfg = proc_config(tmp_path)

@@ -160,6 +160,23 @@ class TestNstarFunctional:
         # large x: the affine form rises to 1 like 1 - x^-alpha * c_f / kappa
         assert exact(1e6) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("y_grid,calls", [((25.0, 100.0), 2),
+                                              ((25.0, 50.0, 100.0, 200.0), 2)])
+    def test_one_constant_per_function_and_limit(self, monkeypatch, y_grid, calls):
+        # one prediction over the whole (y, x) grid plus the limit coefficient,
+        # however many thresholds the grid holds
+        from stablepp import functionals
+        seen = []
+        constant = functionals._constant
+
+        def counting(*args):
+            seen.append(args)
+            return constant(*args)
+
+        monkeypatch.setattr(functionals, "_constant", counting)
+        nstar_functional_check(dirac_spec(), y_grid=y_grid, n_reps=2000, seed=1)
+        assert len(seen) == calls
+
     def test_requires_support_outside_unit_ball(self):
         from stablepp.point_measure import tent
         with pytest.raises(DomainError):

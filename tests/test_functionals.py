@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy import stats
 
 from stablepp import functionals
+from stablepp.characterization import ks_censored
 from stablepp.errors import DomainError, WindowError
+from stablepp.extraction import predicted_acceptance
 from stablepp.functionals import (
     EstimateWithError,
     FrechetMixture,
@@ -296,7 +299,7 @@ class TestPredictions:
 # v = log(|knot| / atom modulus) (scale) or knot - atom (shift). On the two
 # uniform cases this reference is within 4e-16 of a 40-digit mpmath value.
 
-_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (32, 64)}
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (32, 40, 64)}
 
 
 def _gauss(lo, hi, n):
@@ -423,6 +426,79 @@ def test_uniform_locations_under_a_high_plateau(carrier):
         pred = predict(spec, f, p)
         ref = _reference_prediction(carrier, spec, f, p)
         assert abs(pred.value - ref) <= pred.error_bound, (p, pred, ref)
+
+
+NEAR_ORIGIN = DecorationSpec.random_atoms(
+    [(1, 0.5), (30, 0.5)], LocationLaw(kind="uniform", low=0.001, high=10.0))
+KAPPA_CASES = [(carrier, kind) for carrier in ("scale", "shift")
+               for kind in sorted(REFERENCE_DECORATIONS[carrier])] + [("scale", "near_origin")]
+
+
+def _reference_extreme_moment(carrier, rate, dec):
+    """E[weight of the largest atom norm] of one copy, computed independently:
+    entry maxima, every location tuple of a table law, or Gauss-Legendre on the
+    density of the largest of k uniform norms."""
+    norm = abs if carrier == "scale" else (lambda x: x)
+    top = (lambda m: m ** rate) if carrier == "scale" else (lambda m: np.exp(rate * m))
+    if dec.kind != "random_atoms":
+        entries = ((dec.atoms, 1.0),) if dec.kind == "dirac" else dec.entries
+        return sum(q * top(max(norm(a) for a, _ in atoms)) for atoms, q in entries)
+    counts = list(zip(dec.count_values, dec.count_probs))
+    loc = dec.location
+    if loc.kind == "table":
+        return sum(pk * math.prod(loc.probs[i] for i in idx)
+                   * top(max(norm(loc.values[i]) for i in idx))
+                   for k, pk in counts
+                   for idx in itertools.product(range(len(loc.values)), repeat=k))
+    a, b = sorted(map(norm, loc.bounds()))
+    cuts = np.geomspace(a, b, 401) if a > 0.0 else np.linspace(a, b, 401)
+    m, w = _gauss(cuts[:-1], cuts[1:], 40)
+    u = (m - a) / (b - a)
+    density = sum(pk * k * u ** (k - 1) for k, pk in counts) / (b - a)
+    return float(np.sum(w * top(m) * density))
+
+
+def _monte_carlo_extreme_moment(carrier, rate, dec, n_copies=400_000, chunk=50_000):
+    """Mean and standard error of the weight of the largest atom norm over
+    n_copies sampled decoration copies."""
+    rng = np.random.default_rng(2024)
+    tops = []
+    for _ in range(n_copies // chunk):
+        copy, loc, _ = dec.sample_atoms_block(rng, chunk)
+        m = np.full(chunk, -np.inf)
+        np.maximum.at(m, copy, np.abs(loc) if carrier == "scale" else loc)
+        tops.append(m ** rate if carrier == "scale" else np.exp(rate * m))
+    tops = np.concatenate(tops)
+    return float(tops.mean()), float(tops.std(ddof=1)) / math.sqrt(tops.size)
+
+
+@pytest.mark.parametrize("carrier,kind", KAPPA_CASES)
+def test_extreme_law_kappa_for_every_decoration(carrier, kind):
+    dec = NEAR_ORIGIN if kind == "near_origin" else REFERENCE_DECORATIONS[carrier][kind]
+    if carrier == "scale":
+        rate = 0.5 if kind == "near_origin" else 1.0
+        spec = ProcessSpec("scdppp", rate, dec, 0.05)
+        law, per_moment = maxmod_law(spec), 1.0
+        assert predicted_acceptance(spec, 2.0) == pytest.approx(1.0 - law.cdf(2.0), rel=1e-15)
+    else:
+        rate = 0.6
+        spec = ProcessSpec("dppp", rate, dec, -3.0)
+        law, per_moment = max_location_law(spec), 1.0 / rate
+    assert law.kappa == pytest.approx(
+        per_moment * _reference_extreme_moment(carrier, rate, dec), rel=1e-12, abs=0.0)
+    mean, se = _monte_carlo_extreme_moment(carrier, rate, dec)
+    assert abs(law.kappa - per_moment * mean) <= 3.0 * per_moment * se + 1e-12 * law.kappa
+
+
+@pytest.mark.parametrize("kind", ["atoms_uniform", "atoms_table"])
+def test_max_locations_follow_the_gumbel_mixture(kind):
+    spec = ProcessSpec("dppp", 1.0, REFERENCE_DECORATIONS["shift"][kind], -3.0)
+    law = max_location_law(spec)
+    tops = run_campaign(ProcessSource(spec), 17, 20_000).max_locations()
+    _, p = ks_censored(tops, law.cdf, spec.window)
+    assert p >= 0.01
+    _, p = ks_censored(tops, GumbelMixture(law.c, 1.5 * law.kappa).cdf, spec.window)
+    assert p < 1e-6
 
 
 class TestMixtureLaws:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
+from stablepp.functionals import maxmod_law
 from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, tent
 from stablepp.sampler import (
     BLOCK_SIZE,
@@ -77,8 +78,7 @@ class TestDecorationSpec:
     def test_dirac_bounds_and_moment(self):
         d = DecorationSpec.dirac([(0.5, 1), (-2.0, 3)])
         assert d.bound == 2.0
-        assert d.min_abs == 0.5
-        assert d.maxmod_moment(2.0) == 4.0
+        assert maxmod_law(ProcessSpec("scdppp", 2.0, d, 0.05)).kappa == 4.0
 
     def test_dirac_rejects_origin_atom_on_scale_carrier(self):
         with pytest.raises(DomainError):
@@ -90,16 +90,18 @@ class TestDecorationSpec:
             kind="table",
             entries=((((1.0, 1),), 0.5), (((2.0, 1), (0.5, 2)), 0.5)),
         )
-        assert d.maxmod_moment(1.0) == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
-        assert d.bound == 2.0 and d.min_abs == 0.5
+        kappa = maxmod_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
+        assert kappa == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
+        assert d.bound == 2.0
 
-    def test_random_atoms_needs_closed_forms_elsewhere(self):
+    def test_random_atoms_moment_is_closed_form(self):
         d = DecorationSpec.random_atoms(
             [(1, 0.5), (3, 0.5)], LocationLaw(kind="uniform", low=0.5, high=2.0)
         )
         assert d.bound == 2.0
-        with pytest.raises(DomainError):
-            d.maxmod_moment(1.0)
+        # E[max of k uniforms on (0.5, 2)] = 0.5 + 1.5 k / (k + 1)
+        kappa = maxmod_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
+        assert kappa == pytest.approx(0.5 * 1.25 + 0.5 * 1.625, rel=1e-12)
 
     def test_random_atoms_location_must_avoid_origin_on_scale_carrier(self):
         with pytest.raises(DomainError):
