@@ -461,8 +461,9 @@ def scale_unique_support_test(
     analytic maximum-modulus mixture law, which every decoration kind has: its
     Laplace curves are that law's CDF with kappa replaced by c_f, so the fitted
     c estimates (kappa / c_f)^(1/alpha). A sub-check passes iff the sup-norm
-    residual stays below 3 pooled standard errors; identically zero functions
-    are excluded as trivial.
+    residual stays below 3 pooled standard errors. Identically zero functions,
+    and functions whose curve is exactly 1 with standard error 0 at every y
+    (they met no atom), are excluded as trivial.
     """
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
@@ -483,13 +484,16 @@ def scale_unique_support_test(
     checks = []
     fitted_cs = {}
     for fid, f in functions.items():
-        if f.is_zero:
-            checks.append(SubCheck(
-                f"fit_{fid}", "curve lies in the template's scale family",
-                0.0, None, True, "identically zero function excluded as trivial"))
-            continue
         vals = [estimates[(fid, y)].value for y in ys]
         ses = [estimates[(fid, y)].std_error for y in ys]
+        flat = all(v == 1.0 for v in vals) and not any(ses)  # no replica met f
+        if f.is_zero or flat:
+            trivial = "identically zero function" if f.is_zero else \
+                "curve exactly 1 with standard error 0"
+            checks.append(SubCheck(
+                f"fit_{fid}", "curve lies in the template's scale family",
+                0.0, None, True, f"{trivial} excluded as trivial"))
+            continue
         c_hat, residual, pooled = fit_scale_template(ys, vals, ses, template)
         fitted_cs[fid] = c_hat
         checks.append(SubCheck(

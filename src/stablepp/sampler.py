@@ -17,9 +17,12 @@ e^{-c x} dx.
 
 What differs between the two worlds (measure class, global law, point action,
 visible window, tail weight) lives in one ``Carrier`` value per coordinate
-system, SCALE and SHIFT; code shared by both is written once against it. The
-two block samplers stay separate: they share almost no line and own different
-random streams.
+system, SCALE and SHIFT; code shared by both is written once against it, the
+block sampler included. A block draws from its one Philox stream in the same
+order on both carriers: the global law's values, the Poisson counts, one
+uniform per dilation point, then the decoration copies. The carrier supplies
+only the arithmetic that turns these draws into Poisson means, dilation points
+and atoms, and the norm that the decoration bound caps and the window keeps.
 
 Determinism contract, two documented tiers:
 
@@ -382,6 +385,13 @@ def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _weighted_sum(weights: np.ndarray, values: np.ndarray):
+    """sum_k weights[k] * values[k], added in node order for every column of a
+    (k, n) ``values``, so a column's value does not depend on its position."""
+    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    return np.cumsum(terms, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class _GlobalLaw:
     """Law of a global random dilation (ScaleLaw) or translation (ShiftLaw).
@@ -450,10 +460,10 @@ class _GlobalLaw:
             out = h(np.asarray([self.value]))[0]
         elif self.kind == "table":
             v, p = self._table
-            out = np.dot(p, h(v))
+            out = _weighted_sum(p, h(v))
         else:
             x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
-            out = np.dot(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi)
+            out = _weighted_sum(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_config_dict(self):
@@ -734,83 +744,6 @@ def process_spec_from_config(doc) -> ProcessSpec:
     return _read("process", doc, "process")
 
 
-# -- core block sampling -------------------------------------------------------
-
-def _guard_mean(mean: np.ndarray, window) -> None:
-    top = float(np.max(mean)) if mean.size else 0.0
-    if not math.isfinite(top) or top > MEAN_CAP:
-        raise RangeError(
-            f"truncated-series Poisson mean {top:.3g} exceeds the cap {MEAN_CAP:.0e} "
-            f"(window {window!r} too aggressive for this spec)"
-        )
-
-
-def _scale_block(spec: ProcessSpec, key: np.ndarray, size: int, window: float):
-    """One vectorized block of scale-family replicas, exact on {|x| > window}."""
-    rng = np.random.Generator(np.random.Philox(key=key))
-    law = spec.effective_law()
-    w_draw = law.sample_block(rng, size)
-    bound = spec.decoration.bound
-    # Count mean (eta^-alpha with eta = window / (bound * W)); the W in eta and
-    # the global dilation by W cancel in the atom amplitude, which is why the
-    # amplitude below does not reference W.
-    mean = (bound * w_draw / window) ** spec.alpha
-    _guard_mean(mean, window)
-    counts = rng.poisson(mean)
-    total = int(counts.sum())
-    rep_pt = np.repeat(np.arange(size, dtype=np.int64), counts)
-    radial = (1.0 - rng.random(total)) ** (-1.0 / spec.alpha)
-    amp = (window / bound) * radial
-    copy_idx, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
-    if dloc.size and float(np.abs(dloc).max()) > bound * (1.0 + 1e-12):
-        raise DecorationBoundError(
-            "a sampled decoration atom exceeded the declared modulus bound"
-        )
-    locs = amp[copy_idx] * dloc
-    rep = rep_pt[copy_idx]
-    keep = np.abs(locs) > window
-    return locs[keep], rep[keep], dw[keep]
-
-
-_LOG_MEAN_CAP = math.log(MEAN_CAP)
-
-
-def _shift_block(spec: ProcessSpec, key: np.ndarray, size: int, cutoff: float):
-    """One vectorized block of shift-family replicas, exact on (cutoff, inf).
-
-    Log-dictionary image of the scale construction; the deterministic
-    normalization shift log(c)/c is folded into sigma so the sampled Poisson
-    intensity is exactly e^{-c x} dx.
-    """
-    rng = np.random.Generator(np.random.Philox(key=key))
-    c = spec.alpha
-    u_draw = spec.effective_law().sample_block(rng, size)
-    sigma = u_draw - math.log(c) / c
-    bound = spec.decoration.bound
-    log_mean = -c * (cutoff - sigma - bound)
-    if log_mean.size and float(np.max(log_mean)) > _LOG_MEAN_CAP:
-        raise RangeError(
-            f"truncated-series Poisson mean exp({float(np.max(log_mean)):.3g}) exceeds the cap "
-            f"(cutoff {cutoff!r} too aggressive for this spec)"
-        )
-    mean = np.exp(log_mean)
-    counts = rng.poisson(mean)
-    total = int(counts.sum())
-    rep_pt = np.repeat(np.arange(size, dtype=np.int64), counts)
-    # log of a standard Pareto(c) radial, i.e. an Exponential(rate c) excess
-    log_radial = -np.log1p(-rng.random(total)) / c
-    base = (cutoff - bound) + log_radial
-    copy_idx, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
-    if dloc.size and float(dloc.max()) > bound + 1e-12 * max(1.0, abs(bound)):
-        raise DecorationBoundError(
-            "a sampled decoration atom exceeded the declared upper bound"
-        )
-    locs = base[copy_idx] + dloc
-    rep = rep_pt[copy_idx]
-    keep = locs > cutoff
-    return locs[keep], rep[keep], dw[keep]
-
-
 # -- the two coordinate systems ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -826,9 +759,13 @@ class Carrier:
     measure: type
     law: type  # law of the global dilation / translation
     identity: float  # the global-law value that acts trivially
-    norm: Callable  # the size the decoration bound caps: |x| or x
+    norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
     families: tuple  # (without, with a global law)
-    block: Callable  # (spec, key, size, window) -> one block of replicas
+    # a block (`_block`) draws the dilation points p that can reach the window,
+    # each acting on one decoration copy
+    act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p
+    block_mean: Callable  # (a, w, window, bound) -> Poisson mean of the points given w
+    block_start: Callable  # (a, window, bound, q) -> the point at uniform q, by inverse CDF
     rate_key: str  # config key of the tail index / rate
     point: str  # symbol of an evaluation point
     window_word: str
@@ -849,7 +786,12 @@ class Carrier:
 
 SCALE = Carrier(
     name="scale", other="shift", measure=PointMeasure, law=ScaleLaw, identity=1.0, norm=abs,
-    families=("scdppp", "sscdppp"), block=_scale_block, rate_key="alpha",
+    families=("scdppp", "sscdppp"), act=lambda p, a: p * a,
+    # eta^-alpha with eta = window / (bound * w): the global dilation by w is folded
+    # into the count, so the points below do not reference w
+    block_mean=lambda a, w, window, bound: (bound * w / window) ** a,
+    block_start=lambda a, window, bound, q: (window / bound) * (1.0 - q) ** (-1.0 / a),
+    rate_key="alpha",
     point="y", window_word="window", point_ok=lambda y: y > 0.0 and math.isfinite(y),
     point_error="evaluation point y must be finite and > 0",
     points_error="evaluation points on the scale carrier must be > 0",
@@ -860,7 +802,12 @@ SCALE = Carrier(
 )
 SHIFT = Carrier(
     name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
-    norm=lambda x: x, families=("dppp", "sdppp"), block=_shift_block, rate_key="c",
+    norm=lambda x: x, families=("dppp", "sdppp"), act=lambda p, a: a + p,
+    # the normalization shift log(c)/c is folded into the translation, so the
+    # sampled intensity is exactly e^{-c x} dx
+    block_mean=lambda c, u, cutoff, bound: np.exp(-c * (cutoff - (u - math.log(c) / c) - bound)),
+    block_start=lambda c, cutoff, bound, q: (cutoff - bound) + -np.log1p(-q) / c,
+    rate_key="c",
     point="u", window_word="cutoff", point_ok=math.isfinite,
     point_error="evaluation point u must be finite",
     points_error="evaluation points must be finite",
@@ -876,6 +823,39 @@ CARRIERS = {"scale": SCALE, "shift": SHIFT}
 def _family_carrier(family):
     """The carrier of a process family, None for an unknown family."""
     return next((cr for cr in CARRIERS.values() if family in cr.families), None)
+
+
+# -- core block sampling -------------------------------------------------------
+
+def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: float):
+    """One vectorized block of replicas, exact on the carrier's window {norm(x) > window}.
+
+    One Philox stream, drawn in one order on both carriers: the global law's
+    values, the Poisson counts, one uniform per dilation point, the decoration
+    copies.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    bound = spec.decoration.bound
+    with np.errstate(over="ignore"):
+        mean = cr.block_mean(spec.alpha, spec.effective_law().sample_block(rng, size),
+                             window, bound)
+    top = float(np.max(mean)) if mean.size else 0.0
+    if not math.isfinite(top) or top > MEAN_CAP:
+        raise RangeError(
+            f"truncated-series Poisson mean {top:.3g} exceeds the cap {MEAN_CAP:.0e} "
+            f"({cr.window_word} {window!r} too aggressive for this spec)"
+        )
+    counts = rng.poisson(mean)
+    total = int(counts.sum())
+    rep_pt = np.repeat(np.arange(size, dtype=np.int64), counts)
+    start = cr.block_start(spec.alpha, window, bound, rng.random(total))
+    copy_idx, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
+    if dloc.size and float(cr.norm(dloc).max()) > bound + 1e-12 * max(1.0, abs(bound)):
+        raise DecorationBoundError("a sampled decoration atom exceeded the declared bound")
+    locs = cr.act(start[copy_idx], dloc)
+    rep = rep_pt[copy_idx]
+    keep = cr.norm(locs) > window
+    return locs[keep], rep[keep], dw[keep]
 
 
 # -- single-draw operations ----------------------------------------------------
@@ -922,8 +902,9 @@ def sample_process(spec: ProcessSpec, seed: SeedSpec):
     if not isinstance(seed, SeedSpec):
         seed = SeedSpec(int(seed), 0)
     key = derive_key(seed.master_seed, ROLE_REPLICA, seed.replica_index)
-    locs, _, w = CARRIERS[spec.carrier].block(spec, key, 1, spec.window)
-    return CARRIERS[spec.carrier].measure(locs, w)
+    cr = CARRIERS[spec.carrier]
+    locs, _, w = _block(cr, spec, key, 1, spec.window)
+    return cr.measure(locs, w)
 
 
 # -- campaigns -------------------------------------------------------------------
@@ -954,14 +935,17 @@ class FlatCampaign:
 
     def maxmods(self) -> np.ndarray:
         """Per-replica largest atom modulus (scale carrier); 0 for empty replicas."""
-        out = np.zeros(self.n_reps)
-        np.maximum.at(out, self.replica, np.abs(self.locations))
-        return out
+        return self._extremes(SCALE)
 
     def max_locations(self) -> np.ndarray:
         """Per-replica largest atom (shift carrier); -inf for empty replicas."""
-        out = np.full(self.n_reps, -math.inf)
-        np.maximum.at(out, self.replica, self.locations)
+        return self._extremes(SHIFT)
+
+    def _extremes(self, cr: Carrier) -> np.ndarray:
+        """Per-replica largest norm of an atom on carrier ``cr``; the norm of the
+        empty replica, cr.from_log(-inf), is 0 (scale) or -inf (shift)."""
+        out = np.full(self.n_reps, cr.from_log(-math.inf))
+        np.maximum.at(out, self.replica, cr.norm(self.locations))
         return out
 
     def counts(self) -> np.ndarray:
@@ -991,7 +975,7 @@ class ProcessSource:
 
     def sample_block(self, master_seed: int, path: tuple, size: int):
         key = derive_key(master_seed, ROLE_BLOCK, *path)
-        return CARRIERS[self.carrier].block(self.spec, key, size, self.window)
+        return _block(CARRIERS[self.carrier], self.spec, key, size, self.window)
 
 
 class ScaledSource:
@@ -1010,6 +994,16 @@ class ScaledSource:
     def sample_block(self, master_seed, path, size):
         locs, rep, w = self.inner.sample_block(master_seed, path, size)
         return locs * self.b, rep, w
+
+
+def _by_replica(parts):
+    """The (locations, replica, weights) parts of one block, concatenated and
+    stable-sorted by replica."""
+    if not parts:
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    locs, rep, w = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(rep, kind="stable")
+    return locs[order], rep[order], w[order]
 
 
 class SuperposeSource:
@@ -1031,12 +1025,8 @@ class SuperposeSource:
         self.window = max(ch.window for ch in children)
 
     def sample_block(self, master_seed, path, size):
-        parts = [ch.sample_block(master_seed, path + (i,), size) for i, ch in enumerate(self.children)]
-        locs = np.concatenate([p[0] for p in parts])
-        rep = np.concatenate([p[1] for p in parts])
-        w = np.concatenate([p[2] for p in parts])
-        order = np.argsort(rep, kind="stable")
-        return locs[order], rep[order], w[order]
+        return _by_replica([ch.sample_block(master_seed, path + (i,), size)
+                            for i, ch in enumerate(self.children)])
 
 
 class MixtureSource:
@@ -1058,22 +1048,13 @@ class MixtureSource:
             np.random.Philox(key=derive_key(master_seed, ROLE_MIXTURE, *path))
         )
         pick = pick_rng.choice(len(self.children), size=size, p=self.probs)
-        locs_parts, rep_parts, w_parts = [], [], []
+        parts = []
         for i, ch in enumerate(self.children):
             slots = np.nonzero(pick == i)[0]
-            if not slots.size:
-                continue
-            locs, rep, w = ch.sample_block(master_seed, path + (i,), slots.size)
-            locs_parts.append(locs)
-            rep_parts.append(slots[rep])
-            w_parts.append(w)
-        if not locs_parts:
-            return (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        locs = np.concatenate(locs_parts)
-        rep = np.concatenate(rep_parts)
-        w = np.concatenate(w_parts)
-        order = np.argsort(rep, kind="stable")
-        return locs[order], rep[order], w[order]
+            if slots.size:
+                locs, rep, w = ch.sample_block(master_seed, path + (i,), slots.size)
+                parts.append((locs, slots[rep], w))
+        return _by_replica(parts)
 
 
 def resolve_threads(threads: int | None) -> int:

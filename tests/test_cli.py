@@ -399,6 +399,24 @@ class TestTest:
         assert main(["test", "support", "--config", cfg, "--reps", "20000",
                      "--seed", "9", "--out", str(out)]) == 0
 
+    def test_support_excludes_curves_that_meet_no_atom(self, tmp_path):
+        # negative atoms only: the one-sided tents f00-f02 never meet one, so
+        # their curves are exactly 1 with standard error 0
+        process = {"family": "scdppp", "alpha": 2.0, "window": 0.5,
+                   "decoration": {"kind": "random_atoms", "count_probs": [[1, 0.5], [2, 0.5]],
+                                  "location": {"kind": "table", "values": [-0.6, -1.1, -1.3],
+                                               "probs": [0.5, 0.3, 0.2]}}}
+        cfg = proc_config(tmp_path, process=process)
+        out = tmp_path / "r.json"
+        assert main(["test", "support", "--config", cfg, "--reps", "3000",
+                     "--seed", "5", "--out", str(out)]) == 0
+        checks = {s["name"]: s for s in json.loads(out.read_text())["subchecks"]}
+        for fid in ("f00", "f01", "f02"):
+            assert checks[f"fit_{fid}"]["note"] == \
+                "curve exactly 1 with standard error 0 excluded as trivial"
+        assert "curve exactly 1" not in checks["fit_f03"]["note"]
+        assert set(json.loads(out.read_text())["params"]["fitted_c"]) == {"f03", "f04"}
+
 
 class TestExtract:
     def test_success_writes_sidecar(self, tmp_path):

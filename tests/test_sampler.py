@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -385,11 +386,14 @@ class TestCampaigns:
             assert ml[r] == sc.replica_measure(r).max_location()
 
     def test_mean_cap_guards_absurd_windows(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"mean 1e\+08 exceeds the cap 1e\+06 \(window 1e-08 "):
             run_campaign(ProcessSource(unit_spec(), window=1e-8), 0, 10)
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 \(cutoff -40.0 "):
             run_campaign(ProcessSource(sspec, window=-40.0), 0, 10)
+        # the mean e^800 overflows a double
+        with pytest.raises(RangeError, match=r"mean inf exceeds the cap 1e\+06 \(cutoff -800.0 "):
+            run_campaign(ProcessSource(sspec, window=-800.0), 0, 10)
 
     def test_n_reps_validation(self):
         with pytest.raises(DomainError):
@@ -496,3 +500,101 @@ def test_resolve_threads(monkeypatch):
 def test_seed_spec_validation():
     with pytest.raises(DomainError):
         SeedSpec(1, -1)
+
+
+# -- pinned streams ---------------------------------------------------------------
+#
+# One spec per carrier x decoration kind x global-law kind. The digests hash the
+# bytes of a two-block campaign and of four `sample_process` replicas; a change to
+# either is a change of the random streams, which must be deliberate and logged.
+
+def _pinned_decoration(carrier, kind):
+    scale = carrier == "scale"
+    if kind == "dirac":
+        atoms = [(1.0, 1), (-0.5, 2)] if scale else [(0.0, 1), (-0.5, 2)]
+        return DecorationSpec.dirac(atoms, carrier=carrier)
+    if kind == "table":
+        first, second = ((1.0, 1),), ((1.2, 1), (-0.4, 3))
+        if not scale:
+            first, second = ((0.0, 1),), ((0.3, 1), (-0.9, 3))
+        return DecorationSpec(kind="table", carrier=carrier, entries=((first, 0.4), (second, 0.6)))
+    if kind == "atoms_uniform":
+        loc = LocationLaw(kind="uniform", low=0.5, high=1.5) if scale else \
+            LocationLaw(kind="uniform", low=-1.0, high=0.5)
+    else:
+        values = (-0.6, -1.1, -1.3) if scale else (-0.6, -1.1, 0.3)
+        loc = LocationLaw(kind="table", values=values, probs=(0.5, 0.3, 0.2))
+    return DecorationSpec.random_atoms([(1, 0.6), (2, 0.4)], loc, carrier=carrier)
+
+
+def _pinned_spec(carrier, dec_kind, law_kind):
+    dec = _pinned_decoration(carrier, dec_kind)
+    law_cls = ScaleLaw if carrier == "scale" else ShiftLaw
+    law = {"none": None,
+           "deterministic": law_cls.deterministic(1.5 if carrier == "scale" else 0.4),
+           "gaussian": law_cls(kind=law_cls.gaussian, mu=0.1, sigma=0.5),
+           "table": law_cls.table([0.7, 1.3] if carrier == "scale" else [-0.3, 0.6],
+                                  [0.3, 0.7])}[law_kind]
+    if carrier == "scale":
+        family = "scdppp" if law is None else "sscdppp"
+        return ProcessSpec(family, 1.5, dec, 0.5, scale_law=law)
+    family = "dppp" if law is None else "sdppp"
+    return ProcessSpec(family, 1.2, dec, -1.0, shift_law=law)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray)
+                 else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+PINNED_STREAMS = {
+    "scale/dirac/none": "8556004f272c7e9f",
+    "scale/dirac/deterministic": "9e5c68c0d14a1a79",
+    "scale/dirac/gaussian": "bea80f0275999b76",
+    "scale/dirac/table": "db7c817dd25d19a2",
+    "scale/table/none": "8e22d4c40a7b1b26",
+    "scale/table/deterministic": "5135d5617c28a22d",
+    "scale/table/gaussian": "5b4112e9f6c25b55",
+    "scale/table/table": "35bef1fd619377dc",
+    "scale/atoms_uniform/none": "92ab3558cae8bde7",
+    "scale/atoms_uniform/deterministic": "9a825ffbd3288bec",
+    "scale/atoms_uniform/gaussian": "19f1f32849b1e64c",
+    "scale/atoms_uniform/table": "66df5a5762648221",
+    "scale/atoms_table/none": "c74e42e6d1477e08",
+    "scale/atoms_table/deterministic": "29a28311891f5bc1",
+    "scale/atoms_table/gaussian": "f65ba6bf33f4f7e7",
+    "scale/atoms_table/table": "ef4727dde3b2f71f",
+    "shift/dirac/none": "ea97275c9248c726",
+    "shift/dirac/deterministic": "1b5b0bc1b35dda2b",
+    "shift/dirac/gaussian": "f2c271c578ca05a6",
+    "shift/dirac/table": "1d757631e58f2f4e",
+    "shift/table/none": "66afe7670e310bfe",
+    "shift/table/deterministic": "454f0961f57ab70d",
+    "shift/table/gaussian": "f4713823ce10829f",
+    "shift/table/table": "84baf16199816f88",
+    "shift/atoms_uniform/none": "5b0f72fe7ba811bb",
+    "shift/atoms_uniform/deterministic": "92be1a988d561843",
+    "shift/atoms_uniform/gaussian": "fdb9f5c29ac7c054",
+    "shift/atoms_uniform/table": "57c478e1059295c7",
+    "shift/atoms_table/none": "f274619ce2901f72",
+    "shift/atoms_table/deterministic": "f318bee6f11f3870",
+    "shift/atoms_table/gaussian": "043abe9494070810",
+    "shift/atoms_table/table": "d2c4259da2c8d96a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STREAMS))
+def test_pinned_streams(case):
+    carrier, dec_kind, law_kind = case.split("/")
+    spec = _pinned_spec(carrier, dec_kind, law_kind)
+    camp = run_campaign(ProcessSource(spec), 7, BLOCK_SIZE + 300, threads=2)
+    assert camp.locations.dtype == camp.weights.dtype == np.float64
+    assert camp.replica.dtype == np.int64
+    measures = [sample_process(spec, SeedSpec(7, r)) for r in range(4)]
+    assert {type(m) for m in measures} == {PointMeasure if carrier == "scale" else ShiftPointMeasure}
+    assert any(m.n_atoms for m in measures)
+    assert _digest(camp.locations, camp.replica, camp.weights,
+                   [m.atoms() for m in measures]) == PINNED_STREAMS[case]
