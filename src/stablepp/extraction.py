@@ -39,6 +39,8 @@ from .sampler import (
     DecorationSpec,
     ProcessSource,
     ProcessSpec,
+    campaign_stats,
+    maxmod_samples,
     run_campaign,
 )
 
@@ -197,9 +199,8 @@ def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     """
     alpha = spec.alpha
     w_fit = censor_window(maxmod_law(spec), 0.35)
-    campaign = run_campaign(ProcessSource(spec, w_fit), seed, _CMAX_FIT_REPS,
-                            threads, role=(_ROLE_CMAX,))
-    mm = campaign.maxmods()
+    mm = maxmod_samples(spec, _CMAX_FIT_REPS, seed, window=w_fit, threads=threads,
+                        role=(_ROLE_CMAX,))
     n = mm.size
     exc = np.sort(mm[mm > w_fit])
     if exc.size < 50:
@@ -345,9 +346,14 @@ def nstar_functional_check(
     beta_fit = {}
     beta_exact_limit = {}
     for yi, y in enumerate(ys):
-        campaign = run_campaign(ProcessSource(spec, y), seed, n_reps, threads,
-                                role=(_ROLE_NSTAR, yi))
-        mm = campaign.maxmods()
+        # one row of maxmods, then the integrals of every f at every x * y
+        points = [(f, float(x) * y) for f in battery for x in xs]
+        rows = campaign_stats(
+            ProcessSource(spec, y), seed, n_reps,
+            lambda block: np.vstack(
+                [block.maxmods()] + [block.laplace_integrals(f, p) for f, p in points]),
+            threads, role=(_ROLE_NSTAR, yi))
+        mm, integrals = rows[0], iter(rows[1:])
         cond = mm > y
         n_acc = int(np.count_nonzero(cond))
         f_y = float(law.cdf(y))
@@ -355,7 +361,7 @@ def nstar_functional_check(
             emp_vals, emp_ses, exact_vals = [], [], []
             for x, value, bound in zip(xs, pred.value[yi].tolist(),
                                        pred.error_bound[yi].tolist()):
-                v = np.exp(-campaign.laplace_integrals(f, float(x) * y))[cond]
+                v = np.exp(-next(integrals))[cond]
                 emp = float(np.mean(v))
                 se = float(np.std(v, ddof=1)) / math.sqrt(n_acc)
                 exact = (value - f_y) / (1.0 - f_y)

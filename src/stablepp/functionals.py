@@ -77,7 +77,7 @@ from .sampler import (
     ProcessSpec,
     ScaleLaw,
     ShiftLaw,
-    run_campaign,
+    campaign_stats,
 )
 
 __all__ = [
@@ -87,6 +87,7 @@ __all__ = [
     "estimate_scaled_laplace",
     "estimate_shift_laplace",
     "battery_estimates",
+    "laplace_battery",
     "required_window",
     "psi_decoration_scale",
     "psi_decoration_shift",
@@ -143,19 +144,29 @@ def _mean_with_se(vals: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, se, n)
 
 
-def _estimate(cr, campaign: FlatCampaign, f, p: float) -> EstimateWithError:
+def _checked(cr, campaign, f, p: float) -> bool:
+    """Raise unless Psi(f | p) on carrier ``cr`` can be estimated from
+    ``campaign``, or from any campaign of a source (both carry the carrier and
+    the window); False when f is the zero function, whose estimate is exactly
+    (1, 0) and needs no atoms."""
     if campaign.carrier != cr.name:
         raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
     if not cr.point_ok(p):
         raise DomainError(cr.point_error)
     if f.is_zero:
-        return EstimateWithError(1.0, 0.0, campaign.n_reps)
+        return False
     needed = cr.visible(f, p)
     if needed < campaign.window:
         raise WindowError(
             f"evaluation at {cr.point}={p:g} needs {cr.window_word} <= {needed:g}, "
             f"campaign was drawn on {cr.window_word} {campaign.window:g}"
         )
+    return True
+
+
+def _estimate(cr, campaign: FlatCampaign, f, p: float) -> EstimateWithError:
+    if not _checked(cr, campaign, f, p):
+        return EstimateWithError(1.0, 0.0, campaign.n_reps)
     return _mean_with_se(np.exp(-campaign.laplace_integrals(f, p)))
 
 
@@ -195,22 +206,45 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     return needed if math.isfinite(needed) else spec.window
 
 
+def laplace_battery(source, pairs):
+    """Check every (f, p) pair against the campaigns ``source`` draws, before
+    any is drawn, as the single estimates check theirs.
+
+    Returns (reduce, estimates). ``reduce`` is a ``campaign_stats`` reducer:
+    it maps a campaign block to one row of per-replica Laplace integrals for
+    each pair with a nonzero f. ``estimates`` maps those rows over a whole
+    campaign to one EstimateWithError per pair, in order; a zero f's is
+    exactly (1, 0). The estimates equal those of the flat campaign bit for bit.
+    """
+    cr = CARRIERS[source.carrier]
+    live = [_checked(cr, source, f, p) for f, p in pairs]
+    used = [pair for pair, ok in zip(pairs, live) if ok]
+
+    def reduce(block) -> np.ndarray:
+        rows = [block.laplace_integrals(f, p) for f, p in used]
+        return np.array(rows, dtype=np.float64).reshape(len(used), block.n_reps)
+
+    def estimates(rows: np.ndarray) -> list:
+        nonzero = iter(rows)
+        return [_mean_with_se(np.exp(-next(nonzero))) if ok
+                else EstimateWithError(1.0, 0.0, rows.shape[-1]) for ok in live]
+
+    return reduce, estimates
+
+
 def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, seed: int,
                       threads: int | None = 1, role: tuple = ()) -> dict:
-    """Estimate Psi for every function in `functions` at every point, sharing
-    one campaign drawn on the coarsest window the battery needs.
+    """Estimate Psi for every function in `functions` at every point from one
+    campaign drawn on the coarsest window the battery needs, reduced block by
+    block to a (pairs x reps) matrix of Laplace integrals.
 
     Returns {(function_id, point): EstimateWithError}.
     """
-    window = required_window(spec, functions.values(), points)
-    campaign = run_campaign(ProcessSource(spec, window), seed, n_reps, threads, role)
-    out = {}
-    # through the public names: the per-layer trace counts calls to them
-    estimate = estimate_scaled_laplace if spec.is_scale_family else estimate_shift_laplace
-    for fid, f in functions.items():
-        for p in points:
-            out[(fid, p)] = estimate(campaign, f, p)
-    return out
+    source = ProcessSource(spec, required_window(spec, functions.values(), points))
+    keys = [(fid, p) for fid in functions for p in points]
+    reduce, estimates = laplace_battery(source, [(functions[fid], p) for fid, p in keys])
+    rows = campaign_stats(source, seed, n_reps, reduce, threads, role)
+    return dict(zip(keys, estimates(rows)))
 
 
 # -- decoration one-copy functionals ----------------------------------------------

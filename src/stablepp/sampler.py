@@ -72,6 +72,7 @@ __all__ = [
     "SuperposeSource",
     "MixtureSource",
     "run_campaign",
+    "campaign_stats",
     "maxmod_samples",
     "resolve_threads",
 ]
@@ -913,6 +914,10 @@ def sample_process(spec: ProcessSpec, seed: SeedSpec):
 class FlatCampaign:
     """Replicated samples in flat arrays: one row per atom, replica ascending.
 
+    A whole campaign (``run_campaign``) or one block of it, replicas
+    0..size-1 (what a ``campaign_stats`` reducer receives); the per-replica
+    statistics below read only the atoms they are given, so a block's
+    statistics are the whole campaign's columns for that block.
     ``window`` records the exactness region the campaign was drawn on: the
     modulus radius (scale carrier) or lower cutoff (shift carrier).
     """
@@ -1071,14 +1076,14 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
-                 role: tuple = ()) -> FlatCampaign:
-    """Draw ``n_reps`` replicas from a source into one flat campaign.
+def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
+    """Yield ``fn(block)`` for every block of a campaign of ``n_reps`` replicas, in block order.
 
     Replicas are partitioned into fixed blocks of BLOCK_SIZE; block b uses the
-    stream keyed by (master_seed, ROLE_BLOCK, *role, b). Results are identical
-    for every thread count; at most min(threads, blocks, cpu count) worker
-    threads run.
+    stream keyed by (master_seed, ROLE_BLOCK, *role, b) and reaches ``fn`` as a
+    FlatCampaign of its own replicas 0..size-1. ``fn`` runs in the block's job,
+    so at most one block of atoms per worker is alive unless ``fn`` keeps it.
+    At most min(threads, blocks, cpu count) worker threads run.
     """
     n_reps = int(n_reps)
     if n_reps < 1:
@@ -1087,26 +1092,65 @@ def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
 
     def job(b: int):
         size = min(BLOCK_SIZE, n_reps - b * BLOCK_SIZE)
-        return source.sample_block(master_seed, role + (b,), size)
+        locs, rep, w = source.sample_block(master_seed, role + (b,), size)
+        return fn(FlatCampaign(locs, rep.astype(np.int64, copy=False),
+                               w.astype(np.float64, copy=False), size,
+                               source.carrier, source.window))
 
     workers = min(resolve_threads(threads), n_blocks, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(n_blocks)))
+            yield from pool.map(job, range(n_blocks))
     else:
-        parts = [job(b) for b in range(n_blocks)]
-    locs = np.concatenate([p[0] for p in parts])
-    rep = np.concatenate(
-        [p[1] + b * BLOCK_SIZE for b, p in enumerate(parts)]
-    ).astype(np.int64)
-    w = np.concatenate([p[2] for p in parts]).astype(np.float64)
-    return FlatCampaign(locs, rep, w, n_reps, source.carrier, source.window)
+        yield from map(job, range(n_blocks))
+
+
+def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
+                 role: tuple = ()) -> FlatCampaign:
+    """Draw ``n_reps`` replicas from a source into one flat campaign.
+
+    For callers whose product is the atoms themselves (sampled measures,
+    extraction's attempt batches); statistics of replicas come from
+    ``campaign_stats``, which never holds the campaign's atoms. Block b uses
+    the stream keyed by (master_seed, ROLE_BLOCK, *role, b), so results are
+    identical for every thread count.
+    """
+    parts = list(_blocks(source, master_seed, n_reps, lambda block: block, threads, role))
+    return FlatCampaign(np.concatenate([p.locations for p in parts]),
+                        np.concatenate([p.replica + b * BLOCK_SIZE
+                                        for b, p in enumerate(parts)]),
+                        np.concatenate([p.weights for p in parts]),
+                        int(n_reps), source.carrier, source.window)
+
+
+def campaign_stats(source, master_seed: int, n_reps: int, reduce: Callable,
+                   threads: int | None = 1, role: tuple = ()) -> np.ndarray:
+    """Per-replica statistics of the campaign ``run_campaign`` would draw.
+
+    ``reduce`` maps one block, a FlatCampaign of the block's replicas, to an
+    array with one column per replica (``block.maxmods()``, say, or a stack of
+    rows); the blocks' arrays are concatenated along the last axis, in place
+    as they arrive. A block's atoms are dropped as soon as it is reduced, so
+    memory holds the statistics plus one block of atoms per worker. Per-replica
+    sums and maxima see each replica's atoms in the same order as on the flat
+    campaign, so the result equals the flat campaign's statistics bit for bit.
+    """
+    out = None
+    for b, part in enumerate(_blocks(source, master_seed, n_reps, reduce, threads, role)):
+        if out is None:
+            out = np.empty(part.shape[:-1] + (int(n_reps),), part.dtype)
+        out[..., b * BLOCK_SIZE:b * BLOCK_SIZE + part.shape[-1]] = part
+    return out
 
 
 def maxmod_samples(spec: ProcessSpec, n_reps: int, seed: int, window: float | None = None,
                    threads: int | None = 1, role: tuple = ()) -> np.ndarray:
-    """Per-replica maxmod draws of a scale-family spec (0 marks an empty window)."""
+    """Per-replica maxmod draws of a scale-family spec (0 marks an empty window).
+
+    Reduced block by block (``campaign_stats``): memory does not grow with
+    the atoms per replica.
+    """
     if not spec.is_scale_family:
         raise DomainError("maxmod sampling applies to scale families")
-    campaign = run_campaign(ProcessSource(spec, window), seed, n_reps, threads, role)
-    return campaign.maxmods()
+    return campaign_stats(ProcessSource(spec, window), seed, n_reps,
+                          lambda block: block.maxmods(), threads, role)

@@ -291,6 +291,35 @@ class TestThreadBound:
         assert out.read_bytes() == wide
 
 
+class TestStatisticsAcrossBlocks:
+    """Statistics commands reduce every block in a worker of the real pool; at
+    two blocks plus one replica their outputs must not depend on the width."""
+
+    @pytest.mark.parametrize("argv,extra,process", [
+        (["estimate"], {}, PROC),
+        (["estimate"], {}, SHIFT_PROC),
+        (["test", "stability"], {"b1": 1.0, "b2": 2.0}, PROC),
+        (["test", "maxlaw"], {}, PROC),
+        (["test", "support"], {}, PROC),
+        (["test", "tail"], {}, PROC),
+    ], ids=["estimate_scale", "estimate_shift", "stability", "maxlaw", "support", "tail"])
+    def test_outputs_identical_at_one_and_two_threads(self, tmp_path, monkeypatch, capsys,
+                                                        argv, extra, process):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = proc_config(tmp_path, extra, process=process)
+        reps = str(2 * stablepp.sampler.BLOCK_SIZE + 1)
+        out = tmp_path / "o"
+        results = []
+        for threads in ("1", "2"):
+            code = main(argv + ["--config", cfg, "--reps", reps, "--seed", "4",
+                                "--threads", threads, "--out", str(out)])
+            results.append((code, out.read_bytes(),
+                            (tmp_path / "o.manifest.json").read_bytes()))
+        capsys.readouterr()
+        assert results[0][0] in (0, 2)
+        assert results[0] == results[1]
+
+
 class TestEstimate:
     def test_csv_shape(self, tmp_path):
         cfg = proc_config(tmp_path)

@@ -1,12 +1,14 @@
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
-from stablepp.functionals import maxmod_law
-from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, tent
+from stablepp.functionals import battery_estimates, maxmod_law
+from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, shift_tent, tent
 from stablepp.sampler import (
     BLOCK_SIZE,
     DecorationSpec,
@@ -21,6 +23,8 @@ from stablepp.sampler import (
     ShiftLaw,
     StableIntensity,
     SuperposeSource,
+    campaign_stats,
+    maxmod_samples,
     process_spec_from_config,
     resolve_threads,
     run_campaign,
@@ -598,3 +602,88 @@ def test_pinned_streams(case):
     assert any(m.n_atoms for m in measures)
     assert _digest(camp.locations, camp.replica, camp.weights,
                    [m.atoms() for m in measures]) == PINNED_STREAMS[case]
+
+
+# -- statistics reduced inside their blocks ------------------------------------------
+
+_RANDOM_SCALE = DecorationSpec.random_atoms(
+    [(1, 0.5), (3, 0.5)], LocationLaw(kind="uniform", low=0.5, high=1.5))
+_RANDOM_SHIFT = DecorationSpec.random_atoms(
+    [(1, 0.5), (2, 0.5)], LocationLaw(kind="uniform", low=-1.0, high=0.0), carrier="shift")
+
+
+def _stats_sources():
+    # windows where a sizeable share of replicas holds no atom at all
+    dirac = ProcessSource(unit_spec(window=0.5))
+    sdirac = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 1.0)
+    return {
+        "scale/dirac": dirac,
+        "scale/random_atoms": ProcessSource(ProcessSpec("scdppp", 1.5, _RANDOM_SCALE, 0.8)),
+        "shift/dirac": ProcessSource(sdirac),
+        "shift/random_atoms": ProcessSource(ProcessSpec("dppp", 1.0, _RANDOM_SHIFT, 0.5)),
+        "scaled": ScaledSource(dirac, 2.0),
+        "superpose": SuperposeSource(ScaledSource(ProcessSource(unit_spec(window=0.4)), 2.0),
+                                     ProcessSource(unit_spec(window=0.8))),
+        "mixture": MixtureSource([dirac, ProcessSource(unit_spec(window=0.5, alpha=2.0))],
+                                 [0.3, 0.7]),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(_stats_sources()))
+def test_campaign_stats_equal_flat_campaign(name, threads, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # threads=2 runs the real pool
+    source = _stats_sources()[name]
+    n = 2 * BLOCK_SIZE + 300
+    flat = run_campaign(source, 13, n, threads=threads, role=(5,))
+    assert np.any(flat.counts() == 0)
+    if source.carrier == "scale":
+        pairs = [(tent(1.0, 1.5, 3.0), 1.0), (tent(-2.0, -1.5, -1.0), 0.7)]
+        extreme = FlatCampaign.maxmods
+    else:
+        pairs = [(shift_tent(1.0, 1.5, 3.0), 0.0), (shift_tent(0.0, 1.0, 2.0), 1.5)]
+        extreme = FlatCampaign.max_locations
+    reducers = {
+        "extremes": (extreme, extreme(flat)),
+        "counts": (FlatCampaign.counts, flat.counts()),
+        "laplace": (lambda c: np.vstack([c.laplace_integrals(f, p) for f, p in pairs]),
+                    np.vstack([flat.laplace_integrals(f, p) for f, p in pairs])),
+    }
+    for what, (reduce, expected) in reducers.items():
+        got = campaign_stats(source, 13, n, reduce, threads=threads, role=(5,))
+        assert got.dtype == expected.dtype, what
+        assert np.array_equal(got, expected), what
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_MIB = 2 ** 20
+
+
+def test_maxmod_samples_memory_does_not_grow_with_atoms():
+    # about 20 atoms per replica: a campaign held whole raises the traced peak
+    # from about 35 to 140 MiB here; the maxmods themselves grow by 0.75 MiB
+    spec = unit_spec(window=0.05)
+    small = _traced_peak(lambda: maxmod_samples(spec, 8 * BLOCK_SIZE, 3))
+    large = _traced_peak(lambda: maxmod_samples(spec, 32 * BLOCK_SIZE, 3))
+    assert large - small < 4 * _MIB
+
+
+def test_battery_estimates_memory_grows_only_with_its_matrix():
+    # the battery needs the spec's own window 0.05, about 20 atoms per replica
+    spec = unit_spec(window=0.05)
+    battery = {"wide": tent(0.05, 0.5, 1.0), "narrow": tent(0.5, 1.0, 2.0)}
+    points = (1.0, 2.0)
+
+    def peak(reps):
+        return _traced_peak(lambda: battery_estimates(spec, battery, points, reps, 3))
+
+    matrix_growth = len(battery) * len(points) * 24 * BLOCK_SIZE * 8
+    assert peak(32 * BLOCK_SIZE) - peak(8 * BLOCK_SIZE) < matrix_growth + 4 * _MIB
