@@ -51,6 +51,7 @@ __all__ = [
     "stability_test",
     "maxmod_law_test",
     "tail_index_estimate",
+    "tail_index_test",
     "fit_scale_template",
     "scale_unique_support_test",
 ]
@@ -61,6 +62,7 @@ _ROLE_STAB_LHS = (10,)
 _ROLE_STAB_RHS = (11,)
 _ROLE_MAXLAW = (12,)
 _ROLE_SUPPORT = (13,)
+_ROLE_TAIL = (40,)
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,13 @@ def stability_test(
         raise DomainError("the battery must contain at least one (function, y) pair")
 
     alpha = spec.alpha
-    b_rhs = (b1 ** alpha + b2 ** alpha) ** (1.0 / alpha) * rhs_scale_factor
+    try:
+        b_rhs = (b1 ** alpha + b2 ** alpha) ** (1.0 / alpha) * rhs_scale_factor
+    except OverflowError:
+        b_rhs = math.inf
+    if not 0.0 < b_rhs < math.inf:
+        raise DomainError(f"(b1^alpha + b2^alpha)^(1/alpha) * rhs_scale_factor leaves "
+                          f"the float range at b1 = {b1!r}, b2 = {b2!r}, alpha = {alpha!r}")
     finite = [y * f.inner_radius for f, y in pairs if not f.is_zero]
     if not finite:
         raise DomainError("the battery must contain a nonzero function")
@@ -408,6 +416,23 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
         raise DomainError("degenerate upper tail: zero log-spacings")
     alpha_hat = 1.0 / mean_spacing
     return TailIndexEstimate(alpha_hat, k, 1.96 * alpha_hat / math.sqrt(k), n)
+
+
+def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0, level: float = 0.01,
+                    k: int | None = None, threads: int | None = 1) -> TestReport:
+    """Check that the maxmod upper tail is regularly varying with the spec's index:
+    passes iff the 95% interval of the Hill estimate on the top k positive
+    maxmods covers alpha. `level` is echoed, not used."""
+    mm = maxmod_samples(spec, n_reps, seed, threads=threads, role=_ROLE_TAIL)
+    positive = mm[mm > 0.0]
+    est = tail_index_estimate(positive, k)
+    covered = est.covers(spec.alpha)
+    sub = SubCheck(
+        "ci_covers_alpha", "the maxmod upper tail is regularly varying with the spec's index",
+        est.alpha_hat, None, covered, f"k = {est.k}, 95% half width {est.ci_half_width:.6g}")
+    return TestReport("tail_index", covered, level, int(n_reps), int(seed), (sub,),
+                      params={"spec": spec.to_config_dict(), "alpha": spec.alpha,
+                              "n_positive": int(positive.size)})
 
 
 # -- scale-unique support ----------------------------------------------------------

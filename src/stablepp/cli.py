@@ -22,12 +22,10 @@ import time
 
 from . import __version__
 from .characterization import (
-    SubCheck,
-    TestReport,
     maxmod_law_test,
     scale_unique_support_test,
     stability_test,
-    tail_index_estimate,
+    tail_index_test,
 )
 from .errors import ConfigError, StableppError, StarvationError
 from .extraction import ExtractionConfig, extract_decoration
@@ -58,14 +56,12 @@ from .sampler import (
     ProcessSource,
     config_fields,
     kind_fields,
-    maxmod_samples,
     resolve_threads,
     run_campaign,
 )
 from .transform import exp_transform, log_transform, map_process_spec, normalization_shift
 
 _SCHEMA = "stablepp/v1"
-_ROLE_CLI_TAIL = (40,)
 
 _DEFAULT_REPS = {
     "sample": 100,
@@ -263,20 +259,8 @@ def cmd_test(args) -> int:
             y_grid=_points(fields, spec.carrier, "y_grid"), n_reps=reps, seed=args.seed,
             threads=threads)
     else:
-        mm = maxmod_samples(spec, reps, args.seed, threads=threads,
-                            role=_ROLE_CLI_TAIL)
-        positive = mm[mm > 0.0]
-        est = tail_index_estimate(positive, fields.get("k"))
-        covered = est.covers(spec.alpha)
-        sub = SubCheck(
-            "ci_covers_alpha",
-            "the maxmod upper tail is regularly varying with the spec's index",
-            est.alpha_hat, None, covered,
-            f"k = {est.k}, 95% half width {est.ci_half_width:.6g}")
-        report = TestReport("tail_index", covered, level, reps, args.seed, (sub,),
-                            params={"spec": spec.to_config_dict(),
-                                    "alpha": spec.alpha,
-                                    "n_positive": int(positive.size)})
+        report = tail_index_test(spec, n_reps=reps, seed=args.seed, level=level,
+                                 k=fields.get("k"), threads=threads)
 
     text = report.to_json() + "\n"
     _write_text(args.out, text)
@@ -381,8 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--reps", type=int, default=None,
                        help=f"replica count (default {default_reps_hint})")
-        p.add_argument("--level", type=float, default=0.01,
-                       help="test level (default 0.01)")
         p.add_argument("--threads", type=int, default=None,
                        help="parallel width; default STABLEPP_THREADS or 1; "
                             "outputs are identical across values")
@@ -398,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="statistical verification, JSON report")
     p.add_argument("kind", choices=["stability", "maxlaw", "support", "tail"])
     common(p, "per kind")
+    p.add_argument("--level", type=float, default=0.01, help="test level (default 0.01)")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("extract", help="conditional decoration extraction")

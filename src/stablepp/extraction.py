@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, StarvationError
-from .characterization import SubCheck, TestReport, censor_window, fit_scale_template
+from .characterization import (SubCheck, TestReport, censor_window, fit_scale_template,
+                               ks_censored)
 from .functionals import (
     FrechetMixture,
     battery_estimates,
@@ -151,12 +151,13 @@ def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
 def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> float:
     """Two-sided permutation p-value for |Pearson correlation| of a against b.
 
-    The n_perm permutations of b are drawn one at a time from rng and scored
-    together as a (permutations x n) matrix. A permutation's score is the dot
-    product of centred a with the permuted centred b: the norms of both stay
-    the same under permutation, so scores order permutations as |r| does. A
-    score within 1e-12 (in units of r) of the observed one counts as a tie,
-    and ties count as hits, so the p-value does not hang on rounding.
+    The n_perm permutations of b are the rows of (permutations x n) matrices
+    of up to _PERM_ENTRIES entries, each drawn by one `rng.permuted` call and
+    scored at once. A permutation's score is the dot product of centred a with
+    the permuted centred b: the norms of both stay the same under permutation,
+    so scores order permutations as |r| does. A score within 1e-12 (in units
+    of r) of the observed one counts as a tie, and ties count as hits, so the
+    p-value does not hang on rounding.
 
     Degenerate inputs carry no dependence evidence and return 1.0 by
     convention: either side constant, or constant up to rounding (a spread
@@ -170,7 +171,8 @@ def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> floa
     rows = max(1, _PERM_ENTRIES // b.size)  # permutations scored at a time
     hits = 0
     for done in range(0, n_perm, rows):
-        perms = np.array([rng.permutation(b.size) for _ in range(min(rows, n_perm - done))])
+        shape = (min(rows, n_perm - done), b.size)
+        perms = rng.permuted(np.broadcast_to(np.arange(b.size), shape), axis=1)
         hits += int(np.count_nonzero(np.abs(bc[perms] @ ac) >= floor))
     return (1 + hits) / (n_perm + 1)
 
@@ -264,7 +266,8 @@ def extract_decoration(
     decorations = MeasureBatch.concatenate(accepted, PointMeasure)[:target]
     radials = np.concatenate(accepted_r)[:target]
 
-    ks = stats.kstest(radials, lambda u: 1.0 - np.asarray(u, float) ** -spec.alpha)
+    # every radial exceeds 1, where the Pareto CDF is 0, so no sample is censored
+    pareto_ks, pareto_p = ks_censored(radials, lambda u: 1.0 - u ** -spec.alpha, 1.0)
     counts = decorations.total_mass().astype(np.float64)
     f_sens = tent(config.inner_radius, 0.5 * (1.0 + config.inner_radius), 1.0)
     tents = decorations.integrals(f_sens)
@@ -280,8 +283,8 @@ def extract_decoration(
         seed=int(seed),
         decorations=tuple(decorations),
         radials=radials,
-        pareto_ks=float(ks.statistic),
-        pareto_p=float(ks.pvalue),
+        pareto_ks=pareto_ks,
+        pareto_p=pareto_p,
         independence_p=float(independence_p),
         sensitivity_p=float(sensitivity_p),
         c_max_hat=float(c_max_hat),

@@ -83,7 +83,6 @@ from .sampler import (
 __all__ = [
     "EstimateWithError",
     "Prediction",
-    "frechet_cdf",
     "estimate_scaled_laplace",
     "estimate_shift_laplace",
     "battery_estimates",
@@ -124,15 +123,6 @@ class Prediction:
 
     value: float | np.ndarray
     error_bound: float | np.ndarray
-
-
-def frechet_cdf(alpha: float, x: float) -> float:
-    """The alpha-Frechet distribution function exp(-x^-alpha), x > 0."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError("alpha must be finite and > 0")
-    if not x > 0.0:
-        raise DomainError("the Frechet law lives on (0, inf)")
-    return math.exp(-float(x) ** -alpha)
 
 
 # -- Monte Carlo estimates -------------------------------------------------------

@@ -21,7 +21,6 @@ ROLE_REPLICA = 1
 ROLE_BLOCK = 2
 ROLE_SCALAR = 3
 ROLE_PERMUTE = 4
-ROLE_MIXTURE = 5
 
 
 def splitmix64(z: int) -> int:

@@ -49,10 +49,9 @@ import numpy as np
 
 from .errors import ConfigError, DecorationBoundError, DomainError, RangeError
 from .point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
-from .rng import ROLE_BLOCK, ROLE_MIXTURE, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generator
+from .rng import ROLE_BLOCK, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generator
 
 __all__ = [
-    "StableIntensity",
     "LocationLaw",
     "DecorationSpec",
     "ScaleLaw",
@@ -63,14 +62,12 @@ __all__ = [
     "MEAN_CAP",
     "config_fields",
     "kind_fields",
-    "sample_truncated_poisson",
     "sample_decoration",
     "sample_process",
     "FlatCampaign",
     "ProcessSource",
     "ScaledSource",
     "SuperposeSource",
-    "MixtureSource",
     "run_campaign",
     "campaign_stats",
     "maxmod_samples",
@@ -85,31 +82,6 @@ BLOCK_SIZE = 4096
 MEAN_CAP = 1.0e6
 
 _HERMGAUSS_N = 96
-
-
-@dataclass(frozen=True)
-class StableIntensity:
-    """The dilation intensity on (0, inf) with tail mass x^-alpha."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise DomainError("alpha must be finite and > 0")
-
-    def tail(self, x):
-        """Mass of (x, inf)."""
-        return np.asarray(x, dtype=np.float64) ** (-self.alpha)
-
-    def mass(self, a: float, b: float) -> float:
-        """Mass of the interval (a, b], 0 < a <= b."""
-        if not (0.0 < a <= b):
-            raise DomainError("interval must satisfy 0 < a <= b")
-        return float(a ** (-self.alpha) - b ** (-self.alpha))
-
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.alpha * x ** (-self.alpha - 1.0)
 
 
 def _as_prob_vector(probs, count: int, what: str) -> np.ndarray:
@@ -756,10 +728,8 @@ class Carrier:
     """
 
     name: str
-    other: str  # name of the dictionary image
     measure: type
     law: type  # law of the global dilation / translation
-    identity: float  # the global-law value that acts trivially
     norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
     families: tuple  # (without, with a global law)
     # a block (`_block`) draws the dilation points p that can reach the window,
@@ -770,12 +740,10 @@ class Carrier:
     rate_key: str  # config key of the tail index / rate
     point: str  # symbol of an evaluation point
     window_word: str
-    point_ok: Callable  # p -> whether p is an evaluation point
     point_error: str
     points_error: str
     compose: Callable  # (f, p) -> the function a -> f(p acting on a)
     inverse: Callable  # (p, x) -> p's inverse acting on x
-    visible: Callable  # (f, p) -> the window x -> f(inverse(p, x)) needs
     weight: Callable  # (a, p, w) -> tail weight at p of the global value w
     # the log coordinate v of a point or norm: s = e^v (scale) or t = v (shift)
     to_log: Callable  # point -> v
@@ -784,37 +752,52 @@ class Carrier:
     intensity: Callable  # a -> rho: the dilation process has intensity rho e^{-a v} dv in v
     quantile: Callable  # (a, kappa, w, L) -> the point p with weight(a, p, w) * kappa = L
 
+    @property
+    def other(self) -> str:
+        """Name of the dictionary image."""
+        return next(name for name in CARRIERS if name != self.name)
+
+    @property
+    def identity(self) -> float:
+        """The global-law value that acts trivially, at log coordinate 0."""
+        return self.from_log(0.0)
+
+    def point_ok(self, p) -> bool:
+        """Whether p is an evaluation point: finite, with a log coordinate."""
+        return bool(math.isfinite(p) and self.has_log(p))
+
+    def visible(self, f, p) -> float:
+        """The window x -> f(inverse(p, x)) needs: p acting on f's lower support edge."""
+        return self.act(p, f.support_bounds[0])
+
 
 SCALE = Carrier(
-    name="scale", other="shift", measure=PointMeasure, law=ScaleLaw, identity=1.0, norm=abs,
+    name="scale", measure=PointMeasure, law=ScaleLaw, norm=abs,
     families=("scdppp", "sscdppp"), act=lambda p, a: p * a,
     # eta^-alpha with eta = window / (bound * w): the global dilation by w is folded
     # into the count, so the points below do not reference w
     block_mean=lambda a, w, window, bound: (bound * w / window) ** a,
     block_start=lambda a, window, bound, q: (window / bound) * (1.0 - q) ** (-1.0 / a),
-    rate_key="alpha",
-    point="y", window_word="window", point_ok=lambda y: y > 0.0 and math.isfinite(y),
+    rate_key="alpha", point="y", window_word="window",
     point_error="evaluation point y must be finite and > 0",
     points_error="evaluation points on the scale carrier must be > 0",
     compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
-    visible=lambda f, y: y * f.inner_radius, weight=lambda a, y, w: (y ** -a) * w ** a,
+    weight=lambda a, y, w: (y ** -a) * w ** a,
     to_log=math.log, from_log=math.exp, has_log=lambda p: np.logical_not(p <= 0.0),
     intensity=lambda a: a, quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
 )
 SHIFT = Carrier(
-    name="shift", other="scale", measure=ShiftPointMeasure, law=ShiftLaw, identity=0.0,
-    norm=lambda x: x, families=("dppp", "sdppp"), act=lambda p, a: a + p,
+    name="shift", measure=ShiftPointMeasure, law=ShiftLaw, norm=lambda x: x,
+    families=("dppp", "sdppp"), act=lambda p, a: a + p,
     # the normalization shift log(c)/c is folded into the translation, so the
     # sampled intensity is exactly e^{-c x} dx
     block_mean=lambda c, u, cutoff, bound: np.exp(-c * (cutoff - (u - math.log(c) / c) - bound)),
     block_start=lambda c, cutoff, bound, q: (cutoff - bound) + -np.log1p(-q) / c,
-    rate_key="c",
-    point="u", window_word="cutoff", point_ok=math.isfinite,
+    rate_key="c", point="u", window_word="cutoff",
     point_error="evaluation point u must be finite",
     points_error="evaluation points must be finite",
     compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
-    visible=lambda g, u: u + g.support_low, weight=lambda c, u, w: np.exp(-c * (u - w)),
-    to_log=lambda t: t, from_log=lambda v: v,
+    weight=lambda c, u, w: np.exp(-c * (u - w)), to_log=lambda t: t, from_log=lambda v: v,
     has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,
     quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,
 )
@@ -865,25 +848,6 @@ def _seed_pair(seed) -> tuple[int, int]:
     if isinstance(seed, SeedSpec):
         return seed.master_seed, seed.replica_index
     return int(seed), 0
-
-
-def sample_truncated_poisson(alpha: float, eta: float, seed) -> PointMeasure:
-    """One draw of the dilation process restricted to (eta, inf).
-
-    The count is Poisson(eta^-alpha) and, given the count, points are i.i.d.
-    eta * X with X standard Pareto(alpha).
-    """
-    intensity = StableIntensity(alpha)
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise DomainError("eta must be finite and > 0")
-    mean = float(intensity.tail(eta))
-    if mean > MEAN_CAP:
-        raise RangeError(f"Poisson mean {mean:.3g} exceeds the cap {MEAN_CAP:.0e}")
-    master, replica = _seed_pair(seed)
-    rng = make_generator(master, ROLE_SCALAR, replica)
-    k = int(rng.poisson(mean))
-    pts = eta * (1.0 - rng.random(k)) ** (-1.0 / alpha)
-    return PointMeasure(pts)
 
 
 def sample_decoration(dec: DecorationSpec, seed):
@@ -1001,16 +965,6 @@ class ScaledSource:
         return locs * self.b, rep, w
 
 
-def _by_replica(parts):
-    """The (locations, replica, weights) parts of one block, concatenated and
-    stable-sorted by replica."""
-    if not parts:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    locs, rep, w = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(rep, kind="stable")
-    return locs[order], rep[order], w[order]
-
-
 class SuperposeSource:
     """Independent superposition of sources sharing a carrier and window."""
 
@@ -1030,36 +984,12 @@ class SuperposeSource:
         self.window = max(ch.window for ch in children)
 
     def sample_block(self, master_seed, path, size):
-        return _by_replica([ch.sample_block(master_seed, path + (i,), size)
-                            for i, ch in enumerate(self.children)])
-
-
-class MixtureSource:
-    """Each replica is drawn from one of several sources, chosen independently."""
-
-    def __init__(self, children, probs):
-        children = tuple(children)
-        self.probs = _as_prob_vector(probs, len(children), "mixture")
-        self.children = children
-        self.carrier = children[0].carrier
-        for ch in children[1:]:
-            if ch.carrier != self.carrier or not math.isclose(
-                    ch.window, children[0].window, rel_tol=1e-9, abs_tol=1e-9):
-                raise DomainError("mixture components must share carrier and window")
-        self.window = max(ch.window for ch in children)
-
-    def sample_block(self, master_seed, path, size):
-        pick_rng = np.random.Generator(
-            np.random.Philox(key=derive_key(master_seed, ROLE_MIXTURE, *path))
-        )
-        pick = pick_rng.choice(len(self.children), size=size, p=self.probs)
-        parts = []
-        for i, ch in enumerate(self.children):
-            slots = np.nonzero(pick == i)[0]
-            if slots.size:
-                locs, rep, w = ch.sample_block(master_seed, path + (i,), slots.size)
-                parts.append((locs, slots[rep], w))
-        return _by_replica(parts)
+        """The children's blocks, concatenated and stable-sorted by replica."""
+        parts = [ch.sample_block(master_seed, path + (i,), size)
+                 for i, ch in enumerate(self.children)]
+        locs, rep, w = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(rep, kind="stable")
+        return locs[order], rep[order], w[order]
 
 
 def resolve_threads(threads: int | None) -> int:

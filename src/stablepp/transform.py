@@ -42,7 +42,6 @@ from .sampler import (
 __all__ = [
     "exp_transform",
     "log_transform",
-    "function_transform",
     "exp_function",
     "log_function",
     "log_decoration",
@@ -187,20 +186,6 @@ def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunctio
         _refine_log(float(xs[i]), float(vs[i]), float(xs[i + 1]), float(vs[i + 1]),
                     abs_tol, out, 0)
     return ShiftTestFunction(out, plateau=f.plateau)
-
-
-def function_transform(f, tol: float = _DEFAULT_TOL):
-    """Carry a test function to the other carrier.
-
-    A scale-carrier function u goes to x -> u(e^x); a shift-carrier function
-    goes to y -> f(log y). Applying the transform twice returns to the start
-    within 2 * tol * sup norm.
-    """
-    if isinstance(f, TestFunction):
-        return log_function(f, tol)
-    if isinstance(f, ShiftTestFunction):
-        return exp_function(f, tol)
-    raise DomainError("expected a test function on either carrier")
 
 
 # -- decorations and laws ----------------------------------------------------------

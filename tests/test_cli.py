@@ -71,6 +71,16 @@ class TestConfigErrors:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_level_is_an_option_of_test_only(self, tmp_path, capsys):
+        cfg = proc_config(tmp_path)
+        for command in (["sample"], ["estimate"], ["extract"], ["transform"]):
+            assert main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
+                                   "--level", "0.05"]) == 1
+            assert "unrecognized arguments: --level" in capsys.readouterr().err
+        assert main(["test", "tail", "--config", cfg, "--reps", "2000", "--level", "0.05",
+                     "--out", str(tmp_path / "t.json")]) == 0
+        assert json.loads((tmp_path / "t.json").read_text())["level"] == 0.05
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "sample" in capsys.readouterr().out
@@ -113,6 +123,8 @@ class TestConfigErrors:
         (["test", "stability"], {"b1": 1.0, "b2": "x"}),
         (["test", "stability"], {"b1": 1.0, "b2": 2.0, "rhs_scale_factor": "x"}),
         (["test", "stability"], {"b1": True, "b2": 2.0}),
+        (["test", "stability"], {"process": dict(PROC, alpha=2.0), "b1": 1e200, "b2": 1.0}),
+        (["test", "stability"], {"process": dict(PROC, alpha=2.0), "b1": 1e-200, "b2": 1e-200}),
         (["test", "maxlaw"], {"censor_mass": "x"}),
         (["test", "tail"], {"k": "abc"}),
         (["estimate"], {"battery": [{"id": "a", "kind": []}]}),
@@ -139,6 +151,7 @@ class TestConfigErrors:
     ], ids=["atom_short", "atom_string", "atom_location", "count_pair_short",
             "scale_law_value", "shift_law_value", "law_prob", "location_value",
             "entry_prob", "maxmod_bound", "b1", "b2", "rhs_scale_factor", "b1_bool",
+            "b1_pow_overflow", "b_pow_underflow",
             "censor_mass", "k", "function_kind_list", "entries_int", "symmetric_string",
             "left_string", "left_bool", "knot_string", "knot_bool", "point_string",
             "point_bool", "threshold_string", "n_accepted_fraction", "direction_list",

@@ -21,7 +21,6 @@ from stablepp.functionals import (
     default_y_grid,
     estimate_scaled_laplace,
     estimate_shift_laplace,
-    frechet_cdf,
     kappa_quadrature,
     max_location_law,
     maxmod_law,
@@ -67,17 +66,10 @@ def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, scale_law=None):
 
 class TestFrechetCdf:
     def test_values(self):
-        assert frechet_cdf(1.0, 1.0) == pytest.approx(math.exp(-1.0))
-        assert frechet_cdf(2.0, 1e8) == pytest.approx(1.0, abs=1e-8)
-        assert frechet_cdf(1.0, 0.1) == pytest.approx(math.exp(-10.0))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            frechet_cdf(1.0, 0.0)
-        with pytest.raises(DomainError):
-            frechet_cdf(1.0, -2.0)
-        with pytest.raises(DomainError):
-            frechet_cdf(0.0, 1.0)
+        # the alpha-Frechet law exp(-x^-alpha) is the mixture with kappa 1 and no scale law
+        assert FrechetMixture(1.0, 1.0).cdf(1.0) == pytest.approx(math.exp(-1.0))
+        assert FrechetMixture(2.0, 1.0).cdf(1e8) == pytest.approx(1.0, abs=1e-8)
+        assert FrechetMixture(1.0, 1.0).cdf(0.1) == pytest.approx(math.exp(-10.0))
 
 
 class TestCfQuadrature:

@@ -17,9 +17,9 @@ from stablepp.point_measure import (
 from stablepp.sampler import (
     DecorationSpec,
     LocationLaw,
-    MixtureSource,
     ProcessSource,
     ProcessSpec,
+    SuperposeSource,
     run_campaign,
 )
 
@@ -251,8 +251,9 @@ def _spec(carrier):
 @pytest.mark.parametrize("carrier", ["scale", "shift"])
 def test_campaign_batch_matches_replica_measures(carrier):
     spec = _spec(carrier)
-    mixed = MixtureSource([ProcessSource(spec), ProcessSource(spec)], [0.5, 0.5])
-    for source in (ProcessSource(spec), mixed):
+    # a superposition's block atoms are re-sorted by replica
+    superposed = SuperposeSource(ProcessSource(spec), ProcessSource(spec))
+    for source in (ProcessSource(spec), superposed):
         campaign = run_campaign(source, 3, 5000, threads=2)
         batch = campaign.measures()
         assert len(batch) == 5000

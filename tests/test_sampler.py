@@ -14,14 +14,12 @@ from stablepp.sampler import (
     DecorationSpec,
     FlatCampaign,
     LocationLaw,
-    MixtureSource,
     ProcessSource,
     ProcessSpec,
     ScaledSource,
     ScaleLaw,
     SeedSpec,
     ShiftLaw,
-    StableIntensity,
     SuperposeSource,
     campaign_stats,
     maxmod_samples,
@@ -30,29 +28,12 @@ from stablepp.sampler import (
     run_campaign,
     sample_decoration,
     sample_process,
-    sample_truncated_poisson,
 )
 from stablepp.sampler import _ragged_gather
 
 
 def unit_spec(window=1.0, alpha=1.0):
     return ProcessSpec("scdppp", alpha, DecorationSpec.dirac([(1.0, 1)]), window)
-
-
-class TestStableIntensity:
-    def test_tail_and_mass(self):
-        m = StableIntensity(2.0)
-        assert m.tail(2.0) == 0.25
-        assert m.mass(1.0, 2.0) == pytest.approx(0.75)
-        np.testing.assert_allclose(m.density(np.array([1.0, 2.0])), [2.0, 0.25])
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            StableIntensity(0.0)
-        with pytest.raises(DomainError):
-            StableIntensity(math.inf)
-        with pytest.raises(DomainError):
-            StableIntensity(2.0).mass(2.0, 1.0)
 
 
 class TestLocationLaw:
@@ -218,6 +199,11 @@ class TestProcessSpec:
             ProcessSpec("dppp", 1.0, dec, 0.0)
         with pytest.raises(DomainError):
             ProcessSpec("scdppp", 1.0, dec, 0.0)  # scale window must be > 0
+        for alpha in (0.0, -1.0, math.inf):  # the tail index / rate is finite and > 0
+            with pytest.raises(DomainError):
+                ProcessSpec("scdppp", alpha, dec, 1.0)
+            with pytest.raises(DomainError):
+                ProcessSpec("dppp", alpha, sdec, 0.0)
         ProcessSpec("dppp", 1.0, sdec, -5.0)  # shift cutoff may be negative
 
     def test_config_round_trip_all_families(self):
@@ -284,9 +270,11 @@ class TestProcessSpec:
 
 class TestSingleDraws:
     def test_truncated_poisson_law(self):
+        # with a unit atom at every dilation point, a replica on window eta is
+        # the dilation process restricted to (eta, inf)
         counts = []
         for r in range(2000):
-            m = sample_truncated_poisson(1.0, 0.5, SeedSpec(12, r))
+            m = sample_process(unit_spec(window=0.5), SeedSpec(12, r))
             counts.append(m.total_mass)
             if m.n_atoms:
                 assert min(abs(x) for x, _ in m.atoms()) > 0.5
@@ -296,9 +284,9 @@ class TestSingleDraws:
 
     def test_truncated_poisson_validation(self):
         with pytest.raises(DomainError):
-            sample_truncated_poisson(1.0, 0.0, 0)
+            unit_spec(window=0.0)
         with pytest.raises(RangeError):
-            sample_truncated_poisson(2.0, 1e-8, 0)
+            sample_process(unit_spec(window=1e-8, alpha=2.0), 0)
 
     def test_sample_decoration(self):
         m = sample_decoration(DecorationSpec.dirac([(1.0, 2), (-3.0, 1)]), 5)
@@ -431,19 +419,6 @@ class TestSources:
         camp = run_campaign(src, 44, 40000)
         p0 = float(np.mean(camp.counts() == 0))
         assert abs(p0 - math.exp(-2.0)) < 0.007
-
-    def test_mixture_source(self):
-        a = ProcessSource(unit_spec())
-        b = ProcessSource(ProcessSpec("scdppp", 1.0, DecorationSpec.dirac([(2.0, 1)]), 1.0))
-        mix = MixtureSource([a, b], [0.5, 0.5])
-        camp = run_campaign(mix, 5, 40000)
-        assert np.all(np.diff(camp.replica) >= 0)
-        # component b has empty-window probability e^-2
-        p0 = float(np.mean(camp.counts() == 0))
-        expect = 0.5 * (math.exp(-1.0) + math.exp(-2.0))
-        assert abs(p0 - expect) < 0.008
-        with pytest.raises(DomainError):
-            MixtureSource([a, b], [0.7, 0.7])
 
 
 class TestLawAgreement:
@@ -624,8 +599,8 @@ def _stats_sources():
         "scaled": ScaledSource(dirac, 2.0),
         "superpose": SuperposeSource(ScaledSource(ProcessSource(unit_spec(window=0.4)), 2.0),
                                      ProcessSource(unit_spec(window=0.8))),
-        "mixture": MixtureSource([dirac, ProcessSource(unit_spec(window=0.5, alpha=2.0))],
-                                 [0.3, 0.7]),
+        "superpose_shift": SuperposeSource(
+            ProcessSource(sdirac), ProcessSource(ProcessSpec("dppp", 1.0, _RANDOM_SHIFT, 1.0))),
     }
 
 

@@ -38,7 +38,6 @@ from stablepp.transform import (
     exp_decoration,
     exp_function,
     exp_transform,
-    function_transform,
     log_decoration,
     log_function,
     log_transform,
@@ -163,13 +162,6 @@ class TestFunctionTransforms:
         u = exp_function(h, tol=1e-7)
         ys = np.exp(np.linspace(-1.0, 2.0, 3000))
         assert np.max(np.abs(u.eval(ys) - h.eval(np.log(ys)))) <= 1e-7 * h.sup_norm
-
-    def test_dispatcher(self):
-        f = tent(0.5, 1.0, 2.0)
-        assert isinstance(function_transform(f), ShiftTestFunction)
-        assert isinstance(function_transform(function_transform(f)), TestFunction)
-        with pytest.raises(DomainError):
-            function_transform("not a function")
 
     def test_zero_functions(self):
         z = TestFunction([(1.0, 0.0), (2.0, 0.0)])
