@@ -22,7 +22,7 @@ from stablepp import (
 def main():
     spec = ProcessSpec(
         "sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1), (0.5, 2)]), 0.05,
-        scale_law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+        law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
     battery = default_battery()
 
     print("estimating with 100000 replicas per point...\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,9 @@ _ROLE_STAB_RHS = (11,)
 _ROLE_MAXLAW = (12,)
 _ROLE_SUPPORT = (13,)
 _ROLE_TAIL = (40,)
+
+# at most this much of the analytic maxmod law lies below the maxlaw test's window
+_CENSOR_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def _bisect(fn, q: float) -> tuple:
     return lo, hi
 
 
-def censor_window(law: FrechetMixture, mass: float = 1e-6) -> float:
+def censor_window(law: FrechetMixture, mass: float = _CENSOR_MASS) -> float:
     """Window below which the law leaves at most `mass` probability.
 
     Bisection on the CDF; the returned w satisfies cdf(w) <= mass.
@@ -271,9 +275,15 @@ def stability_test(
 
     alpha = spec.alpha
     try:
-        b_rhs = (b1 ** alpha + b2 ** alpha) ** (1.0 / alpha) * rhs_scale_factor
+        powers = (b1 ** alpha, b2 ** alpha)
     except OverflowError:
-        b_rhs = math.inf
+        powers = (math.inf,)
+    if all(sys.float_info.min <= x < math.inf for x in powers):
+        b_rhs = (powers[0] + powers[1]) ** (1.0 / alpha)
+    else:  # a power is subnormal, 0 or out of range: factor the larger b out of the sum
+        top = max(b1, b2)
+        b_rhs = top * ((b1 / top) ** alpha + (b2 / top) ** alpha) ** (1.0 / alpha)
+    b_rhs *= rhs_scale_factor
     if not 0.0 < b_rhs < math.inf:
         raise DomainError(f"(b1^alpha + b2^alpha)^(1/alpha) * rhs_scale_factor leaves "
                           f"the float range at b1 = {b1!r}, b2 = {b2!r}, alpha = {alpha!r}")
@@ -353,17 +363,16 @@ def maxmod_law_test(
     n_reps: int = 10_000,
     seed: int = 0,
     level: float = 0.01,
-    censor_mass: float = 1e-6,
     threads: int | None = 1,
 ) -> TestReport:
     """KS test of simulated maximum moduli against the analytic mixture law.
 
     The sampling window is refined until the analytic law leaves at most
-    `censor_mass` probability below it, so censoring cannot move the KS
-    distance at the resolution tested.
+    1e-6 probability below it, so censoring cannot move the KS distance at
+    the resolution tested.
     """
     law = maxmod_law(spec)
-    window = min(censor_window(law, censor_mass), spec.window)
+    window = min(censor_window(law), spec.window)
     mm = maxmod_samples(spec, n_reps, seed, window=window, threads=threads,
                         role=_ROLE_MAXLAW)
     d, p = ks_censored(mm, law.cdf, window)
@@ -378,7 +387,7 @@ def maxmod_law_test(
             "spec": spec.to_config_dict(),
             "kappa": law.kappa,
             "window": window,
-            "censor_mass": censor_mass,
+            "censor_mass": _CENSOR_MASS,
             "mean_exceedances": float(np.mean(mm > window)),
         },
     )
@@ -419,13 +428,13 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
 
 
 def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0, level: float = 0.01,
-                    k: int | None = None, threads: int | None = 1) -> TestReport:
+                    threads: int | None = 1) -> TestReport:
     """Check that the maxmod upper tail is regularly varying with the spec's index:
-    passes iff the 95% interval of the Hill estimate on the top k positive
-    maxmods covers alpha. `level` is echoed, not used."""
+    passes iff the 95% interval of the Hill estimate on the top floor(sqrt(n))
+    of the n positive maxmods covers alpha. `level` is echoed, not used."""
     mm = maxmod_samples(spec, n_reps, seed, threads=threads, role=_ROLE_TAIL)
     positive = mm[mm > 0.0]
-    est = tail_index_estimate(positive, k)
+    est = tail_index_estimate(positive)
     covered = est.covers(spec.alpha)
     sub = SubCheck(
         "ci_covers_alpha", "the maxmod upper tail is regularly varying with the spec's index",

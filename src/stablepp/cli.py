@@ -45,7 +45,6 @@ from .point_measure import (
     ShiftTestFunction,
     TestFunction,
     indicator_approx,
-    maxmod_indicator,
     shift_indicator_approx,
     shift_tent,
     tent,
@@ -102,15 +101,13 @@ _FUNCTION_FIELDS = {
     "tent": (("left", "peak", "right"), ("height",)),
     "shift_tent": (("left", "peak", "right"), ("height",)),
     "indicator": (("level", "edge"), ("outer", "ramp", "symmetric")),
-    "maxmod_indicator": (("plateau",), ("edge", "outer", "ramp")),
     "shift_indicator": (("level", "edge", "outer"), ("ramp",)),
     "knots": (("knots",), ()),
     "shift_knots": (("knots",), ()),
 }
 # carrier -> {battery function kind: constructor taking the kind's fields}
 _FUNCTION_MAKERS = {
-    "scale": {"tent": tent, "indicator": indicator_approx,
-              "maxmod_indicator": maxmod_indicator, "knots": TestFunction},
+    "scale": {"tent": tent, "indicator": indicator_approx, "knots": TestFunction},
     "shift": {"shift_tent": shift_tent, "shift_indicator": shift_indicator_approx,
               "shift_knots": ShiftTestFunction},
 }
@@ -139,8 +136,8 @@ def _battery(fields: dict, carrier: str) -> dict:
     return out
 
 
-def _points(fields: dict, carrier: str, key: str = "points"):
-    return fields.get(key, _carrier_defaults(carrier)[1])
+def _points(fields: dict, carrier: str):
+    return fields.get("points", _carrier_defaults(carrier)[1])
 
 
 # -- output plumbing ---------------------------------------------------------------
@@ -227,9 +224,9 @@ def cmd_estimate(args) -> int:
 # test kind -> (required, optional) config fields besides "schema" and "process"
 _TEST_FIELDS = {
     "stability": (("b1", "b2"), ("rhs_scale_factor", "battery", "points")),
-    "maxlaw": ((), ("censor_mass",)),
-    "support": ((), ("battery", "y_grid")),
-    "tail": ((), ("k",)),
+    "maxlaw": ((), ()),
+    "support": ((), ("battery", "points")),
+    "tail": ((), ()),
 }
 
 
@@ -251,16 +248,15 @@ def cmd_test(args) -> int:
             rhs_scale_factor=fields.get("rhs_scale_factor", 1.0), threads=threads)
     elif kind == "maxlaw":
         report = maxmod_law_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 censor_mass=fields.get("censor_mass", 1e-6),
                                  threads=threads)
     elif kind == "support":
         report = scale_unique_support_test(
             spec, battery=list(_battery(fields, spec.carrier).values()),
-            y_grid=_points(fields, spec.carrier, "y_grid"), n_reps=reps, seed=args.seed,
+            y_grid=_points(fields, spec.carrier), n_reps=reps, seed=args.seed,
             threads=threads)
     else:
         report = tail_index_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 k=fields.get("k"), threads=threads)
+                                 threads=threads)
 
     text = report.to_json() + "\n"
     _write_text(args.out, text)

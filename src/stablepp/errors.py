@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
 Domain, window, and config errors are ValueError subclasses so that callers
-doing coarse exception handling keep working; starvation and bound violations
-are RuntimeErrors because they arise from data, not arguments.
+doing coarse exception handling keep working; starvation is a RuntimeError
+because it arises from data, not arguments.
 """
 
 
@@ -28,7 +28,3 @@ class ConfigError(StableppError, ValueError):
 
 class StarvationError(StableppError, RuntimeError):
     """Rejection sampling cannot reach the requested number of accepted samples."""
-
-
-class DecorationBoundError(StableppError, RuntimeError):
-    """A sampled decoration atom violated its declared modulus bound."""

@@ -394,7 +394,7 @@ def _predict(cr, quadrature, mixture, spec: ProcessSpec, f, p) -> Prediction:
     if not all(cr.point_ok(x) for x in points.ravel()):
         raise DomainError(cr.point_error)
     const = quadrature(spec.alpha, spec.decoration, f)
-    law = mixture(spec.alpha, const.value, getattr(spec, f"{cr.name}_law"))
+    law = mixture(spec.alpha, const.value, spec.law)
     # d/dc of E exp(-weight c) is bounded by E[weight]
     return Prediction(law.cdf(points), const.error_bound * law._mean_weight(points))
 
@@ -416,22 +416,23 @@ def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Predict
 _EXPECT_POINTS = 1 << 14  # points per expect call, bounding its (nodes x points) arrays
 
 
+@dataclass(frozen=True)
 class _ExtremeLaw:
-    """P(extreme <= p) = E_W[exp(-weight(p, W) kappa)] over the global law W,
-    written once against the carrier ``_cr``. A subclass names its rate field
-    by the carrier's rate key and its global-law field ``<carrier>_law``."""
+    """P(extreme <= p) = E_W[exp(-weight(p, W) kappa)] over the global law W
+    (the identity when ``law`` is None), written once against the carrier
+    ``_cr``; ``rate`` is alpha (scale) or c (shift)."""
+
+    rate: float
+    kappa: float
+    law: ScaleLaw | ShiftLaw | None = None
 
     _cr = None
-
-    def _law(self):
-        law = getattr(self, f"{self._cr.name}_law")
-        return self._cr.law.deterministic(self._cr.identity) if law is None else law
 
     def _expect(self, p, h):
         """E_W[h(weight(p, W))] at every point of p, many points per `expect`
         call; 0 for points without a log coordinate (p <= 0 on the scale
         carrier), nan for nan points. A float for a scalar p."""
-        cr, rate, law = self._cr, getattr(self, self._cr.rate_key), self._law()
+        cr, rate, law = self._cr, self.rate, self._cr.global_law(self.law)
         p = np.asarray(p, dtype=np.float64)
         flat = p.ravel()
         live = cr.has_log(flat)
@@ -452,14 +453,13 @@ class _ExtremeLaw:
 
     def ppf(self, q):
         """Quantiles; closed form requires a deterministic global law."""
-        law = self._law()
+        law = self._cr.global_law(self.law)
         if law.kind != "deterministic":
             raise DomainError("quantiles are closed-form only for a deterministic global law")
         q = np.asarray(q, dtype=np.float64)
         if np.any((q <= 0.0) | (q >= 1.0)):
             raise DomainError("quantile levels must lie in (0, 1)")
-        return self._cr.quantile(getattr(self, self._cr.rate_key), self.kappa, law.value,
-                                 -np.log(q))
+        return self._cr.quantile(self.rate, self.kappa, law.value, -np.log(q))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse CDF (deterministic global law only)."""
@@ -467,24 +467,14 @@ class _ExtremeLaw:
         return self.ppf(rng.random(int(n)))
 
 
-@dataclass(frozen=True)
 class FrechetMixture(_ExtremeLaw):
     """P(maxmod <= y) = E_W[exp(-y^-alpha W^alpha kappa)]; Frechet when W is constant."""
-
-    alpha: float
-    kappa: float
-    scale_law: ScaleLaw | None = None
 
     _cr = SCALE
 
 
-@dataclass(frozen=True)
 class GumbelMixture(_ExtremeLaw):
     """P(max location <= t) = E_U[exp(-e^{-c(t - U)} kappa)]; Gumbel when U is constant."""
-
-    c: float
-    kappa: float
-    shift_law: ShiftLaw | None = None
 
     _cr = SHIFT
 
@@ -522,7 +512,7 @@ def _extreme_law(cr, mixture, spec: ProcessSpec):
     # kappa = (rho / rate) E[e^{rate v_max}], the tail mass of rho e^{-rate v} dv
     # beyond -v_max; dividing by rate / rho (1 or c) keeps E exact on the scale side
     kappa = _extreme_moment(cr, rate, spec.decoration) / (rate / cr.intensity(rate))
-    return mixture(rate, kappa, getattr(spec, f"{cr.name}_law"))
+    return mixture(rate, kappa, spec.law)
 
 
 def maxmod_law(spec: ProcessSpec) -> FrechetMixture:

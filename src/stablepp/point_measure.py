@@ -458,10 +458,10 @@ def _support_scan(xs: np.ndarray, vs: np.ndarray):
 
 
 class _BaseTestFunction:
-    __slots__ = ("knots_x", "knots_v", "plateau")
+    __slots__ = ("knots_x", "knots_v")
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, knots, plateau: float | None = None):
+    def __init__(self, knots):
         pairs = [(float(x), float(v)) for x, v in knots]
         if len(pairs) < 2:
             raise DomainError("a test function needs at least two knots")
@@ -479,7 +479,6 @@ class _BaseTestFunction:
         vs.flags.writeable = False
         object.__setattr__(self, "knots_x", xs)
         object.__setattr__(self, "knots_v", vs)
-        object.__setattr__(self, "plateau", None if plateau is None else float(plateau))
         self._validate_support()
 
     def __setattr__(self, name, value):
@@ -551,9 +550,7 @@ class TestFunction(_BaseTestFunction):
         y = float(y)
         if not (y > 0.0) or not math.isfinite(y):
             raise DomainError("scale_fn factor must be finite and > 0")
-        return TestFunction(
-            [(x / y, v) for x, v in zip(self.knots_x, self.knots_v)], plateau=self.plateau
-        )
+        return TestFunction([(x / y, v) for x, v in zip(self.knots_x, self.knots_v)])
 
 
 class ShiftTestFunction(_BaseTestFunction):
@@ -644,9 +641,9 @@ def indicator_approx(
         raise DomainError("indicator approximation requires 0 < edge, edge*(1+ramp) < outer, ramp > 0, level > 0")
     right = [(edge, 0.0), (edge * (1.0 + ramp), level), (outer, level), (outer * (1.0 + ramp), 0.0)]
     if not symmetric:
-        return TestFunction(right, plateau=level)
+        return TestFunction(right)
     left = [(-x, v) for x, v in reversed(right)]
-    return TestFunction(left + right, plateau=level)
+    return TestFunction(left + right)
 
 
 def maxmod_indicator(plateau: float, edge: float = 1.0, outer: float = 1e8, ramp: float = 1e-7) -> TestFunction:
@@ -680,5 +677,4 @@ def shift_indicator_approx(level: float, edge: float, outer: float, ramp: float 
     if not (outer > edge + ramp and ramp > 0.0 and level > 0.0):
         raise DomainError("shift indicator approximation requires edge + ramp < outer, ramp > 0, level > 0")
     return ShiftTestFunction(
-        [(edge, 0.0), (edge + ramp, level), (outer, level), (outer + ramp, 0.0)], plateau=level
-    )
+        [(edge, 0.0), (edge + ramp, level), (outer, level), (outer + ramp, 0.0)])

@@ -4,8 +4,9 @@ The scale-family construction superposes independent decoration copies, each
 dilated by a point of a Poisson process on (0, inf) whose intensity has tail
 mass x^-alpha. Restricted to a window {|x| > eps}, the infinite series is
 sampled exactly: a dilation point lambda can place an atom in the window only
-if lambda * maxmod_bound * scale > eps, so truncating the dilation process at
-eta = eps / (maxmod_bound * scale) loses nothing. The truncated process has
+if lambda * bound * scale > eps, with bound the largest atom modulus that the
+decoration law's support allows, so truncating the dilation process at
+eta = eps / (bound * scale) loses nothing. The truncated process has
 Poisson(eta^-alpha) many points, each distributed as eta * X with X a standard
 Pareto(alpha) variable (inverse CDF: X = U^{-1/alpha}).
 
@@ -47,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DecorationBoundError, DomainError, RangeError
+from .errors import ConfigError, DomainError, RangeError
 from .point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
 from .rng import ROLE_BLOCK, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generator
 
@@ -165,9 +166,8 @@ class DecorationSpec:
         finite set of positive integers and the location law is bounded (and
         bounded away from 0 on the scale carrier).
 
-    The declared ``maxmod_bound`` (scale) or upper bound (shift) must hold
-    almost surely; it drives the truncation threshold and is re-checked on
-    every sampled block (violation raises DecorationBoundError).
+    ``bound``, the largest norm an atom can carry, is derived from the law's
+    support and drives the truncation threshold.
     """
 
     kind: str
@@ -177,7 +177,6 @@ class DecorationSpec:
     count_values: tuple = ()
     count_probs: tuple = ()
     location: LocationLaw | None = None
-    maxmod_bound: float | None = None
 
     def __post_init__(self):
         if self.carrier not in ("scale", "shift"):
@@ -208,15 +207,6 @@ class DecorationSpec:
                 raise DomainError("location law on the scale carrier must exclude 0")
         else:
             raise DomainError(f"unknown decoration kind: {self.kind!r}")
-        declared = self.maxmod_bound
-        if declared is not None:
-            declared = float(declared)
-            object.__setattr__(self, "maxmod_bound", declared)
-            derived = max(self._norms)
-            if declared < derived - 1e-12 * abs(derived):
-                raise DomainError(
-                    f"declared bound {declared} is below the attainable bound {derived}"
-                )
 
     @staticmethod
     def _check_atoms(atoms, forbid0: bool):
@@ -231,9 +221,8 @@ class DecorationSpec:
     # -- convenience constructors -------------------------------------------
 
     @classmethod
-    def dirac(cls, atoms, carrier: str = "scale",
-              maxmod_bound: float | None = None) -> "DecorationSpec":
-        return cls(kind="dirac", carrier=carrier, atoms=tuple(atoms), maxmod_bound=maxmod_bound)
+    def dirac(cls, atoms, carrier: str = "scale") -> "DecorationSpec":
+        return cls(kind="dirac", carrier=carrier, atoms=tuple(atoms))
 
     @classmethod
     def table_from_measures(cls, measures, probs=None, carrier: str = "scale") -> "DecorationSpec":
@@ -244,8 +233,8 @@ class DecorationSpec:
         return cls(kind="table", carrier=carrier, entries=entries)
 
     @classmethod
-    def random_atoms(cls, count_probs, location: LocationLaw, carrier: str = "scale",
-                     maxmod_bound: float | None = None) -> "DecorationSpec":
+    def random_atoms(cls, count_probs, location: LocationLaw,
+                     carrier: str = "scale") -> "DecorationSpec":
         pairs = [(int(k), float(p)) for k, p in count_probs]
         return cls(
             kind="random_atoms",
@@ -253,7 +242,6 @@ class DecorationSpec:
             count_values=tuple(k for k, _ in pairs),
             count_probs=tuple(p for _, p in pairs),
             location=location,
-            maxmod_bound=maxmod_bound,
         )
 
     # -- views shared by every kind --------------------------------------------
@@ -279,7 +267,7 @@ class DecorationSpec:
     @property
     def bound(self) -> float:
         """A.s. bound on maxmod (scale) or on the largest atom (shift)."""
-        return self.maxmod_bound if self.maxmod_bound is not None else max(self._norms)
+        return max(self._norms)
 
     # -- cached sampling tables ----------------------------------------------
 
@@ -326,23 +314,19 @@ class DecorationSpec:
 
     def to_config_dict(self):
         if self.kind == "dirac":
-            d = {"kind": "dirac", "atoms": [[a, m] for a, m in self.atoms]}
-        elif self.kind == "table":
-            d = {
+            return {"kind": "dirac", "atoms": [[a, m] for a, m in self.atoms]}
+        if self.kind == "table":
+            return {
                 "kind": "table",
                 "entries": [
                     {"atoms": [[a, m] for a, m in atoms], "prob": p} for atoms, p in self.entries
                 ],
             }
-        else:
-            d = {
-                "kind": "random_atoms",
-                "count_probs": [[k, p] for k, p in zip(self.count_values, self.count_probs)],
-                "location": self.location.to_config_dict(),
-            }
-        if self.maxmod_bound is not None:
-            d["maxmod_bound"] = self.maxmod_bound
-        return d
+        return {
+            "kind": "random_atoms",
+            "count_probs": [[k, p] for k, p in zip(self.count_values, self.count_probs)],
+            "location": self.location.to_config_dict(),
+        }
 
 
 def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -492,15 +476,15 @@ class ProcessSpec:
     family: "scdppp" | "sscdppp" (scale carrier, `alpha` is the tail index,
     `window` is the modulus radius eps > 0) or "dppp" | "sdppp" (shift
     carrier, `alpha` is the exponential rate c, `window` is the lower cutoff
-    L, any real).
+    L, any real). `law` is the global dilation (a ScaleLaw) or translation
+    (a ShiftLaw) of the decorated family, None for the plain one.
     """
 
     family: str
     alpha: float
     decoration: DecorationSpec
     window: float
-    scale_law: ScaleLaw | None = None
-    shift_law: ShiftLaw | None = None
+    law: ScaleLaw | ShiftLaw | None = None
 
     def __post_init__(self):
         cr = _family_carrier(self.family)
@@ -515,13 +499,12 @@ class ProcessSpec:
         if self.decoration.carrier != cr.name:
             raise DomainError(f"{cr.name} families need a {cr.name}-carrier decoration")
         plain, decorated = cr.families
-        has_law = getattr(self, f"{cr.name}_law") is not None
-        if self.family == decorated and not has_law:
+        if self.family == decorated and self.law is None:
             raise DomainError(f"{decorated} requires a {cr.name} law")
-        if self.family == plain and has_law:
+        if self.family == plain and self.law is not None:
             raise DomainError(f"{plain} takes no {cr.name} law; use {decorated}")
-        if getattr(self, f"{cr.other}_law") is not None:
-            raise DomainError(f"{cr.name} families take no {cr.other} law")
+        if self.law is not None and not isinstance(self.law, cr.law):
+            raise DomainError(f"{cr.name} families take a {cr.law.__name__}")
 
     @property
     def is_scale_family(self) -> bool:
@@ -533,21 +516,17 @@ class ProcessSpec:
 
     def effective_law(self):
         """The global dilation (scale) or translation (shift) law; the identity when absent."""
-        cr = _family_carrier(self.family)
-        law = getattr(self, f"{cr.name}_law")
-        return cr.law.deterministic(cr.identity) if law is None else law
+        return _family_carrier(self.family).global_law(self.law)
 
     def with_window(self, window: float) -> "ProcessSpec":
-        return ProcessSpec(self.family, self.alpha, self.decoration, float(window),
-                           self.scale_law, self.shift_law)
+        return ProcessSpec(self.family, self.alpha, self.decoration, float(window), self.law)
 
     def to_config_dict(self):
         cr = _family_carrier(self.family)
         d = {"family": self.family, "decoration": self.decoration.to_config_dict(),
              "window": self.window, cr.rate_key: self.alpha}
-        law = getattr(self, f"{cr.name}_law")
-        if law is not None:
-            d[cr.name] = law.to_config_dict()
+        if self.law is not None:
+            d[cr.name] = self.law.to_config_dict()
         return d
 
     def spec_hash(self) -> str:
@@ -666,7 +645,7 @@ def _entry(doc, what: str) -> tuple:
 
 def _decoration(doc, what: str) -> dict:
     """The DecorationSpec arguments of a decoration config, all but the carrier."""
-    fields = kind_fields(doc, what, _DECORATIONS, optional=("maxmod_bound",))
+    fields = kind_fields(doc, what, _DECORATIONS)
     pairs = fields.pop("count_probs", ())
     return dict(fields, count_values=tuple(k for k, _ in pairs),
                 count_probs=tuple(p for _, p in pairs))
@@ -677,17 +656,16 @@ def _process(doc, what: str) -> ProcessSpec:
     cr = _family_carrier(fields["family"])
     return ProcessSpec(fields["family"], fields[cr.rate_key],
                        DecorationSpec(carrier=cr.name, **fields["decoration"]), fields["window"],
-                       **{f"{cr.name}_law": fields.get(cr.name)})
+                       fields.get(cr.name))
 
 
 READ = {
     **dict.fromkeys(("schema", "family", "kind", "direction", "input"), _string),
-    **dict.fromkeys(("alpha", "c", "window", "maxmod_bound", "prob", "low", "high", "value",
-                     "mu", "sigma", "left", "peak", "right", "height", "level", "edge", "outer",
-                     "ramp", "plateau", "b1", "b2", "rhs_scale_factor", "censor_mass",
-                     "threshold", "inner_radius"), _number),
-    **dict.fromkeys(("k", "n_accepted", "max_attempts"), _integer),
-    **dict.fromkeys(("values", "probs", "points", "y_grid"), _list_of(_number)),
+    **dict.fromkeys(("alpha", "c", "window", "prob", "low", "high", "value", "mu", "sigma",
+                     "left", "peak", "right", "height", "level", "edge", "outer", "ramp",
+                     "b1", "b2", "rhs_scale_factor", "threshold", "inner_radius"), _number),
+    **dict.fromkeys(("n_accepted", "max_attempts"), _integer),
+    **dict.fromkeys(("values", "probs", "points"), _list_of(_number)),
     "atoms": _list_of(_pair_of(_number, _integer)),
     "count_probs": _list_of(_pair_of(_integer, _number)),
     "knots": _list_of(_pair_of(_number, _number)),
@@ -762,6 +740,10 @@ class Carrier:
         """The global-law value that acts trivially, at log coordinate 0."""
         return self.from_log(0.0)
 
+    def global_law(self, law):
+        """`law`, or the global law that acts trivially when it is None."""
+        return self.law.deterministic(self.identity) if law is None else law
+
     def point_ok(self, p) -> bool:
         """Whether p is an evaluation point: finite, with a log coordinate."""
         return bool(math.isfinite(p) and self.has_log(p))
@@ -834,8 +816,6 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: f
     rep_pt = np.repeat(np.arange(size, dtype=np.int64), counts)
     start = cr.block_start(spec.alpha, window, bound, rng.random(total))
     copy_idx, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
-    if dloc.size and float(cr.norm(dloc).max()) > bound + 1e-12 * max(1.0, abs(bound)):
-        raise DecorationBoundError("a sampled decoration atom exceeded the declared bound")
     locs = cr.act(start[copy_idx], dloc)
     rep = rep_pt[copy_idx]
     keep = cr.norm(locs) > window

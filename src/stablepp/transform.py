@@ -158,7 +158,7 @@ def exp_function(f: ShiftTestFunction, tol: float = _DEFAULT_TOL) -> TestFunctio
     for i in range(xs.size - 1):
         _refine_exp(float(xs[i]), float(vs[i]), float(xs[i + 1]), float(vs[i + 1]),
                     abs_tol, out, 0)
-    return TestFunction(out, plateau=f.plateau)
+    return TestFunction(out)
 
 
 def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunction:
@@ -185,7 +185,7 @@ def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunctio
     for i in range(xs.size - 1):
         _refine_log(float(xs[i]), float(vs[i]), float(xs[i + 1]), float(vs[i + 1]),
                     abs_tol, out, 0)
-    return ShiftTestFunction(out, plateau=f.plateau)
+    return ShiftTestFunction(out)
 
 
 # -- decorations and laws ----------------------------------------------------------
@@ -207,18 +207,15 @@ def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
     src, dst, coord = _DIRECTIONS[direction]
     if dec.carrier != src.name:
         raise DomainError(f"{direction}_decoration expects a {src.name}-carrier decoration")
-    bound = None if dec.maxmod_bound is None else coord(dec.maxmod_bound, "decoration atoms")
 
     def atoms(pairs):
         return tuple((coord(loc, "decoration atoms"), mult) for loc, mult in pairs)
 
     if dec.kind == "dirac":
-        return DecorationSpec(kind="dirac", carrier=dst.name, atoms=atoms(dec.atoms),
-                              maxmod_bound=bound)
+        return DecorationSpec(kind="dirac", carrier=dst.name, atoms=atoms(dec.atoms))
     if dec.kind == "table":
         entries = tuple((atoms(a), p) for a, p in dec.entries)
-        return DecorationSpec(kind="table", carrier=dst.name, entries=entries,
-                              maxmod_bound=bound)
+        return DecorationSpec(kind="table", carrier=dst.name, entries=entries)
     loc = dec.location
     if loc.kind == "uniform":
         raise DomainError(
@@ -227,7 +224,7 @@ def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
                       values=tuple(coord(v, "location values") for v in loc._table[0]))
     return DecorationSpec(kind="random_atoms", carrier=dst.name,
                           count_values=dec.count_values, count_probs=dec.count_probs,
-                          location=loc, maxmod_bound=bound)
+                          location=loc)
 
 
 def log_decoration(dec: DecorationSpec) -> DecorationSpec:
@@ -284,4 +281,4 @@ def map_process_spec(spec: ProcessSpec) -> ProcessSpec:
     plain, decorated = to.families
     if law.kind == "deterministic" and law.value == to.identity:
         return ProcessSpec(plain, spec.alpha, dec, window)
-    return ProcessSpec(decorated, spec.alpha, dec, window, **{f"{to.name}_law": law})
+    return ProcessSpec(decorated, spec.alpha, dec, window, law)

@@ -102,10 +102,10 @@ def test_scaled_laplace_agreement():
     laws = {
         "w_one": (DIRAC, 101),
         "w_two": (ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]),
-                              0.05, scale_law=ScaleLaw.deterministic(2.0)), 102),
+                              0.05, law=ScaleLaw.deterministic(2.0)), 102),
         "w_table": (ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]),
                                 0.05,
-                                scale_law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5])),
+                                law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5])),
                     103),
     }
     battery = default_battery()

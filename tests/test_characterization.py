@@ -76,7 +76,7 @@ class TestMaxmodLawTest:
 
     def test_two_point_dilation_mixture(self):
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           scale_law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+                           law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
         report = maxmod_law_test(spec, n_reps=10_000, seed=11)
         assert report.passed
         assert report.subchecks[0].statistic < 0.02
@@ -129,7 +129,7 @@ class TestStabilityTest:
 
     def test_random_dilation_rejected(self):
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           scale_law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+                           law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(DomainError):
             stability_test(spec, 1.0, 1.0, n_reps=100)
 

@@ -124,7 +124,6 @@ class TestConfigErrors:
         (["test", "stability"], {"b1": 1.0, "b2": 2.0, "rhs_scale_factor": "x"}),
         (["test", "stability"], {"b1": True, "b2": 2.0}),
         (["test", "stability"], {"process": dict(PROC, alpha=2.0), "b1": 1e200, "b2": 1.0}),
-        (["test", "stability"], {"process": dict(PROC, alpha=2.0), "b1": 1e-200, "b2": 1e-200}),
         (["test", "maxlaw"], {"censor_mass": "x"}),
         (["test", "tail"], {"k": "abc"}),
         (["estimate"], {"battery": [{"id": "a", "kind": []}]}),
@@ -151,7 +150,7 @@ class TestConfigErrors:
     ], ids=["atom_short", "atom_string", "atom_location", "count_pair_short",
             "scale_law_value", "shift_law_value", "law_prob", "location_value",
             "entry_prob", "maxmod_bound", "b1", "b2", "rhs_scale_factor", "b1_bool",
-            "b1_pow_overflow", "b_pow_underflow",
+            "b1_pow_overflow",
             "censor_mass", "k", "function_kind_list", "entries_int", "symmetric_string",
             "left_string", "left_bool", "knot_string", "knot_bool", "point_string",
             "point_bool", "threshold_string", "n_accepted_fraction", "direction_list",
@@ -163,6 +162,25 @@ class TestConfigErrors:
                                "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, extra, name", [
+        (["sample"], {"process": dict(PROC, decoration={
+            "kind": "dirac", "atoms": [[1.0, 1]], "maxmod_bound": 1.0})}, "maxmod_bound"),
+        (["test", "maxlaw"], {"censor_mass": 1e-6}, "censor_mass"),
+        (["test", "tail"], {"k": 100}, "'k'"),
+        (["test", "support"], {"y_grid": [1.0, 2.0]}, "y_grid"),
+        (["estimate"], {"battery": [{"id": "m", "kind": "maxmod_indicator", "plateau": 5.0}]},
+         "maxmod_indicator"),
+    ], ids=["maxmod_bound", "censor_mass", "k", "y_grid", "maxmod_indicator"])
+    def test_retired_inputs_exit_one_naming_them(self, tmp_path, capsys, command, extra, name):
+        # the decoration bound is derived, the censored mass and the Hill k are
+        # constants, support reads "points", and the symmetric indicator is
+        # "indicator" with "symmetric": true
+        cfg = proc_config(tmp_path, extra)
+        assert main(command + ["--config", cfg, "--reps", "100",
+                               "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
 
     def test_transform_input_must_be_a_path(self, tmp_path, capsys):
         # an integer is not a path: open() would read that file descriptor, then close it
@@ -408,6 +426,24 @@ class TestTest:
         assert doc["passed"] is True
         assert manifest(out)["status"] == "ok"
 
+    def test_stability_rhs_scale_when_powers_leave_the_normal_range(self, tmp_path, capsys):
+        # alpha = 2: b^2 is subnormal at b = 1e-160 and underflows to 0 at 1e-200,
+        # so the larger b is factored out of the sum
+        out = tmp_path / "r.json"
+        argv = ["test", "stability", "--reps", "100", "--out", str(out), "--config"]
+        for b, rhs_scale in ((1e-160, 1.4142135623730952e-160),
+                             (1e-200, 1.414213562373095e-200)):
+            cfg = proc_config(tmp_path, {"process": dict(PROC, alpha=2.0), "b1": b, "b2": b})
+            assert main(argv + [cfg]) == 0
+            assert json.loads(out.read_text())["params"]["rhs_scale"] == rhs_scale
+        capsys.readouterr()
+        # b1^2 overflows; rhs_scale is finite, but b1's side samples on window
+        # w / 1e200, where the Poisson mean passes the cap
+        cfg = proc_config(tmp_path, {"process": dict(PROC, alpha=2.0), "b1": 1e200, "b2": 1.0})
+        assert main(argv + [cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the cap" in err
+
     def test_stability_negative_control_exits_two(self, tmp_path):
         cfg = proc_config(tmp_path, {"b1": 1.0, "b2": 1.0,
                                      "rhs_scale_factor": 1.5})
@@ -436,7 +472,7 @@ class TestTest:
         assert abs(sub["statistic"] - 1.0) < 0.3
 
     def test_support(self, tmp_path):
-        cfg = proc_config(tmp_path, {"y_grid": [1.0, 2.0]})
+        cfg = proc_config(tmp_path, {"points": [1.0, 2.0]})
         out = tmp_path / "r.json"
         assert main(["test", "support", "--config", cfg, "--reps", "20000",
                      "--seed", "9", "--out", str(out)]) == 0

@@ -18,7 +18,7 @@ from stablepp.cli import main
 
 SCALE_PROCESSES = [
     {"family": "scdppp", "alpha": 1.0, "window": 0.05,
-     "decoration": {"kind": "dirac", "atoms": [[1.0, 2], [0.5, 1]], "maxmod_bound": 1.5}},
+     "decoration": {"kind": "dirac", "atoms": [[1.0, 2], [0.5, 1]]}},
     {"family": "sscdppp", "alpha": 1.5, "window": 0.1,
      "decoration": {"kind": "table", "entries": [{"atoms": [[1.0, 1]], "prob": 0.5},
                                                  {"atoms": [[2.0, 1], [0.5, 3]], "prob": 0.5}]},
@@ -49,8 +49,8 @@ ESTIMATES = [
         {"id": "t", "kind": "tent", "left": 0.5, "peak": 1.0, "right": 2.0, "height": 2.0},
         {"id": "i", "kind": "indicator", "level": 1.0, "edge": 1.0, "outer": 10.0,
          "ramp": 0.01, "symmetric": True},
-        {"id": "m", "kind": "maxmod_indicator", "plateau": 5.0, "edge": 1.0, "outer": 10.0,
-         "ramp": 0.01},
+        {"id": "m", "kind": "indicator", "level": 5.0, "edge": 1.0, "outer": 10.0,
+         "ramp": 0.01, "symmetric": True},
         {"id": "k", "kind": "knots", "knots": [[0.5, 0.0], [1.0, 1.0], [2.0, 0.0]]}]},
     {"schema": "stablepp/v1", "process": SHIFT_PROCESSES[0], "points": [0.0, 1.0], "battery": [
         {"id": "g", "kind": "shift_tent", "left": -1.0, "peak": 0.0, "right": 1.0},

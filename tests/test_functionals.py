@@ -58,10 +58,9 @@ from stablepp.sampler import (
 LN2 = math.log(2.0)
 
 
-def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, scale_law=None):
-    family = "sscdppp" if scale_law is not None else "scdppp"
-    return ProcessSpec(family, alpha, DecorationSpec.dirac(list(atoms)), window,
-                       scale_law=scale_law)
+def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, law=None):
+    family = "sscdppp" if law is not None else "scdppp"
+    return ProcessSpec(family, alpha, DecorationSpec.dirac(list(atoms)), window, law=law)
 
 
 class TestFrechetCdf:
@@ -243,7 +242,7 @@ class TestPredictions:
         # c_f ~ 1 gives e^-1
         ramp, outer = 1e-7, 1e7
         f = indicator_approx(50.0, edge=1.0, outer=outer, ramp=ramp)
-        spec = scdppp(scale_law=ScaleLaw.deterministic(2.0))
+        spec = scdppp(law=ScaleLaw.deterministic(2.0))
         pred = predict_scaled_laplace(spec, f, 2.0)
         assert pred.value == pytest.approx(math.exp(-1.0), abs=2e-6)
 
@@ -489,7 +488,7 @@ def test_max_locations_follow_the_gumbel_mixture(kind):
     tops = run_campaign(ProcessSource(spec), 17, 20_000).max_locations()
     _, p = ks_censored(tops, law.cdf, spec.window)
     assert p >= 0.01
-    _, p = ks_censored(tops, GumbelMixture(law.c, 1.5 * law.kappa).cdf, spec.window)
+    _, p = ks_censored(tops, GumbelMixture(law.rate, 1.5 * law.kappa).cdf, spec.window)
     assert p < 1e-6
 
 
@@ -556,15 +555,15 @@ class TestMixtureLaws:
 
 def _per_point_cdf(law, points):
     """Mixture CDF one point at a time, each through its own expect call."""
-    g = law._law()
+    g = law._cr.global_law(law.law)
     if isinstance(law, FrechetMixture):
         def one(t):
             if not t > 0.0:
                 return 0.0
-            return g.expect(lambda w: np.exp(-(t ** -law.alpha) * w ** law.alpha * law.kappa))
+            return g.expect(lambda w: np.exp(-(t ** -law.rate) * w ** law.rate * law.kappa))
     else:
         def one(t):
-            return g.expect(lambda u: np.exp(-np.exp(-law.c * (t - u)) * law.kappa))
+            return g.expect(lambda u: np.exp(-np.exp(-law.rate * (t - u)) * law.kappa))
     with np.errstate(divide="ignore"):
         return np.array([one(t) for t in points])
 
@@ -621,11 +620,11 @@ def test_mixture_cdf_keeps_nan_points(law):
 ARRAY_CASES = {
     "scale": (predict_scaled_laplace, default_battery, list(np.geomspace(0.25, 8.0, 38)),
               scdppp(alpha=1.5, atoms=((1.0, 1), (0.5, 2)),
-                     scale_law=ScaleLaw.lognormal(0.2, 0.5))),
+                     law=ScaleLaw.lognormal(0.2, 0.5))),
     "shift": (predict_shift_laplace, shift_battery, list(np.linspace(-3.0, 3.0, 38)),
               ProcessSpec("sdppp", 0.8,
                           DecorationSpec.dirac([(0.0, 1), (-0.5, 1)], carrier="shift"), -4.0,
-                          shift_law=ShiftLaw.table([-0.5, 0.4], [0.3, 0.7]))),
+                          law=ShiftLaw.table([-0.5, 0.4], [0.3, 0.7]))),
 }
 
 

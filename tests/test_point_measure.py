@@ -268,7 +268,7 @@ class TestEvalKernel:
 class TestShapedConstructors:
     def test_indicator_approx_plateau(self):
         f = indicator_approx(math.log(2.0), edge=1.0, outer=100.0, ramp=1e-3)
-        assert f.plateau == math.log(2.0)
+        assert f.sup_norm == math.log(2.0)
         assert f.eval(1.0) == 0.0
         assert f.eval(1.0 + 1e-3) == pytest.approx(math.log(2.0))
         assert f.eval(50.0) == math.log(2.0)
@@ -283,7 +283,7 @@ class TestShapedConstructors:
     def test_tent_family_levels_increase(self):
         f2 = tent_family(2)
         f5 = tent_family(5)
-        assert f2.plateau == 2.0 and f5.plateau == 5.0
+        assert f2.sup_norm == 2.0 and f5.sup_norm == 5.0
         # steeper ramp for larger n
         assert f5.eval(1.0 + 1.0 / 5.0) == pytest.approx(5.0)
         assert f2.eval(1.0 + 1.0 / 5.0) < 2.0

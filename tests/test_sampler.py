@@ -11,6 +11,7 @@ from stablepp.functionals import battery_estimates, maxmod_law
 from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, shift_tent, tent
 from stablepp.sampler import (
     BLOCK_SIZE,
+    CARRIERS,
     DecorationSpec,
     FlatCampaign,
     LocationLaw,
@@ -98,11 +99,16 @@ class TestDecorationSpec:
             [(1, 1.0)], LocationLaw(kind="uniform", low=-1.0, high=1.0), carrier="shift"
         )
 
-    def test_declared_bound_must_cover_support(self):
-        with pytest.raises(DomainError):
-            DecorationSpec.dirac([(3.0, 1)], maxmod_bound=2.0)
-        d = DecorationSpec.dirac([(3.0, 1)], maxmod_bound=5.0)
-        assert d.bound == 5.0
+    def test_bound_is_the_largest_attainable_norm(self):
+        assert DecorationSpec.dirac([(3.0, 1), (-4.0, 2)]).bound == 4.0
+        assert DecorationSpec.dirac([(-3.0, 1), (-4.0, 2)], carrier="shift").bound == -3.0
+        assert DecorationSpec.random_atoms(
+            [(1, 1.0)], LocationLaw(kind="uniform", low=-2.5, high=-0.5)).bound == 2.5
+        assert DecorationSpec.random_atoms(
+            [(1, 1.0)], LocationLaw(kind="table", values=(-1.0, 0.5), probs=(0.5, 0.5)),
+            carrier="shift").bound == 0.5
+        with pytest.raises(TypeError):
+            DecorationSpec.dirac([(3.0, 1)], maxmod_bound=5.0)
 
     def test_sample_atoms_block_dirac(self):
         d = DecorationSpec.dirac([(1.0, 2), (-0.5, 1)])
@@ -186,15 +192,19 @@ class TestProcessSpec:
         dec = DecorationSpec.dirac([(1.0, 1)])
         sdec = DecorationSpec.dirac([(0.0, 1)], carrier="shift")
         with pytest.raises(DomainError):
-            ProcessSpec("scdppp", 1.0, dec, 1.0, scale_law=ScaleLaw.deterministic(2.0))
+            ProcessSpec("scdppp", 1.0, dec, 1.0, law=ScaleLaw.deterministic(2.0))
         with pytest.raises(DomainError):
             ProcessSpec("sscdppp", 1.0, dec, 1.0)
         with pytest.raises(DomainError):
             ProcessSpec("scdppp", 1.0, sdec, 1.0)
         with pytest.raises(DomainError):
-            ProcessSpec("dppp", 1.0, sdec, 0.0, shift_law=ShiftLaw.deterministic(1.0))
+            ProcessSpec("dppp", 1.0, sdec, 0.0, law=ShiftLaw.deterministic(1.0))
         with pytest.raises(DomainError):
             ProcessSpec("sdppp", 1.0, sdec, 0.0)
+        with pytest.raises(DomainError):  # the law must be the carrier's law class
+            ProcessSpec("sscdppp", 1.0, dec, 1.0, law=ShiftLaw.deterministic(2.0))
+        with pytest.raises(DomainError):
+            ProcessSpec("sdppp", 1.0, sdec, 0.0, law=ScaleLaw.deterministic(2.0))
         with pytest.raises(DomainError):
             ProcessSpec("dppp", 1.0, dec, 0.0)
         with pytest.raises(DomainError):
@@ -217,7 +227,7 @@ class TestProcessSpec:
                     entries=((((1.0, 1),), 0.5), (((-2.0, 2),), 0.5)),
                 ),
                 0.5,
-                scale_law=ScaleLaw.lognormal(0.1, 0.7),
+                law=ScaleLaw.lognormal(0.1, 0.7),
             ),
             ProcessSpec(
                 "dppp",
@@ -234,7 +244,7 @@ class TestProcessSpec:
                 1.0,
                 DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
                 0.0,
-                shift_law=ShiftLaw.table([-1.0, 1.0], [0.5, 0.5]),
+                law=ShiftLaw.table([-1.0, 1.0], [0.5, 0.5]),
             ),
         ]
         for spec in specs:
@@ -445,7 +455,7 @@ class TestLawAgreement:
             1.0,
             DecorationSpec.dirac([(1.0, 1)]),
             0.25,
-            scale_law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]),
+            law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]),
         )
         mm = run_campaign(ProcessSource(spec), 1003, 60000).maxmods()
         for y in (1.0, 2.0):
@@ -516,9 +526,9 @@ def _pinned_spec(carrier, dec_kind, law_kind):
                                   [0.3, 0.7])}[law_kind]
     if carrier == "scale":
         family = "scdppp" if law is None else "sscdppp"
-        return ProcessSpec(family, 1.5, dec, 0.5, scale_law=law)
+        return ProcessSpec(family, 1.5, dec, 0.5, law=law)
     family = "dppp" if law is None else "sdppp"
-    return ProcessSpec(family, 1.2, dec, -1.0, shift_law=law)
+    return ProcessSpec(family, 1.2, dec, -1.0, law=law)
 
 
 def _digest(*parts) -> str:
@@ -577,6 +587,18 @@ def test_pinned_streams(case):
     assert any(m.n_atoms for m in measures)
     assert _digest(camp.locations, camp.replica, camp.weights,
                    [m.atoms() for m in measures]) == PINNED_STREAMS[case]
+
+
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
+@pytest.mark.parametrize("kind", ["dirac", "table", "atoms_uniform", "atoms_table"])
+def test_sampled_atoms_respect_the_derived_bound(carrier, kind):
+    # the truncation of the dilation process is exact only if no atom of a copy
+    # has a norm above the bound derived from the decoration law's support
+    dec = _pinned_decoration(carrier, kind)
+    _, locs, _ = dec.sample_atoms_block(np.random.default_rng(5), 100_000)
+    norms = CARRIERS[carrier].norm(locs)
+    assert norms.size >= 100_000
+    assert float(norms.max()) <= dec.bound + 1e-12 * abs(dec.bound)
 
 
 # -- statistics reduced inside their blocks ------------------------------------------

@@ -299,10 +299,10 @@ class TestMapProcessSpec:
 
     def test_sscdppp_maps_to_sdppp(self):
         spec = ProcessSpec("sscdppp", 2.0, DecorationSpec.dirac([(1.0, 1)]), 0.1,
-                           scale_law=ScaleLaw.deterministic(3.0))
+                           law=ScaleLaw.deterministic(3.0))
         mapped = map_process_spec(spec)
         assert mapped.family == "sdppp"
-        assert mapped.shift_law.value == pytest.approx(
+        assert mapped.law.value == pytest.approx(
             math.log(3.0) + math.log(2.0) / 2.0)
 
     def test_roundtrip_identity_field_by_field(self):
@@ -311,7 +311,7 @@ class TestMapProcessSpec:
             ProcessSpec("scdppp", 2.0, DecorationSpec.dirac([(1.0, 1), (2.0, 1)]), 0.25),
             ProcessSpec("dppp", 1.5, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0),
             ProcessSpec("sdppp", 1.0, DecorationSpec.dirac([(0.5, 2)], carrier="shift"), -2.0,
-                        shift_law=ShiftLaw.deterministic(0.7)),
+                        law=ShiftLaw.deterministic(0.7)),
         ]
         for spec in specs:
             back = map_process_spec(map_process_spec(spec))
@@ -328,10 +328,10 @@ class TestMapProcessSpec:
     def test_canonicalization_to_undecorated_family(self):
         # the identity dilation maps to translation 0 and drops the law
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           scale_law=ScaleLaw.deterministic(1.0))
+                           law=ScaleLaw.deterministic(1.0))
         mapped = map_process_spec(spec)
         assert mapped.family == "dppp"
-        assert mapped.shift_law is None
+        assert mapped.law is None
         back = map_process_spec(mapped)
         assert back.family == "scdppp"
 
@@ -356,16 +356,16 @@ class TestDictionaryParity:
         "scdppp_dirac": ProcessSpec("scdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05),
         "sscdppp_lognormal": ProcessSpec(
             "sscdppp", 1.5, DecorationSpec.dirac([(0.5, 1), (1.0, 1)]), 0.05,
-            scale_law=ScaleLaw.lognormal(0.2, 0.5)),
+            law=ScaleLaw.lognormal(0.2, 0.5)),
         "sscdppp_table": ProcessSpec(
             "sscdppp", 0.8, DecorationSpec.table_from_measures(
                 [PointMeasure([1.0]), PointMeasure([0.7, 1.2])], [0.4, 0.6]), 0.05,
-            scale_law=ScaleLaw.table([0.5, 2.0], [0.3, 0.7])),
+            law=ScaleLaw.table([0.5, 2.0], [0.3, 0.7])),
         "sscdppp_atoms_table": ProcessSpec(
             "sscdppp", 1.2, DecorationSpec.random_atoms(
                 [(1, 0.4), (2, 0.6)], LocationLaw(kind="table", values=(0.7, 1.3),
                                                   probs=(0.4, 0.6))), 0.05,
-            scale_law=ScaleLaw.lognormal(0.1, 0.4)),
+            law=ScaleLaw.lognormal(0.1, 0.4)),
     }
     FUNCTIONS = ("tent_lo", "tent_hi", "step_ln2")
 
