@@ -4,184 +4,21 @@ The package samples the four process families (scale- and shift-decorated,
 with and without a random dilation or translation), predicts and estimates
 their Laplace functionals, runs the stability / max-law / support / tail
 statistical checks, extracts decorations from conditioned replicas, and
-carries processes between the scale and shift carriers.
+carries processes between the scale and shift carriers. It exports exactly
+the names its modules list in their ``__all__``.
 """
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    RangeError,
-    StableppError,
-    StarvationError,
-    WindowError,
-)
-from .point_measure import (
-    PointMeasure,
-    ShiftPointMeasure,
-    ShiftTestFunction,
-    TestFunction,
-    indicator_approx,
-    integrate,
-    maxmod,
-    maxmod_indicator,
-    restrict,
-    scale,
-    scale_fn,
-    shift,
-    shift_indicator_approx,
-    shift_tent,
-    superpose,
-    tent,
-)
-from .sampler import (
-    DecorationSpec,
-    FlatCampaign,
-    ProcessSource,
-    ProcessSpec,
-    ScaleLaw,
-    ScaledSource,
-    ShiftLaw,
-    SuperposeSource,
-    campaign_stats,
-    maxmod_samples,
-    process_spec_from_config,
-    resolve_threads,
-    run_campaign,
-)
-from .functionals import (
-    EstimateWithError,
-    FrechetMixture,
-    GumbelMixture,
-    Prediction,
-    battery_estimates,
-    cf_estimate,
-    cf_quadrature,
-    default_battery,
-    default_u_grid,
-    default_y_grid,
-    estimate_scaled_laplace,
-    estimate_shift_laplace,
-    max_location_law,
-    maxmod_law,
-    predict_scaled_laplace,
-    predict_shift_laplace,
-    required_window,
-    shift_battery,
-)
-from .characterization import (
-    SubCheck,
-    TailIndexEstimate,
-    TestReport,
-    censor_window,
-    fit_scale_template,
-    ks_censored,
-    maxmod_law_test,
-    scale_unique_support_test,
-    stability_test,
-    tail_index_estimate,
-)
-from .extraction import (
-    ExtractionConfig,
-    ExtractionReport,
-    extract_decoration,
-    nstar_functional_check,
-    predicted_acceptance,
-    rebuild_process,
-)
-from .transform import (
-    exp_decoration,
-    exp_function,
-    exp_transform,
-    log_decoration,
-    log_function,
-    log_transform,
-    map_process_spec,
-    normalization_shift,
-    scale_law_to_shift,
-    shift_law_to_scale,
-)
+from . import errors, point_measure, sampler, functionals, characterization, extraction, transform
+from .errors import *
+from .point_measure import *
+from .sampler import *
+from .functionals import *
+from .characterization import *
+from .extraction import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "StableppError",
-    "DomainError",
-    "WindowError",
-    "RangeError",
-    "ConfigError",
-    "StarvationError",
-    "PointMeasure",
-    "ShiftPointMeasure",
-    "TestFunction",
-    "ShiftTestFunction",
-    "tent",
-    "shift_tent",
-    "indicator_approx",
-    "shift_indicator_approx",
-    "maxmod_indicator",
-    "scale_fn",
-    "scale",
-    "shift",
-    "superpose",
-    "restrict",
-    "maxmod",
-    "integrate",
-    "ProcessSpec",
-    "DecorationSpec",
-    "ScaleLaw",
-    "ShiftLaw",
-    "ProcessSource",
-    "ScaledSource",
-    "SuperposeSource",
-    "FlatCampaign",
-    "run_campaign",
-    "campaign_stats",
-    "maxmod_samples",
-    "resolve_threads",
-    "process_spec_from_config",
-    "Prediction",
-    "EstimateWithError",
-    "FrechetMixture",
-    "GumbelMixture",
-    "cf_quadrature",
-    "cf_estimate",
-    "predict_scaled_laplace",
-    "predict_shift_laplace",
-    "max_location_law",
-    "estimate_scaled_laplace",
-    "estimate_shift_laplace",
-    "battery_estimates",
-    "maxmod_law",
-    "required_window",
-    "default_battery",
-    "shift_battery",
-    "default_y_grid",
-    "default_u_grid",
-    "SubCheck",
-    "TestReport",
-    "TailIndexEstimate",
-    "censor_window",
-    "fit_scale_template",
-    "ks_censored",
-    "stability_test",
-    "maxmod_law_test",
-    "tail_index_estimate",
-    "scale_unique_support_test",
-    "ExtractionConfig",
-    "ExtractionReport",
-    "predicted_acceptance",
-    "extract_decoration",
-    "nstar_functional_check",
-    "rebuild_process",
-    "normalization_shift",
-    "log_transform",
-    "exp_transform",
-    "log_function",
-    "exp_function",
-    "log_decoration",
-    "exp_decoration",
-    "scale_law_to_shift",
-    "shift_law_to_scale",
-    "map_process_spec",
-]
+__all__ = ["__version__"] + [name for module in (errors, point_measure, sampler, functionals,
+                                                 characterization, extraction, transform)
+                             for name in module.__all__]

@@ -219,6 +219,11 @@ def ks_censored(samples: np.ndarray, cdf, window: float):
 # -- strict stability --------------------------------------------------------------
 
 
+def _check_level(level: float):
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"the test level must lie in (0, 1), not {level!r}")
+
+
 def _z_subcheck(name: str, h0: str, a, b) -> SubCheck:
     """Two-sample z-test from two EstimateWithError values."""
     se = math.hypot(a.std_error, b.std_error)
@@ -256,6 +261,7 @@ def stability_test(
     """
     if not spec.is_scale_family:
         raise DomainError("stability is a scale-carrier property")
+    _check_level(level)
     law = spec.effective_law()
     if law.kind != "deterministic":
         raise DomainError(
@@ -371,6 +377,7 @@ def maxmod_law_test(
     1e-6 probability below it, so censoring cannot move the KS distance at
     the resolution tested.
     """
+    _check_level(level)
     law = maxmod_law(spec)
     window = min(censor_window(law), spec.window)
     mm = maxmod_samples(spec, n_reps, seed, window=window, threads=threads,
@@ -427,11 +434,11 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
     return TailIndexEstimate(alpha_hat, k, 1.96 * alpha_hat / math.sqrt(k), n)
 
 
-def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0, level: float = 0.01,
+def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0,
                     threads: int | None = 1) -> TestReport:
     """Check that the maxmod upper tail is regularly varying with the spec's index:
     passes iff the 95% interval of the Hill estimate on the top floor(sqrt(n))
-    of the n positive maxmods covers alpha. `level` is echoed, not used."""
+    of the n positive maxmods covers alpha. It has no level; its report says 0.0."""
     mm = maxmod_samples(spec, n_reps, seed, threads=threads, role=_ROLE_TAIL)
     positive = mm[mm > 0.0]
     est = tail_index_estimate(positive)
@@ -439,7 +446,7 @@ def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0, lev
     sub = SubCheck(
         "ci_covers_alpha", "the maxmod upper tail is regularly varying with the spec's index",
         est.alpha_hat, None, covered, f"k = {est.k}, 95% half width {est.ci_half_width:.6g}")
-    return TestReport("tail_index", covered, level, int(n_reps), int(seed), (sub,),
+    return TestReport("tail_index", covered, 0.0, int(n_reps), int(seed), (sub,),
                       params={"spec": spec.to_config_dict(), "alpha": spec.alpha,
                               "n_positive": int(positive.size)})
 

@@ -27,7 +27,7 @@ from .characterization import (
     stability_test,
     tail_index_test,
 )
-from .errors import ConfigError, StableppError, StarvationError
+from .errors import ConfigError, DomainError, StableppError, StarvationError
 from .extraction import ExtractionConfig, extract_decoration
 from .functionals import (
     battery_estimates,
@@ -228,6 +228,8 @@ _TEST_FIELDS = {
     "support": ((), ("battery", "points")),
     "tail": ((), ()),
 }
+# the test kinds that read --level
+_LEVEL_KINDS = ("stability", "maxlaw")
 
 
 def cmd_test(args) -> int:
@@ -235,7 +237,9 @@ def cmd_test(args) -> int:
     required, optional = _TEST_FIELDS[kind]
     doc, fields = _load_config(args.config, ("process", *required), optional)
     spec = fields["process"]
-    level = args.level
+    if args.level is not None and kind not in _LEVEL_KINDS:
+        raise DomainError(f"--level applies to the {' and '.join(_LEVEL_KINDS)} tests only")
+    level = 0.01 if args.level is None else args.level
     threads = resolve_threads(args.threads)
     reps = args.reps if args.reps is not None else _DEFAULT_REPS[kind]
 
@@ -255,8 +259,7 @@ def cmd_test(args) -> int:
             y_grid=_points(fields, spec.carrier), n_reps=reps, seed=args.seed,
             threads=threads)
     else:
-        report = tail_index_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 threads=threads)
+        report = tail_index_test(spec, n_reps=reps, seed=args.seed, threads=threads)
 
     text = report.to_json() + "\n"
     _write_text(args.out, text)
@@ -376,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="statistical verification, JSON report")
     p.add_argument("kind", choices=["stability", "maxlaw", "support", "tail"])
     common(p, "per kind")
-    p.add_argument("--level", type=float, default=0.01, help="test level (default 0.01)")
+    p.add_argument("--level", type=float, default=None,
+                   help="test level in (0, 1) of stability and maxlaw (default 0.01)")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("extract", help="conditional decoration extraction")

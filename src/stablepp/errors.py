@@ -5,6 +5,9 @@ doing coarse exception handling keep working; starvation is a RuntimeError
 because it arises from data, not arguments.
 """
 
+__all__ = ["StableppError", "DomainError", "WindowError", "RangeError", "ConfigError",
+           "StarvationError"]
+
 
 class StableppError(Exception):
     """Base class for all package errors."""

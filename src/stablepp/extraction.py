@@ -49,6 +49,7 @@ __all__ = [
     "ExtractionReport",
     "extract_decoration",
     "nstar_functional_check",
+    "predicted_acceptance",
     "rebuild_process",
 ]
 

@@ -130,8 +130,14 @@ class Prediction:
 def _mean_with_se(vals: np.ndarray) -> EstimateWithError:
     n = vals.size
     value = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return EstimateWithError(value, se, n)
+    if n < 2:
+        return EstimateWithError(value, math.inf, n)
+    sd = float(vals.std(ddof=1))
+    if sd == 0.0 and vals.min() < vals.max():
+        # the squared deviations underflowed; on vals / max|vals| they do not
+        top = float(np.max(np.abs(vals)))
+        sd = float((vals / top).std(ddof=1)) * top
+    return EstimateWithError(value, sd / math.sqrt(n), n)
 
 
 def _checked(cr, campaign, f, p: float) -> bool:
@@ -279,7 +285,7 @@ def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
         one = float(np.dot(q, np.exp(-fp(v))))
     else:
         one = _exp_neg_pl_mean(cr, f, p, *loc.bounds())
-    values, probs = dec._count_arrays
+    values, probs = dec.count._table
     return float(np.dot(probs, one ** values.astype(np.float64)))
 
 
@@ -489,7 +495,7 @@ def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
         tops = np.asarray([cr.weight(rate, cr.identity, max(cr.norm(a) for a, _ in atoms))
                            for atoms, _ in dec._mixture])
         return float(np.dot(probs / probs.sum(), tops))
-    k, pk = dec._count_arrays
+    k, pk = dec.count._table
     if dec.location.kind == "table":
         v, q = dec.location._table
         m, which = np.unique(cr.norm(v), return_inverse=True)

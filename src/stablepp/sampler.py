@@ -54,6 +54,7 @@ from .rng import ROLE_BLOCK, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generat
 
 __all__ = [
     "LocationLaw",
+    "CountLaw",
     "DecorationSpec",
     "ScaleLaw",
     "ShiftLaw",
@@ -61,8 +62,7 @@ __all__ = [
     "SeedSpec",
     "BLOCK_SIZE",
     "MEAN_CAP",
-    "config_fields",
-    "kind_fields",
+    "process_spec_from_config",
     "sample_decoration",
     "sample_process",
     "FlatCampaign",
@@ -101,51 +101,189 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_HERMGAUSS_N)
 
 
 @dataclass(frozen=True)
-class LocationLaw:
-    """Law of a single random decoration atom location.
+class _Law:
+    """Law of one random number, the body of every law in a spec.
 
-    kinds: "uniform" (low/high, same sign on the scale carrier) and
-    "table" (finite support with probabilities).
+    A subclass sets the ``name`` its error texts use and its ``kinds`` (kind ->
+    the fields it reads), which validation, the config reader,
+    ``to_config_dict``, ``sample`` and ``bounds`` follow, and adds at most one
+    extra rule, ``_rule``. Every number a kind reads is finite. The Gaussian
+    kind draws N(mu, sigma) mapped through ``_coord``.
     """
 
     kind: str
+    value: float | None = None
     low: float | None = None
     high: float | None = None
+    mu: float | None = None
+    sigma: float | None = None
     values: tuple = ()
     probs: tuple = ()
 
+    _dtype = np.float64  # of the table's values
+    _coord = staticmethod(lambda v: v)
+
     def __post_init__(self):
-        if self.kind == "uniform":
-            if self.low is None or self.high is None or not (self.low < self.high):
-                raise DomainError("uniform location law requires low < high")
-        elif self.kind == "table":
-            if not self.values:
-                raise DomainError("table location law requires values")
-            _as_prob_vector(self.probs, len(self.values), "location")
-        else:
-            raise DomainError(f"unknown location law kind: {self.kind!r}")
+        if self.kind not in self.kinds:
+            raise DomainError(f"unknown {self.name} law kind: {self.kind!r}")
+        numbers = [f for f in self.kinds[self.kind] if f != "probs"]
+        if self.kind == "table" and not self.values:
+            raise DomainError(f"table {self.name} law requires values")
+        for f in numbers:
+            got = getattr(self, f)
+            if any(x is None or not math.isfinite(x) for x in (got if f == "values" else (got,))):
+                raise DomainError(f"the {' and '.join(numbers)} of a {self.kind} "
+                                  f"{self.name} law must be finite")
+        if self.kind == "uniform" and not self.low < self.high:
+            raise DomainError(f"uniform {self.name} law requires low < high")
+        if "sigma" in numbers and not self.sigma > 0.0:
+            raise DomainError(f"{self.kind} {self.name} law requires sigma > 0")
+        if self.kind == "table":
+            self._table  # validates probs once and caches the arrays
+        self._rule()
+
+    def _rule(self):
+        """The subclass's extra rule; raise DomainError when it is broken."""
 
     @cached_property
     def _table(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        return v, _as_prob_vector(self.probs, len(self.values), "location")
-
-    def bounds(self):
-        if self.kind == "uniform":
-            return float(self.low), float(self.high)
-        v = self._table[0]
-        return float(v.min()), float(v.max())
+        v = np.asarray(self.values, dtype=self._dtype)
+        return v, _as_prob_vector(self.probs, len(self.values), self.name)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws; the deterministic kind consumes no stream state."""
+        if self.kind == "deterministic":
+            return np.full(n, self.value)
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, n)
-        v, p = self._table
-        return v[rng.choice(v.size, size=n, p=p)]
+        if self.kind == "table":
+            v, p = self._table
+            return v[rng.choice(v.size, size=n, p=p)]
+        return self._coord(rng.normal(self.mu, self.sigma, n))
+
+    def bounds(self) -> tuple:
+        """The smallest and largest value the law can take (closure of its support)."""
+        if self.kind == "deterministic":
+            lo = hi = self.value
+        elif self.kind == "uniform":
+            lo, hi = self.low, self.high
+        elif self.kind == "table":
+            v = self._table[0]
+            lo, hi = v.min(), v.max()
+        else:
+            lo, hi = self._coord(-math.inf), self._coord(math.inf)
+        return float(lo), float(hi)
 
     def to_config_dict(self):
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.low, "high": self.high}
-        return {"kind": "table", "values": list(self.values), "probs": list(self.probs)}
+        d = {"kind": self.kind}
+        for f in self.kinds[self.kind]:
+            v = getattr(self, f)
+            d[f] = list(v) if isinstance(v, tuple) else v
+        return d
+
+
+class LocationLaw(_Law):
+    """Law of one random decoration atom location: "uniform" (low/high) or
+    "table"; on the scale carrier its bounds must have one sign."""
+
+    name = "location"
+    kinds = {"uniform": ("low", "high"), "table": ("values", "probs")}
+
+
+class CountLaw(_Law):
+    """Law of the atom count of one random_atoms decoration copy: a table on
+    integers >= 1, drawn as int64."""
+
+    name = "count"
+    kinds = {"table": ("values", "probs")}
+    _dtype = np.int64
+
+    def _rule(self):
+        counts = tuple(int(k) for k in self.values)
+        if counts != self.values or min(counts) < 1:
+            raise DomainError("count law values must be integers >= 1")
+        object.__setattr__(self, "values", counts)
+
+
+def _count_law(count_probs) -> CountLaw:
+    """The CountLaw of (count, probability) pairs."""
+    pairs = tuple(count_probs)
+    return CountLaw(kind="table", values=tuple(k for k, _ in pairs),
+                    probs=tuple(float(p) for _, p in pairs))
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray):
+    """sum_k weights[k] * values[k], added in node order for every column of a
+    (k, n) ``values``, so a column's value does not depend on its position."""
+    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    return np.cumsum(terms, axis=0)[-1]
+
+
+class _GlobalLaw(_Law):
+    """Law of a global random dilation (ScaleLaw) or translation (ShiftLaw)."""
+
+    @classmethod
+    def deterministic(cls, value: float):
+        return cls(kind="deterministic", value=float(value))
+
+    @classmethod
+    def table(cls, values, probs):
+        return cls(kind="table", values=tuple(float(v) for v in values),
+                   probs=tuple(float(p) for p in probs))
+
+    def expect(self, h):
+        """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind.
+
+        h maps the law's k nodes, a (k,) array, to k values (the result is a
+        float) or to a (k, n) array (the result is n expectations at once).
+        """
+        if self.kind == "deterministic":
+            out = h(np.asarray([self.value]))[0]
+        elif self.kind == "table":
+            v, p = self._table
+            out = _weighted_sum(p, h(v))
+        else:
+            x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
+            out = _weighted_sum(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi)
+        return float(out) if np.ndim(out) == 0 else out
+
+
+class ScaleLaw(_GlobalLaw):
+    """Law of the global random dilation W > 0.
+
+    kinds: "deterministic", "lognormal" (mu/sigma of log W), "table".
+    """
+
+    name = "scale"
+    gaussian = "lognormal"
+    kinds = {"deterministic": ("value",), "lognormal": ("mu", "sigma"),
+             "table": ("values", "probs")}
+    _coord = np.exp
+
+    @classmethod
+    def lognormal(cls, mu: float, sigma: float) -> "ScaleLaw":
+        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
+
+    def _rule(self):
+        if self.kind != self.gaussian and not self.bounds()[0] > 0.0:
+            raise DomainError("scale law values must be > 0")
+
+
+class ShiftLaw(_GlobalLaw):
+    """Law of the global random translation U.
+
+    kinds: "deterministic", "normal", "table". The log dictionary carries
+    ScaleLaw lognormal(mu, sigma) to ShiftLaw normal(mu, sigma) and back.
+    """
+
+    name = "shift"
+    gaussian = "normal"
+    kinds = {"deterministic": ("value",), "normal": ("mu", "sigma"),
+             "table": ("values", "probs")}
+
+    @classmethod
+    def normal(cls, mu: float, sigma: float) -> "ShiftLaw":
+        return cls(kind="normal", mu=float(mu), sigma=float(sigma))
 
 
 def _atoms_tuple(atoms):
@@ -162,9 +300,9 @@ class DecorationSpec:
     -----
     "dirac": a single deterministic counting measure.
     "table": a finite mixture of deterministic counting measures.
-    "random_atoms": a random number of i.i.d. atoms; the count law lives on a
-        finite set of positive integers and the location law is bounded (and
-        bounded away from 0 on the scale carrier).
+    "random_atoms": a random number of i.i.d. atoms, their count drawn from
+        ``count`` and each location from ``location``, a bounded law (bounded
+        away from 0 on the scale carrier).
 
     ``bound``, the largest norm an atom can carry, is derived from the law's
     support and drives the truncation threshold.
@@ -174,8 +312,7 @@ class DecorationSpec:
     carrier: str = "scale"
     atoms: tuple = ()
     entries: tuple = ()
-    count_values: tuple = ()
-    count_probs: tuple = ()
+    count: CountLaw | None = None
     location: LocationLaw | None = None
 
     def __post_init__(self):
@@ -195,13 +332,9 @@ class DecorationSpec:
             object.__setattr__(self, "entries", tuple(ents))
             _as_prob_vector([p for _, p in ents], len(ents), "table entry")
         elif self.kind == "random_atoms":
-            cv = tuple(int(k) for k in self.count_values)
-            if not cv or any(k < 1 for k in cv):
-                raise DomainError("count law values must be integers >= 1")
-            object.__setattr__(self, "count_values", cv)
-            _as_prob_vector(self.count_probs, len(cv), "count")
-            if self.location is None:
-                raise DomainError("random_atoms decoration requires a location law")
+            for law, cls in ((self.count, CountLaw), (self.location, LocationLaw)):
+                if not isinstance(law, cls):
+                    raise DomainError(f"random_atoms decoration requires a {cls.name} law")
             lo, hi = self.location.bounds()
             if forbid0 and not (lo * hi > 0.0):
                 raise DomainError("location law on the scale carrier must exclude 0")
@@ -235,14 +368,8 @@ class DecorationSpec:
     @classmethod
     def random_atoms(cls, count_probs, location: LocationLaw,
                      carrier: str = "scale") -> "DecorationSpec":
-        pairs = [(int(k), float(p)) for k, p in count_probs]
-        return cls(
-            kind="random_atoms",
-            carrier=carrier,
-            count_values=tuple(k for k, _ in pairs),
-            count_probs=tuple(p for _, p in pairs),
-            location=location,
-        )
+        return cls(kind="random_atoms", carrier=carrier, count=_count_law(count_probs),
+                   location=location)
 
     # -- views shared by every kind --------------------------------------------
 
@@ -282,12 +409,6 @@ class DecorationSpec:
         offsets = np.concatenate([[0], np.cumsum(natoms)])
         return probs, locs, w, natoms, offsets
 
-    @cached_property
-    def _count_arrays(self):
-        values = np.asarray(self.count_values, dtype=np.int64)
-        probs = _as_prob_vector(self.count_probs, len(values), "count")
-        return values, probs
-
     def sample_atoms_block(self, rng: np.random.Generator, n_copies: int):
         """Atoms for ``n_copies`` i.i.d. decoration realizations.
 
@@ -306,8 +427,7 @@ class DecorationSpec:
             copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), counts)
             flat = _ragged_gather(offsets[entry], counts)
             return copy_idx, locs[flat], w[flat]
-        values, probs = self._count_arrays
-        counts = values[rng.choice(values.size, size=n_copies, p=probs)]
+        counts = self.count.sample(rng, n_copies)
         copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), counts)
         locs = self.location.sample(rng, int(counts.sum()))
         return copy_idx, locs, np.ones(locs.size, dtype=np.int64)
@@ -324,7 +444,7 @@ class DecorationSpec:
             }
         return {
             "kind": "random_atoms",
-            "count_probs": [[k, p] for k, p in zip(self.count_values, self.count_probs)],
+            "count_probs": [[k, p] for k, p in zip(self.count.values, self.count.probs)],
             "location": self.location.to_config_dict(),
         }
 
@@ -340,133 +460,6 @@ def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     nonfirst = heads[1:]
     out[nonfirst] += 1 - (starts[:-1] + counts[:-1])
     return np.cumsum(out)
-
-
-def _weighted_sum(weights: np.ndarray, values: np.ndarray):
-    """sum_k weights[k] * values[k], added in node order for every column of a
-    (k, n) ``values``, so a column's value does not depend on its position."""
-    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
-    return np.cumsum(terms, axis=0)[-1]
-
-
-@dataclass(frozen=True)
-class _GlobalLaw:
-    """Law of a global random dilation (ScaleLaw) or translation (ShiftLaw).
-
-    The ``gaussian`` kind maps N(mu, sigma) through ``_coord``: exp or the identity.
-    """
-
-    kind: str
-    value: float | None = None
-    mu: float | None = None
-    sigma: float | None = None
-    values: tuple = ()
-    probs: tuple = ()
-
-    _positive = False
-
-    def __post_init__(self):
-        if self.kind not in ("deterministic", self.gaussian, "table"):
-            raise DomainError(f"unknown law kind: {self.kind!r}")
-        if self.kind == "deterministic":
-            if self.value is None or not math.isfinite(self.value):
-                raise DomainError("deterministic law requires a finite value")
-            if self._positive and not self.value > 0.0:
-                raise DomainError("scale values must be > 0")
-        elif self.kind == "table":
-            if not self.values:
-                raise DomainError("table law requires values")
-            for v in self.values:
-                if not math.isfinite(v) or (self._positive and not v > 0.0):
-                    raise DomainError("table law values out of range")
-            _as_prob_vector(self.probs, len(self.values), "law")
-        elif self.mu is None or self.sigma is None or not (self.sigma > 0.0) \
-                or not math.isfinite(self.mu):
-            raise DomainError(f"{self.kind} law requires finite mu and sigma > 0")
-
-    @classmethod
-    def deterministic(cls, value: float):
-        return cls(kind="deterministic", value=float(value))
-
-    @classmethod
-    def table(cls, values, probs):
-        return cls(kind="table", values=tuple(float(v) for v in values),
-                   probs=tuple(float(p) for p in probs))
-
-    @cached_property
-    def _table(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        return v, _as_prob_vector(self.probs, len(self.values), "law")
-
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws; the deterministic kind consumes no stream state."""
-        if self.kind == "deterministic":
-            return np.full(n, self.value)
-        if self.kind == "table":
-            v, p = self._table
-            return v[rng.choice(v.size, size=n, p=p)]
-        return self._coord(rng.normal(self.mu, self.sigma, n))
-
-    def expect(self, h):
-        """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind.
-
-        h maps the law's k nodes, a (k,) array, to k values (the result is a
-        float) or to a (k, n) array (the result is n expectations at once).
-        """
-        if self.kind == "deterministic":
-            out = h(np.asarray([self.value]))[0]
-        elif self.kind == "table":
-            v, p = self._table
-            out = _weighted_sum(p, h(v))
-        else:
-            x = self._coord(self.mu + self.sigma * math.sqrt(2.0) * _GH_NODES)
-            out = _weighted_sum(_GH_WEIGHTS, h(x)) / math.sqrt(math.pi)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def to_config_dict(self):
-        if self.kind == "deterministic":
-            return {"kind": "deterministic", "value": self.value}
-        if self.kind == "table":
-            return {"kind": "table", "values": list(self.values), "probs": list(self.probs)}
-        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
-
-
-class ScaleLaw(_GlobalLaw):
-    """Law of the global random dilation W > 0.
-
-    kinds: "deterministic", "lognormal" (mu/sigma of log W), "table".
-    """
-
-    gaussian = "lognormal"
-    _positive = True
-    _coord = np.exp
-
-    @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "ScaleLaw":
-        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
-
-    def support(self):
-        if self.kind == "deterministic":
-            return self.value, self.value
-        if self.kind == "table":
-            v = self._table[0]
-            return float(v.min()), float(v.max())
-        return 0.0, math.inf
-
-
-class ShiftLaw(_GlobalLaw):
-    """Law of the global random translation U.
-
-    kinds: "deterministic", "normal", "table". The log dictionary carries
-    ScaleLaw lognormal(mu, sigma) to ShiftLaw normal(mu, sigma) and back.
-    """
-
-    gaussian = "normal"
-    _coord = staticmethod(lambda u: u)
-
-    @classmethod
-    def normal(cls, mu: float, sigma: float) -> "ShiftLaw":
-        return cls(kind="normal", mu=float(mu), sigma=float(sigma))
 
 
 @dataclass(frozen=True)
@@ -625,13 +618,11 @@ def kind_fields(doc, what: str, kinds: dict, key: str = "kind", required=(), opt
 
 
 def _law(cls):
-    """Reader of a ScaleLaw or ShiftLaw config."""
-    kinds = {"deterministic": (("value",), ()), cls.gaussian: (("mu", "sigma"), ()),
-             "table": (("values", "probs"), ())}
+    """Reader of a config of law class `cls`: the fields of its kinds, all required."""
+    kinds = {kind: (fields, ()) for kind, fields in cls.kinds.items()}
     return lambda doc, what: cls(**kind_fields(doc, what, kinds))
 
 
-_LOCATIONS = {"uniform": (("low", "high"), ()), "table": (("values", "probs"), ())}
 _DECORATIONS = {"dirac": (("atoms",), ()), "table": (("entries",), ()),
                 "random_atoms": (("count_probs", "location"), ())}
 _FAMILIES = {"scdppp": (("alpha",), ()), "sscdppp": (("alpha", "scale"), ()),
@@ -646,9 +637,9 @@ def _entry(doc, what: str) -> tuple:
 def _decoration(doc, what: str) -> dict:
     """The DecorationSpec arguments of a decoration config, all but the carrier."""
     fields = kind_fields(doc, what, _DECORATIONS)
-    pairs = fields.pop("count_probs", ())
-    return dict(fields, count_values=tuple(k for k, _ in pairs),
-                count_probs=tuple(p for _, p in pairs))
+    if "count_probs" in fields:
+        fields["count"] = fields.pop("count_probs")
+    return fields
 
 
 def _process(doc, what: str) -> ProcessSpec:
@@ -667,13 +658,13 @@ READ = {
     **dict.fromkeys(("n_accepted", "max_attempts"), _integer),
     **dict.fromkeys(("values", "probs", "points"), _list_of(_number)),
     "atoms": _list_of(_pair_of(_number, _integer)),
-    "count_probs": _list_of(_pair_of(_integer, _number)),
+    "count_probs": lambda v, what: _count_law(_list_of(_pair_of(_integer, _number))(v, what)),
     "knots": _list_of(_pair_of(_number, _number)),
     "symmetric": _boolean,
     "id": _id,
     "battery": lambda v, what: v if v == "default" else _list_of(_object)(v, what),
     "entries": _list_of(_entry),
-    "location": lambda doc, what: LocationLaw(**kind_fields(doc, what, _LOCATIONS)),
+    "location": _law(LocationLaw),
     "scale": _law(ScaleLaw),
     "shift": _law(ShiftLaw),
     "decoration": _decoration,
@@ -803,7 +794,7 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: f
     rng = np.random.Generator(np.random.Philox(key=key))
     bound = spec.decoration.bound
     with np.errstate(over="ignore"):
-        mean = cr.block_mean(spec.alpha, spec.effective_law().sample_block(rng, size),
+        mean = cr.block_mean(spec.alpha, spec.effective_law().sample(rng, size),
                              window, bound)
     top = float(np.max(mean)) if mean.size else 0.0
     if not math.isfinite(top) or top > MEAN_CAP:

@@ -216,15 +216,8 @@ def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
     if dec.kind == "table":
         entries = tuple((atoms(a), p) for a, p in dec.entries)
         return DecorationSpec(kind="table", carrier=dst.name, entries=entries)
-    loc = dec.location
-    if loc.kind == "uniform":
-        raise DomainError(
-            f"uniform location laws have no exact {direction} image; use a table law")
-    loc = LocationLaw(kind="table", probs=loc.probs,
-                      values=tuple(coord(v, "location values") for v in loc._table[0]))
-    return DecorationSpec(kind="random_atoms", carrier=dst.name,
-                          count_values=dec.count_values, count_probs=dec.count_probs,
-                          location=loc)
+    loc = _map_law(dec.location, LocationLaw, lambda v: coord(v, "location values"), direction)
+    return DecorationSpec(kind="random_atoms", carrier=dst.name, count=dec.count, location=loc)
 
 
 def log_decoration(dec: DecorationSpec) -> DecorationSpec:
@@ -237,25 +230,30 @@ def exp_decoration(dec: DecorationSpec) -> DecorationSpec:
     return _map_decoration(dec, "exp")
 
 
-def _map_law(law, to, point, mu_shift: float):
-    """`law` as a law of class `to`: values through `point`, the Gaussian mean moved by mu_shift."""
+def _map_law(law, to, point, direction: str, mu_shift: float = 0.0):
+    """`law` (a location, scale or shift law) carried in `direction` as a law of
+    class `to`: values through `point`, the Gaussian mean moved by mu_shift."""
+    if law.kind == "uniform":
+        raise DomainError(
+            f"uniform location laws have no exact {direction} image; use a table law")
     if law.kind == "deterministic":
-        return to.deterministic(point(law.value))
+        return to(kind="deterministic", value=point(law.value))
     if law.kind == "table":
-        return to.table([point(v) for v in law.values], law.probs)
+        return to(kind="table", values=tuple(point(v) for v in law.values),
+                  probs=tuple(float(p) for p in law.probs))
     return to(kind=to.gaussian, mu=float(law.mu + mu_shift), sigma=float(law.sigma))
 
 
 def scale_law_to_shift(law: ScaleLaw, c: float) -> ShiftLaw:
     """U = log W + log(c)/c, the translation matching a global dilation W."""
     adj = normalization_shift(c)
-    return _map_law(law, ShiftLaw, lambda w: math.log(w) + adj, adj)
+    return _map_law(law, ShiftLaw, lambda w: math.log(w) + adj, "log", adj)
 
 
 def shift_law_to_scale(law: ShiftLaw, c: float) -> ScaleLaw:
     """W = exp(U - log(c)/c), inverse of scale_law_to_shift."""
     adj = normalization_shift(c)
-    return _map_law(law, ScaleLaw, lambda u: _exp_checked(u - adj), -adj)
+    return _map_law(law, ScaleLaw, lambda u: _exp_checked(u - adj), "exp", -adj)
 
 
 def map_process_spec(spec: ProcessSpec) -> ProcessSpec:

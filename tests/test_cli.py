@@ -77,9 +77,30 @@ class TestConfigErrors:
             assert main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
                                    "--level", "0.05"]) == 1
             assert "unrecognized arguments: --level" in capsys.readouterr().err
-        assert main(["test", "tail", "--config", cfg, "--reps", "2000", "--level", "0.05",
+        assert main(["test", "tail", "--config", cfg, "--reps", "2000",
                      "--out", str(tmp_path / "t.json")]) == 0
-        assert json.loads((tmp_path / "t.json").read_text())["level"] == 0.05
+        assert json.loads((tmp_path / "t.json").read_text())["level"] == 0.0
+
+    @pytest.mark.parametrize("kind", ["support", "tail"])
+    def test_level_is_refused_by_the_kinds_that_do_not_read_it(self, tmp_path, capsys, kind):
+        cfg = proc_config(tmp_path)
+        assert main(["test", kind, "--config", cfg, "--reps", "2000", "--level", "0.05",
+                     "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stability" in err and "maxlaw" in err
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-1", "0", "1"])
+    @pytest.mark.parametrize("kind, extra", [
+        ("stability", {"b1": 1.0, "b2": 1.0, "rhs_scale_factor": 1.5}), ("maxlaw", {})])
+    def test_level_outside_the_unit_interval_exits_one(self, tmp_path, capsys, kind, extra,
+                                                       level):
+        # the stability control is rejected at --level 0.01 (exit 2); a level
+        # that no p-value can fall below must not turn it into a pass
+        cfg = proc_config(tmp_path, extra)
+        assert main(["test", kind, "--config", cfg, "--reps", "20000", "--level", level,
+                     "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(0, 1)" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -181,6 +202,27 @@ class TestConfigErrors:
                                "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    @pytest.mark.parametrize("location", [
+        {"kind": "table", "values": [0.5, math.nan], "probs": [0.5, 0.5]},
+        {"kind": "table", "values": [math.nan, 0.5], "probs": [0.5, 0.5]},
+        {"kind": "table", "values": [0.5, math.inf], "probs": [0.5, 0.5]},
+        {"kind": "uniform", "low": -math.inf, "high": -0.5},
+        {"kind": "uniform", "low": 0.5, "high": math.inf},
+    ], ids=["table_nan_last", "table_nan_first", "table_inf", "uniform_low_inf",
+            "uniform_high_inf"])
+    def test_non_finite_location_exits_one_naming_the_location_law(self, tmp_path, capsys,
+                                                                   carrier, location):
+        base = PROC if carrier == "scale" else SHIFT_PROC
+        process = dict(base, decoration={"kind": "random_atoms", "count_probs": [[1, 1.0]],
+                                         "location": location})
+        cfg = proc_config(tmp_path, process=process)
+        assert main(["sample", "--config", cfg, "--reps", "100",
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "location law must be finite" in err
 
     def test_transform_input_must_be_a_path(self, tmp_path, capsys):
         # an integer is not a path: open() would read that file descriptor, then close it
@@ -453,6 +495,25 @@ class TestTest:
         doc = json.loads(out.read_text())
         assert doc["passed"] is False
         assert manifest(out)["status"] == "rejected"
+
+    @pytest.mark.parametrize("decoration", [
+        {"kind": "dirac", "atoms": [[1.0, 1], [-0.5, 2]]},
+        {"kind": "table", "entries": [{"atoms": [[1.0, 1]], "prob": 0.4},
+                                      {"atoms": [[1.2, 1], [-0.4, 3]], "prob": 0.6}]},
+    ], ids=["dirac", "table"])
+    def test_stability_null_passes_when_squared_deviations_underflow(self, tmp_path, decoration):
+        # at y = 0.5 the default battery's 17th function leaves exp(-integral)
+        # values below 4e-196 on the left side, whose squares underflow to 0;
+        # the standard error must come out > 0 rather than declare the sides exact
+        process = {"family": "sscdppp", "alpha": 1.5, "decoration": decoration,
+                   "scale": {"kind": "deterministic", "value": 1.5}, "window": 0.5}
+        cfg = proc_config(tmp_path, {"b1": 1.0, "b2": 2.0}, process=process)
+        out = tmp_path / "r.json"
+        assert main(["test", "stability", "--config", cfg, "--reps", "3000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        (sub,) = [s for s in json.loads(out.read_text())["subchecks"]
+                  if s["name"] == "laplace_16_y_0.5"]
+        assert sub["passed"] and sub["note"] == "" and sub["statistic"] != 0.0
 
     def test_maxlaw(self, tmp_path):
         cfg = proc_config(tmp_path)

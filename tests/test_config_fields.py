@@ -1,7 +1,6 @@
 """Every config field has a reader and every reader a field, so a retired field
 cannot leave a dead reader behind (as test_exports.py does for names)."""
 import argparse
-import dataclasses
 import json
 
 import pytest
@@ -40,13 +39,13 @@ def _command_fields(tmp_path, monkeypatch) -> set:
 
 
 def _declared_fields(tmp_path, monkeypatch) -> set:
-    laws = {f.name for law in (sampler.ScaleLaw, sampler.ShiftLaw)
-            for f in dataclasses.fields(law)}
+    laws = {name for law in (sampler.LocationLaw, sampler.ScaleLaw, sampler.ShiftLaw)
+            for fields in law.kinds.values() for name in fields}
     return (
         _table_fields(sampler._FAMILIES) | {"family", "decoration", "window"}
         | _table_fields(sampler._DECORATIONS) | {"kind"}
         | {"atoms", "prob"}  # a table decoration's entry
-        | _table_fields(sampler._LOCATIONS) | laws
+        | laws
         | _table_fields(cli._FUNCTION_FIELDS) | {"id"}
         | _table_fields(cli._TEST_FIELDS)
         | _command_fields(tmp_path, monkeypatch)

@@ -45,6 +45,7 @@ from stablepp.point_measure import (
     tent_family,
 )
 from stablepp.sampler import (
+    CountLaw,
     DecorationSpec,
     FlatCampaign,
     LocationLaw,
@@ -116,7 +117,7 @@ class TestCfQuadrature:
     def test_cf_estimate_random_atoms(self):
         dec = DecorationSpec(
             kind="random_atoms", carrier="scale",
-            count_values=(1, 2), count_probs=(0.5, 0.5),
+            count=CountLaw(kind="table", values=(1, 2), probs=(0.5, 0.5)),
             location=LocationLaw(kind="table", values=(0.5, 1.0), probs=(0.5, 0.5)),
         )
         f = tent(0.5, 1.0, 4.0)
@@ -330,7 +331,7 @@ def _reference_psi(carrier, dec, f, p):
         cuts = np.concatenate([ends[0], pulled, ends[1]], axis=1)
         a, w = _gauss(cuts[:, :-1], cuts[:, 1:], 64)
         one = (w * np.exp(-f.eval(act(p[:, None, None], a)))).sum(axis=(1, 2)) / (hi - lo)
-    return sum(q * one ** k for k, q in zip(dec.count_values, dec.count_probs))
+    return sum(q * one ** k for k, q in zip(dec.count.values, dec.count.probs))
 
 
 def _reference_prediction(carrier, spec, f, p):
@@ -434,7 +435,7 @@ def _reference_extreme_moment(carrier, rate, dec):
     if dec.kind != "random_atoms":
         entries = ((dec.atoms, 1.0),) if dec.kind == "dirac" else dec.entries
         return sum(q * top(max(norm(a) for a, _ in atoms)) for atoms, q in entries)
-    counts = list(zip(dec.count_values, dec.count_probs))
+    counts = list(zip(dec.count.values, dec.count.probs))
     loc = dec.location
     if loc.kind == "table":
         return sum(pk * math.prod(loc.probs[i] for i in idx)

@@ -12,6 +12,8 @@ from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, s
 from stablepp.sampler import (
     BLOCK_SIZE,
     CARRIERS,
+    READ,
+    CountLaw,
     DecorationSpec,
     FlatCampaign,
     LocationLaw,
@@ -59,6 +61,63 @@ class TestLocationLaw:
             LocationLaw(kind="table", values=(1.0,), probs=(0.5,))
         with pytest.raises(DomainError):
             LocationLaw(kind="gamma")
+
+
+# one law of every kind of every law class, keyed by the config field that reads it
+LAWS = {
+    "location": [LocationLaw(kind="uniform", low=0.5, high=1.5),
+                 LocationLaw(kind="table", values=(0.5, 1.5), probs=(0.25, 0.75))],
+    "scale": [ScaleLaw.deterministic(2.0), ScaleLaw.lognormal(0.1, 0.5),
+              ScaleLaw.table([0.5, 2.0], [0.5, 0.5])],
+    "shift": [ShiftLaw.deterministic(-1.0), ShiftLaw.normal(0.1, 0.5),
+              ShiftLaw.table([-1.0, 2.0], [0.5, 0.5])],
+}
+ALL_KINDS = {kind for laws in LAWS.values() for law in laws for kind in law.kinds}
+
+
+class TestLawBody:
+    @pytest.mark.parametrize("key, law", [(k, law) for k, laws in LAWS.items() for law in laws],
+                             ids=lambda v: v if isinstance(v, str) else v.kind)
+    def test_config_round_trip(self, key, law):
+        assert READ[key](law.to_config_dict(), "x") == law
+
+    def test_every_kind_is_covered(self):
+        for laws in LAWS.values():
+            assert {law.kind for law in laws} == set(laws[0].kinds)
+
+    @pytest.mark.parametrize("key", sorted(LAWS))
+    def test_reader_accepts_exactly_the_class_kinds(self, key):
+        kinds = LAWS[key][0].kinds
+        for kind in sorted(ALL_KINDS - set(kinds)):
+            with pytest.raises(ConfigError, match="must be one of"):
+                READ[key]({"kind": kind}, "x")
+
+    def test_count_law_round_trips_through_its_decoration(self):
+        dec = DecorationSpec.random_atoms([(1, 0.25), (3, 0.75)], LAWS["location"][0])
+        assert dec.count == CountLaw(kind="table", values=(1, 3), probs=(0.25, 0.75))
+        assert DecorationSpec(carrier="scale", **READ["decoration"](dec.to_config_dict(), "x")) == dec
+
+    @pytest.mark.parametrize("counts", [[(1.5, 1.0)], [(0, 1.0)], [(1, 0.5), (-2, 0.5)], []])
+    def test_counts_are_integers_of_at_least_one(self, counts):
+        with pytest.raises(DomainError):
+            DecorationSpec.random_atoms(counts, LAWS["location"][0])
+
+    def test_integral_counts_are_kept_as_ints(self):
+        dec = DecorationSpec.random_atoms([(2.0, 1.0)], LAWS["location"][0])
+        assert dec.to_config_dict()["count_probs"] == [[2, 1.0]]
+
+    @pytest.mark.parametrize("make", [
+        lambda: LocationLaw(kind="table", values=(0.5, math.nan), probs=(0.5, 0.5)),
+        lambda: LocationLaw(kind="uniform", low=-math.inf, high=0.5),
+        lambda: LocationLaw(kind="uniform", low=0.5),
+        lambda: ScaleLaw.lognormal(math.nan, 0.5),
+        lambda: ShiftLaw.normal(0.0, math.inf),
+        lambda: ShiftLaw.deterministic(math.inf),
+        lambda: CountLaw(kind="table", values=(math.inf,), probs=(1.0,)),
+    ])
+    def test_every_number_a_kind_reads_is_finite(self, make):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
 
 
 class TestDecorationSpec:
@@ -178,13 +237,14 @@ class TestLaws:
     def test_deterministic_draw_consumes_no_stream_state(self):
         rng1 = np.random.default_rng(9)
         rng2 = np.random.default_rng(9)
-        ScaleLaw.deterministic(3.0).sample_block(rng1, 100)
+        ScaleLaw.deterministic(3.0).sample(rng1, 100)
         assert rng1.random() == rng2.random()
 
     def test_support(self):
-        assert ScaleLaw.deterministic(2.0).support() == (2.0, 2.0)
-        assert ScaleLaw.table([1.0, 4.0], [0.5, 0.5]).support() == (1.0, 4.0)
-        assert ScaleLaw.lognormal(0.0, 1.0).support() == (0.0, math.inf)
+        assert ScaleLaw.deterministic(2.0).bounds() == (2.0, 2.0)
+        assert ScaleLaw.table([1.0, 4.0], [0.5, 0.5]).bounds() == (1.0, 4.0)
+        assert ScaleLaw.lognormal(0.0, 1.0).bounds() == (0.0, math.inf)
+        assert ShiftLaw.normal(0.0, 1.0).bounds() == (-math.inf, math.inf)
 
 
 class TestProcessSpec:

@@ -26,6 +26,7 @@ from stablepp.functionals import (
     shift_battery,
 )
 from stablepp.sampler import (
+    CountLaw,
     DecorationSpec,
     LocationLaw,
     ProcessSource,
@@ -234,7 +235,7 @@ class TestDecorationTransforms:
     def test_random_atoms_table_location(self):
         d = DecorationSpec(
             kind="random_atoms", carrier="scale",
-            count_values=(1, 2), count_probs=(0.5, 0.5),
+            count=CountLaw(kind="table", values=(1, 2), probs=(0.5, 0.5)),
             location=LocationLaw(kind="table", values=(1.0, 2.0), probs=(0.5, 0.5)),
         )
         q = log_decoration(d)
@@ -244,7 +245,7 @@ class TestDecorationTransforms:
     def test_random_atoms_uniform_location_rejected(self):
         d = DecorationSpec(
             kind="random_atoms", carrier="scale",
-            count_values=(1,), count_probs=(1.0,),
+            count=CountLaw(kind="table", values=(1,), probs=(1.0,)),
             location=LocationLaw(kind="uniform", low=1.0, high=2.0),
         )
         with pytest.raises(DomainError):
