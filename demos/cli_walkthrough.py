@@ -3,7 +3,8 @@
 Writes a config, samples replicas, estimates the Laplace battery, runs the
 stability test, extracts the decoration, and maps the process to the shift
 carrier. Every command leaves a manifest next to its output; running a
-command twice produces byte-identical files.
+command twice produces byte-identical files. Exits non-zero as soon as a
+command fails; the stability test may accept (0) or reject (2).
 """
 
 import json
@@ -13,17 +14,23 @@ import tempfile
 from pathlib import Path
 
 
-def run(*argv):
+def run(*argv, ok=(0,)):
     cmd = [sys.executable, "-m", "stablepp.cli", *argv]
     print(f"$ stablepp {' '.join(argv)}")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     for line in proc.stderr.splitlines():
         print(f"  {line}")
+    if proc.returncode not in ok:
+        sys.exit(f"stablepp {argv[0]} exited {proc.returncode}")
     return proc.returncode
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="stablepp_demo_"))
+    with tempfile.TemporaryDirectory(prefix="stablepp_demo_") as tmp:
+        walk(Path(tmp))
+
+
+def walk(root):
     print(f"working in {root}\n")
 
     config = root / "process.json"
@@ -47,7 +54,7 @@ def main():
     doc.update({"b1": 1.0, "b2": 1.0})
     stab.write_text(json.dumps(doc))
     code = run("test", "stability", "--config", str(stab), "--reps", "20000",
-               "--seed", "3", "--out", str(root / "stability_report.json"))
+               "--seed", "3", "--out", str(root / "stability_report.json"), ok=(0, 2))
     print(f"  exit code {code} (0 accepts, 2 rejects)\n")
 
     ext = root / "extract.json"

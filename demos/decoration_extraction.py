@@ -41,8 +41,7 @@ def main():
     print("a two-atom decoration:",
           [(round(x, 4), k) for x, k in sorted(two.atoms(), reverse=True)])
 
-    rebuilt = rebuild_process(report, spec.alpha, report.c_max_hat,
-                              n_reps=20_000, seed=43)
+    rebuilt = rebuild_process(report, n_reps=20_000, seed=43)
     print(f"\nrebuild from recovered decorations: "
           f"{'PASS' if rebuilt.passed else 'MISMATCH'}")
     for s in rebuilt.subchecks[:4]:

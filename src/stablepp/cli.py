@@ -41,7 +41,6 @@ from .functionals import (
 )
 from .point_measure import (
     MeasureBatch,
-    PointMeasure,
     ShiftTestFunction,
     TestFunction,
     indicator_approx,
@@ -289,8 +288,7 @@ def cmd_extract(args) -> int:
     sidecar = args.out + ".decorations.jsonl"
     n_rep = _write_text(args.out,
                         json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-    n_dec = _write_chunks(sidecar,
-                          MeasureBatch.of(report.decorations, PointMeasure).json_chunks())
+    n_dec = _write_chunks(sidecar, report.decorations.json_chunks())
     _write_manifest(args.out, "extract", doc, seed=args.seed, reps=report.attempts,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n_rep}, sidecar: {"lines": n_dec}},

@@ -140,29 +140,24 @@ def _mean_with_se(vals: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, sd / math.sqrt(n), n)
 
 
-def _checked(cr, campaign, f, p: float) -> bool:
+def _checked(cr, campaign, f, p: float) -> None:
     """Raise unless Psi(f | p) on carrier ``cr`` can be estimated from
     ``campaign``, or from any campaign of a source (both carry the carrier and
-    the window); False when f is the zero function, whose estimate is exactly
-    (1, 0) and needs no atoms."""
+    the window). The zero function is visible nowhere, so any window serves it."""
     if campaign.carrier != cr.name:
         raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
     if not cr.point_ok(p):
         raise DomainError(cr.point_error)
-    if f.is_zero:
-        return False
     needed = cr.visible(f, p)
     if needed < campaign.window:
         raise WindowError(
             f"evaluation at {cr.point}={p:g} needs {cr.window_word} <= {needed:g}, "
             f"campaign was drawn on {cr.window_word} {campaign.window:g}"
         )
-    return True
 
 
 def _estimate(cr, campaign: FlatCampaign, f, p: float) -> EstimateWithError:
-    if not _checked(cr, campaign, f, p):
-        return EstimateWithError(1.0, 0.0, campaign.n_reps)
+    _checked(cr, campaign, f, p)
     return _mean_with_se(np.exp(-campaign.laplace_integrals(f, p)))
 
 
@@ -184,20 +179,19 @@ def estimate_shift_laplace(campaign: FlatCampaign, g: ShiftTestFunction, u: floa
 def required_window(spec: ProcessSpec, functions, points) -> float:
     """Coarsest window adequate for every (function, evaluation point) pair.
 
-    A nonzero f at scale point y sees only atoms with |x| >= y * inner_radius(f);
-    a nonzero g at shift point u sees only atoms with x >= u + support_low(g).
-    Atoms outside the returned window add exactly 0 to every integral, so the
-    window may be coarser than the spec's own without changing any estimate's
-    law. Falls back to the spec's window when no nonzero function constrains it.
+    An f at scale point y sees only atoms with |x| >= y * inner_radius(f); a g
+    at shift point u sees only atoms with x >= u + support_low(g); the zero
+    function, whose lower support edge is inf, sees none. Atoms outside the
+    returned window add exactly 0 to every integral, so the window may be
+    coarser than the spec's own without changing any estimate's law. Falls
+    back to the spec's window when no nonzero function constrains it.
     """
     cr = CARRIERS[spec.carrier]
     needed = math.inf
     for f in functions:
-        if f.is_zero:
-            continue
         for p in points:
             if not cr.point_ok(p):
-                raise DomainError(cr.points_error)
+                raise DomainError(cr.point_error)
             needed = min(needed, cr.visible(f, p))
     return needed if math.isfinite(needed) else spec.window
 
@@ -208,22 +202,20 @@ def laplace_battery(source, pairs):
 
     Returns (reduce, estimates). ``reduce`` is a ``campaign_stats`` reducer:
     it maps a campaign block to one row of per-replica Laplace integrals for
-    each pair with a nonzero f. ``estimates`` maps those rows over a whole
-    campaign to one EstimateWithError per pair, in order; a zero f's is
-    exactly (1, 0). The estimates equal those of the flat campaign bit for bit.
+    each pair. ``estimates`` maps such rows, over a whole campaign or any
+    subset of its replicas, to one EstimateWithError per pair, in order. The
+    estimates equal those of the flat campaign bit for bit.
     """
     cr = CARRIERS[source.carrier]
-    live = [_checked(cr, source, f, p) for f, p in pairs]
-    used = [pair for pair, ok in zip(pairs, live) if ok]
+    for f, p in pairs:
+        _checked(cr, source, f, p)
 
     def reduce(block) -> np.ndarray:
-        rows = [block.laplace_integrals(f, p) for f, p in used]
-        return np.array(rows, dtype=np.float64).reshape(len(used), block.n_reps)
+        rows = [block.laplace_integrals(f, p) for f, p in pairs]
+        return np.array(rows, dtype=np.float64).reshape(len(pairs), block.n_reps)
 
     def estimates(rows: np.ndarray) -> list:
-        nonzero = iter(rows)
-        return [_mean_with_se(np.exp(-next(nonzero))) if ok
-                else EstimateWithError(1.0, 0.0, rows.shape[-1]) for ok in live]
+        return [_mean_with_se(np.exp(-row)) for row in rows]
 
     return reduce, estimates
 

@@ -313,20 +313,6 @@ class MeasureBatch:
             np.concatenate([np.zeros(1, dtype=np.int64)]
                            + [b.offsets[1:] + s for b, s in zip(batches, starts)]))
 
-    @classmethod
-    def of(cls, measures, measure: type) -> "MeasureBatch":
-        """The batch holding these measures of class `measure`, in order."""
-        measures = tuple(measures)
-        if any(type(m) is not measure for m in measures):
-            raise DomainError(f"every measure must be a {measure.__name__}")
-        offsets = np.zeros(len(measures) + 1, dtype=np.int64)
-        np.cumsum([m.locations.size for m in measures], out=offsets[1:])
-        return cls._trusted(
-            measure,
-            np.concatenate([np.zeros(0)] + [m.locations for m in measures]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [m.multiplicities for m in measures]),
-            offsets)
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 

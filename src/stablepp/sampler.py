@@ -710,7 +710,6 @@ class Carrier:
     point: str  # symbol of an evaluation point
     window_word: str
     point_error: str
-    points_error: str
     compose: Callable  # (f, p) -> the function a -> f(p acting on a)
     inverse: Callable  # (p, x) -> p's inverse acting on x
     weight: Callable  # (a, p, w) -> tail weight at p of the global value w
@@ -753,7 +752,6 @@ SCALE = Carrier(
     block_start=lambda a, window, bound, q: (window / bound) * (1.0 - q) ** (-1.0 / a),
     rate_key="alpha", point="y", window_word="window",
     point_error="evaluation point y must be finite and > 0",
-    points_error="evaluation points on the scale carrier must be > 0",
     compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
     weight=lambda a, y, w: (y ** -a) * w ** a,
     to_log=math.log, from_log=math.exp, has_log=lambda p: np.logical_not(p <= 0.0),
@@ -768,7 +766,6 @@ SHIFT = Carrier(
     block_start=lambda c, cutoff, bound, q: (cutoff - bound) + -np.log1p(-q) / c,
     rate_key="c", point="u", window_word="cutoff",
     point_error="evaluation point u must be finite",
-    points_error="evaluation points must be finite",
     compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
     weight=lambda c, u, w: np.exp(-c * (u - w)), to_log=lambda t: t, from_log=lambda v: v,
     has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,

@@ -170,8 +170,7 @@ def test_extraction():
     singles = sum(1 for m in report.decorations if m.total_mass == 1)
     assert singles / len(report.decorations) >= 0.95
     assert report.independence_p > 0.01
-    rebuilt = rebuild_process(report, 1.0, report.c_max_hat,
-                              n_reps=20_000, seed=41)
+    rebuilt = rebuild_process(report, n_reps=20_000, seed=41)
     assert rebuilt.passed
     assert time.monotonic() - t0 <= 120.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -30,18 +31,25 @@ def dirac_spec(alpha=1.0, window=0.05):
 class TestReportPlumbing:
     def test_json_round(self):
         sub = SubCheck("a", "nothing happens", 0.5, 0.25, True, "fine")
-        report = TestReport("demo", True, 0.01, 100, 7, (sub,), params={"x": 1})
+        report = TestReport("demo", 0.01, 100, 7, (sub,), params={"x": 1})
         doc = json.loads(report.to_json())
         assert doc["test_name"] == "demo"
         assert doc["subchecks"][0]["null_hypothesis"] == "nothing happens"
         assert doc["params"] == {"x": 1}
 
-    def test_csv_rows(self):
-        sub = SubCheck("a", "h0", 0.5, 0.25, True)
-        report = TestReport("demo", True, 0.01, 100, 7, (sub,), params={})
-        assert TestReport.csv_header() == "test_name,subcheck,statistic,p_value,passed"
-        row = report.csv_rows()[0]
-        assert row.startswith("demo,a,")
+    def test_json_keys_are_the_fields_and_the_verdict(self):
+        report = TestReport("demo", 0.01, 100, 7, (SubCheck("a", "h0", 0.5, 0.25, True),))
+        doc = report.to_json_dict()
+        assert set(doc) == {f.name for f in dataclasses.fields(TestReport)} | {"passed"}
+        assert set(doc["subchecks"][0]) == {f.name for f in dataclasses.fields(SubCheck)}
+
+    @pytest.mark.parametrize("verdicts", [(), (True,), (True, True), (False,),
+                                          (True, False), (False, False)])
+    def test_passed_iff_every_subcheck_passed(self, verdicts):
+        subs = tuple(SubCheck(f"s{i}", "h0", 0.0, None, v) for i, v in enumerate(verdicts))
+        report = TestReport("demo", 0.0, 1, 0, subs)
+        assert report.passed is all(verdicts)
+        assert json.loads(report.to_json())["passed"] is all(verdicts)
 
 
 class TestCensoredKs:

@@ -8,7 +8,9 @@ import pytest
 
 import stablepp.sampler
 from stablepp.cli import main
-from stablepp.point_measure import PointMeasure, ShiftPointMeasure
+from stablepp.extraction import ExtractionConfig, extract_decoration
+from stablepp.point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
+from stablepp.sampler import process_spec_from_config
 
 PROC = {
     "family": "scdppp",
@@ -444,6 +446,23 @@ class TestEstimate:
                              "--out", str(report)]) == 0
                 assert json.loads(report.read_text())["passed"] is True
 
+    @pytest.mark.parametrize("process, point, battery, error", [
+        (PROC, math.inf, "default", "evaluation point y must be finite and > 0"),
+        (PROC, -1.0, "default", "evaluation point y must be finite and > 0"),
+        (PROC, -1.0, [{"id": "z", "kind": "knots", "knots": [[1.0, 0.0], [2.0, 0.0]]}],
+         "evaluation point y must be finite and > 0"),
+        (SHIFT_PROC, math.nan, "default", "evaluation point u must be finite"),
+    ], ids=["scale_inf", "scale_negative", "scale_all_zero", "shift_nan"])
+    def test_bad_point_gives_the_point_error(self, tmp_path, capsys, process, point,
+                                             battery, error):
+        # the zero function is checked like any other: its point is still a point
+        cfg = proc_config(tmp_path, {"battery": battery, "points": [1.0, point]},
+                          process=process)
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--config", cfg, "--reps", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_rerun_and_threads_identical(self, tmp_path):
         cfg = proc_config(tmp_path)
         out = tmp_path / "e.csv"
@@ -470,15 +489,29 @@ class TestTest:
 
     def test_stability_rhs_scale_when_powers_leave_the_normal_range(self, tmp_path, capsys):
         # alpha = 2: b^2 is subnormal at b = 1e-160 and underflows to 0 at 1e-200,
-        # so the larger b is factored out of the sum
+        # so the larger b is factored out of the sum. A global dilation W = 1/b
+        # puts about 32 atoms per replica in each side's window.
         out = tmp_path / "r.json"
         argv = ["test", "stability", "--reps", "100", "--out", str(out), "--config"]
         for b, rhs_scale in ((1e-160, 1.4142135623730952e-160),
                              (1e-200, 1.414213562373095e-200)):
-            cfg = proc_config(tmp_path, {"process": dict(PROC, alpha=2.0), "b1": b, "b2": b})
+            process = dict(PROC, family="sscdppp", alpha=2.0,
+                           scale={"kind": "deterministic", "value": 1.0 / b})
+            cfg = proc_config(tmp_path, {"process": process, "b1": b, "b2": b})
             assert main(argv + [cfg]) == 0
-            assert json.loads(out.read_text())["params"]["rhs_scale"] == rhs_scale
+            doc = json.loads(out.read_text())
+            assert doc["params"]["rhs_scale"] == rhs_scale
+            assert doc["params"]["mean_count_lhs"] > 10.0
+            assert doc["params"]["mean_count_rhs"] > 10.0
         capsys.readouterr()
+        # with W = 1 neither side can draw an atom: the comparison has no power
+        out.unlink()
+        cfg = proc_config(tmp_path, {"process": dict(PROC, alpha=2.0), "b1": 1e-200, "b2": 1e-200})
+        assert main(argv + [cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no power" in err
+        assert "b1 = 1e-200, b2 = 1e-200, alpha = 2.0" in err
+        assert not out.exists()
         # b1^2 overflows; rhs_scale is finite, but b1's side samples on window
         # w / 1e200, where the Poisson mean passes the cap
         cfg = proc_config(tmp_path, {"process": dict(PROC, alpha=2.0), "b1": 1e200, "b2": 1.0})
@@ -566,9 +599,15 @@ class TestExtract:
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["n_decorations"] == 120
-        side = (tmp_path / "x.json.decorations.jsonl").read_text().splitlines()
+        text = (tmp_path / "x.json.decorations.jsonl").read_text()
+        side = text.splitlines()
         assert len(side) == 120
         assert PointMeasure.from_json_line(side[0]).maxmod() == 1.0
+        # the sidecar is the report's batch of decorations, written as it is
+        report = extract_decoration(process_spec_from_config(PROC),
+                                    ExtractionConfig(20.0, 0.5, 120, 40000), seed=17)
+        assert isinstance(report.decorations, MeasureBatch)
+        assert text == report.decorations.json_lines()
         man = manifest(out)
         assert man["status"] == "ok"
         assert str(tmp_path / "x.json.decorations.jsonl") in man["outputs"]

