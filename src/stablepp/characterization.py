@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, stats
@@ -38,7 +37,7 @@ from .sampler import (
     SCALE,
     ProcessSource,
     ProcessSpec,
-    ScaledSource,
+    ScaleLaw,
     SuperposeSource,
     campaign_stats,
     maxmod_samples,
@@ -256,43 +255,37 @@ def stability_test(
         raise DomainError("the battery must contain at least one (function, y) pair")
 
     alpha = spec.alpha
-    try:
-        powers = (b1 ** alpha, b2 ** alpha)
-    except OverflowError:
-        powers = (math.inf,)
-    if all(sys.float_info.min <= x < math.inf for x in powers):
-        b_rhs = (powers[0] + powers[1]) ** (1.0 / alpha)
-    else:  # a power is subnormal, 0 or out of range: factor the larger b out of the sum
-        top = max(b1, b2)
-        b_rhs = top * ((b1 / top) ** alpha + (b2 / top) ** alpha) ** (1.0 / alpha)
+    top = max(b1, b2)
+    b_rhs = top * ((b1 / top) ** alpha + (b2 / top) ** alpha) ** (1.0 / alpha)
     b_rhs *= rhs_scale_factor
     if not 0.0 < b_rhs < math.inf:
         raise DomainError(f"(b1^alpha + b2^alpha)^(1/alpha) * rhs_scale_factor leaves "
                           f"the float range at b1 = {b1!r}, b2 = {b2!r}, alpha = {alpha!r}")
     if not all(SCALE.point_ok(y) for _, y in pairs):
         raise DomainError(SCALE.point_error)
-    needed = min(SCALE.visible(f, y) for f, y in pairs)
-    if needed == math.inf:
+    window = min(SCALE.visible(f, y) for f, y in pairs)
+    if window == math.inf:
         raise DomainError("the battery must contain a nonzero function")
-    # a hair finer than the tightest requirement so scaled-window rounding
-    # cannot trip the estimate precondition
-    w_cmp = needed * (1.0 - 1e-9)
 
-    lhs_src = SuperposeSource(
-        ScaledSource(ProcessSource(spec, w_cmp / b1), b1),
-        ScaledSource(ProcessSource(spec, w_cmp / b2), b2),
-    )
-    rhs_src = ScaledSource(ProcessSource(spec, w_cmp / b_rhs), b_rhs)
+    # S_b N is the process whose deterministic global dilation W is b * W
+    dilations = ((b1 * law.value, b2 * law.value), (b_rhs * law.value,))
+
+    def dilated(d: float) -> ProcessSource:
+        return ProcessSource(ProcessSpec(SCALE.families[1], alpha, spec.decoration, window,
+                                         ScaleLaw.deterministic(d)))
+
     # per side, n_reps times the Poisson mean of the dilation points that can
     # reach the window; on numpy floats an overflow reads inf
     with np.errstate(over="ignore"):
-        reach = [n_reps * sum(SCALE.block_mean(alpha, np.float64(law.value), w_cmp / b,
-                                               spec.decoration.bound) for b in bs)
-                 for bs in ((b1, b2), (b_rhs,))]
+        reach = [n_reps * sum(SCALE.block_mean(alpha, np.float64(d), window,
+                                               spec.decoration.bound) for d in ds)
+                 for ds in dilations]
     if max(reach) < 1.0:
         raise DomainError(
             f"the comparison has no power at b1 = {b1!r}, b2 = {b2!r}, alpha = {alpha!r}: "
             f"neither side expects an atom in the window over {n_reps} replicas")
+    lhs_src = SuperposeSource(*map(dilated, dilations[0]))
+    rhs_src = dilated(dilations[1][0])
 
     def side(src, role):
         # one pass: the battery's Laplace rows, then maxmods, then counts; only
@@ -315,9 +308,8 @@ def stability_test(
             el, er,
         ))
 
-    wb = max(lhs_src.window, rhs_src.window)
-    exc_l = mm_l[mm_l > wb]
-    exc_r = mm_r[mm_r > wb]
+    exc_l = mm_l[mm_l > window]
+    exc_r = mm_r[mm_r > window]
     if min(exc_l.size, exc_r.size) < 10:
         checks.append(SubCheck(
             "maxmod_ks", "maximum moduli above the window share a law",
@@ -329,18 +321,16 @@ def stability_test(
             float(ks.statistic), float(ks.pvalue), True))
 
     m = len(checks)
-    corrected = []
-    for s in checks:
-        rejected = s.p_value is not None and s.p_value < level / m
-        corrected.append(SubCheck(s.name, s.null_hypothesis, s.statistic,
-                                  s.p_value, s.passed and not rejected, s.note))
+    corrected = [replace(s, passed=s.passed and not (s.p_value is not None
+                                                     and s.p_value < level / m))
+                 for s in checks]
     return TestReport(
         "stability", level, int(n_reps), int(seed), tuple(corrected),
         params={
             "spec": spec.to_config_dict(),
             "b1": b1, "b2": b2, "rhs_scale": b_rhs,
             "rhs_scale_factor": rhs_scale_factor,
-            "window": w_cmp, "maxmod_censor": wb,
+            "window": window, "maxmod_censor": window,
             "bonferroni_divisor": m,
             "mean_count_lhs": mean_count_l,
             "mean_count_rhs": mean_count_r,
@@ -496,9 +486,9 @@ def scale_unique_support_test(
     analytic maximum-modulus mixture law, which every decoration kind has: its
     Laplace curves are that law's CDF with kappa replaced by c_f, so the fitted
     c estimates (kappa / c_f)^(1/alpha). A sub-check passes iff the sup-norm
-    residual stays below 3 pooled standard errors. Identically zero functions,
-    and functions whose curve is exactly 1 with standard error 0 at every y
-    (they met no atom), are excluded as trivial.
+    residual stays below 3 pooled standard errors. A function whose curve is
+    exactly 1 with standard error 0 at every y (it met no atom, as the zero
+    function never does) is excluded as trivial.
     """
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
@@ -521,13 +511,10 @@ def scale_unique_support_test(
     for fid, f in functions.items():
         vals = [estimates[(fid, y)].value for y in ys]
         ses = [estimates[(fid, y)].std_error for y in ys]
-        flat = all(v == 1.0 for v in vals) and not any(ses)  # no replica met f
-        if f.is_zero or flat:
-            trivial = "identically zero function" if f.is_zero else \
-                "curve exactly 1 with standard error 0"
+        if all(v == 1.0 for v in vals) and not any(ses):  # f met no atom, or f = 0
             checks.append(SubCheck(
                 f"fit_{fid}", "curve lies in the template's scale family",
-                0.0, None, True, f"{trivial} excluded as trivial"))
+                0.0, None, True, "curve exactly 1 with standard error 0 excluded as trivial"))
             continue
         c_hat, residual, pooled = fit_scale_template(ys, vals, ses, template)
         fitted_cs[fid] = c_hat

@@ -322,7 +322,9 @@ def nstar_functional_check(
     maxmod CDF, which converges as y grows to 1 - x^-alpha * (c_f / kappa).
     Sub-checks compare the empirical values to the exact form at every (y, x),
     and the fitted affine coefficient at the largest y to the quadrature
-    prediction. Battery functions must be supported in {|x| > 1}.
+    prediction. Battery functions must be supported in {|x| > 1}. A
+    threshold that n_reps replicas expect to exceed fewer than once, or that
+    no replica exceeds, is a DomainError.
     """
     if not spec.is_scale_family:
         raise DomainError("the conditional functional lives on the scale carrier")
@@ -340,13 +342,22 @@ def nstar_functional_check(
 
     law = maxmod_law(spec)
     alpha = spec.alpha
+    f_ys = [float(law.cdf(y)) for y in ys]
+
+    def starved(y: float, f_y: float) -> DomainError:
+        return DomainError(f"threshold y = {y:g} is too high: {n_reps} replicas expect "
+                           f"{n_reps * (1.0 - f_y):.3g} maximum moduli above it")
+
+    for y, f_y in zip(ys, f_ys):
+        if n_reps * (1.0 - f_y) < 1.0:
+            raise starved(y, f_y)
     # one constant per function: row yi of the (y, x) grid is xs * ys[yi]
     preds = [predict_scaled_laplace(spec, f, np.outer(ys, xs)) for f in battery]
     checks = []
     analytic_dev = {}
     beta_fit = {}
     beta_exact_limit = {}
-    for yi, y in enumerate(ys):
+    for yi, (y, f_y) in enumerate(zip(ys, f_ys)):
         # one row of maxmods, then the integrals of every f at every x * y
         source = ProcessSource(spec, y)
         reduce, estimates = laplace_battery(
@@ -356,8 +367,9 @@ def nstar_functional_check(
                               threads, role=(_ROLE_NSTAR, yi))
         cond = rows[0] > y
         n_acc = int(np.count_nonzero(cond))
+        if not n_acc:
+            raise starved(y, f_y)
         conditional = iter(estimates(rows[1:, cond]))
-        f_y = float(law.cdf(y))
         for fi, (f, pred) in enumerate(zip(battery, preds)):
             emp_vals, emp_ses, exact_vals = [], [], []
             for x, value, bound in zip(xs, pred.value[yi].tolist(),

@@ -146,6 +146,8 @@ def _checked(cr, campaign, f, p: float) -> None:
     the window). The zero function is visible nowhere, so any window serves it."""
     if campaign.carrier != cr.name:
         raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
+    if type(f)._measure is not cr.measure:
+        raise DomainError(f"expected a {cr.name}-carrier test function")
     if not cr.point_ok(p):
         raise DomainError(cr.point_error)
     needed = cr.visible(f, p)
@@ -189,6 +191,8 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     cr = CARRIERS[spec.carrier]
     needed = math.inf
     for f in functions:
+        if type(f)._measure is not cr.measure:
+            raise DomainError(f"expected a {cr.name}-carrier test function")
         for p in points:
             if not cr.point_ok(p):
                 raise DomainError(cr.point_error)
@@ -264,6 +268,8 @@ def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
 def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
     if dec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-carrier decoration")
+    if type(f)._measure is not cr.measure:
+        raise DomainError(f"expected a {cr.name}-carrier test function")
     fp = cr.compose(f, p)
     if dec.kind != "random_atoms":
         total = 0.0
@@ -321,6 +327,8 @@ def _constant(cr, psi, rate: float, dec: DecorationSpec, f) -> Prediction:
     """
     if not (rate > 0.0 and math.isfinite(rate)):
         raise DomainError(f"{cr.rate_key} must be finite and > 0")
+    if type(f)._measure is not cr.measure:
+        raise DomainError(f"expected a {cr.name}-carrier test function")
     if f.is_zero:
         return Prediction(0.0, 0.0)
     low, high = f.support_bounds
@@ -367,6 +375,8 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
     estimator lo^{-alpha} * (1 - exp(-integral)) is unbiased for c_f because
     the integrand vanishes below lo = inner_radius / bound.
     """
+    if type(f)._measure is not SCALE.measure:
+        raise DomainError("expected a scale-carrier test function")
     if f.is_zero:
         return EstimateWithError(0.0, 0.0, int(n_draws))
     n_draws = int(n_draws)

@@ -29,13 +29,7 @@ __all__ = [
     "MeasureBatch",
     "TestFunction",
     "ShiftTestFunction",
-    "scale",
-    "shift",
-    "superpose",
-    "maxmod",
     "integrate",
-    "restrict",
-    "scale_fn",
     "tent",
     "indicator_approx",
     "maxmod_indicator",
@@ -144,6 +138,18 @@ class _BaseMeasure:
             np.concatenate([self.multiplicities, other.multiplicities]),
         )
 
+    def shift(self, x: float):
+        """Translation by x: every atom location moves by x. An atom that
+        overflows is a RangeError; the class's origin rule applies to the result."""
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError("shift must be finite")
+        with np.errstate(over="ignore"):
+            out = self.locations + x
+        if not np.all(np.isfinite(out)):
+            raise RangeError("shift overflowed an atom location")
+        return type(self)(out, self.multiplicities)
+
     def relocated(self, locations, measure):
         """A measure of class `measure` with these atoms moved to `locations`."""
         return measure(locations, self.multiplicities)
@@ -198,16 +204,6 @@ class PointMeasure(_BaseMeasure):
             raise RangeError("scaling underflowed an atom location to the origin")
         return PointMeasure(out, self.multiplicities)
 
-    def shift(self, x: float) -> "PointMeasure":
-        """Translation by x; an atom landing exactly at the origin is an error."""
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError("shift must be finite")
-        out = self.locations + x
-        if out.size and np.any(out == 0.0):
-            raise DomainError("shift places an atom at the origin")
-        return PointMeasure(out, self.multiplicities)
-
     def restrict(self, radius: float) -> "PointMeasure":
         """Restriction to the window {|x| > radius}."""
         radius = float(radius)
@@ -226,16 +222,6 @@ class ShiftPointMeasure(_BaseMeasure):
         if not self.locations.size:
             return -math.inf
         return float(self.locations.max())
-
-    def shift(self, x: float) -> "ShiftPointMeasure":
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError("shift must be finite")
-        with np.errstate(over="ignore"):
-            out = self.locations + x
-        if out.size and not np.all(np.isfinite(out)):
-            raise RangeError("shift overflowed an atom location")
-        return ShiftPointMeasure(out, self.multiplicities)
 
     def restrict_above(self, cutoff: float) -> "ShiftPointMeasure":
         """Restriction to the half line {x > cutoff}."""
@@ -346,7 +332,7 @@ class MeasureBatch:
 
     def integrals(self, f) -> np.ndarray:
         """Integral of f against each measure, as `integrate` computes it for one."""
-        if (self.measure is PointMeasure) != isinstance(f, TestFunction):
+        if f._measure is not self.measure:
             raise DomainError("measure and test function live on different carriers")
         return np.bincount(self.index(), weights=self.multiplicities * f.eval(self.locations),
                            minlength=len(self))
@@ -424,27 +410,18 @@ class MeasureBatch:
         return cls(measure, locs, mults, np.repeat(np.arange(len(counts)), counts), len(counts))
 
 
-def _support_scan(xs: np.ndarray, vs: np.ndarray):
-    """Endpoints of the support union: list of (lo, hi) per maximal positive run."""
-    runs = []
-    n = xs.size
-    k = 0
-    while k < n - 1:
-        if vs[k] > 0.0 or vs[k + 1] > 0.0:
-            lo = xs[k]
-            hi = xs[k + 1]
-            k += 1
-            while k < n - 1 and (vs[k] > 0.0 or vs[k + 1] > 0.0):
-                hi = xs[k + 1]
-                k += 1
-            runs.append((lo, hi))
-        else:
-            k += 1
-    return runs
-
-
 class _BaseTestFunction:
-    __slots__ = ("knots_x", "knots_v")
+    """Nonnegative piecewise-linear function of one carrier, whose measure
+    class is ``_measure``.
+
+    ``support_bounds`` is (smallest, largest) carrier norm (|x| on the scale
+    carrier, x on the shift carrier) over the end points of the pieces where
+    f is not 0; (inf, 0) on the scale carrier and (inf, -inf) on the shift
+    carrier for the zero function. Where the measure class forbids atoms at
+    the origin, so does f: a nonzero piece may not touch 0.
+    """
+
+    __slots__ = ("knots_x", "knots_v", "support_bounds")
     __test__ = False  # not a pytest collection target
 
     def __init__(self, knots):
@@ -461,17 +438,23 @@ class _BaseTestFunction:
             raise DomainError("test functions are nonnegative")
         if vs[0] != 0.0 or vs[-1] != 0.0:
             raise DomainError("the first and last knot values must be 0")
+        live = (vs[:-1] > 0.0) | (vs[1:] > 0.0)
+        lo, hi = xs[:-1][live], xs[1:][live]
+        # `top` is the largest norm when there is no end point (the zero function)
+        ends, top = np.concatenate([lo, hi]), -math.inf
+        if self._measure._forbid_origin:
+            if np.any((lo <= 0.0) & (hi >= 0.0)):
+                raise DomainError("test functions on the scale carrier must vanish near the origin")
+            ends, top = np.abs(ends), 0.0
         xs.flags.writeable = False
         vs.flags.writeable = False
         object.__setattr__(self, "knots_x", xs)
         object.__setattr__(self, "knots_v", vs)
-        self._validate_support()
+        object.__setattr__(self, "support_bounds",
+                           (float(ends.min(initial=math.inf)), float(ends.max(initial=top))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _validate_support(self):
-        raise NotImplementedError
 
     @property
     def is_zero(self) -> bool:
@@ -505,93 +488,41 @@ class TestFunction(_BaseTestFunction):
     """Nonnegative piecewise-linear function on the scale carrier.
 
     It vanishes identically on a neighbourhood of the origin and outside a
-    finite radius; `support_bounds` returns (inner, outer) radii with the
-    inner radius +inf (and outer 0) for the zero function.
+    finite radius; ``support_bounds`` is (inner, outer) radius.
     """
 
-    __slots__ = ("inner_radius", "outer_radius")
+    __slots__ = ()
+    _measure = PointMeasure
 
-    def _validate_support(self):
-        runs = _support_scan(self.knots_x, self.knots_v)
-        if not runs:
-            object.__setattr__(self, "inner_radius", math.inf)
-            object.__setattr__(self, "outer_radius", 0.0)
-            return
-        inner = math.inf
-        outer = 0.0
-        for lo, hi in runs:
-            if lo <= 0.0 <= hi or lo == 0.0 or hi == 0.0:
-                raise DomainError("test functions on the scale carrier must vanish near the origin")
-            inner = min(inner, min(abs(lo), abs(hi)))
-            outer = max(outer, max(abs(lo), abs(hi)))
-        object.__setattr__(self, "inner_radius", float(inner))
-        object.__setattr__(self, "outer_radius", float(outer))
-
-    @property
-    def support_bounds(self):
-        return (self.inner_radius, self.outer_radius)
+    inner_radius = property(lambda self: self.support_bounds[0])
+    outer_radius = property(lambda self: self.support_bounds[1])
 
     def scaled(self, y: float) -> "TestFunction":
         """The function x -> f(y * x); knots move to knot/y."""
         y = float(y)
         if not (y > 0.0) or not math.isfinite(y):
-            raise DomainError("scale_fn factor must be finite and > 0")
+            raise DomainError("the dilation factor must be finite and > 0")
         return TestFunction([(x / y, v) for x, v in zip(self.knots_x, self.knots_v)])
 
 
 class ShiftTestFunction(_BaseTestFunction):
-    """Nonnegative piecewise-linear function with compact support on R."""
+    """Nonnegative piecewise-linear function with compact support on R;
+    ``support_bounds`` is (support_low, support_high)."""
 
-    __slots__ = ("support_low", "support_high")
+    __slots__ = ()
+    _measure = ShiftPointMeasure
 
-    def _validate_support(self):
-        runs = _support_scan(self.knots_x, self.knots_v)
-        if not runs:
-            object.__setattr__(self, "support_low", math.inf)
-            object.__setattr__(self, "support_high", -math.inf)
-            return
-        object.__setattr__(self, "support_low", float(runs[0][0]))
-        object.__setattr__(self, "support_high", float(runs[-1][1]))
-
-    @property
-    def support_bounds(self):
-        return (self.support_low, self.support_high)
-
-
-# -- module-level operation aliases -----------------------------------------
-
-def scale(m: PointMeasure, b: float) -> PointMeasure:
-    return m.scale(b)
-
-
-def shift(m, x: float):
-    return m.shift(x)
-
-
-def superpose(a, b):
-    return a.superpose(b)
-
-
-def maxmod(m: PointMeasure) -> float:
-    return m.maxmod()
-
-
-def restrict(m: PointMeasure, radius: float) -> PointMeasure:
-    return m.restrict(radius)
+    support_low = property(lambda self: self.support_bounds[0])
+    support_high = property(lambda self: self.support_bounds[1])
 
 
 def integrate(m, f) -> float:
     """Integral of f against the counting measure, sum of mult * f(location)."""
-    if isinstance(m, PointMeasure) != isinstance(f, TestFunction):
+    if f._measure is not type(m):
         raise DomainError("measure and test function live on different carriers")
     if not m.locations.size:
         return 0.0
     return float(np.dot(m.multiplicities.astype(np.float64), f.eval(m.locations)))
-
-
-def scale_fn(f: TestFunction, y: float) -> TestFunction:
-    """The dilated test function x -> f(y * x)."""
-    return f.scaled(y)
 
 
 # -- shaped constructors ------------------------------------------------------

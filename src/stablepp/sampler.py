@@ -67,7 +67,6 @@ __all__ = [
     "sample_process",
     "FlatCampaign",
     "ProcessSource",
-    "ScaledSource",
     "SuperposeSource",
     "run_campaign",
     "campaign_stats",
@@ -286,12 +285,6 @@ class ShiftLaw(_GlobalLaw):
         return cls(kind="normal", mu=float(mu), sigma=float(sigma))
 
 
-def _atoms_tuple(atoms):
-    if not atoms:
-        raise DomainError("a decoration realization needs at least one atom")
-    return READ["atoms"](atoms, "decoration atoms")
-
-
 @dataclass(frozen=True)
 class DecorationSpec:
     """Law of one decoration copy.
@@ -318,38 +311,31 @@ class DecorationSpec:
     def __post_init__(self):
         if self.carrier not in ("scale", "shift"):
             raise DomainError(f"unknown carrier: {self.carrier!r}")
-        forbid0 = self.carrier == "scale"
         if self.kind == "dirac":
-            object.__setattr__(self, "atoms", _atoms_tuple(self.atoms))
-            self._check_atoms(self.atoms, forbid0)
+            object.__setattr__(self, "atoms", self._realization(self.atoms))
         elif self.kind == "table":
             if not self.entries:
                 raise DomainError("table decoration requires entries")
-            ents = []
-            for atoms, prob in self.entries:
-                ents.append((_atoms_tuple(atoms), float(prob)))
-                self._check_atoms(ents[-1][0], forbid0)
-            object.__setattr__(self, "entries", tuple(ents))
+            ents = tuple((self._realization(atoms), float(prob)) for atoms, prob in self.entries)
+            object.__setattr__(self, "entries", ents)
             _as_prob_vector([p for _, p in ents], len(ents), "table entry")
         elif self.kind == "random_atoms":
             for law, cls in ((self.count, CountLaw), (self.location, LocationLaw)):
                 if not isinstance(law, cls):
                     raise DomainError(f"random_atoms decoration requires a {cls.name} law")
             lo, hi = self.location.bounds()
-            if forbid0 and not (lo * hi > 0.0):
+            if self.carrier == "scale" and not (lo * hi > 0.0):
                 raise DomainError("location law on the scale carrier must exclude 0")
         else:
             raise DomainError(f"unknown decoration kind: {self.kind!r}")
 
-    @staticmethod
-    def _check_atoms(atoms, forbid0: bool):
-        for loc, mult in atoms:
-            if not math.isfinite(loc):
-                raise DomainError("decoration atoms must be finite")
-            if forbid0 and loc == 0.0:
-                raise DomainError("decoration atoms on the scale carrier must avoid 0")
-            if mult < 1:
-                raise DomainError("multiplicities must be >= 1")
+    def _realization(self, atoms) -> tuple:
+        """The (location, multiplicity) pairs of one realization, in the given
+        order, checked by building them as a measure of the carrier."""
+        atoms = tuple(atoms)
+        if not CARRIERS[self.carrier].measure.from_atoms(atoms).n_atoms:
+            raise DomainError("a decoration realization needs at least one atom")
+        return tuple((float(loc), int(mult)) for loc, mult in atoms)
 
     # -- convenience constructors -------------------------------------------
 
@@ -915,24 +901,6 @@ class ProcessSource:
         return _block(CARRIERS[self.carrier], self.spec, key, size, self.window)
 
 
-class ScaledSource:
-    """Dilation of a scale-carrier source by a fixed factor b > 0."""
-
-    def __init__(self, inner, b: float):
-        if inner.carrier != "scale":
-            raise DomainError("only scale-carrier sources can be dilated")
-        if not (b > 0.0 and math.isfinite(b)):
-            raise DomainError("dilation factor must be finite and > 0")
-        self.inner = inner
-        self.b = float(b)
-        self.window = inner.window * self.b
-        self.carrier = "scale"
-
-    def sample_block(self, master_seed, path, size):
-        locs, rep, w = self.inner.sample_block(master_seed, path, size)
-        return locs * self.b, rep, w
-
-
 class SuperposeSource:
     """Independent superposition of sources sharing a carrier and window."""
 
@@ -944,12 +912,9 @@ class SuperposeSource:
         for ch in children[1:]:
             if ch.carrier != self.carrier:
                 raise DomainError("superposed sources must share a carrier")
-            if not math.isclose(ch.window, children[0].window,
-                                rel_tol=1e-9, abs_tol=1e-9):
+            if ch.window != children[0].window:
                 raise DomainError("superposed sources must share the observation window")
-        # rounding in scaled children can shift windows by ulps; the coarsest
-        # declared window is exact for every child
-        self.window = max(ch.window for ch in children)
+        self.window = children[0].window
 
     def sample_block(self, master_seed, path, size):
         """The children's blocks, concatenated and stable-sorted by replica."""

@@ -36,7 +36,6 @@ from stablepp.point_measure import (
     PointMeasure,
     indicator_approx,
     integrate,
-    scale_fn,
     shift_tent,
     tent,
 )
@@ -192,7 +191,7 @@ def test_transform():
     u = tent(0.5, 1.0, 8.0)
     for tt in (0.5, 1.0, 2.0):
         lt = math.log(tt)
-        ut = scale_fn(u, 1.0 / tt)
+        ut = u.scaled(1.0 / tt)
         for i in range(0, 200, 7):
             T = campaign.replica_measure(i)
             lhs = integrate(exp_transform(T), ut)

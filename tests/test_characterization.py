@@ -19,7 +19,7 @@ from stablepp.characterization import (
     tail_index_estimate,
 )
 from stablepp.functionals import FrechetMixture, default_battery, maxmod_law
-from stablepp.point_measure import PointMeasure, scale_fn, tent
+from stablepp.point_measure import PointMeasure, tent
 from stablepp.rng import ROLE_SCALAR, make_generator
 from stablepp.sampler import DecorationSpec, ProcessSpec, ScaleLaw
 
@@ -203,7 +203,7 @@ class TestScaleUniqueSupport:
     def test_fit_invariance_under_function_scaling(self):
         f = default_battery()["mm_50"]
         report = scale_unique_support_test(
-            dirac_spec(), battery=[f, scale_fn(f, 2.0)], n_reps=30_000, seed=9)
+            dirac_spec(), battery=[f, f.scaled(2.0)], n_reps=30_000, seed=9)
         fitted = report.params["fitted_c"]
         assert fitted["f01"] / fitted["f00"] == pytest.approx(0.5, abs=0.05)
 
@@ -228,6 +228,9 @@ class TestScaleUniqueSupport:
         trivial = [s for s in report.subchecks if "trivial" in s.note]
         assert len(trivial) == 1
         assert trivial[0].passed
+        # the zero function's curve is exactly 1 with standard error 0, the flat rule's case
+        assert trivial[0].name == "fit_f00"
+        assert trivial[0].note == "curve exactly 1 with standard error 0 excluded as trivial"
 
     def test_shift_family_rejected(self):
         spec = ProcessSpec("dppp", 1.0,

@@ -226,6 +226,29 @@ class TestConfigErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert "location law must be finite" in err
 
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    @pytest.mark.parametrize("kind", ["dirac", "table"])
+    @pytest.mark.parametrize("location, text", [
+        (0.0, "atoms at the origin are not allowed on the scale carrier"),
+        (math.inf, "atom locations must be finite"),
+    ], ids=["origin", "inf"])
+    def test_bad_decoration_atom_exits_one_with_the_measure_error(self, tmp_path, capsys,
+                                                                  carrier, kind, location,
+                                                                  text):
+        atoms = [[1.0, 1], [location, 2]]
+        decoration = ({"kind": "dirac", "atoms": atoms} if kind == "dirac" else
+                      {"kind": "table", "entries": [{"atoms": [[1.0, 1]], "prob": 0.5},
+                                                    {"atoms": atoms, "prob": 0.5}]})
+        process = dict(PROC if carrier == "scale" else SHIFT_PROC, decoration=decoration)
+        code = main(["sample", "--config", proc_config(tmp_path, process=process),
+                     "--reps", "10", "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        if carrier == "shift" and location == 0.0:  # the origin is an ordinary point there
+            assert code == 0
+            return
+        assert code == 1
+        assert err == f"error: invalid config.process: {text}\n"
+
     def test_transform_input_must_be_a_path(self, tmp_path, capsys):
         # an integer is not a path: open() would read that file descriptor, then close it
         read_fd, write_fd = os.pipe()

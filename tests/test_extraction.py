@@ -186,6 +186,24 @@ class TestNstarFunctional:
                                    n_reps=1000, seed=0)
 
 
+    def test_threshold_expecting_no_replica_is_refused_before_sampling(self, monkeypatch):
+        from stablepp import extraction
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a campaign")
+
+        monkeypatch.setattr(extraction, "campaign_stats", no_sampling)
+        # 50 replicas expect 50 * (1 - e^(-1/1000)) = 0.05 maxmods above y = 1000
+        with pytest.raises(DomainError, match=r"^threshold y = 1000 is too high: 50 replicas "
+                                              r"expect 0\.05 maximum moduli above it$"):
+            nstar_functional_check(dirac_spec(), y_grid=(25.0, 1000.0), n_reps=50, seed=0)
+
+    def test_threshold_no_replica_exceeds_is_the_same_error(self):
+        # 1000 replicas expect 2.0 maxmods above y = 500; seed 11 draws none
+        with pytest.raises(DomainError, match=r"^threshold y = 500 is too high: 1000 replicas "
+                                              r"expect 2 maximum moduli above it$"):
+            nstar_functional_check(dirac_spec(), y_grid=(500.0,), n_reps=1000, seed=11)
+
 class TestRebuild:
     def test_dirac_roundtrip(self, reference_report):
         report = rebuild_process(reference_report, n_reps=20_000, seed=41)

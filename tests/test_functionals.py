@@ -39,7 +39,6 @@ from stablepp.point_measure import (
     TestFunction,
     indicator_approx,
     maxmod_indicator,
-    scale_fn,
     shift_indicator_approx,
     shift_tent,
     tent,
@@ -175,7 +174,7 @@ class TestScaledEstimates:
         f = tent(0.5, 1.0, 2.0)
         for a in (2.0, 4.0):
             lhs = estimate_scaled_laplace(campaign, f, 1.0)
-            rhs = estimate_scaled_laplace(campaign, scale_fn(f, 1.0 / a), 1.0 / a)
+            rhs = estimate_scaled_laplace(campaign, f.scaled(1.0 / a), 1.0 / a)
             assert abs(lhs.value - rhs.value) <= 1e-12
 
     def test_monotonicity_replica_by_replica(self):
@@ -280,6 +279,37 @@ class TestPredictions:
                                  DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
         with pytest.raises(DomainError):
             predict_scaled_laplace(shift_spec, tent(0.5, 1.0, 2.0), 1.0)
+
+
+_SHIFT_SPEC = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
+_SCALE_TENT, _SHIFT_TENT = tent(0.5, 1.0, 2.0), shift_tent(-1.0, 0.0, 1.0)
+# name -> (the carrier the call expects, a call with the other carrier's function)
+_OTHER_CARRIER_CALLS = {
+    "predict_scaled_laplace": ("scale", lambda: predict_scaled_laplace(scdppp(), _SHIFT_TENT, 1.0)),
+    "predict_shift_laplace": ("shift", lambda: predict_shift_laplace(_SHIFT_SPEC, _SCALE_TENT, 0.0)),
+    "cf_quadrature": ("scale", lambda: cf_quadrature(1.0, scdppp().decoration, _SHIFT_TENT)),
+    "cf_estimate": ("scale", lambda: cf_estimate(1.0, scdppp().decoration, _SHIFT_TENT, 10, 0)),
+    "kappa_quadrature": ("shift", lambda: kappa_quadrature(1.0, _SHIFT_SPEC.decoration,
+                                                           _SCALE_TENT)),
+    "estimate_scaled_laplace": ("scale", lambda: estimate_scaled_laplace(
+        run_campaign(ProcessSource(scdppp()), 0, 10), _SHIFT_TENT, 1.0)),
+    "estimate_shift_laplace": ("shift", lambda: estimate_shift_laplace(
+        run_campaign(ProcessSource(_SHIFT_SPEC), 0, 10), _SCALE_TENT, 0.0)),
+    "battery_estimates": ("scale", lambda: battery_estimates(
+        scdppp(), {"g": _SHIFT_TENT}, (1.0,), 10, 0)),
+    "required_window": ("shift", lambda: required_window(_SHIFT_SPEC, [_SCALE_TENT], (0.0,))),
+    "psi_decoration_scale": ("scale", lambda: psi_decoration_scale(
+        scdppp().decoration, _SHIFT_TENT, 1.0)),
+    "psi_decoration_shift": ("shift", lambda: psi_decoration_shift(
+        _SHIFT_SPEC.decoration, _SCALE_TENT, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_CARRIER_CALLS))
+def test_a_test_function_of_the_other_carrier_is_one_domain_error(name):
+    carrier, call = _OTHER_CARRIER_CALLS[name]
+    with pytest.raises(DomainError, match=f"^expected a {carrier}-carrier test function$"):
+        call()
 
 
 # -- reference predictions -----------------------------------------------------

@@ -13,15 +13,9 @@ from stablepp.point_measure import (
     TestFunction,
     indicator_approx,
     integrate,
-    maxmod,
     maxmod_indicator,
-    restrict,
-    scale,
-    scale_fn,
-    shift,
     shift_indicator_approx,
     shift_tent,
-    superpose,
     tent,
     tent_family,
 )
@@ -80,23 +74,23 @@ class TestCanonicalForm:
 class TestMeasureOps:
     def test_scale(self):
         m = PointMeasure([-1.0, 2.0], [1, 2])
-        assert scale(m, 3.0).atoms() == ((-3.0, 1), (6.0, 2))
+        assert m.scale(3.0).atoms() == ((-3.0, 1), (6.0, 2))
         with pytest.raises(DomainError):
-            scale(m, 0.0)
+            m.scale(0.0)
         with pytest.raises(DomainError):
-            scale(m, -1.0)
+            m.scale(-1.0)
 
     def test_scale_overflow_and_underflow(self):
         with pytest.raises(RangeError):
-            scale(PointMeasure([1e300]), 1e100)
+            PointMeasure([1e300]).scale(1e100)
         with pytest.raises(RangeError):
-            scale(PointMeasure([1e-320]), 1e-30)
+            PointMeasure([1e-320]).scale(1e-30)
 
     def test_shift_scale_carrier_guards_origin(self):
         m = PointMeasure([1.0, 2.0])
-        assert shift(m, 0.5).atoms() == ((1.5, 1), (2.5, 1))
+        assert m.shift(0.5).atoms() == ((1.5, 1), (2.5, 1))
         with pytest.raises(DomainError):
-            shift(m, -1.0)
+            m.shift(-1.0)
 
     def test_shift_carrier_translation(self):
         m = ShiftPointMeasure([0.0, 1.0])
@@ -104,21 +98,38 @@ class TestMeasureOps:
         with pytest.raises(RangeError):
             ShiftPointMeasure([1e308]).shift(1e308)
 
+    @pytest.mark.parametrize("measure", [PointMeasure, ShiftPointMeasure])
+    def test_shift_on_both_carriers(self, measure):
+        m = measure([-2.0, 1.0], [1, 3])
+        moved = m.shift(0.5)
+        assert type(moved) is measure and moved.atoms() == ((-1.5, 1), (1.5, 3))
+        with pytest.raises(RangeError):
+            measure([1.0, 1e308]).shift(1e308)
+        with pytest.raises(RangeError):
+            measure([-1e308]).shift(-1e308)
+        with pytest.raises(DomainError):
+            m.shift(math.inf)
+        if measure is PointMeasure:  # an atom landing on 0 breaks the carrier's origin rule
+            with pytest.raises(DomainError, match="origin"):
+                m.shift(2.0)
+        else:
+            assert m.shift(2.0).atoms() == ((0.0, 1), (3.0, 3))
+
     def test_maxmod(self):
-        assert maxmod(PointMeasure([-5.0, 3.0])) == 5.0
+        assert PointMeasure([-5.0, 3.0]).maxmod() == 5.0
 
     def test_restrict_is_strict(self):
         m = PointMeasure([0.5, 1.0, -2.0])
-        assert restrict(m, 1.0).atoms() == ((-2.0, 1),)
+        assert m.restrict(1.0).atoms() == ((-2.0, 1),)
         s = ShiftPointMeasure([0.0, 1.0, 2.0])
         assert s.restrict_above(1.0).atoms() == ((2.0, 1),)
 
     def test_superpose(self):
         a = PointMeasure([1.0], [2])
         b = PointMeasure([1.0, 3.0])
-        assert superpose(a, b).atoms() == ((1.0, 3), (3.0, 1))
+        assert a.superpose(b).atoms() == ((1.0, 3), (3.0, 1))
         with pytest.raises(DomainError):
-            superpose(a, ShiftPointMeasure([1.0]))
+            a.superpose(ShiftPointMeasure([1.0]))
 
     def test_json_round_trip(self):
         m = PointMeasure([1.5, -2.0], [1, 4])
@@ -182,6 +193,41 @@ class TestTestFunction:
         assert z.is_zero
         assert z.support_bounds == (math.inf, 0.0)
 
+    @pytest.mark.parametrize("cls", [TestFunction, ShiftTestFunction])
+    def test_support_bounds_match_a_scan_of_the_pieces(self, cls):
+        rng = np.random.default_rng(3)
+        rejected = 0
+        for trial in range(3000):
+            n = int(rng.integers(2, 9))
+            xs = np.unique(rng.integers(-6, 7, n + 3).astype(float) * rng.choice([0.5, 1.0]))
+            if xs.size < 2:
+                continue
+            vs = np.where(rng.random(xs.size) < 0.5, 0.0, rng.random(xs.size))
+            if trial % 10 == 0:
+                vs[:] = 0.0  # the zero function
+            vs[0] = vs[-1] = 0.0
+            knots = list(zip(xs.tolist(), vs.tolist()))
+            # the pieces where f is not 0, their end points and carrier norms
+            live = [(xs[k], xs[k + 1]) for k in range(xs.size - 1) if vs[k] > 0 or vs[k + 1] > 0]
+            ends = [x for piece in live for x in piece]
+            if cls is TestFunction:
+                if any(a <= 0.0 <= b for a, b in live):  # a nonzero piece touches 0
+                    rejected += 1
+                    with pytest.raises(DomainError, match="vanish near the origin"):
+                        cls(knots)
+                    continue
+                expected = (min(map(abs, ends), default=math.inf), max(map(abs, ends), default=0.0))
+                views = ("inner_radius", "outer_radius")
+            else:
+                expected = (min(ends, default=math.inf), max(ends, default=-math.inf))
+                views = ("support_low", "support_high")
+            f = cls(knots)
+            assert f.support_bounds == expected
+            assert tuple(getattr(f, v) for v in views) == expected
+            with pytest.raises(AttributeError):
+                setattr(f, views[0], 0.0)
+        assert (rejected > 500) == (cls is TestFunction)
+
     def test_scaled(self):
         f = tent(1.0, 2.0, 4.0)
         g = f.scaled(2.0)  # x -> f(2x)
@@ -190,7 +236,7 @@ class TestTestFunction:
 
     def test_scale_fn_matches_pointwise(self):
         f = tent(1.0, 2.0, 4.0)
-        g = scale_fn(f, 0.5)
+        g = f.scaled(0.5)
         xs = np.linspace(0.5, 10.0, 101)
         np.testing.assert_allclose(g.eval(xs), f.eval(0.5 * xs))
 

@@ -19,7 +19,6 @@ from stablepp.sampler import (
     LocationLaw,
     ProcessSource,
     ProcessSpec,
-    ScaledSource,
     ScaleLaw,
     SeedSpec,
     ShiftLaw,
@@ -37,6 +36,12 @@ from stablepp.sampler import _ragged_gather
 
 def unit_spec(window=1.0, alpha=1.0):
     return ProcessSpec("scdppp", alpha, DecorationSpec.dirac([(1.0, 1)]), window)
+
+
+def dilated_unit_spec(b, window):
+    """S_b of the unit spec: the unit decoration under the global dilation W = b."""
+    return ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), window,
+                       ScaleLaw.deterministic(b))
 
 
 class TestLocationLaw:
@@ -463,22 +468,24 @@ class TestCampaigns:
 
 
 class TestSources:
-    def test_scaled_source_window_and_guard(self):
-        src = ScaledSource(ProcessSource(unit_spec(window=0.5)), 3.0)
-        assert src.window == 1.5
-        camp = run_campaign(src, 2, 2000)
+    def test_dilated_process_is_a_process_with_a_dilated_law(self):
+        # S_3 N of the unit spec on window 0.5 is the spec with W = 3 on window 1.5,
+        # drawn from the same stream
+        base = run_campaign(ProcessSource(unit_spec(window=0.5)), 2, 2000)
+        camp = run_campaign(ProcessSource(dilated_unit_spec(3.0, 1.5)), 2, 2000)
+        assert camp.locations.size > 1000
+        assert np.array_equal(camp.replica, base.replica)
+        assert np.array_equal(camp.weights, base.weights)
+        np.testing.assert_allclose(camp.locations, 3.0 * base.locations, rtol=1e-15, atol=0.0)
         assert np.all(np.abs(camp.locations) > 1.5)
-        with pytest.raises(DomainError):
-            ScaledSource(src, -1.0)
-        sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
-        with pytest.raises(DomainError):
-            ScaledSource(ProcessSource(sspec), 2.0)
 
     def test_superpose_requires_common_window(self):
         a = ProcessSource(unit_spec(window=0.5))
         b = ProcessSource(unit_spec(window=1.0))
         with pytest.raises(DomainError):
             SuperposeSource(a, b)
+        with pytest.raises(DomainError):  # windows are compared exactly
+            SuperposeSource(a, ProcessSource(unit_spec(window=math.nextafter(0.5, 1.0))))
         s = SuperposeSource(a, ProcessSource(unit_spec(window=0.5)))
         camp = run_campaign(s, 3, 1000)
         assert np.all(np.diff(camp.replica) >= 0)
@@ -678,8 +685,8 @@ def _stats_sources():
         "scale/random_atoms": ProcessSource(ProcessSpec("scdppp", 1.5, _RANDOM_SCALE, 0.8)),
         "shift/dirac": ProcessSource(sdirac),
         "shift/random_atoms": ProcessSource(ProcessSpec("dppp", 1.0, _RANDOM_SHIFT, 0.5)),
-        "scaled": ScaledSource(dirac, 2.0),
-        "superpose": SuperposeSource(ScaledSource(ProcessSource(unit_spec(window=0.4)), 2.0),
+        "scaled": ProcessSource(dilated_unit_spec(2.0, 1.0)),
+        "superpose": SuperposeSource(ProcessSource(dilated_unit_spec(2.0, 0.8)),
                                      ProcessSource(unit_spec(window=0.8))),
         "superpose_shift": SuperposeSource(
             ProcessSource(sdirac), ProcessSource(ProcessSpec("dppp", 1.0, _RANDOM_SHIFT, 1.0))),

@@ -10,7 +10,6 @@ from stablepp.point_measure import (
     ShiftTestFunction,
     TestFunction,
     integrate,
-    scale_fn,
     shift_tent,
     tent,
 )
@@ -181,7 +180,7 @@ class TestChangeOfVariable:
         for t in (0.5, 1.0, 2.0):
             lt = math.log(t)
             for u in battery.values():
-                ut = scale_fn(u, 1.0 / t)
+                ut = u.scaled(1.0 / t)
                 for i in range(0, 200, 7):
                     T = campaign.replica_measure(i)
                     lhs = integrate(exp_transform(T), ut)
@@ -200,7 +199,7 @@ class TestChangeOfVariable:
             lt = math.log(t)
             for i in range(0, 100, 11):
                 n = campaign.replica_measure(i)
-                lhs = integrate(n, scale_fn(u, 1.0 / t))
+                lhs = integrate(n, u.scaled(1.0 / t))
                 T = log_transform(n)
                 rhs = sum(mult * float(u.eval(math.exp(z - lt))) for z, mult in T.atoms())
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
