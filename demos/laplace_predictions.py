@@ -14,7 +14,7 @@ from stablepp import (
     ScaleLaw,
     battery_estimates,
     default_battery,
-    default_y_grid,
+    default_points,
     predict_scaled_laplace,
 )
 
@@ -23,17 +23,18 @@ def main():
     spec = ProcessSpec(
         "sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1), (0.5, 2)]), 0.05,
         law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
-    battery = default_battery()
+    battery = default_battery("scale")
+    points = default_points("scale")
 
     print("estimating with 100000 replicas per point...\n")
-    estimates = battery_estimates(spec, battery, default_y_grid, 100_000, seed=1)
+    estimates = battery_estimates(spec, battery, points, 100_000, seed=1)
 
     print(f"{'function':<10}{'y':>6}{'estimate':>12}{'3 s.e.':>10}"
           f"{'predicted':>12}{'gap':>10}")
     for fid in battery:
         # one prediction call covers the whole grid
-        pred = predict_scaled_laplace(spec, battery[fid], default_y_grid)
-        for y, value, bound in zip(default_y_grid, pred.value, pred.error_bound):
+        pred = predict_scaled_laplace(spec, battery[fid], points)
+        for y, value, bound in zip(points, pred.value, pred.error_bound):
             est = estimates[(fid, y)]
             gap = abs(est.value - value)
             flag = "" if gap <= 3 * est.std_error + bound else "  <-- off"

@@ -11,7 +11,7 @@ from scipy import stats
 
 from stablepp import (
     DecorationSpec,
-    FrechetMixture,
+    ExtremeLaw,
     ProcessSource,
     ProcessSpec,
     maxmod_samples,
@@ -38,7 +38,7 @@ def main():
         emp = float(np.quantile(mm, q))
         exact = 1.0 / -np.log(q)
         print(f"  quantile {q}: empirical {emp:.3f}, analytic {exact:.3f}")
-    print(f"  P(maxmod <= 2) analytic: {FrechetMixture(1.0, 1.0).cdf(2.0):.4f}, "
+    print(f"  P(maxmod <= 2) analytic: {ExtremeLaw('scale', 1.0, 1.0).cdf(2.0):.4f}, "
           f"empirical: {float(np.mean(mm <= 2.0)):.4f}")
 
 

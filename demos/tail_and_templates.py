@@ -10,7 +10,7 @@ import numpy as np
 
 from stablepp import (
     DecorationSpec,
-    FrechetMixture,
+    ExtremeLaw,
     ProcessSpec,
     fit_scale_template,
     maxmod_samples,
@@ -40,7 +40,7 @@ def main():
     mixed = 0.5 * (np.exp(-1.0 / ys) + np.exp(-1.0 / ys ** 2))
     ses = np.full(4, 1.5e-3)
     for alpha in (1.0, 2.0):
-        template = FrechetMixture(alpha, 1.0).cdf
+        template = ExtremeLaw("scale", alpha, 1.0).cdf
         c_hat, residual, pooled = fit_scale_template(ys, mixed, ses, template)
         print(f"  alpha = {alpha} template: best c = {c_hat:.3f}, "
               f"residual {residual:.4f} = {residual / pooled:.0f}x pooled s.e.")

@@ -26,12 +26,12 @@ from scipy import optimize, stats
 
 from .errors import DomainError
 from .functionals import (
-    FrechetMixture,
+    ExtremeLaw,
     battery_estimates,
     default_battery,
-    default_y_grid,
+    default_points,
+    extreme_law,
     laplace_battery,
-    maxmod_law,
 )
 from .sampler import (
     SCALE,
@@ -155,7 +155,7 @@ def _bisect(fn, q: float) -> tuple:
     return lo, hi
 
 
-def censor_window(law: FrechetMixture, mass: float = _CENSOR_MASS) -> float:
+def censor_window(law: ExtremeLaw, mass: float = _CENSOR_MASS) -> float:
     """Window below which the law leaves at most `mass` probability.
 
     Bisection on the CDF; the returned w satisfies cdf(w) <= mass.
@@ -249,7 +249,8 @@ def stability_test(
     if not (rhs_scale_factor > 0.0 and math.isfinite(rhs_scale_factor)):
         raise DomainError("rhs_scale_factor must be finite and > 0")
     if battery is None:
-        battery = [(f, y) for f in default_battery().values() for y in default_y_grid]
+        battery = [(f, y) for f in default_battery("scale").values()
+                   for y in default_points("scale")]
     pairs = [(f, float(y)) for f, y in battery]
     if not pairs:
         raise DomainError("the battery must contain at least one (function, y) pair")
@@ -268,7 +269,11 @@ def stability_test(
         raise DomainError("the battery must contain a nonzero function")
 
     # S_b N is the process whose deterministic global dilation W is b * W
-    dilations = ((b1 * law.value, b2 * law.value), (b_rhs * law.value,))
+    w = law.value
+    dilations = ((b1 * w, b2 * w), (b_rhs * w,))
+    if not all(0.0 < d < math.inf for ds in dilations for d in ds):
+        raise DomainError(f"a dilated global value b * W leaves the float range at b1 = {b1!r}, "
+                          f"b2 = {b2!r}, W = {w!r} (right side b = {b_rhs!r})")
 
     def dilated(d: float) -> ProcessSource:
         return ProcessSource(ProcessSpec(SCALE.families[1], alpha, spec.decoration, window,
@@ -355,7 +360,9 @@ def maxmod_law_test(
     the resolution tested.
     """
     _check_level(level)
-    law = maxmod_law(spec)
+    if not spec.is_scale_family:
+        raise DomainError("expected a scale-family spec")
+    law = extreme_law(spec)
     window = min(censor_window(law), spec.window)
     mm = maxmod_samples(spec, n_reps, seed, window=window, threads=threads,
                         role=_ROLE_MAXLAW)
@@ -493,15 +500,15 @@ def scale_unique_support_test(
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
     if battery is None:
-        battery = list(default_battery().values())
+        battery = list(default_battery("scale").values())
     battery = list(battery)
     if y_grid is None:
-        y_grid = default_y_grid
+        y_grid = default_points("scale")
     ys = [float(y) for y in y_grid]
     if len(ys) < 2:
         raise DomainError("the y grid needs at least two points")
 
-    template = maxmod_law(spec).cdf
+    template = extreme_law(spec).cdf
     functions = {f"f{i:02d}": f for i, f in enumerate(battery)}
     estimates = battery_estimates(spec, functions, ys, n_reps, seed,
                                   threads=threads, role=_ROLE_SUPPORT)

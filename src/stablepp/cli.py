@@ -32,12 +32,10 @@ from .extraction import ExtractionConfig, extract_decoration
 from .functionals import (
     battery_estimates,
     default_battery,
-    default_u_grid,
-    default_y_grid,
+    default_points,
     predict_scaled_laplace,
     predict_shift_laplace,
     required_window,
-    shift_battery,
 )
 from .point_measure import (
     MeasureBatch,
@@ -112,17 +110,11 @@ _FUNCTION_MAKERS = {
 }
 
 
-def _carrier_defaults(carrier: str):
-    """(battery, points, predictor) of a carrier, built per call from the current bindings."""
-    return {"scale": (default_battery, default_y_grid, predict_scaled_laplace),
-            "shift": (shift_battery, default_u_grid, predict_shift_laplace)}[carrier]
-
-
 def _battery(fields: dict, carrier: str) -> dict:
     """The config's battery, or the carrier's default one, as {id: function}."""
     entries = fields.get("battery", "default")
     if entries == "default":
-        return _carrier_defaults(carrier)[0]()
+        return default_battery(carrier)
     out = {}
     for i, entry in enumerate(entries):
         params = kind_fields(entry, f"config.battery[{i}]", _FUNCTION_FIELDS, required=("id",))
@@ -136,7 +128,7 @@ def _battery(fields: dict, carrier: str) -> dict:
 
 
 def _points(fields: dict, carrier: str):
-    return fields.get("points", _carrier_defaults(carrier)[1])
+    return fields.get("points", default_points(carrier))
 
 
 # -- output plumbing ---------------------------------------------------------------
@@ -203,7 +195,8 @@ def cmd_estimate(args) -> int:
     threads = resolve_threads(args.threads)
     estimates = battery_estimates(spec, functions, points, reps, args.seed,
                                   threads=threads)
-    predict = _carrier_defaults(spec.carrier)[2]
+    # looked up per call in the current bindings, which a tracer may rebind
+    predict = {"scale": predict_scaled_laplace, "shift": predict_shift_laplace}[spec.carrier]
     rows = ["f_id,point,value,std_error,predicted,predicted_error"]
     for fid in sorted(functions):
         # one call for all points; tolist gives Python floats, whose repr the CSV uses

@@ -24,13 +24,13 @@ from .errors import DomainError, StarvationError
 from .characterization import (SubCheck, TestReport, censor_window, fit_scale_template,
                                ks_censored)
 from .functionals import (
-    FrechetMixture,
+    ExtremeLaw,
     battery_estimates,
     cf_quadrature,
     default_battery,
-    default_y_grid,
+    default_points,
+    extreme_law,
     laplace_battery,
-    maxmod_law,
     predict_scaled_laplace,
 )
 from .point_measure import MeasureBatch, PointMeasure, tent
@@ -142,8 +142,9 @@ class ExtractionReport:
 
 
 def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
-    """Analytic P(maxmod > threshold), from the maxmod law of any decoration kind."""
-    return 1.0 - float(maxmod_law(spec).cdf(threshold))
+    """Analytic P(extreme > threshold) from ``extreme_law``: the largest atom
+    modulus of a scale-family spec, the largest atom of a shift-family one."""
+    return 1.0 - float(extreme_law(spec).cdf(threshold))
 
 
 def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> float:
@@ -198,7 +199,7 @@ def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     censored empirical CDF is exact.
     """
     alpha = spec.alpha
-    w_fit = censor_window(maxmod_law(spec), 0.35)
+    w_fit = censor_window(extreme_law(spec), 0.35)
     mm = maxmod_samples(spec, _CMAX_FIT_REPS, seed, window=w_fit, threads=threads,
                         role=(_ROLE_CMAX,))
     n = mm.size
@@ -210,7 +211,7 @@ def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     fhat = (k0 + np.searchsorted(exc, grid, side="right")) / n
     se = np.sqrt(np.maximum(fhat * (1.0 - fhat), 1e-12) / n)
 
-    c_hat, _, _ = fit_scale_template(grid, fhat, se, FrechetMixture(alpha, 1.0).cdf)
+    c_hat, _, _ = fit_scale_template(grid, fhat, se, ExtremeLaw("scale", alpha, 1.0).cdf)
     return c_hat, w_fit
 
 
@@ -335,12 +336,12 @@ def nstar_functional_check(
     if xs[0] < 1.0:
         raise DomainError("evaluation points must be >= 1")
     if battery is None:
-        battery = [default_battery()["mm_50"]]
+        battery = [default_battery("scale")["mm_50"]]
     for f in battery:
         if f.is_zero or f.inner_radius < 1.0:
             raise DomainError("battery supports must lie in {|x| > 1}")
 
-    law = maxmod_law(spec)
+    law = extreme_law(spec)
     alpha = spec.alpha
     f_ys = [float(law.cdf(y)) for y in ys]
 
@@ -470,9 +471,9 @@ def rebuild_process(
         orig.window,
     )
     if battery is None:
-        battery = default_battery()
+        battery = default_battery("scale")
     if points is None:
-        points = default_y_grid
+        points = default_points("scale")
     est_a = battery_estimates(orig, battery, points, n_reps, seed,
                               threads=threads, role=(_ROLE_REBUILD_A,))
     est_b = battery_estimates(rebuilt, battery, points, n_reps, seed,

@@ -40,10 +40,11 @@ random atoms with count law p_k and one atom's norm law G,
 P(M <= m) = sum_k p_k G(m)^k: a finite sum over the distinct norms of a table
 location law, and for uniform locations with norms in [a, b]
 E[e^{rate v_max}] = e^{rate v_a} + integral from v_a to v_b of
-rate e^{rate v} P(v_max > v) dv, by quadrature. Every Laplace curve lies in
-the same family: Psi(f | .) is the CDF of that extreme law with kappa = c_f
-(kappa_g on the shift carrier), so a prediction is the law's ``cdf`` with the
-constant integrated once per function.
+rate e^{rate v} P(v_max > v) dv, by quadrature. Both mixtures are one class,
+``ExtremeLaw``, with a carrier field; ``extreme_law(spec)`` builds a spec's.
+Every Laplace curve lies in the same family: Psi(f | .) is the CDF of that
+extreme law with kappa = c_f (kappa_g on the shift carrier), so a prediction
+is the law's ``cdf`` with the constant integrated once per function.
 
 Monte Carlo estimates carry standard errors; quadrature predictions carry
 error bounds from the quadrature, so the two can be compared honestly.
@@ -95,14 +96,10 @@ __all__ = [
     "cf_estimate",
     "predict_scaled_laplace",
     "predict_shift_laplace",
-    "FrechetMixture",
-    "GumbelMixture",
-    "maxmod_law",
-    "max_location_law",
+    "ExtremeLaw",
+    "extreme_law",
     "default_battery",
-    "shift_battery",
-    "default_y_grid",
-    "default_u_grid",
+    "default_points",
     "tent_family_bias_bound",
 ]
 
@@ -393,7 +390,7 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
 
 # -- predictions ------------------------------------------------------------------
 
-def _predict(cr, quadrature, mixture, spec: ProcessSpec, f, p) -> Prediction:
+def _predict(cr, quadrature, spec: ProcessSpec, f, p) -> Prediction:
     """Psi(f | p) at one point or an array of points: the CDF of the carrier's
     extreme law with kappa set to the constant, integrated once per call."""
     if spec.carrier != cr.name:
@@ -402,7 +399,7 @@ def _predict(cr, quadrature, mixture, spec: ProcessSpec, f, p) -> Prediction:
     if not all(cr.point_ok(x) for x in points.ravel()):
         raise DomainError(cr.point_error)
     const = quadrature(spec.alpha, spec.decoration, f)
-    law = mixture(spec.alpha, const.value, spec.law)
+    law = ExtremeLaw(cr.name, spec.alpha, const.value, spec.law)
     # d/dc of E exp(-weight c) is bounded by E[weight]
     return Prediction(law.cdf(points), const.error_bound * law._mean_weight(points))
 
@@ -410,13 +407,13 @@ def _predict(cr, quadrature, mixture, spec: ProcessSpec, f, p) -> Prediction:
 def predict_scaled_laplace(spec: ProcessSpec, f: TestFunction, y) -> Prediction:
     """Closed-form Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)] with error bound,
     at one point y or at every point of an array."""
-    return _predict(SCALE, cf_quadrature, FrechetMixture, spec, f, y)
+    return _predict(SCALE, cf_quadrature, spec, f, y)
 
 
 def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Prediction:
     """Closed-form Psi(g | u) = E_U[exp(-e^{-c(u - U)} kappa_g)] with error bound,
     at one point u or at every point of an array."""
-    return _predict(SHIFT, kappa_quadrature, GumbelMixture, spec, g, u)
+    return _predict(SHIFT, kappa_quadrature, spec, g, u)
 
 
 # -- extreme-value laws -------------------------------------------------------------
@@ -424,17 +421,32 @@ def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Predict
 _EXPECT_POINTS = 1 << 14  # points per expect call, bounding its (nodes x points) arrays
 
 
-@dataclass(frozen=True)
-class _ExtremeLaw:
-    """P(extreme <= p) = E_W[exp(-weight(p, W) kappa)] over the global law W
-    (the identity when ``law`` is None), written once against the carrier
-    ``_cr``; ``rate`` is alpha (scale) or c (shift)."""
+def _carrier(name: str):
+    """The Carrier named `name`, a DomainError for any other string."""
+    if name not in CARRIERS:
+        raise DomainError(f"carrier must be one of {sorted(CARRIERS)}, not {name!r}")
+    return CARRIERS[name]
 
+
+@dataclass(frozen=True)
+class ExtremeLaw:
+    """P(extreme <= p) = E_W[exp(-weight(p, W) kappa)] over the global law W
+    (the identity when ``law`` is None) on the carrier named ``carrier``: the
+    law of the largest atom modulus, a Frechet mixture, on "scale", and of the
+    largest atom, a Gumbel mixture, on "shift"; each is a Frechet (Gumbel) law
+    when W is constant. ``rate`` is alpha (scale) or c (shift)."""
+
+    carrier: str
     rate: float
     kappa: float
     law: ScaleLaw | ShiftLaw | None = None
 
-    _cr = None
+    def __post_init__(self):
+        _carrier(self.carrier)
+
+    @property
+    def _cr(self):
+        return CARRIERS[self.carrier]
 
     def _expect(self, p, h):
         """E_W[h(weight(p, W))] at every point of p, many points per `expect`
@@ -475,18 +487,6 @@ class _ExtremeLaw:
         return self.ppf(rng.random(int(n)))
 
 
-class FrechetMixture(_ExtremeLaw):
-    """P(maxmod <= y) = E_W[exp(-y^-alpha W^alpha kappa)]; Frechet when W is constant."""
-
-    _cr = SCALE
-
-
-class GumbelMixture(_ExtremeLaw):
-    """P(max location <= t) = E_U[exp(-e^{-c(t - U)} kappa)]; Gumbel when U is constant."""
-
-    _cr = SHIFT
-
-
 def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
     """E[e^{rate v_max}] for one copy of dec: E[maxmod^alpha] (scale) or
     E[e^{c max}] (shift), in the forms of the module docstring. The uniform
@@ -513,49 +513,45 @@ def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
     return math.exp(rate * va) + _quad_with_corners(integrand, va, cr.to_log(b), ())[0]
 
 
-def _extreme_law(cr, mixture, spec: ProcessSpec):
-    if spec.carrier != cr.name:
-        raise DomainError(f"expected a {cr.name}-family spec")
-    rate = spec.alpha
-    # kappa = (rho / rate) E[e^{rate v_max}], the tail mass of rho e^{-rate v} dv
-    # beyond -v_max; dividing by rate / rho (1 or c) keeps E exact on the scale side
-    kappa = _extreme_moment(cr, rate, spec.decoration) / (rate / cr.intensity(rate))
-    return mixture(rate, kappa, spec.law)
+def extreme_law(spec: ProcessSpec) -> ExtremeLaw:
+    """Analytic law of the largest atom modulus (scale carrier) or the largest
+    atom (shift carrier) of a process.
 
-
-def maxmod_law(spec: ProcessSpec) -> FrechetMixture:
-    """Analytic law of the largest atom modulus of a scale-family process."""
-    return _extreme_law(SCALE, FrechetMixture, spec)
-
-
-def max_location_law(spec: ProcessSpec) -> GumbelMixture:
-    """Analytic law of the largest atom of a shift-family process.
-
-    kappa = E[e^{c M_Q}] / c, with M_Q the largest atom of one decoration; the
-    1/c reflects the e^{-cx} dx intensity convention.
+    kappa = (rho / rate) E[e^{rate v_max}], the tail mass of rho e^{-rate v} dv
+    beyond -v_max: E[maxmod^alpha] on the scale carrier, and E[e^{c M_Q}] / c
+    on the shift carrier, with M_Q the largest atom of one decoration; the 1/c
+    reflects the e^{-cx} dx intensity convention.
     """
-    return _extreme_law(SHIFT, GumbelMixture, spec)
+    cr = CARRIERS[spec.carrier]
+    rate = spec.alpha
+    # dividing by rate / rho (1 or c) keeps E exact on the scale side
+    kappa = _extreme_moment(cr, rate, spec.decoration) / (rate / cr.intensity(rate))
+    return ExtremeLaw(cr.name, rate, kappa, spec.law)
 
 
 # -- canonical batteries -------------------------------------------------------------
 
-default_y_grid = (0.5, 1.0, 2.0, 4.0)
-default_u_grid = (-math.log(2.0), 0.0, math.log(2.0), math.log(4.0))
+_DEFAULT_POINTS = {"scale": (0.5, 1.0, 2.0, 4.0),
+                   "shift": (-math.log(2.0), 0.0, math.log(2.0), math.log(4.0))}
 
 
-def default_battery() -> dict:
-    """Five scale-carrier test functions covering tents, steps, bands and maxima."""
-    return {
-        "tent_lo": tent(0.5, 1.0, 2.0),
-        "tent_hi": tent(2.0, 4.0, 8.0),
-        "step_ln2": indicator_approx(math.log(2.0), edge=1.0, outer=1e6, ramp=1e-6),
-        "band_sym": indicator_approx(1.0, edge=0.7, outer=5.0, ramp=1e-3, symmetric=True),
-        "mm_50": maxmod_indicator(50.0, edge=1.0, outer=1e6, ramp=1e-6),
-    }
+def default_points(carrier: str) -> tuple:
+    """The canonical evaluation points: y in (0.5, 1, 2, 4) on the scale
+    carrier, their log coordinates u = log y on the shift carrier."""
+    return _DEFAULT_POINTS[_carrier(carrier).name]
 
 
-def shift_battery() -> dict:
-    """Shift-carrier counterpart of the default battery."""
+def default_battery(carrier: str) -> dict:
+    """The canonical test functions of a carrier: five on the scale carrier
+    covering tents, steps, bands and maxima, four shift counterparts."""
+    if _carrier(carrier) is SCALE:
+        return {
+            "tent_lo": tent(0.5, 1.0, 2.0),
+            "tent_hi": tent(2.0, 4.0, 8.0),
+            "step_ln2": indicator_approx(math.log(2.0), edge=1.0, outer=1e6, ramp=1e-6),
+            "band_sym": indicator_approx(1.0, edge=0.7, outer=5.0, ramp=1e-3, symmetric=True),
+            "mm_50": maxmod_indicator(50.0, edge=1.0, outer=1e6, ramp=1e-6),
+        }
     return {
         "gtent_lo": shift_tent(-math.log(2.0), 0.0, math.log(2.0)),
         "gtent_hi": shift_tent(math.log(2.0), math.log(4.0), math.log(8.0)),
@@ -564,7 +560,7 @@ def shift_battery() -> dict:
     }
 
 
-def tent_family_bias_bound(law: FrechetMixture, n: int, y: float, outer: float = 1e8) -> float:
+def tent_family_bias_bound(law: ExtremeLaw, n: int, y: float, outer: float = 1e8) -> float:
     """Bound on |Psi(f_n | y) - P(maxmod <= y)| for the plateau family member n.
 
     Three contributions: the plateau is n rather than infinity (mass e^-n),

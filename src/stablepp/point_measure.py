@@ -33,7 +33,6 @@ __all__ = [
     "tent",
     "indicator_approx",
     "maxmod_indicator",
-    "tent_family",
     "shift_tent",
     "shift_indicator_approx",
 ]
@@ -86,9 +85,11 @@ def _canonical_atoms(locations, multiplicities, forbid_origin: bool):
         raw = np.atleast_1d(np.asarray(multiplicities))
         if raw.shape != locs.shape:
             raise DomainError("multiplicities must match locations one-to-one")
-        if raw.dtype.kind == "f":
-            if not np.all(raw == np.round(raw)):
-                raise DomainError("multiplicities must be integers")
+        # booleans, and Python ints beyond 64 bits (an object array), are refused
+        kind = raw.dtype.kind
+        if kind not in "iuf" or (kind != "i" and not np.all((raw == np.round(raw))
+                                                           & (np.abs(raw) < 2.0 ** 63))):
+            raise DomainError("multiplicities must be integers in the int64 range")
         mults = raw.astype(np.int64)
     locs, mults, _ = _canonical(locs, mults, np.zeros(locs.size, dtype=np.int64), 1,
                                 forbid_origin)
@@ -571,15 +572,6 @@ def maxmod_indicator(plateau: float, edge: float = 1.0, outer: float = 1e8, ramp
     e^{-plateau} plus the ramp and outer-cutoff mass.
     """
     return indicator_approx(plateau, edge=edge, outer=outer, ramp=ramp, symmetric=True)
-
-
-def tent_family(n: int, outer: float = 1e8) -> TestFunction:
-    """Member n of the canonical plateau family: value n for |x| >= 1 + 1/n,
-    linear ramp n^2 * (|x| - 1) on 1 < |x| < 1 + 1/n, with an outer cutoff."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("family index must be >= 1")
-    return indicator_approx(float(n), edge=1.0, outer=outer, ramp=1.0 / n, symmetric=True)
 
 
 def shift_tent(left: float, peak: float, right: float, height: float = 1.0) -> ShiftTestFunction:

@@ -6,9 +6,10 @@ mixing chain is splitmix64, fixed here so that streams are stable across
 platforms and numpy versions (no reliance on Python's randomized hash or on
 SeedSequence entropy pooling).
 
-Roles keep logically distinct streams apart: a stability test's left and right
-processes, a permutation test's shuffles, and plain replica sampling never
-share a key even under the same master seed.
+Roles keep logically distinct streams apart: campaign blocks (each campaign
+under its own role path, as a stability test's two sides are), scalar draws
+and a permutation test's shuffles never share a key even under the same
+master seed.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Role tags for key derivation. Values are arbitrary but frozen.
-ROLE_REPLICA = 1
 ROLE_BLOCK = 2
 ROLE_SCALAR = 3
 ROLE_PERMUTE = 4

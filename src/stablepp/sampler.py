@@ -25,14 +25,10 @@ uniform per dilation point, then the decoration copies. The carrier supplies
 only the arithmetic that turns these draws into Poisson means, dilation points
 and atoms, and the norm that the decoration bound caps and the window keeps.
 
-Determinism contract, two documented tiers:
-
-* ``sample_process(spec, SeedSpec(ms, r))`` is a pure function of
-  (spec, ms, r): one Philox stream per replica.
-* Batch campaigns partition replicas into fixed blocks of ``BLOCK_SIZE`` and
-  give each block its own Philox stream, vectorizing inside the block. Block
-  boundaries and assembly order never depend on the thread count, so campaign
-  results are bit-identical for any ``threads`` value.
+Determinism contract: campaigns partition replicas into fixed blocks of
+``BLOCK_SIZE`` and give each block its own Philox stream, vectorizing inside
+the block. Block boundaries and assembly order never depend on the thread
+count, so campaign results are bit-identical for any ``threads`` value.
 """
 from __future__ import annotations
 
@@ -50,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
 from .point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
-from .rng import ROLE_BLOCK, ROLE_REPLICA, ROLE_SCALAR, derive_key, make_generator
+from .rng import ROLE_BLOCK, derive_key
 
 __all__ = [
     "LocationLaw",
@@ -59,12 +55,9 @@ __all__ = [
     "ScaleLaw",
     "ShiftLaw",
     "ProcessSpec",
-    "SeedSpec",
     "BLOCK_SIZE",
     "MEAN_CAP",
     "process_spec_from_config",
-    "sample_decoration",
-    "sample_process",
     "FlatCampaign",
     "ProcessSource",
     "SuperposeSource",
@@ -513,18 +506,6 @@ class ProcessSpec:
         return hashlib.sha256(doc.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus replica index; the replica stream is a pure function of both."""
-
-    master_seed: int
-    replica_index: int = 0
-
-    def __post_init__(self):
-        if self.replica_index < 0:
-            raise DomainError("replica_index must be >= 0")
-
-
 # -- config parsing (strict, fail closed) -------------------------------------
 #
 # `config_fields` reads every config object, from a process to a CLI command
@@ -794,36 +775,6 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: f
     rep = rep_pt[copy_idx]
     keep = cr.norm(locs) > window
     return locs[keep], rep[keep], dw[keep]
-
-
-# -- single-draw operations ----------------------------------------------------
-
-def _seed_pair(seed) -> tuple[int, int]:
-    if isinstance(seed, SeedSpec):
-        return seed.master_seed, seed.replica_index
-    return int(seed), 0
-
-
-def sample_decoration(dec: DecorationSpec, seed):
-    """One decoration realization as a canonical measure."""
-    master, replica = _seed_pair(seed)
-    rng = make_generator(master, ROLE_SCALAR, replica)
-    _, locs, w = dec.sample_atoms_block(rng, 1)
-    return CARRIERS[dec.carrier].measure(locs, w)
-
-
-def sample_process(spec: ProcessSpec, seed: SeedSpec):
-    """One replica, restricted to the spec's observation window, exactly in law.
-
-    Pure in (spec, seed.master_seed, seed.replica_index): the replica owns a
-    Philox stream keyed by that pair and nothing else.
-    """
-    if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(int(seed), 0)
-    key = derive_key(seed.master_seed, ROLE_REPLICA, seed.replica_index)
-    cr = CARRIERS[spec.carrier]
-    locs, _, w = _block(cr, spec, key, 1, spec.window)
-    return cr.measure(locs, w)
 
 
 # -- campaigns -------------------------------------------------------------------

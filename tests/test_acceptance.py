@@ -24,7 +24,7 @@ from stablepp.characterization import (
 from stablepp.cli import main as cli_main
 from stablepp.extraction import ExtractionConfig, extract_decoration, rebuild_process
 from stablepp.functionals import (
-    FrechetMixture,
+    ExtremeLaw,
     battery_estimates,
     cf_estimate,
     cf_quadrature,
@@ -107,7 +107,7 @@ def test_scaled_laplace_agreement():
                                 law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5])),
                     103),
     }
-    battery = default_battery()
+    battery = default_battery("scale")
     points = (0.5, 1.0, 2.0, 4.0)
     for spec, seed in laws.values():
         estimates = battery_estimates(spec, battery, points, 100_000, seed)
@@ -144,7 +144,7 @@ def test_scale_unique_support():
     mixed = 0.5 * (np.exp(-1.0 / ys) + np.exp(-1.0 / ys ** 2))
     ses = np.full(4, 1.5e-3)
     for alpha in (1.0, 2.0):
-        template = FrechetMixture(alpha, 1.0).cdf
+        template = ExtremeLaw("scale", alpha, 1.0).cdf
         c_hat, residual, pooled = fit_scale_template(ys, mixed, ses, template)
         assert residual >= 5.0 * pooled
 
@@ -152,7 +152,7 @@ def test_scale_unique_support():
 @criterion(6, "Hill estimate within 10 percent of the tail index")
 def test_tail_regular_variation():
     for alpha in (1.0, 2.0):
-        law = FrechetMixture(alpha, 1.0)
+        law = ExtremeLaw("scale", alpha, 1.0)
         hats = []
         for s in range(50):
             x = np.asarray(law.sample(100_000, 500 + s))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stablepp.characterization import (
     stability_test,
     tail_index_estimate,
 )
-from stablepp.functionals import FrechetMixture, default_battery, maxmod_law
+from stablepp.functionals import ExtremeLaw, default_battery, extreme_law
 from stablepp.point_measure import PointMeasure, tent
 from stablepp.rng import ROLE_SCALAR, make_generator
 from stablepp.sampler import DecorationSpec, ProcessSpec, ScaleLaw
@@ -54,21 +55,21 @@ class TestReportPlumbing:
 
 class TestCensoredKs:
     def test_window_mass(self):
-        law = FrechetMixture(1.0, 1.0)
+        law = ExtremeLaw("scale", 1.0, 1.0)
         w = censor_window(law, mass=1e-6)
         assert law.cdf(w) <= 1e-6
         assert law.cdf(w * 4.0) > 1e-6
 
     def test_accepts_true_law(self):
-        law = FrechetMixture(1.0, 1.0)
+        law = ExtremeLaw("scale", 1.0, 1.0)
         xs = law.sample(4000, seed=3)
         w = censor_window(law)
         d, p = ks_censored(np.maximum(xs, w), law.cdf, w)
         assert p > 0.01
 
     def test_rejects_wrong_law(self):
-        law = FrechetMixture(1.0, 1.0)
-        wrong = FrechetMixture(1.0, 1.5)
+        law = ExtremeLaw("scale", 1.0, 1.0)
+        wrong = ExtremeLaw("scale", 1.0, 1.5)
         xs = law.sample(4000, seed=3)
         w = censor_window(law)
         d, p = ks_censored(np.maximum(xs, w), wrong.cdf, w)
@@ -89,7 +90,7 @@ class TestMaxmodLawTest:
         assert report.passed
         assert report.subchecks[0].statistic < 0.02
         # the analytic mixture is the average of two Frechet curves
-        law = maxmod_law(spec)
+        law = extreme_law(spec)
         y = 1.7
         assert law.cdf(y) == pytest.approx(
             0.5 * (math.exp(-1.0 / y) + math.exp(-2.0 / y)), rel=1e-12)
@@ -97,7 +98,7 @@ class TestMaxmodLawTest:
     def test_two_atom_alpha2(self):
         spec = ProcessSpec("scdppp", 2.0,
                            DecorationSpec.dirac([(1.0, 1), (-0.5, 1)]), 0.05)
-        assert maxmod_law(spec).kappa == pytest.approx(1.0)
+        assert extreme_law(spec).kappa == pytest.approx(1.0)
         report = maxmod_law_test(spec, n_reps=10_000, seed=13)
         assert report.passed
         assert report.subchecks[0].statistic < 0.02
@@ -141,6 +142,15 @@ class TestStabilityTest:
         with pytest.raises(DomainError):
             stability_test(spec, 1.0, 1.0, n_reps=100)
 
+    @pytest.mark.parametrize("b1, b2, w", [(1e200, 1.0, 1e200), (1e-200, 1e-200, 1e-200)])
+    def test_dilated_value_outside_the_float_range_names_b_and_w(self, b1, b2, w):
+        # S_b N is drawn with the global value b * W; where that product leaves
+        # the float range the error names the inputs, not the law's own check
+        spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
+                           law=ScaleLaw.deterministic(w))
+        with pytest.raises(DomainError, match=re.escape(f"b1 = {b1!r}, b2 = {b2!r}, W = {w!r}")):
+            stability_test(spec, b1, b2, n_reps=100)
+
     def test_calibration_level(self):
         # under H0 the rejection rate at level 0.01 stays below 0.02
         rejections = 0
@@ -154,7 +164,7 @@ class TestStabilityTest:
 
 class TestTailIndex:
     def test_frechet_alpha1(self):
-        xs = FrechetMixture(1.0, 1.0).sample(100_000, seed=3)
+        xs = ExtremeLaw("scale", 1.0, 1.0).sample(100_000, seed=3)
         est = tail_index_estimate(xs, k=316)
         assert 0.85 <= est.alpha_hat <= 1.15
         assert est.k == 316
@@ -169,13 +179,13 @@ class TestTailIndex:
     def test_coverage_over_seeds(self):
         hits = 0
         for s in range(20):
-            xs = FrechetMixture(1.0, 1.0).sample(100_000, seed=100 + s)
+            xs = ExtremeLaw("scale", 1.0, 1.0).sample(100_000, seed=100 + s)
             est = tail_index_estimate(xs, k=316)
             hits += 1 if 0.85 <= est.alpha_hat <= 1.15 else 0
         assert hits >= 18
 
     def test_default_k(self):
-        xs = FrechetMixture(1.0, 1.0).sample(10_000, seed=7)
+        xs = ExtremeLaw("scale", 1.0, 1.0).sample(10_000, seed=7)
         est = tail_index_estimate(xs)
         assert est.k == 100
 
@@ -201,7 +211,7 @@ class TestScaleUniqueSupport:
         assert fitted[mm_key] == pytest.approx(1.0, abs=0.05)
 
     def test_fit_invariance_under_function_scaling(self):
-        f = default_battery()["mm_50"]
+        f = default_battery("scale")["mm_50"]
         report = scale_unique_support_test(
             dirac_spec(), battery=[f, f.scaled(2.0)], n_reps=30_000, seed=9)
         fitted = report.params["fitted_c"]
@@ -214,7 +224,7 @@ class TestScaleUniqueSupport:
         mixed = 0.5 * (np.exp(-1.0 / ys) + np.exp(-1.0 / ys ** 2))
         ses = np.full(4, 1.5e-3)
         for alpha in (1.0, 2.0):
-            template = FrechetMixture(alpha, 1.0).cdf
+            template = ExtremeLaw("scale", alpha, 1.0).cdf
             c_hat, residual, pooled = fit_scale_template(ys, mixed, ses, template)
             assert residual >= 0.03
             assert residual >= 5.0 * pooled
@@ -223,7 +233,7 @@ class TestScaleUniqueSupport:
         from stablepp.point_measure import TestFunction
         z = TestFunction([(1.0, 0.0), (2.0, 0.0)])
         report = scale_unique_support_test(
-            dirac_spec(), battery=[z, default_battery()["tent_lo"]],
+            dirac_spec(), battery=[z, default_battery("scale")["tent_lo"]],
             n_reps=5000, seed=3)
         trivial = [s for s in report.subchecks if "trivial" in s.note]
         assert len(trivial) == 1
@@ -241,7 +251,7 @@ class TestScaleUniqueSupport:
 
 class TestTemplateFit:
     def test_recovers_known_scale(self):
-        law = FrechetMixture(1.0, 1.0)
+        law = ExtremeLaw("scale", 1.0, 1.0)
         ys = np.array([0.5, 1.0, 2.0, 4.0])
         c_true = 1.7
         values = law.cdf(ys * c_true)
@@ -251,4 +261,4 @@ class TestTemplateFit:
 
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
-            fit_scale_template([1.0], [0.5], [0.01], FrechetMixture(1.0, 1.0).cdf)
+            fit_scale_template([1.0], [0.5], [0.01], ExtremeLaw("scale", 1.0, 1.0).cdf)

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a retired name left in an export list fails, and
-the package exports exactly what its modules list."""
+"""Every exported name resolves, so a retired name left in an export list fails, the
+package exports exactly what its modules list, and only the allowed names come in
+scale/shift pairs."""
 import importlib
+import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -24,3 +27,66 @@ def test_package_exports_exactly_the_module_lists():
               for name in getattr(importlib.import_module(module_name), "__all__", [])]
     assert len(listed) == len(set(listed)), "a name is listed by two modules"
     assert sorted(stablepp.__all__) == sorted(["__version__", *listed])
+
+
+# (scale-side word, shift-side word): swapping one pair throughout a name, or
+# prefixing "shift_" / "Shift", turns one name of a carrier twin into the other
+CARRIER_WORDS = [("scaled", "shift"), ("scale", "shift"), ("Scale", "Shift"),
+                 ("Frechet", "Gumbel"), ("maxmods", "max_locations"), ("maxmod", "max_location"),
+                 ("y_grid", "u_grid"), ("cf", "kappa"), ("default", "shift"), ("log", "exp")]
+SHIFT_PREFIXES = ("shift_", "Shift")
+
+# Every public name that comes in a scale/shift pair; any other operation
+# reads its carrier from its arguments under one name.
+ALLOWED_TWINS = {
+    # the exp/log transports between the carriers
+    ("exp_decoration", "log_decoration"),
+    ("exp_function", "log_function"),
+    ("exp_transform", "log_transform"),
+    ("scale_law_to_shift", "shift_law_to_scale"),
+    # the global-law classes
+    ("ScaleLaw", "ShiftLaw"),
+    # the measure and test-function classes and their constructors
+    ("PointMeasure", "ShiftPointMeasure"),
+    ("ShiftTestFunction", "TestFunction"),
+    ("shift_tent", "tent"),
+    ("indicator_approx", "shift_indicator_approx"),
+    # perfbench/tracing.py keys its ESTIMATE metrics on both names
+    ("estimate_scaled_laplace", "estimate_shift_laplace"),
+    # perfbench/tracing.py keys its PSI metrics on both names
+    ("psi_decoration_scale", "psi_decoration_shift"),
+    # perfbench/tracing.py keys its QUAD metrics on both names
+    ("cf_quadrature", "kappa_quadrature"),
+    # perfbench/tracing.py keys its PREDICT metrics on both names
+    ("predict_scaled_laplace", "predict_shift_laplace"),
+    # perfbench/tracing.py keys its REDUCE metrics on both names
+    ("FlatCampaign.max_locations", "FlatCampaign.maxmods"),
+}
+
+
+def _public_names() -> set:
+    """The package's exported names, and Class.attribute for the public
+    attributes of every exported class."""
+    names = set(stablepp.__all__)
+    for name in stablepp.__all__:
+        obj = getattr(stablepp, name)
+        if inspect.isclass(obj):
+            names |= {f"{name}.{attr}" for attr in vars(obj) if not attr.startswith("_")}
+    return names
+
+
+def _swapped(name: str, a: str, b: str) -> str:
+    return re.sub(f"{a}|{b}", lambda m: b if m.group() == a else a, name)
+
+
+def test_only_the_allowed_names_come_in_carrier_pairs():
+    names = _public_names()
+    twins = set()
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        prefix = owner + "." if owner else ""
+        others = ({prefix + _swapped(attr, a, b) for a, b in CARRIER_WORDS}
+                  | {prefix + p + attr for p in SHIFT_PREFIXES})
+        twins |= {tuple(sorted((name, other))) for other in others
+                  if other != name and other in names}
+    assert twins == ALLOWED_TWINS

@@ -146,11 +146,11 @@ class TestNstarFunctional:
         assert abs(beta.statistic) < 0.05
 
     def test_limits_of_exact_form(self):
-        from stablepp.functionals import (default_battery, maxmod_law,
+        from stablepp.functionals import (default_battery, extreme_law,
                                           predict_scaled_laplace)
         spec = dirac_spec()
-        f = default_battery()["mm_50"]
-        f_y = maxmod_law(spec).cdf(25.0)
+        f = default_battery("scale")["mm_50"]
+        f_y = extreme_law(spec).cdf(25.0)
 
         def exact(x):
             pred = predict_scaled_laplace(spec, f, x * 25.0)

@@ -11,25 +11,21 @@ from stablepp.errors import DomainError, WindowError
 from stablepp.extraction import predicted_acceptance
 from stablepp.functionals import (
     EstimateWithError,
-    FrechetMixture,
-    GumbelMixture,
+    ExtremeLaw,
     battery_estimates,
     cf_estimate,
     cf_quadrature,
     default_battery,
-    default_u_grid,
-    default_y_grid,
+    default_points,
     estimate_scaled_laplace,
+    extreme_law,
     estimate_shift_laplace,
     kappa_quadrature,
-    max_location_law,
-    maxmod_law,
     predict_scaled_laplace,
     predict_shift_laplace,
     psi_decoration_scale,
     psi_decoration_shift,
     required_window,
-    shift_battery,
     tent_family_bias_bound,
 )
 from stablepp.point_measure import (
@@ -42,7 +38,6 @@ from stablepp.point_measure import (
     shift_indicator_approx,
     shift_tent,
     tent,
-    tent_family,
 )
 from stablepp.sampler import (
     CountLaw,
@@ -59,6 +54,12 @@ from stablepp.sampler import (
 LN2 = math.log(2.0)
 
 
+def tent_family(n, outer=1e8):
+    """Member n of the plateau family behind ``tent_family_bias_bound``: value n
+    for |x| >= 1 + 1/n, a ramp of width 1/n below it, an outer cutoff."""
+    return indicator_approx(float(n), edge=1.0, outer=outer, ramp=1.0 / n, symmetric=True)
+
+
 def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, law=None):
     family = "sscdppp" if law is not None else "scdppp"
     return ProcessSpec(family, alpha, DecorationSpec.dirac(list(atoms)), window, law=law)
@@ -67,9 +68,9 @@ def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, law=None):
 class TestFrechetCdf:
     def test_values(self):
         # the alpha-Frechet law exp(-x^-alpha) is the mixture with kappa 1 and no scale law
-        assert FrechetMixture(1.0, 1.0).cdf(1.0) == pytest.approx(math.exp(-1.0))
-        assert FrechetMixture(2.0, 1.0).cdf(1e8) == pytest.approx(1.0, abs=1e-8)
-        assert FrechetMixture(1.0, 1.0).cdf(0.1) == pytest.approx(math.exp(-10.0))
+        assert ExtremeLaw("scale", 1.0, 1.0).cdf(1.0) == pytest.approx(math.exp(-1.0))
+        assert ExtremeLaw("scale", 2.0, 1.0).cdf(1e8) == pytest.approx(1.0, abs=1e-8)
+        assert ExtremeLaw("scale", 1.0, 1.0).cdf(0.1) == pytest.approx(math.exp(-10.0))
 
 
 class TestCfQuadrature:
@@ -130,7 +131,7 @@ class TestScaledEstimates:
     def test_maxmod_plateau_oracle(self):
         spec = scdppp()
         campaign = run_campaign(ProcessSource(spec), 3, 20_000)
-        f = default_battery()["mm_50"]
+        f = default_battery("scale")["mm_50"]
         est = estimate_scaled_laplace(campaign, f, 1.0)
         assert abs(est.value - math.exp(-1.0)) <= 3.0 * est.std_error + 1e-5
 
@@ -191,7 +192,7 @@ class TestScaledEstimates:
     def test_tent_family_monotone_to_maxmod_law(self):
         spec = scdppp()
         campaign = run_campaign(ProcessSource(spec), 21, 20_000)
-        law = maxmod_law(spec)
+        law = extreme_law(spec)
         y = 1.0
         values = []
         for n in (1, 2, 5, 20, 50):
@@ -208,7 +209,7 @@ class TestShiftEstimates:
         spec = ProcessSpec("dppp", 1.0,
                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -4.0)
         campaign = run_campaign(ProcessSource(spec), 3, 20_000)
-        g = shift_battery()["gmax_50"]
+        g = default_battery("shift")["gmax_50"]
         est = estimate_shift_laplace(campaign, g, 0.0)
         assert abs(est.value - math.exp(-1.0)) <= 3.0 * est.std_error + 1e-5
 
@@ -216,7 +217,7 @@ class TestShiftEstimates:
         spec = ProcessSpec("dppp", 1.0,
                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -4.0)
         campaign = run_campaign(ProcessSource(spec), 3, 20_000)
-        g = shift_battery()["gmax_50"]
+        g = default_battery("shift")["gmax_50"]
         est = estimate_shift_laplace(campaign, g, 20.0)
         assert abs(est.value - 1.0) <= 3.0 * est.std_error + math.exp(-20.0) + 1e-6
 
@@ -265,7 +266,7 @@ class TestPredictions:
         spec = ProcessSpec("dppp", 1.0,
                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -4.0)
         campaign = run_campaign(ProcessSource(spec), 17, 20_000)
-        g = shift_battery()["gtent_lo"]
+        g = default_battery("shift")["gtent_lo"]
         for u in (0.0, LN2):
             pred = predict_shift_laplace(spec, g, u)
             est = estimate_shift_laplace(campaign, g, u)
@@ -274,7 +275,7 @@ class TestPredictions:
     def test_family_mismatch(self):
         spec = scdppp()
         with pytest.raises(DomainError):
-            predict_shift_laplace(spec, shift_battery()["gtent_lo"], 0.0)
+            predict_shift_laplace(spec, default_battery("shift")["gtent_lo"], 0.0)
         shift_spec = ProcessSpec("dppp", 1.0,
                                  DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
         with pytest.raises(DomainError):
@@ -417,10 +418,12 @@ def test_predictions_within_bound_of_reference(carrier, kind):
     dec = REFERENCE_DECORATIONS[carrier][kind]
     if carrier == "scale":
         spec = ProcessSpec("scdppp", 1.0, dec, 0.05)
-        battery, points, predict = default_battery(), default_y_grid, predict_scaled_laplace
+        battery, points = default_battery("scale"), default_points("scale")
+        predict = predict_scaled_laplace
     else:
         spec = ProcessSpec("dppp", 0.6, dec, -3.0)
-        battery, points, predict = shift_battery(), default_u_grid, predict_shift_laplace
+        battery, points = default_battery("shift"), default_points("shift")
+        predict = predict_shift_laplace
     for fid, f in battery.items():
         for p in points:
             pred = predict(spec, f, p)
@@ -435,12 +438,12 @@ def test_uniform_locations_under_a_high_plateau(carrier):
     dec = REFERENCE_DECORATIONS[carrier]["atoms_uniform"]
     if carrier == "scale":
         f, spec = maxmod_indicator(1000.0), ProcessSpec("scdppp", 1.0, dec, 0.05)
-        points, psi, predict = default_y_grid, psi_decoration_scale, predict_scaled_laplace
+        points, psi, predict = default_points("scale"), psi_decoration_scale, predict_scaled_laplace
         grid = np.array([0.3, 0.8, 1.0, 1.3, 2.5])
     else:
         f = shift_indicator_approx(1000.0, edge=0.0, outer=14.0, ramp=1e-6)
         spec = ProcessSpec("dppp", 0.6, dec, -3.0)
-        points, psi, predict = default_u_grid, psi_decoration_shift, predict_shift_laplace
+        points, psi, predict = default_points("shift"), psi_decoration_shift, predict_shift_laplace
         grid = np.array([-0.5, 0.2, 0.5, 1.0, 2.0])
     ref = _reference_psi(carrier, dec, f, grid)
     got = [psi(dec, f, p) for p in grid]
@@ -501,12 +504,12 @@ def test_extreme_law_kappa_for_every_decoration(carrier, kind):
     if carrier == "scale":
         rate = 0.5 if kind == "near_origin" else 1.0
         spec = ProcessSpec("scdppp", rate, dec, 0.05)
-        law, per_moment = maxmod_law(spec), 1.0
+        law, per_moment = extreme_law(spec), 1.0
         assert predicted_acceptance(spec, 2.0) == pytest.approx(1.0 - law.cdf(2.0), rel=1e-15)
     else:
         rate = 0.6
         spec = ProcessSpec("dppp", rate, dec, -3.0)
-        law, per_moment = max_location_law(spec), 1.0 / rate
+        law, per_moment = extreme_law(spec), 1.0 / rate
     assert law.kappa == pytest.approx(
         per_moment * _reference_extreme_moment(carrier, rate, dec), rel=1e-12, abs=0.0)
     mean, se = _monte_carlo_extreme_moment(carrier, rate, dec)
@@ -516,50 +519,56 @@ def test_extreme_law_kappa_for_every_decoration(carrier, kind):
 @pytest.mark.parametrize("kind", ["atoms_uniform", "atoms_table"])
 def test_max_locations_follow_the_gumbel_mixture(kind):
     spec = ProcessSpec("dppp", 1.0, REFERENCE_DECORATIONS["shift"][kind], -3.0)
-    law = max_location_law(spec)
+    law = extreme_law(spec)
     tops = run_campaign(ProcessSource(spec), 17, 20_000).max_locations()
     _, p = ks_censored(tops, law.cdf, spec.window)
     assert p >= 0.01
-    _, p = ks_censored(tops, GumbelMixture(law.rate, 1.5 * law.kappa).cdf, spec.window)
+    _, p = ks_censored(tops, ExtremeLaw("shift", law.rate, 1.5 * law.kappa).cdf, spec.window)
     assert p < 1e-6
 
 
 class TestMixtureLaws:
     def test_frechet_fixed_point(self):
-        law = FrechetMixture(1.0, 1.0)
+        law = ExtremeLaw("scale", 1.0, 1.0)
         assert law.cdf(1.0) == pytest.approx(math.exp(-1.0))
-        law2 = FrechetMixture(1.0, 1.0, ScaleLaw.deterministic(2.0))
+        law2 = ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.deterministic(2.0))
         assert law2.cdf(2.0) == pytest.approx(math.exp(-1.0))
 
     def test_ppf_roundtrip(self):
-        law = FrechetMixture(2.0, 1.5)
+        law = ExtremeLaw("scale", 2.0, 1.5)
         q = np.array([0.05, 0.5, 0.95])
         np.testing.assert_allclose(law.cdf(law.ppf(q)), q, rtol=1e-12)
 
     def test_ppf_validation(self):
-        law = FrechetMixture(1.0, 1.0)
+        law = ExtremeLaw("scale", 1.0, 1.0)
         with pytest.raises(DomainError):
             law.ppf(0.0)
-        mixed = FrechetMixture(1.0, 1.0, ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+        mixed = ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(DomainError):
             mixed.ppf(0.5)
 
+    def test_carrier_is_one_of_the_two_names(self):
+        for make in (lambda: ExtremeLaw("log", 1.0, 1.0), lambda: default_battery("log"),
+                     lambda: default_points("log")):
+            with pytest.raises(DomainError, match="carrier must be one of"):
+                make()
+
     def test_sample_matches_cdf(self):
-        law = FrechetMixture(1.0, 2.0)
+        law = ExtremeLaw("scale", 1.0, 2.0)
         xs = law.sample(4000, seed=11)
         res = stats.kstest(xs, lambda t: law.cdf(t))
         assert res.pvalue > 0.01
 
     def test_gumbel_fixed_point(self):
-        law = GumbelMixture(1.0, 1.0)
+        law = ExtremeLaw("shift", 1.0, 1.0)
         assert law.cdf(0.0) == pytest.approx(math.exp(-1.0))
         q = np.array([0.1, 0.9])
         np.testing.assert_allclose(law.cdf(law.ppf(q)), q, rtol=1e-12)
 
     def test_maxmod_law_kappa(self):
-        assert maxmod_law(scdppp()).kappa == pytest.approx(1.0)
+        assert extreme_law(scdppp()).kappa == pytest.approx(1.0)
         # both atoms in one decoration: the larger modulus wins
-        assert maxmod_law(scdppp(atoms=((1.0, 1), (0.75, 1)))).kappa == pytest.approx(1.0)
+        assert extreme_law(scdppp(atoms=((1.0, 1), (0.75, 1)))).kappa == pytest.approx(1.0)
         spec = ProcessSpec(
             "scdppp", 2.0,
             DecorationSpec.table_from_measures(
@@ -567,12 +576,12 @@ class TestMixtureLaws:
                  PointMeasure.from_atoms([(0.75, 1)])],
                 probs=[0.5, 0.5]),
             0.05)
-        assert maxmod_law(spec).kappa == pytest.approx(0.5 * 1.0 + 0.5 * 0.75 ** 2)
+        assert extreme_law(spec).kappa == pytest.approx(0.5 * 1.0 + 0.5 * 0.75 ** 2)
 
     def test_max_location_law(self):
         spec = ProcessSpec("dppp", 1.0,
                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
-        law = max_location_law(spec)
+        law = extreme_law(spec)
         assert law.kappa == pytest.approx(1.0)
         assert law.cdf(0.0) == pytest.approx(math.exp(-1.0))
 
@@ -588,7 +597,7 @@ class TestMixtureLaws:
 def _per_point_cdf(law, points):
     """Mixture CDF one point at a time, each through its own expect call."""
     g = law._cr.global_law(law.law)
-    if isinstance(law, FrechetMixture):
+    if law.carrier == "scale":
         def one(t):
             if not t > 0.0:
                 return 0.0
@@ -601,13 +610,14 @@ def _per_point_cdf(law, points):
 
 
 MIXTURES = {
-    "frechet_deterministic": FrechetMixture(1.0, 1.3),
-    "frechet_dilated": FrechetMixture(2.0, 0.7, ScaleLaw.deterministic(1.5)),
-    "frechet_table": FrechetMixture(1.5, 0.9, ScaleLaw.table([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])),
-    "frechet_lognormal": FrechetMixture(1.0, 1.0, ScaleLaw.lognormal(0.2, 0.5)),
-    "gumbel_deterministic": GumbelMixture(1.0, 1.3),
-    "gumbel_table": GumbelMixture(1.5, 0.9, ShiftLaw.table([-1.0, 0.5], [0.4, 0.6])),
-    "gumbel_normal": GumbelMixture(0.8, 1.1, ShiftLaw.normal(0.3, 0.5)),
+    "frechet_deterministic": ExtremeLaw("scale", 1.0, 1.3),
+    "frechet_dilated": ExtremeLaw("scale", 2.0, 0.7, ScaleLaw.deterministic(1.5)),
+    "frechet_table": ExtremeLaw("scale", 1.5, 0.9,
+                                ScaleLaw.table([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])),
+    "frechet_lognormal": ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.lognormal(0.2, 0.5)),
+    "gumbel_deterministic": ExtremeLaw("shift", 1.0, 1.3),
+    "gumbel_table": ExtremeLaw("shift", 1.5, 0.9, ShiftLaw.table([-1.0, 0.5], [0.4, 0.6])),
+    "gumbel_normal": ExtremeLaw("shift", 0.8, 1.1, ShiftLaw.normal(0.3, 0.5)),
 }
 
 
@@ -618,7 +628,7 @@ def test_mixture_cdf_matches_per_point_reference(name, points_per_call, monkeypa
         monkeypatch.setattr("stablepp.functionals._EXPECT_POINTS", points_per_call)
     law = MIXTURES[name]
     rng = np.random.default_rng(5)
-    if isinstance(law, FrechetMixture):
+    if law.carrier == "scale":
         points = np.concatenate([np.geomspace(1e-3, 1e4, 400), rng.uniform(0.0, 20.0, 400),
                                  [-2.0, -0.0, 0.0, np.inf, 5e-324]])
     else:
@@ -637,23 +647,23 @@ def test_mixture_cdf_matches_per_point_reference(name, points_per_call, monkeypa
         np.testing.assert_array_equal(law.cdf(grid), got[:12].reshape(3, 4))
 
 
-@pytest.mark.parametrize("law", [FrechetMixture(1.0, 1.3), GumbelMixture(1.0, 1.3)],
+@pytest.mark.parametrize("law", [ExtremeLaw("scale", 1.0, 1.3), ExtremeLaw("shift", 1.0, 1.3)],
                          ids=["frechet", "gumbel"])
 def test_mixture_cdf_keeps_nan_points(law):
     assert math.isnan(law.cdf(math.nan))
     got = law.cdf(np.array([[math.nan, 1.0], [2.0, math.nan]]))
     assert np.isnan(got[0, 0]) and np.isnan(got[1, 1])
     assert 0.0 < got[0, 1] < got[1, 0] < 1.0
-    if isinstance(law, FrechetMixture):
+    if law.carrier == "scale":
         assert law.cdf(0.0) == 0.0 and law.cdf(-1.0) == 0.0
         np.testing.assert_array_equal(law.cdf(np.array([-np.inf, -1.0, -0.0, 0.0])), 0.0)
 
 
 ARRAY_CASES = {
-    "scale": (predict_scaled_laplace, default_battery, list(np.geomspace(0.25, 8.0, 38)),
+    "scale": (predict_scaled_laplace, "scale", list(np.geomspace(0.25, 8.0, 38)),
               scdppp(alpha=1.5, atoms=((1.0, 1), (0.5, 2)),
                      law=ScaleLaw.lognormal(0.2, 0.5))),
-    "shift": (predict_shift_laplace, shift_battery, list(np.linspace(-3.0, 3.0, 38)),
+    "shift": (predict_shift_laplace, "shift", list(np.linspace(-3.0, 3.0, 38)),
               ProcessSpec("sdppp", 0.8,
                           DecorationSpec.dirac([(0.0, 1), (-0.5, 1)], carrier="shift"), -4.0,
                           law=ShiftLaw.table([-0.5, 0.4], [0.3, 0.7]))),
@@ -662,7 +672,7 @@ ARRAY_CASES = {
 
 @pytest.mark.parametrize("carrier", sorted(ARRAY_CASES))
 def test_predictions_over_arrays_match_scalar_calls(carrier, monkeypatch):
-    predict, battery, grid, spec = ARRAY_CASES[carrier]
+    predict, carrier, grid, spec = ARRAY_CASES[carrier]
     constants = []
     integrate = functionals._constant
 
@@ -671,7 +681,7 @@ def test_predictions_over_arrays_match_scalar_calls(carrier, monkeypatch):
         return integrate(*args)
 
     monkeypatch.setattr(functionals, "_constant", counting)
-    for f in battery().values():
+    for f in default_battery(carrier).values():
         scalars = [predict(spec, f, p) for p in grid]
         assert len(constants) == len(grid)
         assert all(type(s.value) is float and type(s.error_bound) is float for s in scalars)
@@ -687,7 +697,7 @@ def test_predictions_over_arrays_match_scalar_calls(carrier, monkeypatch):
     # every point is checked, not only the first
     bad = [grid[0], -1.0] if carrier == "scale" else [grid[0], math.nan]
     with pytest.raises(DomainError):
-        predict(spec, next(iter(battery().values())), bad)
+        predict(spec, next(iter(default_battery(carrier).values())), bad)
 
 
 class TestBatteryEstimates:
@@ -700,7 +710,8 @@ class TestBatteryEstimates:
     def test_required_window_may_be_coarser_than_spec(self):
         spec = scdppp(window=0.05)
         assert required_window(spec, [tent(0.5, 1.0, 2.0)], [1.0, 2.0]) == 0.5
-        assert required_window(spec, default_battery().values(), default_y_grid) > 0.05
+        battery, points = default_battery("scale").values(), default_points("scale")
+        assert required_window(spec, battery, points) > 0.05
         shift = ProcessSpec("dppp", 1.0,
                             DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
         assert required_window(shift, [shift_tent(-1.0, 0.0, 1.0)], [0.5]) == -0.5
@@ -714,12 +725,12 @@ class TestBatteryEstimates:
         # a campaign drawn on the spec's window, cut down to the required
         # window, gives bit-identical integrals for every battery pair
         if carrier == "scale":
-            spec, battery, points = scdppp(), default_battery(), default_y_grid
+            spec, battery, points = scdppp(), default_battery("scale"), default_points("scale")
             norm = np.abs
         else:
             spec = ProcessSpec("dppp", 1.0,
                                DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
-            battery, points, norm = shift_battery(), default_u_grid, np.asarray
+            battery, points, norm = default_battery("shift"), default_points("shift"), np.asarray
         w = required_window(spec, battery.values(), points)
         full = run_campaign(ProcessSource(spec), 11, 5000)
         keep = norm(full.locations) > w
@@ -758,7 +769,7 @@ class TestBatteryEstimates:
             assert est[("f", p)].std_error > 0.0
 
     def test_default_battery_contents(self):
-        battery = default_battery()
+        battery = default_battery("scale")
         assert set(battery) == {"tent_lo", "tent_hi", "step_ln2", "band_sym", "mm_50"}
-        assert len(default_y_grid) == 4
-        assert set(shift_battery()) == {"gtent_lo", "gtent_hi", "gstep_ln2", "gmax_50"}
+        assert len(default_points("scale")) == 4
+        assert set(default_battery("shift")) == {"gtent_lo", "gtent_hi", "gstep_ln2", "gmax_50"}

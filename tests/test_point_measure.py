@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
-from stablepp.functionals import default_battery, shift_battery
+from stablepp.functionals import default_battery
 from stablepp.point_measure import (
     PointMeasure,
     ShiftPointMeasure,
@@ -17,8 +17,13 @@ from stablepp.point_measure import (
     shift_indicator_approx,
     shift_tent,
     tent,
-    tent_family,
 )
+
+
+def tent_family(n, outer=1e8):
+    """Member n of the plateau family behind ``tent_family_bias_bound``: value n
+    for |x| >= 1 + 1/n, a ramp of width 1/n below it, an outer cutoff."""
+    return indicator_approx(float(n), edge=1.0, outer=outer, ramp=1.0 / n, symmetric=True)
 
 
 class TestCanonicalForm:
@@ -43,6 +48,13 @@ class TestCanonicalForm:
             PointMeasure([1.0], [1.5])
         # integral floats are accepted
         assert PointMeasure([1.0], [2.0]).total_mass == 2
+
+    @pytest.mark.parametrize("mults", [[True], [2 ** 70], [2 ** 63], [1e30], [math.inf]],
+                             ids=["bool", "int_2_70", "uint_2_63", "float_1e30", "inf"])
+    def test_multiplicities_are_int64_integers(self, mults):
+        # a boolean is not a count, and a count beyond int64 cannot be stored
+        with pytest.raises(DomainError, match="int64"):
+            PointMeasure([1.0], mults)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
@@ -268,7 +280,7 @@ def _reference_eval(f, x: float) -> float:
     raise AssertionError("unreachable")
 
 
-BATTERIES = {**default_battery(), **shift_battery()}
+BATTERIES = {**default_battery("scale"), **default_battery("shift")}
 
 
 @pytest.mark.parametrize("fid", sorted(BATTERIES))

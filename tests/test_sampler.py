@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
-from stablepp.functionals import battery_estimates, maxmod_law
+from stablepp.functionals import battery_estimates, extreme_law
 from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, shift_tent, tent
 from stablepp.sampler import (
     BLOCK_SIZE,
@@ -20,7 +20,6 @@ from stablepp.sampler import (
     ProcessSource,
     ProcessSpec,
     ScaleLaw,
-    SeedSpec,
     ShiftLaw,
     SuperposeSource,
     campaign_stats,
@@ -28,8 +27,6 @@ from stablepp.sampler import (
     process_spec_from_config,
     resolve_threads,
     run_campaign,
-    sample_decoration,
-    sample_process,
 )
 from stablepp.sampler import _ragged_gather
 
@@ -129,7 +126,7 @@ class TestDecorationSpec:
     def test_dirac_bounds_and_moment(self):
         d = DecorationSpec.dirac([(0.5, 1), (-2.0, 3)])
         assert d.bound == 2.0
-        assert maxmod_law(ProcessSpec("scdppp", 2.0, d, 0.05)).kappa == 4.0
+        assert extreme_law(ProcessSpec("scdppp", 2.0, d, 0.05)).kappa == 4.0
 
     def test_dirac_rejects_origin_atom_on_scale_carrier(self):
         with pytest.raises(DomainError):
@@ -141,7 +138,7 @@ class TestDecorationSpec:
             kind="table",
             entries=((((1.0, 1),), 0.5), (((2.0, 1), (0.5, 2)), 0.5)),
         )
-        kappa = maxmod_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
+        kappa = extreme_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
         assert kappa == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
         assert d.bound == 2.0
 
@@ -151,7 +148,7 @@ class TestDecorationSpec:
         )
         assert d.bound == 2.0
         # E[max of k uniforms on (0.5, 2)] = 0.5 + 1.5 k / (k + 1)
-        kappa = maxmod_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
+        kappa = extreme_law(ProcessSpec("scdppp", 1.0, d, 0.05)).kappa
         assert kappa == pytest.approx(0.5 * 1.25 + 0.5 * 1.625, rel=1e-12)
 
     def test_random_atoms_location_must_avoid_origin_on_scale_carrier(self):
@@ -344,16 +341,14 @@ class TestProcessSpec:
 
 
 class TestSingleDraws:
+    """The law of one replica, read off campaign replicas."""
+
     def test_truncated_poisson_law(self):
         # with a unit atom at every dilation point, a replica on window eta is
         # the dilation process restricted to (eta, inf)
-        counts = []
-        for r in range(2000):
-            m = sample_process(unit_spec(window=0.5), SeedSpec(12, r))
-            counts.append(m.total_mass)
-            if m.n_atoms:
-                assert min(abs(x) for x, _ in m.atoms()) > 0.5
-        counts = np.asarray(counts, dtype=float)
+        campaign = run_campaign(ProcessSource(unit_spec(window=0.5)), 12, 2000)
+        assert np.all(np.abs(campaign.locations) > 0.5)
+        counts = campaign.counts().astype(float)
         # count mean is eta^-alpha = 2, sd = sqrt(2)
         assert abs(counts.mean() - 2.0) < 4.0 * math.sqrt(2.0 / 2000.0)
 
@@ -361,28 +356,21 @@ class TestSingleDraws:
         with pytest.raises(DomainError):
             unit_spec(window=0.0)
         with pytest.raises(RangeError):
-            sample_process(unit_spec(window=1e-8, alpha=2.0), 0)
+            run_campaign(ProcessSource(unit_spec(window=1e-8, alpha=2.0)), 0, 1)
 
-    def test_sample_decoration(self):
-        m = sample_decoration(DecorationSpec.dirac([(1.0, 2), (-3.0, 1)]), 5)
-        assert isinstance(m, PointMeasure)
-        assert m.atoms() == ((-3.0, 1), (1.0, 2))
-        s = sample_decoration(DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 5)
-        assert isinstance(s, ShiftPointMeasure)
-
-    def test_sample_process_pure_and_windowed(self):
-        spec = unit_spec(window=0.5)
-        a = sample_process(spec, SeedSpec(31, 7))
-        b = sample_process(spec, SeedSpec(31, 7))
+    def test_campaign_replicas_pure_and_windowed(self):
+        src = ProcessSource(unit_spec(window=0.5))
+        a = run_campaign(src, 31, 9).replica_measure(7)
+        b = run_campaign(src, 31, 9).replica_measure(7)
         assert a == b
         assert all(abs(x) > 0.5 for x, _ in a.atoms())
         assert isinstance(a, PointMeasure)
-        c = sample_process(spec, SeedSpec(31, 8))
+        c = run_campaign(src, 31, 9).replica_measure(8)
         assert a != c or a.n_atoms == 0
 
-    def test_sample_process_shift_carrier(self):
+    def test_campaign_replicas_shift_carrier(self):
         spec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
-        m = sample_process(spec, SeedSpec(3, 0))
+        m = run_campaign(ProcessSource(spec), 3, 1).replica_measure(0)
         assert isinstance(m, ShiftPointMeasure)
         assert all(x > 0.0 for x, _ in m.atoms())
 
@@ -553,16 +541,11 @@ def test_resolve_threads(monkeypatch):
         resolve_threads(0)
 
 
-def test_seed_spec_validation():
-    with pytest.raises(DomainError):
-        SeedSpec(1, -1)
-
-
 # -- pinned streams ---------------------------------------------------------------
 #
 # One spec per carrier x decoration kind x global-law kind. The digests hash the
-# bytes of a two-block campaign and of four `sample_process` replicas; a change to
-# either is a change of the random streams, which must be deliberate and logged.
+# bytes of a two-block campaign; a change to them is a change of the random
+# streams, which must be deliberate and logged.
 
 def _pinned_decoration(carrier, kind):
     scale = carrier == "scale"
@@ -607,38 +590,38 @@ def _digest(*parts) -> str:
 
 
 PINNED_STREAMS = {
-    "scale/dirac/none": "8556004f272c7e9f",
-    "scale/dirac/deterministic": "9e5c68c0d14a1a79",
-    "scale/dirac/gaussian": "bea80f0275999b76",
-    "scale/dirac/table": "db7c817dd25d19a2",
-    "scale/table/none": "8e22d4c40a7b1b26",
-    "scale/table/deterministic": "5135d5617c28a22d",
-    "scale/table/gaussian": "5b4112e9f6c25b55",
-    "scale/table/table": "35bef1fd619377dc",
-    "scale/atoms_uniform/none": "92ab3558cae8bde7",
-    "scale/atoms_uniform/deterministic": "9a825ffbd3288bec",
-    "scale/atoms_uniform/gaussian": "19f1f32849b1e64c",
-    "scale/atoms_uniform/table": "66df5a5762648221",
-    "scale/atoms_table/none": "c74e42e6d1477e08",
-    "scale/atoms_table/deterministic": "29a28311891f5bc1",
-    "scale/atoms_table/gaussian": "f65ba6bf33f4f7e7",
-    "scale/atoms_table/table": "ef4727dde3b2f71f",
-    "shift/dirac/none": "ea97275c9248c726",
-    "shift/dirac/deterministic": "1b5b0bc1b35dda2b",
-    "shift/dirac/gaussian": "f2c271c578ca05a6",
-    "shift/dirac/table": "1d757631e58f2f4e",
-    "shift/table/none": "66afe7670e310bfe",
-    "shift/table/deterministic": "454f0961f57ab70d",
-    "shift/table/gaussian": "f4713823ce10829f",
-    "shift/table/table": "84baf16199816f88",
-    "shift/atoms_uniform/none": "5b0f72fe7ba811bb",
-    "shift/atoms_uniform/deterministic": "92be1a988d561843",
-    "shift/atoms_uniform/gaussian": "fdb9f5c29ac7c054",
-    "shift/atoms_uniform/table": "57c478e1059295c7",
-    "shift/atoms_table/none": "f274619ce2901f72",
-    "shift/atoms_table/deterministic": "f318bee6f11f3870",
-    "shift/atoms_table/gaussian": "043abe9494070810",
-    "shift/atoms_table/table": "d2c4259da2c8d96a",
+    "scale/dirac/none": "c32f997b0bd6b22d",
+    "scale/dirac/deterministic": "1094ec06319244ba",
+    "scale/dirac/gaussian": "fd2be2b76dd1a91c",
+    "scale/dirac/table": "cab23cc98a1088bc",
+    "scale/table/none": "516b4fab65738e48",
+    "scale/table/deterministic": "7728349ef9d5510b",
+    "scale/table/gaussian": "eb66e48bcc16bb1e",
+    "scale/table/table": "240d43ae2c291035",
+    "scale/atoms_uniform/none": "8a46d45f9dba9501",
+    "scale/atoms_uniform/deterministic": "bbe5508edffb25be",
+    "scale/atoms_uniform/gaussian": "0238e4f9f9c93902",
+    "scale/atoms_uniform/table": "0adb8b881754d9b8",
+    "scale/atoms_table/none": "18dd8c56c970417e",
+    "scale/atoms_table/deterministic": "a198d13285f2d524",
+    "scale/atoms_table/gaussian": "452d27ef5bbfc119",
+    "scale/atoms_table/table": "3613ca31c096c8d6",
+    "shift/dirac/none": "3fd59335e241606d",
+    "shift/dirac/deterministic": "761e4409d13cb131",
+    "shift/dirac/gaussian": "b36248614d1dc604",
+    "shift/dirac/table": "18c74fd2bfced7ab",
+    "shift/table/none": "62ff4a1d80b32030",
+    "shift/table/deterministic": "a95072d736d625be",
+    "shift/table/gaussian": "fa81bc7bc50de888",
+    "shift/table/table": "e402b548b52b2fea",
+    "shift/atoms_uniform/none": "38e16aa7b059ce11",
+    "shift/atoms_uniform/deterministic": "d4bba5d54ba402e8",
+    "shift/atoms_uniform/gaussian": "28c2ee1bfa139815",
+    "shift/atoms_uniform/table": "aea70a5fdea3080b",
+    "shift/atoms_table/none": "8142cb074f5580c8",
+    "shift/atoms_table/deterministic": "8d39d804f277b17e",
+    "shift/atoms_table/gaussian": "9b5c4c407aeaba0e",
+    "shift/atoms_table/table": "993f5f02d4e8a355",
 }
 
 
@@ -649,11 +632,10 @@ def test_pinned_streams(case):
     camp = run_campaign(ProcessSource(spec), 7, BLOCK_SIZE + 300, threads=2)
     assert camp.locations.dtype == camp.weights.dtype == np.float64
     assert camp.replica.dtype == np.int64
-    measures = [sample_process(spec, SeedSpec(7, r)) for r in range(4)]
+    measures = [camp.replica_measure(r) for r in range(4)]
     assert {type(m) for m in measures} == {PointMeasure if carrier == "scale" else ShiftPointMeasure}
     assert any(m.n_atoms for m in measures)
-    assert _digest(camp.locations, camp.replica, camp.weights,
-                   [m.atoms() for m in measures]) == PINNED_STREAMS[case]
+    assert _digest(camp.locations, camp.replica, camp.weights) == PINNED_STREAMS[case]
 
 
 @pytest.mark.parametrize("carrier", ["scale", "shift"])

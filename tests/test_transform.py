@@ -15,14 +15,12 @@ from stablepp.point_measure import (
 )
 from stablepp.functionals import (
     default_battery,
-    default_y_grid,
-    max_location_law,
-    maxmod_law,
+    default_points,
+    extreme_law,
     predict_scaled_laplace,
     predict_shift_laplace,
     psi_decoration_scale,
     psi_decoration_shift,
-    shift_battery,
 )
 from stablepp.sampler import (
     CountLaw,
@@ -132,13 +130,13 @@ class TestFunctionTransforms:
         f = tent(-2.0, -1.0, -0.5)
         with pytest.raises(DomainError):
             log_function(f)
-        sym = default_battery()["band_sym"]
+        sym = default_battery("scale")["band_sym"]
         with pytest.raises(DomainError):
             log_function(sym)
 
     def test_battery_roundtrip_within_tolerance(self):
         checked = 0
-        for name, f in default_battery().items():
+        for name, f in default_battery("scale").items():
             if float(f.knots_x[0]) <= 0.0:
                 continue
             back = exp_function(log_function(f))
@@ -148,7 +146,7 @@ class TestFunctionTransforms:
         assert checked >= 3
 
     def test_shift_battery_roundtrip_within_tolerance(self):
-        for name, g in shift_battery().items():
+        for name, g in default_battery("shift").items():
             back = log_function(exp_function(g))
             gap = dense_sup_gap(g, back, lambda x: x)
             assert gap <= 1e-6 * g.sup_norm, name
@@ -176,7 +174,7 @@ class TestChangeOfVariable:
         # log-composed translate against T, replica by replica
         spec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -4.0)
         campaign = run_campaign(ProcessSource(spec), 11, 200)
-        battery = {k: f for k, f in default_battery().items()}
+        battery = {k: f for k, f in default_battery("scale").items()}
         for t in (0.5, 1.0, 2.0):
             lt = math.log(t)
             for u in battery.values():
@@ -373,13 +371,13 @@ class TestDictionaryParity:
     def test_predictions(self, name):
         spec = self.SPECS[name]
         mapped = map_process_spec(spec)
-        battery = default_battery()
+        battery = default_battery("scale")
         for fid in self.FUNCTIONS:
             g = log_function(battery[fid])
             # one call per function and carrier over the whole grid
-            a = predict_scaled_laplace(spec, battery[fid], default_y_grid)
-            b = predict_shift_laplace(mapped, g, [math.log(y) for y in default_y_grid])
-            for y, av, bv in zip(default_y_grid, a.value, b.value):
+            a = predict_scaled_laplace(spec, battery[fid], default_points("scale"))
+            b = predict_shift_laplace(mapped, g, [math.log(y) for y in default_points("scale")])
+            for y, av, bv in zip(default_points("scale"), a.value, b.value):
                 assert abs(av - bv) <= self.TOL, (fid, y, av, bv)
 
     @pytest.mark.parametrize("name", ["scdppp_dirac", "sscdppp_lognormal", "sscdppp_table"])
@@ -387,18 +385,18 @@ class TestDictionaryParity:
         # P(maxmod <= y) is the Gumbel mixture of the mapped spec at log y
         spec = self.SPECS[name]
         y = np.geomspace(0.05, 50.0, 41)
-        frechet = maxmod_law(spec).cdf(y)
-        gumbel = max_location_law(map_process_spec(spec)).cdf(np.log(y))
+        frechet = extreme_law(spec).cdf(y)
+        gumbel = extreme_law(map_process_spec(spec)).cdf(np.log(y))
         np.testing.assert_allclose(frechet, gumbel, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_decoration_functionals(self, name):
         dec = self.SPECS[name].decoration
         image = log_decoration(dec)
-        battery = default_battery()
+        battery = default_battery("scale")
         for fid in self.FUNCTIONS:
             g = log_function(battery[fid])
-            for s in default_y_grid:
+            for s in default_points("scale"):
                 a = psi_decoration_scale(dec, battery[fid], s)
                 b = psi_decoration_shift(image, g, math.log(s))
                 assert abs(a - b) <= self.TOL, (fid, s, a, b)
