@@ -280,10 +280,10 @@ def stability_test(
                                          ScaleLaw.deterministic(d)))
 
     # per side, n_reps times the Poisson mean of the dilation points that can
-    # reach the window; on numpy floats an overflow reads inf
+    # reach the window; an overflow reads inf
     with np.errstate(over="ignore"):
-        reach = [n_reps * sum(SCALE.block_mean(alpha, np.float64(d), window,
-                                               spec.decoration.bound) for d in ds)
+        reach = [n_reps * sum(SCALE.block_mean(alpha, d, window, spec.decoration.bound)
+                              for d in ds)
                  for ds in dilations]
     if max(reach) < 1.0:
         raise DomainError(

@@ -10,11 +10,11 @@ dilation W (translation U), the decorated Poisson structure gives
     Psi(f | y) = E_W[exp(-y^-alpha W^alpha c_f)],
     Psi(g | u) = E_U[exp(-e^{-c (u - U)} kappa_g)],
 
-both E[exp(-weight(p, W) * constant)] with ``sampler.Carrier.weight``. Write
-an evaluation point in its log coordinate v: s = e^v on the scale carrier,
-t = v on the shift carrier. The dilation process then has intensity
-rho e^{-rate v} dv (rho = alpha on the scale side, 1 on the shift side), and
-the two constants are one integral:
+both E[exp(-weight(p, W) * constant)]. Write an evaluation point in its log
+coordinate v: s = e^v on the scale carrier, t = v on the shift carrier. The
+weight is then e^{-rate (v_p - v_W)} on both carriers (``sampler.Carrier.weight``),
+the dilation process has intensity rho e^{-rate v} dv (rho = alpha on the
+scale side, 1 on the shift side), and the two constants are one integral:
 
     c_f     = integral over R of (1 - psi_P(f | e^v)) alpha e^{-alpha v} dv,
     kappa_g = integral over R of (1 - psi_Q(g | t)) e^{-c t} dt,
@@ -137,14 +137,27 @@ def _mean_with_se(vals: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, sd / math.sqrt(n), n)
 
 
+def _on_carrier(cr, f, dec: DecorationSpec | None = None) -> None:
+    """Raise unless the test function f, and the decoration dec when given,
+    live on carrier ``cr``."""
+    if dec is not None and dec.carrier != cr.name:
+        raise DomainError(f"expected a {cr.name}-carrier decoration")
+    if type(f)._measure is not cr.measure:
+        raise DomainError(f"expected a {cr.name}-carrier test function")
+
+
+def _check_rate(cr, rate: float) -> None:
+    if not (rate > 0.0 and math.isfinite(rate)):
+        raise DomainError(f"{cr.rate_key} must be finite and > 0")
+
+
 def _checked(cr, campaign, f, p: float) -> None:
     """Raise unless Psi(f | p) on carrier ``cr`` can be estimated from
     ``campaign``, or from any campaign of a source (both carry the carrier and
     the window). The zero function is visible nowhere, so any window serves it."""
     if campaign.carrier != cr.name:
         raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
-    if type(f)._measure is not cr.measure:
-        raise DomainError(f"expected a {cr.name}-carrier test function")
+    _on_carrier(cr, f)
     if not cr.point_ok(p):
         raise DomainError(cr.point_error)
     needed = cr.visible(f, p)
@@ -188,8 +201,7 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     cr = CARRIERS[spec.carrier]
     needed = math.inf
     for f in functions:
-        if type(f)._measure is not cr.measure:
-            raise DomainError(f"expected a {cr.name}-carrier test function")
+        _on_carrier(cr, f)
         for p in points:
             if not cr.point_ok(p):
                 raise DomainError(cr.point_error)
@@ -263,10 +275,7 @@ def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
 
 
 def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
-    if dec.carrier != cr.name:
-        raise DomainError(f"expected a {cr.name}-carrier decoration")
-    if type(f)._measure is not cr.measure:
-        raise DomainError(f"expected a {cr.name}-carrier test function")
+    _on_carrier(cr, f, dec)
     fp = cr.compose(f, p)
     if dec.kind != "random_atoms":
         total = 0.0
@@ -322,10 +331,8 @@ def _constant(cr, psi, rate: float, dec: DecorationSpec, f) -> Prediction:
     that of inverse(smallest norm, upper edge); the integrand is smooth between
     the log coordinates of inverse(m, knot).
     """
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise DomainError(f"{cr.rate_key} must be finite and > 0")
-    if type(f)._measure is not cr.measure:
-        raise DomainError(f"expected a {cr.name}-carrier test function")
+    _check_rate(cr, rate)
+    _on_carrier(cr, f, dec)
     if f.is_zero:
         return Prediction(0.0, 0.0)
     low, high = f.support_bounds
@@ -372,8 +379,7 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
     estimator lo^{-alpha} * (1 - exp(-integral)) is unbiased for c_f because
     the integrand vanishes below lo = inner_radius / bound.
     """
-    if type(f)._measure is not SCALE.measure:
-        raise DomainError("expected a scale-carrier test function")
+    _on_carrier(SCALE, f, dec)
     if f.is_zero:
         return EstimateWithError(0.0, 0.0, int(n_draws))
     n_draws = int(n_draws)
@@ -442,7 +448,9 @@ class ExtremeLaw:
     law: ScaleLaw | ShiftLaw | None = None
 
     def __post_init__(self):
-        _carrier(self.carrier)
+        _check_rate(_carrier(self.carrier), self.rate)
+        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
+            raise DomainError("kappa must be finite and >= 0")
 
     @property
     def _cr(self):
@@ -494,7 +502,7 @@ def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
     smallest norm nears the origin."""
     if dec.kind != "random_atoms":
         probs = np.asarray([p for _, p in dec._mixture])
-        tops = np.asarray([cr.weight(rate, cr.identity, max(cr.norm(a) for a, _ in atoms))
+        tops = np.asarray([np.exp(rate * cr.to_log(max(cr.norm(a) for a, _ in atoms)))
                            for atoms, _ in dec._mixture])
         return float(np.dot(probs / probs.sum(), tops))
     k, pk = dec.count._table
@@ -502,7 +510,7 @@ def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
         v, q = dec.location._table
         m, which = np.unique(cr.norm(v), return_inverse=True)
         below = (np.cumsum(np.bincount(which, weights=q))[:, None] ** k) @ pk
-        return float(np.dot(cr.weight(rate, cr.identity, m), np.diff(below, prepend=0.0)))
+        return float(np.dot(np.exp(rate * cr.to_log(m)), np.diff(below, prepend=0.0)))
     a, b = sorted(map(cr.norm, dec.location.bounds()))
 
     def integrand(v: float) -> float:
@@ -524,7 +532,8 @@ def extreme_law(spec: ProcessSpec) -> ExtremeLaw:
     """
     cr = CARRIERS[spec.carrier]
     rate = spec.alpha
-    # dividing by rate / rho (1 or c) keeps E exact on the scale side
+    # the factor rho / rate of Carrier.tail_mass, taken as a division by
+    # rate / rho (1 or c), which keeps E exact on the scale side
     kappa = _extreme_moment(cr, rate, spec.decoration) / (rate / cr.intensity(rate))
     return ExtremeLaw(cr.name, rate, kappa, spec.law)
 

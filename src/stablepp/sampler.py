@@ -11,19 +11,24 @@ Poisson(eta^-alpha) many points, each distributed as eta * X with X a standard
 Pareto(alpha) variable (inverse CDF: X = U^{-1/alpha}).
 
 Shift families are the log dictionary image of the same construction: Poisson
-positions u0 + Exponential(alpha) with count Poisson(e^{-alpha*u0}), decoration
-copies translated rather than dilated, and the deterministic normalization
-shift log(alpha)/alpha folded in so that the sampled intensity is exactly
-e^{-c x} dx.
+positions u0 + Exponential(c) with count Poisson(e^{-c*u0} / c), and decoration
+copies translated rather than dilated. In the log coordinate v (s = e^v on the
+scale carrier, t = v on the shift carrier) both dilation processes have
+intensity rho e^{-rate v} dv, with rho = alpha on the scale side and 1 on the
+shift side, so the shift side's tail mass carries the factor rho / rate = 1/c
+and its sampled intensity is exactly e^{-c x} dx; the dictionary's
+normalization shift (``transform.normalization_shift``) is that factor seen as
+a translation.
 
 What differs between the two worlds (measure class, global law, point action,
-visible window, tail weight) lives in one ``Carrier`` value per coordinate
-system, SCALE and SHIFT; code shared by both is written once against it, the
-block sampler included. A block draws from its one Philox stream in the same
-order on both carriers: the global law's values, the Poisson counts, one
-uniform per dilation point, then the decoration copies. The carrier supplies
-only the arithmetic that turns these draws into Poisson means, dilation points
-and atoms, and the norm that the decoration bound caps and the window keeps.
+chart, intensity) lives in one ``Carrier`` value per coordinate system, SCALE
+and SHIFT. The Poisson means, dilation points, tail weights and quantiles are
+written once on ``Carrier``, in v, and so is every other piece of code shared
+by both worlds, the block sampler included. A block draws from its one Philox
+stream in the same order on both carriers: the global law's values, the
+Poisson counts, one uniform per dilation point, then the decoration copies.
+The carrier supplies only its chart, its point action and the norm that the
+decoration bound caps and the window keeps.
 
 Determinism contract: campaigns partition replicas into fixed blocks of
 ``BLOCK_SIZE`` and give each block its own Philox stream, vectorizing inside
@@ -73,6 +78,11 @@ BLOCK_SIZE = 4096
 # implies more work than this is almost certainly a configuration mistake and
 # would otherwise exhaust memory.
 MEAN_CAP = 1.0e6
+
+# A campaign is rejected before any block is drawn when it expects more than
+# this many replicas whose Poisson mean passes MEAN_CAP, so that whether a run
+# fails depends on the spec and the replica count, not on the seed.
+CAP_EPS = 1e-9
 
 _HERMGAUSS_N = 96
 
@@ -661,6 +671,14 @@ class Carrier:
     for both worlds needs to know about either. SCALE (atoms on R \\ {0},
     dilations x -> y x) and SHIFT (atoms on R, translations x -> x + u) are the
     only values; configs, manifests and ``carrier`` attributes use ``name``.
+
+    The fields are the chart and the facts that differ between the carriers.
+    The rest is written once below, in the log coordinate v of a point or norm
+    (s = e^v on the scale carrier, t = v on the shift carrier): there the
+    dilation process has intensity rho e^{-rate v} dv on both carriers, and a
+    point acts on an atom's norm by translating its v. ``act`` and ``inverse``
+    run per atom, so they stay in the chart, where the scale carrier multiplies
+    instead of taking a log and an exp.
     """
 
     name: str
@@ -668,24 +686,14 @@ class Carrier:
     law: type  # law of the global dilation / translation
     norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
     families: tuple  # (without, with a global law)
-    # a block (`_block`) draws the dilation points p that can reach the window,
-    # each acting on one decoration copy
     act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p
-    block_mean: Callable  # (a, w, window, bound) -> Poisson mean of the points given w
-    block_start: Callable  # (a, window, bound, q) -> the point at uniform q, by inverse CDF
+    inverse: Callable  # (p, x) -> p's inverse acting on x
     rate_key: str  # config key of the tail index / rate
     point: str  # symbol of an evaluation point
     window_word: str
-    point_error: str
-    compose: Callable  # (f, p) -> the function a -> f(p acting on a)
-    inverse: Callable  # (p, x) -> p's inverse acting on x
-    weight: Callable  # (a, p, w) -> tail weight at p of the global value w
-    # the log coordinate v of a point or norm: s = e^v (scale) or t = v (shift)
-    to_log: Callable  # point -> v
-    from_log: Callable  # v -> point
-    has_log: Callable  # points -> where they have one: not p <= 0, nan kept (scale); all (shift)
-    intensity: Callable  # a -> rho: the dilation process has intensity rho e^{-a v} dv in v
-    quantile: Callable  # (a, kappa, w, L) -> the point p with weight(a, p, w) * kappa = L
+    to_log: Callable  # point -> v: log or the identity; a float stays a float, arrays map
+    from_log: Callable  # v -> point: exp or the identity, likewise
+    intensity: Callable  # rate -> rho
 
     @property
     def other(self) -> str:
@@ -697,46 +705,81 @@ class Carrier:
         """The global-law value that acts trivially, at log coordinate 0."""
         return self.from_log(0.0)
 
+    @property
+    def floor(self) -> float:
+        """The point at log coordinate -inf, 0 (scale) or -inf (shift): the
+        extreme norm of a replica without atoms."""
+        return self.from_log(-math.inf)
+
     def global_law(self, law):
         """`law`, or the global law that acts trivially when it is None."""
         return self.law.deterministic(self.identity) if law is None else law
+
+    def has_log(self, p):
+        """Where the points p have a log coordinate, nan kept: not p <= floor."""
+        return np.logical_not(p <= self.floor)
 
     def point_ok(self, p) -> bool:
         """Whether p is an evaluation point: finite, with a log coordinate."""
         return bool(math.isfinite(p) and self.has_log(p))
 
+    @property
+    def point_error(self) -> str:
+        """The error text of a point that is not an evaluation point."""
+        bound = f" and > {self.floor:g}" if math.isfinite(self.floor) else ""
+        return f"evaluation point {self.point} must be finite{bound}"
+
     def visible(self, f, p) -> float:
         """The window x -> f(inverse(p, x)) needs: p acting on f's lower support edge."""
         return self.act(p, f.support_bounds[0])
 
+    def compose(self, f, p) -> Callable:
+        """The function a -> f(p acting on a)."""
+        return lambda a: f.eval(self.act(p, a))
+
+    def tail_mass(self, rate, v):
+        """(rho / rate) e^{rate v}: the mass of rho e^{-rate v'} dv' above -v."""
+        return np.exp(rate * v) / (rate / self.intensity(rate))
+
+    def block_mean(self, rate, w, window, bound):
+        """Poisson mean, given the global value w, of the dilation points p
+        with v_p > v_window - v_bound, the only ones that can carry an atom into
+        the window. Translating the process by v_w multiplies its intensity by
+        e^{rate v_w} and keeps its shape, so w moves the count only and the
+        points (``block_start``) do not reference it."""
+        return self.tail_mass(rate, self.to_log(bound) + self.to_log(w) - self.to_log(window))
+
+    def block_start(self, rate, window, bound, q):
+        """The dilation point at uniform q, by inverse CDF of the points above
+        v_window - v_bound: an Exponential(rate) step in v."""
+        return self.from_log((self.to_log(window) - self.to_log(bound)) - np.log1p(-q) / rate)
+
+    def weight(self, rate, p, w):
+        """The tail weight e^{-rate (v_p - v_w)} at p of the global value w."""
+        return np.exp(-rate * (self.to_log(p) - self.to_log(w)))
+
+    def quantile(self, rate, kappa, w, L):
+        """The point p with weight(rate, p, w) * kappa = L."""
+        return self.from_log(self.to_log(w) - np.log(L / kappa) / rate)
+
+
+def _chart(scalar: Callable, ufunc: Callable) -> Callable:
+    """One chart map: the math function on a Python float, so that scalar code
+    keeps its floats and their bits, and the ufunc on everything else."""
+    return lambda x: scalar(x) if type(x) is float else ufunc(x)
+
 
 SCALE = Carrier(
     name="scale", measure=PointMeasure, law=ScaleLaw, norm=abs,
-    families=("scdppp", "sscdppp"), act=lambda p, a: p * a,
-    # eta^-alpha with eta = window / (bound * w): the global dilation by w is folded
-    # into the count, so the points below do not reference w
-    block_mean=lambda a, w, window, bound: (bound * w / window) ** a,
-    block_start=lambda a, window, bound, q: (window / bound) * (1.0 - q) ** (-1.0 / a),
+    families=("scdppp", "sscdppp"), act=lambda p, a: p * a, inverse=lambda y, x: x / y,
     rate_key="alpha", point="y", window_word="window",
-    point_error="evaluation point y must be finite and > 0",
-    compose=lambda f, s: lambda a: f.eval(s * a), inverse=lambda y, x: x / y,
-    weight=lambda a, y, w: (y ** -a) * w ** a,
-    to_log=math.log, from_log=math.exp, has_log=lambda p: np.logical_not(p <= 0.0),
-    intensity=lambda a: a, quantile=lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
+    to_log=_chart(math.log, np.log), from_log=_chart(math.exp, np.exp), intensity=lambda a: a,
 )
 SHIFT = Carrier(
     name="shift", measure=ShiftPointMeasure, law=ShiftLaw, norm=lambda x: x,
-    families=("dppp", "sdppp"), act=lambda p, a: a + p,
-    # the normalization shift log(c)/c is folded into the translation, so the
-    # sampled intensity is exactly e^{-c x} dx
-    block_mean=lambda c, u, cutoff, bound: np.exp(-c * (cutoff - (u - math.log(c) / c) - bound)),
-    block_start=lambda c, cutoff, bound, q: (cutoff - bound) + -np.log1p(-q) / c,
+    families=("dppp", "sdppp"), act=lambda p, a: a + p, inverse=lambda u, x: x - u,
     rate_key="c", point="u", window_word="cutoff",
-    point_error="evaluation point u must be finite",
-    compose=lambda g, t: lambda a: g.eval(a + t), inverse=lambda u, x: x - u,
-    weight=lambda c, u, w: np.exp(-c * (u - w)), to_log=lambda t: t, from_log=lambda v: v,
-    has_log=lambda t: np.full(np.shape(t), True), intensity=lambda c: 1.0,
-    quantile=lambda c, kappa, w, L: w - np.log(L / kappa) / c,
+    to_log=lambda t: t, from_log=lambda v: v, intensity=lambda c: 1.0,
 )
 CARRIERS = {"scale": SCALE, "shift": SHIFT}
 
@@ -757,10 +800,11 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: f
     """
     rng = np.random.Generator(np.random.Philox(key=key))
     bound = spec.decoration.bound
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         mean = cr.block_mean(spec.alpha, spec.effective_law().sample(rng, size),
                              window, bound)
     top = float(np.max(mean)) if mean.size else 0.0
+    # the residual guard behind the campaign's check_cap
     if not math.isfinite(top) or top > MEAN_CAP:
         raise RangeError(
             f"truncated-series Poisson mean {top:.3g} exceeds the cap {MEAN_CAP:.0e} "
@@ -817,8 +861,8 @@ class FlatCampaign:
 
     def _extremes(self, cr: Carrier) -> np.ndarray:
         """Per-replica largest norm of an atom on carrier ``cr``; the norm of the
-        empty replica, cr.from_log(-inf), is 0 (scale) or -inf (shift)."""
-        out = np.full(self.n_reps, cr.from_log(-math.inf))
+        empty replica, cr.floor, is 0 (scale) or -inf (shift)."""
+        out = np.full(self.n_reps, cr.floor)
         np.maximum.at(out, self.replica, cr.norm(self.locations))
         return out
 
@@ -847,6 +891,26 @@ class ProcessSource:
             raise DomainError("scale-family window radius must be > 0")
         self.carrier = spec.carrier
 
+    def check_cap(self, n_reps: int) -> None:
+        """Raise RangeError when n_reps replicas expect more than CAP_EPS block
+        means above MEAN_CAP: exact for the finite global laws, the normal tail
+        of v_W beyond the v_cap where block_mean = MEAN_CAP for the Gaussian ones."""
+        cr, spec, window = CARRIERS[self.carrier], self.spec, self.window
+        rate, bound, law = spec.alpha, spec.decoration.bound, spec.effective_law()
+        if law.kind == law.gaussian:
+            v_cap = (cr.to_log(window) - cr.to_log(bound)
+                     + math.log(MEAN_CAP * (rate / cr.intensity(rate))) / rate)
+            p = 0.5 * math.erfc((v_cap - law.mu) / (law.sigma * math.sqrt(2.0)))
+        else:
+            with np.errstate(over="ignore", divide="ignore"):
+                p = law.expect(lambda w: ~(cr.block_mean(rate, w, window, bound) <= MEAN_CAP))
+        if n_reps * p > CAP_EPS:
+            fields = ", ".join(f"{k} {v}" for k, v in law.to_config_dict().items() if k != "kind")
+            raise RangeError(
+                f"truncated-series Poisson mean exceeds the cap {MEAN_CAP:.0e} in {n_reps * p:.3g} "
+                f"of {n_reps} replicas on average under the {law.kind} {law.name} law ({fields}); "
+                f"{cr.window_word} {window!r} is too aggressive for this spec")
+
     def sample_block(self, master_seed: int, path: tuple, size: int):
         key = derive_key(master_seed, ROLE_BLOCK, *path)
         return _block(CARRIERS[self.carrier], self.spec, key, size, self.window)
@@ -866,6 +930,10 @@ class SuperposeSource:
             if ch.window != children[0].window:
                 raise DomainError("superposed sources must share the observation window")
         self.window = children[0].window
+
+    def check_cap(self, n_reps: int) -> None:
+        for ch in self.children:
+            ch.check_cap(n_reps)
 
     def sample_block(self, master_seed, path, size):
         """The children's blocks, concatenated and stable-sorted by replica."""
@@ -895,13 +963,15 @@ def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
 
     Replicas are partitioned into fixed blocks of BLOCK_SIZE; block b uses the
     stream keyed by (master_seed, ROLE_BLOCK, *role, b) and reaches ``fn`` as a
-    FlatCampaign of its own replicas 0..size-1. ``fn`` runs in the block's job,
+    FlatCampaign of its own replicas 0..size-1, once the source's cap check
+    has passed (``ProcessSource.check_cap``). ``fn`` runs in the block's job,
     so at most one block of atoms per worker is alive unless ``fn`` keeps it.
     At most min(threads, blocks, cpu count) worker threads run.
     """
     n_reps = int(n_reps)
     if n_reps < 1:
         raise DomainError("n_reps must be >= 1")
+    source.check_cap(n_reps)
     n_blocks = (n_reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def job(b: int):

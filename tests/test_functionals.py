@@ -313,6 +313,38 @@ def test_a_test_function_of_the_other_carrier_is_one_domain_error(name):
         call()
 
 
+_SCALE_ZERO = TestFunction([(1.0, 0.0), (2.0, 0.0)])
+_SHIFT_ZERO = ShiftTestFunction([(1.0, 0.0), (2.0, 0.0)])
+_SHIFT_AT_ONE = DecorationSpec.dirac([(1.0, 1)], carrier="shift")
+# name -> (the carrier the call expects, a call with its own carrier's function and
+# the other carrier's decoration)
+_OTHER_DECORATION_CALLS = {
+    "cf_quadrature": ("scale", lambda: cf_quadrature(1.0, _SHIFT_SPEC.decoration, _SCALE_TENT)),
+    "cf_quadrature_zero": ("scale", lambda: cf_quadrature(1.0, _SHIFT_SPEC.decoration,
+                                                          _SCALE_ZERO)),
+    # a shift atom at 0 used to divide by its bound 0, one at 1 to give a number
+    "cf_estimate_at_0": ("scale", lambda: cf_estimate(1.0, _SHIFT_SPEC.decoration,
+                                                      _SCALE_TENT, 10, 0)),
+    "cf_estimate_at_1": ("scale", lambda: cf_estimate(1.0, _SHIFT_AT_ONE, _SCALE_TENT, 10, 0)),
+    "cf_estimate_zero": ("scale", lambda: cf_estimate(1.0, _SHIFT_AT_ONE, _SCALE_ZERO, 10, 0)),
+    "kappa_quadrature": ("shift", lambda: kappa_quadrature(1.0, scdppp().decoration,
+                                                           _SHIFT_TENT)),
+    "kappa_quadrature_zero": ("shift", lambda: kappa_quadrature(1.0, scdppp().decoration,
+                                                                _SHIFT_ZERO)),
+    "psi_decoration_scale": ("scale", lambda: psi_decoration_scale(
+        _SHIFT_SPEC.decoration, _SCALE_TENT, 1.0)),
+    "psi_decoration_shift": ("shift", lambda: psi_decoration_shift(
+        scdppp().decoration, _SHIFT_TENT, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_DECORATION_CALLS))
+def test_a_decoration_of_the_other_carrier_is_one_domain_error(name):
+    carrier, call = _OTHER_DECORATION_CALLS[name]
+    with pytest.raises(DomainError, match=f"^expected a {carrier}-carrier decoration$"):
+        call()
+
+
 # -- reference predictions -----------------------------------------------------
 # Predictions against a dense Gauss-Legendre reference written without the
 # package's quadrature or its closed form for uniform locations: psi averages
@@ -546,6 +578,25 @@ class TestMixtureLaws:
         mixed = ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(DomainError):
             mixed.ppf(0.5)
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    @pytest.mark.parametrize("rate, kappa", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                             (math.inf, 1.0), (1.0, -1.0), (1.0, math.nan),
+                                             (1.0, math.inf)])
+    def test_rate_and_kappa_are_validated(self, carrier, rate, kappa):
+        what = "kappa" if rate == 1.0 else {"scale": "alpha", "shift": "c"}[carrier]
+        with pytest.raises(DomainError, match=f"^{what} must be finite and "):
+            ExtremeLaw(carrier, rate, kappa)
+
+    def test_zero_kappa_is_a_law(self):
+        assert ExtremeLaw("scale", 1.0, 0.0).cdf(0.5) == 1.0
+
+    def test_shift_cdf_at_minus_infinity(self):
+        # -inf has no log coordinate on the shift carrier either: the CDF reads 0
+        for law in (ExtremeLaw("shift", 1.0, 1.0),
+                    ExtremeLaw("shift", 0.8, 1.1, ShiftLaw.normal(0.3, 0.5))):
+            assert law.cdf(-math.inf) == 0.0
+            np.testing.assert_array_equal(law.cdf(np.array([-math.inf, math.nan])), [0.0, math.nan])
 
     def test_carrier_is_one_of_the_two_names(self):
         for make in (lambda: ExtremeLaw("log", 1.0, 1.0), lambda: default_battery("log"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -28,7 +29,8 @@ from stablepp.sampler import (
     resolve_threads,
     run_campaign,
 )
-from stablepp.sampler import _ragged_gather
+from stablepp.rng import ROLE_BLOCK, derive_key
+from stablepp.sampler import SCALE, SHIFT, Carrier, _block, _ragged_gather
 
 
 def unit_spec(window=1.0, alpha=1.0):
@@ -441,14 +443,139 @@ class TestCampaigns:
             assert ml[r] == sc.replica_measure(r).max_location()
 
     def test_mean_cap_guards_absurd_windows(self):
-        with pytest.raises(RangeError, match=r"mean 1e\+08 exceeds the cap 1e\+06 \(window 1e-08 "):
+        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 replicas on "
+                           r"average under the deterministic scale law \(value 1.0\); window 1e-08 "):
             run_campaign(ProcessSource(unit_spec(), window=1e-8), 0, 10)
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
-        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 \(cutoff -40.0 "):
+        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 .*; cutoff -40.0 "):
             run_campaign(ProcessSource(sspec, window=-40.0), 0, 10)
         # the mean e^800 overflows a double
-        with pytest.raises(RangeError, match=r"mean inf exceeds the cap 1e\+06 \(cutoff -800.0 "):
+        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 .*; cutoff -800.0 "):
             run_campaign(ProcessSource(sspec, window=-800.0), 0, 10)
+
+    def test_block_guards_a_mean_above_the_cap(self):
+        # the residual guard behind check_cap, on blocks drawn directly
+        key = derive_key(0, ROLE_BLOCK, 0)
+        with pytest.raises(RangeError, match=r"mean 1e\+08 exceeds the cap 1e\+06 \(window 1e-08 "):
+            _block(SCALE, unit_spec(window=1e-8), key, 10, 1e-8)
+        sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
+        with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 \(cutoff -40.0 "):
+            _block(SHIFT, sspec, key, 10, -40.0)
+        with pytest.raises(RangeError, match=r"mean inf exceeds the cap 1e\+06 \(cutoff -800.0 "):
+            _block(SHIFT, sspec, key, 10, -800.0)
+
+
+# The closed forms each carrier used to spell out by hand, with the
+# normalization shift log(c)/c written into the shift carrier's Poisson mean.
+_OLD_FORMS = {
+    "scale": {
+        "block_mean": lambda a, w, window, bound: (bound * w / window) ** a,
+        "block_start": lambda a, window, bound, q: (window / bound) * (1.0 - q) ** (-1.0 / a),
+        "weight": lambda a, y, w: (y ** -a) * w ** a,
+        "quantile": lambda a, kappa, w, L: w * (kappa / L) ** (1.0 / a),
+    },
+    "shift": {
+        "block_mean": lambda c, u, cutoff, bound: np.exp(-c * (cutoff - (u - math.log(c) / c)
+                                                               - bound)),
+        "block_start": lambda c, cutoff, bound, q: (cutoff - bound) + -np.log1p(-q) / c,
+        "weight": lambda c, u, w: np.exp(-c * (u - w)),
+        "quantile": lambda c, kappa, w, L: w - np.log(L / kappa) / c,
+    },
+}
+
+
+def _carrier_args(carrier, rng, n=2000):
+    """Random arguments of every derived method, drawn in v and charted."""
+    cr = CARRIERS[carrier]
+    rate = float(rng.uniform(0.3, 3.0))
+    v = lambda: cr.from_log(rng.uniform(-3.0, 3.0, n))
+    q = rng.random(n)
+    kappa, level = np.exp(rng.uniform(-2.0, 2.0, n)), np.exp(rng.uniform(-5.0, 3.0, n))
+    return {"block_mean": (rate, v(), v(), v()), "block_start": (rate, v(), v(), q),
+            "weight": (rate, v(), v()), "quantile": (rate, kappa, v(), level)}
+
+
+class TestCarrier:
+    """The carrier arithmetic is written once, in the log coordinate."""
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    @pytest.mark.parametrize("method", ["block_mean", "block_start", "weight", "quantile"])
+    def test_derived_methods_equal_the_old_closed_forms(self, carrier, method):
+        for seed in range(5):
+            args = _carrier_args(carrier, np.random.default_rng(seed))[method]
+            got = getattr(CARRIERS[carrier], method)(*args)
+            want = _OLD_FORMS[carrier][method](*args)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            if carrier == "shift" and method != "block_mean":
+                # where the forms agree in exact arithmetic the float order is kept
+                np.testing.assert_array_equal(got, want)
+
+    def test_compose_acts_then_evaluates(self):
+        f, g = tent(0.5, 1.0, 2.0), shift_tent(-1.0, 0.0, 1.0)
+        a = np.linspace(-3.0, 3.0, 61)
+        np.testing.assert_array_equal(SCALE.compose(f, 1.7)(a), f.eval(1.7 * a))
+        np.testing.assert_array_equal(SHIFT.compose(g, 0.4)(a), g.eval(a + 0.4))
+
+    def test_floor_has_log_and_point_error(self):
+        assert (SCALE.floor, SHIFT.floor) == (0.0, -math.inf)
+        assert type(SCALE.floor) is type(SCALE.identity) is float
+        assert SCALE.point_error == "evaluation point y must be finite and > 0"
+        assert SHIFT.point_error == "evaluation point u must be finite"
+        np.testing.assert_array_equal(SCALE.has_log(np.array([-1.0, 0.0, 1e-300, math.nan])),
+                                      [False, False, True, True])
+        np.testing.assert_array_equal(SHIFT.has_log(np.array([-math.inf, -1e300, math.nan])),
+                                      [False, True, True])
+        # the empty replica's extreme is the floor
+        camp = FlatCampaign(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), 2, "shift", 0.0)
+        np.testing.assert_array_equal(camp.max_locations(), [SHIFT.floor] * 2)
+
+    def test_carrier_holds_only_the_chart_and_what_differs(self):
+        assert len(dataclasses.fields(Carrier)) <= 13
+
+
+def _gaussian_cap_specs(sigma):
+    """A unit dirac decoration under a Gaussian global law of sd sigma, on each
+    carrier: in v both put MEAN_CAP at v_cap = log(MEAN_CAP)."""
+    return [ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 1.0,
+                        ScaleLaw.lognormal(0.0, sigma)),
+            ProcessSpec("sdppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0,
+                        ShiftLaw.normal(0.0, sigma))]
+
+
+class TestCapRule:
+    """A campaign whose replicas would pass MEAN_CAP fails by its spec and replica
+    count, before any block is drawn, never by its seed."""
+
+    @pytest.mark.parametrize("spec", _gaussian_cap_specs(4.0), ids=["scale", "shift"])
+    def test_gaussian_law_rejected_on_every_seed(self, spec, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+        monkeypatch.setattr(ProcessSource, "sample_block", no_block)
+        # n_reps P(v_W > log 1e6) = 2000 * 0.5 erfc(log(1e6) / (4 sqrt 2)) = 0.553
+        law = "lognormal scale" if spec.carrier == "scale" else "normal shift"
+        for seed in range(8):
+            with pytest.raises(RangeError, match=rf"in 0.553 of 2000 replicas on average under "
+                                                 rf"the {law} law \(mu 0.0, sigma 4.0\)"):
+                run_campaign(ProcessSource(spec), seed, 2000)
+        with pytest.raises(RangeError):
+            campaign_stats(ProcessSource(spec), 0, 2000, FlatCampaign.counts)
+        with pytest.raises(RangeError):
+            SuperposeSource(ProcessSource(spec)).check_cap(2000)
+
+    @pytest.mark.parametrize("spec", _gaussian_cap_specs(0.5), ids=["scale", "shift"])
+    def test_gaussian_law_far_below_the_cap_passes(self, spec):
+        ProcessSource(spec).check_cap(10**12)
+
+    def test_table_law_is_exact(self):
+        dec = DecorationSpec.dirac([(1.0, 1)])
+        # W = 1e7 puts the mean at 1e7 on window 1; it has probability 1e-3
+        spec = ProcessSpec("sscdppp", 1.0, dec, 1.0, ScaleLaw.table([1.0, 1e7], [0.999, 0.001]))
+        with pytest.raises(RangeError, match=r"in 0.002 of 2 replicas on average under the table "
+                                             r"scale law \(values \[1.0, 10000000.0\], probs"):
+            ProcessSource(spec).check_cap(2)
+        # a mean exactly at the cap is allowed, as in the block
+        at_cap = ProcessSpec("sscdppp", 1.0, dec, 1.0, ScaleLaw.table([1.0, 1e6], [0.5, 0.5]))
+        ProcessSource(at_cap).check_cap(10**9)
 
     def test_n_reps_validation(self):
         with pytest.raises(DomainError):
@@ -590,22 +717,22 @@ def _digest(*parts) -> str:
 
 
 PINNED_STREAMS = {
-    "scale/dirac/none": "c32f997b0bd6b22d",
-    "scale/dirac/deterministic": "1094ec06319244ba",
-    "scale/dirac/gaussian": "fd2be2b76dd1a91c",
-    "scale/dirac/table": "cab23cc98a1088bc",
-    "scale/table/none": "516b4fab65738e48",
-    "scale/table/deterministic": "7728349ef9d5510b",
-    "scale/table/gaussian": "eb66e48bcc16bb1e",
-    "scale/table/table": "240d43ae2c291035",
-    "scale/atoms_uniform/none": "8a46d45f9dba9501",
-    "scale/atoms_uniform/deterministic": "bbe5508edffb25be",
-    "scale/atoms_uniform/gaussian": "0238e4f9f9c93902",
-    "scale/atoms_uniform/table": "0adb8b881754d9b8",
-    "scale/atoms_table/none": "18dd8c56c970417e",
-    "scale/atoms_table/deterministic": "a198d13285f2d524",
-    "scale/atoms_table/gaussian": "452d27ef5bbfc119",
-    "scale/atoms_table/table": "3613ca31c096c8d6",
+    "scale/dirac/none": "f298e869d6a2f980",
+    "scale/dirac/deterministic": "6152fca5e5b489ac",
+    "scale/dirac/gaussian": "0b3b34684f313339",
+    "scale/dirac/table": "781c0ed72e7731d0",
+    "scale/table/none": "ad8883f288dedf7b",
+    "scale/table/deterministic": "5e1c7008f2996981",
+    "scale/table/gaussian": "062dbe7945f2c88a",
+    "scale/table/table": "606bb759423d20c9",
+    "scale/atoms_uniform/none": "c926265e13a2fc5c",
+    "scale/atoms_uniform/deterministic": "a60cf6159b190fb2",
+    "scale/atoms_uniform/gaussian": "743bb9991c09ed7e",
+    "scale/atoms_uniform/table": "d2872a2636cd2228",
+    "scale/atoms_table/none": "c46a62449999057d",
+    "scale/atoms_table/deterministic": "21cc300b21d9b225",
+    "scale/atoms_table/gaussian": "2780c74562c5b247",
+    "scale/atoms_table/table": "92914bc857e58692",
     "shift/dirac/none": "3fd59335e241606d",
     "shift/dirac/deterministic": "761e4409d13cb131",
     "shift/dirac/gaussian": "b36248614d1dc604",
