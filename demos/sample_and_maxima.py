@@ -7,13 +7,13 @@ one-sample KS test against the analytic law.
 """
 
 import numpy as np
-from scipy import stats
 
 from stablepp import (
     DecorationSpec,
     ExtremeLaw,
     ProcessSource,
     ProcessSpec,
+    ks_censored,
     maxmod_samples,
     run_campaign,
 )
@@ -31,9 +31,9 @@ def main():
               f"smallest [{locs}, ...]")
 
     mm = maxmod_samples(spec, 10_000, seed=0)
-    ks = stats.kstest(mm, lambda x: np.exp(-1.0 / np.asarray(x)))
-    print(f"\nmaxmod sample vs unit Frechet: KS = {ks.statistic:.4f}, "
-          f"p = {ks.pvalue:.3f}")
+    # a window below every sample censors nothing: the plain one-sample KS test
+    d, p = ks_censored(mm, lambda x: np.exp(-1.0 / np.asarray(x)), 0.5 * mm.min())
+    print(f"\nmaxmod sample vs unit Frechet: KS = {d:.4f}, p = {p:.3f}")
     for q in (0.25, 0.5, 0.9):
         emp = float(np.quantile(mm, q))
         exact = 1.0 / -np.log(q)

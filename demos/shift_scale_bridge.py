@@ -9,13 +9,13 @@ the Frechet max law landing on Gumbel.
 import math
 
 import numpy as np
-from scipy import stats
 
 from stablepp import (
     DecorationSpec,
     ProcessSource,
     ProcessSpec,
     exp_transform,
+    ks_censored,
     log_transform,
     map_process_spec,
     maxmod_samples,
@@ -50,9 +50,10 @@ def main():
 
     mm = maxmod_samples(scale_spec, 10_000, seed=19)
     image_max = np.log(mm[mm > 0.0])
-    ks = stats.kstest(image_max, lambda x: np.exp(-np.exp(-np.asarray(x))))
-    print(f"log of Frechet maxima vs standard Gumbel: KS = {ks.statistic:.4f}, "
-          f"p = {ks.pvalue:.3f}")
+    # a window below every sample censors nothing: the plain one-sample KS test
+    d, p = ks_censored(image_max, lambda x: np.exp(-np.exp(-np.asarray(x))),
+                       image_max.min() - 1.0)
+    print(f"log of Frechet maxima vs standard Gumbel: KS = {d:.4f}, p = {p:.3f}")
     print(f"  median: empirical {float(np.median(image_max)):.4f}, "
           f"analytic {-math.log(math.log(2.0)):.4f}")
 

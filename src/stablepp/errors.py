@@ -2,11 +2,13 @@
 
 Domain, window, and config errors are ValueError subclasses so that callers
 doing coarse exception handling keep working; starvation is a RuntimeError
-because it arises from data, not arguments.
+because it arises from data, not arguments. A quadrature that runs out of
+subintervals before meeting its tolerance warns with IntegrationWarning and
+returns its best estimate.
 """
 
 __all__ = ["StableppError", "DomainError", "WindowError", "RangeError", "ConfigError",
-           "StarvationError"]
+           "StarvationError", "IntegrationWarning"]
 
 
 class StableppError(Exception):
@@ -31,3 +33,7 @@ class ConfigError(StableppError, ValueError):
 
 class StarvationError(StableppError, RuntimeError):
     """Rejection sampling cannot reach the requested number of accepted samples."""
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive quadrature stopped at its subinterval limit above its tolerance."""

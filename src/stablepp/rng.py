@@ -14,6 +14,7 @@ master seed.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded with the package, not by a command's first draw
 
 _MASK64 = (1 << 64) - 1
 

@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
+from stablepp import characterization
 from stablepp.errors import DomainError
 from stablepp.characterization import (
     SubCheck,
@@ -13,6 +15,7 @@ from stablepp.characterization import (
     TestReport,
     censor_window,
     fit_scale_template,
+    kolmogorov_sf,
     ks_censored,
     maxmod_law_test,
     scale_unique_support_test,
@@ -74,6 +77,116 @@ class TestCensoredKs:
         w = censor_window(law)
         d, p = ks_censored(np.maximum(xs, w), wrong.cdf, w)
         assert p < 1e-6
+
+
+def _ks_grid(n):
+    """d in (0, 1) for sample size n: every edge of the kolmogorov_sf dispatch
+    (nd = 1/2, 1, n - 1; n d^2 = 0.754693, 2.2, 4, 18, 370; n d^1.5 = 1.4;
+    d = 1/2) with the floats on either side of it, and a coarse grid. At
+    n = 10^6 the n d^2 edges are those of its own branch, 2.2 and 370, and the
+    grid has no point between them: there each reference evaluation of the
+    one-sided tail takes over a second."""
+    nd2_edges = (2.2, 370.0) if n > 100_000 else (0.754693, 2.2, 4.0, 18.0, 370.0)
+    edges = [0.5 / n, 1.0 / n, (n - 1.0) / n, 0.5, (1.4 / n) ** (2.0 / 3.0)]
+    edges += [math.sqrt(nd2 / n) for nd2 in nd2_edges]
+    near = [x for e in edges for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+    grid = [0.1 / n, 0.75 / n, 2.5 / n, 1.0 / math.sqrt(n), 0.1, 0.3, 0.7, 0.99]
+    if n <= 100_000:
+        grid += [math.sqrt(10.0 / n), 0.01]
+    return sorted({float(d) for d in near + grid if 0.0 < d < 1.0})
+
+
+class TestKolmogorovSf:
+    @pytest.mark.parametrize("ns", [range(1, 71), range(71, 142), [500, 1000, 10_000],
+                                    [100_000], [1_000_000]],
+                             ids=["n1-70", "n71-141", "n500-10k", "n100k", "n1M"])
+    def test_matches_the_reference_on_every_dispatch_edge(self, ns):
+        for n in ns:
+            ds = _ks_grid(n)
+            got = np.array([kolmogorov_sf(d, n) for d in ds])
+            want = stats.kstwo.sf(ds, n)
+            worst = int(np.argmax(np.abs(got - want)))
+            assert abs(got[worst] - want[worst]) <= 1e-12, (n, ds[worst], got[worst], want[worst])
+
+    def test_outside_the_unit_interval(self):
+        assert kolmogorov_sf(0.0, 5) == kolmogorov_sf(-1.0, 5) == 1.0
+        assert kolmogorov_sf(1.0, 5) == kolmogorov_sf(2.0, 5) == 0.0
+        assert math.isnan(kolmogorov_sf(math.nan, 5))
+        with pytest.raises(DomainError):
+            kolmogorov_sf(0.5, 0)
+
+    def test_censored_ks_without_censoring_is_the_reference_ks(self):
+        xs = ExtremeLaw("scale", 1.0, 1.0).sample(3000, seed=11)
+        cdf = ExtremeLaw("scale", 1.0, 1.2).cdf
+        d, p = ks_censored(xs, cdf, 0.5 * xs.min())
+        ref = stats.kstest(xs, cdf, method="exact")
+        assert d == ref.statistic
+        assert p == pytest.approx(ref.pvalue, rel=0.0, abs=1e-12)
+
+
+class TestTwoSampleKs:
+    @pytest.mark.parametrize("n1, n2", [(10, 10), (37, 1000), (2500, 1800), (4000, 4001)])
+    def test_matches_the_asymptotic_reference(self, n1, n2):
+        rng = np.random.default_rng(n1 * 7919 + n2)
+        a = rng.standard_exponential(n1)
+        b = np.round(rng.standard_exponential(n2) * 1.1, 2)  # ties within b and across
+        b[:3] = a[:3]
+        for x, y in ((a, b), (b, a)):
+            d, p = characterization._two_sample_ks(x, y)
+            ref = stats.ks_2samp(x, y, method="asymp")
+            assert d == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.3])
+    def test_stability_report_carries_it(self, factor, monkeypatch):
+        samples = []
+        two_sample = characterization._two_sample_ks
+
+        def recording(a, b):
+            samples.append((a, b))
+            return two_sample(a, b)
+
+        monkeypatch.setattr(characterization, "_two_sample_ks", recording)
+        report = stability_test(dirac_spec(), 1.0, 1.0, n_reps=4000, seed=5,
+                                rhs_scale_factor=factor)
+        (a, b), = samples
+        ref = stats.ks_2samp(a, b, method="asymp")
+        sub = report.subchecks[-1]
+        assert sub.name == "maxmod_ks" and sub.statistic == ref.statistic
+        assert sub.p_value == pytest.approx(ref.pvalue, rel=0.0, abs=1e-12)
+
+
+class TestBoundedMinimum:
+    @pytest.mark.parametrize("fn, a, b", [
+        (lambda x: (x - 0.3) ** 2, -2.0, 5.0),
+        (lambda x: math.cos(x), 0.0, 2.0 * math.pi),
+        (lambda x: abs(x - 1.0 / 3.0), -1.0, 1.0),
+        (lambda x: math.exp(x) - 4.0 * x, -7.0, 7.0),
+        (lambda x: x ** 4 - x, -1.0, 0.5),  # minimum at an interior point near the bound
+        (lambda x: x, 1.0, 3.0),  # minimum on the lower bound
+    ])
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-12])
+    def test_same_x_as_the_reference(self, fn, a, b, xatol):
+        ref = optimize.minimize_scalar(fn, bounds=(a, b), method="bounded",
+                                       options={"xatol": xatol})
+        assert characterization._bounded_minimum(fn, a, b, xatol) == float(ref.x)
+
+    def test_same_x_as_the_reference_on_a_support_fit(self, monkeypatch):
+        calls = []
+        minimum = characterization._bounded_minimum
+
+        def recording(fn, a, b, xatol):
+            x = minimum(fn, a, b, xatol)
+            calls.append((x, fn, a, b, xatol))
+            return x
+
+        monkeypatch.setattr(characterization, "_bounded_minimum", recording)
+        scale_unique_support_test(dirac_spec(alpha=1.5), n_reps=5000, seed=2)
+        assert len(calls) == 5
+        for x, fn, a, b, xatol in calls:
+            ref = optimize.minimize_scalar(fn, bounds=(a, b), method="bounded",
+                                           options={"xatol": xatol})
+            assert x == float(ref.x)
 
 
 class TestMaxmodLawTest:

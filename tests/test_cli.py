@@ -2,7 +2,10 @@ import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -726,3 +729,52 @@ class TestTransform:
                                 "input": "x.jsonl", "process": PROC})
         assert main(["transform", "--config", cfg,
                      "--out", str(tmp_path / "o.json")]) == 1
+
+
+# Runs in a fresh interpreter: the test process has scipy loaded, since tests
+# use it as a reference.
+_COMMANDS_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+import stablepp.cli
+
+d = Path(sys.argv[1])
+dirac = json.loads(sys.argv[2])
+uniform = dict(dirac, decoration={"kind": "random_atoms", "count_probs": [[1, 0.5], [2, 0.5]],
+                                  "location": {"kind": "uniform", "low": 0.5, "high": 1.5}})
+
+def run(name, argv, doc, reps=None):
+    cfg = d / (name + ".json")
+    cfg.write_text(json.dumps({"schema": "stablepp/v1", **doc}))
+    extra = ["--reps", str(reps)] if reps else []
+    rc = stablepp.cli.main([*argv, "--config", str(cfg), "--out", str(d / (name + ".out")),
+                            "--seed", "1", *extra])
+    assert rc == 0, (name, rc)
+
+run("sample", ["sample"], {"process": uniform}, 20)
+run("transform", ["transform"], {"direction": "log", "input": str(d / "sample.out")})
+run("estimate", ["estimate"], {"process": uniform}, 200)
+run("stability", ["test", "stability"], {"process": dirac, "b1": 1.0, "b2": 2.0}, 2000)
+run("maxlaw", ["test", "maxlaw"], {"process": uniform}, 500)
+run("support", ["test", "support"], {"process": uniform}, 2000)
+run("tail", ["test", "tail"], {"process": dirac}, 2000)
+run("extract", ["extract"], {"process": dirac, "threshold": 3.0, "inner_radius": 0.5,
+                             "n_accepted": 100})
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY, str(tmp_path),
+                           json.dumps(PROC)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # the stability report compared maxmods with the two-sample KS test
+    report = json.loads((tmp_path / "stability.out").read_text())
+    assert report["subchecks"][-1]["name"] == "maxmod_ks"
+    assert report["subchecks"][-1]["note"] == ""

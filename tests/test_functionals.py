@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from stablepp import functionals
 from stablepp.characterization import ks_censored
-from stablepp.errors import DomainError, WindowError
+from stablepp.errors import DomainError, IntegrationWarning, WindowError
 from stablepp.extraction import predicted_acceptance
 from stablepp.functionals import (
     EstimateWithError,
@@ -125,6 +125,54 @@ class TestCfQuadrature:
         quad = cf_quadrature(1.0, dec, f)
         est = cf_estimate(1.0, dec, f, 40_000, seed=7)
         assert abs(est.value - quad.value) <= 3.0 * est.std_error + quad.error_bound
+
+
+class TestGaussKronrod:
+    def test_gauss_nodes_and_weights_are_leggauss_10(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        nodes = np.array(functionals._XGK[1:10:2])
+        assert np.allclose(np.sort(np.concatenate([-nodes, nodes])), x, rtol=0.0, atol=2e-16)
+        assert np.allclose(np.concatenate([functionals._WG, functionals._WG[::-1]]), w,
+                           rtol=0.0, atol=2e-16)
+
+    def test_exact_on_monomials_up_to_degree_31(self):
+        a, b = -0.6, 1.3
+        for k in range(32):
+            value = functionals._qk21(lambda x: x ** k, a, b)[0]
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert value == pytest.approx(exact, rel=5e-15, abs=0.0), k
+
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    def test_same_constants_and_evaluations_as_quadpack(self, carrier, monkeypatch):
+        # scipy's quad is QUADPACK's QAGS: on these smooth pieces it bisects as
+        # the package's rule does, so the two agree on every integrand call
+        def run(quad):
+            calls = [0]
+
+            def counted(fn, a, b):
+                def fn_counted(x):
+                    calls[0] += 1
+                    return fn(x)
+                return quad(fn_counted, a, b)
+
+            monkeypatch.setattr(functionals, "_quad", counted)
+            alpha = 1.0 if carrier == "scale" else 0.6
+            constant = cf_quadrature if carrier == "scale" else kappa_quadrature
+            out = [constant(alpha, dec, f) for dec in REFERENCE_DECORATIONS[carrier].values()
+                   for f in default_battery(carrier).values()]
+            return out, calls[0]
+
+        ours, n_ours = run(functionals._quad)
+        ref, n_ref = run(lambda fn, a, b: integrate.quad(fn, a, b, limit=functionals._QUAD_LIMIT))
+        assert n_ours == n_ref
+        for c, r in zip(ours, ref):
+            assert c.value == pytest.approx(r.value, rel=1e-14, abs=0.0)
+            assert c.error_bound == pytest.approx(r.error_bound, rel=1e-5, abs=0.0)
+
+    def test_the_subinterval_limit_warns(self):
+        with pytest.warns(IntegrationWarning, match="400 subintervals"):
+            value, err = functionals._quad(lambda x: math.sin(1e9 * x), 0.0, 1.0)
+        assert math.isfinite(value) and err > functionals._QUAD_TOL
 
 
 class TestScaledEstimates:
