@@ -791,15 +791,15 @@ def _family_carrier(family):
 
 # -- core block sampling -------------------------------------------------------
 
-def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int, window: float):
-    """One vectorized block of replicas, exact on the carrier's window {norm(x) > window}.
+def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int):
+    """One vectorized block of replicas, exact on the spec's window {norm(x) > window}.
 
     One Philox stream, drawn in one order on both carriers: the global law's
     values, the Poisson counts, one uniform per dilation point, the decoration
     copies.
     """
     rng = np.random.Generator(np.random.Philox(key=key))
-    bound = spec.decoration.bound
+    bound, window = spec.decoration.bound, spec.window
     with np.errstate(over="ignore", divide="ignore"):
         mean = cr.block_mean(spec.alpha, spec.effective_law().sample(rng, size),
                              window, bound)
@@ -885,11 +885,10 @@ class ProcessSource:
     """Campaign source drawing replicas of one spec, optionally on a finer window."""
 
     def __init__(self, spec: ProcessSpec, window: float | None = None):
-        self.spec = spec
-        self.window = spec.window if window is None else float(window)
-        if spec.is_scale_family and not self.window > 0.0:
-            raise DomainError("scale-family window radius must be > 0")
+        self.spec = spec if window is None else spec.with_window(window)
         self.carrier = spec.carrier
+
+    window = property(lambda self: self.spec.window)
 
     def check_cap(self, n_reps: int) -> None:
         """Raise RangeError when n_reps replicas expect more than CAP_EPS block
@@ -913,7 +912,7 @@ class ProcessSource:
 
     def sample_block(self, master_seed: int, path: tuple, size: int):
         key = derive_key(master_seed, ROLE_BLOCK, *path)
-        return _block(CARRIERS[self.carrier], self.spec, key, size, self.window)
+        return _block(CARRIERS[self.carrier], self.spec, key, size)
 
 
 class SuperposeSource:

@@ -9,11 +9,15 @@ shift-family intensity convention is e^{-c x} dx, whose tail carries an extra
 1/c, so laws pick up the deterministic normalization shift log(c)/c when
 crossing the dictionary (it vanishes at c = 1).
 
+Both directions are one chart change, ``_coord``: a point keeps its log
+coordinate v, read and written with the carriers' charts (``Carrier.to_log``,
+``from_log``), so a direction names nothing but its source carrier.
+
 Measures and laws map exactly. Piecewise-linear test functions do not (a line
-in log coordinates is a curve in linear coordinates), so function transport
-re-knots adaptively to a stated sup-norm tolerance; each segment's worst-case
-deviation has a closed form because the composed function is convex or concave
-between knots.
+in one chart is a curve in the other), so function transport re-knots
+adaptively to a stated sup-norm tolerance; each piece's worst-case deviation
+has a closed form because the composed function is convex or concave between
+knots, and the same form serves both directions.
 """
 from __future__ import annotations
 
@@ -22,48 +26,49 @@ import math
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .point_measure import (
-    PointMeasure,
-    ShiftPointMeasure,
-    ShiftTestFunction,
-    TestFunction,
-)
-from .sampler import (
-    CARRIERS,
-    SCALE,
-    SHIFT,
-    DecorationSpec,
-    LocationLaw,
-    ProcessSpec,
-    ScaleLaw,
-    ShiftLaw,
-)
+from .point_measure import ShiftTestFunction, TestFunction
+from .sampler import (CARRIERS, SCALE, SHIFT, DecorationSpec, LocationLaw, ProcessSpec,
+                      ScaleLaw, ShiftLaw)
 
-__all__ = [
-    "exp_transform",
-    "log_transform",
-    "exp_function",
-    "log_function",
-    "log_decoration",
-    "exp_decoration",
-    "scale_law_to_shift",
-    "shift_law_to_scale",
-    "map_process_spec",
-    "normalization_shift",
-]
+__all__ = ["exp_transform", "log_transform", "exp_function", "log_function",
+           "log_decoration", "exp_decoration", "scale_law_to_shift", "shift_law_to_scale",
+           "map_process_spec", "normalization_shift"]
 
 _DEFAULT_TOL = 5e-7
 _MAX_DEPTH = 48
 
+# direction -> its source carrier; the target is the other one
+_DIRECTIONS = {"log": SCALE, "exp": SHIFT}
+_FUNCTIONS = {"scale": TestFunction, "shift": ShiftTestFunction}
 
-def _exp_checked(x: float) -> float:
-    """math.exp raises OverflowError instead of returning inf; unify both exits."""
+
+def _ends(direction: str, got, field: str, name: str, what: str):
+    """The (source, target) carriers of `direction`, once `got` is the source
+    carrier's `field`: the carrier of the input `what` that `name` received."""
+    src = _DIRECTIONS[direction]
+    if got != getattr(src, field):
+        raise DomainError(f"{name} expects a {src.name}-carrier {what}")
+    return src, CARRIERS[src.other]
+
+
+def _coord(direction: str, x, what: str, dv: float = 0.0):
+    """The points x, read in the source chart of `direction`, in the target
+    chart after their log coordinate moves by dv. Every x must have a log
+    coordinate and every image must be finite with one. A scalar becomes a
+    Python float, so the charts apply math.log / math.exp to it."""
+    src = _DIRECTIONS[direction]
+    dst = CARRIERS[src.other]
+    if np.ndim(x) == 0:
+        x = float(x)
+    if not np.all(src.has_log(x)):
+        raise DomainError(f"{direction} transport requires {what} on ({src.floor:g}, inf)")
     try:
-        y = math.exp(x)
+        with np.errstate(over="ignore"):
+            y = dst.from_log(src.to_log(x) + dv)
     except OverflowError:
-        raise RangeError("exp transport left the float range")
-    if y == 0.0 or math.isinf(y):
-        raise RangeError("exp transport left the float range")
+        y = math.inf
+    if not np.all(np.isfinite(y) & dst.has_log(y)):
+        raise RangeError(f"{direction} transport left the float range")
     return y
 
 
@@ -76,71 +81,71 @@ def normalization_shift(c: float) -> float:
 
 # -- measures -------------------------------------------------------------------
 
+def _map_measure(m, direction: str):
+    got = getattr(m, "measure", type(m))
+    _, dst = _ends(direction, got, "measure", f"{direction}_transform", "measure")
+    return m.relocated(_coord(direction, m.locations, "all atoms"), dst.measure)
+
+
 def log_transform(m):
     """Coordinatewise log of a scale-carrier measure or MeasureBatch; every atom
     must lie on the positive half-line."""
-    if m.locations.size and float(m.locations.min()) <= 0.0:
-        raise DomainError("log transport requires all atoms on (0, inf)")
-    out = np.log(m.locations)
-    if out.size and not np.all(np.isfinite(out)):
-        raise RangeError("log transport left the float range")
-    return m.relocated(out, ShiftPointMeasure)
+    return _map_measure(m, "log")
 
 
 def exp_transform(m):
     """Coordinatewise exp of a shift-carrier measure or MeasureBatch; overflow or
     underflow to 0 is an error."""
-    with np.errstate(over="ignore"):
-        out = np.exp(m.locations)
-    if out.size and (not np.all(np.isfinite(out)) or np.any(out == 0.0)):
-        raise RangeError("exp transport left the float range")
-    return m.relocated(out, PointMeasure)
+    return _map_measure(m, "exp")
 
 
 # -- test functions ---------------------------------------------------------------
 
-def _refine_exp(x0, v0, x1, v1, tol, out, depth):
-    """Knots for y -> f(log y) on [e^x0, e^x1], chord error <= tol.
+def _refine(p0, f0, p1, f1, src: int, tol: float, out: list, depth: int = 0):
+    """Append to `out` the knots after p0 that re-knot the piece from p0 to p1.
 
-    f is linear on [x0, x1]; the image h(y) = v0 + s (log y - x0) with
-    s = (v1 - v0)/(x1 - x0) is concave (s > 0) or convex (s < 0), so the
-    worst chord deviation is at the tangency point y* = (b - a)/(x1 - x0).
+    Points are (a, b) pairs of scale and shift coordinates, b = log a; f is
+    linear in the chart with index src (0 scale, 1 shift) and knots go out in
+    the other. Lines in a and in b differ most at a* = (a1 - a0)/(b1 - b0), by
+    |f1 - f0| |(a* - a0)/(a1 - a0) - (log a* - b0)/(b1 - b0)| whichever chart is
+    the source; a piece that misses tol is bisected at the midpoint of b.
     """
-    if v0 == v1 or depth >= _MAX_DEPTH:
-        out.append((math.exp(x1), v1))
+    (a0, b0), (a1, b1) = p0, p1
+    if not (a0 < a1 and b0 < b1):
+        raise RangeError("transport maps distinct knots of the function to one float")
+    astar = (a1 - a0) / (b1 - b0)
+    gap = abs((astar - a0) / (a1 - a0) - (SCALE.to_log(astar) - b0) / (b1 - b0))
+    if f0 == f1 or depth >= _MAX_DEPTH or abs(f1 - f0) * gap <= tol:
+        out.append((p1[1 - src], f1))
         return
-    a, b = math.exp(x0), math.exp(x1)
-    s = (v1 - v0) / (x1 - x0)
-    ystar = (b - a) / (x1 - x0)
-    h = v0 + s * (math.log(ystar) - x0)
-    chord = v0 + (v1 - v0) * (ystar - a) / (b - a)
-    if abs(h - chord) <= tol:
-        out.append((b, v1))
-        return
-    xm = 0.5 * (x0 + x1)
-    vm = 0.5 * (v0 + v1)
-    _refine_exp(x0, v0, xm, vm, tol, out, depth + 1)
-    _refine_exp(xm, vm, x1, v1, tol, out, depth + 1)
+    bm = 0.5 * (b0 + b1)
+    pm = (SCALE.from_log(bm), bm)
+    w = 0.5 if src else (pm[0] - a0) / (a1 - a0)  # pm's share of the source chart's piece
+    fm = (1.0 - w) * f0 + w * f1
+    _refine(p0, f0, pm, fm, src, tol, out, depth + 1)
+    _refine(pm, fm, p1, f1, src, tol, out, depth + 1)
 
 
-def _refine_log(a, v0, b, v1, tol, out, depth):
-    """Knots for x -> f(e^x) on [log a, log b], chord error <= tol."""
-    if v0 == v1 or depth >= _MAX_DEPTH:
-        out.append((math.log(b), v1))
-        return
-    la, lb = math.log(a), math.log(b)
-    s = (v1 - v0) / (b - a)
-    c = (v1 - v0) / (lb - la)
-    xstar = math.log(c / s)
-    h = v0 + s * (math.exp(xstar) - a)
-    chord = v0 + c * (xstar - la)
-    if abs(h - chord) <= tol:
-        out.append((lb, v1))
-        return
-    mid = math.sqrt(a * b)
-    vm = v0 + s * (mid - a)
-    _refine_log(a, v0, mid, vm, tol, out, depth + 1)
-    _refine_log(mid, vm, b, v1, tol, out, depth + 1)
+def _map_function(f, direction: str, tol: float):
+    """f transported in `direction`, re-knotted to within tol * sup|f|. Knots
+    without a log coordinate lead and f must vanish up to the first with one."""
+    src, dst = _ends(direction, f._measure, "measure", f"{direction}_function", "function")
+    to = _FUNCTIONS[dst.name]
+    if f.is_zero:
+        return to([(dst.identity, 0.0), (dst.identity + 1.0, 0.0)])
+    xs, vs = f.knots_x, f.knots_v
+    first = int(np.count_nonzero(~src.has_log(xs)))
+    if np.any(vs[:first + 1] != 0.0):
+        raise DomainError(f"{direction} transport requires support in ({src.floor:g}, inf)")
+    xs, vs = xs[first:].tolist(), vs[first:].tolist()
+    ys = [_coord(direction, x, "function knots") for x in xs]
+    i = 0 if src is SCALE else 1  # the source chart's place in (scale, shift) pairs
+    pts = list(zip(xs, ys)) if i == 0 else list(zip(ys, xs))
+    abs_tol = float(tol) * f.sup_norm
+    out = [(ys[0], vs[0])]
+    for k in range(len(xs) - 1):
+        _refine(pts[k], vs[k], pts[k + 1], vs[k + 1], i, abs_tol, out)
+    return to(out)
 
 
 def exp_function(f: ShiftTestFunction, tol: float = _DEFAULT_TOL) -> TestFunction:
@@ -149,16 +154,7 @@ def exp_function(f: ShiftTestFunction, tol: float = _DEFAULT_TOL) -> TestFunctio
     tol is relative to the sup norm; the result satisfies
     sup_y |result(y) - f(log y)| <= tol * sup|f|.
     """
-    if f.is_zero:
-        return TestFunction([(1.0, 0.0), (2.0, 0.0)])
-    xs, vs = f.knots_x, f.knots_v
-    lo, hi = _exp_checked(float(xs[0])), _exp_checked(float(xs[-1]))
-    abs_tol = float(tol) * f.sup_norm
-    out = [(lo, float(vs[0]))]
-    for i in range(xs.size - 1):
-        _refine_exp(float(xs[i]), float(vs[i]), float(xs[i + 1]), float(vs[i + 1]),
-                    abs_tol, out, 0)
-    return TestFunction(out)
+    return _map_function(f, "exp", tol)
 
 
 def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunction:
@@ -167,56 +163,23 @@ def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunctio
     The support of f must lie in (0, inf); two-sided functions have no log
     image. tol is relative to the sup norm.
     """
-    if f.is_zero:
-        return ShiftTestFunction([(0.0, 0.0), (1.0, 0.0)])
-    xs, vs = f.knots_x, f.knots_v
-    if float(xs[0]) < 0.0 and not np.all(vs[xs <= 0.0] == 0.0):
-        raise DomainError("log transport requires support in (0, inf)")
-    # drop knots at or left of 0 (function vanishes there), keep one zero knot
-    keep = xs > 0.0
-    first = int(np.argmax(keep))
-    xs, vs = xs[first:], vs[first:]
-    if vs[0] != 0.0:
-        raise DomainError("log transport requires support in (0, inf)")
-    abs_tol = float(tol) * f.sup_norm
-    out = [(math.log(float(xs[0])), float(vs[0]))]
-    if not math.isfinite(out[0][0]):
-        raise RangeError("transported support leaves the float range")
-    for i in range(xs.size - 1):
-        _refine_log(float(xs[i]), float(vs[i]), float(xs[i + 1]), float(vs[i + 1]),
-                    abs_tol, out, 0)
-    return ShiftTestFunction(out)
+    return _map_function(f, "log", tol)
 
 
 # -- decorations and laws ----------------------------------------------------------
 
-def _log_checked(x: float, what: str) -> float:
-    if x <= 0.0:
-        raise DomainError(f"log transport requires {what} on (0, inf)")
-    return math.log(x)
-
-
-# direction -> (source carrier, target carrier, checked map of one coordinate)
-_DIRECTIONS = {
-    "log": (SCALE, SHIFT, _log_checked),
-    "exp": (SHIFT, SCALE, lambda x, what: _exp_checked(x)),
-}
-
-
 def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
-    src, dst, coord = _DIRECTIONS[direction]
-    if dec.carrier != src.name:
-        raise DomainError(f"{direction}_decoration expects a {src.name}-carrier decoration")
+    _, dst = _ends(direction, dec.carrier, "name", f"{direction}_decoration", "decoration")
 
     def atoms(pairs):
-        return tuple((coord(loc, "decoration atoms"), mult) for loc, mult in pairs)
+        return tuple((_coord(direction, loc, "decoration atoms"), mult) for loc, mult in pairs)
 
     if dec.kind == "dirac":
         return DecorationSpec(kind="dirac", carrier=dst.name, atoms=atoms(dec.atoms))
     if dec.kind == "table":
         entries = tuple((atoms(a), p) for a, p in dec.entries)
         return DecorationSpec(kind="table", carrier=dst.name, entries=entries)
-    loc = _map_law(dec.location, LocationLaw, lambda v: coord(v, "location values"), direction)
+    loc = _map_law(dec.location, LocationLaw, direction, "location values")
     return DecorationSpec(kind="random_atoms", carrier=dst.name, count=dec.count, location=loc)
 
 
@@ -230,30 +193,37 @@ def exp_decoration(dec: DecorationSpec) -> DecorationSpec:
     return _map_decoration(dec, "exp")
 
 
-def _map_law(law, to, point, direction: str, mu_shift: float = 0.0):
+def _map_law(law, to, direction: str, what: str, dv: float = 0.0):
     """`law` (a location, scale or shift law) carried in `direction` as a law of
-    class `to`: values through `point`, the Gaussian mean moved by mu_shift."""
+    class `to`, its values' log coordinates and the Gaussian mean moved by dv."""
     if law.kind == "uniform":
         raise DomainError(
             f"uniform location laws have no exact {direction} image; use a table law")
     if law.kind == "deterministic":
-        return to(kind="deterministic", value=point(law.value))
+        return to(kind="deterministic", value=_coord(direction, law.value, what, dv))
     if law.kind == "table":
-        return to(kind="table", values=tuple(point(v) for v in law.values),
+        return to(kind="table", values=tuple(_coord(direction, v, what, dv) for v in law.values),
                   probs=tuple(float(p) for p in law.probs))
-    return to(kind=to.gaussian, mu=float(law.mu + mu_shift), sigma=float(law.sigma))
+    return to(kind=to.gaussian, mu=float(law.mu + dv), sigma=float(law.sigma))
+
+
+def _map_global_law(law, c: float, direction: str):
+    """A global law across the dictionary: the shift chart's value carries the
+    normalization shift, so v moves by +log(c)/c into it and by -log(c)/c out."""
+    src = _DIRECTIONS[direction]
+    _, dst = _ends(direction, type(law), "law", f"{src.name}_law_to_{src.other}", "law")
+    adj = normalization_shift(c)
+    return _map_law(law, dst.law, direction, "law values", adj if dst is SHIFT else -adj)
 
 
 def scale_law_to_shift(law: ScaleLaw, c: float) -> ShiftLaw:
     """U = log W + log(c)/c, the translation matching a global dilation W."""
-    adj = normalization_shift(c)
-    return _map_law(law, ShiftLaw, lambda w: math.log(w) + adj, "log", adj)
+    return _map_global_law(law, c, "log")
 
 
 def shift_law_to_scale(law: ShiftLaw, c: float) -> ScaleLaw:
     """W = exp(U - log(c)/c), inverse of scale_law_to_shift."""
-    adj = normalization_shift(c)
-    return _map_law(law, ScaleLaw, lambda u: _exp_checked(u - adj), "exp", -adj)
+    return _map_global_law(law, c, "exp")
 
 
 def map_process_spec(spec: ProcessSpec) -> ProcessSpec:
@@ -267,14 +237,10 @@ def map_process_spec(spec: ProcessSpec) -> ProcessSpec:
     identity (translation 0, dilation 1) drops to the undecorated-global
     family.
     """
-    if spec.is_scale_family:
-        dec = log_decoration(spec.decoration)
-        law = scale_law_to_shift(spec.effective_law(), spec.alpha)
-        window = math.log(spec.window)
-    else:
-        dec = exp_decoration(spec.decoration)
-        law = shift_law_to_scale(spec.effective_law(), spec.alpha)
-        window = _exp_checked(spec.window)
+    direction = next(d for d, src in _DIRECTIONS.items() if src.name == spec.carrier)
+    dec = _map_decoration(spec.decoration, direction)
+    law = _map_global_law(spec.effective_law(), spec.alpha, direction)
+    window = _coord(direction, spec.window, "the window")
     to = CARRIERS[dec.carrier]
     plain, decorated = to.families
     if law.kind == "deterministic" and law.value == to.identity:

@@ -453,16 +453,24 @@ class TestCampaigns:
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 .*; cutoff -800.0 "):
             run_campaign(ProcessSource(sspec, window=-800.0), 0, 10)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+    def test_source_window_must_be_finite(self, window):
+        # the source's window is a spec's window, checked as one
+        sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
+        for spec in (sspec, unit_spec()):
+            with pytest.raises(DomainError, match="window must be finite"):
+                run_campaign(ProcessSource(spec, window), 0, 10)
+
     def test_block_guards_a_mean_above_the_cap(self):
         # the residual guard behind check_cap, on blocks drawn directly
         key = derive_key(0, ROLE_BLOCK, 0)
         with pytest.raises(RangeError, match=r"mean 1e\+08 exceeds the cap 1e\+06 \(window 1e-08 "):
-            _block(SCALE, unit_spec(window=1e-8), key, 10, 1e-8)
+            _block(SCALE, unit_spec(window=1e-8), key, 10)
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 \(cutoff -40.0 "):
-            _block(SHIFT, sspec, key, 10, -40.0)
+            _block(SHIFT, sspec.with_window(-40.0), key, 10)
         with pytest.raises(RangeError, match=r"mean inf exceeds the cap 1e\+06 \(cutoff -800.0 "):
-            _block(SHIFT, sspec, key, 10, -800.0)
+            _block(SHIFT, sspec.with_window(-800.0), key, 10)
 
 
 # The closed forms each carrier used to spell out by hand, with the
