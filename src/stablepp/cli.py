@@ -88,6 +88,11 @@ def _load_config(path: str, required, optional=()) -> tuple:
         raise ConfigError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
+    except ValueError:  # json reads integers with int, which caps their digits
+        raise ConfigError(f"config {path} holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to read") from None
     if not isinstance(doc, dict) or doc.get("schema") != _SCHEMA:
         raise ConfigError(f'the config must be a JSON object declaring "schema": "{_SCHEMA}"')
     return doc, config_fields(doc, "config", ("schema", *required), optional)

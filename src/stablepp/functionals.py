@@ -49,10 +49,12 @@ is the law's ``cdf`` with the constant integrated once per function.
 Monte Carlo estimates carry standard errors; quadrature predictions carry
 the quadrature's error estimate, so the two can be compared honestly. Each
 smooth piece between the kinks is integrated by an adaptive 21-point
-Gauss-Kronrod rule (QUADPACK's QK21) whose estimate on a subinterval is
-resasc * min(1, (200 |K - G| / resasc)^1.5), K and G the Kronrod and the
-embedded 10-point Gauss sums and resasc the rule's integral of
-|integrand - mean|, floored at 50 eps times the integral of |integrand|. The
+Gauss-Kronrod rule (QUADPACK's QK21), which evaluates its 21 nodes in one
+integrand call; every integrand, psi included, takes an array of points, and
+each node's value keeps the bits a one-node call gives. The estimate on a
+subinterval is resasc * min(1, (200 |K - G| / resasc)^1.5), K and G the
+Kronrod and the embedded 10-point Gauss sums and resasc the rule's integral
+of |integrand - mean|, floored at 50 eps times the integral of |integrand|. The
 subinterval with the largest estimate is bisected until the summed estimate
 is at most 1.49e-8 absolute or relative; a piece that reaches 400
 subintervals warns with ``errors.IntegrationWarning``. The estimate is not a
@@ -261,8 +263,22 @@ def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, s
 
 # -- decoration one-copy functionals ----------------------------------------------
 
-def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
-    """Mean of exp(-f(p acting on a)) over a ~ Uniform(lo, hi).
+def _per_node(fn, x: np.ndarray) -> np.ndarray:
+    """The math function fn at every node of x, one Python float at a time:
+    numpy's ufunc can differ from it by an ulp, and integrands keep the bits
+    of their one-node values."""
+    return np.array([fn(t) for t in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+
+
+def _dot_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot of w with each row of a 2-D array, one row at a time, so that each
+    sum is the one its node's row alone would give."""
+    return np.array([np.dot(w, row) for row in rows], dtype=np.float64)
+
+
+def _exp_neg_pl_mean(cr, f, p: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mean of exp(-f(p acting on a)) over a ~ Uniform(lo, hi), at every point
+    of the column p.
 
     a -> f(p acting on a) is linear between the knots of f pulled back by p, so
     a piece from a0 to a1 with values v0, v1 contributes the closed form
@@ -272,45 +288,71 @@ def _exp_neg_pl_mean(cr, f, p: float, lo: float, hi: float) -> float:
     overflow. The values at pulled-back knots
     are the knot values: acting on the pulled-back knot can miss the knot by an
     ulp, which on a narrow ramp is a visible error in the value.
+
+    Each point's cuts lo, the pulled-back knots inside (lo, hi), hi form one
+    row; the rows run end to end through the elementwise work, and each row's
+    pieces are summed by their own dot.
     """
     anchor = cr.inverse(p, f.knots_x)
-    inside = (anchor > lo) & (anchor < hi)
+    keep = np.ones((p.shape[0], f.knots_x.size + 2), dtype=bool)
+    keep[:, 1:-1] = (anchor > lo) & (anchor < hi)
     fp = cr.compose(f, p)
-    cuts = np.concatenate([[lo], anchor[inside], [hi]])
-    vals = np.concatenate([[fp(lo)], f.knots_v[inside], [fp(hi)]])
-    d = np.abs(np.diff(vals))
+    cuts = np.concatenate([np.full(p.shape, lo), anchor, np.full(p.shape, hi)], axis=1)[keep]
+    vals = np.concatenate([fp(lo), np.broadcast_to(f.knots_v, anchor.shape), fp(hi)],
+                          axis=1)[keep]
+    # a row's last cut ends it: no piece runs on to the next row's first cut
+    stop = np.cumsum(keep.sum(axis=1))
+    piece = np.ones(cuts.size, dtype=bool)
+    piece[stop - 1] = False
+    piece = piece[:-1]
+    width = np.diff(cuts)[piece]
+    d = np.abs(np.diff(vals))[piece]
     with np.errstate(invalid="ignore"):
         shape = np.where(d == 0.0, 1.0, -np.expm1(-d) / d)
-    low = np.minimum(vals[:-1], vals[1:])
-    return float(np.dot(np.diff(cuts), np.exp(-low) * shape)) / (hi - lo)
+    low = np.minimum(vals[:-1], vals[1:])[piece]
+    terms = np.exp(-low) * shape
+    bounds = np.concatenate([[0], stop - np.arange(1, stop.size + 1)])
+    return np.array([float(np.dot(width[s:e], terms[s:e])) / (hi - lo)
+                     for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
 
 
-def _psi_decoration(cr, dec: DecorationSpec, f, p: float) -> float:
+def _psi_decoration(cr, dec: DecorationSpec, f, p):
+    """psi at every point of p: an array of p's shape, a float for a scalar p.
+    The points run as one column through every step; only the math.exp of a
+    mixture entry and the dots of the count law and of a location table go
+    node by node (``_per_node``, ``_dot_rows``)."""
     _on_carrier(cr, f, dec)
-    fp = cr.compose(f, p)
+    points = np.asarray(p, dtype=np.float64)
+    col = points.reshape(-1, 1)
+    fp = cr.compose(f, col)
     if dec.kind != "random_atoms":
         total = 0.0
         norm = sum(q for _, q in dec._mixture)
         for atoms, q in dec._mixture:
-            total += (q / norm) * math.exp(-sum(m * fp(a) for a, m in atoms))
-        return total
-    loc = dec.location
-    if loc.kind == "table":
-        v, q = loc._table
-        one = float(np.dot(q, np.exp(-fp(v))))
+            expo = sum((m * fp(a) for a, m in atoms), np.zeros(col.shape))
+            total += (q / norm) * _per_node(math.exp, -expo)
     else:
-        one = _exp_neg_pl_mean(cr, f, p, *loc.bounds())
-    values, probs = dec.count._table
-    return float(np.dot(probs, one ** values.astype(np.float64)))
+        loc = dec.location
+        if loc.kind == "table":
+            v, q = loc._table
+            one = _dot_rows(q, np.exp(-fp(v)))
+        else:
+            one = _exp_neg_pl_mean(cr, f, col, *loc.bounds())
+        values, probs = dec.count._table
+        total = _dot_rows(probs, one[:, None] ** values.astype(np.float64))
+    out = np.reshape(total, points.shape)
+    return float(out) if points.ndim == 0 else out
 
 
-def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s: float) -> float:
-    """E[exp(-integral of u -> f(s u) against one decoration)], s > 0."""
+def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s):
+    """E[exp(-integral of u -> f(s u) against one decoration)], s > 0: a float
+    at a float s, an array of s's shape at every point of an array."""
     return _psi_decoration(SCALE, dec, f, s)
 
 
-def psi_decoration_shift(dec: DecorationSpec, g: ShiftTestFunction, t: float) -> float:
-    """E[exp(-integral of q -> g(q + t) against one decoration)]."""
+def psi_decoration_shift(dec: DecorationSpec, g: ShiftTestFunction, t):
+    """E[exp(-integral of q -> g(q + t) against one decoration)]: a float at a
+    float t, an array of t's shape at every point of an array."""
     return _psi_decoration(SHIFT, dec, g, t)
 
 
@@ -345,19 +387,28 @@ def _qk21(fn, a: float, b: float) -> tuple[float, float, float]:
     """The Kronrod estimate of the integral of fn over [a, b], QUADPACK's
     error estimate resasc * min(1, (200 |K - G| / resasc)^1.5) raised to the
     roundoff floor 50 eps resabs, and resasc, the rule's integral of
-    |fn - mean|; resabs is its integral of |fn|."""
+    |fn - mean|; resabs is its integral of |fn|.
+
+    fn takes an array of points and returns its values there: the rule
+    evaluates its 21 nodes in one call, the centre first and then the pairs
+    centr -+ absc in QUADPACK's order, the Gauss nodes before the Kronrod ones.
+    """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = float(fn(centr))
+    order = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+    nodes = [centr]
+    for j in order:
+        absc = hlgth * _XGK[j]
+        nodes += [centr - absc, centr + absc]
+    fv = np.asarray(fn(np.array(nodes)), dtype=np.float64).tolist()
+    fc = fv[0]
     resg = 0.0
     resk = _WGK[10] * fc
     resabs = abs(resk)
     fv1 = [0.0] * 10
     fv2 = [0.0] * 10
-    # the Gauss nodes first, then the Kronrod ones, in QUADPACK's order
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        absc = hlgth * _XGK[j]
-        f1, f2 = float(fn(centr - absc)), float(fn(centr + absc))
+    for i, j in enumerate(order):
+        f1, f2 = fv[2 * i + 1], fv[2 * i + 2]
         fv1[j], fv2[j] = f1, f2
         if j % 2:
             resg += _WG[j // 2] * (f1 + f2)
@@ -443,8 +494,9 @@ def _constant(cr, psi, rate: float, dec: DecorationSpec, f) -> Prediction:
                for x in map(cr.norm, f.knots_x) if cr.has_log(x) for m in norms}
     rho = cr.intensity(rate)
 
-    def integrand(v: float) -> float:
-        return (1.0 - psi(dec, f, cr.from_log(v))) * rho * math.exp(-rate * v)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        s = _per_node(cr.from_log, v)
+        return (1.0 - psi(dec, f, s)) * rho * _per_node(math.exp, -rate * v)
 
     val, err = _quad_with_corners(integrand, lo, hi, corners)
     return Prediction(val, err)
@@ -613,9 +665,9 @@ def _extreme_moment(cr, rate: float, dec: DecorationSpec) -> float:
         return float(np.dot(np.exp(rate * cr.to_log(m)), np.diff(below, prepend=0.0)))
     a, b = sorted(map(cr.norm, dec.location.bounds()))
 
-    def integrand(v: float) -> float:
-        u = (cr.from_log(v) - a) / (b - a)
-        return rate * math.exp(rate * v) * (1.0 - float(np.dot(pk, u ** k)))
+    def integrand(v: np.ndarray) -> np.ndarray:
+        u = (_per_node(cr.from_log, v) - a) / (b - a)
+        return rate * _per_node(math.exp, rate * v) * (1.0 - _dot_rows(pk, u[:, None] ** k))
 
     va = cr.to_log(a)
     return math.exp(rate * va) + _quad_with_corners(integrand, va, cr.to_log(b), ())[0]

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -85,10 +86,14 @@ def _canonical_atoms(locations, multiplicities, forbid_origin: bool):
         raw = np.atleast_1d(np.asarray(multiplicities))
         if raw.shape != locs.shape:
             raise DomainError("multiplicities must match locations one-to-one")
-        # booleans, and Python ints beyond 64 bits (an object array), are refused
+        # booleans, and Python ints beyond 64 bits (an object array), are refused;
+        # numpy reads a bool among ints as 0 or 1, so a sequence is read element by element
         kind = raw.dtype.kind
-        if kind not in "iuf" or (kind != "i" and not np.all((raw == np.round(raw))
-                                                           & (np.abs(raw) < 2.0 ** 63))):
+        has_bool = not isinstance(multiplicities, np.ndarray) and any(
+            isinstance(m, (bool, np.bool_))
+            for m in np.asarray(multiplicities, dtype=object).ravel())
+        if has_bool or kind not in "iuf" or (
+                kind != "i" and not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0 ** 63))):
             raise DomainError("multiplicities must be integers in the int64 range")
         mults = raw.astype(np.int64)
     locs, mults, _ = _canonical(locs, mults, np.zeros(locs.size, dtype=np.int64), 1,
@@ -250,6 +255,11 @@ def _decoded_atoms(line: str) -> list:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed point-measure line: {exc}") from exc
+    except ValueError:  # json reads integers with int, which caps their digits
+        raise ConfigError("point-measure line holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ConfigError("point-measure line nests too deeply to read") from None
     if type(doc) is not dict or doc.keys() != {"atoms"}:
         raise ConfigError("point-measure line must be an object with the single key 'atoms'")
     if type(doc["atoms"]) is not list:

@@ -15,7 +15,8 @@ coordinate v, read and written with the carriers' charts (``Carrier.to_log``,
 
 Measures and laws map exactly. Piecewise-linear test functions do not (a line
 in one chart is a curve in the other), so function transport re-knots
-adaptively to a stated sup-norm tolerance; each piece's worst-case deviation
+adaptively to a stated sup-norm tolerance, finite and > 0, with at most 65536
+knots (a RangeError past that); each piece's worst-case deviation
 has a closed form because the composed function is convex or concave between
 knots, and the same form serves both directions.
 """
@@ -36,6 +37,7 @@ __all__ = ["exp_transform", "log_transform", "exp_function", "log_function",
 
 _DEFAULT_TOL = 5e-7
 _MAX_DEPTH = 48
+_MAX_KNOTS = 1 << 16  # knots of one transported function
 
 # direction -> its source carrier; the target is the other one
 _DIRECTIONS = {"log": SCALE, "exp": SHIFT}
@@ -110,6 +112,9 @@ def _refine(p0, f0, p1, f1, src: int, tol: float, out: list, depth: int = 0):
     |f1 - f0| |(a* - a0)/(a1 - a0) - (log a* - b0)/(b1 - b0)| whichever chart is
     the source; a piece that misses tol is bisected at the midpoint of b.
     """
+    if len(out) >= _MAX_KNOTS:
+        raise RangeError(f"function transport needs more than {_MAX_KNOTS} knots "
+                         "at this tolerance")
     (a0, b0), (a1, b1) = p0, p1
     if not (a0 < a1 and b0 < b1):
         raise RangeError("transport maps distinct knots of the function to one float")
@@ -130,6 +135,8 @@ def _map_function(f, direction: str, tol: float):
     """f transported in `direction`, re-knotted to within tol * sup|f|. Knots
     without a log coordinate lead and f must vanish up to the first with one."""
     src, dst = _ends(direction, f._measure, "measure", f"{direction}_function", "function")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError("the transport tolerance must be finite and > 0")
     to = _FUNCTIONS[dst.name]
     if f.is_zero:
         return to([(dst.identity, 0.0), (dst.identity + 1.0, 0.0)])

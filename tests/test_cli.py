@@ -58,6 +58,24 @@ class TestConfigErrors:
         assert main(["sample", "--config", str(p),
                      "--out", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json reads integers with int, which refuses more than 4300 digits
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"schema": "stablepp/v1", "process": PROC})
+                     .replace("[[1.0, 1]]", "[[1.0, 1%s]]" % ("0" * 5000)))
+        assert main(["sample", "--config", str(p), "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "more than 4300 digits" in err
+        assert "Traceback" not in err
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"schema": "stablepp/v1", "process": %s}'
+                     % ("[" * 100_000 + "]" * 100_000))
+        assert main(["sample", "--config", str(p), "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "nests too deeply" in err
+
     def test_wrong_schema(self, tmp_path):
         cfg = config(tmp_path, {"schema": "stablepp/v0", "process": PROC})
         assert main(["sample", "--config", cfg,
@@ -697,9 +715,12 @@ class TestTransform:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ['[["1.5", 2]]', "[[1.5, 2.7]]", "[[true, true]]",
-                                     '[[1.5, "3"]]'],
+                                     '[[1.5, "3"]]', "[[1.5, 1%s]]" % ("0" * 5000),
+                                     "[[1%s, 1]]" % ("0" * 5000),
+                                     "[" * 100_000 + "]" * 100_000],
                              ids=["location_string", "multiplicity_fraction", "booleans",
-                                  "multiplicity_string"])
+                                  "multiplicity_string", "multiplicity_digits",
+                                  "location_digits", "nesting"])
     def test_malformed_atom_exits_one_naming_first_bad_line(self, tmp_path, capsys, bad):
         src = tmp_path / "in.jsonl"
         # line 4 is the first bad one; line 5 is bad too, in another way

@@ -145,13 +145,14 @@ class TestGaussKronrod:
     @pytest.mark.parametrize("carrier", ["scale", "shift"])
     def test_same_constants_and_evaluations_as_quadpack(self, carrier, monkeypatch):
         # scipy's quad is QUADPACK's QAGS: on these smooth pieces it bisects as
-        # the package's rule does, so the two agree on every integrand call
+        # the package's rule does, so the two agree on every integrand node;
+        # the package's rule passes its 21 nodes in one call, scipy one at a time
         def run(quad):
             calls = [0]
 
             def counted(fn, a, b):
                 def fn_counted(x):
-                    calls[0] += 1
+                    calls[0] += np.size(x)
                     return fn(x)
                 return quad(fn_counted, a, b)
 
@@ -163,7 +164,8 @@ class TestGaussKronrod:
             return out, calls[0]
 
         ours, n_ours = run(functionals._quad)
-        ref, n_ref = run(lambda fn, a, b: integrate.quad(fn, a, b, limit=functionals._QUAD_LIMIT))
+        ref, n_ref = run(lambda fn, a, b: integrate.quad(
+            lambda x: float(fn(np.array([x]))[0]), a, b, limit=functionals._QUAD_LIMIT))
         assert n_ours == n_ref
         for c, r in zip(ours, ref):
             assert c.value == pytest.approx(r.value, rel=1e-14, abs=0.0)
@@ -171,7 +173,7 @@ class TestGaussKronrod:
 
     def test_the_subinterval_limit_warns(self):
         with pytest.warns(IntegrationWarning, match="400 subintervals"):
-            value, err = functionals._quad(lambda x: math.sin(1e9 * x), 0.0, 1.0)
+            value, err = functionals._quad(lambda x: np.sin(1e9 * x), 0.0, 1.0)
         assert math.isfinite(value) and err > functionals._QUAD_TOL
 
 
@@ -490,6 +492,53 @@ REFERENCE_DECORATIONS = {
             carrier="shift"),
     },
 }
+
+
+# -- batched integrands ----------------------------------------------------------
+# QK21 passes its 21 nodes to the integrand in one call; each node's value must
+# be the one a call with that node alone gives, bit for bit.
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_DECORATIONS["scale"]))
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
+def test_a_batched_rule_equals_its_one_node_calls_bit_for_bit(carrier, kind, monkeypatch):
+    dec = REFERENCE_DECORATIONS[carrier][kind]
+    rate = 1.0 if carrier == "scale" else 0.6
+    constant = cf_quadrature if carrier == "scale" else kappa_quadrature
+    rules = []
+    qk21 = functionals._qk21
+
+    def recorded(fn, a, b):
+        def once(x):
+            out = fn(x)
+            rules.append((fn, x.copy(), out.copy()))
+            return out
+        return qk21(once, a, b)
+
+    monkeypatch.setattr(functionals, "_qk21", recorded)
+    for f in default_battery(carrier).values():
+        constant(rate, dec, f)
+    # the uniform-location extreme moment is integrated by the same rule
+    extreme_law(ProcessSpec("scdppp" if carrier == "scale" else "dppp", rate, dec,
+                            0.05 if carrier == "scale" else -3.0))
+    assert rules
+    for fn, nodes, batched in rules:
+        assert nodes.shape == batched.shape == (21,)
+        single = np.concatenate([fn(nodes[i:i + 1]) for i in range(nodes.size)])
+        assert batched.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
+def test_psi_is_a_float_at_a_float_and_an_array_at_an_array(carrier):
+    psi = psi_decoration_scale if carrier == "scale" else psi_decoration_shift
+    grid = np.array([[0.4, 0.9, 1.3], [1.9, 2.6, 3.7]])
+    for dec in REFERENCE_DECORATIONS[carrier].values():
+        for f in default_battery(carrier).values():
+            assert type(psi(dec, f, 1.3)) is float
+            assert type(psi(dec, f, np.float64(1.3))) is float
+            got = psi(dec, f, grid)
+            assert type(got) is np.ndarray and got.shape == grid.shape
+            assert got.tolist() == [[psi(dec, f, p) for p in row] for row in grid.tolist()]
+            assert psi(dec, f, np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_DECORATIONS["scale"]))

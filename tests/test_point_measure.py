@@ -56,6 +56,15 @@ class TestCanonicalForm:
         with pytest.raises(DomainError, match="int64"):
             PointMeasure([1.0], mults)
 
+    @pytest.mark.parametrize("mults", [[True, 2], [2, np.True_], (1, False), [2 ** 70, 1],
+                                       [1, -(2 ** 70)]],
+                             ids=["bool_first", "numpy_bool", "tuple_false", "int_2_70",
+                                  "int_minus_2_70"])
+    def test_a_bad_count_among_good_ones_is_refused(self, mults):
+        # numpy turns [True, 2] into int64 (1, 2), and [2**70, 1] into an object array
+        with pytest.raises(DomainError, match="int64"):
+            PointMeasure([1.0, 2.0], mults)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             PointMeasure([math.inf])

@@ -161,6 +161,25 @@ class TestFunctionTransforms:
         ys = np.exp(np.linspace(-1.0, 2.0, 3000))
         assert np.max(np.abs(u.eval(ys) - h.eval(np.log(ys)))) <= 1e-7 * h.sup_norm
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), shift_tent(-1.0, 0.0, 2.0),
+                                   TestFunction([(1.0, 0.0), (2.0, 0.0)])],
+                             ids=["tent", "shift_tent", "zero"])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, f, tol):
+        transport = log_function if isinstance(f, TestFunction) else exp_function
+        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+            transport(f, tol)
+
+    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), shift_tent(-1.0, 0.0, 2.0)],
+                             ids=["log", "exp"])
+    def test_the_knot_count_is_bounded(self, f):
+        # tol 1e-13 asks for about 3e6 knots on this tent; the transport stops at
+        # the budget instead of making them
+        transport = log_function if isinstance(f, TestFunction) else exp_function
+        with pytest.raises(RangeError, match="more than 65536 knots"):
+            transport(f, 1e-13)
+        assert transport(f, 1e-9).knots_x.size <= 65536
+
     def test_zero_functions(self):
         z = TestFunction([(1.0, 0.0), (2.0, 0.0)])
         assert log_function(z).is_zero
