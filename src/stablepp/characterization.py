@@ -33,6 +33,7 @@ from .functionals import (
     laplace_battery,
 )
 from .sampler import (
+    CAP_EPS,
     SCALE,
     ProcessSource,
     ProcessSpec,
@@ -67,6 +68,8 @@ _ROLE_TAIL = (40,)
 
 # at most this much of the analytic maxmod law lies below the maxlaw test's window
 _CENSOR_MASS = 1e-6
+# the fewest samples the Hill estimate takes
+_HILL_MIN = 100
 
 
 @dataclass(frozen=True)
@@ -690,8 +693,8 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
     if x.ndim != 1:
         x = x.ravel()
     n = x.size
-    if n < 100:
-        raise DomainError("tail estimation needs at least 100 samples")
+    if n < _HILL_MIN:
+        raise DomainError(f"tail estimation needs at least {_HILL_MIN} samples")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise DomainError("samples must be positive and finite")
     if k is None:
@@ -711,11 +714,36 @@ def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstima
     return TailIndexEstimate(alpha_hat, k, 1.96 * alpha_hat / math.sqrt(k), n)
 
 
+def _binomial_below(k: int, n: int, p: float) -> float:
+    """P(X < k) for X ~ Binomial(n, p), summed from the logs of its terms."""
+    if n < k or p <= 0.0:
+        return 1.0
+    if p >= 1.0:
+        return 0.0
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return math.fsum(math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                              + j * log_p + (n - j) * log_q) for j in range(k))
+
+
 def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0,
                     threads: int | None = 1) -> TestReport:
     """Check that the maxmod upper tail is regularly varying with the spec's index:
     passes iff the 95% interval of the Hill estimate on the top floor(sqrt(n))
-    of the n positive maxmods covers alpha. It has no level; its report says 0.0."""
+    of the n positive maxmods covers alpha. It has no level; its report says 0.0.
+
+    The positive maxmods are those above the spec's window, Binomial(n_reps,
+    1 - F(window)) in number with F the analytic maxmod law. A run that falls
+    short of the Hill estimate's 100 samples with probability above CAP_EPS
+    is a DomainError before any block is drawn, so the outcome does not hang
+    on the seed."""
+    window = spec.window
+    p = 1.0 - float(extreme_law(spec).cdf(window))
+    short = _binomial_below(_HILL_MIN, int(n_reps), p)
+    if short > CAP_EPS and int(n_reps) >= 1:  # fewer replicas is the sampler's error
+        raise DomainError(
+            f"tail estimation needs at least {_HILL_MIN} samples: {n_reps} replicas expect "
+            f"{n_reps * p:.3g} maximum moduli above the window {window:g} and fall short "
+            f"with probability {short:.3g}")
     mm = maxmod_samples(spec, n_reps, seed, threads=threads, role=_ROLE_TAIL)
     positive = mm[mm > 0.0]
     est = tail_index_estimate(positive)
@@ -854,7 +882,9 @@ def scale_unique_support_test(
     c estimates (kappa / c_f)^(1/alpha). A sub-check passes iff the sup-norm
     residual stays below 3 pooled standard errors. A function whose curve is
     exactly 1 with standard error 0 at every y (it met no atom, as the zero
-    function never does) is excluded as trivial.
+    function never does) is excluded as trivial. Two copies of one y fit any
+    curve, so a grid without two distinct points, like a battery without a
+    nonzero function, is a DomainError before any block is drawn.
     """
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
@@ -864,8 +894,10 @@ def scale_unique_support_test(
     if y_grid is None:
         y_grid = default_points("scale")
     ys = [float(y) for y in y_grid]
-    if len(ys) < 2:
-        raise DomainError("the y grid needs at least two points")
+    if len(set(ys)) < 2:
+        raise DomainError("the y grid needs at least two distinct points")
+    if all(f.is_zero for f in battery):
+        raise DomainError("the battery must contain a nonzero function")
 
     template = extreme_law(spec).cdf
     functions = {f"f{i:02d}": f for i, f in enumerate(battery)}

@@ -354,12 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "shift-decorated Poisson point processes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_reps_hint):
+    def common(p, default_reps_hint=None):
+        """--config, --out, --seed and --threads; --reps where the command has
+        a replica count, whose default the hint names."""
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--reps", type=int, default=None,
-                       help=f"replica count (default {default_reps_hint})")
+        if default_reps_hint is not None:
+            p.add_argument("--reps", type=int, default=None,
+                           help=f"replica count (default {default_reps_hint})")
         p.add_argument("--threads", type=int, default=None,
                        help="parallel width; default STABLEPP_THREADS or 1; "
                             "outputs are identical across values")
@@ -380,11 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("extract", help="conditional decoration extraction")
-    common(p, "driven by config")
+    common(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("transform", help="carry measures or a spec across carriers")
-    common(p, "not used")
+    common(p)
     p.set_defaults(func=cmd_transform)
     return parser
 

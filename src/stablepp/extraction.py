@@ -26,12 +26,9 @@ from .characterization import (SubCheck, TestReport, censor_window, fit_scale_te
 from .functionals import (
     ExtremeLaw,
     battery_estimates,
-    cf_quadrature,
     default_battery,
     default_points,
     extreme_law,
-    laplace_battery,
-    predict_scaled_laplace,
 )
 from .point_measure import MeasureBatch, PointMeasure, tent
 from .rng import ROLE_PERMUTE, make_generator
@@ -40,7 +37,6 @@ from .sampler import (
     DecorationSpec,
     ProcessSource,
     ProcessSpec,
-    campaign_stats,
     maxmod_samples,
     run_campaign,
 )
@@ -49,13 +45,11 @@ __all__ = [
     "ExtractionConfig",
     "ExtractionReport",
     "extract_decoration",
-    "nstar_functional_check",
     "predicted_acceptance",
     "rebuild_process",
 ]
 
 _ROLE_EXTRACT = 30
-_ROLE_NSTAR = 31
 _ROLE_REBUILD_A = 32
 _ROLE_REBUILD_B = 33
 _ROLE_CMAX = 34
@@ -290,145 +284,6 @@ def extract_decoration(
         attempts=attempted,
         acceptance_rate=n_found / attempted,
         params={"window": window, "n_batches": batch_idx, "c_max_fit_window": w_fit},
-    )
-
-
-# -- conditional functional above a high threshold ---------------------------------
-
-
-def _affine_fit(alpha: float, xs: np.ndarray, values: np.ndarray, ses: np.ndarray):
-    """Least squares of values ~ 1 - x^-alpha * beta; returns (beta, se, sup dev)."""
-    a = xs ** -alpha
-    denom = float(np.sum(a * a))
-    beta = float(np.sum(a * (1.0 - values))) / denom
-    beta_se = math.sqrt(float(np.sum(a * a * ses ** 2))) / denom
-    dev = float(np.max(np.abs(values - (1.0 - a * beta))))
-    return beta, beta_se, dev
-
-
-def nstar_functional_check(
-    spec: ProcessSpec,
-    y_grid=(25.0, 100.0),
-    battery=None,
-    n_reps: int = 200_000,
-    seed: int = 0,
-    x_grid=(1.0, 2.0, 4.0),
-    threads: int | None = 1,
-) -> TestReport:
-    """Check the affine form of the conditional scaled-Laplace functional.
-
-    For each threshold y the process is conditioned on a maximum modulus above
-    y and dilated by 1/y. The conditional Laplace value at x then has the
-    exact finite-threshold form (Psi(f || x y) - F(y)) / (1 - F(y)) with F the
-    maxmod CDF, which converges as y grows to 1 - x^-alpha * (c_f / kappa).
-    Sub-checks compare the empirical values to the exact form at every (y, x),
-    and the fitted affine coefficient at the largest y to the quadrature
-    prediction. Battery functions must be supported in {|x| > 1}. A
-    threshold that n_reps replicas expect to exceed fewer than once, or that
-    no replica exceeds, is a DomainError.
-    """
-    if not spec.is_scale_family:
-        raise DomainError("the conditional functional lives on the scale carrier")
-    ys = sorted(float(v) for v in y_grid)
-    xs = np.asarray(sorted(float(v) for v in x_grid), dtype=np.float64)
-    if not ys or xs.size < 2:
-        raise DomainError("need at least one threshold and two evaluation points")
-    if xs[0] < 1.0:
-        raise DomainError("evaluation points must be >= 1")
-    if battery is None:
-        battery = [default_battery("scale")["mm_50"]]
-    for f in battery:
-        if f.is_zero or f.inner_radius < 1.0:
-            raise DomainError("battery supports must lie in {|x| > 1}")
-
-    law = extreme_law(spec)
-    alpha = spec.alpha
-    f_ys = [float(law.cdf(y)) for y in ys]
-
-    def starved(y: float, f_y: float) -> DomainError:
-        return DomainError(f"threshold y = {y:g} is too high: {n_reps} replicas expect "
-                           f"{n_reps * (1.0 - f_y):.3g} maximum moduli above it")
-
-    for y, f_y in zip(ys, f_ys):
-        if n_reps * (1.0 - f_y) < 1.0:
-            raise starved(y, f_y)
-    # one constant per function: row yi of the (y, x) grid is xs * ys[yi]
-    preds = [predict_scaled_laplace(spec, f, np.outer(ys, xs)) for f in battery]
-    checks = []
-    analytic_dev = {}
-    beta_fit = {}
-    beta_exact_limit = {}
-    for yi, (y, f_y) in enumerate(zip(ys, f_ys)):
-        # one row of maxmods, then the integrals of every f at every x * y
-        source = ProcessSource(spec, y)
-        reduce, estimates = laplace_battery(
-            source, [(f, float(x) * y) for f in battery for x in xs])
-        rows = campaign_stats(source, seed, n_reps,
-                              lambda block: np.vstack([block.maxmods(), reduce(block)]),
-                              threads, role=(_ROLE_NSTAR, yi))
-        cond = rows[0] > y
-        n_acc = int(np.count_nonzero(cond))
-        if not n_acc:
-            raise starved(y, f_y)
-        conditional = iter(estimates(rows[1:, cond]))
-        for fi, (f, pred) in enumerate(zip(battery, preds)):
-            emp_vals, emp_ses, exact_vals = [], [], []
-            for x, value, bound in zip(xs, pred.value[yi].tolist(),
-                                       pred.error_bound[yi].tolist()):
-                est = next(conditional)
-                emp, se = est.value, est.std_error
-                exact = (value - f_y) / (1.0 - f_y)
-                # the sample se cannot resolve mass the replicas never saw;
-                # the Bernoulli bound at the hypothesized mean can
-                se = max(se, math.sqrt(max(exact * (1.0 - exact), 0.0) / n_acc))
-                tol = 3.0 * se + bound / (1.0 - f_y)
-                emp_vals.append(emp)
-                emp_ses.append(se)
-                exact_vals.append(exact)
-                checks.append(SubCheck(
-                    f"cond_f{fi}_y{y:g}_x{x:g}",
-                    "conditional Laplace value matches the exact finite-threshold form",
-                    emp - exact, None, abs(emp - exact) <= tol,
-                    f"tolerance {tol:.3g}, {n_acc} accepted"))
-            emp_vals = np.asarray(emp_vals)
-            emp_ses = np.asarray(emp_ses)
-            exact_vals = np.asarray(exact_vals)
-            b_emp, b_se, dev_emp = _affine_fit(alpha, xs, emp_vals, emp_ses)
-            b_ex, _, dev_ex = _affine_fit(alpha, xs, exact_vals, np.zeros_like(xs))
-            analytic_dev[(fi, y)] = dev_ex
-            checks.append(SubCheck(
-                f"affine_f{fi}_y{y:g}",
-                "conditional values follow an affine form in x^-alpha",
-                dev_emp, None, dev_emp <= dev_ex + 3.0 * float(np.max(emp_ses)),
-                f"analytic deviation {dev_ex:.3g}"))
-            if y == ys[-1]:
-                beta_fit[fi] = (b_emp, b_se)
-                beta_exact_limit[fi] = (b_ex, dev_ex)
-
-    # limit coefficient: Psi(f||v) = E exp(-v^-a W^a c_f), so the affine
-    # coefficient converges to c_f / kappa
-    for fi, f in enumerate(battery):
-        c_f = cf_quadrature(alpha, spec.decoration, f).value
-        beta_inf = c_f / law.kappa
-        b_emp, b_se = beta_fit[fi]
-        b_ex, dev_ex = beta_exact_limit[fi]
-        gap = abs(b_ex - beta_inf)
-        checks.append(SubCheck(
-            f"beta_f{fi}",
-            "fitted affine coefficient matches the quadrature prediction",
-            b_emp - beta_inf, None,
-            abs(b_emp - beta_inf) <= 3.0 * b_se + gap,
-            f"beta {b_emp:.4f}, limit {beta_inf:.4f}, finite-threshold gap {gap:.3g}"))
-
-    return TestReport(
-        "nstar_functional", 0.0, int(n_reps), int(seed), tuple(checks),
-        params={
-            "spec": spec.to_config_dict(),
-            "y_grid": ys,
-            "x_grid": [float(x) for x in xs],
-            "analytic_affine_deviation": {f"f{k[0]}_y{k[1]:g}": v
-                                          for k, v in analytic_dev.items()},
-        },
     )
 
 

@@ -113,7 +113,6 @@ __all__ = [
     "extreme_law",
     "default_battery",
     "default_points",
-    "tent_family_bias_bound",
 ]
 
 
@@ -317,12 +316,15 @@ def _exp_neg_pl_mean(cr, f, p: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _psi_decoration(cr, dec: DecorationSpec, f, p):
-    """psi at every point of p: an array of p's shape, a float for a scalar p.
+    """psi at every point of p: an array of p's shape, a float for a scalar p;
+    a DomainError when some point is not an evaluation point of the carrier.
     The points run as one column through every step; only the math.exp of a
     mixture entry and the dots of the count law and of a location table go
     node by node (``_per_node``, ``_dot_rows``)."""
     _on_carrier(cr, f, dec)
     points = np.asarray(p, dtype=np.float64)
+    if not cr.point_ok(points):
+        raise DomainError(cr.point_error)
     col = points.reshape(-1, 1)
     fp = cr.compose(f, col)
     if dec.kind != "random_atoms":
@@ -345,14 +347,14 @@ def _psi_decoration(cr, dec: DecorationSpec, f, p):
 
 
 def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s):
-    """E[exp(-integral of u -> f(s u) against one decoration)], s > 0: a float
-    at a float s, an array of s's shape at every point of an array."""
+    """E[exp(-integral of u -> f(s u) against one decoration)], s finite and
+    > 0: a float at a float s, an array of s's shape at every point of an array."""
     return _psi_decoration(SCALE, dec, f, s)
 
 
 def psi_decoration_shift(dec: DecorationSpec, g: ShiftTestFunction, t):
-    """E[exp(-integral of q -> g(q + t) against one decoration)]: a float at a
-    float t, an array of t's shape at every point of an array."""
+    """E[exp(-integral of q -> g(q + t) against one decoration)], t finite: a
+    float at a float t, an array of t's shape at every point of an array."""
     return _psi_decoration(SHIFT, dec, g, t)
 
 
@@ -554,7 +556,7 @@ def _predict(cr, quadrature, spec: ProcessSpec, f, p) -> Prediction:
     if spec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-family spec")
     points = np.asarray(p, dtype=np.float64)
-    if not all(cr.point_ok(x) for x in points.ravel()):
+    if not cr.point_ok(points):
         raise DomainError(cr.point_error)
     const = quadrature(spec.alpha, spec.decoration, f)
     law = ExtremeLaw(cr.name, spec.alpha, const.value, spec.law)
@@ -719,15 +721,3 @@ def default_battery(carrier: str) -> dict:
         "gstep_ln2": shift_indicator_approx(math.log(2.0), edge=0.0, outer=14.0, ramp=1e-6),
         "gmax_50": shift_indicator_approx(50.0, edge=0.0, outer=14.0, ramp=1e-6),
     }
-
-
-def tent_family_bias_bound(law: ExtremeLaw, n: int, y: float, outer: float = 1e8) -> float:
-    """Bound on |Psi(f_n | y) - P(maxmod <= y)| for the plateau family member n.
-
-    Three contributions: the plateau is n rather than infinity (mass e^-n),
-    atoms falling on the ramp (y, y(1 + 1/n)], and atoms beyond the outer
-    cutoff y * outer (tail mass kappa-weighted).
-    """
-    ramp = float(law.cdf(y * (1.0 + 1.0 / n)) - law.cdf(y))
-    tail = law.kappa * law._mean_weight(y * outer)
-    return math.exp(-float(n)) + ramp + tail

@@ -720,8 +720,9 @@ class Carrier:
         return np.logical_not(p <= self.floor)
 
     def point_ok(self, p) -> bool:
-        """Whether p is an evaluation point: finite, with a log coordinate."""
-        return bool(math.isfinite(p) and self.has_log(p))
+        """Whether p, one point or an array of points, holds only evaluation
+        points: finite, with a log coordinate."""
+        return bool(np.all(np.isfinite(p) & self.has_log(p)))
 
     @property
     def point_error(self) -> str:

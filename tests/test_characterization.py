@@ -21,6 +21,7 @@ from stablepp.characterization import (
     scale_unique_support_test,
     stability_test,
     tail_index_estimate,
+    tail_index_test,
 )
 from stablepp.functionals import ExtremeLaw, default_battery, extreme_law
 from stablepp.point_measure import PointMeasure, tent
@@ -315,7 +316,66 @@ class TestTailIndex:
             tail_index_estimate(np.arange(1.0, 51.0))
 
 
+class TestTailIndexTest:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_refused_on_every_seed_without_sampling(self, monkeypatch, seed):
+        # 100k replicas expect 100 maxmods above the window 1000, and fall
+        # short of the Hill estimate's 100 with probability 0.489: some seeds
+        # would draw enough and some would not
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a campaign")
+
+        monkeypatch.setattr(characterization, "maxmod_samples", no_sampling)
+        with pytest.raises(DomainError, match=r"^tail estimation needs at least 100 samples: "
+                                              r"100000 replicas expect 100 maximum moduli above "
+                                              r"the window 1000 and fall short with "
+                                              r"probability 0\.489$"):
+            tail_index_test(dirac_spec(window=1000.0), n_reps=100_000, seed=seed)
+
+    def test_runs_where_a_short_draw_is_negligible(self):
+        # 200k replicas expect 200 maxmods above 1000: short with probability 1.9e-15
+        assert characterization._binomial_below(100, 200_000, 1.0 - math.exp(-1e-3)) < 1e-9
+        report = tail_index_test(dirac_spec(window=1000.0), n_reps=200_000, seed=3)
+        assert report.params["n_positive"] >= 100
+
+    @pytest.mark.parametrize("k, n, p", [(100, 100_000, 1e-3), (100, 1000, 0.2),
+                                         (100, 150, 0.9), (10, 40, 0.5)])
+    def test_binomial_lower_tail_matches_the_reference(self, k, n, p):
+        assert characterization._binomial_below(k, n, p) == \
+            pytest.approx(stats.binom.cdf(k - 1, n, p), rel=1e-9)
+
+    def test_binomial_lower_tail_edges(self):
+        assert characterization._binomial_below(100, 99, 1.0) == 1.0
+        assert characterization._binomial_below(100, 10**6, 0.0) == 1.0
+        assert characterization._binomial_below(100, 100, 1.0) == 0.0
+
+
 class TestScaleUniqueSupport:
+    @pytest.mark.parametrize("y_grid", [(1.0, 1.0), (2.0,), (0.5, 0.5, 0.5)])
+    def test_grid_without_two_distinct_points_is_refused_before_sampling(self, monkeypatch,
+                                                                           y_grid):
+        # two copies of one point fit any curve
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a campaign")
+
+        monkeypatch.setattr(characterization, "battery_estimates", no_sampling)
+        with pytest.raises(DomainError, match="^the y grid needs at least two distinct points$"):
+            scale_unique_support_test(dirac_spec(), y_grid=y_grid, n_reps=1000, seed=0)
+
+    @pytest.mark.parametrize("battery", [[], "zeros"])
+    def test_battery_without_a_nonzero_function_is_refused_before_sampling(self, monkeypatch,
+                                                                           battery):
+        from stablepp.point_measure import TestFunction
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a campaign")
+
+        if battery == "zeros":
+            battery = [TestFunction([(1.0, 0.0), (2.0, 0.0)]), tent(0.5, 1.0, 2.0, height=0.0)]
+        monkeypatch.setattr(characterization, "battery_estimates", no_sampling)
+        with pytest.raises(DomainError, match="^the battery must contain a nonzero function$"):
+            scale_unique_support_test(dirac_spec(), battery=battery, n_reps=1000, seed=0)
+
     def test_dirac_passes_with_unit_c(self):
         report = scale_unique_support_test(dirac_spec(), n_reps=30_000, seed=9)
         assert report.passed

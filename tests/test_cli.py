@@ -104,6 +104,15 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "t.json")]) == 0
         assert json.loads((tmp_path / "t.json").read_text())["level"] == 0.0
 
+    def test_reps_is_not_an_option_of_extract_or_transform(self, tmp_path, capsys):
+        # extraction's work is set by n_accepted and max_attempts; transform draws nothing
+        cfg = proc_config(tmp_path)
+        for command in (["extract"], ["transform"]):
+            assert main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
+                                   "--reps", "5"]) == 1
+            assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["support", "tail"])
     def test_level_is_refused_by_the_kinds_that_do_not_read_it(self, tmp_path, capsys, kind):
         cfg = proc_config(tmp_path)
@@ -202,7 +211,8 @@ class TestConfigErrors:
     def test_malformed_number_exits_one_with_error_line(self, tmp_path, capsys,
                                                          command, extra):
         cfg = proc_config(tmp_path, extra)
-        assert main(command + ["--config", cfg, "--reps", "100",
+        reps = [] if command[0] in ("extract", "transform") else ["--reps", "100"]
+        assert main(command + ["--config", cfg, *reps,
                                "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -608,6 +618,28 @@ class TestTest:
         sub = doc["subchecks"][0]
         assert sub["name"] == "ci_covers_alpha"
         assert abs(sub["statistic"] - 1.0) < 0.3
+
+    @pytest.mark.parametrize("seed", ["3", "7"])
+    def test_tail_short_of_samples_exits_one_on_every_seed(self, tmp_path, capsys, seed):
+        # about 100 of 100k replicas have an atom above the window 1000, so
+        # whether a draw holds 100 would hang on the seed (3 and 7 fall short)
+        cfg = proc_config(tmp_path, process=dict(PROC, window=1000.0))
+        assert main(["test", "tail", "--config", cfg, "--reps", "100000", "--seed", seed,
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tail estimation needs at least 100 samples")
+
+    @pytest.mark.parametrize("extra, error", [
+        ({"points": [1.0, 1.0]}, "two distinct points"),
+        ({"battery": [{"id": "z", "kind": "tent", "left": 0.5, "peak": 1.0, "right": 2.0,
+                       "height": 0.0}]}, "nonzero function"),
+    ], ids=["one_point_twice", "zero_battery"])
+    def test_support_refuses_a_vacuous_check(self, tmp_path, capsys, extra, error):
+        cfg = proc_config(tmp_path, extra)
+        assert main(["test", "support", "--config", cfg, "--reps", "3000",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and error in err
 
     def test_support(self, tmp_path):
         cfg = proc_config(tmp_path, {"points": [1.0, 2.0]})

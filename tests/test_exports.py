@@ -1,10 +1,13 @@
 """Every exported name resolves, so a retired name left in an export list fails, the
-package exports exactly what its modules list, and only the allowed names come in
-scale/shift pairs."""
+package exports exactly what its modules list, only the allowed names come in
+scale/shift pairs, and every exported name is reached outside the tests or is
+kept for a stated reason."""
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,52 @@ def test_only_the_allowed_names_come_in_carrier_pairs():
         twins |= {tuple(sorted((name, other))) for other in others
                   if other != name and other in names}
     assert twins == ALLOWED_TWINS
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exported names that nothing outside the tests reaches, each with the reason it
+# stays public
+TEST_REFERENCES = {
+    "cf_estimate": "acceptance criterion 2's Monte Carlo reference for the quadrature c_f",
+    "process_spec_from_config": "the reader paired with ProcessSpec.to_config_dict",
+    "log_decoration": "an allowed twin: the exp/log transport of a decoration",
+    "exp_decoration": "an allowed twin: the exp/log transport of a decoration",
+    "scale_law_to_shift": "an allowed twin: the exp/log transport of a global law",
+    "shift_law_to_scale": "an allowed twin: the exp/log transport of a global law",
+    "integrate": "the one-measure integral that MeasureBatch.integrals reproduces",
+}
+
+
+def _reached_in_src() -> set:
+    """Names the package's code reads: every name and attribute in a top-level
+    statement of a module, except in the statement that defines that name. An
+    import or an ``__all__`` entry reads nothing."""
+    reached = set()
+    for path in sorted((ROOT / "src" / "stablepp").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = {getattr(stmt, "name", None)}
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+            used = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            reached |= used - defined
+    return reached
+
+
+def _text_outside_src() -> str:
+    """The demos, the README and the benchmark harness, as one text."""
+    paths = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md",
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+
+
+def test_every_exported_name_is_reached_outside_the_tests():
+    exported = set(stablepp.__all__) - {"__version__"}
+    text = _text_outside_src()
+    reached = _reached_in_src() | {name for name in exported
+                                   if re.search(rf"\b{re.escape(name)}\b", text)}
+    assert set(TEST_REFERENCES) <= exported, "TEST_REFERENCES names a name not exported"
+    assert not set(TEST_REFERENCES) & reached, "TEST_REFERENCES names a reached name"
+    assert sorted(exported - reached - set(TEST_REFERENCES)) == []

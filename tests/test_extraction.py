@@ -11,7 +11,6 @@ from stablepp.extraction import (
     ExtractionConfig,
     _permutation_p,
     extract_decoration,
-    nstar_functional_check,
     predicted_acceptance,
     rebuild_process,
 )
@@ -133,18 +132,7 @@ class TestExtractDecoration:
         assert 0.01 <= rejections / 50 <= 0.12
 
 
-class TestNstarFunctional:
-    def test_dirac_conditional_form(self):
-        report = nstar_functional_check(dirac_spec(), y_grid=(25.0,),
-                                        n_reps=60_000, seed=23)
-        assert report.passed
-        names = {s.name for s in report.subchecks}
-        assert any(n.startswith("affine") for n in names)
-        assert any(n.startswith("beta") for n in names)
-        # the mm approximant forces the fitted slope to c_f / kappa = 1
-        beta = [s for s in report.subchecks if s.name.startswith("beta")][0]
-        assert abs(beta.statistic) < 0.05
-
+class TestExactConditionalForm:
     def test_limits_of_exact_form(self):
         from stablepp.functionals import (default_battery, extreme_law,
                                           predict_scaled_laplace)
@@ -162,47 +150,6 @@ class TestNstarFunctional:
         # large x: the affine form rises to 1 like 1 - x^-alpha * c_f / kappa
         assert exact(1e6) == pytest.approx(1.0, abs=1e-5)
 
-    @pytest.mark.parametrize("y_grid,calls", [((25.0, 100.0), 2),
-                                              ((25.0, 50.0, 100.0, 200.0), 2)])
-    def test_one_constant_per_function_and_limit(self, monkeypatch, y_grid, calls):
-        # one prediction over the whole (y, x) grid plus the limit coefficient,
-        # however many thresholds the grid holds
-        from stablepp import functionals
-        seen = []
-        constant = functionals._constant
-
-        def counting(*args):
-            seen.append(args)
-            return constant(*args)
-
-        monkeypatch.setattr(functionals, "_constant", counting)
-        nstar_functional_check(dirac_spec(), y_grid=y_grid, n_reps=2000, seed=1)
-        assert len(seen) == calls
-
-    def test_requires_support_outside_unit_ball(self):
-        from stablepp.point_measure import tent
-        with pytest.raises(DomainError):
-            nstar_functional_check(dirac_spec(), battery=[tent(0.5, 1.0, 2.0)],
-                                   n_reps=1000, seed=0)
-
-
-    def test_threshold_expecting_no_replica_is_refused_before_sampling(self, monkeypatch):
-        from stablepp import extraction
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled a campaign")
-
-        monkeypatch.setattr(extraction, "campaign_stats", no_sampling)
-        # 50 replicas expect 50 * (1 - e^(-1/1000)) = 0.05 maxmods above y = 1000
-        with pytest.raises(DomainError, match=r"^threshold y = 1000 is too high: 50 replicas "
-                                              r"expect 0\.05 maximum moduli above it$"):
-            nstar_functional_check(dirac_spec(), y_grid=(25.0, 1000.0), n_reps=50, seed=0)
-
-    def test_threshold_no_replica_exceeds_is_the_same_error(self):
-        # 1000 replicas expect 2.0 maxmods above y = 500; seed 11 draws none
-        with pytest.raises(DomainError, match=r"^threshold y = 500 is too high: 1000 replicas "
-                                              r"expect 2 maximum moduli above it$"):
-            nstar_functional_check(dirac_spec(), y_grid=(500.0,), n_reps=1000, seed=11)
 
 class TestRebuild:
     def test_dirac_roundtrip(self, reference_report):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from stablepp.functionals import (
     psi_decoration_scale,
     psi_decoration_shift,
     required_window,
-    tent_family_bias_bound,
 )
 from stablepp.point_measure import (
     PointMeasure,
@@ -40,6 +40,7 @@ from stablepp.point_measure import (
     tent,
 )
 from stablepp.sampler import (
+    CARRIERS,
     CountLaw,
     DecorationSpec,
     FlatCampaign,
@@ -58,6 +59,18 @@ def tent_family(n, outer=1e8):
     """Member n of the plateau family behind ``tent_family_bias_bound``: value n
     for |x| >= 1 + 1/n, a ramp of width 1/n below it, an outer cutoff."""
     return indicator_approx(float(n), edge=1.0, outer=outer, ramp=1.0 / n, symmetric=True)
+
+
+def tent_family_bias_bound(law: ExtremeLaw, n: int, y: float, outer: float = 1e8) -> float:
+    """Bound on |Psi(f_n | y) - P(maxmod <= y)| for the plateau family member n.
+
+    Three contributions: the plateau is n rather than infinity (mass e^-n),
+    atoms falling on the ramp (y, y(1 + 1/n)], and atoms beyond the outer
+    cutoff y * outer (tail mass kappa-weighted).
+    """
+    ramp = float(law.cdf(y * (1.0 + 1.0 / n)) - law.cdf(y))
+    tail = law.kappa * law._mean_weight(y * outer)
+    return math.exp(-float(n)) + ramp + tail
 
 
 def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, law=None):
@@ -539,6 +552,20 @@ def test_psi_is_a_float_at_a_float_and_an_array_at_an_array(carrier):
             assert type(got) is np.ndarray and got.shape == grid.shape
             assert got.tolist() == [[psi(dec, f, p) for p in row] for row in grid.tolist()]
             assert psi(dec, f, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("carrier, bad", [
+    ("scale", -1.0), ("scale", 0.0), ("scale", math.inf), ("scale", math.nan),
+    ("shift", math.inf), ("shift", -math.inf), ("shift", math.nan)])
+def test_psi_refuses_a_point_that_is_not_an_evaluation_point(carrier, bad):
+    psi = psi_decoration_scale if carrier == "scale" else psi_decoration_shift
+    error = f"^{re.escape(CARRIERS[carrier].point_error)}$"
+    for dec in REFERENCE_DECORATIONS[carrier].values():
+        for f in default_battery(carrier).values():
+            with pytest.raises(DomainError, match=error):
+                psi(dec, f, bad)
+            with pytest.raises(DomainError, match=error):
+                psi(dec, f, np.array([[1.0, bad], [2.0, 1.5]]))
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_DECORATIONS["scale"]))
