@@ -559,8 +559,7 @@ def stability_test(
     if not 0.0 < b_rhs < math.inf:
         raise DomainError(f"(b1^alpha + b2^alpha)^(1/alpha) * rhs_scale_factor leaves "
                           f"the float range at b1 = {b1!r}, b2 = {b2!r}, alpha = {alpha!r}")
-    if not all(SCALE.point_ok(y) for _, y in pairs):
-        raise DomainError(SCALE.point_error)
+    SCALE.check_point([y for _, y in pairs])
     window = min(SCALE.visible(f, y) for f, y in pairs)
     if window == math.inf:
         raise DomainError("the battery must contain a nonzero function")

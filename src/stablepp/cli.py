@@ -98,6 +98,18 @@ def _load_config(path: str, required, optional=()) -> tuple:
     return doc, config_fields(doc, "config", ("schema", *required), optional)
 
 
+def _input_lines(path: str):
+    """The lines of the file at `path` as str.splitlines splits its text, read lazily."""
+    with open(path, "rb") as fh:
+        at = 0
+        for raw in fh:
+            try:
+                yield from raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as e:
+                raise UnicodeError(f"invalid UTF-8 at byte {at + e.start}: {e.reason}") from None
+            at += len(raw)
+
+
 # battery function kind -> (required, optional) fields besides "id" and "kind"
 _FUNCTION_FIELDS = {
     "tent": (("left", "peak", "right"), ("height",)),
@@ -305,26 +317,14 @@ def cmd_transform(args) -> int:
         raise ConfigError('provide exactly one of "input" (measure lines) or "process"')
 
     if "input" in fields:
+        src = CARRIERS[source]
         try:
-            with open(fields["input"], "r", encoding="utf-8") as fh:
-                raw = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as e:
+            out = MeasureBatch.concatenate(MeasureBatch.batches_from_json_lines(
+                _input_lines(fields["input"]), src.measure, op), CARRIERS[src.other].measure)
+        except (OSError, UnicodeError) as e:
             raise ConfigError(f"cannot read input: {e}")
-        try:
-            batch = MeasureBatch.from_json_lines(raw, CARRIERS[source].measure)
         except ConfigError as e:
             raise ConfigError(f"input {e}")
-        try:
-            out = op(batch)
-        except StableppError:
-            # name the first measure the map fails on
-            numbers = [k for k, line in enumerate(raw, 1) if line.strip()]
-            for k, m in zip(numbers, batch):
-                try:
-                    op(m)
-                except StableppError as e:
-                    raise ConfigError(f"input line {k}: {e}")
-            raise
         n = _write_chunks(args.out, out.json_chunks())
         _write_manifest(args.out, "transform", doc, seed=args.seed, reps=n,
                         spec_hashes=[], outputs={args.out: {"lines": n}},

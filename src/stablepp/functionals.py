@@ -170,8 +170,7 @@ def _checked(cr, campaign, f, p: float) -> None:
     if campaign.carrier != cr.name:
         raise DomainError(f"{cr.name}-carrier estimate on a {cr.other}-carrier campaign")
     _on_carrier(cr, f)
-    if not cr.point_ok(p):
-        raise DomainError(cr.point_error)
+    cr.check_point(p)
     needed = cr.visible(f, p)
     if needed < campaign.window:
         raise WindowError(
@@ -215,8 +214,7 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     for f in functions:
         _on_carrier(cr, f)
         for p in points:
-            if not cr.point_ok(p):
-                raise DomainError(cr.point_error)
+            cr.check_point(p)
             needed = min(needed, cr.visible(f, p))
     return needed if math.isfinite(needed) else spec.window
 
@@ -322,9 +320,7 @@ def _psi_decoration(cr, dec: DecorationSpec, f, p):
     mixture entry and the dots of the count law and of a location table go
     node by node (``_per_node``, ``_dot_rows``)."""
     _on_carrier(cr, f, dec)
-    points = np.asarray(p, dtype=np.float64)
-    if not cr.point_ok(points):
-        raise DomainError(cr.point_error)
+    points = cr.check_point(p)
     col = points.reshape(-1, 1)
     fp = cr.compose(f, col)
     if dec.kind != "random_atoms":
@@ -555,9 +551,7 @@ def _predict(cr, quadrature, spec: ProcessSpec, f, p) -> Prediction:
     extreme law with kappa set to the constant, integrated once per call."""
     if spec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-family spec")
-    points = np.asarray(p, dtype=np.float64)
-    if not cr.point_ok(points):
-        raise DomainError(cr.point_error)
+    points = cr.check_point(p)
     const = quadrature(spec.alpha, spec.decoration, f)
     law = ExtremeLaw(cr.name, spec.alpha, const.value, spec.law)
     # d/dc of E exp(-weight c) is bounded by E[weight]

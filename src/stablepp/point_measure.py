@@ -168,7 +168,7 @@ class _BaseMeasure:
     def from_json_line(cls, line: str):
         if not line.strip():
             raise ConfigError("a point-measure line must not be blank")
-        return MeasureBatch._parse([(1, line)], cls)[0]
+        return MeasureBatch.from_json_lines([line], cls)[0]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -369,37 +369,38 @@ class MeasureBatch:
 
     @classmethod
     def from_json_lines(cls, lines, measure: type) -> "MeasureBatch":
-        """Parse measure lines into measures of class `measure`.
+        """Parse measure lines into one batch of measures of class `measure`."""
+        return cls.concatenate(cls.batches_from_json_lines(lines, measure), measure)
+
+    @classmethod
+    def batches_from_json_lines(cls, lines, measure: type, mapped=lambda batch: batch):
+        """Parse measure lines into measures of class `measure`, passed through
+        `mapped` in batches of up to 4096 lines, taken from `lines` as needed.
 
         A line is a JSON object with the single key "atoms", a list of
         [location, multiplicity] pairs: a location is a JSON number (not a
         boolean), finite and, on the scale carrier, nonzero; a multiplicity
         is a JSON integer (not a boolean, not 2.0) from 1 to 2**63 - 1.
-        Blank lines carry no measure and are skipped. A ConfigError names the
-        first bad line by its 1-based position in `lines`.
+        Blank lines carry no measure and are skipped. A batch that fails to
+        parse or to map is retried line by line, and a ConfigError names the
+        first line that fails either by its 1-based position in `lines`.
         """
         numbered = ((k, line) for k, line in enumerate(lines, 1) if line.strip())
-        parts = []
         while chunk := list(itertools.islice(numbered, _LINE_CHUNK)):
-            parts.append(cls._parse(chunk, measure))
-        return cls.concatenate(parts, measure)
+            try:
+                batch = mapped(cls._from_lines([line for _, line in chunk], measure))
+            except (ConfigError, DomainError, RangeError):
+                for k, line in chunk:
+                    try:
+                        mapped(cls._from_lines([line], measure))
+                    except (ConfigError, DomainError, RangeError) as exc:
+                        raise ConfigError(f"line {k}: {exc}") from exc
+                raise
+            yield batch
 
     @classmethod
-    def _parse(cls, numbered, measure: type) -> "MeasureBatch":
-        """Parse (line number, line) pairs, checking them all at once; on a
-        failure, parse line by line to name the first bad one."""
-        try:
-            return cls._from_atom_lists([_decoded_atoms(line) for _, line in numbered], measure)
-        except (ConfigError, DomainError):
-            for k, line in numbered:
-                try:
-                    cls._from_atom_lists([_decoded_atoms(line)], measure)
-                except (ConfigError, DomainError) as exc:
-                    raise ConfigError(f"line {k}: {exc}") from exc
-            raise
-
-    @classmethod
-    def _from_atom_lists(cls, atom_lists, measure: type) -> "MeasureBatch":
+    def _from_lines(cls, lines, measure: type) -> "MeasureBatch":
+        atom_lists = list(map(_decoded_atoms, lines))
         pairs = list(itertools.chain.from_iterable(atom_lists))
         if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
             raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")

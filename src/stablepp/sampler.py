@@ -79,6 +79,8 @@ BLOCK_SIZE = 4096
 # would otherwise exhaust memory.
 MEAN_CAP = 1.0e6
 
+MAX_REPS = 10**8  # replicas of one campaign: a float64 each stays under 800 MB
+
 # A campaign is rejected before any block is drawn when it expects more than
 # this many replicas whose Poisson mean passes MEAN_CAP, so that whether a run
 # fails depends on the spec and the replica count, not on the seed.
@@ -719,10 +721,13 @@ class Carrier:
         """Where the points p have a log coordinate, nan kept: not p <= floor."""
         return np.logical_not(p <= self.floor)
 
-    def point_ok(self, p) -> bool:
-        """Whether p, one point or an array of points, holds only evaluation
-        points: finite, with a log coordinate."""
-        return bool(np.all(np.isfinite(p) & self.has_log(p)))
+    def check_point(self, p) -> np.ndarray:
+        """p, one point or many, as a float array; a DomainError with ``point_error``
+        unless every point is an evaluation point: finite, with a log coordinate."""
+        p = np.asarray(p, dtype=np.float64)
+        if not np.all(np.isfinite(p) & self.has_log(p)):
+            raise DomainError(self.point_error)
+        return p
 
     @property
     def point_error(self) -> str:
@@ -969,8 +974,8 @@ def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
     At most min(threads, blocks, cpu count) worker threads run.
     """
     n_reps = int(n_reps)
-    if n_reps < 1:
-        raise DomainError("n_reps must be >= 1")
+    if not 1 <= n_reps <= MAX_REPS:
+        raise DomainError(f"n_reps must be from 1 to {MAX_REPS}")
     source.check_cap(n_reps)
     n_blocks = (n_reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 

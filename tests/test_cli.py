@@ -311,6 +311,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read input") and "Traceback" not in err
 
+    def test_undecodable_input_names_its_file_offset(self, tmp_path, capsys):
+        # far past the 8 KB a text-mode reader decodes at a time
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"atoms": [[1.0, 1]]}\r' * 1000 + b"\xff\n")
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(src)})
+        assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]) == 1
+        assert capsys.readouterr().err == ("error: cannot read input: invalid UTF-8 at "
+                                           "byte 22000: invalid start byte\n")
+
     def test_shift_config_for_scale_command_flows_through(self, tmp_path):
         cfg = proc_config(tmp_path, process=SHIFT_PROC)
         out = tmp_path / "o.jsonl"
@@ -418,6 +428,26 @@ class TestThreadBound:
         assert main(argv + ["--threads", "1"]) == 0
         assert widths == [width]
         assert out.read_bytes() == wide
+
+
+class TestRepsBound:
+    @pytest.mark.parametrize("reps", [10**30, stablepp.sampler.MAX_REPS + 1],
+                             ids=["1e30", "max_plus_one"])
+    @pytest.mark.parametrize("command", [["sample"], ["estimate"], ["test", "stability"],
+                                         ["test", "maxlaw"], ["test", "support"],
+                                         ["test", "tail"]], ids="_".join)
+    def test_too_many_replicas_exit_one_before_a_block_is_drawn(
+            self, tmp_path, capsys, monkeypatch, command, reps):
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(stablepp.sampler, "_block", no_block)
+        cfg = proc_config(tmp_path, {"b1": 1.0, "b2": 1.0} if "stability" in command else None)
+        out = tmp_path / "o.out"
+        assert main([*command, "--config", cfg, "--reps", str(reps), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: n_reps must be from 1 to {stablepp.sampler.MAX_REPS}\n"
+        assert not out.exists()
 
 
 class TestStatisticsAcrossBlocks:
@@ -776,6 +806,42 @@ class TestTransform:
                      "--out", str(tmp_path / "o.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input line 3: log transport")
+
+    @pytest.mark.parametrize("direction, atom", [("log", -2.0), ("exp", 1000.0)])
+    @pytest.mark.parametrize("n_lines, map_line, parse_line",
+                             [(3, 2, 3), (5000, 10, 4500), (5000, 4500, 4600)],
+                             ids=["three_lines", "chunk_one_then_two", "both_in_chunk_two"])
+    def test_map_failure_before_a_malformed_line_is_named(
+            self, tmp_path, capsys, direction, atom, n_lines, map_line, parse_line):
+        # each 4096-line chunk is parsed and mapped before the next is read
+        lines = ['{"atoms": [[1.0, 1]]}'] * n_lines
+        lines[map_line - 1] = '{"atoms": [[%r, 1]]}' % atom
+        lines[parse_line - 1] = "not json"
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": direction,
+                                "input": str(src)})
+        out = tmp_path / "o.jsonl"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input line {map_line}: {direction} transport")
+        assert not out.exists()
+
+    def test_failed_run_leaves_the_out_path_as_it_was(self, tmp_path, capsys):
+        # the bad line is in the second chunk, after the first mapped cleanly
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"atoms": [[1.0, 1]]}\n' * 4999 + '{"atoms": [[-1.0, 1]]}\n')
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(src)})
+        out = tmp_path / "o.jsonl"
+        argv = ["transform", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+        out.write_text("earlier output\n")
+        assert main(argv) == 1
+        assert out.read_text() == "earlier output\n"
+        assert not Path(f"{out}.manifest.json").exists()
+        assert capsys.readouterr().err.count("error: input line 5000: log transport") == 2
 
     def test_both_input_and_process_rejected(self, tmp_path):
         cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",

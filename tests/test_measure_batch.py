@@ -22,6 +22,7 @@ from stablepp.sampler import (
     SuperposeSource,
     run_campaign,
 )
+from stablepp.transform import log_transform
 
 
 def reference_line(atoms) -> str:
@@ -188,6 +189,26 @@ class TestParser:
                              ([good] * 5000 + [typed] + [domain], 5001)):
             with pytest.raises(ConfigError, match=rf"^line {first}: "):
                 MeasureBatch.from_json_lines(lines, PointMeasure)
+
+    def test_batches_are_read_and_mapped_one_at_a_time(self):
+        read = []
+
+        def lines():
+            for k in range(10_000):
+                read.append(k)
+                yield "" if k % 10 == 9 else '{"atoms": [[1.0, 1]]}'
+
+        batches = MeasureBatch.batches_from_json_lines(lines(), PointMeasure, log_transform)
+        first = next(batches)
+        assert (len(first), first.measure, len(read)) == (4096, ShiftPointMeasure, 4551)
+        assert [len(b) for b in batches] == [4096, 808]
+
+    def test_a_map_failure_is_named_by_its_line(self):
+        lines = ['{"atoms": [[1.0, 1]]}', "", '{"atoms": [[-1.0, 1]]}', "{"]
+        with pytest.raises(ConfigError, match=r"^line 3: log transport"):
+            list(MeasureBatch.batches_from_json_lines(lines, PointMeasure, log_transform))
+        with pytest.raises(ConfigError, match=r"^line 4: malformed"):
+            MeasureBatch.from_json_lines(lines, PointMeasure)
 
     def test_blank_line_is_not_a_measure(self):
         with pytest.raises(ConfigError):

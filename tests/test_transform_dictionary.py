@@ -188,3 +188,56 @@ CASES = [f"spec:{name}" for name in SPECS] + [
 @pytest.mark.parametrize("case", CASES)
 def test_pinned_transform_outputs(tmp_path, case):
     assert _transform_digests(tmp_path, case) == PINNED_TRANSFORMS[case]
+
+
+def _many_lines() -> str:
+    """9600 lines, about 8700 of them measures, so three 4096-line reading chunks,
+    with blank lines, empty measures, locations to merge and integer locations."""
+    lines = []
+    for k in range(9600):
+        if k % 11 == 5:
+            lines.append("")
+        elif k % 7 == 3:
+            lines.append('{"atoms": []}')
+        else:
+            atoms = [[(k % 97 + 1) / 8, k % 5 + 1], [k % 13 + 1, 1], [(k % 97 + 1) / 8, 2]]
+            lines.append(json.dumps({"atoms": atoms[:k % 3 + 1]}))
+    return "\n".join(lines) + "\n"
+
+
+A = '{"atoms": [[1.0, 1], [2.5, 3]]}'
+B = '{"atoms": [[0.25, 2], [3, 1], [0.25, 1]]}'
+E = '{"atoms": []}'
+# measure-line files split by every line boundary str.splitlines knows
+LINE_INPUTS = {
+    "crlf": f"{A}\r\n{B}\r\n{E}\r\n",
+    "lone_cr": f"{A}\r{B}\r{E}\r",
+    "form_feed": f"{A}\f{B}\n\f{E}\n",
+    "separators": f"{A}\x1c{B}\x85{E} {A} {B}\v{E}\x1d{A}\x1e",
+    "no_final_newline": f"{A}\n{B}",
+    "blank_lines": f"\n\n{A}\n  \n\t\n{B}\n\n{E}\n\n",
+    "empty": "",
+    "many_lines": _many_lines(),
+}
+# sha256 prefixes of the log and exp images of each file; the four files that
+# hold the same measures have the same images
+PINNED_LINE_TRANSFORMS = {
+    "crlf": ["4a6f26b28fd4b419", "064da727f9dbd36b"],
+    "lone_cr": ["4a6f26b28fd4b419", "064da727f9dbd36b"],
+    "form_feed": ["4a6f26b28fd4b419", "064da727f9dbd36b"],
+    "separators": ["ca8db826ef180706", "9713e2a0f56b9b2d"],
+    "no_final_newline": ["a3c4ac709627b3a2", "be5892e0752f85f5"],
+    "blank_lines": ["4a6f26b28fd4b419", "064da727f9dbd36b"],
+    "empty": ["e3b0c44298fc1c14", "e3b0c44298fc1c14"],
+    "many_lines": ["b40e4cb984b9e1a2", "9781dbcd2b454fdf"],
+}
+
+
+@pytest.mark.parametrize("name", LINE_INPUTS)
+def test_pinned_transforms_of_measure_line_files(tmp_path, name):
+    src = tmp_path / "in.jsonl"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        fh.write(LINE_INPUTS[name])
+    digests = [_digest(_run(tmp_path, d, ["transform"], {"direction": d, "input": str(src)}))
+               for d in ("log", "exp")]
+    assert digests == PINNED_LINE_TRANSFORMS[name]
