@@ -59,8 +59,7 @@ def walk(root):
 
     ext = root / "extract.json"
     doc = json.loads(config.read_text())
-    doc.update({"threshold": 50.0, "inner_radius": 0.5,
-                "n_accepted": 200, "max_attempts": 100000})
+    doc.update({"threshold": 50.0, "inner_radius": 0.5, "n_accepted": 200})
     ext.write_text(json.dumps(doc))
     run("extract", "--config", str(ext), "--seed", "4",
         "--out", str(root / "decoration.json"))

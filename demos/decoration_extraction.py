@@ -23,8 +23,7 @@ from stablepp import (
 def main():
     spec = ProcessSpec(
         "scdppp", 1.0, DecorationSpec.dirac([(1.0, 1), (0.75, 1)]), 0.05)
-    config = ExtractionConfig(threshold=100.0, inner_radius=0.5,
-                              n_accepted=500, max_attempts=200_000)
+    config = ExtractionConfig(threshold=100.0, inner_radius=0.5, n_accepted=500)
     print(f"target acceptance rate: {predicted_acceptance(spec, 100.0):.4f}")
 
     report = extract_decoration(spec, config, seed=29)

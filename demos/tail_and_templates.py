@@ -24,7 +24,7 @@ def main():
         spec = ProcessSpec("scdppp", alpha,
                            DecorationSpec.dirac([(1.0, 1)]), 0.05)
         mm = maxmod_samples(spec, 100_000, seed=5)
-        est = tail_index_estimate(mm[mm > 0.0], k=316)
+        est = tail_index_estimate(mm[mm > 0.0])
         print(f"alpha = {alpha}: Hill estimate {est.alpha_hat:.3f} "
               f"+/- {est.ci_half_width:.3f} from k = {est.k} exceedances")
 

@@ -682,27 +682,18 @@ def maxmod_law_test(
 # -- tail regular variation --------------------------------------------------------
 
 
-def tail_index_estimate(maxmod_samples, k: int | None = None) -> TailIndexEstimate:
-    """Hill estimator of the tail index on the top-k order statistics.
-
-    k defaults to floor(sqrt(n)). The confidence half-width is the asymptotic
-    95% normal width 1.96 * alpha_hat / sqrt(k).
+def tail_index_estimate(maxmod_samples) -> TailIndexEstimate:
+    """Hill estimator of the tail index on the top k = floor(sqrt(n)) order
+    statistics of n samples. The confidence half-width is the asymptotic 95%
+    normal width 1.96 * alpha_hat / sqrt(k).
     """
-    x = np.asarray(maxmod_samples, dtype=np.float64)
-    if x.ndim != 1:
-        x = x.ravel()
+    x = np.asarray(maxmod_samples, dtype=np.float64).ravel()
     n = x.size
     if n < _HILL_MIN:
         raise DomainError(f"tail estimation needs at least {_HILL_MIN} samples")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise DomainError("samples must be positive and finite")
-    if k is None:
-        k = int(math.isqrt(n))
-    k = int(k)
-    if k < 10:
-        raise DomainError("k must be at least 10")
-    if k >= n:
-        raise DomainError("k must be smaller than the sample count")
+    k = math.isqrt(n)  # from 10 to n - 1, as n >= _HILL_MIN
     xs = np.sort(x)
     threshold = xs[n - k - 1]
     spacings = np.log(xs[n - k:]) - math.log(threshold)
@@ -724,6 +715,15 @@ def _binomial_below(k: int, n: int, p: float) -> float:
                               + j * log_p + (n - j) * log_q) for j in range(k))
 
 
+def refuse_likely_shortfall(k: int, n: int, p: float, message) -> None:
+    """Raise DomainError(message(short)), before any block is drawn, when n trials
+    of success probability p fall short of k successes with a probability short
+    above CAP_EPS, so that whether a run succeeds does not hang on the seed."""
+    short = _binomial_below(k, n, p)
+    if short > CAP_EPS:
+        raise DomainError(message(short))
+
+
 def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0,
                     threads: int | None = 1) -> TestReport:
     """Check that the maxmod upper tail is regularly varying with the spec's index:
@@ -737,12 +737,11 @@ def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0,
     on the seed."""
     window = spec.window
     p = 1.0 - float(extreme_law(spec).cdf(window))
-    short = _binomial_below(_HILL_MIN, int(n_reps), p)
-    if short > CAP_EPS and int(n_reps) >= 1:  # fewer replicas is the sampler's error
-        raise DomainError(
+    if int(n_reps) >= 1:  # fewer replicas is the sampler's error
+        refuse_likely_shortfall(_HILL_MIN, int(n_reps), p, lambda short: (
             f"tail estimation needs at least {_HILL_MIN} samples: {n_reps} replicas expect "
             f"{n_reps * p:.3g} maximum moduli above the window {window:g} and fall short "
-            f"with probability {short:.3g}")
+            f"with probability {short:.3g}"))
     mm = maxmod_samples(spec, n_reps, seed, threads=threads, role=_ROLE_TAIL)
     positive = mm[mm > 0.0]
     est = tail_index_estimate(positive)

@@ -10,7 +10,8 @@ inventory. Repeated runs with the same config and seed are byte-identical,
 regardless of --threads.
 
 Exit codes: 0 success or statistical pass, 1 usage/config/IO error,
-2 statistical rejection or acceptance starvation.
+2 statistical rejection; an extraction that starves although its analytic
+acceptance rate rules that out is one.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .point_measure import (
 )
 from .sampler import (
     CARRIERS,
+    MAX_REPS,
     MEAN_CAP,
     ProcessSource,
     config_fields,
@@ -282,7 +284,7 @@ def cmd_test(args) -> int:
 
 def cmd_extract(args) -> int:
     doc, fields = _load_config(args.config, ("process", "threshold", "inner_radius"),
-                               ("n_accepted", "max_attempts"))
+                               ("n_accepted",))
     spec = fields.pop("process")
     del fields["schema"]
     cfg = ExtractionConfig(**fields)
@@ -291,7 +293,7 @@ def cmd_extract(args) -> int:
         report = extract_decoration(spec, cfg, seed=args.seed, threads=threads)
     except StarvationError as e:
         _write_manifest(args.out, "extract", doc, seed=args.seed,
-                        reps=cfg.max_attempts, spec_hashes=[spec.spec_hash()],
+                        reps=MAX_REPS, spec_hashes=[spec.spec_hash()],
                         outputs={}, status="starved", extra={"error": str(e)})
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, StarvationError
 from .characterization import (SubCheck, TestReport, censor_window, fit_scale_template,
-                               ks_censored)
+                               ks_censored, refuse_likely_shortfall)
 from .functionals import (
     ExtremeLaw,
     battery_estimates,
@@ -34,6 +34,7 @@ from .point_measure import MeasureBatch, PointMeasure, tent
 from .rng import ROLE_PERMUTE, make_generator
 from .sampler import (
     BLOCK_SIZE,
+    MAX_REPS,
     DecorationSpec,
     ProcessSource,
     ProcessSpec,
@@ -67,13 +68,11 @@ class ExtractionConfig:
     inner_radius: window of the normalized samples, in (0, 1); the process is
         sampled exactly on {|x| > inner_radius * threshold}.
     n_accepted: accepted-sample target (>= 100).
-    max_attempts: cap on total attempted replicas before giving up.
     """
 
     threshold: float
     inner_radius: float
     n_accepted: int = 500
-    max_attempts: int = 500_000
 
     def __post_init__(self):
         if not (self.threshold >= 1.0 and math.isfinite(self.threshold)):
@@ -82,15 +81,12 @@ class ExtractionConfig:
             raise DomainError("the inner radius must lie in (0, 1)")
         if int(self.n_accepted) < 100:
             raise DomainError("at least 100 accepted samples are required")
-        if int(self.max_attempts) < int(self.n_accepted):
-            raise DomainError("max_attempts must be at least n_accepted")
 
     def to_config_dict(self) -> dict:
         return {
             "threshold": self.threshold,
             "inner_radius": self.inner_radius,
             "n_accepted": int(self.n_accepted),
-            "max_attempts": int(self.max_attempts),
         }
 
 
@@ -220,14 +216,20 @@ def extract_decoration(
 
     Attempts run in fixed-size batches with a deterministic accept order
     (replica index within the batch sequence), so the report depends only on
-    (spec, config, seed). Raises StarvationError when max_attempts replicas
-    are exhausted first; the message carries the analytic acceptance rate as
-    a diagnostic for a threshold set too high.
+    (spec, config, seed). At most MAX_REPS attempts are made: a config that
+    they would leave short of n_accepted with probability above CAP_EPS is a
+    DomainError before any block is drawn, so a StarvationError means that
+    the draws disagree with the analytic acceptance rate.
     """
     if not spec.is_scale_family:
         raise DomainError("extraction runs on the scale carrier; transform first")
     y = config.threshold
     window = config.inner_radius * y
+    target = int(config.n_accepted)
+    p = predicted_acceptance(spec, y)
+    refuse_likely_shortfall(target, MAX_REPS, p, lambda short: (
+        f"extraction needs {target} samples above the threshold {y:g}: {MAX_REPS} "
+        f"attempts expect {MAX_REPS * p:.3g} and fall short with probability {short:.3g}"))
     src = ProcessSource(spec, window)
 
     accepted = []
@@ -235,9 +237,8 @@ def extract_decoration(
     attempted = 0
     batch_idx = 0
     n_found = 0
-    target = int(config.n_accepted)
-    while attempted < int(config.max_attempts):
-        batch = min(_ATTEMPT_BATCH, int(config.max_attempts) - attempted)
+    while n_found < target and attempted < MAX_REPS:
+        batch = min(_ATTEMPT_BATCH, MAX_REPS - attempted)
         campaign = run_campaign(src, seed, batch, threads,
                                 role=(_ROLE_EXTRACT, batch_idx))
         mm = campaign.maxmods()
@@ -247,13 +248,11 @@ def extract_decoration(
         n_found += hit.size
         attempted += batch
         batch_idx += 1
-        if n_found >= target:
-            break
 
     if n_found < target:
         raise StarvationError(
             f"only {n_found} of {target} samples accepted after {attempted} "
-            f"attempts; analytic acceptance rate is {predicted_acceptance(spec, y):.3g}"
+            f"attempts; analytic acceptance rate is {p:.3g}"
         )
 
     decorations = MeasureBatch.concatenate(accepted, PointMeasure)[:target]
@@ -294,15 +293,13 @@ def rebuild_process(
     report: ExtractionReport,
     n_reps: int = 20_000,
     seed: int = 0,
-    battery=None,
-    points=None,
     threads: int | None = 1,
 ) -> TestReport:
     """Rebuild the process from extracted decorations and compare batteries.
 
     The rebuilt process has the index of report.spec and is scale-decorated
     with the empirical law over the extracted samples, each dilated by
-    1 / report.c_max_hat. Its scaled-Laplace battery is compared to the
+    1 / report.c_max_hat. Its default scaled-Laplace battery is compared to the
     original spec's battery; a sub-check passes when the estimates agree
     within 3 pooled standard errors. The replica count should stay moderate:
     extraction contamination (threshold censoring and extra small atoms) is a
@@ -325,10 +322,8 @@ def rebuild_process(
         DecorationSpec.table_from_measures(scaled),
         orig.window,
     )
-    if battery is None:
-        battery = default_battery("scale")
-    if points is None:
-        points = default_points("scale")
+    battery = default_battery("scale")
+    points = default_points("scale")
     est_a = battery_estimates(orig, battery, points, n_reps, seed,
                               threads=threads, role=(_ROLE_REBUILD_A,))
     est_b = battery_estimates(rebuilt, battery, points, n_reps, seed,

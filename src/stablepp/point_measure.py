@@ -46,9 +46,9 @@ def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
     Atom k belongs to measure index[k]. Unless the atoms already come in
     canonical order (measure ascending, locations strictly increasing within
     each), one stable lexsort by (measure, location) orders them and equal
-    neighbours merge by summing their multiplicities. Because the sort is
-    stable, a merge of the equal locations 0.0 and -0.0 keeps the sign of the
-    one given first.
+    neighbours merge by summing their multiplicities, which must stay below
+    2**63. Because the sort is stable, a merge of the equal locations 0.0 and
+    -0.0 keeps the sign of the one given first.
     """
     if not np.isfinite(locs).all():
         raise DomainError("atom locations must be finite")
@@ -67,6 +67,11 @@ def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
         head[1:] |= index[1:] != index[:-1]
         if not head.all():
             starts = np.flatnonzero(head)
+            # int64 sums wrap; those of the 32-bit halves do not, and sum to high * 2**32 + low
+            high = np.add.reduceat(mults >> 32, starts)
+            low = np.add.reduceat(mults & 0xFFFFFFFF, starts)
+            if (high + (low >> 32) >= 2**31).any():
+                raise DomainError("multiplicities merged at one location must sum to below 2**63")
             locs, mults, index = locs[starts], np.add.reduceat(mults, starts), index[starts]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=n), out=offsets[1:])
@@ -487,9 +492,6 @@ class _BaseTestFunction:
         return float(out) if np.ndim(out) == 0 else out
 
     __call__ = eval
-
-    def knots(self):
-        return [(float(x), float(v)) for x, v in zip(self.knots_x, self.knots_v)]
 
     def __repr__(self):
         lo, hi = self.knots_x[0], self.knots_x[-1]

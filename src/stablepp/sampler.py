@@ -634,7 +634,7 @@ READ = {
     **dict.fromkeys(("alpha", "c", "window", "prob", "low", "high", "value", "mu", "sigma",
                      "left", "peak", "right", "height", "level", "edge", "outer", "ramp",
                      "b1", "b2", "rhs_scale_factor", "threshold", "inner_radius"), _number),
-    **dict.fromkeys(("n_accepted", "max_attempts"), _integer),
+    "n_accepted": _integer,
     **dict.fromkeys(("values", "probs", "points"), _list_of(_number)),
     "atoms": _list_of(_pair_of(_number, _integer)),
     "count_probs": lambda v, what: _count_law(_list_of(_pair_of(_integer, _number))(v, what)),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import stablepp.extraction
 import stablepp.sampler
 from stablepp.cli import main
 from stablepp.extraction import ExtractionConfig, extract_decoration
@@ -105,7 +106,7 @@ class TestConfigErrors:
         assert json.loads((tmp_path / "t.json").read_text())["level"] == 0.0
 
     def test_reps_is_not_an_option_of_extract_or_transform(self, tmp_path, capsys):
-        # extraction's work is set by n_accepted and max_attempts; transform draws nothing
+        # extraction's work is set by n_accepted and the threshold; transform draws nothing
         cfg = proc_config(tmp_path)
         for command in (["extract"], ["transform"]):
             assert main(command + ["--config", cfg, "--out", str(tmp_path / "o"),
@@ -699,7 +700,7 @@ class TestTest:
 class TestExtract:
     def test_success_writes_sidecar(self, tmp_path):
         cfg = proc_config(tmp_path, {"threshold": 20.0, "inner_radius": 0.5,
-                                     "n_accepted": 120, "max_attempts": 40000})
+                                     "n_accepted": 120})
         out = tmp_path / "x.json"
         assert main(["extract", "--config", cfg, "--seed", "17",
                      "--out", str(out)]) == 0
@@ -711,16 +712,51 @@ class TestExtract:
         assert PointMeasure.from_json_line(side[0]).maxmod() == 1.0
         # the sidecar is the report's batch of decorations, written as it is
         report = extract_decoration(process_spec_from_config(PROC),
-                                    ExtractionConfig(20.0, 0.5, 120, 40000), seed=17)
+                                    ExtractionConfig(20.0, 0.5, 120), seed=17)
         assert isinstance(report.decorations, MeasureBatch)
         assert text == report.decorations.json_lines()
         man = manifest(out)
         assert man["status"] == "ok"
         assert str(tmp_path / "x.json.decorations.jsonl") in man["outputs"]
 
-    def test_starvation_exits_two_with_manifest(self, tmp_path):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_config_succeeds_on_every_seed(self, tmp_path, seed):
+        cfg = proc_config(tmp_path, {"threshold": 1000.0, "inner_radius": 0.5})
+        out = tmp_path / "x.json"
+        assert main(["extract", "--config", cfg, "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n_decorations"] == 500
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unreachable_threshold_exits_one_before_any_block(self, tmp_path, capsys,
+                                                              monkeypatch, seed):
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+        monkeypatch.setattr(stablepp.sampler, "_block", no_block)
+        cfg = proc_config(tmp_path, {"threshold": 2e6, "inner_radius": 0.5})
+        out = tmp_path / "x.json"
+        assert main(["extract", "--config", cfg, "--seed", str(seed),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: extraction needs 500 samples above the threshold 2e+06")
+        assert not out.exists()
+        assert not (tmp_path / "x.json.manifest.json").exists()
+
+    def test_max_attempts_is_an_unknown_field(self, tmp_path, capsys):
+        cfg = proc_config(tmp_path, {"threshold": 20.0, "inner_radius": 0.5,
+                                     "max_attempts": 500_000})
+        assert main(["extract", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config has unknown field(s): ['max_attempts']")
+
+    def test_starvation_exits_two_with_manifest(self, tmp_path, monkeypatch):
+        # the residual guard: with the refusal passed and the cap small, a run
+        # that runs out of attempts still exits 2 with a starved manifest
+        monkeypatch.setattr(stablepp.extraction, "refuse_likely_shortfall",
+                            lambda *args: None)
+        monkeypatch.setattr(stablepp.extraction, "MAX_REPS", 20_000)
         cfg = proc_config(tmp_path, {"threshold": 1e6, "inner_radius": 0.5,
-                                     "n_accepted": 100, "max_attempts": 500})
+                                     "n_accepted": 100})
         out = tmp_path / "x.json"
         assert main(["extract", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
@@ -748,6 +784,18 @@ class TestTransform:
         back = tmp_path / "back.jsonl"
         assert main(["transform", "--config", log_cfg, "--out", str(back)]) == 0
         assert back.read_bytes() == raw.read_bytes()
+
+    def test_merged_multiplicity_past_int64_is_named(self, tmp_path, capsys):
+        raw = tmp_path / "scale.jsonl"
+        raw.write_text('{"atoms": [[2.0, 1]]}\n'
+                       '{"atoms": [[1.0, 4611686018427387904], [1, 4611686018427387904]]}\n')
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(raw)})
+        out = tmp_path / "shift.jsonl"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: input line 2: multiplicities merged at one location must sum to below 2**63\n")
+        assert not out.exists()
 
     def test_process_mode(self, tmp_path):
         cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",

@@ -136,13 +136,13 @@ def test_unmutated_configs_run(workdir, argv, doc):
     assert main(argv + ["--config", str(cfg), "--out", str(workdir / "out")]) == 0
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(doc=mutated(TRANSFORMS, within=("process",)))
 def test_mutated_process_fails_closed(workdir, doc):
     _run_fails_closed(workdir, ["transform"], doc)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(doc=mutated(ESTIMATES))
 def test_mutated_estimate_config_fails_closed(workdir, doc):
     _run_fails_closed(workdir, ["estimate", "--reps", "50"], doc)

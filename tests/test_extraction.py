@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stablepp import characterization, extraction, sampler
 from stablepp.errors import DomainError, StarvationError
 from stablepp.extraction import (
     ExtractionConfig,
@@ -25,7 +26,7 @@ def dirac_spec(alpha=1.0):
 @pytest.fixture(scope="module")
 def reference_report():
     return extract_decoration(
-        dirac_spec(), ExtractionConfig(100.0, 0.5, 500, 200_000), seed=17)
+        dirac_spec(), ExtractionConfig(100.0, 0.5, 500), seed=17)
 
 
 class TestExtractionConfig:
@@ -38,14 +39,12 @@ class TestExtractionConfig:
             ExtractionConfig(10.0, 0.0)
         with pytest.raises(DomainError):
             ExtractionConfig(10.0, 0.5, n_accepted=50)
-        with pytest.raises(DomainError):
-            ExtractionConfig(10.0, 0.5, n_accepted=500, max_attempts=400)
 
     def test_config_dict(self):
         cfg = ExtractionConfig(100.0, 0.5)
         assert cfg.to_config_dict() == {
             "threshold": 100.0, "inner_radius": 0.5,
-            "n_accepted": 500, "max_attempts": 500_000}
+            "n_accepted": 500}
 
 
 class TestExtractDecoration:
@@ -85,19 +84,45 @@ class TestExtractDecoration:
 
     def test_alpha2_radial(self):
         spec = dirac_spec(alpha=2.0)
-        rep = extract_decoration(spec, ExtractionConfig(10.0, 0.5, 500, 100_000),
+        rep = extract_decoration(spec, ExtractionConfig(10.0, 0.5, 500),
                                  seed=19)
         assert rep.pareto_ks < 0.05
         assert rep.pareto_p > 0.01
 
-    def test_starvation(self):
+    def test_unreachable_threshold_refused_before_any_block(self, monkeypatch):
+        # 10^8 attempts at threshold 2e6 expect 50 of the 500 samples
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+        monkeypatch.setattr(sampler, "_block", no_block)
+        with pytest.raises(DomainError) as exc:
+            extract_decoration(dirac_spec(), ExtractionConfig(2e6, 0.5))
+        assert str(exc.value) == (
+            "extraction needs 500 samples above the threshold 2e+06: 100000000 attempts "
+            "expect 50 and fall short with probability 1")
+
+    @pytest.mark.parametrize("threshold, refused", [(1e4, False), (1e5, False), (2e5, True)])
+    def test_refusal_follows_the_binomial_shortfall(self, threshold, refused):
+        # P(fewer than 500 of 10^8 attempts accepted) is 0, 4e-69 and 0.49
+        p = predicted_acceptance(dirac_spec(), threshold)
+        short = characterization._binomial_below(500, sampler.MAX_REPS, p)
+        assert (short > sampler.CAP_EPS) == refused
+        if refused:
+            with pytest.raises(DomainError, match="fall short with probability 0.49"):
+                extract_decoration(dirac_spec(), ExtractionConfig(threshold, 0.5))
+
+    def test_starvation_is_the_residual_guard(self, monkeypatch):
+        # with the refusal passed and the cap small, running out of attempts
+        # still raises StarvationError
+        monkeypatch.setattr(extraction, "refuse_likely_shortfall", lambda *args: None)
+        monkeypatch.setattr(extraction, "MAX_REPS", 20_000)
         spec = dirac_spec()
         with pytest.raises(StarvationError) as exc:
-            extract_decoration(spec, ExtractionConfig(1e6, 0.5, 100, 1000), seed=3)
+            extract_decoration(spec, ExtractionConfig(1e6, 0.5, 100), seed=3)
         assert "acceptance" in str(exc.value)
+        assert "after 20000 attempts" in str(exc.value)
 
     def test_thread_invariance(self):
-        cfg = ExtractionConfig(50.0, 0.5, 100, 50_000)
+        cfg = ExtractionConfig(50.0, 0.5, 100)
         a = extract_decoration(dirac_spec(), cfg, seed=23, threads=1)
         b = extract_decoration(dirac_spec(), cfg, seed=23, threads=4)
         assert np.array_equal(a.radials, b.radials)
@@ -116,15 +141,15 @@ class TestExtractDecoration:
     def test_threshold_stability(self):
         # conditioning at y and 2y leaves the radial law unchanged
         a = extract_decoration(dirac_spec(),
-                               ExtractionConfig(100.0, 0.5, 500, 200_000), seed=5)
+                               ExtractionConfig(100.0, 0.5, 500), seed=5)
         b = extract_decoration(dirac_spec(),
-                               ExtractionConfig(200.0, 0.5, 500, 500_000), seed=6)
+                               ExtractionConfig(200.0, 0.5, 500), seed=6)
         ks = stats.ks_2samp(a.radials, b.radials, method="asymp")
         assert ks.statistic < 0.05
 
     def test_independence_calibration(self):
         # under H0 the permutation p at level 0.05 rejects at about 0.05
-        cfg = ExtractionConfig(20.0, 0.5, 100, 20_000)
+        cfg = ExtractionConfig(20.0, 0.5, 100)
         rejections = 0
         for s in range(50):
             rep = extract_decoration(dirac_spec(), cfg, seed=1000 + s)
@@ -160,8 +185,7 @@ class TestRebuild:
     def test_two_atom_roundtrip(self):
         spec = ProcessSpec("scdppp", 1.0,
                            DecorationSpec.dirac([(1.0, 1), (0.75, 1)]), 0.05)
-        rep = extract_decoration(spec, ExtractionConfig(100.0, 0.5, 500, 200_000),
-                                 seed=29)
+        rep = extract_decoration(spec, ExtractionConfig(100.0, 0.5, 500), seed=29)
         rebuilt = rebuild_process(rep, n_reps=20_000, seed=43)
         assert rebuilt.passed
 

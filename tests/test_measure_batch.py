@@ -96,6 +96,10 @@ class TestWriter:
         assert batch.json_lines() == ('{"atoms": [[1.5, 2], [3.0, 4]]}\n'
                                       '{"atoms": [[1.5, 4], [3.0, 5]]}\n')
 
+    def test_merged_multiplicities_stay_in_int64(self, measure):
+        with pytest.raises(DomainError, match="merged at one location must sum to below 2"):
+            MeasureBatch(measure, [3.0, 1.5, 1.5], [1, 2 ** 62, 2 ** 62], [0, 1, 1], 2)
+
     def test_chunks_hold_whole_measures(self, measure):
         rng = np.random.default_rng(13)
         n = 900

@@ -65,6 +65,20 @@ class TestCanonicalForm:
         with pytest.raises(DomainError, match="int64"):
             PointMeasure([1.0, 2.0], mults)
 
+    @pytest.mark.parametrize("mults", [[2 ** 62, 2 ** 62], [2 ** 63 - 1, 1],
+                                       [2 ** 63 - 1] * 3],
+                             ids=["wraps_negative", "wraps_to_min", "wraps_positive"])
+    def test_merged_multiplicities_stay_in_int64(self, mults):
+        # three counts of 2**63 - 1 sum, in int64, to the positive 2**63 - 3
+        line = json.dumps({"atoms": [[1.0, m] for m in mults]})
+        with pytest.raises(DomainError, match="merged at one location must sum to below 2"):
+            PointMeasure([1.0] * len(mults), mults)
+        with pytest.raises(ConfigError, match="merged at one location must sum to below 2"):
+            PointMeasure.from_json_line(line)
+
+    def test_merged_multiplicity_may_reach_the_int64_maximum(self):
+        assert PointMeasure([1.0, 1.0], [2 ** 62, 2 ** 62 - 1]).atoms() == ((1.0, 2 ** 63 - 1),)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             PointMeasure([math.inf])

@@ -90,13 +90,13 @@ def _check(f, to, back, chart):
     assert np.max(np.abs(back(g, tol=TOL).eval(x) - f.eval(x))) <= 2 * TOL * f.sup_norm + slack
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_functions(TestFunction, 1, 2000))
 def test_log_function_property(f):
     _check(f, log_function, exp_function, np.log)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_functions(ShiftTestFunction, -400, 400))
 def test_exp_function_property(f):
     _check(f, exp_function, log_function, np.exp)
