@@ -183,6 +183,15 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_binomial_pmf(n: int, j: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """log of the binomial(n, p) probability of j, 0 < j < n, given m1 = n p and
+    m2 = n (1 - p), in Loader's saddle-point form (stirlerr and bd0), which
+    keeps it within about 1e-14 where a log-gamma difference of size n log n
+    loses 1e-9 at n = 10^6."""
+    return (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j) - _bd0(j, m1)
+            - _bd0(n - j, m2) + 0.5 * np.log(n / (2.0 * math.pi * j * (n - j))))
+
+
 def _smirnov_sf(n: int, d: float) -> float:
     """P(D_n^+ >= d), 0 < d < 1, by the Birnbaum-Tingey sum
 
@@ -190,10 +199,8 @@ def _smirnov_sf(n: int, d: float) -> float:
         C(n, j) (1 - d - j / n)^(n - j) (d + j / n)^(j - 1).
 
     Term j is (nd / (nd + j)) times the binomial(n, d + j / n) probability of
-    j, taken in Loader's saddle-point form (stirlerr and bd0), which keeps
-    each term's log within about 1e-14 where a log-gamma difference of size
-    n log n loses 1e-9 at n = 10^6. The terms
-    are summed in blocks of _SMIRNOV_BLOCK, so memory stays bounded in n."""
+    j (``_log_binomial_pmf``). The terms are summed in blocks of
+    _SMIRNOV_BLOCK, so memory stays bounded in n."""
     nd = n * d
     total = math.exp(n * math.log1p(-d))  # j = 0: (1 - d)^n
     for start in range(1, math.floor(n - nd) + 1, _SMIRNOV_BLOCK):
@@ -202,9 +209,7 @@ def _smirnov_sf(n: int, d: float) -> float:
         m2 = (n - j) - nd  # n (1 - d - j / n)
         live = m2 > 0.0
         j, m1, m2 = j[live], m1[live], m2[live]
-        log_pmf = (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j) - _bd0(j, m1)
-                   - _bd0(n - j, m2) + 0.5 * np.log(n / (2.0 * math.pi * j * (n - j))))
-        total += float(np.sum(nd / m1 * np.exp(log_pmf)))
+        total += float(np.sum(nd / m1 * np.exp(_log_binomial_pmf(n, j, m1, m2))))
     return total
 
 
@@ -705,14 +710,20 @@ def tail_index_estimate(maxmod_samples) -> TailIndexEstimate:
 
 
 def _binomial_below(k: int, n: int, p: float) -> float:
-    """P(X < k) for X ~ Binomial(n, p), summed from the logs of its terms."""
+    """P(X < k) for X ~ Binomial(n, p): (1 - p)^n for j = 0 plus the terms
+    j = 1, ..., k - 1 (``_log_binomial_pmf``), summed in blocks of _SMIRNOV_BLOCK."""
+    if k <= 0:
+        return 0.0
     if n < k or p <= 0.0:
         return 1.0
     if p >= 1.0:
         return 0.0
-    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    return math.fsum(math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-                              + j * log_p + (n - j) * log_q) for j in range(k))
+    total = math.exp(n * math.log1p(-p))
+    for start in range(1, k, _SMIRNOV_BLOCK):
+        j = np.arange(start, min(start + _SMIRNOV_BLOCK, k), dtype=np.float64)
+        m1, m2 = np.full(j.shape, n * p), np.full(j.shape, n * (1.0 - p))
+        total += float(np.sum(np.exp(_log_binomial_pmf(n, j, m1, m2))))
+    return total
 
 
 def refuse_likely_shortfall(k: int, n: int, p: float, message) -> None:

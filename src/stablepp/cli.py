@@ -403,9 +403,6 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = args.func(args)
-    except StarvationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (StableppError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -260,7 +260,7 @@ def extract_decoration(
 
     # every radial exceeds 1, where the Pareto CDF is 0, so no sample is censored
     pareto_ks, pareto_p = ks_censored(radials, lambda u: 1.0 - u ** -spec.alpha, 1.0)
-    counts = decorations.total_mass().astype(np.float64)
+    counts = decorations.total_mass()
     f_sens = tent(config.inner_radius, 0.5 * (1.0 + config.inner_radius), 1.0)
     tents = decorations.integrals(f_sens)
     rng = make_generator(int(seed), ROLE_PERMUTE, _ROLE_EXTRACT)

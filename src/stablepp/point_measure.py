@@ -135,7 +135,7 @@ class _BaseMeasure:
 
     @property
     def total_mass(self) -> int:
-        return int(self.multiplicities.sum()) if self.multiplicities.size else 0
+        return sum(self.multiplicities.tolist())
 
     def atoms(self):
         """Atoms as a tuple of (location, multiplicity) pairs in canonical order."""
@@ -215,12 +215,6 @@ class PointMeasure(_BaseMeasure):
             raise RangeError("scaling underflowed an atom location to the origin")
         return PointMeasure(out, self.multiplicities)
 
-    def restrict(self, radius: float) -> "PointMeasure":
-        """Restriction to the window {|x| > radius}."""
-        radius = float(radius)
-        keep = np.abs(self.locations) > radius
-        return PointMeasure(self.locations[keep], self.multiplicities[keep])
-
 
 class ShiftPointMeasure(_BaseMeasure):
     """Finite counting measure on R (shift carrier); atoms at 0 are fine here."""
@@ -233,11 +227,6 @@ class ShiftPointMeasure(_BaseMeasure):
         if not self.locations.size:
             return -math.inf
         return float(self.locations.max())
-
-    def restrict_above(self, cutoff: float) -> "ShiftPointMeasure":
-        """Restriction to the half line {x > cutoff}."""
-        keep = self.locations > float(cutoff)
-        return ShiftPointMeasure(self.locations[keep], self.multiplicities[keep])
 
 
 # -- many measures at once ------------------------------------------------------
@@ -343,8 +332,9 @@ class MeasureBatch:
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
     def total_mass(self) -> np.ndarray:
-        """Sum of multiplicities of each measure."""
-        return np.diff(np.concatenate([[0], np.cumsum(self.multiplicities)])[self.offsets])
+        """Sum of multiplicities of each measure: the integral of 1, as floats
+        like `integrals`."""
+        return np.bincount(self.index(), weights=self.multiplicities, minlength=len(self))
 
     def integrals(self, f) -> np.ndarray:
         """Integral of f against each measure, as `integrate` computes it for one."""

@@ -837,8 +837,9 @@ class FlatCampaign:
     0..size-1 (what a ``campaign_stats`` reducer receives); the per-replica
     statistics below read only the atoms they are given, so a block's
     statistics are the whole campaign's columns for that block.
-    ``window`` records the exactness region the campaign was drawn on: the
-    modulus radius (scale carrier) or lower cutoff (shift carrier).
+    ``weights`` holds the atoms' int64 multiplicities. ``window`` records
+    the exactness region the campaign was drawn on: the modulus radius
+    (scale carrier) or lower cutoff (shift carrier).
     """
 
     locations: np.ndarray
@@ -883,8 +884,7 @@ class FlatCampaign:
     def replica_measure(self, r: int):
         lo = np.searchsorted(self.replica, r, side="left")
         hi = np.searchsorted(self.replica, r, side="right")
-        return CARRIERS[self.carrier].measure(self.locations[lo:hi],
-                                              self.weights[lo:hi].astype(np.int64))
+        return CARRIERS[self.carrier].measure(self.locations[lo:hi], self.weights[lo:hi])
 
 
 class ProcessSource:
@@ -982,9 +982,7 @@ def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
     def job(b: int):
         size = min(BLOCK_SIZE, n_reps - b * BLOCK_SIZE)
         locs, rep, w = source.sample_block(master_seed, role + (b,), size)
-        return fn(FlatCampaign(locs, rep.astype(np.int64, copy=False),
-                               w.astype(np.float64, copy=False), size,
-                               source.carrier, source.window))
+        return fn(FlatCampaign(locs, rep, w, size, source.carrier, source.window))
 
     workers = min(resolve_threads(threads), n_blocks, os.cpu_count() or 1)
     if workers > 1:

@@ -335,10 +335,13 @@ class TestTailIndexTest:
         assert report.params["n_positive"] >= 100
 
     @pytest.mark.parametrize("k, n, p", [(100, 100_000, 1e-3), (100, 1000, 0.2),
-                                         (100, 150, 0.9), (10, 40, 0.5)])
+                                         (100, 150, 0.9), (10, 40, 0.5),
+                                         (0, 10, 0.5), (0, 10, 0.0), (11, 10, 0.5),
+                                         (5, 10, 1.0), (1, 10, 0.3), (5000, 10**6, 5e-3),
+                                         (10**6, 10**8, 1e-2), (70_000, 100_000, 0.7)])
     def test_binomial_lower_tail_matches_the_reference(self, k, n, p):
         assert characterization._binomial_below(k, n, p) == \
-            pytest.approx(stats.binom.cdf(k - 1, n, p), rel=1e-9)
+            pytest.approx(stats.binom.cdf(k - 1, n, p), rel=1e-12, abs=0.0)
 
     def test_binomial_lower_tail_edges(self):
         assert characterization._binomial_below(100, 99, 1.0) == 1.0

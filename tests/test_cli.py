@@ -372,6 +372,18 @@ class TestSample:
         assert main(base + ["--threads", "4"]) == 0
         assert out.read_bytes() == one
 
+    @pytest.mark.parametrize("mult", [2**53 + 1, 2**63 - 1], ids=["2_53_plus_1", "int64_max"])
+    def test_multiplicities_are_written_exactly(self, tmp_path, mult):
+        # no float copy rounds 2**53 + 1 or overflows casting 2**63 - 1 back to int64
+        cfg = proc_config(tmp_path, process=dict(
+            PROC, decoration={"kind": "dirac", "atoms": [[1.0, mult]]}))
+        out = tmp_path / "o.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sample", "--config", cfg, "--reps", "50", "--seed", "1",
+                         "--out", str(out)]) == 0
+        atoms = [a for line in out.read_text().splitlines() for a in json.loads(line)["atoms"]]
+        assert atoms and {m for _, m in atoms} == {mult}
 
     @pytest.mark.parametrize("process", [PROC, SHIFT_PROC], ids=["scale", "shift"])
     def test_lines_match_per_replica_reference_at_one_and_two_threads(self, tmp_path,
@@ -718,6 +730,16 @@ class TestExtract:
         man = manifest(out)
         assert man["status"] == "ok"
         assert str(tmp_path / "x.json.decorations.jsonl") in man["outputs"]
+
+    def test_decorations_keep_multiplicities_past_2_53(self, tmp_path):
+        process = dict(PROC, decoration={"kind": "dirac", "atoms": [[1.0, 2**53 + 1], [0.7, 3]]})
+        cfg = proc_config(tmp_path, {"threshold": 100.0, "inner_radius": 0.5,
+                                     "n_accepted": 100}, process=process)
+        out = tmp_path / "x.json"
+        assert main(["extract", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        side = (tmp_path / "x.json.decorations.jsonl").read_text().splitlines()
+        mults = {m for line in side for _, m in json.loads(line)["atoms"]}
+        assert 2**53 + 1 in mults and mults <= {2**53 + 1, 3}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_config_succeeds_on_every_seed(self, tmp_path, seed):

@@ -239,6 +239,10 @@ class TestBatchApi:
         with pytest.raises(DomainError):
             batch.integrals(shift_tent(0.0, 1.0, 2.0))
 
+    def test_total_mass_does_not_wrap(self):
+        batch = MeasureBatch(PointMeasure, [1.0, 2.0, 3.0], [2**62, 2**62, 5], [0, 0, 2], 3)
+        assert batch.total_mass().tolist() == [2.0**63, 0.0, 5.0]
+
     def test_of_and_concatenate_keep_order(self):
         ms = [PointMeasure([1.0]), PointMeasure(), PointMeasure([3.0, -1.0], [2, 1])]
         batch = MeasureBatch(PointMeasure, [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)

@@ -613,6 +613,20 @@ class TestSources:
         camp = run_campaign(s, 3, 1000)
         assert np.all(np.diff(camp.replica) >= 0)
 
+    @pytest.mark.parametrize("superposed", [False, True], ids=["process", "superpose"])
+    def test_weights_are_the_exact_int64_multiplicities(self, superposed):
+        spec = ProcessSpec("scdppp", 1.0, DecorationSpec.dirac([(1.0, 2**53 + 1), (0.7, 3)]),
+                           0.25)
+        src = ProcessSource(spec)
+        if superposed:
+            src = SuperposeSource(src, ProcessSource(spec))
+        n = BLOCK_SIZE + 10
+        camp = run_campaign(src, 5, n)
+        assert camp.weights.dtype == np.int64
+        assert set(camp.weights.tolist()) == {2**53 + 1, 3}
+        assert campaign_stats(src, 5, n, lambda block: np.full(
+            block.n_reps, block.weights.dtype == np.int64)).all()
+
     def test_superpose_counts_add(self):
         # P(empty) for a superposition of two independent unit specs is e^-2
         src = SuperposeSource(ProcessSource(unit_spec()), ProcessSource(unit_spec()))
@@ -765,12 +779,13 @@ def test_pinned_streams(case):
     carrier, dec_kind, law_kind = case.split("/")
     spec = _pinned_spec(carrier, dec_kind, law_kind)
     camp = run_campaign(ProcessSource(spec), 7, BLOCK_SIZE + 300, threads=2)
-    assert camp.locations.dtype == camp.weights.dtype == np.float64
+    assert camp.locations.dtype == np.float64 and camp.weights.dtype == np.int64
     assert camp.replica.dtype == np.int64
     measures = [camp.replica_measure(r) for r in range(4)]
     assert {type(m) for m in measures} == {PointMeasure if carrier == "scale" else ShiftPointMeasure}
     assert any(m.n_atoms for m in measures)
-    assert _digest(camp.locations, camp.replica, camp.weights) == PINNED_STREAMS[case]
+    assert _digest(camp.locations, camp.replica,
+                   camp.weights.astype(np.float64)) == PINNED_STREAMS[case]
 
 
 @pytest.mark.parametrize("carrier", ["scale", "shift"])
