@@ -70,6 +70,8 @@ _ROLE_TAIL = (40,)
 _CENSOR_MASS = 1e-6
 # the fewest samples the Hill estimate takes
 _HILL_MIN = 100
+# the most objective evaluations one bounded minimization makes
+_BRENT_MAXFUN = 500
 
 
 @dataclass(frozen=True)
@@ -774,13 +776,13 @@ def _template_inverse(template, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bounded_minimum(fn, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
+def _bounded_minimum(fn, a: float, b: float, xatol: float) -> float:
     """A minimizer of fn on [a, b] by Brent's bounded method (Brent 1973,
     ch. 5): parabolic steps where the parabola through the three best points
     is acceptable, golden sections otherwise, until the bracket around the best
     point x is within 2 (sqrt(2.2e-16) |x| + xatol / 3) of x, or after
-    `maxfun` evaluations. It is step for step the bounded Brent iteration of
-    the common numerical libraries, so a given fn gives their x."""
+    _BRENT_MAXFUN evaluations. It is step for step the bounded Brent
+    iteration of the common numerical libraries, so a given fn gives their x."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)
@@ -839,7 +841,7 @@ def _bounded_minimum(fn, a: float, b: float, xatol: float, maxfun: int = 500) ->
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxfun:
+        if num >= _BRENT_MAXFUN:
             break
     return xf
 

@@ -57,6 +57,7 @@ _ROLE_CMAX = 34
 
 _ATTEMPT_BATCH = 4 * BLOCK_SIZE
 _CMAX_FIT_REPS = 100_000
+_N_PERM = 999  # permutations behind one permutation p-value
 _PERM_ENTRIES = 1 << 20  # bound on the entries of one permutation matrix
 
 
@@ -137,10 +138,10 @@ def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
     return 1.0 - float(extreme_law(spec).cdf(threshold))
 
 
-def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> float:
+def _permutation_p(rng, a: np.ndarray, b: np.ndarray) -> float:
     """Two-sided permutation p-value for |Pearson correlation| of a against b.
 
-    The n_perm permutations of b are the rows of (permutations x n) matrices
+    The _N_PERM permutations of b are the rows of (permutations x n) matrices
     of up to _PERM_ENTRIES entries, each drawn by one `rng.permuted` call and
     scored at once. A permutation's score is the dot product of centred a with
     the permuted centred b: the norms of both stay the same under permutation,
@@ -159,11 +160,11 @@ def _permutation_p(rng, a: np.ndarray, b: np.ndarray, n_perm: int = 999) -> floa
     floor = abs(float(ac @ bc)) - 1e-12 * math.sqrt(float(ac @ ac) * float(bc @ bc))
     rows = max(1, _PERM_ENTRIES // b.size)  # permutations scored at a time
     hits = 0
-    for done in range(0, n_perm, rows):
-        shape = (min(rows, n_perm - done), b.size)
+    for done in range(0, _N_PERM, rows):
+        shape = (min(rows, _N_PERM - done), b.size)
         perms = rng.permuted(np.broadcast_to(np.arange(b.size), shape), axis=1)
         hits += int(np.count_nonzero(np.abs(bc[perms] @ ac) >= floor))
-    return (1 + hits) / (n_perm + 1)
+    return (1 + hits) / (_N_PERM + 1)
 
 
 def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) -> MeasureBatch:
@@ -316,7 +317,8 @@ def rebuild_process(
             "rebuilding applies to a deterministic global dilation; a random "
             "dilation is not recoverable from decoration samples alone"
         )
-    scaled = [m.scale(1.0 / c_max_hat) for m in report.decorations]
+    decs = report.decorations
+    scaled = decs.relocated(decs.locations * (1.0 / c_max_hat), PointMeasure)
     rebuilt = ProcessSpec(
         "scdppp", orig.alpha,
         DecorationSpec.table_from_measures(scaled),

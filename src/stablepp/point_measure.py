@@ -80,41 +80,21 @@ def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
     return locs, mults, offsets
 
 
-def _canonical_atoms(locations, multiplicities, forbid_origin: bool):
-    """One measure's atoms in canonical form: the one-measure case of a MeasureBatch."""
-    locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
-    if locs.ndim != 1:
-        raise DomainError("atom locations must form a one-dimensional sequence")
-    if multiplicities is None:
-        mults = np.ones(locs.shape, dtype=np.int64)
-    else:
-        raw = np.atleast_1d(np.asarray(multiplicities))
-        if raw.shape != locs.shape:
-            raise DomainError("multiplicities must match locations one-to-one")
-        # booleans, and Python ints beyond 64 bits (an object array), are refused;
-        # numpy reads a bool among ints as 0 or 1, so a sequence is read element by element
-        kind = raw.dtype.kind
-        has_bool = not isinstance(multiplicities, np.ndarray) and any(
-            isinstance(m, (bool, np.bool_))
-            for m in np.asarray(multiplicities, dtype=object).ravel())
-        if has_bool or kind not in "iuf" or (
-                kind != "i" and not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0 ** 63))):
-            raise DomainError("multiplicities must be integers in the int64 range")
-        mults = raw.astype(np.int64)
-    locs, mults, _ = _canonical(locs, mults, np.zeros(locs.size, dtype=np.int64), 1,
-                                forbid_origin)
-    return locs, mults
-
-
 class _BaseMeasure:
     __slots__ = ("locations", "multiplicities")
 
     _forbid_origin = False
 
     def __init__(self, locations=(), multiplicities=None):
-        locs, mults = _canonical_atoms(locations, multiplicities, self._forbid_origin)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "multiplicities", mults)
+        """The canonical measure of these atoms, built as the one-measure case
+        of a MeasureBatch; multiplicities default to all ones."""
+        locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
+        if multiplicities is None:
+            multiplicities = np.ones(locs.shape, dtype=np.int64)
+        batch = MeasureBatch(type(self), locs, multiplicities,
+                             np.zeros(locs.shape, dtype=np.int64), 1)
+        object.__setattr__(self, "locations", batch.locations)
+        object.__setattr__(self, "multiplicities", batch.multiplicities)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -140,26 +120,6 @@ class _BaseMeasure:
     def atoms(self):
         """Atoms as a tuple of (location, multiplicity) pairs in canonical order."""
         return tuple((float(x), int(m)) for x, m in zip(self.locations, self.multiplicities))
-
-    def superpose(self, other):
-        if type(other) is not type(self):
-            raise DomainError("superposition requires measures on the same carrier")
-        return type(self)(
-            np.concatenate([self.locations, other.locations]),
-            np.concatenate([self.multiplicities, other.multiplicities]),
-        )
-
-    def shift(self, x: float):
-        """Translation by x: every atom location moves by x. An atom that
-        overflows is a RangeError; the class's origin rule applies to the result."""
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError("shift must be finite")
-        with np.errstate(over="ignore"):
-            out = self.locations + x
-        if not np.all(np.isfinite(out)):
-            raise RangeError("shift overflowed an atom location")
-        return type(self)(out, self.multiplicities)
 
     def relocated(self, locations, measure):
         """A measure of class `measure` with these atoms moved to `locations`."""
@@ -201,19 +161,6 @@ class PointMeasure(_BaseMeasure):
         if not self.locations.size:
             return 0.0
         return float(np.abs(self.locations).max())
-
-    def scale(self, b: float) -> "PointMeasure":
-        """Dilation by b > 0: every atom location is multiplied by b."""
-        b = float(b)
-        if not (b > 0.0) or not math.isfinite(b):
-            raise DomainError("scale factor must be finite and > 0")
-        with np.errstate(over="ignore"):
-            out = self.locations * b
-        if out.size and not np.all(np.isfinite(out)):
-            raise RangeError("scaling overflowed an atom location")
-        if out.size and np.any(out == 0.0):
-            raise RangeError("scaling underflowed an atom location to the origin")
-        return PointMeasure(out, self.multiplicities)
 
 
 class ShiftPointMeasure(_BaseMeasure):
@@ -275,12 +222,39 @@ class MeasureBatch:
     __slots__ = ("measure", "locations", "multiplicities", "offsets")
 
     def __init__(self, measure: type, locations, multiplicities, index, n: int):
-        """Measures 0..n-1 of class `measure`; atom k belongs to measure index[k]."""
-        locs = np.asarray(locations, dtype=np.float64)
-        mults = np.asarray(multiplicities, dtype=np.int64)
+        """Measures 0..n-1 of class `measure`; atom k belongs to measure index[k].
+
+        Locations form a one-dimensional sequence. Multiplicities match them
+        one to one and are integers in the int64 range: integral floats are
+        read as integers, booleans are refused element by element. Index
+        matches them one to one too, with integer entries in [0, n). Any other
+        input is a DomainError.
+        """
+        locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
+        if locs.ndim != 1:
+            raise DomainError("atom locations must form a one-dimensional sequence")
+        raw = np.atleast_1d(np.asarray(multiplicities))
+        if raw.shape != locs.shape:
+            raise DomainError("multiplicities must match locations one-to-one")
+        # booleans, and Python ints beyond 64 bits (an object array), are refused;
+        # numpy reads a bool among ints as 0 or 1, so a sequence is read element by element
+        kind = raw.dtype.kind
+        has_bool = not isinstance(multiplicities, np.ndarray) and any(
+            isinstance(m, (bool, np.bool_))
+            for m in np.asarray(multiplicities, dtype=object).ravel())
+        if has_bool or kind not in "iuf" or (
+                kind != "i" and not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0 ** 63))):
+            raise DomainError("multiplicities must be integers in the int64 range")
+        n = int(n)
+        idx = np.asarray(index)
+        if idx.shape != locs.shape:
+            raise DomainError("measure indices must match locations one-to-one")
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+            raise DomainError(f"measure indices must be integers in [0, {n})")
         self.measure = measure
         self.locations, self.multiplicities, self.offsets = _canonical(
-            locs, mults, np.asarray(index, dtype=np.int64), int(n), measure._forbid_origin)
+            locs, raw.astype(np.int64, copy=False), idx.astype(np.int64, copy=False), n,
+            measure._forbid_origin)
 
     @classmethod
     def _trusted(cls, measure, locations, multiplicities, offsets) -> "MeasureBatch":

@@ -349,10 +349,16 @@ class DecorationSpec:
         return cls(kind="dirac", carrier=carrier, atoms=tuple(atoms))
 
     @classmethod
-    def table_from_measures(cls, measures, probs=None, carrier: str = "scale") -> "DecorationSpec":
+    def table_from_measures(cls, measures, probs=None) -> "DecorationSpec":
+        """The table decoration drawing measures[i] with probability probs[i]
+        (uniform by default), on the carrier whose class the measures share."""
         measures = list(measures)
+        kinds = set(map(type, measures))
+        carrier = next((name for name, cr in CARRIERS.items() if kinds <= {cr.measure}), None)
+        if carrier is None:
+            raise DomainError("table decoration measures must all be of one carrier's class")
         if probs is None:
-            probs = [1.0 / len(measures)] * len(measures)
+            probs = [1.0 / len(measures)] * len(measures) if measures else []
         entries = tuple((tuple(m.atoms()), float(p)) for m, p in zip(measures, probs))
         return cls(kind="table", carrier=carrier, entries=entries)
 

@@ -189,6 +189,27 @@ class TestRebuild:
         rebuilt = rebuild_process(rep, n_reps=20_000, seed=43)
         assert rebuilt.passed
 
+    def test_rebuilt_spec_dilates_each_decoration(self, reference_report, monkeypatch):
+        # the batch is dilated in one product, as each measure alone would be
+        c, orig = reference_report.c_max_hat, reference_report.spec
+        reference = ProcessSpec(
+            "scdppp", orig.alpha,
+            DecorationSpec.table_from_measures(
+                PointMeasure(m.locations * (1.0 / c), m.multiplicities)
+                for m in reference_report.decorations),
+            orig.window)
+        real, specs = extraction.battery_estimates, []
+
+        def recorded(spec, *args, **kwargs):
+            specs.append(spec)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(extraction, "battery_estimates", recorded)
+        report = rebuild_process(reference_report, n_reps=1000, seed=5)
+        assert specs[1] == reference
+        assert specs[1].to_config_dict() == reference.to_config_dict()
+        assert report.params["n_decorations"] == 500
+
     def test_short_report_rejected(self, reference_report):
         starved = dataclasses.replace(reference_report,
                                       decorations=reference_report.decorations[:50])

@@ -495,8 +495,7 @@ REFERENCE_DECORATIONS = {
         "dirac": DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
         "multi_dirac": DecorationSpec.dirac([(-0.5, 1), (0.0, 2), (0.3, 1)], carrier="shift"),
         "table": DecorationSpec.table_from_measures(
-            [ShiftPointMeasure([0.0]), ShiftPointMeasure([-0.3, 0.2])], [0.4, 0.6],
-            carrier="shift"),
+            [ShiftPointMeasure([0.0]), ShiftPointMeasure([-0.3, 0.2])], [0.4, 0.6]),
         "atoms_table": DecorationSpec.random_atoms(
             [(1, 0.3), (2, 0.7)], LocationLaw(kind="table", values=(-0.6, 0.1, 0.4),
                                               probs=(0.2, 0.5, 0.3)), carrier="shift"),

@@ -263,6 +263,46 @@ class TestBatchApi:
         assert batch[0] == PointMeasure([1.0, 2.0])
 
 
+
+# (locations, multiplicities) that PointMeasure and MeasureBatch both refuse
+BAD_ATOMS = {
+    "half": ([1.0], [1.5]),
+    "bool_first": ([1.0, 2.0], [True, 2]),
+    "numpy_bool": ([1.0], [np.True_]),
+    "int_2_70": ([1.0], [2 ** 70]),
+    "int_minus_2_70": ([1.0], [-(2 ** 70)]),
+    "short_mults": ([1.0, 2.0], [1]),
+    "two_d_locations": ([[1.0, 2.0]], [[1, 1]]),
+}
+
+
+class TestOneConstructor:
+    """A single measure is the one-measure case of a batch: both refuse the
+    same atoms with the same message, and the batch checks its index too."""
+
+    @pytest.mark.parametrize("locs, mults", BAD_ATOMS.values(), ids=BAD_ATOMS.keys())
+    def test_measure_and_batch_refuse_alike(self, locs, mults):
+        with pytest.raises(DomainError) as single:
+            PointMeasure(locs, mults)
+        with pytest.raises(DomainError) as batch:
+            MeasureBatch(PointMeasure, locs, mults, np.zeros(np.shape(locs), dtype=int), 1)
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize("index, n", [([0, 5], 1), ([0, 1], 1), ([-1, 0], 1),
+                                          ([0.0, 0.0], 1), ([True, False], 2), ([0], 1),
+                                          ([[0, 0]], 1), ([2 ** 70, 0], 1)],
+                             ids=["past_n", "at_n", "negative", "float", "bool", "short",
+                                  "two_d", "int_2_70"])
+    def test_index_is_integers_in_range(self, index, n):
+        with pytest.raises(DomainError, match="measure indices must"):
+            MeasureBatch(PointMeasure, [1.0, 2.0], [1, 1], index, n)
+
+    def test_integral_floats_and_unsigned_ints_are_read_as_integers(self):
+        batch = MeasureBatch(PointMeasure, [2.0, 1.0], [3.0, 1.0],
+                             np.array([0, 0], dtype=np.uint8), 1)
+        assert batch.multiplicities.dtype == np.int64
+        assert list(batch) == [PointMeasure([1.0, 2.0], [1, 3])]
+
 def _spec(carrier):
     if carrier == "scale":
         dec = DecorationSpec.random_atoms([(1, 0.3), (2, 0.4), (4, 0.3)],

@@ -173,6 +173,17 @@ class TestDecorationSpec:
         with pytest.raises(TypeError):
             DecorationSpec.dirac([(3.0, 1)], maxmod_bound=5.0)
 
+    def test_table_from_measures_takes_the_carrier_of_the_measures(self):
+        d = DecorationSpec.table_from_measures([ShiftPointMeasure([2.0, 3.0])])
+        assert d.carrier == "shift" and d.entries == ((((2.0, 1), (3.0, 1)), 1.0),)
+        assert DecorationSpec.table_from_measures([PointMeasure([2.0])]).carrier == "scale"
+
+    def test_table_from_measures_refuses_no_measures_and_mixed_carriers(self):
+        with pytest.raises(DomainError, match="table decoration requires entries"):
+            DecorationSpec.table_from_measures([])
+        with pytest.raises(DomainError, match="one carrier"):
+            DecorationSpec.table_from_measures([PointMeasure([1.0]), ShiftPointMeasure([1.0])])
+
     def test_sample_atoms_block_dirac(self):
         d = DecorationSpec.dirac([(1.0, 2), (-0.5, 1)])
         idx, locs, w = d.sample_atoms_block(np.random.default_rng(0), 3)
