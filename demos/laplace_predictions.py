@@ -10,8 +10,8 @@ estimates next to predictions.
 
 from stablepp import (
     DecorationSpec,
+    GlobalLaw,
     ProcessSpec,
-    ScaleLaw,
     battery_estimates,
     default_battery,
     default_points,
@@ -22,7 +22,7 @@ from stablepp import (
 def main():
     spec = ProcessSpec(
         "sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1), (0.5, 2)]), 0.05,
-        law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+        law=GlobalLaw.table([1.0, 2.0], [0.5, 0.5]))
     battery = default_battery("scale")
     points = default_points("scale")
 

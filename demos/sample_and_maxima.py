@@ -27,7 +27,7 @@ def main():
     for i in range(3):
         m = campaign.replica_measure(i)
         locs = ", ".join(f"{x:.3f}" for x, _ in sorted(m.atoms())[:6])
-        print(f"replica {i}: {m.n_atoms} atoms, maxmod {m.maxmod():.3f}, "
+        print(f"replica {i}: {m.n_atoms} atoms, maxmod {m.extreme():.3f}, "
               f"smallest [{locs}, ...]")
 
     mm = maxmod_samples(spec, 10_000, seed=0)

@@ -39,12 +39,12 @@ def main():
         n = campaign.replica_measure(i)
         t = log_transform(n)
         big = max(x for x, _ in n.atoms())
-        print(f"replica {i}: maxmod {n.maxmod():.4f}, image max location "
-              f"{t.max_location():.4f} = log {big:.4f}")
+        print(f"replica {i}: maxmod {n.extreme():.4f}, image max location "
+              f"{t.extreme():.4f} = log {big:.4f}")
 
     # integer locations survive the shift -> scale -> shift trip bit-exactly
-    from stablepp import ShiftPointMeasure
-    t = ShiftPointMeasure([-30.0, -3.0, 0.0, 7.0, 30.0], [1, 2, 1, 1, 1])
+    from stablepp import PointMeasure
+    t = PointMeasure([-30.0, -3.0, 0.0, 7.0, 30.0], [1, 2, 1, 1, 1], carrier="shift")
     assert log_transform(exp_transform(t)).to_json_line() == t.to_json_line()
     print("\ninteger-location roundtrip: bit-exact")
 

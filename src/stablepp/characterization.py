@@ -35,9 +35,9 @@ from .functionals import (
 from .sampler import (
     CAP_EPS,
     SCALE,
+    GlobalLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
     SuperposeSource,
     campaign_stats,
     maxmod_samples,
@@ -580,7 +580,7 @@ def stability_test(
 
     def dilated(d: float) -> ProcessSource:
         return ProcessSource(ProcessSpec(SCALE.families[1], alpha, spec.decoration, window,
-                                         ScaleLaw.deterministic(d)))
+                                         GlobalLaw.deterministic(d)))
 
     # per side, n_reps times the Poisson mean of the dilation points that can
     # reach the window; an overflow reads inf

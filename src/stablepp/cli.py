@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .characterization import (
@@ -39,16 +40,14 @@ from .functionals import (
     required_window,
 )
 from .point_measure import (
+    CARRIERS,
     MeasureBatch,
-    ShiftTestFunction,
     TestFunction,
     indicator_approx,
     shift_indicator_approx,
-    shift_tent,
     tent,
 )
 from .sampler import (
-    CARRIERS,
     MAX_REPS,
     MEAN_CAP,
     ProcessSource,
@@ -124,8 +123,9 @@ _FUNCTION_FIELDS = {
 # carrier -> {battery function kind: constructor taking the kind's fields}
 _FUNCTION_MAKERS = {
     "scale": {"tent": tent, "indicator": indicator_approx, "knots": TestFunction},
-    "shift": {"shift_tent": shift_tent, "shift_indicator": shift_indicator_approx,
-              "shift_knots": ShiftTestFunction},
+    "shift": {"shift_tent": partial(tent, carrier="shift"),
+              "shift_indicator": shift_indicator_approx,
+              "shift_knots": partial(TestFunction, carrier="shift")},
 }
 
 
@@ -319,10 +319,9 @@ def cmd_transform(args) -> int:
         raise ConfigError('provide exactly one of "input" (measure lines) or "process"')
 
     if "input" in fields:
-        src = CARRIERS[source]
         try:
             out = MeasureBatch.concatenate(MeasureBatch.batches_from_json_lines(
-                _input_lines(fields["input"]), src.measure, op), CARRIERS[src.other].measure)
+                _input_lines(fields["input"]), source, op), CARRIERS[source].other)
         except (OSError, UnicodeError) as e:
             raise ConfigError(f"cannot read input: {e}")
         except ConfigError as e:

@@ -30,7 +30,7 @@ from .functionals import (
     default_points,
     extreme_law,
 )
-from .point_measure import MeasureBatch, PointMeasure, tent
+from .point_measure import MeasureBatch, tent
 from .rng import ROLE_PERMUTE, make_generator
 from .sampler import (
     BLOCK_SIZE,
@@ -176,7 +176,7 @@ def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) 
     rep = campaign.replica[rows]
     normalized = campaign.locations[rows] / mm[rep]
     keep = np.abs(normalized) > inner_radius
-    return MeasureBatch(PointMeasure, normalized[keep], campaign.weights[rows][keep],
+    return MeasureBatch("scale", normalized[keep], campaign.weights[rows][keep],
                         np.searchsorted(hit, rep[keep]), hit.size)
 
 
@@ -256,7 +256,7 @@ def extract_decoration(
             f"attempts; analytic acceptance rate is {p:.3g}"
         )
 
-    decorations = MeasureBatch.concatenate(accepted, PointMeasure)[:target]
+    decorations = MeasureBatch.concatenate(accepted, "scale")[:target]
     radials = np.concatenate(accepted_r)[:target]
 
     # every radial exceeds 1, where the Pareto CDF is 0, so no sample is censored
@@ -318,7 +318,7 @@ def rebuild_process(
             "dilation is not recoverable from decoration samples alone"
         )
     decs = report.decorations
-    scaled = decs.relocated(decs.locations * (1.0 / c_max_hat), PointMeasure)
+    scaled = decs.relocated(decs.locations * (1.0 / c_max_hat), "scale")
     rebuilt = ProcessSpec(
         "scdppp", orig.alpha,
         DecorationSpec.table_from_measures(scaled),

@@ -12,7 +12,7 @@ dilation W (translation U), the decorated Poisson structure gives
 
 both E[exp(-weight(p, W) * constant)]. Write an evaluation point in its log
 coordinate v: s = e^v on the scale carrier, t = v on the shift carrier. The
-weight is then e^{-rate (v_p - v_W)} on both carriers (``sampler.Carrier.weight``),
+weight is then e^{-rate (v_p - v_W)} on both carriers (``point_measure.Carrier.weight``),
 the dilation process has intensity rho e^{-rate v} dv (rho = alpha on the
 scale side, 1 on the shift side), and the two constants are one integral:
 
@@ -72,26 +72,25 @@ import numpy as np
 
 from .errors import DomainError, IntegrationWarning, WindowError
 from .point_measure import (
-    ShiftTestFunction,
+    CARRIERS,
+    SCALE,
+    SHIFT,
     TestFunction,
+    _carrier,
     indicator_approx,
     maxmod_indicator,
     shift_indicator_approx,
-    shift_tent,
     tent,
 )
 from .rng import ROLE_SCALAR, make_generator
 from .sampler import (
-    CARRIERS,
-    SCALE,
-    SHIFT,
     DecorationSpec,
     FlatCampaign,
+    GlobalLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
-    ShiftLaw,
     campaign_stats,
+    effective_law,
 )
 
 __all__ = [
@@ -154,7 +153,7 @@ def _on_carrier(cr, f, dec: DecorationSpec | None = None) -> None:
     live on carrier ``cr``."""
     if dec is not None and dec.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-carrier decoration")
-    if type(f)._measure is not cr.measure:
+    if f.carrier != cr.name:
         raise DomainError(f"expected a {cr.name}-carrier test function")
 
 
@@ -188,13 +187,13 @@ def estimate_scaled_laplace(campaign: FlatCampaign, f: TestFunction, y: float) -
     """Estimate Psi(f | y) from a scale-carrier campaign.
 
     Raises WindowError when the campaign's window is too coarse for (f, y):
-    exactness requires y * inner_radius(f) >= window, else atoms the
-    functional can see were never sampled.
+    exactness requires y times the inner radius of f >= window, else atoms
+    the functional can see were never sampled.
     """
     return _estimate(SCALE, campaign, f, y)
 
 
-def estimate_shift_laplace(campaign: FlatCampaign, g: ShiftTestFunction, u: float) -> EstimateWithError:
+def estimate_shift_laplace(campaign: FlatCampaign, g: TestFunction, u: float) -> EstimateWithError:
     """Estimate Psi(g | u) from a shift-carrier campaign."""
     return _estimate(SHIFT, campaign, g, u)
 
@@ -202,9 +201,10 @@ def estimate_shift_laplace(campaign: FlatCampaign, g: ShiftTestFunction, u: floa
 def required_window(spec: ProcessSpec, functions, points) -> float:
     """Coarsest window adequate for every (function, evaluation point) pair.
 
-    An f at scale point y sees only atoms with |x| >= y * inner_radius(f); a g
-    at shift point u sees only atoms with x >= u + support_low(g); the zero
-    function, whose lower support edge is inf, sees none. Atoms outside the
+    A function f sees only atoms whose norm reaches p acting on its lower
+    support edge (``Carrier.visible``): |x| >= y * inner radius at a scale
+    point y, x >= u + lower edge at a shift point u; the zero function, whose
+    lower support edge is inf, sees none. Atoms outside the
     returned window add exactly 0 to every integral, so the window may be
     coarser than the spec's own without changing any estimate's law. Falls
     back to the spec's window when no nonzero function constrains it.
@@ -348,7 +348,7 @@ def psi_decoration_scale(dec: DecorationSpec, f: TestFunction, s):
     return _psi_decoration(SCALE, dec, f, s)
 
 
-def psi_decoration_shift(dec: DecorationSpec, g: ShiftTestFunction, t):
+def psi_decoration_shift(dec: DecorationSpec, g: TestFunction, t):
     """E[exp(-integral of q -> g(q + t) against one decoration)], t finite: a
     float at a float t, an array of t's shape at every point of an array."""
     return _psi_decoration(SHIFT, dec, g, t)
@@ -507,15 +507,15 @@ def cf_quadrature(alpha: float, dec: DecorationSpec, f: TestFunction) -> Predict
     c_f = integral over (0, inf) of (1 - psi_P(f | s)) alpha s^{-alpha-1} ds,
     integrated after the substitution s = e^v as the integral over v of
     (1 - psi_P(f | e^v)) alpha e^{-alpha v} dv, on
-    [log(inner_radius / bound), log(outer_radius / the smallest atom norm)]
+    [log(inner radius / bound), log(outer radius / the smallest atom norm)]
     split at every log(|knot| / atom modulus).
     """
     return _constant(SCALE, psi_decoration_scale, alpha, dec, f)
 
 
-def kappa_quadrature(c: float, dec: DecorationSpec, g: ShiftTestFunction) -> Prediction:
+def kappa_quadrature(c: float, dec: DecorationSpec, g: TestFunction) -> Prediction:
     """The shift constant kappa_g = integral of (1 - psi_Q(g | t)) e^{-c t} dt,
-    on [support_low - bound, support_high - smallest atom] split at every
+    on [lower support edge - bound, upper edge - smallest atom] split at every
     knot - atom, with the quadrature's error estimate as its bound."""
     return _constant(SHIFT, psi_decoration_shift, c, dec, g)
 
@@ -527,7 +527,7 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
     Importance-samples the dilation coordinate from its own normalized tail on
     [lo, inf) (a Pareto draw) and a fresh decoration copy per draw; the
     estimator lo^{-alpha} * (1 - exp(-integral)) is unbiased for c_f because
-    the integrand vanishes below lo = inner_radius / bound.
+    the integrand vanishes below lo = inner radius / bound.
     """
     _on_carrier(SCALE, f, dec)
     if f.is_zero:
@@ -535,7 +535,7 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
     n_draws = int(n_draws)
     if n_draws < 2:
         raise DomainError("n_draws must be >= 2")
-    lo = f.inner_radius / dec.bound
+    lo = f.support_bounds[0] / dec.bound
     rng = make_generator(int(seed), ROLE_SCALAR, 0)
     s = lo * (1.0 - rng.random(n_draws)) ** (-1.0 / alpha)
     copy_idx, dloc, dw = dec.sample_atoms_block(rng, n_draws)
@@ -564,7 +564,7 @@ def predict_scaled_laplace(spec: ProcessSpec, f: TestFunction, y) -> Prediction:
     return _predict(SCALE, cf_quadrature, spec, f, y)
 
 
-def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Prediction:
+def predict_shift_laplace(spec: ProcessSpec, g: TestFunction, u) -> Prediction:
     """Closed-form Psi(g | u) = E_U[exp(-e^{-c(u - U)} kappa_g)] with error bound,
     at one point u or at every point of an array."""
     return _predict(SHIFT, kappa_quadrature, spec, g, u)
@@ -573,13 +573,6 @@ def predict_shift_laplace(spec: ProcessSpec, g: ShiftTestFunction, u) -> Predict
 # -- extreme-value laws -------------------------------------------------------------
 
 _EXPECT_POINTS = 1 << 14  # points per expect call, bounding its (nodes x points) arrays
-
-
-def _carrier(name: str):
-    """The Carrier named `name`, a DomainError for any other string."""
-    if name not in CARRIERS:
-        raise DomainError(f"carrier must be one of {sorted(CARRIERS)}, not {name!r}")
-    return CARRIERS[name]
 
 
 @dataclass(frozen=True)
@@ -593,7 +586,7 @@ class ExtremeLaw:
     carrier: str
     rate: float
     kappa: float
-    law: ScaleLaw | ShiftLaw | None = None
+    law: GlobalLaw | None = None
 
     def __post_init__(self):
         _check_rate(_carrier(self.carrier), self.rate)
@@ -608,7 +601,7 @@ class ExtremeLaw:
         """E_W[h(weight(p, W))] at every point of p, many points per `expect`
         call; 0 for points without a log coordinate (p <= 0 on the scale
         carrier), nan for nan points. A float for a scalar p."""
-        cr, rate, law = self._cr, self.rate, self._cr.global_law(self.law)
+        cr, rate, law = self._cr, self.rate, effective_law(self.carrier, self.law)
         p = np.asarray(p, dtype=np.float64)
         flat = p.ravel()
         live = cr.has_log(flat)
@@ -629,7 +622,7 @@ class ExtremeLaw:
 
     def ppf(self, q):
         """Quantiles; closed form requires a deterministic global law."""
-        law = self._cr.global_law(self.law)
+        law = effective_law(self.carrier, self.law)
         if law.kind != "deterministic":
             raise DomainError("quantiles are closed-form only for a deterministic global law")
         q = np.asarray(q, dtype=np.float64)
@@ -710,8 +703,8 @@ def default_battery(carrier: str) -> dict:
             "mm_50": maxmod_indicator(50.0, edge=1.0, outer=1e6, ramp=1e-6),
         }
     return {
-        "gtent_lo": shift_tent(-math.log(2.0), 0.0, math.log(2.0)),
-        "gtent_hi": shift_tent(math.log(2.0), math.log(4.0), math.log(8.0)),
+        "gtent_lo": tent(-math.log(2.0), 0.0, math.log(2.0), carrier="shift"),
+        "gtent_hi": tent(math.log(2.0), math.log(4.0), math.log(8.0), carrier="shift"),
         "gstep_ln2": shift_indicator_approx(math.log(2.0), edge=0.0, outer=14.0, ramp=1e-6),
         "gmax_50": shift_indicator_approx(50.0, edge=0.0, outer=14.0, ramp=1e-6),
     }

@@ -1,16 +1,19 @@
-"""Point measures on the punctured line and the test functions paired with them.
+"""Point measures on the punctured line and on the line, the test functions
+paired with them, and the two carriers both live on.
 
 Two carriers appear throughout the package. The scale carrier hosts atoms on
 R \\ {0}; its measures are acted on by dilations and its test functions vanish
 in a neighbourhood of the origin and beyond a finite radius. The shift carrier
 hosts atoms anywhere on R; its measures are acted on by translations and its
-test functions have compact support on the line; ``sampler.Carrier`` holds
-each carrier's measure class with the rest of what differs between the two.
-Both measure classes are canonical on construction: atoms sorted by location,
-exactly equal locations merged by summing multiplicities (bit equality, no
-tolerance), multiplicities positive integers. ``MeasureBatch`` holds many
-measures of one class in flat arrays; it makes atoms canonical and reads and
-writes the one-measure-per-line JSON format, for one measure or for many.
+test functions have compact support on the line. ``Carrier`` holds what
+differs between the two, and every measure, batch and test function names
+its carrier in a ``carrier`` field, "scale" or "shift", as specs and
+manifests do. Measures are canonical on construction: atoms sorted by
+location, exactly equal locations merged by summing multiplicities (bit
+equality, no tolerance), multiplicities positive integers. ``MeasureBatch``
+holds many measures of one carrier in flat arrays; it makes atoms canonical
+and reads and writes the one-measure-per-line JSON format, for one measure
+or for many.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import json
 import math
 import operator
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +31,148 @@ from .errors import ConfigError, DomainError, RangeError
 
 __all__ = [
     "PointMeasure",
-    "ShiftPointMeasure",
     "MeasureBatch",
     "TestFunction",
-    "ShiftTestFunction",
     "integrate",
     "tent",
     "indicator_approx",
     "maxmod_indicator",
-    "shift_tent",
     "shift_indicator_approx",
 ]
 
 
-def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
-               forbid_origin: bool):
-    """(locations, multiplicities, offsets) of n measures in canonical form.
+# -- the two coordinate systems ------------------------------------------------
+
+@dataclass(frozen=True)
+class Carrier:
+    """One coordinate system of the exp/log dictionary: what code written once
+    for both worlds needs to know about either. SCALE (atoms on R \\ {0},
+    dilations x -> y x) and SHIFT (atoms on R, translations x -> x + u) are the
+    only values; configs, manifests and ``carrier`` fields use ``name``.
+
+    The fields are the chart and the facts that differ between the carriers.
+    The rest is written once below, in the log coordinate v of a point or norm
+    (s = e^v on the scale carrier, t = v on the shift carrier): there the
+    dilation process has intensity rho e^{-rate v} dv on both carriers, and a
+    point acts on an atom's norm by translating its v. ``act`` and ``inverse``
+    run per atom, so they stay in the chart, where the scale carrier multiplies
+    instead of taking a log and an exp.
+    """
+
+    name: str
+    norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
+    families: tuple  # (without, with a global law)
+    gaussian: str  # kind name of the global law whose log coordinate is normal
+    act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p
+    inverse: Callable  # (p, x) -> p's inverse acting on x
+    rate_key: str  # config key of the tail index / rate
+    point: str  # symbol of an evaluation point
+    window_word: str
+    to_log: Callable  # point -> v: log or the identity; a float stays a float, arrays map
+    from_log: Callable  # v -> point: exp or the identity, likewise
+    intensity: Callable  # rate -> rho
+
+    @property
+    def other(self) -> str:
+        """Name of the dictionary image."""
+        return next(name for name in CARRIERS if name != self.name)
+
+    @property
+    def identity(self) -> float:
+        """The global-law value that acts trivially, at log coordinate 0."""
+        return self.from_log(0.0)
+
+    @property
+    def floor(self) -> float:
+        """The point at log coordinate -inf, 0 (scale) or -inf (shift): the
+        extreme norm of a replica without atoms."""
+        return self.from_log(-math.inf)
+
+    def has_log(self, p):
+        """Where the points p have a log coordinate, nan kept: not p <= floor."""
+        return np.logical_not(p <= self.floor)
+
+    def check_point(self, p) -> np.ndarray:
+        """p, one point or many, as a float array; a DomainError with ``point_error``
+        unless every point is an evaluation point: finite, with a log coordinate."""
+        p = np.asarray(p, dtype=np.float64)
+        if not np.all(np.isfinite(p) & self.has_log(p)):
+            raise DomainError(self.point_error)
+        return p
+
+    @property
+    def point_error(self) -> str:
+        """The error text of a point that is not an evaluation point."""
+        bound = f" and > {self.floor:g}" if math.isfinite(self.floor) else ""
+        return f"evaluation point {self.point} must be finite{bound}"
+
+    def visible(self, f, p) -> float:
+        """The window x -> f(inverse(p, x)) needs: p acting on f's lower support edge."""
+        return self.act(p, f.support_bounds[0])
+
+    def compose(self, f, p) -> Callable:
+        """The function a -> f(p acting on a)."""
+        return lambda a: f.eval(self.act(p, a))
+
+    def tail_mass(self, rate, v):
+        """(rho / rate) e^{rate v}: the mass of rho e^{-rate v'} dv' above -v."""
+        return np.exp(rate * v) / (rate / self.intensity(rate))
+
+    def block_mean(self, rate, w, window, bound):
+        """Poisson mean, given the global value w, of the dilation points p
+        with v_p > v_window - v_bound, the only ones that can carry an atom into
+        the window. Translating the process by v_w multiplies its intensity by
+        e^{rate v_w} and keeps its shape, so w moves the count only and the
+        points (``block_start``) do not reference it."""
+        return self.tail_mass(rate, self.to_log(bound) + self.to_log(w) - self.to_log(window))
+
+    def block_start(self, rate, window, bound, q):
+        """The dilation point at uniform q, by inverse CDF of the points above
+        v_window - v_bound: an Exponential(rate) step in v."""
+        return self.from_log((self.to_log(window) - self.to_log(bound)) - np.log1p(-q) / rate)
+
+    def weight(self, rate, p, w):
+        """The tail weight e^{-rate (v_p - v_w)} at p of the global value w."""
+        return np.exp(-rate * (self.to_log(p) - self.to_log(w)))
+
+    def quantile(self, rate, kappa, w, L):
+        """The point p with weight(rate, p, w) * kappa = L."""
+        return self.from_log(self.to_log(w) - np.log(L / kappa) / rate)
+
+
+def _chart(scalar: Callable, ufunc: Callable) -> Callable:
+    """One chart map: the math function on a Python float, so that scalar code
+    keeps its floats and their bits, and the ufunc on everything else."""
+    return lambda x: scalar(x) if type(x) is float else ufunc(x)
+
+
+SCALE = Carrier(
+    name="scale", norm=abs, families=("scdppp", "sscdppp"), gaussian="lognormal",
+    act=lambda p, a: p * a, inverse=lambda y, x: x / y,
+    rate_key="alpha", point="y", window_word="window",
+    to_log=_chart(math.log, np.log), from_log=_chart(math.exp, np.exp), intensity=lambda a: a,
+)
+SHIFT = Carrier(
+    name="shift", norm=lambda x: x, families=("dppp", "sdppp"), gaussian="normal",
+    act=lambda p, a: a + p, inverse=lambda u, x: x - u,
+    rate_key="c", point="u", window_word="cutoff",
+    to_log=lambda t: t, from_log=lambda v: v, intensity=lambda c: 1.0,
+)
+CARRIERS = {"scale": SCALE, "shift": SHIFT}
+
+
+def _carrier(name) -> Carrier:
+    """The Carrier named `name`, a DomainError naming the carriers for anything else."""
+    if type(name) is not str or name not in CARRIERS:
+        raise DomainError(f"carrier must be one of {sorted(CARRIERS)}, not {name!r}")
+    return CARRIERS[name]
+
+
+# -- measures --------------------------------------------------------------------
+
+def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int, cr: Carrier):
+    """(locations, multiplicities, offsets) of n measures in canonical form on
+    carrier ``cr``, where every atom's norm must have a log coordinate.
 
     Atom k belongs to measure index[k]. Unless the atoms already come in
     canonical order (measure ascending, locations strictly increasing within
@@ -52,8 +183,8 @@ def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
     """
     if not np.isfinite(locs).all():
         raise DomainError("atom locations must be finite")
-    if forbid_origin and (locs == 0.0).any():
-        raise DomainError("atoms at the origin are not allowed on the scale carrier")
+    if not cr.has_log(cr.norm(locs)).all():
+        raise DomainError(f"atoms at the origin are not allowed on the {cr.name} carrier")
     if (mults < 1).any():
         raise DomainError("multiplicities must be >= 1")
     if ((index[1:] > index[:-1])
@@ -81,33 +212,28 @@ def _canonical(locs: np.ndarray, mults: np.ndarray, index: np.ndarray, n: int,
 
 
 class _BaseMeasure:
-    __slots__ = ("locations", "multiplicities")
+    __slots__ = ("locations", "multiplicities", "carrier")
 
-    _forbid_origin = False
-
-    def __init__(self, locations=(), multiplicities=None):
-        """The canonical measure of these atoms, built as the one-measure case
-        of a MeasureBatch; multiplicities default to all ones."""
+    def __init__(self, locations=(), multiplicities=None, carrier: str = "scale"):
+        """The canonical measure of these atoms on `carrier`, built as the
+        one-measure case of a MeasureBatch; multiplicities default to all ones."""
         locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
         if multiplicities is None:
             multiplicities = np.ones(locs.shape, dtype=np.int64)
-        batch = MeasureBatch(type(self), locs, multiplicities,
+        batch = MeasureBatch(carrier, locs, multiplicities,
                              np.zeros(locs.shape, dtype=np.int64), 1)
         object.__setattr__(self, "locations", batch.locations)
         object.__setattr__(self, "multiplicities", batch.multiplicities)
+        object.__setattr__(self, "carrier", batch.carrier)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def from_atoms(cls, atoms):
+    def from_atoms(cls, atoms, carrier: str = "scale"):
         """Build from an iterable of (location, multiplicity) pairs."""
         atoms = list(atoms)
-        if not atoms:
-            return cls()
-        locs = [a[0] for a in atoms]
-        mults = [a[1] for a in atoms]
-        return cls(locs, mults)
+        return cls([a[0] for a in atoms], [a[1] for a in atoms], carrier)
 
     @property
     def n_atoms(self) -> int:
@@ -121,59 +247,46 @@ class _BaseMeasure:
         """Atoms as a tuple of (location, multiplicity) pairs in canonical order."""
         return tuple((float(x), int(m)) for x, m in zip(self.locations, self.multiplicities))
 
-    def relocated(self, locations, measure):
-        """A measure of class `measure` with these atoms moved to `locations`."""
-        return measure(locations, self.multiplicities)
+    def relocated(self, locations, carrier: str):
+        """A measure on `carrier` with these atoms moved to `locations`."""
+        return type(self)(locations, self.multiplicities, carrier)
 
     def to_json_line(self) -> str:
         """The measure-line text of this measure, without the newline."""
         return _json_text(self.locations, self.multiplicities, [0, self.locations.size])[:-1]
 
     @classmethod
-    def from_json_line(cls, line: str):
+    def from_json_line(cls, line: str, carrier: str = "scale"):
         if not line.strip():
             raise ConfigError("a point-measure line must not be blank")
-        return MeasureBatch.from_json_lines([line], cls)[0]
+        return MeasureBatch.from_json_lines([line], carrier)[0]
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return np.array_equal(self.locations, other.locations) and np.array_equal(
-            self.multiplicities, other.multiplicities
-        )
+        return (self.carrier == other.carrier
+                and np.array_equal(self.locations, other.locations)
+                and np.array_equal(self.multiplicities, other.multiplicities))
 
     def __hash__(self):
-        return hash((type(self).__name__, self.locations.tobytes(), self.multiplicities.tobytes()))
+        return hash((self.carrier, self.locations.tobytes(), self.multiplicities.tobytes()))
 
     def __repr__(self):
         inner = ", ".join(f"{x:g}x{m}" for x, m in zip(self.locations, self.multiplicities))
-        return f"{type(self).__name__}([{inner}])"
+        return f"{type(self).__name__}([{inner}], carrier={self.carrier!r})"
 
 
 class PointMeasure(_BaseMeasure):
-    """Finite counting measure on R \\ {0} (scale carrier)."""
+    """Finite counting measure on one carrier: on R \\ {0} (``carrier="scale"``)
+    or on R (``carrier="shift"``)."""
 
     __slots__ = ()
-    _forbid_origin = True
 
-    def maxmod(self) -> float:
-        """Largest atom modulus; 0.0 for the empty measure."""
-        if not self.locations.size:
-            return 0.0
-        return float(np.abs(self.locations).max())
-
-
-class ShiftPointMeasure(_BaseMeasure):
-    """Finite counting measure on R (shift carrier); atoms at 0 are fine here."""
-
-    __slots__ = ()
-    _forbid_origin = False
-
-    def max_location(self) -> float:
-        """Largest atom location; -inf for the empty measure."""
-        if not self.locations.size:
-            return -math.inf
-        return float(self.locations.max())
+    def extreme(self) -> float:
+        """Largest atom norm: the largest modulus (scale) or the largest
+        location (shift); the carrier's floor, 0 or -inf, for the empty measure."""
+        cr = CARRIERS[self.carrier]
+        return float(cr.norm(self.locations).max(initial=cr.floor))
 
 
 # -- many measures at once ------------------------------------------------------
@@ -209,20 +322,20 @@ def _decoded_atoms(line: str) -> list:
 
 
 class MeasureBatch:
-    """Many measures of one carrier class held as one ragged batch.
+    """Many measures of one carrier held as one ragged batch.
 
     Measure i owns the atoms ``offsets[i]:offsets[i + 1]`` of the flat
-    ``locations`` and ``multiplicities``, in the canonical form of its class:
+    ``locations`` and ``multiplicities``, in canonical form:
     sorted by location, equal locations merged, multiplicities >= 1. The batch
     is the one code path that makes atoms canonical and that reads and writes
     the measure-line format; a single measure is its one-measure case.
     Indexing with an integer gives that measure, with a slice a sub-batch.
     """
 
-    __slots__ = ("measure", "locations", "multiplicities", "offsets")
+    __slots__ = ("carrier", "locations", "multiplicities", "offsets")
 
-    def __init__(self, measure: type, locations, multiplicities, index, n: int):
-        """Measures 0..n-1 of class `measure`; atom k belongs to measure index[k].
+    def __init__(self, carrier: str, locations, multiplicities, index, n: int):
+        """Measures 0..n-1 on `carrier`; atom k belongs to measure index[k].
 
         Locations form a one-dimensional sequence. Multiplicities match them
         one to one and are integers in the int64 range: integral floats are
@@ -230,6 +343,7 @@ class MeasureBatch:
         matches them one to one too, with integer entries in [0, n). Any other
         input is a DomainError.
         """
+        cr = _carrier(carrier)
         locs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
         if locs.ndim != 1:
             raise DomainError("atom locations must form a one-dimensional sequence")
@@ -251,28 +365,28 @@ class MeasureBatch:
             raise DomainError("measure indices must match locations one-to-one")
         if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
             raise DomainError(f"measure indices must be integers in [0, {n})")
-        self.measure = measure
+        self.carrier = cr.name
         self.locations, self.multiplicities, self.offsets = _canonical(
-            locs, raw.astype(np.int64, copy=False), idx.astype(np.int64, copy=False), n,
-            measure._forbid_origin)
+            locs, raw.astype(np.int64, copy=False), idx.astype(np.int64, copy=False), n, cr)
 
     @classmethod
-    def _trusted(cls, measure, locations, multiplicities, offsets) -> "MeasureBatch":
+    def _trusted(cls, carrier, locations, multiplicities, offsets) -> "MeasureBatch":
         """A batch of atoms already in canonical form, taken as they are."""
         out = object.__new__(cls)
-        out.measure = measure
+        out.carrier = carrier
         out.locations, out.multiplicities, out.offsets = locations, multiplicities, offsets
         return out
 
     @classmethod
-    def concatenate(cls, batches, measure: type) -> "MeasureBatch":
-        """The measures of several batches of class `measure`, in order."""
+    def concatenate(cls, batches, carrier: str) -> "MeasureBatch":
+        """The measures of several batches on `carrier`, in order."""
         batches = list(batches)
-        if any(b.measure is not measure for b in batches):
-            raise DomainError(f"every batch must hold {measure.__name__} values")
+        carrier = _carrier(carrier).name
+        if any(b.carrier != carrier for b in batches):
+            raise DomainError(f"every batch must hold {carrier}-carrier measures")
         starts = np.cumsum([0] + [b.offsets[-1] for b in batches])
         return cls._trusted(
-            measure,
+            carrier,
             np.concatenate([np.zeros(0)] + [b.locations for b in batches]),
             np.concatenate([np.zeros(0, dtype=np.int64)] + [b.multiplicities for b in batches]),
             np.concatenate([np.zeros(1, dtype=np.int64)]
@@ -288,14 +402,15 @@ class MeasureBatch:
                 raise DomainError("a batch slice must have step 1")
             hi = max(hi, lo)
             a, b = self.offsets[lo], self.offsets[hi]
-            return MeasureBatch._trusted(self.measure, self.locations[a:b],
+            return MeasureBatch._trusted(self.carrier, self.locations[a:b],
                                            self.multiplicities[a:b],
                                            self.offsets[lo:hi + 1] - a)
         i = range(len(self))[key]
         a, b = self.offsets[i], self.offsets[i + 1]
-        m = object.__new__(self.measure)
+        m = object.__new__(PointMeasure)
         object.__setattr__(m, "locations", self.locations[a:b])
         object.__setattr__(m, "multiplicities", self.multiplicities[a:b])
+        object.__setattr__(m, "carrier", self.carrier)
         return m
 
     def __iter__(self):
@@ -312,14 +427,14 @@ class MeasureBatch:
 
     def integrals(self, f) -> np.ndarray:
         """Integral of f against each measure, as `integrate` computes it for one."""
-        if f._measure is not self.measure:
-            raise DomainError("measure and test function live on different carriers")
+        if f.carrier != self.carrier:
+            raise DomainError(f"expected a {self.carrier}-carrier test function")
         return np.bincount(self.index(), weights=self.multiplicities * f.eval(self.locations),
                            minlength=len(self))
 
-    def relocated(self, locations, measure: type) -> "MeasureBatch":
-        """Measures of class `measure` with every atom moved to `locations`."""
-        return MeasureBatch(measure, locations, self.multiplicities, self.index(), len(self))
+    def relocated(self, locations, carrier: str) -> "MeasureBatch":
+        """Measures on `carrier` with every atom moved to `locations`."""
+        return MeasureBatch(carrier, locations, self.multiplicities, self.index(), len(self))
 
     def json_chunks(self):
         """The measure lines, one per measure, in pieces of whole measures of
@@ -332,18 +447,14 @@ class MeasureBatch:
             yield _json_text(self.locations[a:b], self.multiplicities[a:b],
                              (self.offsets[lo:hi + 1] - a).tolist())
 
-    def json_lines(self) -> str:
-        """Every measure line, each ending in a newline."""
-        return "".join(self.json_chunks())
+    @classmethod
+    def from_json_lines(cls, lines, carrier: str) -> "MeasureBatch":
+        """Parse measure lines into one batch of measures on `carrier`."""
+        return cls.concatenate(cls.batches_from_json_lines(lines, carrier), carrier)
 
     @classmethod
-    def from_json_lines(cls, lines, measure: type) -> "MeasureBatch":
-        """Parse measure lines into one batch of measures of class `measure`."""
-        return cls.concatenate(cls.batches_from_json_lines(lines, measure), measure)
-
-    @classmethod
-    def batches_from_json_lines(cls, lines, measure: type, mapped=lambda batch: batch):
-        """Parse measure lines into measures of class `measure`, passed through
+    def batches_from_json_lines(cls, lines, carrier: str, mapped=lambda batch: batch):
+        """Parse measure lines into measures on `carrier`, passed through
         `mapped` in batches of up to 4096 lines, taken from `lines` as needed.
 
         A line is a JSON object with the single key "atoms", a list of
@@ -354,21 +465,22 @@ class MeasureBatch:
         parse or to map is retried line by line, and a ConfigError names the
         first line that fails either by its 1-based position in `lines`.
         """
+        _carrier(carrier)
         numbered = ((k, line) for k, line in enumerate(lines, 1) if line.strip())
         while chunk := list(itertools.islice(numbered, _LINE_CHUNK)):
             try:
-                batch = mapped(cls._from_lines([line for _, line in chunk], measure))
+                batch = mapped(cls._from_lines([line for _, line in chunk], carrier))
             except (ConfigError, DomainError, RangeError):
                 for k, line in chunk:
                     try:
-                        mapped(cls._from_lines([line], measure))
+                        mapped(cls._from_lines([line], carrier))
                     except (ConfigError, DomainError, RangeError) as exc:
                         raise ConfigError(f"line {k}: {exc}") from exc
                 raise
             yield batch
 
     @classmethod
-    def _from_lines(cls, lines, measure: type) -> "MeasureBatch":
+    def _from_lines(cls, lines, carrier: str) -> "MeasureBatch":
         atom_lists = list(map(_decoded_atoms, lines))
         pairs = list(itertools.chain.from_iterable(atom_lists))
         if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
@@ -388,24 +500,15 @@ class MeasureBatch:
         except OverflowError:
             raise DomainError("multiplicities must be below 2**63") from None
         counts = list(map(len, atom_lists))
-        return cls(measure, locs, mults, np.repeat(np.arange(len(counts)), counts), len(counts))
+        return cls(carrier, locs, mults, np.repeat(np.arange(len(counts)), counts), len(counts))
 
 
 class _BaseTestFunction:
-    """Nonnegative piecewise-linear function of one carrier, whose measure
-    class is ``_measure``.
-
-    ``support_bounds`` is (smallest, largest) carrier norm (|x| on the scale
-    carrier, x on the shift carrier) over the end points of the pieces where
-    f is not 0; (inf, 0) on the scale carrier and (inf, -inf) on the shift
-    carrier for the zero function. Where the measure class forbids atoms at
-    the origin, so does f: a nonzero piece may not touch 0.
-    """
-
-    __slots__ = ("knots_x", "knots_v", "support_bounds")
+    __slots__ = ("knots_x", "knots_v", "support_bounds", "carrier")
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, knots):
+    def __init__(self, knots, carrier: str = "scale"):
+        cr = _carrier(carrier)
         pairs = [(float(x), float(v)) for x, v in knots]
         if len(pairs) < 2:
             raise DomainError("a test function needs at least two knots")
@@ -421,18 +524,17 @@ class _BaseTestFunction:
             raise DomainError("the first and last knot values must be 0")
         live = (vs[:-1] > 0.0) | (vs[1:] > 0.0)
         lo, hi = xs[:-1][live], xs[1:][live]
-        # `top` is the largest norm when there is no end point (the zero function)
-        ends, top = np.concatenate([lo, hi]), -math.inf
-        if self._measure._forbid_origin:
-            if np.any((lo <= 0.0) & (hi >= 0.0)):
-                raise DomainError("test functions on the scale carrier must vanish near the origin")
-            ends, top = np.abs(ends), 0.0
+        if np.any((lo <= cr.floor) & (hi >= cr.floor)):
+            raise DomainError(
+                f"test functions on the {cr.name} carrier must vanish near the origin")
+        ends = cr.norm(np.concatenate([lo, hi]))
         xs.flags.writeable = False
         vs.flags.writeable = False
         object.__setattr__(self, "knots_x", xs)
         object.__setattr__(self, "knots_v", vs)
         object.__setattr__(self, "support_bounds",
-                           (float(ends.min(initial=math.inf)), float(ends.max(initial=top))))
+                           (float(ends.min(initial=math.inf)), float(ends.max(initial=cr.floor))))
+        object.__setattr__(self, "carrier", cr.name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -463,41 +565,23 @@ class _BaseTestFunction:
 
 
 class TestFunction(_BaseTestFunction):
-    """Nonnegative piecewise-linear function on the scale carrier.
+    """Nonnegative piecewise-linear function on one carrier, 0 outside its knots.
 
-    It vanishes identically on a neighbourhood of the origin and outside a
-    finite radius; ``support_bounds`` is (inner, outer) radius.
+    On the scale carrier it vanishes on a neighbourhood of the origin (a
+    nonzero piece may not touch 0) and outside a finite radius; on the shift
+    carrier it has compact support on the line. ``support_bounds`` is the
+    (smallest, largest) carrier norm, |x| or x, over the end points of the
+    pieces where f is not 0: the (inner, outer) radius on the scale carrier.
+    The zero function has (inf, floor): (inf, 0) or (inf, -inf).
     """
 
     __slots__ = ()
-    _measure = PointMeasure
-
-    inner_radius = property(lambda self: self.support_bounds[0])
-    outer_radius = property(lambda self: self.support_bounds[1])
-
-    def scaled(self, y: float) -> "TestFunction":
-        """The function x -> f(y * x); knots move to knot/y."""
-        y = float(y)
-        if not (y > 0.0) or not math.isfinite(y):
-            raise DomainError("the dilation factor must be finite and > 0")
-        return TestFunction([(x / y, v) for x, v in zip(self.knots_x, self.knots_v)])
-
-
-class ShiftTestFunction(_BaseTestFunction):
-    """Nonnegative piecewise-linear function with compact support on R;
-    ``support_bounds`` is (support_low, support_high)."""
-
-    __slots__ = ()
-    _measure = ShiftPointMeasure
-
-    support_low = property(lambda self: self.support_bounds[0])
-    support_high = property(lambda self: self.support_bounds[1])
 
 
 def integrate(m, f) -> float:
     """Integral of f against the counting measure, sum of mult * f(location)."""
-    if f._measure is not type(m):
-        raise DomainError("measure and test function live on different carriers")
+    if f.carrier != m.carrier:
+        raise DomainError(f"expected a {m.carrier}-carrier test function")
     if not m.locations.size:
         return 0.0
     return float(np.dot(m.multiplicities.astype(np.float64), f.eval(m.locations)))
@@ -505,9 +589,10 @@ def integrate(m, f) -> float:
 
 # -- shaped constructors ------------------------------------------------------
 
-def tent(left: float, peak: float, right: float, height: float = 1.0) -> TestFunction:
-    """Triangle with value `height` at `peak`, zero at `left` and `right`."""
-    return TestFunction([(left, 0.0), (peak, height), (right, 0.0)])
+def tent(left: float, peak: float, right: float, height: float = 1.0,
+         carrier: str = "scale") -> TestFunction:
+    """Triangle on `carrier` with value `height` at `peak`, zero at `left` and `right`."""
+    return TestFunction([(left, 0.0), (peak, height), (right, 0.0)], carrier)
 
 
 def indicator_approx(
@@ -551,16 +636,13 @@ def maxmod_indicator(plateau: float, edge: float = 1.0, outer: float = 1e8, ramp
     return indicator_approx(plateau, edge=edge, outer=outer, ramp=ramp, symmetric=True)
 
 
-def shift_tent(left: float, peak: float, right: float, height: float = 1.0) -> ShiftTestFunction:
-    return ShiftTestFunction([(left, 0.0), (peak, height), (right, 0.0)])
-
-
-def shift_indicator_approx(level: float, edge: float, outer: float, ramp: float = 1e-6) -> ShiftTestFunction:
+def shift_indicator_approx(level: float, edge: float, outer: float,
+                           ramp: float = 1e-6) -> TestFunction:
     """Continuous approximation to level * 1_{(edge, inf)} on the shift carrier.
 
     Ramp widths here are absolute (the carrier is additive).
     """
     if not (outer > edge + ramp and ramp > 0.0 and level > 0.0):
         raise DomainError("shift indicator approximation requires edge + ramp < outer, ramp > 0, level > 0")
-    return ShiftTestFunction(
-        [(edge, 0.0), (edge + ramp, level), (outer, level), (outer + ramp, 0.0)])
+    return TestFunction(
+        [(edge, 0.0), (edge + ramp, level), (outer, level), (outer + ramp, 0.0)], "shift")

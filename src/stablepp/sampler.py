@@ -20,10 +20,12 @@ and its sampled intensity is exactly e^{-c x} dx; the dictionary's
 normalization shift (``transform.normalization_shift``) is that factor seen as
 a translation.
 
-What differs between the two worlds (measure class, global law, point action,
-chart, intensity) lives in one ``Carrier`` value per coordinate system, SCALE
-and SHIFT. The Poisson means, dilation points, tail weights and quantiles are
-written once on ``Carrier``, in v, and so is every other piece of code shared
+What differs between the two worlds (point action, chart, intensity, the
+name of the Gaussian global law) lives in one ``point_measure.Carrier`` value
+per coordinate system, SCALE and SHIFT; measures, test functions, global laws
+and decorations name theirs in a ``carrier`` field. The Poisson means,
+dilation points, tail weights and quantiles are written once on
+``Carrier``, in v, and so is every other piece of code shared
 by both worlds, the block sampler included. A block draws from its one Philox
 stream in the same order on both carriers: the global law's values, the
 Poisson counts, one uniform per dilation point, then the decoration copies.
@@ -45,20 +47,19 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
+from .point_measure import CARRIERS, SCALE, SHIFT, Carrier, MeasureBatch, PointMeasure, _carrier
 from .rng import ROLE_BLOCK, derive_key
 
 __all__ = [
     "LocationLaw",
     "CountLaw",
     "DecorationSpec",
-    "ScaleLaw",
-    "ShiftLaw",
+    "GlobalLaw",
     "ProcessSpec",
     "BLOCK_SIZE",
     "MEAN_CAP",
@@ -223,17 +224,42 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
     return np.cumsum(terms, axis=0)[-1]
 
 
-class _GlobalLaw(_Law):
-    """Law of a global random dilation (ScaleLaw) or translation (ShiftLaw)."""
+def _global_kinds(carrier: str) -> dict:
+    """The kinds of a global law on `carrier` and the fields each reads."""
+    return {"deterministic": ("value",), _carrier(carrier).gaussian: ("mu", "sigma"),
+            "table": ("values", "probs")}
+
+
+@dataclass(frozen=True)
+class GlobalLaw(_Law):
+    """Law of the global random dilation W > 0 (``carrier="scale"``) or
+    translation U (``carrier="shift"``).
+
+    kinds: "deterministic", "table" and the carrier's Gaussian kind, whose log
+    coordinate is N(mu, sigma): "lognormal" (mu/sigma of log W) or "normal".
+    The log dictionary carries lognormal(mu, sigma) to normal(mu, sigma) and
+    back. Every value has a log coordinate (W > 0 on the scale carrier).
+    """
+
+    carrier: str = "scale"
+
+    name = property(lambda self: self.carrier)
+    kinds = property(lambda self: _global_kinds(self.carrier))
+    _coord = property(lambda self: CARRIERS[self.carrier].from_log)
 
     @classmethod
-    def deterministic(cls, value: float):
-        return cls(kind="deterministic", value=float(value))
+    def deterministic(cls, value: float, carrier: str = "scale") -> "GlobalLaw":
+        return cls(kind="deterministic", value=float(value), carrier=carrier)
 
     @classmethod
-    def table(cls, values, probs):
+    def table(cls, values, probs, carrier: str = "scale") -> "GlobalLaw":
         return cls(kind="table", values=tuple(float(v) for v in values),
-                   probs=tuple(float(p) for p in probs))
+                   probs=tuple(float(p) for p in probs), carrier=carrier)
+
+    def _rule(self):
+        cr = CARRIERS[self.carrier]
+        if self.kind != cr.gaussian and not cr.has_log(self.bounds()[0]):
+            raise DomainError(f"{cr.name} law values must be > {cr.floor:g}")
 
     def expect(self, h):
         """E[h(value)] for vectorized h; Gauss-Hermite for the Gaussian kind.
@@ -252,42 +278,9 @@ class _GlobalLaw(_Law):
         return float(out) if np.ndim(out) == 0 else out
 
 
-class ScaleLaw(_GlobalLaw):
-    """Law of the global random dilation W > 0.
-
-    kinds: "deterministic", "lognormal" (mu/sigma of log W), "table".
-    """
-
-    name = "scale"
-    gaussian = "lognormal"
-    kinds = {"deterministic": ("value",), "lognormal": ("mu", "sigma"),
-             "table": ("values", "probs")}
-    _coord = np.exp
-
-    @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "ScaleLaw":
-        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
-
-    def _rule(self):
-        if self.kind != self.gaussian and not self.bounds()[0] > 0.0:
-            raise DomainError("scale law values must be > 0")
-
-
-class ShiftLaw(_GlobalLaw):
-    """Law of the global random translation U.
-
-    kinds: "deterministic", "normal", "table". The log dictionary carries
-    ScaleLaw lognormal(mu, sigma) to ShiftLaw normal(mu, sigma) and back.
-    """
-
-    name = "shift"
-    gaussian = "normal"
-    kinds = {"deterministic": ("value",), "normal": ("mu", "sigma"),
-             "table": ("values", "probs")}
-
-    @classmethod
-    def normal(cls, mu: float, sigma: float) -> "ShiftLaw":
-        return cls(kind="normal", mu=float(mu), sigma=float(sigma))
+def effective_law(carrier: str, law: GlobalLaw | None) -> GlobalLaw:
+    """`law`, or the global law on `carrier` that acts trivially when it is None."""
+    return GlobalLaw.deterministic(CARRIERS[carrier].identity, carrier) if law is None else law
 
 
 @dataclass(frozen=True)
@@ -314,8 +307,7 @@ class DecorationSpec:
     location: LocationLaw | None = None
 
     def __post_init__(self):
-        if self.carrier not in ("scale", "shift"):
-            raise DomainError(f"unknown carrier: {self.carrier!r}")
+        _carrier(self.carrier)
         if self.kind == "dirac":
             object.__setattr__(self, "atoms", self._realization(self.atoms))
         elif self.kind == "table":
@@ -336,9 +328,9 @@ class DecorationSpec:
 
     def _realization(self, atoms) -> tuple:
         """The (location, multiplicity) pairs of one realization, in the given
-        order, checked by building them as a measure of the carrier."""
+        order, checked by building them as a measure on the carrier."""
         atoms = tuple(atoms)
-        if not CARRIERS[self.carrier].measure.from_atoms(atoms).n_atoms:
+        if not PointMeasure.from_atoms(atoms, self.carrier).n_atoms:
             raise DomainError("a decoration realization needs at least one atom")
         return tuple((float(loc), int(mult)) for loc, mult in atoms)
 
@@ -351,16 +343,21 @@ class DecorationSpec:
     @classmethod
     def table_from_measures(cls, measures, probs=None) -> "DecorationSpec":
         """The table decoration drawing measures[i] with probability probs[i]
-        (uniform by default), on the carrier whose class the measures share."""
+        (uniform by default), on the carrier the measures share."""
         measures = list(measures)
-        kinds = set(map(type, measures))
-        carrier = next((name for name, cr in CARRIERS.items() if kinds <= {cr.measure}), None)
-        if carrier is None:
-            raise DomainError("table decoration measures must all be of one carrier's class")
+        if not all(isinstance(m, PointMeasure) for m in measures):
+            raise DomainError("table decoration entries must be point measures")
+        carriers = {m.carrier for m in measures}
+        if len(carriers) > 1:
+            raise DomainError("table decoration measures must all live on one carrier")
         if probs is None:
             probs = [1.0 / len(measures)] * len(measures) if measures else []
+        probs = list(probs)
+        if len(probs) != len(measures):
+            raise DomainError(f"table decoration needs one probability per measure: "
+                              f"{len(probs)} for {len(measures)}")
         entries = tuple((tuple(m.atoms()), float(p)) for m, p in zip(measures, probs))
-        return cls(kind="table", carrier=carrier, entries=entries)
+        return cls(kind="table", carrier=carriers.pop() if carriers else "scale", entries=entries)
 
     @classmethod
     def random_atoms(cls, count_probs, location: LocationLaw,
@@ -466,15 +463,15 @@ class ProcessSpec:
     family: "scdppp" | "sscdppp" (scale carrier, `alpha` is the tail index,
     `window` is the modulus radius eps > 0) or "dppp" | "sdppp" (shift
     carrier, `alpha` is the exponential rate c, `window` is the lower cutoff
-    L, any real). `law` is the global dilation (a ScaleLaw) or translation
-    (a ShiftLaw) of the decorated family, None for the plain one.
+    L, any real). `law` is the global dilation or translation, a GlobalLaw on
+    the family's carrier, of the decorated family, None for the plain one.
     """
 
     family: str
     alpha: float
     decoration: DecorationSpec
     window: float
-    law: ScaleLaw | ShiftLaw | None = None
+    law: GlobalLaw | None = None
 
     def __post_init__(self):
         cr = _family_carrier(self.family)
@@ -493,8 +490,9 @@ class ProcessSpec:
             raise DomainError(f"{decorated} requires a {cr.name} law")
         if self.family == plain and self.law is not None:
             raise DomainError(f"{plain} takes no {cr.name} law; use {decorated}")
-        if self.law is not None and not isinstance(self.law, cr.law):
-            raise DomainError(f"{cr.name} families take a {cr.law.__name__}")
+        if self.law is not None and (not isinstance(self.law, GlobalLaw)
+                                     or self.law.carrier != cr.name):
+            raise DomainError(f"{cr.name} families take a {cr.name}-carrier GlobalLaw")
 
     @property
     def is_scale_family(self) -> bool:
@@ -506,7 +504,7 @@ class ProcessSpec:
 
     def effective_law(self):
         """The global dilation (scale) or translation (shift) law; the identity when absent."""
-        return _family_carrier(self.family).global_law(self.law)
+        return effective_law(self.carrier, self.law)
 
     def with_window(self, window: float) -> "ProcessSpec":
         return ProcessSpec(self.family, self.alpha, self.decoration, float(window), self.law)
@@ -602,10 +600,11 @@ def kind_fields(doc, what: str, kinds: dict, key: str = "kind", required=(), opt
     return config_fields(doc, what, (key, *required), optional)
 
 
-def _law(cls):
-    """Reader of a config of law class `cls`: the fields of its kinds, all required."""
-    kinds = {kind: (fields, ()) for kind, fields in cls.kinds.items()}
-    return lambda doc, what: cls(**kind_fields(doc, what, kinds))
+def _law(make, kinds: dict):
+    """Reader of a config of a law that `make` builds: the fields of its kinds,
+    all required."""
+    kinds = {kind: (fields, ()) for kind, fields in kinds.items()}
+    return lambda doc, what: make(**kind_fields(doc, what, kinds))
 
 
 _DECORATIONS = {"dirac": (("atoms",), ()), "table": (("entries",), ()),
@@ -649,9 +648,8 @@ READ = {
     "id": _id,
     "battery": lambda v, what: v if v == "default" else _list_of(_object)(v, what),
     "entries": _list_of(_entry),
-    "location": _law(LocationLaw),
-    "scale": _law(ScaleLaw),
-    "shift": _law(ShiftLaw),
+    "location": _law(LocationLaw, LocationLaw.kinds),
+    **{name: _law(partial(GlobalLaw, carrier=name), _global_kinds(name)) for name in CARRIERS},
     "decoration": _decoration,
     "process": _process,
 }
@@ -669,131 +667,6 @@ def _read(key: str, value, what: str):
 def process_spec_from_config(doc) -> ProcessSpec:
     """Parse a process config object; unknown fields are rejected."""
     return _read("process", doc, "process")
-
-
-# -- the two coordinate systems ------------------------------------------------
-
-@dataclass(frozen=True)
-class Carrier:
-    """One coordinate system of the exp/log dictionary: what code written once
-    for both worlds needs to know about either. SCALE (atoms on R \\ {0},
-    dilations x -> y x) and SHIFT (atoms on R, translations x -> x + u) are the
-    only values; configs, manifests and ``carrier`` attributes use ``name``.
-
-    The fields are the chart and the facts that differ between the carriers.
-    The rest is written once below, in the log coordinate v of a point or norm
-    (s = e^v on the scale carrier, t = v on the shift carrier): there the
-    dilation process has intensity rho e^{-rate v} dv on both carriers, and a
-    point acts on an atom's norm by translating its v. ``act`` and ``inverse``
-    run per atom, so they stay in the chart, where the scale carrier multiplies
-    instead of taking a log and an exp.
-    """
-
-    name: str
-    measure: type
-    law: type  # law of the global dilation / translation
-    norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
-    families: tuple  # (without, with a global law)
-    act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p
-    inverse: Callable  # (p, x) -> p's inverse acting on x
-    rate_key: str  # config key of the tail index / rate
-    point: str  # symbol of an evaluation point
-    window_word: str
-    to_log: Callable  # point -> v: log or the identity; a float stays a float, arrays map
-    from_log: Callable  # v -> point: exp or the identity, likewise
-    intensity: Callable  # rate -> rho
-
-    @property
-    def other(self) -> str:
-        """Name of the dictionary image."""
-        return next(name for name in CARRIERS if name != self.name)
-
-    @property
-    def identity(self) -> float:
-        """The global-law value that acts trivially, at log coordinate 0."""
-        return self.from_log(0.0)
-
-    @property
-    def floor(self) -> float:
-        """The point at log coordinate -inf, 0 (scale) or -inf (shift): the
-        extreme norm of a replica without atoms."""
-        return self.from_log(-math.inf)
-
-    def global_law(self, law):
-        """`law`, or the global law that acts trivially when it is None."""
-        return self.law.deterministic(self.identity) if law is None else law
-
-    def has_log(self, p):
-        """Where the points p have a log coordinate, nan kept: not p <= floor."""
-        return np.logical_not(p <= self.floor)
-
-    def check_point(self, p) -> np.ndarray:
-        """p, one point or many, as a float array; a DomainError with ``point_error``
-        unless every point is an evaluation point: finite, with a log coordinate."""
-        p = np.asarray(p, dtype=np.float64)
-        if not np.all(np.isfinite(p) & self.has_log(p)):
-            raise DomainError(self.point_error)
-        return p
-
-    @property
-    def point_error(self) -> str:
-        """The error text of a point that is not an evaluation point."""
-        bound = f" and > {self.floor:g}" if math.isfinite(self.floor) else ""
-        return f"evaluation point {self.point} must be finite{bound}"
-
-    def visible(self, f, p) -> float:
-        """The window x -> f(inverse(p, x)) needs: p acting on f's lower support edge."""
-        return self.act(p, f.support_bounds[0])
-
-    def compose(self, f, p) -> Callable:
-        """The function a -> f(p acting on a)."""
-        return lambda a: f.eval(self.act(p, a))
-
-    def tail_mass(self, rate, v):
-        """(rho / rate) e^{rate v}: the mass of rho e^{-rate v'} dv' above -v."""
-        return np.exp(rate * v) / (rate / self.intensity(rate))
-
-    def block_mean(self, rate, w, window, bound):
-        """Poisson mean, given the global value w, of the dilation points p
-        with v_p > v_window - v_bound, the only ones that can carry an atom into
-        the window. Translating the process by v_w multiplies its intensity by
-        e^{rate v_w} and keeps its shape, so w moves the count only and the
-        points (``block_start``) do not reference it."""
-        return self.tail_mass(rate, self.to_log(bound) + self.to_log(w) - self.to_log(window))
-
-    def block_start(self, rate, window, bound, q):
-        """The dilation point at uniform q, by inverse CDF of the points above
-        v_window - v_bound: an Exponential(rate) step in v."""
-        return self.from_log((self.to_log(window) - self.to_log(bound)) - np.log1p(-q) / rate)
-
-    def weight(self, rate, p, w):
-        """The tail weight e^{-rate (v_p - v_w)} at p of the global value w."""
-        return np.exp(-rate * (self.to_log(p) - self.to_log(w)))
-
-    def quantile(self, rate, kappa, w, L):
-        """The point p with weight(rate, p, w) * kappa = L."""
-        return self.from_log(self.to_log(w) - np.log(L / kappa) / rate)
-
-
-def _chart(scalar: Callable, ufunc: Callable) -> Callable:
-    """One chart map: the math function on a Python float, so that scalar code
-    keeps its floats and their bits, and the ufunc on everything else."""
-    return lambda x: scalar(x) if type(x) is float else ufunc(x)
-
-
-SCALE = Carrier(
-    name="scale", measure=PointMeasure, law=ScaleLaw, norm=abs,
-    families=("scdppp", "sscdppp"), act=lambda p, a: p * a, inverse=lambda y, x: x / y,
-    rate_key="alpha", point="y", window_word="window",
-    to_log=_chart(math.log, np.log), from_log=_chart(math.exp, np.exp), intensity=lambda a: a,
-)
-SHIFT = Carrier(
-    name="shift", measure=ShiftPointMeasure, law=ShiftLaw, norm=lambda x: x,
-    families=("dppp", "sdppp"), act=lambda p, a: a + p, inverse=lambda u, x: x - u,
-    rate_key="c", point="u", window_word="cutoff",
-    to_log=lambda t: t, from_log=lambda v: v, intensity=lambda c: 1.0,
-)
-CARRIERS = {"scale": SCALE, "shift": SHIFT}
 
 
 def _family_carrier(family):
@@ -884,13 +757,12 @@ class FlatCampaign:
 
     def measures(self) -> MeasureBatch:
         """Every replica as one canonical batch of measures."""
-        return MeasureBatch(CARRIERS[self.carrier].measure, self.locations, self.weights,
-                            self.replica, self.n_reps)
+        return MeasureBatch(self.carrier, self.locations, self.weights, self.replica, self.n_reps)
 
     def replica_measure(self, r: int):
         lo = np.searchsorted(self.replica, r, side="left")
         hi = np.searchsorted(self.replica, r, side="right")
-        return CARRIERS[self.carrier].measure(self.locations[lo:hi], self.weights[lo:hi])
+        return PointMeasure(self.locations[lo:hi], self.weights[lo:hi], self.carrier)
 
 
 class ProcessSource:
@@ -908,7 +780,7 @@ class ProcessSource:
         of v_W beyond the v_cap where block_mean = MEAN_CAP for the Gaussian ones."""
         cr, spec, window = CARRIERS[self.carrier], self.spec, self.window
         rate, bound, law = spec.alpha, spec.decoration.bound, spec.effective_law()
-        if law.kind == law.gaussian:
+        if law.kind == cr.gaussian:
             v_cap = (cr.to_log(window) - cr.to_log(bound)
                      + math.log(MEAN_CAP * (rate / cr.intensity(rate))) / rate)
             p = 0.5 * math.erfc((v_cap - law.mu) / (law.sigma * math.sqrt(2.0)))

@@ -23,13 +23,13 @@ knots, and the same form serves both directions.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .point_measure import ShiftTestFunction, TestFunction
-from .sampler import (CARRIERS, SCALE, SHIFT, DecorationSpec, LocationLaw, ProcessSpec,
-                      ScaleLaw, ShiftLaw)
+from .point_measure import CARRIERS, SCALE, SHIFT, TestFunction
+from .sampler import DecorationSpec, GlobalLaw, LocationLaw, ProcessSpec
 
 __all__ = ["exp_transform", "log_transform", "exp_function", "log_function",
            "log_decoration", "exp_decoration", "scale_law_to_shift", "shift_law_to_scale",
@@ -41,14 +41,13 @@ _MAX_KNOTS = 1 << 16  # knots of one transported function
 
 # direction -> its source carrier; the target is the other one
 _DIRECTIONS = {"log": SCALE, "exp": SHIFT}
-_FUNCTIONS = {"scale": TestFunction, "shift": ShiftTestFunction}
 
 
-def _ends(direction: str, got, field: str, name: str, what: str):
-    """The (source, target) carriers of `direction`, once `got` is the source
-    carrier's `field`: the carrier of the input `what` that `name` received."""
+def _ends(direction: str, got, name: str, what: str):
+    """The (source, target) carriers of `direction`, once `got` names the
+    source carrier: the carrier of the input `what` that `name` received."""
     src = _DIRECTIONS[direction]
-    if got != getattr(src, field):
+    if got != src.name:
         raise DomainError(f"{name} expects a {src.name}-carrier {what}")
     return src, CARRIERS[src.other]
 
@@ -84,9 +83,8 @@ def normalization_shift(c: float) -> float:
 # -- measures -------------------------------------------------------------------
 
 def _map_measure(m, direction: str):
-    got = getattr(m, "measure", type(m))
-    _, dst = _ends(direction, got, "measure", f"{direction}_transform", "measure")
-    return m.relocated(_coord(direction, m.locations, "all atoms"), dst.measure)
+    _, dst = _ends(direction, getattr(m, "carrier", None), f"{direction}_transform", "measure")
+    return m.relocated(_coord(direction, m.locations, "all atoms"), dst.name)
 
 
 def log_transform(m):
@@ -134,12 +132,11 @@ def _refine(p0, f0, p1, f1, src: int, tol: float, out: list, depth: int = 0):
 def _map_function(f, direction: str, tol: float):
     """f transported in `direction`, re-knotted to within tol * sup|f|. Knots
     without a log coordinate lead and f must vanish up to the first with one."""
-    src, dst = _ends(direction, f._measure, "measure", f"{direction}_function", "function")
+    src, dst = _ends(direction, f.carrier, f"{direction}_function", "function")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError("the transport tolerance must be finite and > 0")
-    to = _FUNCTIONS[dst.name]
     if f.is_zero:
-        return to([(dst.identity, 0.0), (dst.identity + 1.0, 0.0)])
+        return TestFunction([(dst.identity, 0.0), (dst.identity + 1.0, 0.0)], dst.name)
     xs, vs = f.knots_x, f.knots_v
     first = int(np.count_nonzero(~src.has_log(xs)))
     if np.any(vs[:first + 1] != 0.0):
@@ -152,10 +149,10 @@ def _map_function(f, direction: str, tol: float):
     out = [(ys[0], vs[0])]
     for k in range(len(xs) - 1):
         _refine(pts[k], vs[k], pts[k + 1], vs[k + 1], i, abs_tol, out)
-    return to(out)
+    return TestFunction(out, dst.name)
 
 
-def exp_function(f: ShiftTestFunction, tol: float = _DEFAULT_TOL) -> TestFunction:
+def exp_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> TestFunction:
     """Transport to the scale carrier: the function y -> f(log y), y > 0.
 
     tol is relative to the sup norm; the result satisfies
@@ -164,7 +161,7 @@ def exp_function(f: ShiftTestFunction, tol: float = _DEFAULT_TOL) -> TestFunctio
     return _map_function(f, "exp", tol)
 
 
-def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunction:
+def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> TestFunction:
     """Transport to the shift carrier: the function x -> f(e^x).
 
     The support of f must lie in (0, inf); two-sided functions have no log
@@ -176,7 +173,7 @@ def log_function(f: TestFunction, tol: float = _DEFAULT_TOL) -> ShiftTestFunctio
 # -- decorations and laws ----------------------------------------------------------
 
 def _map_decoration(dec: DecorationSpec, direction: str) -> DecorationSpec:
-    _, dst = _ends(direction, dec.carrier, "name", f"{direction}_decoration", "decoration")
+    _, dst = _ends(direction, dec.carrier, f"{direction}_decoration", "decoration")
 
     def atoms(pairs):
         return tuple((_coord(direction, loc, "decoration atoms"), mult) for loc, mult in pairs)
@@ -201,8 +198,8 @@ def exp_decoration(dec: DecorationSpec) -> DecorationSpec:
 
 
 def _map_law(law, to, direction: str, what: str, dv: float = 0.0):
-    """`law` (a location, scale or shift law) carried in `direction` as a law of
-    class `to`, its values' log coordinates and the Gaussian mean moved by dv."""
+    """`law` (a location or global law) carried in `direction` as the law that
+    `to` builds, its values' log coordinates and the Gaussian mean moved by dv."""
     if law.kind == "uniform":
         raise DomainError(
             f"uniform location laws have no exact {direction} image; use a table law")
@@ -211,24 +208,27 @@ def _map_law(law, to, direction: str, what: str, dv: float = 0.0):
     if law.kind == "table":
         return to(kind="table", values=tuple(_coord(direction, v, what, dv) for v in law.values),
                   probs=tuple(float(p) for p in law.probs))
-    return to(kind=to.gaussian, mu=float(law.mu + dv), sigma=float(law.sigma))
+    gaussian = CARRIERS[_DIRECTIONS[direction].other].gaussian
+    return to(kind=gaussian, mu=float(law.mu + dv), sigma=float(law.sigma))
 
 
 def _map_global_law(law, c: float, direction: str):
     """A global law across the dictionary: the shift chart's value carries the
     normalization shift, so v moves by +log(c)/c into it and by -log(c)/c out."""
     src = _DIRECTIONS[direction]
-    _, dst = _ends(direction, type(law), "law", f"{src.name}_law_to_{src.other}", "law")
+    _, dst = _ends(direction, getattr(law, "carrier", None), f"{src.name}_law_to_{src.other}",
+                   "law")
     adj = normalization_shift(c)
-    return _map_law(law, dst.law, direction, "law values", adj if dst is SHIFT else -adj)
+    return _map_law(law, partial(GlobalLaw, carrier=dst.name), direction, "law values",
+                    adj if dst is SHIFT else -adj)
 
 
-def scale_law_to_shift(law: ScaleLaw, c: float) -> ShiftLaw:
+def scale_law_to_shift(law: GlobalLaw, c: float) -> GlobalLaw:
     """U = log W + log(c)/c, the translation matching a global dilation W."""
     return _map_global_law(law, c, "log")
 
 
-def shift_law_to_scale(law: ShiftLaw, c: float) -> ScaleLaw:
+def shift_law_to_scale(law: GlobalLaw, c: float) -> GlobalLaw:
     """W = exp(U - log(c)/c), inverse of scale_law_to_shift."""
     return _map_global_law(law, c, "exp")
 

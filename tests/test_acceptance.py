@@ -34,16 +34,16 @@ from stablepp.functionals import (
 )
 from stablepp.point_measure import (
     PointMeasure,
+    TestFunction,
     indicator_approx,
     integrate,
-    shift_tent,
     tent,
 )
 from stablepp.sampler import (
     DecorationSpec,
+    GlobalLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
     maxmod_samples,
     run_campaign,
 )
@@ -101,10 +101,10 @@ def test_scaled_laplace_agreement():
     laws = {
         "w_one": (DIRAC, 101),
         "w_two": (ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]),
-                              0.05, law=ScaleLaw.deterministic(2.0)), 102),
+                              0.05, law=GlobalLaw.deterministic(2.0)), 102),
         "w_table": (ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]),
                                 0.05,
-                                law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5])),
+                                law=GlobalLaw.table([1.0, 2.0], [0.5, 0.5])),
                     103),
     }
     battery = default_battery("scale")
@@ -177,9 +177,8 @@ def test_extraction():
 @criterion(8, "log/exp transport: exact roundtrip, change of variable, image laws")
 def test_transform():
     # integer shift locations restore bit-exactly through exp then log
-    from stablepp.point_measure import ShiftPointMeasure
-    t = ShiftPointMeasure([float(k) for k in range(-30, 31)],
-                          [1 + (k % 3) for k in range(-30, 31)])
+    t = PointMeasure([float(k) for k in range(-30, 31)],
+                     [1 + (k % 3) for k in range(-30, 31)], carrier="shift")
     back = log_transform(exp_transform(t))
     assert back.to_json_line() == t.to_json_line()
 
@@ -191,7 +190,7 @@ def test_transform():
     u = tent(0.5, 1.0, 8.0)
     for tt in (0.5, 1.0, 2.0):
         lt = math.log(tt)
-        ut = u.scaled(1.0 / tt)
+        ut = TestFunction(list(zip(u.knots_x / (1.0 / tt), u.knots_v)))  # x -> u(x / tt)
         for i in range(0, 200, 7):
             T = campaign.replica_measure(i)
             lhs = integrate(exp_transform(T), ut)
@@ -207,7 +206,7 @@ def test_transform():
 
     # shift-Laplace of the image matches the predicted h on a u-grid; the
     # transported function turns the image integral into a scale integral
-    g = shift_tent(0.0, 1.0, 2.0)
+    g = tent(0.0, 1.0, 2.0, carrier="shift")
     f_img = exp_function(g)
     mapped = map_process_spec(DIRAC)
     camp = run_campaign(ProcessSource(DIRAC), 211, 30_000)

@@ -24,9 +24,9 @@ from stablepp.characterization import (
     tail_index_test,
 )
 from stablepp.functionals import ExtremeLaw, default_battery, extreme_law
-from stablepp.point_measure import PointMeasure, tent
+from stablepp.point_measure import PointMeasure, TestFunction, tent
 from stablepp.rng import ROLE_SCALAR, make_generator
-from stablepp.sampler import DecorationSpec, ProcessSpec, ScaleLaw
+from stablepp.sampler import DecorationSpec, GlobalLaw, ProcessSpec
 
 
 def dirac_spec(alpha=1.0, window=0.05):
@@ -199,7 +199,7 @@ class TestMaxmodLawTest:
 
     def test_two_point_dilation_mixture(self):
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+                           law=GlobalLaw.table([1.0, 2.0], [0.5, 0.5]))
         report = maxmod_law_test(spec, n_reps=10_000, seed=11)
         assert report.passed
         assert report.subchecks[0].statistic < 0.02
@@ -252,7 +252,7 @@ class TestStabilityTest:
 
     def test_random_dilation_rejected(self):
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+                           law=GlobalLaw.table([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(DomainError):
             stability_test(spec, 1.0, 1.0, n_reps=100)
 
@@ -261,7 +261,7 @@ class TestStabilityTest:
         # S_b N is drawn with the global value b * W; where that product leaves
         # the float range the error names the inputs, not the law's own check
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           law=ScaleLaw.deterministic(w))
+                           law=GlobalLaw.deterministic(w))
         with pytest.raises(DomainError, match=re.escape(f"b1 = {b1!r}, b2 = {b2!r}, W = {w!r}")):
             stability_test(spec, b1, b2, n_reps=100)
 
@@ -385,7 +385,8 @@ class TestScaleUniqueSupport:
     def test_fit_invariance_under_function_scaling(self):
         f = default_battery("scale")["mm_50"]
         report = scale_unique_support_test(
-            dirac_spec(), battery=[f, f.scaled(2.0)], n_reps=30_000, seed=9)
+            dirac_spec(), battery=[f, TestFunction(list(zip(f.knots_x / 2.0, f.knots_v)))],
+            n_reps=30_000, seed=9)
         fitted = report.params["fitted_c"]
         assert fitted["f01"] / fitted["f00"] == pytest.approx(0.5, abs=0.05)
 

@@ -13,7 +13,7 @@ import stablepp.extraction
 import stablepp.sampler
 from stablepp.cli import main
 from stablepp.extraction import ExtractionConfig, extract_decoration
-from stablepp.point_measure import MeasureBatch, PointMeasure, ShiftPointMeasure
+from stablepp.point_measure import MeasureBatch, PointMeasure
 from stablepp.sampler import process_spec_from_config
 
 PROC = {
@@ -327,7 +327,7 @@ class TestConfigErrors:
         out = tmp_path / "o.jsonl"
         assert main(["sample", "--config", cfg, "--reps", "50",
                      "--out", str(out)]) == 0
-        m = ShiftPointMeasure.from_json_line(out.read_text().splitlines()[0])
+        m = PointMeasure.from_json_line(out.read_text().splitlines()[0], "shift")
         assert m.n_atoms >= 0
 
 
@@ -721,12 +721,12 @@ class TestExtract:
         text = (tmp_path / "x.json.decorations.jsonl").read_text()
         side = text.splitlines()
         assert len(side) == 120
-        assert PointMeasure.from_json_line(side[0]).maxmod() == 1.0
+        assert PointMeasure.from_json_line(side[0]).extreme() == 1.0
         # the sidecar is the report's batch of decorations, written as it is
         report = extract_decoration(process_spec_from_config(PROC),
                                     ExtractionConfig(20.0, 0.5, 120), seed=17)
         assert isinstance(report.decorations, MeasureBatch)
-        assert text == report.decorations.json_lines()
+        assert text == "".join(report.decorations.json_chunks())
         man = manifest(out)
         assert man["status"] == "ok"
         assert str(tmp_path / "x.json.decorations.jsonl") in man["outputs"]

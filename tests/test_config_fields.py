@@ -39,8 +39,9 @@ def _command_fields(tmp_path, monkeypatch) -> set:
 
 
 def _declared_fields(tmp_path, monkeypatch) -> set:
-    laws = {name for law in (sampler.LocationLaw, sampler.ScaleLaw, sampler.ShiftLaw)
-            for fields in law.kinds.values() for name in fields}
+    laws = {name for kinds in (sampler.LocationLaw.kinds,
+                               *map(sampler._global_kinds, sampler.CARRIERS))
+            for fields in kinds.values() for name in fields}
     return (
         _table_fields(sampler._FAMILIES) | {"family", "decoration", "window"}
         | _table_fields(sampler._DECORATIONS) | {"kind"}

@@ -58,7 +58,7 @@ class TestExtractDecoration:
 
     def test_normalized_maxmod_exactly_one(self, reference_report):
         for m in reference_report.decorations:
-            assert m.maxmod() == 1.0
+            assert m.extreme() == 1.0
 
     def test_mostly_single_atom(self, reference_report):
         # extra atoms above 0.5y arrive at rate (0.5 * 100)^-1, so
@@ -126,17 +126,17 @@ class TestExtractDecoration:
         a = extract_decoration(dirac_spec(), cfg, seed=23, threads=1)
         b = extract_decoration(dirac_spec(), cfg, seed=23, threads=4)
         assert np.array_equal(a.radials, b.radials)
-        assert a.decorations.json_lines() == b.decorations.json_lines()
+        assert list(a.decorations.json_chunks()) == list(b.decorations.json_chunks())
         assert a.c_max_hat == b.c_max_hat
 
     def test_report_serialization(self, reference_report):
         doc = json.loads(json.dumps(reference_report.to_json_dict()))
         assert doc["n_decorations"] == 500
         assert isinstance(reference_report.decorations, MeasureBatch)
-        lines = reference_report.decorations.json_lines().splitlines()
+        lines = "".join(reference_report.decorations.json_chunks()).splitlines()
         assert len(lines) == 500
         m = PointMeasure.from_json_line(lines[0])
-        assert m.maxmod() == 1.0
+        assert m.extreme() == 1.0
 
     def test_threshold_stability(self):
         # conditioning at y and 2y leaves the radial law unchanged

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from stablepp import functionals
+from stablepp import functionals, point_measure
 from stablepp.characterization import ks_censored
 from stablepp.errors import DomainError, IntegrationWarning, WindowError
 from stablepp.extraction import predicted_acceptance
@@ -29,14 +29,12 @@ from stablepp.functionals import (
     required_window,
 )
 from stablepp.point_measure import (
+    MeasureBatch,
     PointMeasure,
-    ShiftPointMeasure,
-    ShiftTestFunction,
     TestFunction,
     indicator_approx,
     maxmod_indicator,
     shift_indicator_approx,
-    shift_tent,
     tent,
 )
 from stablepp.sampler import (
@@ -44,11 +42,11 @@ from stablepp.sampler import (
     CountLaw,
     DecorationSpec,
     FlatCampaign,
+    GlobalLaw,
     LocationLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
-    ShiftLaw,
+    effective_law,
     run_campaign,
 )
 
@@ -71,6 +69,11 @@ def tent_family_bias_bound(law: ExtremeLaw, n: int, y: float, outer: float = 1e8
     ramp = float(law.cdf(y * (1.0 + 1.0 / n)) - law.cdf(y))
     tail = law.kappa * law._mean_weight(y * outer)
     return math.exp(-float(n)) + ramp + tail
+
+
+def dilated(f, y: float) -> TestFunction:
+    """The scale-carrier function x -> f(y x): its knots move to knot / y."""
+    return TestFunction(list(zip(f.knots_x / y, f.knots_v)))
 
 
 def scdppp(alpha=1.0, atoms=((1.0, 1),), window=0.05, law=None):
@@ -238,7 +241,7 @@ class TestScaledEstimates:
         f = tent(0.5, 1.0, 2.0)
         for a in (2.0, 4.0):
             lhs = estimate_scaled_laplace(campaign, f, 1.0)
-            rhs = estimate_scaled_laplace(campaign, f.scaled(1.0 / a), 1.0 / a)
+            rhs = estimate_scaled_laplace(campaign, dilated(f, 1.0 / a), 1.0 / a)
             assert abs(lhs.value - rhs.value) <= 1e-12
 
     def test_monotonicity_replica_by_replica(self):
@@ -288,8 +291,8 @@ class TestShiftEstimates:
         spec = ProcessSpec("dppp", 1.0,
                            DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
         campaign = run_campaign(ProcessSource(spec), 0, 30)
-        from stablepp.point_measure import ShiftTestFunction
-        est = estimate_shift_laplace(campaign, ShiftTestFunction([(0.0, 0.0), (1.0, 0.0)]), 0.0)
+        zero = TestFunction([(0.0, 0.0), (1.0, 0.0)], carrier="shift")
+        est = estimate_shift_laplace(campaign, zero, 0.0)
         assert est == EstimateWithError(1.0, 0.0, 30)
 
     def test_cutoff_violation(self):
@@ -307,7 +310,7 @@ class TestPredictions:
         # c_f ~ 1 gives e^-1
         ramp, outer = 1e-7, 1e7
         f = indicator_approx(50.0, edge=1.0, outer=outer, ramp=ramp)
-        spec = scdppp(law=ScaleLaw.deterministic(2.0))
+        spec = scdppp(law=GlobalLaw.deterministic(2.0))
         pred = predict_scaled_laplace(spec, f, 2.0)
         assert pred.value == pytest.approx(math.exp(-1.0), abs=2e-6)
 
@@ -346,7 +349,7 @@ class TestPredictions:
 
 
 _SHIFT_SPEC = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
-_SCALE_TENT, _SHIFT_TENT = tent(0.5, 1.0, 2.0), shift_tent(-1.0, 0.0, 1.0)
+_SCALE_TENT, _SHIFT_TENT = tent(0.5, 1.0, 2.0), tent(-1.0, 0.0, 1.0, carrier="shift")
 # name -> (the carrier the call expects, a call with the other carrier's function)
 _OTHER_CARRIER_CALLS = {
     "predict_scaled_laplace": ("scale", lambda: predict_scaled_laplace(scdppp(), _SHIFT_TENT, 1.0)),
@@ -366,6 +369,13 @@ _OTHER_CARRIER_CALLS = {
         scdppp().decoration, _SHIFT_TENT, 1.0)),
     "psi_decoration_shift": ("shift", lambda: psi_decoration_shift(
         _SHIFT_SPEC.decoration, _SCALE_TENT, 0.0)),
+    "integrate": ("scale", lambda: point_measure.integrate(PointMeasure([1.0]), _SHIFT_TENT)),
+    "integrate_shift": ("shift", lambda: point_measure.integrate(
+        PointMeasure([0.0], carrier="shift"), _SCALE_TENT)),
+    "integrals": ("scale", lambda: MeasureBatch("scale", [1.0], [1], [0], 1).integrals(
+        _SHIFT_TENT)),
+    "integrals_shift": ("shift", lambda: MeasureBatch("shift", [0.0], [1], [0], 1).integrals(
+        _SCALE_TENT)),
 }
 
 
@@ -377,7 +387,7 @@ def test_a_test_function_of_the_other_carrier_is_one_domain_error(name):
 
 
 _SCALE_ZERO = TestFunction([(1.0, 0.0), (2.0, 0.0)])
-_SHIFT_ZERO = ShiftTestFunction([(1.0, 0.0), (2.0, 0.0)])
+_SHIFT_ZERO = TestFunction([(1.0, 0.0), (2.0, 0.0)], carrier="shift")
 _SHIFT_AT_ONE = DecorationSpec.dirac([(1.0, 1)], carrier="shift")
 # name -> (the carrier the call expects, a call with its own carrier's function and
 # the other carrier's decoration)
@@ -495,7 +505,8 @@ REFERENCE_DECORATIONS = {
         "dirac": DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
         "multi_dirac": DecorationSpec.dirac([(-0.5, 1), (0.0, 2), (0.3, 1)], carrier="shift"),
         "table": DecorationSpec.table_from_measures(
-            [ShiftPointMeasure([0.0]), ShiftPointMeasure([-0.3, 0.2])], [0.4, 0.6]),
+            [PointMeasure([0.0], carrier="shift"), PointMeasure([-0.3, 0.2], carrier="shift")],
+            [0.4, 0.6]),
         "atoms_table": DecorationSpec.random_atoms(
             [(1, 0.3), (2, 0.7)], LocationLaw(kind="table", values=(-0.6, 0.1, 0.4),
                                               probs=(0.2, 0.5, 0.3)), carrier="shift"),
@@ -686,7 +697,7 @@ class TestMixtureLaws:
     def test_frechet_fixed_point(self):
         law = ExtremeLaw("scale", 1.0, 1.0)
         assert law.cdf(1.0) == pytest.approx(math.exp(-1.0))
-        law2 = ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.deterministic(2.0))
+        law2 = ExtremeLaw("scale", 1.0, 1.0, GlobalLaw.deterministic(2.0))
         assert law2.cdf(2.0) == pytest.approx(math.exp(-1.0))
 
     def test_ppf_roundtrip(self):
@@ -698,7 +709,7 @@ class TestMixtureLaws:
         law = ExtremeLaw("scale", 1.0, 1.0)
         with pytest.raises(DomainError):
             law.ppf(0.0)
-        mixed = ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.table([1.0, 2.0], [0.5, 0.5]))
+        mixed = ExtremeLaw("scale", 1.0, 1.0, GlobalLaw.table([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(DomainError):
             mixed.ppf(0.5)
 
@@ -717,15 +728,27 @@ class TestMixtureLaws:
     def test_shift_cdf_at_minus_infinity(self):
         # -inf has no log coordinate on the shift carrier either: the CDF reads 0
         for law in (ExtremeLaw("shift", 1.0, 1.0),
-                    ExtremeLaw("shift", 0.8, 1.1, ShiftLaw.normal(0.3, 0.5))):
+                    ExtremeLaw("shift", 0.8, 1.1,
+                               GlobalLaw(kind="normal", mu=0.3, sigma=0.5, carrier="shift"))):
             assert law.cdf(-math.inf) == 0.0
             np.testing.assert_array_equal(law.cdf(np.array([-math.inf, math.nan])), [0.0, math.nan])
 
-    def test_carrier_is_one_of_the_two_names(self):
-        for make in (lambda: ExtremeLaw("log", 1.0, 1.0), lambda: default_battery("log"),
-                     lambda: default_points("log")):
-            with pytest.raises(DomainError, match="carrier must be one of"):
-                make()
+    @pytest.mark.parametrize("make", [
+        lambda c: ExtremeLaw(c, 1.0, 1.0), default_battery, default_points,
+        lambda c: PointMeasure([1.0], carrier=c), lambda c: PointMeasure.from_json_line(
+            '{"atoms": [[1.0, 1]]}', c), lambda c: MeasureBatch(c, [1.0], [1], [0], 1),
+        lambda c: MeasureBatch.concatenate([], c),
+        lambda c: TestFunction([(1.0, 0.0), (2.0, 1.0), (3.0, 0.0)], c),
+        lambda c: tent(1.0, 2.0, 3.0, carrier=c), lambda c: GlobalLaw.deterministic(1.0, c),
+        lambda c: DecorationSpec.dirac([(1.0, 1)], carrier=c)],
+        ids=["ExtremeLaw", "default_battery", "default_points", "PointMeasure",
+             "from_json_line", "MeasureBatch", "concatenate", "TestFunction", "tent",
+             "GlobalLaw", "DecorationSpec"])
+    def test_carrier_is_one_of_the_two_names(self, make):
+        for carrier in ("log", "Scale", None):
+            with pytest.raises(DomainError,
+                               match=r"^carrier must be one of \['scale', 'shift'\], not "):
+                make(carrier)
 
     def test_sample_matches_cdf(self):
         law = ExtremeLaw("scale", 1.0, 2.0)
@@ -770,7 +793,7 @@ class TestMixtureLaws:
 
 def _per_point_cdf(law, points):
     """Mixture CDF one point at a time, each through its own expect call."""
-    g = law._cr.global_law(law.law)
+    g = effective_law(law.carrier, law.law)
     if law.carrier == "scale":
         def one(t):
             if not t > 0.0:
@@ -785,13 +808,16 @@ def _per_point_cdf(law, points):
 
 MIXTURES = {
     "frechet_deterministic": ExtremeLaw("scale", 1.0, 1.3),
-    "frechet_dilated": ExtremeLaw("scale", 2.0, 0.7, ScaleLaw.deterministic(1.5)),
+    "frechet_dilated": ExtremeLaw("scale", 2.0, 0.7, GlobalLaw.deterministic(1.5)),
     "frechet_table": ExtremeLaw("scale", 1.5, 0.9,
-                                ScaleLaw.table([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])),
-    "frechet_lognormal": ExtremeLaw("scale", 1.0, 1.0, ScaleLaw.lognormal(0.2, 0.5)),
+                                GlobalLaw.table([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])),
+    "frechet_lognormal": ExtremeLaw("scale", 1.0, 1.0,
+                                    GlobalLaw(kind="lognormal", mu=0.2, sigma=0.5)),
     "gumbel_deterministic": ExtremeLaw("shift", 1.0, 1.3),
-    "gumbel_table": ExtremeLaw("shift", 1.5, 0.9, ShiftLaw.table([-1.0, 0.5], [0.4, 0.6])),
-    "gumbel_normal": ExtremeLaw("shift", 0.8, 1.1, ShiftLaw.normal(0.3, 0.5)),
+    "gumbel_table": ExtremeLaw("shift", 1.5, 0.9,
+                               GlobalLaw.table([-1.0, 0.5], [0.4, 0.6], carrier="shift")),
+    "gumbel_normal": ExtremeLaw("shift", 0.8, 1.1,
+                                GlobalLaw(kind="normal", mu=0.3, sigma=0.5, carrier="shift")),
 }
 
 
@@ -836,11 +862,11 @@ def test_mixture_cdf_keeps_nan_points(law):
 ARRAY_CASES = {
     "scale": (predict_scaled_laplace, "scale", list(np.geomspace(0.25, 8.0, 38)),
               scdppp(alpha=1.5, atoms=((1.0, 1), (0.5, 2)),
-                     law=ScaleLaw.lognormal(0.2, 0.5))),
+                     law=GlobalLaw(kind="lognormal", mu=0.2, sigma=0.5))),
     "shift": (predict_shift_laplace, "shift", list(np.linspace(-3.0, 3.0, 38)),
               ProcessSpec("sdppp", 0.8,
                           DecorationSpec.dirac([(0.0, 1), (-0.5, 1)], carrier="shift"), -4.0,
-                          law=ShiftLaw.table([-0.5, 0.4], [0.3, 0.7]))),
+                          law=GlobalLaw.table([-0.5, 0.4], [0.3, 0.7], carrier="shift"))),
 }
 
 
@@ -888,7 +914,7 @@ class TestBatteryEstimates:
         assert required_window(spec, battery, points) > 0.05
         shift = ProcessSpec("dppp", 1.0,
                             DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
-        assert required_window(shift, [shift_tent(-1.0, 0.0, 1.0)], [0.5]) == -0.5
+        assert required_window(shift, [tent(-1.0, 0.0, 1.0, carrier="shift")], [0.5]) == -0.5
         # no nonzero function constrains the window: the spec's own is used
         zero = TestFunction([(1.0, 0.0), (2.0, 0.0)])
         assert required_window(spec, [zero], [1.0]) == 0.05
@@ -935,8 +961,8 @@ class TestBatteryEstimates:
         else:
             spec = ProcessSpec("dppp", 1.0,
                                DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0)
-            f, points = shift_tent(-1.0, 0.0, 1.0), [0.0, 1.0]
-            zero = ShiftTestFunction([(0.0, 0.0), (1.0, 0.0)])
+            f, points = tent(-1.0, 0.0, 1.0, carrier="shift"), [0.0, 1.0]
+            zero = TestFunction([(0.0, 0.0), (1.0, 0.0)], carrier="shift")
         est = battery_estimates(spec, {"f": f, "zero": zero}, points, 3000, 5)
         for p in points:
             assert est[("zero", p)] == EstimateWithError(1.0, 0.0, 3000)

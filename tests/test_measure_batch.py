@@ -9,9 +9,7 @@ from stablepp.errors import ConfigError, DomainError
 from stablepp.point_measure import (
     MeasureBatch,
     PointMeasure,
-    ShiftPointMeasure,
     integrate,
-    shift_tent,
     tent,
 )
 from stablepp.sampler import (
@@ -23,6 +21,11 @@ from stablepp.sampler import (
     run_campaign,
 )
 from stablepp.transform import log_transform
+
+
+def lines_of(batch) -> str:
+    """Every measure line of a batch, each ending in a newline."""
+    return "".join(batch.json_chunks())
 
 
 def reference_line(atoms) -> str:
@@ -42,7 +45,7 @@ def reference_canonical(atoms):
 def random_batch_atoms(rng, n, carrier):
     """Atoms of n measures, given out of order, with duplicates and empties."""
     pool = rng.choice([-1, 1], 20) * rng.uniform(0.5, 4.0, 20)
-    if carrier is ShiftPointMeasure:
+    if carrier == "shift":
         pool[:2] = (0.0, -3.0)
     counts = rng.integers(0, 9, n)
     counts[::7] = 0
@@ -61,69 +64,66 @@ def expected_lines(locs, mults, index, n):
         for i in range(n))
 
 
-CARRIERS = [PointMeasure, ShiftPointMeasure]
-
-
-@pytest.mark.parametrize("measure", CARRIERS, ids=["scale", "shift"])
+@pytest.mark.parametrize("carrier", ["scale", "shift"])
 class TestWriter:
-    def test_matches_reference(self, measure):
+    def test_matches_reference(self, carrier):
         rng = np.random.default_rng(11)
-        locs, mults, index = random_batch_atoms(rng, 300, measure)
-        batch = MeasureBatch(measure, locs, mults, index, 300)
-        assert batch.json_lines() == expected_lines(locs, mults, index, 300)
+        locs, mults, index = random_batch_atoms(rng, 300, carrier)
+        batch = MeasureBatch(carrier, locs, mults, index, 300)
+        assert lines_of(batch) == expected_lines(locs, mults, index, 300)
 
-    def test_measures_match_one_measure_construction(self, measure):
+    def test_measures_match_one_measure_construction(self, carrier):
         rng = np.random.default_rng(12)
-        locs, mults, index = random_batch_atoms(rng, 100, measure)
-        batch = MeasureBatch(measure, locs, mults, index, 100)
+        locs, mults, index = random_batch_atoms(rng, 100, carrier)
+        batch = MeasureBatch(carrier, locs, mults, index, 100)
         assert len(batch) == 100
         for i, m in enumerate(batch):
-            one = measure(locs[index == i], mults[index == i])
-            assert m == one and type(m) is measure
+            one = PointMeasure(locs[index == i], mults[index == i], carrier)
+            assert m == one and type(m) is PointMeasure and m.carrier == carrier
             assert m.to_json_line() == reference_line(one.atoms())
 
-    def test_empty_measures_and_empty_batch(self, measure):
-        batch = MeasureBatch(measure, [2.0, 1.0], [1, 1], [1, 1], 3)
-        assert batch.json_lines() == ('{"atoms": []}\n'
+    def test_empty_measures_and_empty_batch(self, carrier):
+        batch = MeasureBatch(carrier, [2.0, 1.0], [1, 1], [1, 1], 3)
+        assert lines_of(batch) == ('{"atoms": []}\n'
                                       '{"atoms": [[1.0, 1], [2.0, 1]]}\n'
                                       '{"atoms": []}\n')
-        assert MeasureBatch(measure, [], [], [], 0).json_lines() == ""
-        assert measure().to_json_line() == '{"atoms": []}'
+        assert lines_of(MeasureBatch(carrier, [], [], [], 0)) == ""
+        assert PointMeasure(carrier=carrier).to_json_line() == '{"atoms": []}'
 
-    def test_duplicates_merge(self, measure):
-        batch = MeasureBatch(measure, [3.0, 1.5, 3.0, 1.5, 3.0], [1, 2, 3, 4, 5],
+    def test_duplicates_merge(self, carrier):
+        batch = MeasureBatch(carrier, [3.0, 1.5, 3.0, 1.5, 3.0], [1, 2, 3, 4, 5],
                              [0, 0, 0, 1, 1], 2)
-        assert batch.json_lines() == ('{"atoms": [[1.5, 2], [3.0, 4]]}\n'
+        assert lines_of(batch) == ('{"atoms": [[1.5, 2], [3.0, 4]]}\n'
                                       '{"atoms": [[1.5, 4], [3.0, 5]]}\n')
 
-    def test_merged_multiplicities_stay_in_int64(self, measure):
+    def test_merged_multiplicities_stay_in_int64(self, carrier):
         with pytest.raises(DomainError, match="merged at one location must sum to below 2"):
-            MeasureBatch(measure, [3.0, 1.5, 1.5], [1, 2 ** 62, 2 ** 62], [0, 1, 1], 2)
+            MeasureBatch(carrier, [3.0, 1.5, 1.5], [1, 2 ** 62, 2 ** 62], [0, 1, 1], 2)
 
-    def test_chunks_hold_whole_measures(self, measure):
+    def test_chunks_hold_whole_measures(self, carrier):
         rng = np.random.default_rng(13)
         n = 900
         index = np.repeat(np.arange(n), 100)  # 90,000 atoms: more than one chunk
         locs = rng.uniform(1.0, 2.0, index.size)
-        batch = MeasureBatch(measure, locs, np.ones(index.size, dtype=np.int64), index, n)
+        batch = MeasureBatch(carrier, locs, np.ones(index.size, dtype=np.int64), index, n)
         chunks = list(batch.json_chunks())
         assert len(chunks) > 1 and all(c.endswith("\n") for c in chunks)
         assert sum(c.count("\n") for c in chunks) == n
         assert "".join(chunks) == expected_lines(locs, np.ones_like(index), index, n)
 
-    def test_parse_then_write_gives_the_same_lines(self, measure):
+    def test_parse_then_write_gives_the_same_lines(self, carrier):
         rng = np.random.default_rng(14)
-        locs, mults, index = random_batch_atoms(rng, 200, measure)
-        text = MeasureBatch(measure, locs, mults, index, 200).json_lines()
-        again = MeasureBatch.from_json_lines(text.splitlines(), measure)
-        assert again.json_lines() == text
+        locs, mults, index = random_batch_atoms(rng, 200, carrier)
+        text = lines_of(MeasureBatch(carrier, locs, mults, index, 200))
+        again = MeasureBatch.from_json_lines(text.splitlines(), carrier)
+        assert lines_of(again) == text
         assert [m.to_json_line() for m in again] == text.splitlines()
 
-    def test_parse_makes_lines_canonical(self, measure):
+    def test_parse_makes_lines_canonical(self, carrier):
         lines = ['{"atoms": [[3.0, 1], [1, 2], [3.0, 4]]}', "",
                  '{"atoms": []}', '  ', '{"atoms": [[2.5, 1], [-1.25, 7]]}']
-        batch = MeasureBatch.from_json_lines(lines, measure)
-        assert batch.json_lines() == ('{"atoms": [[1.0, 2], [3.0, 5]]}\n'
+        batch = MeasureBatch.from_json_lines(lines, carrier)
+        assert lines_of(batch) == ('{"atoms": [[1.0, 2], [3.0, 5]]}\n'
                                       '{"atoms": []}\n'
                                       '{"atoms": [[-1.25, 7], [2.5, 1]]}\n')
 
@@ -138,9 +138,9 @@ class TestSignedZero:
         ([-0.0], [2], '{"atoms": [[-0.0, 2]]}'),
     ])
     def test_merge_keeps_first_sign(self, given, mults, line):
-        assert ShiftPointMeasure(given, mults).to_json_line() == line
+        assert PointMeasure(given, mults, "shift").to_json_line() == line
         assert reference_line(reference_canonical(zip(given, mults))) == line
-        parsed = ShiftPointMeasure.from_json_line(reference_line(zip(given, mults)))
+        parsed = PointMeasure.from_json_line(reference_line(zip(given, mults)), "shift")
         assert parsed.to_json_line() == line
 
 
@@ -167,7 +167,7 @@ class TestParser:
     def test_bad_line_is_named(self, atoms):
         lines = ['{"atoms": [[1.0, 1]]}', '{"atoms": %s}' % atoms, '{"atoms": [[2.0, 1]]}']
         with pytest.raises(ConfigError, match=r"^line 2: "):
-            MeasureBatch.from_json_lines(lines, PointMeasure)
+            MeasureBatch.from_json_lines(lines, "scale")
         with pytest.raises(ConfigError):
             PointMeasure.from_json_line(lines[1])
 
@@ -175,12 +175,12 @@ class TestParser:
                                       '{"atoms": 5}', "null"])
     def test_bad_document(self, line):
         with pytest.raises(ConfigError, match=r"^line 1: "):
-            MeasureBatch.from_json_lines([line], PointMeasure)
+            MeasureBatch.from_json_lines([line], "scale")
 
     def test_origin_only_on_the_shift_carrier(self):
         with pytest.raises(ConfigError, match="origin"):
             PointMeasure.from_json_line('{"atoms": [[0.0, 1]]}')
-        assert ShiftPointMeasure.from_json_line('{"atoms": [[0, 1]]}').atoms() == ((0.0, 1),)
+        assert PointMeasure.from_json_line('{"atoms": [[0, 1]]}', "shift").atoms() == ((0.0, 1),)
 
     def test_first_bad_line_wins_whatever_the_check(self):
         good = '{"atoms": [[1.0, 1]]}'
@@ -192,7 +192,7 @@ class TestParser:
                              ([good, broken, domain], 2),
                              ([good] * 5000 + [typed] + [domain], 5001)):
             with pytest.raises(ConfigError, match=rf"^line {first}: "):
-                MeasureBatch.from_json_lines(lines, PointMeasure)
+                MeasureBatch.from_json_lines(lines, "scale")
 
     def test_batches_are_read_and_mapped_one_at_a_time(self):
         read = []
@@ -202,27 +202,27 @@ class TestParser:
                 read.append(k)
                 yield "" if k % 10 == 9 else '{"atoms": [[1.0, 1]]}'
 
-        batches = MeasureBatch.batches_from_json_lines(lines(), PointMeasure, log_transform)
+        batches = MeasureBatch.batches_from_json_lines(lines(), "scale", log_transform)
         first = next(batches)
-        assert (len(first), first.measure, len(read)) == (4096, ShiftPointMeasure, 4551)
+        assert (len(first), first.carrier, len(read)) == (4096, "shift", 4551)
         assert [len(b) for b in batches] == [4096, 808]
 
     def test_a_map_failure_is_named_by_its_line(self):
         lines = ['{"atoms": [[1.0, 1]]}', "", '{"atoms": [[-1.0, 1]]}', "{"]
         with pytest.raises(ConfigError, match=r"^line 3: log transport"):
-            list(MeasureBatch.batches_from_json_lines(lines, PointMeasure, log_transform))
+            list(MeasureBatch.batches_from_json_lines(lines, "scale", log_transform))
         with pytest.raises(ConfigError, match=r"^line 4: malformed"):
-            MeasureBatch.from_json_lines(lines, PointMeasure)
+            MeasureBatch.from_json_lines(lines, "scale")
 
     def test_blank_line_is_not_a_measure(self):
         with pytest.raises(ConfigError):
             PointMeasure.from_json_line("   ")
-        assert len(MeasureBatch.from_json_lines(["", " "], PointMeasure)) == 0
+        assert len(MeasureBatch.from_json_lines(["", " "], "scale")) == 0
 
 
 class TestBatchApi:
     def test_indexing_slicing_and_reductions(self):
-        batch = MeasureBatch(PointMeasure, [2.0, 0.75, 1.5, -2.0], [1, 2, 3, 4],
+        batch = MeasureBatch("scale", [2.0, 0.75, 1.5, -2.0], [1, 2, 3, 4],
                              [0, 0, 2, 2], 3)
         assert batch[0] == PointMeasure([0.75, 2.0], [2, 1])
         assert batch[-1] == PointMeasure([-2.0, 1.5], [4, 3])
@@ -237,27 +237,33 @@ class TestBatchApi:
         expected = [integrate(m, f) for m in batch]
         assert batch.integrals(f).tolist() == pytest.approx(expected, rel=1e-15)
         with pytest.raises(DomainError):
-            batch.integrals(shift_tent(0.0, 1.0, 2.0))
+            batch.integrals(tent(0.0, 1.0, 2.0, carrier="shift"))
 
     def test_total_mass_does_not_wrap(self):
-        batch = MeasureBatch(PointMeasure, [1.0, 2.0, 3.0], [2**62, 2**62, 5], [0, 0, 2], 3)
+        batch = MeasureBatch("scale", [1.0, 2.0, 3.0], [2**62, 2**62, 5], [0, 0, 2], 3)
         assert batch.total_mass().tolist() == [2.0**63, 0.0, 5.0]
 
     def test_of_and_concatenate_keep_order(self):
         ms = [PointMeasure([1.0]), PointMeasure(), PointMeasure([3.0, -1.0], [2, 1])]
-        batch = MeasureBatch(PointMeasure, [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)
+        batch = MeasureBatch("scale", [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)
         assert list(batch) == ms
-        joined = MeasureBatch.concatenate([batch, batch[1:], batch[:0]], PointMeasure)
+        joined = MeasureBatch.concatenate([batch, batch[1:], batch[:0]], "scale")
         assert list(joined) == ms + ms[1:]
+        # the batches must all hold measures of the carrier asked for
+        shifted = batch.relocated(batch.locations, "shift")
+        for carrier, batches in (("scale", [batch, shifted]), ("shift", [shifted, batch]),
+                                 ("shift", [batch[:0]])):
+            with pytest.raises(DomainError, match=f"^every batch must hold {carrier}-carrier"):
+                MeasureBatch.concatenate(batches, carrier)
 
     def test_relocated_recanonicalizes(self):
-        batch = MeasureBatch(PointMeasure, [1.0, 2.0, 3.0], [1, 1, 1], [0, 0, 0], 1)
-        moved = batch.relocated(np.array([5.0, 5.0, -1.0]), ShiftPointMeasure)
-        assert list(moved) == [ShiftPointMeasure([-1.0, 5.0], [1, 2])]
+        batch = MeasureBatch("scale", [1.0, 2.0, 3.0], [1, 1, 1], [0, 0, 0], 1)
+        moved = batch.relocated(np.array([5.0, 5.0, -1.0]), "shift")
+        assert list(moved) == [PointMeasure([-1.0, 5.0], [1, 2], "shift")]
 
     def test_arrays_are_read_only_and_inputs_untouched(self):
         locs = np.array([1.0, 2.0])
-        batch = MeasureBatch(PointMeasure, locs, [1, 1], [0, 0], 1)
+        batch = MeasureBatch("scale", locs, [1, 1], [0, 0], 1)
         assert not batch.locations.flags.writeable
         locs[0] = 5.0  # the caller's array stays writeable and is not shared
         assert batch[0] == PointMeasure([1.0, 2.0])
@@ -285,7 +291,7 @@ class TestOneConstructor:
         with pytest.raises(DomainError) as single:
             PointMeasure(locs, mults)
         with pytest.raises(DomainError) as batch:
-            MeasureBatch(PointMeasure, locs, mults, np.zeros(np.shape(locs), dtype=int), 1)
+            MeasureBatch("scale", locs, mults, np.zeros(np.shape(locs), dtype=int), 1)
         assert str(batch.value) == str(single.value)
 
     @pytest.mark.parametrize("index, n", [([0, 5], 1), ([0, 1], 1), ([-1, 0], 1),
@@ -295,10 +301,10 @@ class TestOneConstructor:
                                   "two_d", "int_2_70"])
     def test_index_is_integers_in_range(self, index, n):
         with pytest.raises(DomainError, match="measure indices must"):
-            MeasureBatch(PointMeasure, [1.0, 2.0], [1, 1], index, n)
+            MeasureBatch("scale", [1.0, 2.0], [1, 1], index, n)
 
     def test_integral_floats_and_unsigned_ints_are_read_as_integers(self):
-        batch = MeasureBatch(PointMeasure, [2.0, 1.0], [3.0, 1.0],
+        batch = MeasureBatch("scale", [2.0, 1.0], [3.0, 1.0],
                              np.array([0, 0], dtype=np.uint8), 1)
         assert batch.multiplicities.dtype == np.int64
         assert list(batch) == [PointMeasure([1.0, 2.0], [1, 3])]
@@ -324,7 +330,7 @@ def test_campaign_batch_matches_replica_measures(carrier):
         campaign = run_campaign(source, 3, 5000, threads=2)
         batch = campaign.measures()
         assert len(batch) == 5000
-        lines = batch.json_lines().splitlines()
+        lines = lines_of(batch).splitlines()
         for r in range(5000):
             m = campaign.replica_measure(r)
             assert batch[r] == m

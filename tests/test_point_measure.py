@@ -8,14 +8,11 @@ from stablepp.errors import ConfigError, DomainError
 from stablepp.functionals import default_battery
 from stablepp.point_measure import (
     PointMeasure,
-    ShiftPointMeasure,
-    ShiftTestFunction,
     TestFunction,
     indicator_approx,
     integrate,
     maxmod_indicator,
     shift_indicator_approx,
-    shift_tent,
     tent,
 )
 
@@ -34,11 +31,12 @@ class TestCanonicalForm:
         assert m.total_mass == 8
 
     def test_origin_rejected_on_scale_carrier(self):
-        with pytest.raises(DomainError):
+        text = "^atoms at the origin are not allowed on the scale carrier$"
+        with pytest.raises(DomainError, match=text):
             PointMeasure([0.0])
 
     def test_origin_allowed_on_shift_carrier(self):
-        m = ShiftPointMeasure([0.0, -2.0])
+        m = PointMeasure([0.0, -2.0], carrier="shift")
         assert m.atoms() == ((-2.0, 1), (0.0, 1))
 
     def test_multiplicities_must_be_positive_integers(self):
@@ -87,7 +85,7 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             PointMeasure([math.inf])
         with pytest.raises(DomainError):
-            ShiftPointMeasure([math.nan])
+            PointMeasure([math.nan], carrier="shift")
 
     def test_immutable(self):
         m = PointMeasure([1.0])
@@ -101,18 +99,23 @@ class TestCanonicalForm:
         b = PointMeasure([2.0, 1.0, 2.0], [2, 1, 1])
         assert a == b and hash(a) == hash(b)
         assert a != PointMeasure([1.0, 2.0], [1, 2])
-        assert a != ShiftPointMeasure([1.0, 2.0], [1, 3])
+        assert a != PointMeasure([1.0, 2.0], [1, 3], carrier="shift")
+        # one atom at 1 is a different measure on each carrier
+        scale, shift = PointMeasure([1.0]), PointMeasure([1.0], carrier="shift")
+        assert scale != shift and hash(scale) != hash(shift)
+        assert (scale.carrier, shift.carrier) == ("scale", "shift")
 
     def test_empty_measure(self):
         m = PointMeasure([])
         assert m.n_atoms == 0
-        assert m.maxmod() == 0.0
-        assert ShiftPointMeasure([]).max_location() == -math.inf
+        assert m.extreme() == 0.0
+        assert PointMeasure([], carrier="shift").extreme() == -math.inf
 
 
 class TestMeasureOps:
     def test_maxmod(self):
-        assert PointMeasure([-5.0, 3.0]).maxmod() == 5.0
+        assert PointMeasure([-5.0, 3.0]).extreme() == 5.0
+        assert PointMeasure([-5.0, 3.0], carrier="shift").extreme() == 3.0
 
     def test_json_round_trip(self):
         m = PointMeasure([1.5, -2.0], [1, 4])
@@ -144,10 +147,13 @@ class TestTestFunction:
             TestFunction([(1.0, 0.0), (2.0, -1.0), (3.0, 0.0)])
 
     def test_support_may_not_touch_origin(self):
-        with pytest.raises(DomainError):
+        text = "^test functions on the scale carrier must vanish near the origin$"
+        with pytest.raises(DomainError, match=text):
             TestFunction([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=text):
             TestFunction([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+        # the shift carrier has no origin to avoid
+        assert TestFunction([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], "shift").eval(0.0) == 1.0
         # negative-side support is fine if it stays away from 0
         f = TestFunction([(-2.0, 0.0), (-1.5, 1.0), (-1.0, 0.0)])
         assert f.eval(-1.5) == 1.0
@@ -176,8 +182,8 @@ class TestTestFunction:
         assert z.is_zero
         assert z.support_bounds == (math.inf, 0.0)
 
-    @pytest.mark.parametrize("cls", [TestFunction, ShiftTestFunction])
-    def test_support_bounds_match_a_scan_of_the_pieces(self, cls):
+    @pytest.mark.parametrize("carrier", ["scale", "shift"])
+    def test_support_bounds_match_a_scan_of_the_pieces(self, carrier):
         rng = np.random.default_rng(3)
         rejected = 0
         for trial in range(3000):
@@ -193,35 +199,20 @@ class TestTestFunction:
             # the pieces where f is not 0, their end points and carrier norms
             live = [(xs[k], xs[k + 1]) for k in range(xs.size - 1) if vs[k] > 0 or vs[k + 1] > 0]
             ends = [x for piece in live for x in piece]
-            if cls is TestFunction:
+            if carrier == "scale":
                 if any(a <= 0.0 <= b for a, b in live):  # a nonzero piece touches 0
                     rejected += 1
                     with pytest.raises(DomainError, match="vanish near the origin"):
-                        cls(knots)
+                        TestFunction(knots, carrier)
                     continue
                 expected = (min(map(abs, ends), default=math.inf), max(map(abs, ends), default=0.0))
-                views = ("inner_radius", "outer_radius")
             else:
                 expected = (min(ends, default=math.inf), max(ends, default=-math.inf))
-                views = ("support_low", "support_high")
-            f = cls(knots)
-            assert f.support_bounds == expected
-            assert tuple(getattr(f, v) for v in views) == expected
+            f = TestFunction(knots, carrier)
+            assert f.support_bounds == expected and f.carrier == carrier
             with pytest.raises(AttributeError):
-                setattr(f, views[0], 0.0)
-        assert (rejected > 500) == (cls is TestFunction)
-
-    def test_scaled(self):
-        f = tent(1.0, 2.0, 4.0)
-        g = f.scaled(2.0)  # x -> f(2x)
-        assert g.eval(1.0) == 1.0
-        assert g.support_bounds == (0.5, 2.0)
-
-    def test_scale_fn_matches_pointwise(self):
-        f = tent(1.0, 2.0, 4.0)
-        g = f.scaled(0.5)
-        xs = np.linspace(0.5, 10.0, 101)
-        np.testing.assert_allclose(g.eval(xs), f.eval(0.5 * xs))
+                setattr(f, "support_bounds", (0.0, 0.0))
+        assert (rejected > 500) == (carrier == "scale")
 
     def test_integrate(self):
         f = tent(1.0, 2.0, 4.0)
@@ -231,9 +222,9 @@ class TestTestFunction:
 
     def test_integrate_carrier_mismatch(self):
         with pytest.raises(DomainError):
-            integrate(ShiftPointMeasure([2.0]), tent(1.0, 2.0, 3.0))
+            integrate(PointMeasure([2.0], carrier="shift"), tent(1.0, 2.0, 3.0))
         with pytest.raises(DomainError):
-            integrate(PointMeasure([2.0]), shift_tent(1.0, 2.0, 3.0))
+            integrate(PointMeasure([2.0]), tent(1.0, 2.0, 3.0, carrier="shift"))
 
 
 def _reference_eval(f, x: float) -> float:
@@ -318,7 +309,7 @@ class TestShapedConstructors:
         assert f2.eval(1.0 + 1.0 / 5.0) < 2.0
 
     def test_shift_tent_and_indicator(self):
-        g = shift_tent(-1.0, 0.0, 2.0, height=2.0)
+        g = tent(-1.0, 0.0, 2.0, height=2.0, carrier="shift")
         assert g.eval(0.0) == 2.0
         assert g.support_bounds == (-1.0, 2.0)
         h = shift_indicator_approx(1.0, edge=0.0, outer=30.0)
@@ -326,4 +317,4 @@ class TestShapedConstructors:
 
     def test_shift_function_rejects_scale_only_args(self):
         with pytest.raises(DomainError):
-            ShiftTestFunction([(1.0, 0.0), (2.0, 1.0)])  # must end at 0
+            TestFunction([(1.0, 0.0), (2.0, 1.0)], carrier="shift")  # must end at 0

@@ -9,7 +9,7 @@ import pytest
 
 from stablepp.errors import ConfigError, DomainError, RangeError
 from stablepp.functionals import battery_estimates, extreme_law
-from stablepp.point_measure import PointMeasure, ShiftPointMeasure, integrate, shift_tent, tent
+from stablepp.point_measure import SCALE, SHIFT, Carrier, PointMeasure, integrate, tent
 from stablepp.sampler import (
     BLOCK_SIZE,
     CARRIERS,
@@ -17,11 +17,10 @@ from stablepp.sampler import (
     CountLaw,
     DecorationSpec,
     FlatCampaign,
+    GlobalLaw,
     LocationLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
-    ShiftLaw,
     SuperposeSource,
     campaign_stats,
     maxmod_samples,
@@ -30,7 +29,7 @@ from stablepp.sampler import (
     run_campaign,
 )
 from stablepp.rng import ROLE_BLOCK, derive_key
-from stablepp.sampler import SCALE, SHIFT, Carrier, _block, _ragged_gather
+from stablepp.sampler import _block, _ragged_gather
 
 
 def unit_spec(window=1.0, alpha=1.0):
@@ -40,7 +39,7 @@ def unit_spec(window=1.0, alpha=1.0):
 def dilated_unit_spec(b, window):
     """S_b of the unit spec: the unit decoration under the global dilation W = b."""
     return ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), window,
-                       ScaleLaw.deterministic(b))
+                       GlobalLaw.deterministic(b))
 
 
 class TestLocationLaw:
@@ -71,10 +70,11 @@ class TestLocationLaw:
 LAWS = {
     "location": [LocationLaw(kind="uniform", low=0.5, high=1.5),
                  LocationLaw(kind="table", values=(0.5, 1.5), probs=(0.25, 0.75))],
-    "scale": [ScaleLaw.deterministic(2.0), ScaleLaw.lognormal(0.1, 0.5),
-              ScaleLaw.table([0.5, 2.0], [0.5, 0.5])],
-    "shift": [ShiftLaw.deterministic(-1.0), ShiftLaw.normal(0.1, 0.5),
-              ShiftLaw.table([-1.0, 2.0], [0.5, 0.5])],
+    "scale": [GlobalLaw.deterministic(2.0), GlobalLaw(kind="lognormal", mu=0.1, sigma=0.5),
+              GlobalLaw.table([0.5, 2.0], [0.5, 0.5])],
+    "shift": [GlobalLaw.deterministic(-1.0, carrier="shift"),
+              GlobalLaw(kind="normal", mu=0.1, sigma=0.5, carrier="shift"),
+              GlobalLaw.table([-1.0, 2.0], [0.5, 0.5], carrier="shift")],
 }
 ALL_KINDS = {kind for laws in LAWS.values() for law in laws for kind in law.kinds}
 
@@ -114,9 +114,9 @@ class TestLawBody:
         lambda: LocationLaw(kind="table", values=(0.5, math.nan), probs=(0.5, 0.5)),
         lambda: LocationLaw(kind="uniform", low=-math.inf, high=0.5),
         lambda: LocationLaw(kind="uniform", low=0.5),
-        lambda: ScaleLaw.lognormal(math.nan, 0.5),
-        lambda: ShiftLaw.normal(0.0, math.inf),
-        lambda: ShiftLaw.deterministic(math.inf),
+        lambda: GlobalLaw(kind="lognormal", mu=math.nan, sigma=0.5),
+        lambda: GlobalLaw(kind="normal", mu=0.0, sigma=math.inf, carrier="shift"),
+        lambda: GlobalLaw.deterministic(math.inf, carrier="shift"),
         lambda: CountLaw(kind="table", values=(math.inf,), probs=(1.0,)),
     ])
     def test_every_number_a_kind_reads_is_finite(self, make):
@@ -174,15 +174,21 @@ class TestDecorationSpec:
             DecorationSpec.dirac([(3.0, 1)], maxmod_bound=5.0)
 
     def test_table_from_measures_takes_the_carrier_of_the_measures(self):
-        d = DecorationSpec.table_from_measures([ShiftPointMeasure([2.0, 3.0])])
+        d = DecorationSpec.table_from_measures([PointMeasure([2.0, 3.0], carrier="shift")])
         assert d.carrier == "shift" and d.entries == ((((2.0, 1), (3.0, 1)), 1.0),)
         assert DecorationSpec.table_from_measures([PointMeasure([2.0])]).carrier == "scale"
 
     def test_table_from_measures_refuses_no_measures_and_mixed_carriers(self):
         with pytest.raises(DomainError, match="table decoration requires entries"):
             DecorationSpec.table_from_measures([])
+        # every measure needs its probability, and every probability its measure
+        m1, m2 = PointMeasure([1.0]), PointMeasure([2.0])
+        for measures, probs in (([m1, m2], [1.0]), ([m1], [0.5, 0.5]), ([], [1.0])):
+            with pytest.raises(DomainError, match="one probability per measure"):
+                DecorationSpec.table_from_measures(measures, probs)
         with pytest.raises(DomainError, match="one carrier"):
-            DecorationSpec.table_from_measures([PointMeasure([1.0]), ShiftPointMeasure([1.0])])
+            DecorationSpec.table_from_measures([PointMeasure([1.0]),
+                                                PointMeasure([1.0], carrier="shift")])
 
     def test_sample_atoms_block_dirac(self):
         d = DecorationSpec.dirac([(1.0, 2), (-0.5, 1)])
@@ -222,29 +228,29 @@ def test_ragged_gather_matches_loop():
 class TestLaws:
     def test_scale_law_validation(self):
         with pytest.raises(DomainError):
-            ScaleLaw.deterministic(0.0)
+            GlobalLaw.deterministic(0.0)
         with pytest.raises(DomainError):
-            ScaleLaw.table([1.0, -1.0], [0.5, 0.5])
+            GlobalLaw.table([1.0, -1.0], [0.5, 0.5])
         with pytest.raises(DomainError):
-            ScaleLaw.lognormal(0.0, 0.0)
+            GlobalLaw(kind="lognormal", mu=0.0, sigma=0.0)
         with pytest.raises(DomainError):
-            ScaleLaw.table([1.0, 2.0], [0.5, 0.6])
+            GlobalLaw.table([1.0, 2.0], [0.5, 0.6])
 
     def test_shift_law_allows_any_real_values(self):
-        ShiftLaw.deterministic(-3.0)
-        ShiftLaw.table([-1.0, 0.0], [0.5, 0.5])
+        GlobalLaw.deterministic(-3.0, carrier="shift")
+        GlobalLaw.table([-1.0, 0.0], [0.5, 0.5], carrier="shift")
 
     def test_expectations(self):
-        assert ScaleLaw.deterministic(2.0).expect(lambda w: w**3) == 8.0
-        t = ScaleLaw.table([1.0, 2.0], [0.25, 0.75])
+        assert GlobalLaw.deterministic(2.0).expect(lambda w: w**3) == 8.0
+        t = GlobalLaw.table([1.0, 2.0], [0.25, 0.75])
         assert t.expect(lambda w: w) == pytest.approx(1.75)
-        ln = ScaleLaw.lognormal(0.3, 0.8)
+        ln = GlobalLaw(kind="lognormal", mu=0.3, sigma=0.8)
         # E[W^a] = exp(a*mu + a^2 sigma^2 / 2)
         for a in (1.0, 2.0, -1.5):
             assert ln.expect(lambda w: w**a) == pytest.approx(
                 math.exp(a * 0.3 + a * a * 0.64 / 2.0), rel=1e-12
             )
-        nm = ShiftLaw.normal(-0.5, 1.2)
+        nm = GlobalLaw(kind="normal", mu=-0.5, sigma=1.2, carrier="shift")
         assert nm.expect(lambda u: np.exp(u)) == pytest.approx(
             math.exp(-0.5 + 1.2**2 / 2.0), rel=1e-12
         )
@@ -252,14 +258,15 @@ class TestLaws:
     def test_deterministic_draw_consumes_no_stream_state(self):
         rng1 = np.random.default_rng(9)
         rng2 = np.random.default_rng(9)
-        ScaleLaw.deterministic(3.0).sample(rng1, 100)
+        GlobalLaw.deterministic(3.0).sample(rng1, 100)
         assert rng1.random() == rng2.random()
 
     def test_support(self):
-        assert ScaleLaw.deterministic(2.0).bounds() == (2.0, 2.0)
-        assert ScaleLaw.table([1.0, 4.0], [0.5, 0.5]).bounds() == (1.0, 4.0)
-        assert ScaleLaw.lognormal(0.0, 1.0).bounds() == (0.0, math.inf)
-        assert ShiftLaw.normal(0.0, 1.0).bounds() == (-math.inf, math.inf)
+        assert GlobalLaw.deterministic(2.0).bounds() == (2.0, 2.0)
+        assert GlobalLaw.table([1.0, 4.0], [0.5, 0.5]).bounds() == (1.0, 4.0)
+        assert GlobalLaw(kind="lognormal", mu=0.0, sigma=1.0).bounds() == (0.0, math.inf)
+        normal = GlobalLaw(kind="normal", mu=0.0, sigma=1.0, carrier="shift")
+        assert normal.bounds() == (-math.inf, math.inf)
 
 
 class TestProcessSpec:
@@ -267,19 +274,19 @@ class TestProcessSpec:
         dec = DecorationSpec.dirac([(1.0, 1)])
         sdec = DecorationSpec.dirac([(0.0, 1)], carrier="shift")
         with pytest.raises(DomainError):
-            ProcessSpec("scdppp", 1.0, dec, 1.0, law=ScaleLaw.deterministic(2.0))
+            ProcessSpec("scdppp", 1.0, dec, 1.0, law=GlobalLaw.deterministic(2.0))
         with pytest.raises(DomainError):
             ProcessSpec("sscdppp", 1.0, dec, 1.0)
         with pytest.raises(DomainError):
             ProcessSpec("scdppp", 1.0, sdec, 1.0)
         with pytest.raises(DomainError):
-            ProcessSpec("dppp", 1.0, sdec, 0.0, law=ShiftLaw.deterministic(1.0))
+            ProcessSpec("dppp", 1.0, sdec, 0.0, law=GlobalLaw.deterministic(1.0, carrier="shift"))
         with pytest.raises(DomainError):
             ProcessSpec("sdppp", 1.0, sdec, 0.0)
         with pytest.raises(DomainError):  # the law must be the carrier's law class
-            ProcessSpec("sscdppp", 1.0, dec, 1.0, law=ShiftLaw.deterministic(2.0))
+            ProcessSpec("sscdppp", 1.0, dec, 1.0, law=GlobalLaw.deterministic(2.0, carrier="shift"))
         with pytest.raises(DomainError):
-            ProcessSpec("sdppp", 1.0, sdec, 0.0, law=ScaleLaw.deterministic(2.0))
+            ProcessSpec("sdppp", 1.0, sdec, 0.0, law=GlobalLaw.deterministic(2.0))
         with pytest.raises(DomainError):
             ProcessSpec("dppp", 1.0, dec, 0.0)
         with pytest.raises(DomainError):
@@ -302,7 +309,7 @@ class TestProcessSpec:
                     entries=((((1.0, 1),), 0.5), (((-2.0, 2),), 0.5)),
                 ),
                 0.5,
-                law=ScaleLaw.lognormal(0.1, 0.7),
+                law=GlobalLaw(kind="lognormal", mu=0.1, sigma=0.7),
             ),
             ProcessSpec(
                 "dppp",
@@ -319,7 +326,7 @@ class TestProcessSpec:
                 1.0,
                 DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
                 0.0,
-                law=ShiftLaw.table([-1.0, 1.0], [0.5, 0.5]),
+                law=GlobalLaw.table([-1.0, 1.0], [0.5, 0.5], carrier="shift"),
             ),
         ]
         for spec in specs:
@@ -384,7 +391,7 @@ class TestSingleDraws:
     def test_campaign_replicas_shift_carrier(self):
         spec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
         m = run_campaign(ProcessSource(spec), 3, 1).replica_measure(0)
-        assert isinstance(m, ShiftPointMeasure)
+        assert isinstance(m, PointMeasure) and m.carrier == "shift"
         assert all(x > 0.0 for x, _ in m.atoms())
 
 
@@ -446,12 +453,12 @@ class TestCampaigns:
         camp = run_campaign(ProcessSource(spec), 21, 300)
         mm = camp.maxmods()
         for r in range(300):
-            assert mm[r] == camp.replica_measure(r).maxmod()
+            assert mm[r] == camp.replica_measure(r).extreme()
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 1.0)
         sc = run_campaign(ProcessSource(sspec), 21, 300)
         ml = sc.max_locations()
         for r in range(300):
-            assert ml[r] == sc.replica_measure(r).max_location()
+            assert ml[r] == sc.replica_measure(r).extreme()
 
     def test_mean_cap_guards_absurd_windows(self):
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 replicas on "
@@ -530,7 +537,7 @@ class TestCarrier:
                 np.testing.assert_array_equal(got, want)
 
     def test_compose_acts_then_evaluates(self):
-        f, g = tent(0.5, 1.0, 2.0), shift_tent(-1.0, 0.0, 1.0)
+        f, g = tent(0.5, 1.0, 2.0), tent(-1.0, 0.0, 1.0, carrier="shift")
         a = np.linspace(-3.0, 3.0, 61)
         np.testing.assert_array_equal(SCALE.compose(f, 1.7)(a), f.eval(1.7 * a))
         np.testing.assert_array_equal(SHIFT.compose(g, 0.4)(a), g.eval(a + 0.4))
@@ -550,15 +557,18 @@ class TestCarrier:
 
     def test_carrier_holds_only_the_chart_and_what_differs(self):
         assert len(dataclasses.fields(Carrier)) <= 13
+        # objects name their carrier; the carrier names no class of theirs
+        assert not [(cr.name, f.name) for cr in CARRIERS.values()
+                    for f in dataclasses.fields(Carrier) if isinstance(getattr(cr, f.name), type)]
 
 
 def _gaussian_cap_specs(sigma):
     """A unit dirac decoration under a Gaussian global law of sd sigma, on each
     carrier: in v both put MEAN_CAP at v_cap = log(MEAN_CAP)."""
     return [ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 1.0,
-                        ScaleLaw.lognormal(0.0, sigma)),
+                        GlobalLaw(kind="lognormal", mu=0.0, sigma=sigma)),
             ProcessSpec("sdppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0,
-                        ShiftLaw.normal(0.0, sigma))]
+                        GlobalLaw(kind="normal", mu=0.0, sigma=sigma, carrier="shift"))]
 
 
 class TestCapRule:
@@ -588,12 +598,12 @@ class TestCapRule:
     def test_table_law_is_exact(self):
         dec = DecorationSpec.dirac([(1.0, 1)])
         # W = 1e7 puts the mean at 1e7 on window 1; it has probability 1e-3
-        spec = ProcessSpec("sscdppp", 1.0, dec, 1.0, ScaleLaw.table([1.0, 1e7], [0.999, 0.001]))
+        spec = ProcessSpec("sscdppp", 1.0, dec, 1.0, GlobalLaw.table([1.0, 1e7], [0.999, 0.001]))
         with pytest.raises(RangeError, match=r"in 0.002 of 2 replicas on average under the table "
                                              r"scale law \(values \[1.0, 10000000.0\], probs"):
             ProcessSource(spec).check_cap(2)
         # a mean exactly at the cap is allowed, as in the block
-        at_cap = ProcessSpec("sscdppp", 1.0, dec, 1.0, ScaleLaw.table([1.0, 1e6], [0.5, 0.5]))
+        at_cap = ProcessSpec("sscdppp", 1.0, dec, 1.0, GlobalLaw.table([1.0, 1e6], [0.5, 0.5]))
         ProcessSource(at_cap).check_cap(10**9)
 
     def test_n_reps_validation(self):
@@ -670,7 +680,7 @@ class TestLawAgreement:
             1.0,
             DecorationSpec.dirac([(1.0, 1)]),
             0.25,
-            law=ScaleLaw.table([1.0, 2.0], [0.5, 0.5]),
+            law=GlobalLaw.table([1.0, 2.0], [0.5, 0.5]),
         )
         mm = run_campaign(ProcessSource(spec), 1003, 60000).maxmods()
         for y in (1.0, 2.0):
@@ -728,12 +738,12 @@ def _pinned_decoration(carrier, kind):
 
 def _pinned_spec(carrier, dec_kind, law_kind):
     dec = _pinned_decoration(carrier, dec_kind)
-    law_cls = ScaleLaw if carrier == "scale" else ShiftLaw
     law = {"none": None,
-           "deterministic": law_cls.deterministic(1.5 if carrier == "scale" else 0.4),
-           "gaussian": law_cls(kind=law_cls.gaussian, mu=0.1, sigma=0.5),
-           "table": law_cls.table([0.7, 1.3] if carrier == "scale" else [-0.3, 0.6],
-                                  [0.3, 0.7])}[law_kind]
+           "deterministic": GlobalLaw.deterministic(1.5 if carrier == "scale" else 0.4, carrier),
+           "gaussian": GlobalLaw(kind=CARRIERS[carrier].gaussian, mu=0.1, sigma=0.5,
+                                 carrier=carrier),
+           "table": GlobalLaw.table([0.7, 1.3] if carrier == "scale" else [-0.3, 0.6],
+                                    [0.3, 0.7], carrier)}[law_kind]
     if carrier == "scale":
         family = "scdppp" if law is None else "sscdppp"
         return ProcessSpec(family, 1.5, dec, 0.5, law=law)
@@ -793,7 +803,7 @@ def test_pinned_streams(case):
     assert camp.locations.dtype == np.float64 and camp.weights.dtype == np.int64
     assert camp.replica.dtype == np.int64
     measures = [camp.replica_measure(r) for r in range(4)]
-    assert {type(m) for m in measures} == {PointMeasure if carrier == "scale" else ShiftPointMeasure}
+    assert {(type(m), m.carrier) for m in measures} == {(PointMeasure, carrier)}
     assert any(m.n_atoms for m in measures)
     assert _digest(camp.locations, camp.replica,
                    camp.weights.astype(np.float64)) == PINNED_STREAMS[case]
@@ -848,7 +858,8 @@ def test_campaign_stats_equal_flat_campaign(name, threads, monkeypatch):
         pairs = [(tent(1.0, 1.5, 3.0), 1.0), (tent(-2.0, -1.5, -1.0), 0.7)]
         extreme = FlatCampaign.maxmods
     else:
-        pairs = [(shift_tent(1.0, 1.5, 3.0), 0.0), (shift_tent(0.0, 1.0, 2.0), 1.5)]
+        pairs = [(tent(1.0, 1.5, 3.0, carrier="shift"), 0.0),
+                 (tent(0.0, 1.0, 2.0, carrier="shift"), 1.5)]
         extreme = FlatCampaign.max_locations
     reducers = {
         "extremes": (extreme, extreme(flat)),

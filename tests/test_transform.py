@@ -6,11 +6,8 @@ import pytest
 from stablepp.errors import DomainError, RangeError
 from stablepp.point_measure import (
     PointMeasure,
-    ShiftPointMeasure,
-    ShiftTestFunction,
     TestFunction,
     integrate,
-    shift_tent,
     tent,
 )
 from stablepp.functionals import (
@@ -25,11 +22,10 @@ from stablepp.functionals import (
 from stablepp.sampler import (
     CountLaw,
     DecorationSpec,
+    GlobalLaw,
     LocationLaw,
     ProcessSource,
     ProcessSpec,
-    ScaleLaw,
-    ShiftLaw,
     run_campaign,
 )
 from stablepp.transform import (
@@ -60,9 +56,9 @@ class TestNormalizationShift:
 
 class TestMeasureTransforms:
     def test_exp_basics(self):
-        t = ShiftPointMeasure.from_atoms([(0.0, 1)])
+        t = PointMeasure.from_atoms([(0.0, 1)], "shift")
         assert exp_transform(t) == PointMeasure.from_atoms([(1.0, 1)])
-        t = ShiftPointMeasure.from_atoms([(math.log(2.0), 1), (-math.log(2.0), 1)])
+        t = PointMeasure.from_atoms([(math.log(2.0), 1), (-math.log(2.0), 1)], "shift")
         n = exp_transform(t)
         assert n.atoms() == ((0.5, 1), (2.0, 1))
 
@@ -76,12 +72,12 @@ class TestMeasureTransforms:
 
     def test_exp_overflow(self):
         with pytest.raises(RangeError):
-            exp_transform(ShiftPointMeasure.from_atoms([(1000.0, 1)]))
+            exp_transform(PointMeasure.from_atoms([(1000.0, 1)], "shift"))
         with pytest.raises(RangeError):
-            exp_transform(ShiftPointMeasure.from_atoms([(-1000.0, 1)]))
+            exp_transform(PointMeasure.from_atoms([(-1000.0, 1)], "shift"))
 
     def test_roundtrip_bit_exact_integer_locations(self):
-        t = ShiftPointMeasure.from_atoms([(float(k), (abs(k) % 3) + 1) for k in range(-30, 31)])
+        t = PointMeasure.from_atoms([(float(k), (abs(k) % 3) + 1) for k in range(-30, 31)], "shift")
         back = log_transform(exp_transform(t))
         assert back == t
         assert back.to_json_line() == t.to_json_line()
@@ -93,7 +89,7 @@ class TestMeasureTransforms:
         assert back.atoms()[1][0] == pytest.approx(math.e, rel=1e-15)
 
     def test_empty_measures(self):
-        assert exp_transform(ShiftPointMeasure.from_atoms([])).n_atoms == 0
+        assert exp_transform(PointMeasure.from_atoms([], "shift")).n_atoms == 0
         assert log_transform(PointMeasure.from_atoms([])).n_atoms == 0
 
     def test_maxmod_max_correspondence(self):
@@ -103,8 +99,13 @@ class TestMeasureTransforms:
             m = campaign.replica_measure(i)
             if m.n_atoms == 0:
                 continue
-            assert log_transform(m).max_location() == pytest.approx(
-                math.log(m.maxmod()), abs=1e-12)
+            assert log_transform(m).extreme() == pytest.approx(
+                math.log(m.extreme()), abs=1e-12)
+
+
+def dilated(f, y: float) -> TestFunction:
+    """The scale-carrier function x -> f(y x): its knots move to knot / y."""
+    return TestFunction(list(zip(f.knots_x / y, f.knots_v)))
 
 
 def dense_sup_gap(f, g, to_g):
@@ -123,8 +124,7 @@ class TestFunctionTransforms:
         g = log_function(u)
         assert g.eval(0.0) == pytest.approx(1.0, abs=1e-6)
         assert g.eval(1.0) == pytest.approx(1.0, abs=1e-6)
-        assert g.support_low == pytest.approx(math.log(0.5))
-        assert g.support_high == pytest.approx(math.log(2.0 * math.e))
+        assert g.support_bounds == pytest.approx((math.log(0.5), math.log(2.0 * math.e)))
 
     def test_log_requires_positive_support(self):
         f = tent(-2.0, -1.0, -0.5)
@@ -156,26 +156,26 @@ class TestFunctionTransforms:
         g = log_function(f, tol=1e-7)
         xs = np.linspace(math.log(0.5), math.log(4.0), 3000)
         assert np.max(np.abs(g.eval(xs) - f.eval(np.exp(xs)))) <= 1e-7 * f.sup_norm
-        h = shift_tent(-1.0, 0.0, 2.0)
+        h = tent(-1.0, 0.0, 2.0, carrier="shift")
         u = exp_function(h, tol=1e-7)
         ys = np.exp(np.linspace(-1.0, 2.0, 3000))
         assert np.max(np.abs(u.eval(ys) - h.eval(np.log(ys)))) <= 1e-7 * h.sup_norm
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), shift_tent(-1.0, 0.0, 2.0),
+    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), tent(-1.0, 0.0, 2.0, carrier="shift"),
                                    TestFunction([(1.0, 0.0), (2.0, 0.0)])],
                              ids=["tent", "shift_tent", "zero"])
     def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, f, tol):
-        transport = log_function if isinstance(f, TestFunction) else exp_function
+        transport = log_function if f.carrier == "scale" else exp_function
         with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
             transport(f, tol)
 
-    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), shift_tent(-1.0, 0.0, 2.0)],
+    @pytest.mark.parametrize("f", [tent(0.5, 1.0, 4.0), tent(-1.0, 0.0, 2.0, carrier="shift")],
                              ids=["log", "exp"])
     def test_the_knot_count_is_bounded(self, f):
         # tol 1e-13 asks for about 3e6 knots on this tent; the transport stops at
         # the budget instead of making them
-        transport = log_function if isinstance(f, TestFunction) else exp_function
+        transport = log_function if f.carrier == "scale" else exp_function
         with pytest.raises(RangeError, match="more than 65536 knots"):
             transport(f, 1e-13)
         assert transport(f, 1e-9).knots_x.size <= 65536
@@ -183,7 +183,7 @@ class TestFunctionTransforms:
     def test_zero_functions(self):
         z = TestFunction([(1.0, 0.0), (2.0, 0.0)])
         assert log_function(z).is_zero
-        zs = ShiftTestFunction([(0.0, 0.0), (1.0, 0.0)])
+        zs = TestFunction([(0.0, 0.0), (1.0, 0.0)], carrier="shift")
         assert exp_function(zs).is_zero
 
 
@@ -197,7 +197,7 @@ class TestChangeOfVariable:
         for t in (0.5, 1.0, 2.0):
             lt = math.log(t)
             for u in battery.values():
-                ut = u.scaled(1.0 / t)
+                ut = dilated(u, 1.0 / t)
                 for i in range(0, 200, 7):
                     T = campaign.replica_measure(i)
                     lhs = integrate(exp_transform(T), ut)
@@ -216,7 +216,7 @@ class TestChangeOfVariable:
             lt = math.log(t)
             for i in range(0, 100, 11):
                 n = campaign.replica_measure(i)
-                lhs = integrate(n, u.scaled(1.0 / t))
+                lhs = integrate(n, dilated(u, 1.0 / t))
                 T = log_transform(n)
                 rhs = sum(mult * float(u.eval(math.exp(z - lt))) for z, mult in T.atoms())
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
@@ -277,14 +277,14 @@ class TestDecorationTransforms:
 
 class TestLawTransforms:
     def test_deterministic_shift_includes_normalization(self):
-        law = scale_law_to_shift(ScaleLaw.deterministic(1.0), 2.0)
+        law = scale_law_to_shift(GlobalLaw.deterministic(1.0), 2.0)
         assert law.kind == "deterministic"
         assert law.value == pytest.approx(math.log(2.0) / 2.0)
         back = shift_law_to_scale(law, 2.0)
         assert back.value == pytest.approx(1.0, rel=1e-15)
 
     def test_table_roundtrip(self):
-        law = ScaleLaw.table([1.0, 3.0], [0.5, 0.5])
+        law = GlobalLaw.table([1.0, 3.0], [0.5, 0.5])
         sh = scale_law_to_shift(law, 1.0)
         assert sh.kind == "table"
         back = shift_law_to_scale(sh, 1.0)
@@ -292,7 +292,7 @@ class TestLawTransforms:
         np.testing.assert_allclose(back.probs, [0.5, 0.5])
 
     def test_lognormal_normal_pair(self):
-        law = scale_law_to_shift(ScaleLaw.lognormal(0.3, 0.7), 1.0)
+        law = scale_law_to_shift(GlobalLaw(kind="lognormal", mu=0.3, sigma=0.7), 1.0)
         assert law.kind == "normal"
         assert law.mu == pytest.approx(0.3)
         assert law.sigma == pytest.approx(0.7)
@@ -302,7 +302,7 @@ class TestLawTransforms:
 
     def test_overflow_guard(self):
         with pytest.raises(RangeError):
-            shift_law_to_scale(ShiftLaw.deterministic(1000.0), 1.0)
+            shift_law_to_scale(GlobalLaw.deterministic(1000.0, carrier="shift"), 1.0)
 
 
 class TestMapProcessSpec:
@@ -316,7 +316,7 @@ class TestMapProcessSpec:
 
     def test_sscdppp_maps_to_sdppp(self):
         spec = ProcessSpec("sscdppp", 2.0, DecorationSpec.dirac([(1.0, 1)]), 0.1,
-                           law=ScaleLaw.deterministic(3.0))
+                           law=GlobalLaw.deterministic(3.0))
         mapped = map_process_spec(spec)
         assert mapped.family == "sdppp"
         assert mapped.law.value == pytest.approx(
@@ -328,7 +328,7 @@ class TestMapProcessSpec:
             ProcessSpec("scdppp", 2.0, DecorationSpec.dirac([(1.0, 1), (2.0, 1)]), 0.25),
             ProcessSpec("dppp", 1.5, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), -3.0),
             ProcessSpec("sdppp", 1.0, DecorationSpec.dirac([(0.5, 2)], carrier="shift"), -2.0,
-                        law=ShiftLaw.deterministic(0.7)),
+                        law=GlobalLaw.deterministic(0.7, carrier="shift")),
         ]
         for spec in specs:
             back = map_process_spec(map_process_spec(spec))
@@ -345,7 +345,7 @@ class TestMapProcessSpec:
     def test_canonicalization_to_undecorated_family(self):
         # the identity dilation maps to translation 0 and drops the law
         spec = ProcessSpec("sscdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05,
-                           law=ScaleLaw.deterministic(1.0))
+                           law=GlobalLaw.deterministic(1.0))
         mapped = map_process_spec(spec)
         assert mapped.family == "dppp"
         assert mapped.law is None
@@ -373,16 +373,16 @@ class TestDictionaryParity:
         "scdppp_dirac": ProcessSpec("scdppp", 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05),
         "sscdppp_lognormal": ProcessSpec(
             "sscdppp", 1.5, DecorationSpec.dirac([(0.5, 1), (1.0, 1)]), 0.05,
-            law=ScaleLaw.lognormal(0.2, 0.5)),
+            law=GlobalLaw(kind="lognormal", mu=0.2, sigma=0.5)),
         "sscdppp_table": ProcessSpec(
             "sscdppp", 0.8, DecorationSpec.table_from_measures(
                 [PointMeasure([1.0]), PointMeasure([0.7, 1.2])], [0.4, 0.6]), 0.05,
-            law=ScaleLaw.table([0.5, 2.0], [0.3, 0.7])),
+            law=GlobalLaw.table([0.5, 2.0], [0.3, 0.7])),
         "sscdppp_atoms_table": ProcessSpec(
             "sscdppp", 1.2, DecorationSpec.random_atoms(
                 [(1, 0.4), (2, 0.6)], LocationLaw(kind="table", values=(0.7, 1.3),
                                                   probs=(0.4, 0.6))), 0.05,
-            law=ScaleLaw.lognormal(0.1, 0.4)),
+            law=GlobalLaw(kind="lognormal", mu=0.1, sigma=0.4)),
     }
     FUNCTIONS = ("tent_lo", "tent_hi", "step_ln2")
 
