@@ -321,7 +321,7 @@ class DecorationSpec:
                 if not isinstance(law, cls):
                     raise DomainError(f"random_atoms decoration requires a {cls.name} law")
             lo, hi = self.location.bounds()
-            if self.carrier == "scale" and not (lo * hi > 0.0):
+            if self.carrier == "scale" and not (lo > 0.0 or hi < 0.0):
                 raise DomainError("location law on the scale carrier must exclude 0")
         else:
             raise DomainError(f"unknown decoration kind: {self.kind!r}")
@@ -728,14 +728,39 @@ class FlatCampaign:
     carrier: str
     window: float
 
-    def laplace_integrals(self, f, y: float) -> np.ndarray:
-        """Per-replica integral of the translated/dilated test function.
+    def laplace_integrals(self, pairs) -> np.ndarray:
+        """Per-replica integrals of the translated/dilated test function of
+        each (f, y) pair, one row per pair, in order.
 
         Scale carrier: integral of x -> f(x / y); shift carrier: integral of
-        x -> f(x - y).
+        x -> f(x - y). The pulled-back atoms z = inverse(y, x) and their norms
+        are computed once per point, for every function at that point.
+
+        f is evaluated only at the atoms whose z has its norm in
+        ``f.support_bounds``, kept in their order, so the cost follows the
+        atoms f can see. Every other atom would add an exact 0 to a sum of
+        nonnegative terms, so each replica's sum keeps the bits of the sum
+        over all of its atoms. The mask is taken on z itself, the coordinate f
+        is evaluated in, so no rounding of y acting on a support edge can
+        leave an atom where f is not 0 out of the slice.
         """
-        vals = f.eval(CARRIERS[self.carrier].inverse(y, self.locations))
-        return np.bincount(self.replica, weights=self.weights * vals, minlength=self.n_reps)
+        cr = CARRIERS[self.carrier]
+        rows = np.empty((len(pairs), self.n_reps))
+        at = {}
+        for i, (_, y) in enumerate(pairs):
+            at.setdefault(y, []).append(i)
+        for y, rows_at in at.items():
+            z = cr.inverse(y, self.locations)
+            size = cr.norm(z)
+            for i in rows_at:
+                f = pairs[i][0]
+                lo, hi = f.support_bounds
+                seen = np.flatnonzero((size >= lo) & (size <= hi))
+                vals = f.eval(z[seen])
+                vals *= self.weights[seen]
+                rows[i] = np.bincount(self.replica[seen], weights=vals, minlength=self.n_reps)
+            del z, size  # one point's arrays at a time
+        return rows
 
     def maxmods(self) -> np.ndarray:
         """Per-replica largest atom modulus (scale carrier); 0 for empty replicas."""

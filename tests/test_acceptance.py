@@ -211,7 +211,7 @@ def test_transform():
     mapped = map_process_spec(DIRAC)
     camp = run_campaign(ProcessSource(DIRAC), 211, 30_000)
     for uu in (0.0, 1.0, 2.0, 20.0):
-        vals = np.exp(-camp.laplace_integrals(f_img, math.exp(uu)))
+        vals = np.exp(-camp.laplace_integrals([(f_img, math.exp(uu))])[0])
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
         pred = predict_shift_laplace(mapped, g, uu)

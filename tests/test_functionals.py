@@ -22,6 +22,7 @@ from stablepp.functionals import (
     extreme_law,
     estimate_shift_laplace,
     kappa_quadrature,
+    laplace_battery,
     predict_scaled_laplace,
     predict_shift_laplace,
     psi_decoration_scale,
@@ -249,8 +250,7 @@ class TestScaledEstimates:
         campaign = run_campaign(ProcessSource(spec), 4, 1000)
         f1 = tent(0.5, 1.0, 2.0, height=0.5)
         f2 = tent(0.5, 1.0, 2.0, height=1.0)
-        i1 = campaign.laplace_integrals(f1, 1.0)
-        i2 = campaign.laplace_integrals(f2, 1.0)
+        i1, i2 = campaign.laplace_integrals([(f1, 1.0), (f2, 1.0)])
         assert np.all(i1 <= i2)
         assert estimate_scaled_laplace(campaign, f1, 1.0).value >= \
             estimate_scaled_laplace(campaign, f2, 1.0).value
@@ -937,10 +937,8 @@ class TestBatteryEstimates:
         assert 0 < keep.sum() < keep.size
         cut = FlatCampaign(full.locations[keep], full.replica[keep], full.weights[keep],
                            full.n_reps, full.carrier, w)
-        for f in battery.values():
-            for p in points:
-                assert np.array_equal(cut.laplace_integrals(f, p),
-                                      full.laplace_integrals(f, p))
+        pairs = [(f, p) for f in battery.values() for p in points]
+        assert np.array_equal(cut.laplace_integrals(pairs), full.laplace_integrals(pairs))
 
     def test_battery_estimates_shape_and_determinism(self):
         spec = scdppp()
@@ -967,6 +965,36 @@ class TestBatteryEstimates:
         for p in points:
             assert est[("zero", p)] == EstimateWithError(1.0, 0.0, 3000)
             assert est[("f", p)].std_error > 0.0
+
+    def test_merged_battery_rows_equal_their_own_rows_bit_for_bit(self):
+        # tent_hi at 0.5 is tent_lo at 2, and a second tent_lo object at 2 is
+        # the first; at 3 (not a power of two) and on knots below 2^-511
+        # nothing merges
+        battery = default_battery("scale")
+        lo, hi = battery["tent_lo"], battery["tent_hi"]
+        again, wide = tent(0.5, 1.0, 2.0), tent(1.5, 3.0, 6.0)
+        far = TestFunction([(2.0 ** -520, 0.0), (2.0 ** -519, 1.0), (2.0 ** -518, 0.0)])
+        far2 = TestFunction([(2.0 ** -521, 0.0), (2.0 ** -520, 1.0), (2.0 ** -519, 0.0)])
+        pairs = [(f, p) for f in battery.values() for p in default_points("scale")]
+        pairs += [(again, 2.0), (again, 4.0), (lo, 3.0), (wide, 1.0), (far, 1.0), (far2, 2.0)]
+        source = ProcessSource(scdppp(window=2.0 ** -521))
+        reduce, estimates = laplace_battery(source, pairs)
+        block = run_campaign(ProcessSource(scdppp(window=0.25)), 3, 3000)
+        calls = []
+
+        class Counted:
+            def laplace_integrals(self, pairs):
+                calls.extend(pairs)
+                return block.laplace_integrals(pairs)
+
+        rows = reduce(Counted())
+        assert rows.shape == (len(pairs), block.n_reps)
+        for pair, row in zip(pairs, rows):
+            assert row.tobytes() == block.laplace_integrals([pair])[0].tobytes()
+        merged = {(hi, 0.5), (hi, 1.0), (again, 2.0), (again, 4.0)}
+        assert calls == [pair for pair in pairs if pair not in merged]
+        assert np.count_nonzero(rows[pairs.index((hi, 0.5))]) > 0
+        assert len(estimates(rows)) == len(pairs)
 
     def test_default_battery_contents(self):
         battery = default_battery("scale")

@@ -6,10 +6,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablepp.errors import ConfigError, DomainError, RangeError
 from stablepp.functionals import battery_estimates, extreme_law
-from stablepp.point_measure import SCALE, SHIFT, Carrier, PointMeasure, integrate, tent
+from stablepp.point_measure import (
+    SCALE,
+    SHIFT,
+    Carrier,
+    PointMeasure,
+    TestFunction,
+    indicator_approx,
+    integrate,
+    maxmod_indicator,
+    shift_indicator_approx,
+    tent,
+)
 from stablepp.sampler import (
     BLOCK_SIZE,
     CARRIERS,
@@ -161,6 +173,28 @@ class TestDecorationSpec:
         DecorationSpec.random_atoms(
             [(1, 1.0)], LocationLaw(kind="uniform", low=-1.0, high=1.0), carrier="shift"
         )
+
+    @pytest.mark.parametrize("law", [
+        LocationLaw(kind="table", values=(1e-200, 2e-200), probs=(0.5, 0.5)),
+        LocationLaw(kind="uniform", low=-1e-200, high=-1e-201),
+        LocationLaw(kind="uniform", low=5e-324, high=1e-323),
+    ])
+    def test_a_location_law_near_but_off_the_origin_is_a_scale_law(self, law):
+        # the sign of each bound decides; a product of the bounds underflows to 0
+        assert DecorationSpec.random_atoms([(1, 1.0)], law).bound == max(map(abs, law.bounds()))
+
+    @pytest.mark.parametrize("law", [
+        LocationLaw(kind="uniform", low=0.0, high=1.0),
+        LocationLaw(kind="uniform", low=-1.0, high=0.0),
+        LocationLaw(kind="uniform", low=-1e-200, high=1e-200),
+        LocationLaw(kind="table", values=(-0.0, -1.0), probs=(0.5, 0.5)),
+        LocationLaw(kind="table", values=(0.0, 1e-200), probs=(0.5, 0.5)),
+        LocationLaw(kind="table", values=(-1e-200, 2e-200), probs=(0.5, 0.5)),
+    ])
+    def test_a_location_law_touching_or_straddling_the_origin_is_refused(self, law):
+        with pytest.raises(DomainError) as exc:
+            DecorationSpec.random_atoms([(1, 1.0)], law)
+        assert str(exc.value) == "location law on the scale carrier must exclude 0"
 
     def test_bound_is_the_largest_attainable_norm(self):
         assert DecorationSpec.dirac([(3.0, 1), (-4.0, 2)]).bound == 4.0
@@ -442,7 +476,7 @@ class TestCampaigns:
         camp = run_campaign(ProcessSource(spec), 15, 200)
         f = tent(0.5, 1.0, 2.0)
         y = 2.0
-        vals = camp.laplace_integrals(f, y)
+        vals = camp.laplace_integrals([(f, y)])[0]
         for r in range(200):
             m = camp.replica_measure(r)
             direct = sum(mult * f.eval(loc / y) for loc, mult in m.atoms())
@@ -864,8 +898,7 @@ def test_campaign_stats_equal_flat_campaign(name, threads, monkeypatch):
     reducers = {
         "extremes": (extreme, extreme(flat)),
         "counts": (FlatCampaign.counts, flat.counts()),
-        "laplace": (lambda c: np.vstack([c.laplace_integrals(f, p) for f, p in pairs]),
-                    np.vstack([flat.laplace_integrals(f, p) for f, p in pairs])),
+        "laplace": (lambda c: c.laplace_integrals(pairs), flat.laplace_integrals(pairs)),
     }
     for what, (reduce, expected) in reducers.items():
         got = campaign_stats(source, 13, n, reduce, threads=threads, role=(5,))
@@ -905,3 +938,98 @@ def test_battery_estimates_memory_grows_only_with_its_matrix():
 
     matrix_growth = len(battery) * len(points) * 24 * BLOCK_SIZE * 8
     assert peak(32 * BLOCK_SIZE) - peak(8 * BLOCK_SIZE) < matrix_growth + 4 * _MIB
+
+
+# -- Laplace integrals over the atoms a function can see ----------------------------
+
+LN2 = math.log(2.0)
+
+EDGE_FUNCTIONS = {
+    "scale": {
+        "step_ln2": indicator_approx(LN2, edge=1.0, outer=1e6, ramp=1e-6),
+        "maxmod": maxmod_indicator(50.0),
+        "band_sym": indicator_approx(1.0, edge=0.7, outer=5.0, ramp=1e-3, symmetric=True),
+        "tent": tent(0.5, 1.0, 2.0),
+    },
+    "shift": {
+        "gstep_ln2": shift_indicator_approx(LN2, edge=0.0, outer=14.0, ramp=1e-6),
+        "gmax": shift_indicator_approx(50.0, edge=0.0, outer=14.0, ramp=1e-7),
+        "gtent_sym": tent(-LN2, 0.0, LN2, carrier="shift"),
+        "gtent_hi": tent(LN2, 2 * LN2, 3 * LN2, carrier="shift"),
+    },
+}
+EDGE_POINTS = {"scale": (1.0, 0.5, 3.0, math.e, 0.7), "shift": (0.0, LN2, -1.3, math.pi)}
+
+
+def _full_integrals(camp, f, p):
+    """The per-replica integrals with f evaluated at every atom."""
+    vals = f.eval(CARRIERS[camp.carrier].inverse(p, camp.locations))
+    return np.bincount(camp.replica, weights=camp.weights * vals, minlength=camp.n_reps)
+
+
+def _near(x, steps=1):
+    """x and the floats up to `steps` steps either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        t = x
+        for _ in range(steps):
+            t = math.nextafter(t, direction)
+            out.append(t)
+    return out
+
+
+def _campaign(carrier, locations, rng, n_reps=5):
+    locations = np.asarray(locations, dtype=np.float64)
+    rng.shuffle(locations)
+    replica = np.sort(rng.integers(0, n_reps, locations.size))
+    weights = rng.integers(1, 4, locations.size).astype(np.int64)
+    return FlatCampaign(locations, replica, weights, n_reps, carrier, -math.inf)
+
+
+@pytest.mark.parametrize("carrier, name",
+                         [(c, n) for c, fs in EDGE_FUNCTIONS.items() for n in fs])
+def test_laplace_integrals_at_the_support_edges(carrier, name):
+    # atoms at p acting on every knot, the support edges among them, on both
+    # sides of the origin, and up to two floats either side: the slice must
+    # keep every atom where f is not 0, however the division or subtraction rounds
+    cr, f = CARRIERS[carrier], EDGE_FUNCTIONS[carrier][name]
+    lo, hi = f.support_bounds
+    rng = np.random.default_rng(7)
+    for p in EDGE_POINTS[carrier]:
+        ends = {cr.act(p, e) for e in (lo, hi)} | {cr.act(p, float(k)) for k in f.knots_x}
+        if cr is SCALE:
+            ends |= {-x for x in ends}
+        camp = _campaign(carrier, [t for x in sorted(ends) for t in _near(x, 2)], rng)
+        got = camp.laplace_integrals([(f, p)])[0]
+        want = _full_integrals(camp, f, p)
+        assert np.any(want > 0.0), (name, p)
+        assert got.tobytes() == want.tobytes(), (name, p)
+
+
+@st.composite
+def _slice_cases(draw):
+    """A random function on a random carrier, a point, and atoms on and around
+    the knots that the point carries, with others anywhere."""
+    carrier = draw(st.sampled_from(["scale", "shift"]))
+    cr = CARRIERS[carrier]
+    scale = cr is SCALE
+    xs = draw(st.lists(st.floats(0.01, 100.0) if scale else st.floats(-20.0, 20.0),
+                       min_size=3, max_size=7, unique=True).map(sorted))
+    vs = [0.0, *draw(st.lists(st.floats(0.0, 1e3), min_size=len(xs) - 2,
+                              max_size=len(xs) - 2)), 0.0]
+    knots = list(zip(xs, vs))
+    if scale and draw(st.booleans()):
+        knots = [(-x, v) for x, v in reversed(knots)] + knots
+    f = TestFunction(knots, carrier)
+    p = draw(st.floats(0.05, 20.0) if scale else st.floats(-20.0, 20.0))
+    atoms = [t for k in f.knots_x for t in _near(cr.act(p, float(k)))]
+    atoms += draw(st.lists(st.floats(-3000.0, 3000.0).filter(lambda x: x != 0.0),
+                           max_size=30))
+    return f, p, _campaign(carrier, atoms, np.random.default_rng(draw(st.integers(0, 99))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_slice_cases())
+def test_laplace_integrals_equal_the_full_evaluation_property(case):
+    f, p, camp = case
+    assert camp.laplace_integrals([(f, p)])[0].tobytes() == _full_integrals(camp, f, p).tobytes()
