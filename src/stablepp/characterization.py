@@ -666,7 +666,7 @@ def maxmod_law_test(
         raise DomainError("expected a scale-family spec")
     law = extreme_law(spec)
     window = min(censor_window(law), spec.window)
-    mm = maxmod_samples(spec, n_reps, seed, window=window, threads=threads,
+    mm = maxmod_samples(spec.with_window(window), n_reps, seed, threads=threads,
                         role=_ROLE_MAXLAW)
     d, p = ks_censored(mm, law.cdf, window)
     sub = SubCheck(

@@ -167,17 +167,17 @@ def _permutation_p(rng, a: np.ndarray, b: np.ndarray) -> float:
     return (1 + hits) / (_N_PERM + 1)
 
 
-def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) -> MeasureBatch:
-    """The replicas `hit` of a campaign, each divided by its maximum modulus
-    `mm` and restricted to {|x| > inner_radius}."""
+def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) -> tuple:
+    """(locations, multiplicities, hit index) of the atoms of the replicas
+    `hit` of a campaign, each divided by its maximum modulus `mm` and
+    restricted to {|x| > inner_radius}; hit index k marks replica hit[k]."""
     accepted = np.zeros(campaign.n_reps, dtype=bool)
     accepted[hit] = True
     rows = accepted[campaign.replica]
     rep = campaign.replica[rows]
     normalized = campaign.locations[rows] / mm[rep]
     keep = np.abs(normalized) > inner_radius
-    return MeasureBatch("scale", normalized[keep], campaign.weights[rows][keep],
-                        np.searchsorted(hit, rep[keep]), hit.size)
+    return normalized[keep], campaign.weights[rows][keep], np.searchsorted(hit, rep[keep])
 
 
 def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
@@ -191,7 +191,7 @@ def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     """
     alpha = spec.alpha
     w_fit = censor_window(extreme_law(spec), 0.35)
-    mm = maxmod_samples(spec, _CMAX_FIT_REPS, seed, window=w_fit, threads=threads,
+    mm = maxmod_samples(spec.with_window(w_fit), _CMAX_FIT_REPS, seed, threads=threads,
                         role=(_ROLE_CMAX,))
     n = mm.size
     exc = np.sort(mm[mm > w_fit])
@@ -231,7 +231,7 @@ def extract_decoration(
     refuse_likely_shortfall(target, MAX_REPS, p, lambda short: (
         f"extraction needs {target} samples above the threshold {y:g}: {MAX_REPS} "
         f"attempts expect {MAX_REPS * p:.3g} and fall short with probability {short:.3g}"))
-    src = ProcessSource(spec, window)
+    src = ProcessSource(spec.with_window(window))
 
     accepted = []
     accepted_r = []
@@ -244,7 +244,8 @@ def extract_decoration(
                                 role=(_ROLE_EXTRACT, batch_idx))
         mm = campaign.maxmods()
         hit = np.flatnonzero(mm > y)
-        accepted.append(_normalized(campaign, mm, hit, config.inner_radius))
+        locs, mults, index = _normalized(campaign, mm, hit, config.inner_radius)
+        accepted.append((locs, mults, index + n_found))
         accepted_r.append(mm[hit] / y)
         n_found += hit.size
         attempted += batch
@@ -256,7 +257,9 @@ def extract_decoration(
             f"attempts; analytic acceptance rate is {p:.3g}"
         )
 
-    decorations = MeasureBatch.concatenate(accepted, "scale")[:target]
+    locs, mults, index = (np.concatenate(column) for column in zip(*accepted))
+    first = index < target
+    decorations = MeasureBatch("scale", locs[first], mults[first], index[first], target)
     radials = np.concatenate(accepted_r)[:target]
 
     # every radial exceeds 1, where the Pareto CDF is 0, so no sample is censored

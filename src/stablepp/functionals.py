@@ -219,54 +219,23 @@ def required_window(spec: ProcessSpec, functions, points) -> float:
     return needed if math.isfinite(needed) else spec.window
 
 
-def _tame(a: np.ndarray) -> bool:
-    """Whether every nonzero entry of a lies between 2^-511 and 2^511 in size."""
-    a = np.abs(a[a != 0.0])
-    return bool(np.all((a >= 2.0 ** -511) & (a <= 2.0 ** 511)))
-
-
-def _row_key(cr, f, p) -> tuple:
-    """The key of the row of Laplace integrals of (f, p): pairs with one key
-    have bit-identical rows.
-
-    On the scale carrier, f at a power-of-two point p has the row of the
-    function with knots p * knots_x and values knots_v at the point 1: every
-    quotient x / p, knot gap and slope of the one is the other's times a power
-    of two, and such a product is exact while both stay normal floats, which
-    knots and slopes between 2^-511 and 2^511 in size ensure on f's support.
-    Such a pair is keyed by those knots and values, any other pair by itself.
-    """
-    if cr is SCALE and math.frexp(p)[0] == 0.5:
-        with np.errstate(over="ignore"):
-            knots = SCALE.act(p, f.knots_x)
-            slopes = np.diff(f.knots_v) / np.diff(f.knots_x)
-            tame = all(map(_tame, (f.knots_x, knots, slopes, slopes / p)))
-        if tame:
-            return knots.tobytes(), f.knots_v.tobytes()
-    return f, p
-
-
 def laplace_battery(source, pairs):
     """Check every (f, p) pair against the campaigns ``source`` draws, before
     any is drawn, as the single estimates check theirs.
 
     Returns (reduce, estimates). ``reduce`` is a ``campaign_stats`` reducer:
     it maps a campaign block to one row of per-replica Laplace integrals for
-    each pair, computing the row of each ``_row_key`` once (tent_hi at 0.5
-    is tent_lo at 2) and copying it to every pair with that key.
-    ``estimates`` maps such rows, over a whole campaign or any subset of its
-    replicas, to one EstimateWithError per pair, in order. The estimates
-    equal those of the flat campaign bit for bit.
+    each pair, in order, in one ``laplace_integrals`` call. ``estimates`` maps
+    such rows, over a whole campaign or any subset of its replicas, to one
+    EstimateWithError per pair, in order. The estimates equal those of the
+    flat campaign bit for bit.
     """
     cr = CARRIERS[source.carrier]
     for f, p in pairs:
         _checked(cr, source, f, p)
-    keys = {}
-    row_of = [keys.setdefault(_row_key(cr, f, p), len(keys)) for f, p in pairs]
-    distinct = [pairs[row_of.index(row)] for row in range(len(keys))]
 
     def reduce(block) -> np.ndarray:
-        return block.laplace_integrals(distinct)[row_of]
+        return block.laplace_integrals(pairs)
 
     def estimates(rows: np.ndarray) -> list:
         return [_mean_with_se(np.exp(-row)) for row in rows]
@@ -282,7 +251,7 @@ def battery_estimates(spec: ProcessSpec, functions: dict, points, n_reps: int, s
 
     Returns {(function_id, point): EstimateWithError}.
     """
-    source = ProcessSource(spec, required_window(spec, functions.values(), points))
+    source = ProcessSource(spec.with_window(required_window(spec, functions.values(), points)))
     keys = [(fid, p) for fid in functions for p in points]
     reduce, estimates = laplace_battery(source, [(functions[fid], p) for fid, p in keys])
     rows = campaign_stats(source, seed, n_reps, reduce, threads, role)

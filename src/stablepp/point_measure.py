@@ -329,7 +329,7 @@ class MeasureBatch:
     sorted by location, equal locations merged, multiplicities >= 1. The batch
     is the one code path that makes atoms canonical and that reads and writes
     the measure-line format; a single measure is its one-measure case.
-    Indexing with an integer gives that measure, with a slice a sub-batch.
+    Indexing with an integer gives that measure; a batch is not sliced.
     """
 
     __slots__ = ("carrier", "locations", "multiplicities", "offsets")
@@ -370,48 +370,28 @@ class MeasureBatch:
             locs, raw.astype(np.int64, copy=False), idx.astype(np.int64, copy=False), n, cr)
 
     @classmethod
-    def _trusted(cls, carrier, locations, multiplicities, offsets) -> "MeasureBatch":
-        """A batch of atoms already in canonical form, taken as they are."""
-        out = object.__new__(cls)
-        out.carrier = carrier
-        out.locations, out.multiplicities, out.offsets = locations, multiplicities, offsets
-        return out
-
-    @classmethod
     def concatenate(cls, batches, carrier: str) -> "MeasureBatch":
         """The measures of several batches on `carrier`, in order."""
         batches = list(batches)
         carrier = _carrier(carrier).name
         if any(b.carrier != carrier for b in batches):
             raise DomainError(f"every batch must hold {carrier}-carrier measures")
-        starts = np.cumsum([0] + [b.offsets[-1] for b in batches])
-        return cls._trusted(
-            carrier,
-            np.concatenate([np.zeros(0)] + [b.locations for b in batches]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [b.multiplicities for b in batches]),
-            np.concatenate([np.zeros(1, dtype=np.int64)]
-                           + [b.offsets[1:] + s for b, s in zip(batches, starts)]))
+        starts = np.cumsum([0] + [len(b) for b in batches])
+        return cls(carrier,
+                   np.concatenate([np.zeros(0)] + [b.locations for b in batches]),
+                   np.concatenate([np.zeros(0, dtype=np.int64)]
+                                  + [b.multiplicities for b in batches]),
+                   np.concatenate([np.zeros(0, dtype=np.int64)]
+                                  + [b.index() + s for b, s in zip(batches, starts)]),
+                   starts[-1])
 
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            lo, hi, step = key.indices(len(self))
-            if step != 1:
-                raise DomainError("a batch slice must have step 1")
-            hi = max(hi, lo)
-            a, b = self.offsets[lo], self.offsets[hi]
-            return MeasureBatch._trusted(self.carrier, self.locations[a:b],
-                                           self.multiplicities[a:b],
-                                           self.offsets[lo:hi + 1] - a)
-        i = range(len(self))[key]
+    def __getitem__(self, i: int) -> PointMeasure:
+        i = range(len(self))[operator.index(i)]
         a, b = self.offsets[i], self.offsets[i + 1]
-        m = object.__new__(PointMeasure)
-        object.__setattr__(m, "locations", self.locations[a:b])
-        object.__setattr__(m, "multiplicities", self.multiplicities[a:b])
-        object.__setattr__(m, "carrier", self.carrier)
-        return m
+        return PointMeasure(self.locations[a:b], self.multiplicities[a:b], self.carrier)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -189,7 +189,8 @@ class _Law:
 
 class LocationLaw(_Law):
     """Law of one random decoration atom location: "uniform" (low/high) or
-    "table"; on the scale carrier its bounds must have one sign."""
+    "table"; on the scale carrier no table value may be 0 and the bounds of
+    a uniform law must have one sign."""
 
     name = "location"
     kinds = {"uniform": ("low", "high"), "table": ("values", "probs")}
@@ -320,8 +321,12 @@ class DecorationSpec:
             for law, cls in ((self.count, CountLaw), (self.location, LocationLaw)):
                 if not isinstance(law, cls):
                     raise DomainError(f"random_atoms decoration requires a {cls.name} law")
-            lo, hi = self.location.bounds()
-            if self.carrier == "scale" and not (lo > 0.0 or hi < 0.0):
+            cr, loc = CARRIERS[self.carrier], self.location
+            if loc.kind == "table":
+                valid = cr.has_log(cr.norm(loc._table[0])).all()
+            else:
+                valid = cr is SHIFT or loc.low > 0.0 or loc.high < 0.0
+            if not valid:
                 raise DomainError("location law on the scale carrier must exclude 0")
         else:
             raise DomainError(f"unknown decoration kind: {self.kind!r}")
@@ -791,10 +796,10 @@ class FlatCampaign:
 
 
 class ProcessSource:
-    """Campaign source drawing replicas of one spec, optionally on a finer window."""
+    """Campaign source drawing replicas of one spec on the spec's window."""
 
-    def __init__(self, spec: ProcessSpec, window: float | None = None):
-        self.spec = spec if window is None else spec.with_window(window)
+    def __init__(self, spec: ProcessSpec):
+        self.spec = spec
         self.carrier = spec.carrier
 
     window = property(lambda self: self.spec.window)
@@ -933,7 +938,7 @@ def campaign_stats(source, master_seed: int, n_reps: int, reduce: Callable,
     return out
 
 
-def maxmod_samples(spec: ProcessSpec, n_reps: int, seed: int, window: float | None = None,
+def maxmod_samples(spec: ProcessSpec, n_reps: int, seed: int,
                    threads: int | None = 1, role: tuple = ()) -> np.ndarray:
     """Per-replica maxmod draws of a scale-family spec (0 marks an empty window).
 
@@ -942,5 +947,5 @@ def maxmod_samples(spec: ProcessSpec, n_reps: int, seed: int, window: float | No
     """
     if not spec.is_scale_family:
         raise DomainError("maxmod sampling applies to scale families")
-    return campaign_stats(ProcessSource(spec, window), seed, n_reps,
+    return campaign_stats(ProcessSource(spec), seed, n_reps,
                           lambda block: block.maxmods(), threads, role)

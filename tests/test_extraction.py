@@ -129,6 +129,41 @@ class TestExtractDecoration:
         assert list(a.decorations.json_chunks()) == list(b.decorations.json_chunks())
         assert a.c_max_hat == b.c_max_hat
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_decorations_are_the_first_hits_of_the_attempt_batches(self, threads):
+        # the reference normalizes each hit replica of each attempt batch on its
+        # own, concatenates one batch per attempt batch and cuts the whole to
+        # n_accepted measure by measure
+        spec = ProcessSpec("scdppp", 1.0, DecorationSpec.table_from_measures(
+            [PointMeasure([1.0]), PointMeasure([-0.7, 0.6, 0.9], [1, 2, 1])]), 0.05)
+        cfg = ExtractionConfig(100.0, 0.5, 300)
+        report = extract_decoration(spec, cfg, seed=29, threads=threads)
+        source = sampler.ProcessSource(spec.with_window(cfg.inner_radius * cfg.threshold))
+        batches, radials = [], []
+        while sum(map(len, batches)) < cfg.n_accepted:
+            campaign = sampler.run_campaign(source, 29, extraction._ATTEMPT_BATCH, threads,
+                                            role=(extraction._ROLE_EXTRACT, len(batches)))
+            mm = campaign.maxmods()
+            hits = np.flatnonzero(mm > cfg.threshold)
+            kept = []
+            for r in hits:
+                m = campaign.replica_measure(r)
+                x = m.locations / mm[r]
+                inside = np.abs(x) > cfg.inner_radius
+                kept.append((x[inside], m.multiplicities[inside]))
+            batches.append(MeasureBatch(
+                "scale", np.concatenate([[]] + [x for x, _ in kept]),
+                np.concatenate([np.zeros(0, dtype=np.int64)] + [w for _, w in kept]),
+                np.repeat(np.arange(len(kept)), [x.size for x, _ in kept]), len(kept)))
+            radials.append(mm[hits] / cfg.threshold)
+        reference = MeasureBatch.concatenate(batches, "scale")
+        assert len(batches) >= 2 and len(reference) > cfg.n_accepted
+        assert report.params["n_batches"] == len(batches)
+        assert len(report.decorations) == cfg.n_accepted
+        assert list(report.decorations) == [reference[i] for i in range(cfg.n_accepted)]
+        assert any(m.n_atoms > 1 for m in report.decorations)
+        assert np.array_equal(report.radials, np.concatenate(radials)[:cfg.n_accepted])
+
     def test_report_serialization(self, reference_report):
         doc = json.loads(json.dumps(reference_report.to_json_dict()))
         assert doc["n_decorations"] == 500
@@ -211,8 +246,11 @@ class TestRebuild:
         assert report.params["n_decorations"] == 500
 
     def test_short_report_rejected(self, reference_report):
-        starved = dataclasses.replace(reference_report,
-                                      decorations=reference_report.decorations[:50])
+        decs = reference_report.decorations
+        end = decs.offsets[50]
+        first_50 = MeasureBatch("scale", decs.locations[:end], decs.multiplicities[:end],
+                                decs.index()[:end], 50)
+        starved = dataclasses.replace(reference_report, decorations=first_50)
         with pytest.raises(DomainError):
             rebuild_process(starved, n_reps=1000, seed=0)
 

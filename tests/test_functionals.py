@@ -500,6 +500,10 @@ REFERENCE_DECORATIONS = {
                                               probs=(0.2, 0.5, 0.3))),
         "atoms_uniform": DecorationSpec.random_atoms(
             [(1, 0.5), (2, 0.5)], LocationLaw(kind="uniform", low=0.5, high=1.5)),
+        # a table whose values straddle 0 without holding it
+        "atoms_signed_table": DecorationSpec.random_atoms(
+            [(1, 0.5), (2, 0.5)], LocationLaw(kind="table", values=(-1.0, 0.5, 2.0),
+                                              probs=(0.3, 0.3, 0.4))),
     },
     "shift": {
         "dirac": DecorationSpec.dirac([(0.0, 1)], carrier="shift"),
@@ -513,6 +517,10 @@ REFERENCE_DECORATIONS = {
         "atoms_uniform": DecorationSpec.random_atoms(
             [(1, 0.5), (3, 0.5)], LocationLaw(kind="uniform", low=-1.0, high=0.0),
             carrier="shift"),
+        # a table holding 0, which the scale carrier refuses
+        "atoms_signed_table": DecorationSpec.random_atoms(
+            [(1, 0.5), (2, 0.5)], LocationLaw(kind="table", values=(-1.0, 0.0, 2.0),
+                                              probs=(0.3, 0.3, 0.4)), carrier="shift"),
     },
 }
 
@@ -966,10 +974,10 @@ class TestBatteryEstimates:
             assert est[("zero", p)] == EstimateWithError(1.0, 0.0, 3000)
             assert est[("f", p)].std_error > 0.0
 
-    def test_merged_battery_rows_equal_their_own_rows_bit_for_bit(self):
-        # tent_hi at 0.5 is tent_lo at 2, and a second tent_lo object at 2 is
-        # the first; at 3 (not a power of two) and on knots below 2^-511
-        # nothing merges
+    def test_battery_rows_equal_their_own_rows_bit_for_bit(self):
+        # one laplace_integrals call per block computes every pair's row, in
+        # order, even where two pairs have the same row (tent_hi at 0.5 is
+        # tent_lo at 2)
         battery = default_battery("scale")
         lo, hi = battery["tent_lo"], battery["tent_hi"]
         again, wide = tent(0.5, 1.0, 2.0), tent(1.5, 3.0, 6.0)
@@ -984,15 +992,14 @@ class TestBatteryEstimates:
 
         class Counted:
             def laplace_integrals(self, pairs):
-                calls.extend(pairs)
+                calls.append(list(pairs))
                 return block.laplace_integrals(pairs)
 
         rows = reduce(Counted())
         assert rows.shape == (len(pairs), block.n_reps)
         for pair, row in zip(pairs, rows):
             assert row.tobytes() == block.laplace_integrals([pair])[0].tobytes()
-        merged = {(hi, 0.5), (hi, 1.0), (again, 2.0), (again, 4.0)}
-        assert calls == [pair for pair in pairs if pair not in merged]
+        assert calls == [pairs]
         assert np.count_nonzero(rows[pairs.index((hi, 0.5))]) > 0
         assert len(estimates(rows)) == len(pairs)
 

@@ -227,11 +227,10 @@ class TestBatchApi:
         assert batch[0] == PointMeasure([0.75, 2.0], [2, 1])
         assert batch[-1] == PointMeasure([-2.0, 1.5], [4, 3])
         assert batch[1].n_atoms == 0
-        tail = batch[1:]
-        assert len(tail) == 2 and tail[1] == batch[2]
-        assert len(batch[5:9]) == 0
         with pytest.raises(IndexError):
             batch[3]
+        with pytest.raises(TypeError):  # a batch indexes but does not slice
+            batch[1:]
         assert batch.total_mass().tolist() == [3, 0, 7]
         f = tent(0.5, 1.0, 2.0)
         expected = [integrate(m, f) for m in batch]
@@ -247,12 +246,14 @@ class TestBatchApi:
         ms = [PointMeasure([1.0]), PointMeasure(), PointMeasure([3.0, -1.0], [2, 1])]
         batch = MeasureBatch("scale", [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)
         assert list(batch) == ms
-        joined = MeasureBatch.concatenate([batch, batch[1:], batch[:0]], "scale")
+        tail = MeasureBatch("scale", [3.0, -1.0], [2, 1], [1, 1], 2)
+        empty = MeasureBatch("scale", [], [], [], 0)
+        joined = MeasureBatch.concatenate([batch, tail, empty], "scale")
         assert list(joined) == ms + ms[1:]
         # the batches must all hold measures of the carrier asked for
         shifted = batch.relocated(batch.locations, "shift")
         for carrier, batches in (("scale", [batch, shifted]), ("shift", [shifted, batch]),
-                                 ("shift", [batch[:0]])):
+                                 ("shift", [empty])):
             with pytest.raises(DomainError, match=f"^every batch must hold {carrier}-carrier"):
                 MeasureBatch.concatenate(batches, carrier)
 

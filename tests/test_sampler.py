@@ -178,9 +178,13 @@ class TestDecorationSpec:
         LocationLaw(kind="table", values=(1e-200, 2e-200), probs=(0.5, 0.5)),
         LocationLaw(kind="uniform", low=-1e-200, high=-1e-201),
         LocationLaw(kind="uniform", low=5e-324, high=1e-323),
+        LocationLaw(kind="table", values=(-1.0, 0.5, 2.0), probs=(0.3, 0.3, 0.4)),
+        LocationLaw(kind="table", values=(-1e-200, 2e-200), probs=(0.5, 0.5)),
     ])
     def test_a_location_law_near_but_off_the_origin_is_a_scale_law(self, law):
-        # the sign of each bound decides; a product of the bounds underflows to 0
+        # the sign of each uniform bound decides, as a product of the bounds
+        # underflows to 0; a table is checked value by value, so it may
+        # straddle 0 without holding it
         assert DecorationSpec.random_atoms([(1, 1.0)], law).bound == max(map(abs, law.bounds()))
 
     @pytest.mark.parametrize("law", [
@@ -189,7 +193,7 @@ class TestDecorationSpec:
         LocationLaw(kind="uniform", low=-1e-200, high=1e-200),
         LocationLaw(kind="table", values=(-0.0, -1.0), probs=(0.5, 0.5)),
         LocationLaw(kind="table", values=(0.0, 1e-200), probs=(0.5, 0.5)),
-        LocationLaw(kind="table", values=(-1e-200, 2e-200), probs=(0.5, 0.5)),
+        LocationLaw(kind="table", values=(-1.0, 0.0, 2.0), probs=(0.3, 0.3, 0.4)),
     ])
     def test_a_location_law_touching_or_straddling_the_origin_is_refused(self, law):
         with pytest.raises(DomainError) as exc:
@@ -497,13 +501,13 @@ class TestCampaigns:
     def test_mean_cap_guards_absurd_windows(self):
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 replicas on "
                            r"average under the deterministic scale law \(value 1.0\); window 1e-08 "):
-            run_campaign(ProcessSource(unit_spec(), window=1e-8), 0, 10)
+            run_campaign(ProcessSource(unit_spec().with_window(1e-8)), 0, 10)
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 .*; cutoff -40.0 "):
-            run_campaign(ProcessSource(sspec, window=-40.0), 0, 10)
+            run_campaign(ProcessSource(sspec.with_window(-40.0)), 0, 10)
         # the mean e^800 overflows a double
         with pytest.raises(RangeError, match=r"exceeds the cap 1e\+06 in 10 of 10 .*; cutoff -800.0 "):
-            run_campaign(ProcessSource(sspec, window=-800.0), 0, 10)
+            run_campaign(ProcessSource(sspec.with_window(-800.0)), 0, 10)
 
     @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
     def test_source_window_must_be_finite(self, window):
@@ -511,7 +515,7 @@ class TestCampaigns:
         sspec = ProcessSpec("dppp", 1.0, DecorationSpec.dirac([(0.0, 1)], carrier="shift"), 0.0)
         for spec in (sspec, unit_spec()):
             with pytest.raises(DomainError, match="window must be finite"):
-                run_campaign(ProcessSource(spec, window), 0, 10)
+                run_campaign(ProcessSource(spec.with_window(window)), 0, 10)
 
     def test_block_guards_a_mean_above_the_cap(self):
         # the residual guard behind check_cap, on blocks drawn directly
