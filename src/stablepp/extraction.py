@@ -141,10 +141,11 @@ def predicted_acceptance(spec: ProcessSpec, threshold: float) -> float:
 def _permutation_p(rng, a: np.ndarray, b: np.ndarray) -> float:
     """Two-sided permutation p-value for |Pearson correlation| of a against b.
 
-    The _N_PERM permutations of b are the rows of (permutations x n) matrices
-    of up to _PERM_ENTRIES entries, each drawn by one `rng.permuted` call and
-    scored at once. A permutation's score is the dot product of centred a with
-    the permuted centred b: the norms of both stay the same under permutation,
+    The _N_PERM permutations of centred b are the rows of (permutations x n)
+    matrices of up to _PERM_ENTRIES entries, each drawn by one `rng.permuted`
+    call and scored at once; every row takes the same shuffle draws whatever
+    it holds. A permutation's score is the dot product of centred a with the
+    permuted centred b: the norms of both stay the same under permutation,
     so scores order permutations as |r| does. A score within 1e-12 (in units
     of r) of the observed one counts as a tie, and ties count as hits, so the
     p-value does not hang on rounding.
@@ -162,8 +163,8 @@ def _permutation_p(rng, a: np.ndarray, b: np.ndarray) -> float:
     hits = 0
     for done in range(0, _N_PERM, rows):
         shape = (min(rows, _N_PERM - done), b.size)
-        perms = rng.permuted(np.broadcast_to(np.arange(b.size), shape), axis=1)
-        hits += int(np.count_nonzero(np.abs(bc[perms] @ ac) >= floor))
+        perms = rng.permuted(np.broadcast_to(bc, shape), axis=1)
+        hits += int(np.count_nonzero(np.abs(perms @ ac) >= floor))
     return (1 + hits) / (_N_PERM + 1)
 
 

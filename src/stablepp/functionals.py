@@ -538,8 +538,9 @@ def cf_estimate(alpha: float, dec: DecorationSpec, f: TestFunction, n_draws: int
     lo = f.support_bounds[0] / dec.bound
     rng = make_generator(int(seed), ROLE_SCALAR, 0)
     s = lo * (1.0 - rng.random(n_draws)) ** (-1.0 / alpha)
-    copy_idx, dloc, dw = dec.sample_atoms_block(rng, n_draws)
-    expo = np.bincount(copy_idx, weights=dw * f.eval(s[copy_idx] * dloc), minlength=n_draws)
+    n_atoms, dloc, dw = dec.sample_atoms_block(rng, n_draws)
+    copy = np.repeat(np.arange(n_draws), n_atoms)
+    expo = np.bincount(copy, weights=dw * f.eval(np.repeat(s, n_atoms) * dloc), minlength=n_draws)
     vals = lo ** (-alpha) * (1.0 - np.exp(-expo))
     return _mean_with_se(vals)
 

@@ -411,25 +411,26 @@ class DecorationSpec:
     def sample_atoms_block(self, rng: np.random.Generator, n_copies: int):
         """Atoms for ``n_copies`` i.i.d. decoration realizations.
 
-        Returns (copy_index, locations, weights) flat arrays, copy_index
-        ascending. Weight = multiplicity; repeated sampled locations are left
-        unmerged here (merging is a representation concern, not a law one).
+        Returns (counts, locations, weights): the number of atoms of each
+        copy, at least 1, and the flat atoms, copy 0's first. counts is an int
+        for dirac, where every copy carries the same atoms, and an int64 array
+        of n_copies for table and random_atoms; ``np.repeat(np.arange(n_copies),
+        counts)`` is each atom's copy. Weight = multiplicity; repeated sampled
+        locations are left unmerged here (merging is a representation concern,
+        not a law one).
         """
         if self.kind == "dirac":  # one entry, drawn without touching the stream
             _, locs, w, _, _ = self._mixture_arrays
-            copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), locs.size)
-            return copy_idx, np.tile(locs, n_copies), np.tile(w, n_copies)
+            return locs.size, np.tile(locs, n_copies), np.tile(w, n_copies)
         if self.kind == "table":
             probs, locs, w, natoms, offsets = self._mixture_arrays
             entry = rng.choice(natoms.size, size=n_copies, p=probs)
             counts = natoms[entry]
-            copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), counts)
             flat = _ragged_gather(offsets[entry], counts)
-            return copy_idx, locs[flat], w[flat]
+            return counts, locs[flat], w[flat]
         counts = self.count.sample(rng, n_copies)
-        copy_idx = np.repeat(np.arange(n_copies, dtype=np.int64), counts)
         locs = self.location.sample(rng, int(counts.sum()))
-        return copy_idx, locs, np.ones(locs.size, dtype=np.int64)
+        return counts, locs, np.ones(locs.size, dtype=np.int64)
 
     def to_config_dict(self):
         if self.kind == "dirac":
@@ -702,13 +703,16 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int):
         )
     counts = rng.poisson(mean)
     total = int(counts.sum())
-    rep_pt = np.repeat(np.arange(size, dtype=np.int64), counts)
-    start = cr.block_start(spec.alpha, window, bound, rng.random(total))
-    copy_idx, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
-    locs = cr.act(start[copy_idx], dloc)
-    rep = rep_pt[copy_idx]
+    rep = np.repeat(np.arange(size, dtype=np.int64), counts)
+    locs = cr.block_start(spec.alpha, window, bound, rng.random(total))
+    n_atoms, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
+    if dloc.size != total:  # every copy has an atom, so equal sizes mean one each
+        locs, rep = np.repeat(locs, n_atoms), np.repeat(rep, n_atoms)
+    cr.act(locs, dloc, out=locs)  # each point acting on its copy's atoms
     keep = cr.norm(locs) > window
-    return locs[keep], rep[keep], dw[keep]
+    if not keep.all():
+        locs, rep, dw = locs[keep], rep[keep], dw[keep]
+    return locs, rep, dw
 
 
 # -- campaigns -------------------------------------------------------------------
@@ -748,22 +752,36 @@ class FlatCampaign:
         over all of its atoms. The mask is taken on z itself, the coordinate f
         is evaluated in, so no rounding of y acting on a support edge can
         leave an atom where f is not 0 out of the slice.
+
+        The slice is cut once per distinct ``support_bounds`` at a point, for
+        every function that shares them. A bound that every atom's norm meets
+        is not compared, so a support that covers the campaign's norms takes
+        the arrays themselves, and all-one weights are not multiplied in.
         """
         cr = CARRIERS[self.carrier]
         rows = np.empty((len(pairs), self.n_reps))
         at = {}
-        for i, (_, y) in enumerate(pairs):
-            at.setdefault(y, []).append(i)
-        for y, rows_at in at.items():
+        for i, (f, y) in enumerate(pairs):
+            at.setdefault(y, {}).setdefault(f.support_bounds, []).append(i)
+        weights = None if (self.weights == 1).all() else self.weights
+        for y, by_support in at.items():
             z = cr.inverse(y, self.locations)
             size = cr.norm(z)
-            for i in rows_at:
-                f = pairs[i][0]
-                lo, hi = f.support_bounds
-                seen = np.flatnonzero((size >= lo) & (size <= hi))
-                vals = f.eval(z[seen])
-                vals *= self.weights[seen]
-                rows[i] = np.bincount(self.replica[seen], weights=vals, minlength=self.n_reps)
+            least, most = size.min(initial=math.inf), size.max(initial=-math.inf)
+            for (lo, hi), rows_at in by_support.items():
+                zs, rep, w = z, self.replica, weights
+                inside = None if lo <= least else size >= lo
+                if hi < most:
+                    inside = size <= hi if inside is None else inside & (size <= hi)
+                if inside is not None:
+                    seen = np.flatnonzero(inside)
+                    zs, rep = z[seen], rep[seen]
+                    w = None if weights is None else weights[seen]
+                for i in rows_at:
+                    vals = pairs[i][0].eval(zs)
+                    if w is not None:
+                        vals *= w
+                    rows[i] = np.bincount(rep, weights=vals, minlength=self.n_reps)
             del z, size  # one point's arrays at a time
         return rows
 

@@ -664,7 +664,8 @@ def _monte_carlo_extreme_moment(carrier, rate, dec, n_copies=400_000, chunk=50_0
     rng = np.random.default_rng(2024)
     tops = []
     for _ in range(n_copies // chunk):
-        copy, loc, _ = dec.sample_atoms_block(rng, chunk)
+        counts, loc, _ = dec.sample_atoms_block(rng, chunk)
+        copy = np.repeat(np.arange(chunk), counts)
         m = np.full(chunk, -np.inf)
         np.maximum.at(m, copy, np.abs(loc) if carrier == "scale" else loc)
         tops.append(m ** rate if carrier == "scale" else np.exp(rate * m))

@@ -230,7 +230,8 @@ class TestDecorationSpec:
 
     def test_sample_atoms_block_dirac(self):
         d = DecorationSpec.dirac([(1.0, 2), (-0.5, 1)])
-        idx, locs, w = d.sample_atoms_block(np.random.default_rng(0), 3)
+        counts, locs, w = d.sample_atoms_block(np.random.default_rng(0), 3)
+        idx = np.repeat(np.arange(3), counts)
         assert idx.tolist() == [0, 0, 1, 1, 2, 2]
         assert locs.tolist() == [1.0, -0.5] * 3
         assert w.tolist() == [2, 1] * 3
@@ -240,7 +241,8 @@ class TestDecorationSpec:
             kind="table",
             entries=((((1.0, 1),), 0.5), (((2.0, 1), (0.5, 1)), 0.5)),
         )
-        idx, locs, w = d.sample_atoms_block(np.random.default_rng(3), 5000)
+        counts, locs, w = d.sample_atoms_block(np.random.default_rng(3), 5000)
+        idx = np.repeat(np.arange(5000), counts)
         assert np.all(np.diff(idx) >= 0)
         per_copy = np.bincount(idx, minlength=5000)
         assert set(per_copy.tolist()) == {1, 2}
@@ -250,7 +252,8 @@ class TestDecorationSpec:
         d = DecorationSpec.random_atoms(
             [(2, 1.0)], LocationLaw(kind="uniform", low=1.0, high=2.0)
         )
-        idx, locs, w = d.sample_atoms_block(np.random.default_rng(4), 100)
+        counts, locs, w = d.sample_atoms_block(np.random.default_rng(4), 100)
+        idx = np.repeat(np.arange(100), counts)
         assert idx.size == 200 and np.all(w == 1)
         assert np.all((locs >= 1.0) & (locs <= 2.0))
 
@@ -982,11 +985,14 @@ def _near(x, steps=1):
     return out
 
 
-def _campaign(carrier, locations, rng, n_reps=5):
+def _campaign(carrier, locations, rng, n_reps=5, unit=False):
+    """Atoms shuffled into n_reps replicas, with weights 1 to 3, or all 1 if unit."""
     locations = np.asarray(locations, dtype=np.float64)
     rng.shuffle(locations)
     replica = np.sort(rng.integers(0, n_reps, locations.size))
     weights = rng.integers(1, 4, locations.size).astype(np.int64)
+    if unit:
+        weights[:] = 1
     return FlatCampaign(locations, replica, weights, n_reps, carrier, -math.inf)
 
 
@@ -1012,8 +1018,12 @@ def test_laplace_integrals_at_the_support_edges(carrier, name):
 
 @st.composite
 def _slice_cases(draw):
-    """A random function on a random carrier, a point, and atoms on and around
-    the knots that the point carries, with others anywhere."""
+    """Several (function, point) pairs on a random carrier and a campaign with
+    atoms on and around the knots that the first point carries, others
+    anywhere, and weights 1 to 3 or all 1. At the first point: a random
+    function, its twin of the same support_bounds, and a function whose
+    support reaches past the campaign's least and largest norms; the random
+    function again at a second point."""
     carrier = draw(st.sampled_from(["scale", "shift"]))
     cr = CARRIERS[carrier]
     scale = cr is SCALE
@@ -1025,15 +1035,32 @@ def _slice_cases(draw):
     if scale and draw(st.booleans()):
         knots = [(-x, v) for x, v in reversed(knots)] + knots
     f = TestFunction(knots, carrier)
-    p = draw(st.floats(0.05, 20.0) if scale else st.floats(-20.0, 20.0))
+    twin = TestFunction([(x, 2.0 * v) for x, v in knots], carrier)
+    assert twin.support_bounds == f.support_bounds
+    point = st.floats(0.05, 20.0) if scale else st.floats(-20.0, 20.0)
+    p, p2 = draw(point), draw(point)
     atoms = [t for k in f.knots_x for t in _near(cr.act(p, float(k)))]
     atoms += draw(st.lists(st.floats(-3000.0, 3000.0).filter(lambda x: x != 0.0),
                            max_size=30))
-    return f, p, _campaign(carrier, atoms, np.random.default_rng(draw(st.integers(0, 99))))
+    camp = _campaign(carrier, atoms, np.random.default_rng(draw(st.integers(0, 99))),
+                     unit=draw(st.booleans()))
+    norms = cr.norm(cr.inverse(p, camp.locations))
+    least, most = float(norms.min()), float(norms.max())
+    if scale:
+        ends = (max(least / 2.0, 5e-324), 2.0 * most)
+    else:
+        ends = (least - 1.0, most + 1.0)
+    wide = TestFunction([(ends[0], 0.0), (0.5 * (ends[0] + ends[1]), 1.0), (ends[1], 0.0)],
+                        carrier)
+    pairs = draw(st.permutations([(f, p), (twin, p), (wide, p), (f, p2)]))
+    return pairs, camp
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_slice_cases())
 def test_laplace_integrals_equal_the_full_evaluation_property(case):
-    f, p, camp = case
-    assert camp.laplace_integrals([(f, p)])[0].tobytes() == _full_integrals(camp, f, p).tobytes()
+    pairs, camp = case
+    rows = camp.laplace_integrals(pairs)
+    assert rows.shape == (len(pairs), camp.n_reps)
+    for (f, p), row in zip(pairs, rows):
+        assert row.tobytes() == _full_integrals(camp, f, p).tobytes()
