@@ -728,31 +728,10 @@ def _binomial_below(k: int, n: int, p: float) -> float:
     return total
 
 
-def _chernoff_clears(k: int, n: int, p: float) -> bool:
-    """Whether the Chernoff bound P(X < k) <= exp(-n D(a/n || p)), X ~
-    Binomial(n, p), a = k - 1 < n p and D the divergence of Bernoulli laws,
-    puts P(X < k) below CAP_EPS by a factor e, after a float margin of 1e-9
-    of the sum of the magnitudes of the exponent's terms. Rounding moves
-    neither the exponent nor ``_binomial_below`` by anything near that much,
-    so a cleared (k, n, p) is one where ``_binomial_below`` <= CAP_EPS too."""
-    a = k - 1
-    if not (0.0 < p < 1.0 and 0 <= a < n * p):
-        return False
-    q = a / n
-    terms = (a * math.log(q) if a else 0.0, -a * math.log(p),
-             (n - a) * math.log1p(-q), -(n - a) * math.log1p(-p))
-    margin = 1.0 + 1e-9 * math.fsum(map(abs, terms))
-    return -math.fsum(terms) + margin <= math.log(CAP_EPS)
-
-
 def refuse_likely_shortfall(k: int, n: int, p: float, message) -> None:
     """Raise DomainError(message(short)), before any block is drawn, when n trials
     of success probability p fall short of k successes with a probability short
-    above CAP_EPS, so that whether a run succeeds does not hang on the seed.
-    The O(k) sum for short runs unless the Chernoff screen (``_chernoff_clears``)
-    already rules a refusal out."""
-    if _chernoff_clears(k, n, p):
-        return
+    above CAP_EPS, so that whether a run succeeds does not hang on the seed."""
     short = _binomial_below(k, n, p)
     if short > CAP_EPS:
         raise DomainError(message(short))

@@ -63,12 +63,12 @@ class Carrier:
     norm: Callable  # the size the decoration bound caps and the window keeps: |x| or x
     families: tuple  # (without, with a global law)
     gaussian: str  # kind name of the global law whose log coordinate is normal
-    act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p; arrays map into out=
+    act: Callable  # (p, a) -> p acting on the atom a: p * a or a + p
     inverse: Callable  # (p, x) -> p's inverse acting on x
     rate_key: str  # config key of the tail index / rate
     point: str  # symbol of an evaluation point
     window_word: str
-    to_log: Callable  # point -> v: log or the identity; a float stays a float, arrays map into out=
+    to_log: Callable  # point -> v: log or the identity; a float stays a float, arrays map
     from_log: Callable  # v -> point: exp or the identity, likewise
     intensity: Callable  # rate -> rho
 
@@ -127,17 +127,9 @@ class Carrier:
         return self.tail_mass(rate, self.to_log(bound) + self.to_log(w) - self.to_log(window))
 
     def block_start(self, rate, window, bound, q):
-        """The dilation points at the uniforms q, an array, by inverse CDF of
-        the points above v_window - v_bound: an Exponential(rate) step in v.
-
-        The chain runs in one new buffer, each ufunc writing over its input,
-        and leaves q as it is: -q, log1p, / rate, v_window - v_bound minus
-        that, from_log."""
-        v = np.negative(q)
-        np.log1p(v, out=v)
-        np.divide(v, rate, out=v)
-        np.subtract(self.to_log(window) - self.to_log(bound), v, out=v)
-        return self.from_log(v, out=v)
+        """The dilation point at uniform q, by inverse CDF of the points above
+        v_window - v_bound: an Exponential(rate) step in v."""
+        return self.from_log((self.to_log(window) - self.to_log(bound)) - np.log1p(-q) / rate)
 
     def weight(self, rate, p, w):
         """The tail weight e^{-rate (v_p - v_w)} at p of the global value w."""
@@ -150,33 +142,21 @@ class Carrier:
 
 def _chart(scalar: Callable, ufunc: Callable) -> Callable:
     """One chart map: the math function on a Python float, so that scalar code
-    keeps its floats and their bits, and the ufunc, into out if given, on
-    everything else."""
-    return lambda x, out=None: scalar(x) if type(x) is float else ufunc(x, out=out)
-
-
-def _identity(x, out=None):
-    """The shift carrier's chart, both ways: x itself, or x copied into out
-    (no copy when out is x)."""
-    if out is None:
-        return x
-    np.copyto(out, x)
-    return out
+    keeps its floats and their bits, and the ufunc on everything else."""
+    return lambda x: scalar(x) if type(x) is float else ufunc(x)
 
 
 SCALE = Carrier(
     name="scale", norm=abs, families=("scdppp", "sscdppp"), gaussian="lognormal",
-    act=lambda p, a, out=None: p * a if out is None else np.multiply(p, a, out=out),
-    inverse=lambda y, x: x / y,
+    act=lambda p, a: p * a, inverse=lambda y, x: x / y,
     rate_key="alpha", point="y", window_word="window",
     to_log=_chart(math.log, np.log), from_log=_chart(math.exp, np.exp), intensity=lambda a: a,
 )
 SHIFT = Carrier(
     name="shift", norm=lambda x: x, families=("dppp", "sdppp"), gaussian="normal",
-    act=lambda p, a, out=None: a + p if out is None else np.add(a, p, out=out),
-    inverse=lambda u, x: x - u,
+    act=lambda p, a: a + p, inverse=lambda u, x: x - u,
     rate_key="c", point="u", window_word="cutoff",
-    to_log=_identity, from_log=_identity, intensity=lambda c: 1.0,
+    to_log=lambda t: t, from_log=lambda v: v, intensity=lambda c: 1.0,
 )
 CARRIERS = {"scale": SCALE, "shift": SHIFT}
 

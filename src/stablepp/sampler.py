@@ -708,7 +708,7 @@ def _block(cr: Carrier, spec: ProcessSpec, key: np.ndarray, size: int):
     n_atoms, dloc, dw = spec.decoration.sample_atoms_block(rng, total)
     if dloc.size != total:  # every copy has an atom, so equal sizes mean one each
         locs, rep = np.repeat(locs, n_atoms), np.repeat(rep, n_atoms)
-    cr.act(locs, dloc, out=locs)  # each point acting on its copy's atoms
+    locs = cr.act(locs, dloc)  # each point acting on its copy's atoms
     keep = cr.norm(locs) > window
     if not keep.all():
         locs, rep, dw = locs[keep], rep[keep], dw[keep]
@@ -754,9 +754,8 @@ class FlatCampaign:
         leave an atom where f is not 0 out of the slice.
 
         The slice is cut once per distinct ``support_bounds`` at a point, for
-        every function that shares them. A bound that every atom's norm meets
-        is not compared, so a support that covers the campaign's norms takes
-        the arrays themselves, and all-one weights are not multiplied in.
+        every function that shares them, and all-one weights are not
+        multiplied in.
         """
         cr = CARRIERS[self.carrier]
         rows = np.empty((len(pairs), self.n_reps))
@@ -767,16 +766,10 @@ class FlatCampaign:
         for y, by_support in at.items():
             z = cr.inverse(y, self.locations)
             size = cr.norm(z)
-            least, most = size.min(initial=math.inf), size.max(initial=-math.inf)
             for (lo, hi), rows_at in by_support.items():
-                zs, rep, w = z, self.replica, weights
-                inside = None if lo <= least else size >= lo
-                if hi < most:
-                    inside = size <= hi if inside is None else inside & (size <= hi)
-                if inside is not None:
-                    seen = np.flatnonzero(inside)
-                    zs, rep = z[seen], rep[seen]
-                    w = None if weights is None else weights[seen]
+                seen = np.flatnonzero((size >= lo) & (size <= hi))
+                zs, rep = z[seen], self.replica[seen]
+                w = None if weights is None else weights[seen]
                 for i in rows_at:
                     vals = pairs[i][0].eval(zs)
                     if w is not None:

@@ -231,8 +231,7 @@ class TestDecorationSpec:
     def test_sample_atoms_block_dirac(self):
         d = DecorationSpec.dirac([(1.0, 2), (-0.5, 1)])
         counts, locs, w = d.sample_atoms_block(np.random.default_rng(0), 3)
-        idx = np.repeat(np.arange(3), counts)
-        assert idx.tolist() == [0, 0, 1, 1, 2, 2]
+        assert counts == 2 and counts * 3 == locs.size == w.size
         assert locs.tolist() == [1.0, -0.5] * 3
         assert w.tolist() == [2, 1] * 3
 
@@ -242,19 +241,21 @@ class TestDecorationSpec:
             entries=((((1.0, 1),), 0.5), (((2.0, 1), (0.5, 1)), 0.5)),
         )
         counts, locs, w = d.sample_atoms_block(np.random.default_rng(3), 5000)
-        idx = np.repeat(np.arange(5000), counts)
-        assert np.all(np.diff(idx) >= 0)
-        per_copy = np.bincount(idx, minlength=5000)
-        assert set(per_copy.tolist()) == {1, 2}
-        assert abs(np.mean(per_copy == 2) - 0.5) < 0.03
+        assert counts.shape == (5000,) and counts.sum() == locs.size == w.size
+        assert set(counts.tolist()) == {1, 2}
+        assert abs(np.mean(counts == 2) - 0.5) < 0.03
+        # each copy's atoms are its entry's, in order, copy 0's first
+        first = np.cumsum(counts) - counts
+        assert locs[first].tolist() == np.where(counts == 2, 2.0, 1.0).tolist()
+        assert np.all(locs[first[counts == 2] + 1] == 0.5)
 
     def test_sample_atoms_block_random(self):
         d = DecorationSpec.random_atoms(
             [(2, 1.0)], LocationLaw(kind="uniform", low=1.0, high=2.0)
         )
         counts, locs, w = d.sample_atoms_block(np.random.default_rng(4), 100)
-        idx = np.repeat(np.arange(100), counts)
-        assert idx.size == 200 and np.all(w == 1)
+        assert counts.tolist() == [2] * 100 and counts.sum() == locs.size == w.size
+        assert np.all(w == 1)
         assert np.all((locs >= 1.0) & (locs <= 2.0))
 
 
