@@ -519,7 +519,8 @@ def stability_test(
     spec: ProcessSpec,
     b1: float,
     b2: float,
-    battery=None,
+    battery: dict | None = None,
+    points=None,
     n_reps: int = 100_000,
     level: float = 0.01,
     seed: int = 0,
@@ -535,8 +536,8 @@ def stability_test(
     compared through the scaled-Laplace battery (two-sample z-tests) and a
     two-sample KS test on maximum moduli, Bonferroni-corrected together.
 
-    `battery` is a sequence of (test function, y) pairs; by default the module
-    battery crossed with the default y grid.
+    Every function of `battery` ({id: test function}) is compared at every y
+    of `points`; by default the scale carrier's default battery and points.
     """
     if not spec.is_scale_family:
         raise DomainError("stability is a scale-carrier property")
@@ -553,9 +554,10 @@ def stability_test(
     if not (rhs_scale_factor > 0.0 and math.isfinite(rhs_scale_factor)):
         raise DomainError("rhs_scale_factor must be finite and > 0")
     if battery is None:
-        battery = [(f, y) for f in default_battery("scale").values()
-                   for y in default_points("scale")]
-    pairs = [(f, float(y)) for f, y in battery]
+        battery = default_battery("scale")
+    if points is None:
+        points = default_points("scale")
+    pairs = [(f, float(y)) for f in battery.values() for y in points]
     if not pairs:
         raise DomainError("the battery must contain at least one (function, y) pair")
 
@@ -770,12 +772,6 @@ def tail_index_test(spec: ProcessSpec, n_reps: int = 100_000, seed: int = 0,
 # -- scale-unique support ----------------------------------------------------------
 
 
-def _template_inverse(template, q: float) -> float:
-    """Solve template(v) = q for v by bisection; template is increasing."""
-    lo, hi = _bisect(template, q)
-    return 0.5 * (lo + hi)
-
-
 def _bounded_minimum(fn, a: float, b: float, xatol: float) -> float:
     """A minimizer of fn on [a, b] by Brent's bounded method (Brent 1973,
     ch. 5): parabolic steps where the parabola through the three best points
@@ -862,7 +858,8 @@ def fit_scale_template(y_grid, values, std_errors, template):
     # where the template is steepest and the inversion best conditioned
     mid = int(np.argmin(np.abs(vs - 0.5)))
     q = min(max(float(vs[mid]), 1e-9), 1.0 - 1e-9)
-    c0 = _template_inverse(template, q) / float(ys[mid])
+    lo, hi = _bisect(template, q)
+    c0 = 0.5 * (lo + hi) / float(ys[mid])
 
     def objective(log_c: float) -> float:
         c = math.exp(log_c)
@@ -878,40 +875,42 @@ def fit_scale_template(y_grid, values, std_errors, template):
 
 def scale_unique_support_test(
     spec: ProcessSpec,
-    battery=None,
-    y_grid=None,
+    battery: dict | None = None,
+    points=None,
     n_reps: int = 100_000,
     seed: int = 0,
     threads: int | None = 1,
 ) -> TestReport:
     """Check that every test function traces the same scale family of curves.
 
-    For each f in the battery the estimated curve y -> Psi(f || y) is fitted
-    to template(y * c) by one-dimensional least squares. The template is the
+    For each f in `battery` ({id: test function}) the estimated curve
+    y -> Psi(f || y) over `points` is fitted to template(y * c) by
+    one-dimensional least squares; both default to the scale carrier's
+    default battery and points, and the sub-checks are named f00, f01, ... by
+    position in `battery`. The template is the
     analytic maximum-modulus mixture law, which every decoration kind has: its
     Laplace curves are that law's CDF with kappa replaced by c_f, so the fitted
     c estimates (kappa / c_f)^(1/alpha). A sub-check passes iff the sup-norm
     residual stays below 3 pooled standard errors. A function whose curve is
     exactly 1 with standard error 0 at every y (it met no atom, as the zero
     function never does) is excluded as trivial. Two copies of one y fit any
-    curve, so a grid without two distinct points, like a battery without a
+    curve, so `points` without two distinct y, like a battery without a
     nonzero function, is a DomainError before any block is drawn.
     """
     if not spec.is_scale_family:
         raise DomainError("scale-unique support is a scale-carrier property")
     if battery is None:
-        battery = list(default_battery("scale").values())
-    battery = list(battery)
-    if y_grid is None:
-        y_grid = default_points("scale")
-    ys = [float(y) for y in y_grid]
+        battery = default_battery("scale")
+    if points is None:
+        points = default_points("scale")
+    ys = [float(y) for y in points]
     if len(set(ys)) < 2:
         raise DomainError("the y grid needs at least two distinct points")
-    if all(f.is_zero for f in battery):
+    if all(f.is_zero for f in battery.values()):
         raise DomainError("the battery must contain a nonzero function")
 
     template = extreme_law(spec).cdf
-    functions = {f"f{i:02d}": f for i, f in enumerate(battery)}
+    functions = {f"f{i:02d}": f for i, f in enumerate(battery.values())}
     estimates = battery_estimates(spec, functions, ys, n_reps, seed,
                                   threads=threads, role=_ROLE_SUPPORT)
 

@@ -17,6 +17,7 @@ acceptance rate rules that out is one.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -59,15 +60,6 @@ from .sampler import (
 from .transform import exp_transform, log_transform, map_process_spec, normalization_shift
 
 _SCHEMA = "stablepp/v1"
-
-_DEFAULT_REPS = {
-    "sample": 100,
-    "estimate": 100_000,
-    "stability": 100_000,
-    "maxlaw": 10_000,
-    "support": 100_000,
-    "tail": 100_000,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,10 +138,6 @@ def _battery(fields: dict, carrier: str) -> dict:
     return out
 
 
-def _points(fields: dict, carrier: str):
-    return fields.get("points", default_points(carrier))
-
-
 # -- output plumbing ---------------------------------------------------------------
 
 
@@ -194,11 +182,9 @@ def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
 def cmd_sample(args) -> int:
     doc, fields = _load_config(args.config, ("process",))
     spec = fields["process"]
-    reps = args.reps if args.reps is not None else _DEFAULT_REPS["sample"]
-    threads = resolve_threads(args.threads)
-    campaign = run_campaign(ProcessSource(spec), args.seed, reps, threads)
+    campaign = run_campaign(ProcessSource(spec), args.seed, args.reps, args.threads)
     n = _write_chunks(args.out, campaign.measures().json_chunks())
-    _write_manifest(args.out, "sample", doc, seed=args.seed, reps=reps,
+    _write_manifest(args.out, "sample", doc, seed=args.seed, reps=args.reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n}},
                     extra={"window": spec.window, "carrier": spec.carrier})
@@ -209,11 +195,9 @@ def cmd_estimate(args) -> int:
     doc, fields = _load_config(args.config, ("process",), ("battery", "points"))
     spec = fields["process"]
     functions = _battery(fields, spec.carrier)
-    points = _points(fields, spec.carrier)
-    reps = args.reps if args.reps is not None else _DEFAULT_REPS["estimate"]
-    threads = resolve_threads(args.threads)
-    estimates = battery_estimates(spec, functions, points, reps, args.seed,
-                                  threads=threads)
+    points = fields.get("points", default_points(spec.carrier))
+    estimates = battery_estimates(spec, functions, points, args.reps, args.seed,
+                                  threads=args.threads)
     # looked up per call in the current bindings, which a tracer may rebind
     predict = {"scale": predict_scaled_laplace, "shift": predict_shift_laplace}[spec.carrier]
     rows = ["f_id,point,value,std_error,predicted,predicted_error"]
@@ -224,7 +208,7 @@ def cmd_estimate(args) -> int:
             est = estimates[(fid, p)]
             rows.append(f"{fid},{p!r},{est.value!r},{est.std_error!r},{value!r},{bound!r}")
     n = _write_text(args.out, "\n".join(rows) + "\n")
-    _write_manifest(args.out, "estimate", doc, seed=args.seed, reps=reps,
+    _write_manifest(args.out, "estimate", doc, seed=args.seed, reps=args.reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n}},
                     extra={"window": required_window(spec, functions.values(), points),
@@ -232,49 +216,40 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-# test kind -> (required, optional) config fields besides "schema" and "process"
-_TEST_FIELDS = {
-    "stability": (("b1", "b2"), ("rhs_scale_factor", "battery", "points")),
-    "maxlaw": ((), ()),
-    "support": ((), ("battery", "points")),
-    "tail": ((), ()),
-}
-# the test kinds that read --level
-_LEVEL_KINDS = ("stability", "maxlaw")
+def _test_kinds() -> dict:
+    """test kind -> (its test function; its required and optional config fields
+    besides "schema" and "process", which the function takes as keywords).
+
+    Built per call from the current bindings, which a tracer may rebind."""
+    return {
+        "stability": (stability_test, ("b1", "b2"), ("rhs_scale_factor", "battery", "points")),
+        "maxlaw": (maxmod_law_test, (), ()),
+        "support": (scale_unique_support_test, (), ("battery", "points")),
+        "tail": (tail_index_test, (), ()),
+    }
 
 
 def cmd_test(args) -> int:
-    kind = args.kind
-    required, optional = _TEST_FIELDS[kind]
+    kinds = _test_kinds()
+    test, required, optional = kinds[args.kind]
     doc, fields = _load_config(args.config, ("process", *required), optional)
-    spec = fields["process"]
-    if args.level is not None and kind not in _LEVEL_KINDS:
-        raise DomainError(f"--level applies to the {' and '.join(_LEVEL_KINDS)} tests only")
-    level = 0.01 if args.level is None else args.level
-    threads = resolve_threads(args.threads)
-    reps = args.reps if args.reps is not None else _DEFAULT_REPS[kind]
-
-    if kind == "stability":
-        functions = _battery(fields, spec.carrier)
-        battery = [(f, y) for f in functions.values() for y in _points(fields, spec.carrier)]
-        report = stability_test(
-            spec, fields["b1"], fields["b2"], battery=battery,
-            n_reps=reps, level=level, seed=args.seed,
-            rhs_scale_factor=fields.get("rhs_scale_factor", 1.0), threads=threads)
-    elif kind == "maxlaw":
-        report = maxmod_law_test(spec, n_reps=reps, seed=args.seed, level=level,
-                                 threads=threads)
-    elif kind == "support":
-        report = scale_unique_support_test(
-            spec, battery=list(_battery(fields, spec.carrier).values()),
-            y_grid=_points(fields, spec.carrier), n_reps=reps, seed=args.seed,
-            threads=threads)
-    else:
-        report = tail_index_test(spec, n_reps=reps, seed=args.seed, threads=threads)
+    del fields["schema"]
+    spec = fields.pop("process")
+    if args.level is not None:
+        readers = [k for k, (fn, _, _) in kinds.items()
+                   if "level" in inspect.signature(fn).parameters]
+        if args.kind not in readers:
+            raise DomainError(f"--level applies to the {' and '.join(readers)} tests only")
+        fields["level"] = args.level
+    if args.reps is not None:
+        fields["n_reps"] = args.reps
+    if "battery" in fields:
+        fields["battery"] = _battery(fields, spec.carrier)
+    report = test(spec, seed=args.seed, threads=args.threads, **fields)
 
     text = report.to_json() + "\n"
     _write_text(args.out, text)
-    _write_manifest(args.out, f"test {kind}", doc, seed=args.seed, reps=reps,
+    _write_manifest(args.out, f"test {args.kind}", doc, seed=args.seed, reps=report.n_reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": 1}},
                     status="ok" if report.passed else "rejected")
@@ -288,9 +263,8 @@ def cmd_extract(args) -> int:
     spec = fields.pop("process")
     del fields["schema"]
     cfg = ExtractionConfig(**fields)
-    threads = resolve_threads(args.threads)
     try:
-        report = extract_decoration(spec, cfg, seed=args.seed, threads=threads)
+        report = extract_decoration(spec, cfg, seed=args.seed, threads=args.threads)
     except StarvationError as e:
         _write_manifest(args.out, "extract", doc, seed=args.seed,
                         reps=MAX_REPS, spec_hashes=[spec.spec_hash()],
@@ -355,29 +329,30 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "shift-decorated Poisson point processes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_reps_hint=None):
+    def common(p, reps=None):
         """--config, --out, --seed and --threads; --reps where the command has
-        a replica count, whose default the hint names."""
+        a replica count, defaulting to `reps`, or where `reps` is "per kind" to
+        the default of the kind's test function."""
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        if default_reps_hint is not None:
-            p.add_argument("--reps", type=int, default=None,
-                           help=f"replica count (default {default_reps_hint})")
+        if reps is not None:
+            p.add_argument("--reps", type=int, default=None if reps == "per kind" else reps,
+                           help=f"replica count (default {reps})")
         p.add_argument("--threads", type=int, default=None,
                        help="parallel width; default STABLEPP_THREADS or 1; "
                             "outputs are identical across values")
 
     p = sub.add_parser("sample", help="draw replicas, write point-measure lines")
-    common(p, _DEFAULT_REPS["sample"])
+    common(p, 100)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("estimate", help="Laplace-functional battery to CSV")
-    common(p, _DEFAULT_REPS["estimate"])
+    common(p, 100_000)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("test", help="statistical verification, JSON report")
-    p.add_argument("kind", choices=["stability", "maxlaw", "support", "tail"])
+    p.add_argument("kind", choices=list(_test_kinds()))
     common(p, "per kind")
     p.add_argument("--level", type=float, default=None,
                    help="test level in (0, 1) of stability and maxlaw (default 0.01)")
@@ -401,6 +376,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     t0 = time.monotonic()
     try:
+        args.threads = resolve_threads(args.threads)
         code = args.func(args)
     except (StableppError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

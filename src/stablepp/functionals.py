@@ -78,7 +78,6 @@ from .point_measure import (
     TestFunction,
     _carrier,
     indicator_approx,
-    maxmod_indicator,
     shift_indicator_approx,
     tent,
 )
@@ -701,7 +700,7 @@ def default_battery(carrier: str) -> dict:
             "tent_hi": tent(2.0, 4.0, 8.0),
             "step_ln2": indicator_approx(math.log(2.0), edge=1.0, outer=1e6, ramp=1e-6),
             "band_sym": indicator_approx(1.0, edge=0.7, outer=5.0, ramp=1e-3, symmetric=True),
-            "mm_50": maxmod_indicator(50.0, edge=1.0, outer=1e6, ramp=1e-6),
+            "mm_50": indicator_approx(50.0, edge=1.0, outer=1e6, ramp=1e-6, symmetric=True),
         }
     return {
         "gtent_lo": tent(-math.log(2.0), 0.0, math.log(2.0), carrier="shift"),

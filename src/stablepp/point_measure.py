@@ -36,7 +36,6 @@ __all__ = [
     "integrate",
     "tent",
     "indicator_approx",
-    "maxmod_indicator",
     "shift_indicator_approx",
 ]
 
@@ -587,7 +586,10 @@ def indicator_approx(
     Rises linearly on (edge, edge*(1+ramp)), holds `level` out to `outer`, and
     returns to zero by outer*(1+ramp). With ``symmetric=True`` the same shape
     is mirrored onto the negative half-line, approximating
-    level * 1_{|x| > edge}.
+    level * 1_{|x| > edge}; at a large level this stands for inf * 1_{|x| > edge},
+    and the mean of exp(-integral) against it approximates the probability that
+    no atom exceeds modulus `edge`, with bias at most e^{-level} plus the ramp
+    and outer-cutoff mass.
 
     Parameters
     ----------
@@ -604,16 +606,6 @@ def indicator_approx(
         return TestFunction(right)
     left = [(-x, v) for x, v in reversed(right)]
     return TestFunction(left + right)
-
-
-def maxmod_indicator(plateau: float, edge: float = 1.0, outer: float = 1e8, ramp: float = 1e-7) -> TestFunction:
-    """Two-sided plateau approximating inf * 1_{|x| > edge}.
-
-    Integrating exp(-integral) against this function approximates the
-    probability that no atom exceeds modulus `edge`, with bias at most
-    e^{-plateau} plus the ramp and outer-cutoff mass.
-    """
-    return indicator_approx(plateau, edge=edge, outer=outer, ramp=ramp, symmetric=True)
 
 
 def shift_indicator_approx(level: float, edge: float, outer: float,

@@ -270,8 +270,9 @@ class TestStabilityTest:
         rejections = 0
         for s in range(100):
             report = stability_test(dirac_spec(), 1.0, 1.0, n_reps=2000, seed=s,
-                                    battery=[(tent(0.5, 1.0, 2.0), 1.0),
-                                             (tent(2.0, 4.0, 8.0), 2.0)])
+                                    battery={"lo": tent(0.5, 1.0, 2.0),
+                                             "hi": tent(2.0, 4.0, 8.0)},
+                                    points=(1.0, 2.0))
             rejections += 0 if report.passed else 1
         assert rejections <= 2
 
@@ -359,9 +360,9 @@ class TestScaleUniqueSupport:
 
         monkeypatch.setattr(characterization, "battery_estimates", no_sampling)
         with pytest.raises(DomainError, match="^the y grid needs at least two distinct points$"):
-            scale_unique_support_test(dirac_spec(), y_grid=y_grid, n_reps=1000, seed=0)
+            scale_unique_support_test(dirac_spec(), points=y_grid, n_reps=1000, seed=0)
 
-    @pytest.mark.parametrize("battery", [[], "zeros"])
+    @pytest.mark.parametrize("battery", [{}, "zeros"])
     def test_battery_without_a_nonzero_function_is_refused_before_sampling(self, monkeypatch,
                                                                            battery):
         from stablepp.point_measure import TestFunction
@@ -370,7 +371,8 @@ class TestScaleUniqueSupport:
             raise AssertionError("sampled a campaign")
 
         if battery == "zeros":
-            battery = [TestFunction([(1.0, 0.0), (2.0, 0.0)]), tent(0.5, 1.0, 2.0, height=0.0)]
+            battery = {"z": TestFunction([(1.0, 0.0), (2.0, 0.0)]),
+                       "flat": tent(0.5, 1.0, 2.0, height=0.0)}
         monkeypatch.setattr(characterization, "battery_estimates", no_sampling)
         with pytest.raises(DomainError, match="^the battery must contain a nonzero function$"):
             scale_unique_support_test(dirac_spec(), battery=battery, n_reps=1000, seed=0)
@@ -385,7 +387,8 @@ class TestScaleUniqueSupport:
     def test_fit_invariance_under_function_scaling(self):
         f = default_battery("scale")["mm_50"]
         report = scale_unique_support_test(
-            dirac_spec(), battery=[f, TestFunction(list(zip(f.knots_x / 2.0, f.knots_v)))],
+            dirac_spec(), battery={"mm": f, "half": TestFunction(list(zip(f.knots_x / 2.0,
+                                                                            f.knots_v)))},
             n_reps=30_000, seed=9)
         fitted = report.params["fitted_c"]
         assert fitted["f01"] / fitted["f00"] == pytest.approx(0.5, abs=0.05)
@@ -406,7 +409,7 @@ class TestScaleUniqueSupport:
         from stablepp.point_measure import TestFunction
         z = TestFunction([(1.0, 0.0), (2.0, 0.0)])
         report = scale_unique_support_test(
-            dirac_spec(), battery=[z, default_battery("scale")["tent_lo"]],
+            dirac_spec(), battery={"z": z, "tent_lo": default_battery("scale")["tent_lo"]},
             n_reps=5000, seed=3)
         trivial = [s for s in report.subchecks if "trivial" in s.note]
         assert len(trivial) == 1

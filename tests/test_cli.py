@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import inspect
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import pytest
 
 import stablepp.extraction
 import stablepp.sampler
+from stablepp import cli
+from stablepp.characterization import TestReport
 from stablepp.cli import main
 from stablepp.extraction import ExtractionConfig, extract_decoration
 from stablepp.point_measure import MeasureBatch, PointMeasure
@@ -27,6 +31,13 @@ SHIFT_PROC = {
     "c": 1.0,
     "decoration": {"kind": "dirac", "atoms": [[0.0, 1]]},
     "window": -3.0,
+}
+
+
+# a value for every config field a test kind declares
+TEST_FIELD_VALUES = {
+    "b1": 1.0, "b2": 2.0, "rhs_scale_factor": 1.5, "points": (1.0, 2.0),
+    "battery": [{"id": "t", "kind": "tent", "left": 0.5, "peak": 1.0, "right": 2.0}],
 }
 
 
@@ -145,13 +156,52 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "e.csv")]) == 1
 
     def test_non_integer_thread_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STABLEPP_THREADS", "abc")
-        cfg = proc_config(tmp_path)
-        assert main(["sample", "--config", cfg, "--reps", "10",
-                     "--out", str(tmp_path / "o.jsonl")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "STABLEPP_THREADS" in err
-        assert "Traceback" not in err
+        # transform draws nothing, yet refuses a bad thread count like every command
+        out = tmp_path / "o.jsonl"
+        for command, extra in ((["sample", "--reps", "10"], None),
+                               (["transform"], {"direction": "log"})):
+            cfg = proc_config(tmp_path, extra)
+            monkeypatch.setenv("STABLEPP_THREADS", "abc")
+            assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "STABLEPP_THREADS" in err
+            assert "Traceback" not in err
+            monkeypatch.delenv("STABLEPP_THREADS")
+            assert main(command + ["--config", cfg, "--out", str(out), "--threads", "0"]) == 1
+            assert capsys.readouterr().err == "error: threads must be >= 1\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(cli._test_kinds()))
+    @pytest.mark.parametrize("given", [False, True], ids=["defaults", "flags"])
+    def test_test_kinds_take_their_config_fields_as_keywords(self, tmp_path, monkeypatch,
+                                                             kind, given):
+        # every field the kind's row declares reaches its test function by name;
+        # n_reps and level only with --reps and --level, so the function's own
+        # defaults hold. The recorder keeps the function's signature, as the
+        # tracer's wrappers do, so the kinds that take a level still read --level.
+        real, required, optional = cli._test_kinds()[kind]
+        calls = []
+
+        @functools.wraps(real)
+        def record(spec, **kwargs):
+            calls.append(kwargs)
+            return TestReport(kind, 0.0, 1, 0, ())
+
+        monkeypatch.setattr(cli, real.__name__, record)
+        fields = {f: TEST_FIELD_VALUES[f] for f in (*required, *optional)}
+        argv = ["test", kind, "--config", proc_config(tmp_path, fields), "--seed", "4",
+                "--threads", "2", "--out", str(tmp_path / "r.json")]
+        flags = {}
+        if given:
+            flags["n_reps"], argv = 7, argv + ["--reps", "7"]
+            if "level" in inspect.signature(real).parameters:
+                flags["level"], argv = 0.05, argv + ["--level", "0.05"]
+        assert main(argv) == 0
+        (kwargs,) = calls
+        if "battery" in fields:
+            assert list(kwargs.pop("battery")) == ["t"]
+            del fields["battery"]
+        assert kwargs == {"seed": 4, "threads": 2, **fields, **flags}
 
     @pytest.mark.parametrize("command, extra", [
         (["sample"], {"process": dict(PROC, decoration={"kind": "dirac", "atoms": [[1.0]]})}),

@@ -13,8 +13,10 @@ class _Declared(Exception):
 
 
 def _table_fields(table: dict) -> set:
-    """The fields a kind table adds for any of its kinds."""
-    return {name for required, optional in table.values() for name in (*required, *optional)}
+    """The fields a kind table adds for any of its kinds, the last two entries
+    of each kind's row."""
+    return {name for *_, required, optional in table.values()
+            for name in (*required, *optional)}
 
 
 def _command_fields(tmp_path, monkeypatch) -> set:
@@ -48,7 +50,7 @@ def _declared_fields(tmp_path, monkeypatch) -> set:
         | {"atoms", "prob"}  # a table decoration's entry
         | laws
         | _table_fields(cli._FUNCTION_FIELDS) | {"id"}
-        | _table_fields(cli._TEST_FIELDS)
+        | _table_fields(cli._test_kinds())
         | _command_fields(tmp_path, monkeypatch)
     )
 

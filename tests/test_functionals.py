@@ -34,7 +34,6 @@ from stablepp.point_measure import (
     PointMeasure,
     TestFunction,
     indicator_approx,
-    maxmod_indicator,
     shift_indicator_approx,
     tent,
 )
@@ -611,7 +610,7 @@ def test_uniform_locations_under_a_high_plateau(carrier):
     # the closed form for uniform locations must still give a finite psi
     dec = REFERENCE_DECORATIONS[carrier]["atoms_uniform"]
     if carrier == "scale":
-        f, spec = maxmod_indicator(1000.0), ProcessSpec("scdppp", 1.0, dec, 0.05)
+        f, spec = indicator_approx(1000.0, symmetric=True), ProcessSpec("scdppp", 1.0, dec, 0.05)
         points, psi, predict = default_points("scale"), psi_decoration_scale, predict_scaled_laplace
         grid = np.array([0.3, 0.8, 1.0, 1.3, 2.5])
     else:

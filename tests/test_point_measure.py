@@ -11,7 +11,6 @@ from stablepp.point_measure import (
     TestFunction,
     indicator_approx,
     integrate,
-    maxmod_indicator,
     shift_indicator_approx,
     tent,
 )
@@ -295,7 +294,7 @@ class TestShapedConstructors:
         assert f.eval(-50.0) == 0.0
 
     def test_symmetric_indicator(self):
-        f = maxmod_indicator(2.0, edge=1.0, outer=100.0, ramp=1e-3)
+        f = indicator_approx(2.0, edge=1.0, outer=100.0, ramp=1e-3, symmetric=True)
         assert f.eval(-50.0) == 2.0 and f.eval(50.0) == 2.0
         assert f.eval(0.5) == 0.0
         assert f.support_bounds == (1.0, 100.0 * (1.0 + 1e-3))

@@ -18,7 +18,6 @@ from stablepp.point_measure import (
     TestFunction,
     indicator_approx,
     integrate,
-    maxmod_indicator,
     shift_indicator_approx,
     tent,
 )
@@ -955,7 +954,7 @@ LN2 = math.log(2.0)
 EDGE_FUNCTIONS = {
     "scale": {
         "step_ln2": indicator_approx(LN2, edge=1.0, outer=1e6, ramp=1e-6),
-        "maxmod": maxmod_indicator(50.0),
+        "maxmod": indicator_approx(50.0, symmetric=True),
         "band_sym": indicator_approx(1.0, edge=0.7, outer=5.0, ramp=1e-3, symmetric=True),
         "tent": tent(0.5, 1.0, 2.0),
     },

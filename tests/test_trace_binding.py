@@ -2,7 +2,8 @@
 installed. A caller that bound a traced function at import time (a dict of
 predictors built at module level, say) would bypass the wrapper and silently
 zero that layer's metric; this test runs the CLI under the tracer and checks
-that every traced functional name recorded spans."""
+that every traced functional name, and the test function `test maxlaw`
+calls, recorded spans."""
 import importlib.util
 import json
 import os
@@ -29,6 +30,10 @@ tracer.install()
 for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
     code = cli.main(["estimate", "--config", config, "--out", out, "--reps", "300"])
     assert code == 0, code
+# the scale config; a rejection (exit 2) still ran the test function
+code = cli.main(["test", "maxlaw", "--config", sys.argv[2], "--out", sys.argv[3] + ".json",
+                 "--reps", "300"])
+assert code in (0, 2), code
 # the estimate command reduces its campaign block by block and never calls the
 # single-campaign estimators, so they are reached through the module bindings
 for config in sys.argv[2::2]:
@@ -72,3 +77,4 @@ def test_estimate_under_the_tracer_records_every_functional_layer(tmp_path):
     for layer in ("PREDICT", "QUAD", "PSI", "ESTIMATE"):
         missing = getattr(tracing, layer) - recorded
         assert not missing, f"{layer}: no span for {sorted(missing)}"
+    assert "characterization.maxmod_law_test" in recorded
