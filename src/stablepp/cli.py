@@ -2,8 +2,8 @@
 
 Subcommands: sample, estimate, test {stability|maxlaw|support|tail}, extract,
 transform. Every command reads a fail-closed JSON config (versioned schema
-field, unknown keys rejected), writes its outputs through a single writer at
-the end, and drops a `<out>.manifest.json` next to each output capturing
+field, unknown keys rejected), writes each output to `<out>.part` as it goes,
+renamed onto `<out>` once whole, and drops a `<out>.manifest.json` beside it capturing
 everything needed to reproduce the bytes: config echo, spec hashes, master
 seed, replica counts, truncation values, tool version, and the output
 inventory. Repeated runs with the same config and seed are byte-identical,
@@ -17,11 +17,14 @@ acceptance rate rules that out is one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
+import os
 import sys
 import time
 from functools import partial
+from itertools import chain
 
 from . import __version__
 from .characterization import (
@@ -41,7 +44,6 @@ from .functionals import (
     required_window,
 )
 from .point_measure import (
-    CARRIERS,
     MeasureBatch,
     TestFunction,
     indicator_approx,
@@ -51,11 +53,12 @@ from .point_measure import (
 from .sampler import (
     MAX_REPS,
     MEAN_CAP,
+    FlatCampaign,
     ProcessSource,
+    _blocks,
     config_fields,
     kind_fields,
     resolve_threads,
-    run_campaign,
 )
 from .transform import exp_transform, log_transform, map_process_spec, normalization_shift
 
@@ -91,16 +94,27 @@ def _load_config(path: str, required, optional=()) -> tuple:
     return doc, config_fields(doc, "config", ("schema", *required), optional)
 
 
-def _input_lines(path: str):
-    """The lines of the file at `path` as str.splitlines splits its text, read lazily."""
-    with open(path, "rb") as fh:
-        at = 0
-        for raw in fh:
-            try:
-                yield from raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as e:
-                raise UnicodeError(f"invalid UTF-8 at byte {at + e.start}: {e.reason}") from None
-            at += len(raw)
+def _input_lines(fh):
+    """The lines of the binary file `fh` as str.splitlines splits its text, read lazily."""
+    at = 0
+    for raw in fh:
+        try:
+            yield from raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise UnicodeError(f"invalid UTF-8 at byte {at + e.start}: {e.reason}") from None
+        at += len(raw)
+
+
+def _mapped_input(fh, carrier: str, op):
+    """The measure lines of the binary file `fh` on `carrier`, mapped by `op` a
+    batch at a time; failing to read or parse them is a ConfigError naming the input."""
+    try:
+        for batch in MeasureBatch.batches_from_json_lines(_input_lines(fh), carrier, op):
+            yield from batch.json_chunks()
+    except (OSError, UnicodeError) as e:
+        raise ConfigError(f"cannot read input: {e}")
+    except ConfigError as e:
+        raise ConfigError(f"input {e}")
 
 
 # battery function kind -> (required, optional) fields besides "id" and "kind"
@@ -142,18 +156,20 @@ def _battery(fields: dict, carrier: str) -> dict:
 
 
 def _write_chunks(path: str, chunks) -> int:
-    """Write text chunks one after another, return their line count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for text in chunks:
-            fh.write(text)
-            n += text.count("\n")
+    """Write text chunks one after another to `<path>.part`, rename it onto `path`
+    once all are written (remove it on any failure), return their line count."""
+    part, n = path + ".part", 0
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            for text in chunks:
+                fh.write(text)
+                n += text.count("\n")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
     return n
-
-
-def _write_text(path: str, text: str) -> int:
-    """Write text, return its line count."""
-    return _write_chunks(path, (text,))
 
 
 def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
@@ -172,8 +188,7 @@ def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
     }
     if extra:
         doc.update(extra)
-    _write_text(out_path + ".manifest.json",
-                json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_chunks(out_path + ".manifest.json", [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
 # -- commands ----------------------------------------------------------------------
@@ -182,8 +197,9 @@ def _write_manifest(out_path: str, command: str, config: dict, *, seed, reps,
 def cmd_sample(args) -> int:
     doc, fields = _load_config(args.config, ("process",))
     spec = fields["process"]
-    campaign = run_campaign(ProcessSource(spec), args.seed, args.reps, args.threads)
-    n = _write_chunks(args.out, campaign.measures().json_chunks())
+    blocks = _blocks(ProcessSource(spec), args.seed, args.reps, FlatCampaign.measures,
+                     args.threads, ())
+    n = _write_chunks(args.out, chain.from_iterable(b.json_chunks() for b in blocks))
     _write_manifest(args.out, "sample", doc, seed=args.seed, reps=args.reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n}},
@@ -207,7 +223,7 @@ def cmd_estimate(args) -> int:
         for p, value, bound in zip(points, pred.value.tolist(), pred.error_bound.tolist()):
             est = estimates[(fid, p)]
             rows.append(f"{fid},{p!r},{est.value!r},{est.std_error!r},{value!r},{bound!r}")
-    n = _write_text(args.out, "\n".join(rows) + "\n")
+    n = _write_chunks(args.out, ["\n".join(rows) + "\n"])
     _write_manifest(args.out, "estimate", doc, seed=args.seed, reps=args.reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": n}},
@@ -248,7 +264,7 @@ def cmd_test(args) -> int:
     report = test(spec, seed=args.seed, threads=args.threads, **fields)
 
     text = report.to_json() + "\n"
-    _write_text(args.out, text)
+    _write_chunks(args.out, [text])
     _write_manifest(args.out, f"test {args.kind}", doc, seed=args.seed, reps=report.n_reps,
                     spec_hashes=[spec.spec_hash()],
                     outputs={args.out: {"lines": 1}},
@@ -272,8 +288,7 @@ def cmd_extract(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     sidecar = args.out + ".decorations.jsonl"
-    n_rep = _write_text(args.out,
-                        json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+    n_rep = _write_chunks(args.out, [json.dumps(report.to_json_dict(), sort_keys=True) + "\n"])
     n_dec = _write_chunks(sidecar, report.decorations.json_chunks())
     _write_manifest(args.out, "extract", doc, seed=args.seed, reps=report.attempts,
                     spec_hashes=[spec.spec_hash()],
@@ -294,13 +309,11 @@ def cmd_transform(args) -> int:
 
     if "input" in fields:
         try:
-            out = MeasureBatch.concatenate(MeasureBatch.batches_from_json_lines(
-                _input_lines(fields["input"]), source, op), CARRIERS[source].other)
-        except (OSError, UnicodeError) as e:
+            fh = open(fields["input"], "rb")
+        except OSError as e:
             raise ConfigError(f"cannot read input: {e}")
-        except ConfigError as e:
-            raise ConfigError(f"input {e}")
-        n = _write_chunks(args.out, out.json_chunks())
+        with fh:
+            n = _write_chunks(args.out, _mapped_input(fh, source, op))
         _write_manifest(args.out, "transform", doc, seed=args.seed, reps=n,
                         spec_hashes=[], outputs={args.out: {"lines": n}},
                         extra={"direction": direction})
@@ -311,7 +324,7 @@ def cmd_transform(args) -> int:
         raise ConfigError(f"direction {direction} applies to {source} families")
     mapped = map_process_spec(spec)
     out_doc = {"schema": _SCHEMA, "process": mapped.to_config_dict()}
-    _write_text(args.out, json.dumps(out_doc, sort_keys=True, indent=2) + "\n")
+    _write_chunks(args.out, [json.dumps(out_doc, sort_keys=True, indent=2) + "\n"])
     _write_manifest(args.out, "transform", doc, seed=args.seed, reps=0,
                     spec_hashes=[spec.spec_hash(), mapped.spec_hash()],
                     outputs={args.out: {"lines": 1}},

@@ -258,7 +258,7 @@ class _BaseMeasure:
     def from_json_line(cls, line: str, carrier: str = "scale"):
         if not line.strip():
             raise ConfigError("a point-measure line must not be blank")
-        return MeasureBatch.from_json_lines([line], carrier)[0]
+        return next(MeasureBatch.batches_from_json_lines([line], carrier))[0]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -368,22 +368,6 @@ class MeasureBatch:
         self.locations, self.multiplicities, self.offsets = _canonical(
             locs, raw.astype(np.int64, copy=False), idx.astype(np.int64, copy=False), n, cr)
 
-    @classmethod
-    def concatenate(cls, batches, carrier: str) -> "MeasureBatch":
-        """The measures of several batches on `carrier`, in order."""
-        batches = list(batches)
-        carrier = _carrier(carrier).name
-        if any(b.carrier != carrier for b in batches):
-            raise DomainError(f"every batch must hold {carrier}-carrier measures")
-        starts = np.cumsum([0] + [len(b) for b in batches])
-        return cls(carrier,
-                   np.concatenate([np.zeros(0)] + [b.locations for b in batches]),
-                   np.concatenate([np.zeros(0, dtype=np.int64)]
-                                  + [b.multiplicities for b in batches]),
-                   np.concatenate([np.zeros(0, dtype=np.int64)]
-                                  + [b.index() + s for b, s in zip(batches, starts)]),
-                   starts[-1])
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 
@@ -427,11 +411,6 @@ class MeasureBatch:
                              (self.offsets[lo:hi + 1] - a).tolist())
 
     @classmethod
-    def from_json_lines(cls, lines, carrier: str) -> "MeasureBatch":
-        """Parse measure lines into one batch of measures on `carrier`."""
-        return cls.concatenate(cls.batches_from_json_lines(lines, carrier), carrier)
-
-    @classmethod
     def batches_from_json_lines(cls, lines, carrier: str, mapped=lambda batch: batch):
         """Parse measure lines into measures on `carrier`, passed through
         `mapped` in batches of up to 4096 lines, taken from `lines` as needed.
@@ -456,6 +435,7 @@ class MeasureBatch:
                     except (ConfigError, DomainError, RangeError) as exc:
                         raise ConfigError(f"line {k}: {exc}") from exc
                 raise
+            del chunk  # the raw lines go before the caller holds the batch
             yield batch
 
     @classmethod

@@ -44,10 +44,12 @@ import json
 import math
 import numbers
 import os
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 
 import numpy as np
 
@@ -890,7 +892,8 @@ def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
     FlatCampaign of its own replicas 0..size-1, once the source's cap check
     has passed (``ProcessSource.check_cap``). ``fn`` runs in the block's job,
     so at most one block of atoms per worker is alive unless ``fn`` keeps it.
-    At most min(threads, blocks, cpu count) worker threads run.
+    At most min(threads, blocks, cpu count) worker threads run, with at most
+    twice that many blocks submitted and not yet taken by the caller.
     """
     n_reps = int(n_reps)
     if not 1 <= n_reps <= MAX_REPS:
@@ -904,22 +907,26 @@ def _blocks(source, master_seed: int, n_reps: int, fn, threads, role: tuple):
         return fn(FlatCampaign(locs, rep, w, size, source.carrier, source.window))
 
     workers = min(resolve_threads(threads), n_blocks, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(job, range(n_blocks))
-    else:
+    if workers == 1:
         yield from map(job, range(n_blocks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        jobs = (pool.submit(job, b) for b in range(n_blocks))
+        window = deque(islice(jobs, 2 * workers))
+        while window:
+            yield window.popleft().result()
+            window.extend(islice(jobs, 1))
 
 
 def run_campaign(source, master_seed: int, n_reps: int, threads: int | None = 1,
                  role: tuple = ()) -> FlatCampaign:
     """Draw ``n_reps`` replicas from a source into one flat campaign.
 
-    For callers whose product is the atoms themselves (sampled measures,
-    extraction's attempt batches); statistics of replicas come from
-    ``campaign_stats``, which never holds the campaign's atoms. Block b uses
-    the stream keyed by (master_seed, ROLE_BLOCK, *role, b), so results are
-    identical for every thread count.
+    For callers whose product is the atoms themselves (extraction's attempt
+    batches); statistics of replicas come from ``campaign_stats``, which
+    never holds the campaign's atoms. Block b uses the stream keyed by
+    (master_seed, ROLE_BLOCK, *role, b), so results are identical for every
+    thread count.
     """
     parts = list(_blocks(source, master_seed, n_reps, lambda block: block, threads, role))
     return FlatCampaign(np.concatenate([p.locations for p in parts]),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import functools
 import inspect
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import stablepp.extraction
 import stablepp.sampler
 from stablepp import cli
 from stablepp.characterization import TestReport
+from stablepp.errors import RangeError
 from stablepp.cli import main
 from stablepp.extraction import ExtractionConfig, extract_decoration
 from stablepp.point_measure import MeasureBatch, PointMeasure
@@ -456,6 +459,28 @@ class TestSample:
             for i in range(5000))
         assert outs[0].decode() == reference
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_run_leaves_the_out_path_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                       threads):
+        # the third of four blocks fails, after the first two were written
+        draw = stablepp.sampler.ProcessSource.sample_block
+
+        def failing(self, master_seed, path, size):
+            if path[-1] == 2:
+                raise RangeError("block 2 fails")
+            return draw(self, master_seed, path, size)
+
+        monkeypatch.setattr(stablepp.sampler.ProcessSource, "sample_block", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "o.jsonl"
+        out.write_text("earlier output\n")
+        assert main(["sample", "--config", proc_config(tmp_path, process=dict(PROC, window=1.0)),
+                     "--reps", str(4 * stablepp.sampler.BLOCK_SIZE), "--threads", threads,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: block 2 fails\n"
+        assert out.read_text() == "earlier output\n"
+        assert not Path(f"{out}.part").exists() and not Path(f"{out}.manifest.json").exists()
+
 
 class TestThreadBound:
     @pytest.mark.parametrize("cpus,width", [(3, 3), (64, 4)])
@@ -464,7 +489,8 @@ class TestThreadBound:
         widths = []
 
         class RecordingPool:
-            """Stand-in for ThreadPoolExecutor: records its width, runs jobs inline."""
+            """Stand-in for ThreadPoolExecutor: records its width, runs jobs inline
+            and hands back their completed futures."""
 
             def __init__(self, max_workers):
                 widths.append(max_workers)
@@ -475,8 +501,10 @@ class TestThreadBound:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(stablepp.sampler, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -491,6 +519,36 @@ class TestThreadBound:
         assert main(argv + ["--threads", "1"]) == 0
         assert widths == [width]
         assert out.read_bytes() == wide
+
+
+class TestStreamedMemory:
+    """`sample` holds at most 2 x threads blocks and `transform` one batch of
+    lines, so what they allocate at their peak on 9 blocks of replicas, 9 x 4096
+    measure lines, is at most 1.5 times what they allocate on 3."""
+
+    @pytest.mark.parametrize("command", ["sample", "transform"])
+    def test_peak_does_not_grow_with_the_replicas(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = proc_config(tmp_path, process=dict(PROC, window=1.0))  # about an atom a replica
+        peaks = []
+        for blocks in (1, 3, 9):  # the one-block run warms up
+            out = str(tmp_path / f"s{blocks}.jsonl")
+            argv = ["sample", "--config", cfg, "--reps", str(blocks * stablepp.sampler.BLOCK_SIZE),
+                    "--seed", "1", "--threads", "2", "--out", out]
+            if command == "transform":
+                assert main(argv) == 0
+                log = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                        "input": out}, f"log{blocks}.json")
+                argv = ["transform", "--config", log, "--out", out + ".log"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[2] <= 1.5 * peaks[1]
 
 
 class TestRepsBound:
@@ -962,6 +1020,27 @@ class TestTransform:
         assert out.read_text() == "earlier output\n"
         assert not Path(f"{out}.manifest.json").exists()
         assert capsys.readouterr().err.count("error: input line 5000: log transport") == 2
+        assert not Path(f"{out}.part").exists()
+
+    def test_missing_input_is_named(self, tmp_path, capsys):
+        cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",
+                                "input": str(tmp_path / "absent.jsonl")})
+        out = tmp_path / "o.jsonl"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input: ") and "Traceback" not in err
+        assert not out.exists() and not Path(f"{out}.part").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "transform"])
+    def test_out_path_in_a_missing_directory_is_not_an_input_error(self, tmp_path, capsys,
+                                                                   command):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"atoms": [[1.0, 1]]}\n')
+        cfg = (proc_config(tmp_path) if command == "sample" else
+               config(tmp_path, {"schema": "stablepp/v1", "direction": "log", "input": str(src)}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "absent" / "o.jsonl")]) == 1
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
+        assert err.startswith("error: ") and "Traceback" not in err and "input" not in err
 
     def test_both_input_and_process_rejected(self, tmp_path):
         cfg = config(tmp_path, {"schema": "stablepp/v1", "direction": "log",

@@ -132,33 +132,31 @@ class TestExtractDecoration:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_decorations_are_the_first_hits_of_the_attempt_batches(self, threads):
         # the reference normalizes each hit replica of each attempt batch on its
-        # own, concatenates one batch per attempt batch and cuts the whole to
+        # own, builds one batch of every attempt batch's hits and cuts it to
         # n_accepted measure by measure
         spec = ProcessSpec("scdppp", 1.0, DecorationSpec.table_from_measures(
             [PointMeasure([1.0]), PointMeasure([-0.7, 0.6, 0.9], [1, 2, 1])]), 0.05)
         cfg = ExtractionConfig(100.0, 0.5, 300)
         report = extract_decoration(spec, cfg, seed=29, threads=threads)
         source = sampler.ProcessSource(spec.with_window(cfg.inner_radius * cfg.threshold))
-        batches, radials = [], []
-        while sum(map(len, batches)) < cfg.n_accepted:
+        kept, radials = [], []
+        while len(kept) < cfg.n_accepted:
             campaign = sampler.run_campaign(source, 29, extraction._ATTEMPT_BATCH, threads,
-                                            role=(extraction._ROLE_EXTRACT, len(batches)))
+                                            role=(extraction._ROLE_EXTRACT, len(radials)))
             mm = campaign.maxmods()
             hits = np.flatnonzero(mm > cfg.threshold)
-            kept = []
             for r in hits:
                 m = campaign.replica_measure(r)
                 x = m.locations / mm[r]
                 inside = np.abs(x) > cfg.inner_radius
                 kept.append((x[inside], m.multiplicities[inside]))
-            batches.append(MeasureBatch(
-                "scale", np.concatenate([[]] + [x for x, _ in kept]),
-                np.concatenate([np.zeros(0, dtype=np.int64)] + [w for _, w in kept]),
-                np.repeat(np.arange(len(kept)), [x.size for x, _ in kept]), len(kept)))
             radials.append(mm[hits] / cfg.threshold)
-        reference = MeasureBatch.concatenate(batches, "scale")
-        assert len(batches) >= 2 and len(reference) > cfg.n_accepted
-        assert report.params["n_batches"] == len(batches)
+        reference = MeasureBatch(
+            "scale", np.concatenate([[]] + [x for x, _ in kept]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [w for _, w in kept]),
+            np.repeat(np.arange(len(kept)), [x.size for x, _ in kept]), len(kept))
+        assert len(radials) >= 2 and len(reference) > cfg.n_accepted
+        assert report.params["n_batches"] == len(radials)
         assert len(report.decorations) == cfg.n_accepted
         assert list(report.decorations) == [reference[i] for i in range(cfg.n_accepted)]
         assert any(m.n_atoms > 1 for m in report.decorations)

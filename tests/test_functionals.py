@@ -745,12 +745,11 @@ class TestMixtureLaws:
         lambda c: ExtremeLaw(c, 1.0, 1.0), default_battery, default_points,
         lambda c: PointMeasure([1.0], carrier=c), lambda c: PointMeasure.from_json_line(
             '{"atoms": [[1.0, 1]]}', c), lambda c: MeasureBatch(c, [1.0], [1], [0], 1),
-        lambda c: MeasureBatch.concatenate([], c),
         lambda c: TestFunction([(1.0, 0.0), (2.0, 1.0), (3.0, 0.0)], c),
         lambda c: tent(1.0, 2.0, 3.0, carrier=c), lambda c: GlobalLaw.deterministic(1.0, c),
         lambda c: DecorationSpec.dirac([(1.0, 1)], carrier=c)],
         ids=["ExtremeLaw", "default_battery", "default_points", "PointMeasure",
-             "from_json_line", "MeasureBatch", "concatenate", "TestFunction", "tent",
+             "from_json_line", "MeasureBatch", "TestFunction", "tent",
              "GlobalLaw", "DecorationSpec"])
     def test_carrier_is_one_of_the_two_names(self, make):
         for carrier in ("log", "Scale", None):

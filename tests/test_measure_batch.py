@@ -115,14 +115,14 @@ class TestWriter:
         rng = np.random.default_rng(14)
         locs, mults, index = random_batch_atoms(rng, 200, carrier)
         text = lines_of(MeasureBatch(carrier, locs, mults, index, 200))
-        again = MeasureBatch.from_json_lines(text.splitlines(), carrier)
+        (again,) = MeasureBatch.batches_from_json_lines(text.splitlines(), carrier)
         assert lines_of(again) == text
         assert [m.to_json_line() for m in again] == text.splitlines()
 
     def test_parse_makes_lines_canonical(self, carrier):
         lines = ['{"atoms": [[3.0, 1], [1, 2], [3.0, 4]]}', "",
                  '{"atoms": []}', '  ', '{"atoms": [[2.5, 1], [-1.25, 7]]}']
-        batch = MeasureBatch.from_json_lines(lines, carrier)
+        (batch,) = MeasureBatch.batches_from_json_lines(lines, carrier)
         assert lines_of(batch) == ('{"atoms": [[1.0, 2], [3.0, 5]]}\n'
                                       '{"atoms": []}\n'
                                       '{"atoms": [[-1.25, 7], [2.5, 1]]}\n')
@@ -167,7 +167,7 @@ class TestParser:
     def test_bad_line_is_named(self, atoms):
         lines = ['{"atoms": [[1.0, 1]]}', '{"atoms": %s}' % atoms, '{"atoms": [[2.0, 1]]}']
         with pytest.raises(ConfigError, match=r"^line 2: "):
-            MeasureBatch.from_json_lines(lines, "scale")
+            list(MeasureBatch.batches_from_json_lines(lines, "scale"))
         with pytest.raises(ConfigError):
             PointMeasure.from_json_line(lines[1])
 
@@ -175,7 +175,7 @@ class TestParser:
                                       '{"atoms": 5}', "null"])
     def test_bad_document(self, line):
         with pytest.raises(ConfigError, match=r"^line 1: "):
-            MeasureBatch.from_json_lines([line], "scale")
+            list(MeasureBatch.batches_from_json_lines([line], "scale"))
 
     def test_origin_only_on_the_shift_carrier(self):
         with pytest.raises(ConfigError, match="origin"):
@@ -192,7 +192,7 @@ class TestParser:
                              ([good, broken, domain], 2),
                              ([good] * 5000 + [typed] + [domain], 5001)):
             with pytest.raises(ConfigError, match=rf"^line {first}: "):
-                MeasureBatch.from_json_lines(lines, "scale")
+                list(MeasureBatch.batches_from_json_lines(lines, "scale"))
 
     def test_batches_are_read_and_mapped_one_at_a_time(self):
         read = []
@@ -212,12 +212,12 @@ class TestParser:
         with pytest.raises(ConfigError, match=r"^line 3: log transport"):
             list(MeasureBatch.batches_from_json_lines(lines, "scale", log_transform))
         with pytest.raises(ConfigError, match=r"^line 4: malformed"):
-            MeasureBatch.from_json_lines(lines, "scale")
+            list(MeasureBatch.batches_from_json_lines(lines, "scale"))
 
     def test_blank_line_is_not_a_measure(self):
         with pytest.raises(ConfigError):
             PointMeasure.from_json_line("   ")
-        assert len(MeasureBatch.from_json_lines(["", " "], "scale")) == 0
+        assert list(MeasureBatch.batches_from_json_lines(["", " "], "scale")) == []
 
 
 class TestBatchApi:
@@ -242,20 +242,10 @@ class TestBatchApi:
         batch = MeasureBatch("scale", [1.0, 2.0, 3.0], [2**62, 2**62, 5], [0, 0, 2], 3)
         assert batch.total_mass().tolist() == [2.0**63, 0.0, 5.0]
 
-    def test_of_and_concatenate_keep_order(self):
+    def test_iteration_keeps_order(self):
         ms = [PointMeasure([1.0]), PointMeasure(), PointMeasure([3.0, -1.0], [2, 1])]
         batch = MeasureBatch("scale", [1.0, 3.0, -1.0], [1, 2, 1], [0, 2, 2], 3)
         assert list(batch) == ms
-        tail = MeasureBatch("scale", [3.0, -1.0], [2, 1], [1, 1], 2)
-        empty = MeasureBatch("scale", [], [], [], 0)
-        joined = MeasureBatch.concatenate([batch, tail, empty], "scale")
-        assert list(joined) == ms + ms[1:]
-        # the batches must all hold measures of the carrier asked for
-        shifted = batch.relocated(batch.locations, "shift")
-        for carrier, batches in (("scale", [batch, shifted]), ("shift", [shifted, batch]),
-                                 ("shift", [empty])):
-            with pytest.raises(DomainError, match=f"^every batch must hold {carrier}-carrier"):
-                MeasureBatch.concatenate(batches, carrier)
 
     def test_relocated_recanonicalizes(self):
         batch = MeasureBatch("scale", [1.0, 2.0, 3.0], [1, 1, 1], [0, 0, 0], 1)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,7 @@ from stablepp.sampler import (
     run_campaign,
 )
 from stablepp.rng import ROLE_BLOCK, derive_key
-from stablepp.sampler import _block, _ragged_gather
+from stablepp.sampler import _block, _blocks, _ragged_gather
 
 
 def unit_spec(window=1.0, alpha=1.0):
@@ -911,6 +912,39 @@ def test_campaign_stats_equal_flat_campaign(name, threads, monkeypatch):
         got = campaign_stats(source, 13, n, reduce, threads=threads, role=(5,))
         assert got.dtype == expected.dtype, what
         assert np.array_equal(got, expected), what
+
+
+class _CountingSource:
+    """Block b is one replica holding one atom at b + 1; later blocks may be
+    drawn first. Records every block it draws."""
+
+    carrier, window = "scale", 0.5
+
+    def __init__(self):
+        self.drawn = []
+
+    def check_cap(self, n_reps):
+        pass
+
+    def sample_block(self, master_seed, path, size):
+        b = path[-1]
+        time.sleep(0.002 * (2 - b % 3))
+        self.drawn.append(b)
+        return np.array([b + 1.0]), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+
+
+def test_blocks_in_flight_are_bounded(monkeypatch):
+    # two workers: at most four blocks are drawn ahead of a caller that has
+    # taken one, and blocks still arrive in order
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    source = _CountingSource()
+    blocks = _blocks(source, 1, 20 * BLOCK_SIZE, lambda block: int(block.locations[0]) - 1,
+                     2, ())
+    first = next(blocks)
+    time.sleep(0.2)  # time enough for the workers to draw every block, were they let
+    assert len(source.drawn) <= 4
+    assert [first, *blocks] == list(range(20))
+    assert sorted(source.drawn) == list(range(20))
 
 
 def _traced_peak(fn) -> int:
