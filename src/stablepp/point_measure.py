@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -296,10 +297,43 @@ _ATOM_CHUNK = 1 << 16  # atoms encoded at a time, in whole measures
 
 def _json_text(locations: np.ndarray, multiplicities: np.ndarray, bounds: list) -> str:
     """Measure lines of the atoms split at the offsets `bounds`, each ending in
-    a newline and reading exactly as ``json.dumps({"atoms": [[float(x), int(m)], ...]})``."""
-    atoms = [f"[{x!r}, {m}]" for x, m in zip(locations.tolist(), multiplicities.tolist())]
-    return "".join(['{"atoms": [' + ", ".join(atoms[s:e]) + "]}\n"
-                    for s, e in zip(bounds[:-1], bounds[1:])])
+    a newline and reading exactly as ``json.dumps({"atoms": [[float(x), int(m)], ...]})``.
+
+    One %-template for all the lines is applied once to the interleaved
+    atoms: %r of a float is its repr, and %d of an int its digits."""
+    values = [None] * (2 * locations.size)
+    values[0::2] = locations.tolist()
+    values[1::2] = multiplicities.tolist()
+    template = "".join(['{"atoms": [' + ("[%r, %d], " * (e - s))[:-2] + "]}\n"
+                        for s, e in zip(bounds[:-1], bounds[1:])])
+    return template % tuple(values)
+
+
+# The grammar of the lines the writer emits, with locations as JSON numbers.
+# Digit runs are bounded, so no integer comes near json's cap on digits, and a
+# multiplicity of at most 15 digits is exact as a double. The integer -0 is
+# left to json, which reads it as the int 0 and so as 0.0, where the numeric
+# scan would read -0.0. Optional parts are written as "(?:...|)", which re
+# matches faster than "(?:...)?".
+_NUMBER = r"(?:-?[1-9][0-9]{0,99}|0|-0(?=[.eE]))(?:\.[0-9]{1,100}|)(?:[eE][+-]?[0-9]{1,100}|)"
+_PAIR = rf"\[{_NUMBER}, [1-9][0-9]{{0,14}}\]"
+_CANONICAL_LINE = re.compile(rf'\{{"atoms": \[(?:{_PAIR}(?:, {_PAIR})*|)\]\}}')
+_NOT_NUMBERS = str.maketrans(dict.fromkeys('{}[],:"atoms', " "))
+
+
+def _scanned_atoms(lines: list):
+    """(locations, multiplicities, atoms per line) of lines that all match
+    the writer's grammar, read by one numeric scan; None for any other lines."""
+    if not all(map(_CANONICAL_LINE.fullmatch, lines)):
+        return None
+    counts = [line.count("[") - 1 for line in lines]
+    total = sum(counts)
+    if not total:  # a scan of no numbers reads [-1.]
+        return np.empty(0), np.empty(0, dtype=np.int64), counts
+    values = np.fromstring(" ".join(lines).translate(_NOT_NUMBERS), sep=" ")
+    if values.size != 2 * total:
+        return None
+    return values[0::2], values[1::2].astype(np.int64), counts
 
 
 def _decoded_atoms(line: str) -> list:
@@ -318,6 +352,29 @@ def _decoded_atoms(line: str) -> list:
     if type(doc["atoms"]) is not list:
         raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
     return doc["atoms"]
+
+
+def _decoded_lines(lines: list):
+    """(locations, multiplicities, atoms per line) of any measure lines, read by json."""
+    atom_lists = list(map(_decoded_atoms, lines))
+    pairs = list(itertools.chain.from_iterable(atom_lists))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
+    locs = list(map(operator.itemgetter(0), pairs))
+    mults = list(map(operator.itemgetter(1), pairs))
+    if set(map(type, locs)) - {float, int}:
+        raise ConfigError("atom locations must be numbers")
+    if set(map(type, mults)) - {int}:
+        raise ConfigError("multiplicities must be integers")
+    try:
+        locs = np.array(locs, dtype=np.float64)
+    except OverflowError:
+        raise DomainError("atom locations must be finite") from None
+    try:
+        mults = np.array(mults, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("multiplicities must be below 2**63") from None
+    return locs, mults, list(map(len, atom_lists))
 
 
 class MeasureBatch:
@@ -404,7 +461,8 @@ class MeasureBatch:
         about 65536 atoms, so only one piece's strings are alive at a time."""
         n = len(self)
         targets = np.arange(_ATOM_CHUNK, self.offsets[-1], _ATOM_CHUNK)
-        cuts = np.unique(np.concatenate([[0], np.searchsorted(self.offsets, targets), [n]]))
+        cuts = np.concatenate([[0], np.searchsorted(self.offsets, targets), [n]])
+        cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]  # np.unique would import numpy.ma
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             a, b = self.offsets[lo], self.offsets[hi]
             yield _json_text(self.locations[a:b], self.multiplicities[a:b],
@@ -419,7 +477,9 @@ class MeasureBatch:
         [location, multiplicity] pairs: a location is a JSON number (not a
         boolean), finite and, on the scale carrier, nonzero; a multiplicity
         is a JSON integer (not a boolean, not 2.0) from 1 to 2**63 - 1.
-        Blank lines carry no measure and are skipped. A batch that fails to
+        Blank lines carry no measure and are skipped. A batch whose lines all
+        read as the writer emits them is read by one numeric scan, any other
+        batch by json, to the same measures and errors. A batch that fails to
         parse or to map is retried line by line, and a ConfigError names the
         first line that fails either by its 1-based position in `lines`.
         """
@@ -440,25 +500,8 @@ class MeasureBatch:
 
     @classmethod
     def _from_lines(cls, lines, carrier: str) -> "MeasureBatch":
-        atom_lists = list(map(_decoded_atoms, lines))
-        pairs = list(itertools.chain.from_iterable(atom_lists))
-        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
-            raise ConfigError("'atoms' must be a list of [location, multiplicity] pairs")
-        locs = list(map(operator.itemgetter(0), pairs))
-        mults = list(map(operator.itemgetter(1), pairs))
-        if set(map(type, locs)) - {float, int}:
-            raise ConfigError("atom locations must be numbers")
-        if set(map(type, mults)) - {int}:
-            raise ConfigError("multiplicities must be integers")
-        try:
-            locs = np.array(locs, dtype=np.float64)
-        except OverflowError:
-            raise DomainError("atom locations must be finite") from None
-        try:
-            mults = np.array(mults, dtype=np.int64)
-        except OverflowError:
-            raise DomainError("multiplicities must be below 2**63") from None
-        counts = list(map(len, atom_lists))
+        scanned = _scanned_atoms(lines)
+        locs, mults, counts = scanned if scanned is not None else _decoded_lines(lines)
         return cls(carrier, locs, mults, np.repeat(np.arange(len(counts)), counts), len(counts))
 
 
