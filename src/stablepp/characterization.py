@@ -133,14 +133,14 @@ class TailIndexEstimate:
 #
 # P(D_n >= d) for the two-sided one-sample KS statistic D_n, by the dispatch
 # of Simard & L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov
-# distribution" (JSS 2011): Ruben-Gambino's closed forms at the edges,
-# Durbin's matrix in the form of Marsaglia, Tsang & Wang (JSS 2003) and
-# Pomeranz's recursion for small n d^2, the Pelz-Good expansion for large n,
-# and, where the one-sided events D_n^+ >= d and D_n^- >= d (almost) never
-# meet, twice the one-sided tail summed exactly (Birnbaum & Tingey 1951).
+# distribution" (JSS 2011), with Durbin's matrix in the form of Marsaglia, Tsang
+# & Wang (JSS 2003) as the one exact method for small n d^2, Ruben-Gambino's
+# closed forms at the edges, the Pelz-Good expansion for large n, and, where the
+# one-sided events D_n^+ >= d and D_n^- >= d (almost) never meet, twice the
+# one-sided tail summed exactly (Birnbaum & Tingey 1951).
 
-_RESCALE = 2.0 ** 128  # the matrix and recursion methods rescale by this factor
-_SMIRNOV_BLOCK = 1 << 16  # terms of the one-sided sum per numpy pass
+_RESCALE = 2.0 ** 128  # Durbin's matrix power rescales by this factor
+_BINOMIAL_BLOCK = 1 << 16  # terms of a binomial sum per numpy pass
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Bernoulli-number coefficients B_2j / (2j (2j - 1)), j = 8 down to 1, of
@@ -194,6 +194,16 @@ def _log_binomial_pmf(n: int, j: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> 
             - _bd0(n - j, m2) + 0.5 * np.log(n / (2.0 * math.pi * j * (n - j))))
 
 
+def _binomial_sum(n: int, p: float, stop: int, terms) -> float:
+    """(1 - p)^n, the term j = 0, plus the sum of terms(j) over j = 1, ...,
+    stop - 1, passed as float arrays of _BINOMIAL_BLOCK values at most."""
+    total = math.exp(n * math.log1p(-p))
+    for start in range(1, stop, _BINOMIAL_BLOCK):
+        j = np.arange(start, min(start + _BINOMIAL_BLOCK, stop), dtype=np.float64)
+        total += float(np.sum(terms(j)))
+    return total
+
+
 def _smirnov_sf(n: int, d: float) -> float:
     """P(D_n^+ >= d), 0 < d < 1, by the Birnbaum-Tingey sum
 
@@ -201,24 +211,24 @@ def _smirnov_sf(n: int, d: float) -> float:
         C(n, j) (1 - d - j / n)^(n - j) (d + j / n)^(j - 1).
 
     Term j is (nd / (nd + j)) times the binomial(n, d + j / n) probability of
-    j (``_log_binomial_pmf``). The terms are summed in blocks of
-    _SMIRNOV_BLOCK, so memory stays bounded in n."""
+    j (``_log_binomial_pmf``), and term 0 is (1 - d)^n."""
     nd = n * d
-    total = math.exp(n * math.log1p(-d))  # j = 0: (1 - d)^n
-    for start in range(1, math.floor(n - nd) + 1, _SMIRNOV_BLOCK):
-        j = np.arange(start, min(start + _SMIRNOV_BLOCK, n), dtype=np.float64)
+
+    def terms(j):
         m1 = nd + j  # n (d + j / n)
         m2 = (n - j) - nd  # n (1 - d - j / n)
         live = m2 > 0.0
         j, m1, m2 = j[live], m1[live], m2[live]
-        total += float(np.sum(nd / m1 * np.exp(_log_binomial_pmf(n, j, m1, m2))))
-    return total
+        return nd / m1 * np.exp(_log_binomial_pmf(n, j, m1, m2))
+
+    return _binomial_sum(n, d, math.floor(n - nd) + 1, terms)
 
 
 def _durbin_cdf(n: int, d: float) -> float:
-    """P(D_n < d) by Durbin's matrix: with nd = k - h, 0 <= h < 1, the (k, k)
-    entry of H^n times n! / n^n, H of order 2k - 1, powered by squaring and
-    rescaled by 2^128 as it grows (Marsaglia, Tsang & Wang 2003)."""
+    """P(D_n < d) by Durbin's matrix (Marsaglia, Tsang & Wang 2003): with
+    nd = k - h, 0 <= h < 1, the (k, k) entry of H^n times n! / n^n, H of order
+    2k - 1, powered by squaring; the squares and the power are rescaled by
+    2^128 as they grow."""
     k = math.ceil(n * d)
     h = k - n * d
     m = 2 * k - 1
@@ -241,6 +251,9 @@ def _durbin_cdf(n: int, d: float) -> float:
         if e % 2:
             power = power @ H
             expo += h_expo
+            if abs(power[k - 1, k - 1]) > _RESCALE:
+                power /= _RESCALE
+                expo += 128
         H = H @ H
         h_expo *= 2
         if abs(H[k - 1, k - 1]) > _RESCALE:
@@ -254,72 +267,6 @@ def _durbin_cdf(n: int, d: float) -> float:
             p *= _RESCALE
             expo -= 128
     return _clip_prob(math.ldexp(p, expo))
-
-
-def _pomeranz_bounds(i: int, n: int, ll: int, ceilf: int, roundf: int) -> tuple:
-    """The first and last live entries of row i of Pomeranz's recursion."""
-    if i == 0:
-        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
-    else:
-        half, odd = divmod(i + 1, 2)
-        if not odd:
-            if half == n + 1:
-                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
-            else:
-                j1, j2 = half - 1 - ll - roundf - 1, half + ll - 1 + ceilf - 1
-        else:
-            j1, j2 = half - 1 - ll - 1, half + ll + roundf - 1
-    return max(j1 + 2, 0), min(j2, n)
-
-
-def _pomeranz_cdf(n: int, d: float) -> float:
-    """P(D_n <= d) by Pomeranz's recursion (CACM 1974): 2n + 1 rows, each the
-    convolution of the last with unnormalized Poisson weights, times n!."""
-    t = n * d
-    ll = math.floor(t)
-    f = t - ll
-    g = min(f, 1.0 - f)
-    ceilf = 1 if f > 0 else 0
-    roundf = 1 if f > 0.5 else 0
-    npwrs = 2 * (ll + 1)
-    powers = []
-    for step in (g / n, 2.0 * g / n, (1.0 - 2.0 * g) / n):
-        arr = np.empty(npwrs)  # step^m / m!
-        arr[0] = 1.0
-        for m in range(1, npwrs):
-            arr[m] = arr[m - 1] * step / m
-        powers.append(arr)
-    gpower, twogpower, onem2gpower = powers
-    expo = 0
-    v0, v1 = np.zeros(npwrs), np.zeros(npwrs)
-    v1[0] = 1.0
-    s0 = s1 = 0  # where each row starts
-    j1, j2 = _pomeranz_bounds(0, n, ll, ceilf, roundf)
-    for i in range(1, 2 * n + 2):
-        k1 = j1
-        v0, v1 = v1, v0
-        s0, s1 = s1, s0
-        v1.fill(0.0)
-        j1, j2 = _pomeranz_bounds(i, n, ll, ceilf, roundf)
-        if i == 1 or i == 2 * n + 1:
-            pwrs = gpower
-        else:
-            pwrs = twogpower if i % 2 else onem2gpower
-        width = j2 - k1 + 1
-        if width > 0:
-            conv = np.convolve(v0[k1 - s0:k1 - s0 + width], pwrs[:width])
-            v1[:j2 - j1 + 1] = conv[j1 - k1:j2 - k1 + 1]
-            if 0.0 < np.max(v1) < 1.0 / _RESCALE:
-                v1 *= _RESCALE
-                expo -= 128
-            s1 = s0 + j1 - k1
-    ans = float(v1[n - s1])
-    for m in range(1, n + 1):  # times n!
-        if abs(ans) > _RESCALE:
-            ans /= _RESCALE
-            expo += 128
-        ans *= m
-    return _clip_prob(math.ldexp(ans, expo))
 
 
 def _pelz_good_cdf(n: int, d: float) -> float:
@@ -367,13 +314,14 @@ def kolmogorov_sf(d: float, n: int) -> float:
     """P(D_n >= d) for the two-sided one-sample KS statistic D_n of n >= 1
     samples from a continuous law.
 
-    Follows the dispatch of Simard & L'Ecuyer (JSS 2011) on t = nd:
+    Follows the dispatch of Simard & L'Ecuyer (JSS 2011) on t = nd, with
+    Durbin's matrix as the one exact method for small n d^2:
     Ruben-Gambino's closed forms for t <= 1 and t >= n - 1; twice the
     one-sided tail for d >= 1/2, where the two one-sided events cannot
-    both occur; for n <= 140, Durbin's matrix up to n d^2 = 0.754693,
-    Pomeranz's recursion up to 4 and the one-sided tail beyond; for larger n,
-    the one-sided tail from n d^2 = 2.2 (0 from 370), Durbin's matrix while
-    n <= 10^5 and n d^1.5 <= 1.4, and the Pelz-Good expansion otherwise.
+    both occur; for n <= 140, Durbin's matrix up to n d^2 = 4 and the
+    one-sided tail beyond; for larger n, the one-sided tail from
+    n d^2 = 2.2 (0 from 370), Durbin's matrix while n <= 10^5 and
+    n d^1.5 <= 1.4, and the Pelz-Good expansion otherwise.
     """
     n = int(n)
     if n < 1:
@@ -389,22 +337,16 @@ def kolmogorov_sf(d: float, n: int) -> float:
         if t <= 0.5:
             return 1.0
         # P(D_n < d) = n! / n^n (2t - 1)^n
-        if n <= 140:
-            cdf = float(np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1)))
-        else:
-            log_ratio = math.log(n) / 2 - n + _LOG_SQRT_2PI + float(_stirlerr(n))  # log(n! / n^n)
-            cdf = math.exp(log_ratio + n * math.log(2 * t - 1))
-        return _clip_prob(1.0 - cdf)
+        log_ratio = math.log(n) / 2 - n + _LOG_SQRT_2PI + float(_stirlerr(n))  # log(n! / n^n)
+        return _clip_prob(1.0 - math.exp(log_ratio + n * math.log(2 * t - 1)))
     if t >= n - 1:
         return _clip_prob(2.0 * (1.0 - d) ** n)
     if d >= 0.5:
         return _clip_prob(2.0 * _smirnov_sf(n, d))
     nd2 = t * d
     if n <= 140:
-        if nd2 <= 0.754693:
-            return _clip_prob(1.0 - _durbin_cdf(n, d))
         if nd2 <= 4.0:
-            return _clip_prob(1.0 - _pomeranz_cdf(n, d))
+            return _clip_prob(1.0 - _durbin_cdf(n, d))
         return _clip_prob(2.0 * _smirnov_sf(n, d))
     if nd2 >= 370.0:
         return 0.0
@@ -715,19 +657,16 @@ def tail_index_estimate(maxmod_samples) -> TailIndexEstimate:
 
 def _binomial_below(k: int, n: int, p: float) -> float:
     """P(X < k) for X ~ Binomial(n, p): (1 - p)^n for j = 0 plus the terms
-    j = 1, ..., k - 1 (``_log_binomial_pmf``), summed in blocks of _SMIRNOV_BLOCK."""
+    j = 1, ..., k - 1 (``_log_binomial_pmf``)."""
     if k <= 0:
         return 0.0
     if n < k or p <= 0.0:
         return 1.0
     if p >= 1.0:
         return 0.0
-    total = math.exp(n * math.log1p(-p))
-    for start in range(1, k, _SMIRNOV_BLOCK):
-        j = np.arange(start, min(start + _SMIRNOV_BLOCK, k), dtype=np.float64)
-        m1, m2 = np.full(j.shape, n * p), np.full(j.shape, n * (1.0 - p))
-        total += float(np.sum(np.exp(_log_binomial_pmf(n, j, m1, m2))))
-    return total
+    m1, m2 = n * p, n * (1.0 - p)
+    return _binomial_sum(n, p, k, lambda j: np.exp(_log_binomial_pmf(
+        n, j, np.full(j.shape, m1), np.full(j.shape, m2))))
 
 
 def refuse_likely_shortfall(k: int, n: int, p: float, message) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ class TestKolmogorovSf:
             want = stats.kstwo.sf(ds, n)
             worst = int(np.argmax(np.abs(got - want)))
             assert abs(got[worst] - want[worst]) <= 1e-12, (n, ds[worst], got[worst], want[worst])
+
+    def test_durbin_matches_the_reference_inside_its_small_n_region(self):
+        # n <= 140 with 1 < nd, d < 1/2 and 0.754693 < n d^2 <= 4: 8 values of
+        # n d^2 per n, inside the region where the reference uses Pomeranz's
+        # recursion, so it checks Durbin's matrix against another algorithm
+        cases = [(n, math.sqrt(nd2 / n)) for n in range(2, 141)
+                 for nd2 in np.linspace(0.754693, 4.0, 10)[1:-1]]
+        cases = [(n, d) for n, d in cases if 1.0 < n * d and d < 0.5]
+        assert len(cases) > 1000
+        for n, d in cases:
+            got, want = kolmogorov_sf(d, n), stats.kstwo.sf(d, n)
+            assert abs(got - want) <= 1e-12, (n, d, got, want)
+
+    @pytest.mark.parametrize("d, n", [(6.809238078081851e-4, 32738),
+                                      (3.608770333005617e-4, 57333),
+                                      (2.6718939103312204e-4, 89470)])
+    def test_durbin_rescales_its_accumulated_power(self, d, n):
+        # P(D_n >= d) is 1 to 1e-12 here, where an unrescaled power of H
+        # overflows; kstwo.sf overflows there and reads 0, so the references
+        # are the Pelz-Good expansion and the limiting law
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kolmogorov_sf(d, n)
+        assert abs(got - (1.0 - characterization._pelz_good_cdf(n, d))) <= 1e-12
+        assert abs(got - stats.kstwobign.sf(math.sqrt(n) * d)) <= 1e-12
 
     def test_outside_the_unit_interval(self):
         assert kolmogorov_sf(0.0, 5) == kolmogorov_sf(-1.0, 5) == 1.0
