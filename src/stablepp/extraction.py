@@ -181,6 +181,22 @@ def _normalized(campaign, mm: np.ndarray, hit: np.ndarray, inner_radius: float) 
     return normalized[keep], campaign.weights[rows][keep], np.searchsorted(hit, rep[keep])
 
 
+def _sorted_quantiles(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(x, q) of a sorted x at levels q in [0, 1], read off x with
+    the arithmetic of numpy's default (linear) method, bit for bit: the
+    virtual index (n - 1) q splits into a floor i and a fraction g, and the
+    value is x[i] + (x[i+1] - x[i]) g, taken from x[i+1] when g >= 0.5.
+    np.quantile itself partitions through np.unique, whose first call imports
+    numpy.ma."""
+    virtual = (x.size - 1) * q
+    below = np.floor(virtual)
+    gamma = virtual - below
+    i = below.astype(np.intp)
+    lo, hi = x[i], x[np.minimum(i + 1, x.size - 1)]
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
 def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     """Fit the empirical maxmod CDF to exp(-(c*v)^-alpha) over c.
 
@@ -198,7 +214,7 @@ def _fit_c_max(spec: ProcessSpec, seed: int, threads) -> tuple:
     exc = np.sort(mm[mm > w_fit])
     if exc.size < 50:
         raise DomainError("too few exceedances to estimate the scale constant")
-    grid = np.quantile(exc, np.linspace(0.05, 0.95, 10))
+    grid = _sorted_quantiles(exc, np.linspace(0.05, 0.95, 10))
     k0 = n - exc.size
     fhat = (k0 + np.searchsorted(exc, grid, side="right")) / n
     se = np.sqrt(np.maximum(fhat * (1.0 - fhat), 1e-12) / n)

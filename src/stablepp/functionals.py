@@ -49,9 +49,11 @@ is the law's ``cdf`` with the constant integrated once per function.
 Monte Carlo estimates carry standard errors; quadrature predictions carry
 the quadrature's error estimate, so the two can be compared honestly. Each
 smooth piece between the kinks is integrated by an adaptive 21-point
-Gauss-Kronrod rule (QUADPACK's QK21), which evaluates its 21 nodes in one
-integrand call; every integrand, psi included, takes an array of points, and
-each node's value keeps the bits a one-node call gives. The estimate on a
+Gauss-Kronrod rule (QUADPACK's QK21). A constant's first rules, 21 nodes on
+each of its k pieces, take one integrand call of 21 k nodes, and each
+bisection step one call for the 42 nodes of its two halves; every integrand,
+psi included, takes an array of points, and each node's value keeps the bits
+a one-node call gives, so the batching moves no bit. The estimate on a
 subinterval is resasc * min(1, (200 |K - G| / resasc)^1.5), K and G the
 Kronrod and the embedded 10-point Gauss sums and resasc the rule's integral
 of |integrand - mean|, floored at 50 eps times the integral of |integrand|. The
@@ -380,58 +382,68 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 
 
-def _qk21(fn, a: float, b: float) -> tuple[float, float, float]:
-    """The Kronrod estimate of the integral of fn over [a, b], QUADPACK's
-    error estimate resasc * min(1, (200 |K - G| / resasc)^1.5) raised to the
-    roundoff floor 50 eps resabs, and resasc, the rule's integral of
-    |fn - mean|; resabs is its integral of |fn|.
+def _qk21(fn, pieces) -> list:
+    """QK21 on every interval (a, b) of pieces: for each, the Kronrod estimate
+    of the integral of fn over [a, b], QUADPACK's error estimate
+    resasc * min(1, (200 |K - G| / resasc)^1.5) raised to the roundoff floor
+    50 eps resabs, and resasc, the rule's integral of |fn - mean|; resabs is
+    its integral of |fn|.
 
-    fn takes an array of points and returns its values there: the rule
-    evaluates its 21 nodes in one call, the centre first and then the pairs
+    fn takes an array of points and returns its values there: the rules of
+    all the intervals evaluate their nodes in one call, 21 per interval in
+    the order of pieces, each interval's centre first and then the pairs
     centr -+ absc in QUADPACK's order, the Gauss nodes before the Kronrod ones.
     """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
     order = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-    nodes = [centr]
-    for j in order:
-        absc = hlgth * _XGK[j]
-        nodes += [centr - absc, centr + absc]
-    fv = np.asarray(fn(np.array(nodes)), dtype=np.float64).tolist()
-    fc = fv[0]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
-    for i, j in enumerate(order):
-        f1, f2 = fv[2 * i + 1], fv[2 * i + 2]
-        fv1[j], fv2[j] = f1, f2
-        if j % 2:
-            resg += _WG[j // 2] * (f1 + f2)
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    dhlgth = abs(hlgth)
-    resabs *= dhlgth
-    resasc *= dhlgth
-    err = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return resk * hlgth, err, resasc
+    nodes = []
+    for a, b in pieces:
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        nodes.append(centr)
+        for j in order:
+            absc = hlgth * _XGK[j]
+            nodes += [centr - absc, centr + absc]
+    values = np.asarray(fn(np.array(nodes)), dtype=np.float64).tolist()
+    out = []
+    for i, (a, b) in enumerate(pieces):
+        fv = values[21 * i:21 * i + 21]
+        hlgth = 0.5 * (b - a)
+        fc = fv[0]
+        resg = 0.0
+        resk = _WGK[10] * fc
+        resabs = abs(resk)
+        fv1 = [0.0] * 10
+        fv2 = [0.0] * 10
+        for k, j in enumerate(order):
+            f1, f2 = fv[2 * k + 1], fv[2 * k + 2]
+            fv1[j], fv2[j] = f1, f2
+            if j % 2:
+                resg += _WG[j // 2] * (f1 + f2)
+            resk += _WGK[j] * (f1 + f2)
+            resabs += _WGK[j] * (abs(f1) + abs(f2))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * abs(fc - reskh)
+        for j in range(10):
+            resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        dhlgth = abs(hlgth)
+        resabs *= dhlgth
+        resasc *= dhlgth
+        err = abs((resk - resg) * hlgth)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        if resabs > _TINY / (50.0 * _EPS):
+            err = max(50.0 * _EPS * resabs, err)
+        out.append((resk * hlgth, err, resasc))
+    return out
 
 
-def _quad(fn, a: float, b: float) -> tuple[float, float]:
-    """Adaptive QK21 on [a, b]: bisect the subinterval with the largest error
-    estimate until the summed estimate is at most max(tol, tol |integral|),
-    or warn with IntegrationWarning at _QUAD_LIMIT subintervals. As in
-    QUADPACK, a first estimate that saturated at resasc is not trusted."""
-    val, err, resasc = _qk21(fn, a, b)
+def _quad(fn, a: float, b: float, first: tuple[float, float, float]) -> tuple[float, float]:
+    """Adaptive QK21 on [a, b] from its first rule, ``first``: bisect the
+    subinterval with the largest error estimate, both halves in one integrand
+    call, until the summed estimate is at most max(tol, tol |integral|), or
+    warn with IntegrationWarning at _QUAD_LIMIT subintervals. As in QUADPACK,
+    a first estimate that saturated at resasc is not trusted."""
+    val, err, resasc = first
     if err == 0.0 or (err <= max(_QUAD_TOL, _QUAD_TOL * abs(val)) and err != resasc):
         return val, err
     pieces = [(a, b, val, err)]
@@ -440,8 +452,7 @@ def _quad(fn, a: float, b: float) -> tuple[float, float]:
         i = max(range(len(pieces)), key=lambda k: pieces[k][3])
         lo, hi, v, e = pieces[i]
         mid = 0.5 * (lo + hi)
-        v1, e1, _ = _qk21(fn, lo, mid)
-        v2, e2, _ = _qk21(fn, mid, hi)
+        (v1, e1, _), (v2, e2, _) = _qk21(fn, [(lo, mid), (mid, hi)])
         pieces[i] = (lo, mid, v1, e1)
         pieces.append((mid, hi, v2, e2))
         total = total + (v1 + v2) - v
@@ -457,14 +468,16 @@ def _quad(fn, a: float, b: float) -> tuple[float, float]:
 
 
 def _quad_with_corners(fn, lo: float, hi: float, corners) -> tuple[float, float]:
-    # integrate piecewise-smooth segments separately; corners mark kinks
+    """Adaptive QK21 on each smooth piece of [lo, hi] between the corners
+    (kinks) inside it, summed. The first rules of all pieces share one
+    integrand call; only a piece that misses the tolerance is bisected."""
     cuts = [float(c) for c in [lo, *sorted({c for c in corners if lo < c < hi}), hi]]
+    pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    firsts = _qk21(fn, pieces) if pieces else []
     total = 0.0
     err = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        v, e = _quad(fn, a, b)
+    for (a, b), first in zip(pieces, firsts):
+        v, e = _quad(fn, a, b, first)
         total += v
         err += e
     return total, err

@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from stablepp import characterization, extraction, sampler
@@ -11,6 +16,7 @@ from stablepp.errors import DomainError, StarvationError
 from stablepp.extraction import (
     ExtractionConfig,
     _permutation_p,
+    _sorted_quantiles,
     extract_decoration,
     predicted_acceptance,
     rebuild_process,
@@ -188,6 +194,36 @@ class TestExtractDecoration:
             rep = extract_decoration(dirac_spec(), cfg, seed=1000 + s)
             rejections += 1 if rep.independence_p < 0.05 else 0
         assert 0.01 <= rejections / 50 <= 0.12
+
+
+# exceedance samples: continuous values, and a few values repeated to make ties
+_EXCEEDANCES = st.lists(st.one_of(st.floats(0.05, 1e12), st.sampled_from([0.5, 1.0, 3.25])),
+                        min_size=50, max_size=500)
+
+
+class TestScaleConstantGrid:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_EXCEEDANCES)
+    def test_grid_equals_numpy_quantile_bit_for_bit(self, values):
+        exc = np.sort(np.array(values))
+        levels = np.linspace(0.05, 0.95, 10)
+        assert _sorted_quantiles(exc, levels).tobytes() == np.quantile(exc, levels).tobytes()
+
+    def test_extraction_leaves_numpy_ma_unimported(self):
+        # np.quantile's first call imports numpy.ma, about 9 ms of every extract
+        code = ("import sys\n"
+                "from stablepp.extraction import ExtractionConfig, extract_decoration\n"
+                "from stablepp.sampler import DecorationSpec, ProcessSpec\n"
+                "spec = ProcessSpec('scdppp', 1.0, DecorationSpec.dirac([(1.0, 1)]), 0.05)\n"
+                "extract_decoration(spec, ExtractionConfig(100.0, 0.5, 500), seed=17)\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestExactConditionalForm:

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -154,7 +156,7 @@ class TestGaussKronrod:
     def test_exact_on_monomials_up_to_degree_31(self):
         a, b = -0.6, 1.3
         for k in range(32):
-            value = functionals._qk21(lambda x: x ** k, a, b)[0]
+            value = functionals._qk21(lambda x: x ** k, [(a, b)])[0][0]
             exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
             assert value == pytest.approx(exact, rel=5e-15, abs=0.0), k
 
@@ -162,26 +164,33 @@ class TestGaussKronrod:
     def test_same_constants_and_evaluations_as_quadpack(self, carrier, monkeypatch):
         # scipy's quad is QUADPACK's QAGS: on these smooth pieces it bisects as
         # the package's rule does, so the two agree on every integrand node;
-        # the package's rule passes its 21 nodes in one call, scipy one at a time
-        def run(quad):
+        # the package passes the first rules of all pieces in one call and
+        # each bisection step's two halves in another, scipy one node at a time
+        def run(with_corners):
             calls = [0]
 
-            def counted(fn, a, b):
+            def counted(fn, lo, hi, corners):
                 def fn_counted(x):
                     calls[0] += np.size(x)
                     return fn(x)
-                return quad(fn_counted, a, b)
+                return with_corners(fn_counted, lo, hi, corners)
 
-            monkeypatch.setattr(functionals, "_quad", counted)
+            monkeypatch.setattr(functionals, "_quad_with_corners", counted)
             alpha = 1.0 if carrier == "scale" else 0.6
             constant = cf_quadrature if carrier == "scale" else kappa_quadrature
             out = [constant(alpha, dec, f) for dec in REFERENCE_DECORATIONS[carrier].values()
                    for f in default_battery(carrier).values()]
             return out, calls[0]
 
-        ours, n_ours = run(functionals._quad)
-        ref, n_ref = run(lambda fn, a, b: integrate.quad(
-            lambda x: float(fn(np.array([x]))[0]), a, b, limit=functionals._QUAD_LIMIT))
+        def scipy_per_piece(fn, lo, hi, corners):
+            cuts = sorted({float(lo), float(hi), *(float(c) for c in corners if lo < c < hi)})
+            parts = [integrate.quad(lambda x: float(fn(np.array([x]))[0]), a, b,
+                                    limit=functionals._QUAD_LIMIT)
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+            return sum(v for v, _ in parts), sum(e for _, e in parts)
+
+        ours, n_ours = run(functionals._quad_with_corners)
+        ref, n_ref = run(scipy_per_piece)
         assert n_ours == n_ref
         for c, r in zip(ours, ref):
             assert c.value == pytest.approx(r.value, rel=1e-14, abs=0.0)
@@ -189,7 +198,7 @@ class TestGaussKronrod:
 
     def test_the_subinterval_limit_warns(self):
         with pytest.warns(IntegrationWarning, match="400 subintervals"):
-            value, err = functionals._quad(lambda x: np.sin(1e9 * x), 0.0, 1.0)
+            value, err = functionals._quad_with_corners(lambda x: np.sin(1e9 * x), 0.0, 1.0, ())
         assert math.isfinite(value) and err > functionals._QUAD_TOL
 
 
@@ -525,8 +534,10 @@ REFERENCE_DECORATIONS = {
 
 
 # -- batched integrands ----------------------------------------------------------
-# QK21 passes its 21 nodes to the integrand in one call; each node's value must
-# be the one a call with that node alone gives, bit for bit.
+# The first QK21 rules of a constant's smooth pieces pass their 21 nodes each
+# to the integrand in one call, and so do the two halves of a bisection step;
+# each node's value must be the one a call with that node alone gives, bit for
+# bit.
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_DECORATIONS["scale"]))
 @pytest.mark.parametrize("carrier", ["scale", "shift"])
@@ -534,15 +545,15 @@ def test_a_batched_rule_equals_its_one_node_calls_bit_for_bit(carrier, kind, mon
     dec = REFERENCE_DECORATIONS[carrier][kind]
     rate = 1.0 if carrier == "scale" else 0.6
     constant = cf_quadrature if carrier == "scale" else kappa_quadrature
-    rules = []
+    calls = []
     qk21 = functionals._qk21
 
-    def recorded(fn, a, b):
+    def recorded(fn, pieces):
         def once(x):
             out = fn(x)
-            rules.append((fn, x.copy(), out.copy()))
+            calls.append((fn, len(pieces), x.copy(), out.copy()))
             return out
-        return qk21(once, a, b)
+        return qk21(once, pieces)
 
     monkeypatch.setattr(functionals, "_qk21", recorded)
     for f in default_battery(carrier).values():
@@ -550,11 +561,49 @@ def test_a_batched_rule_equals_its_one_node_calls_bit_for_bit(carrier, kind, mon
     # the uniform-location extreme moment is integrated by the same rule
     extreme_law(ProcessSpec("scdppp" if carrier == "scale" else "dppp", rate, dec,
                             0.05 if carrier == "scale" else -3.0))
-    assert rules
-    for fn, nodes, batched in rules:
-        assert nodes.shape == batched.shape == (21,)
+    assert any(k > 1 for _, k, _, _ in calls)
+    for fn, k, nodes, batched in calls:
+        assert nodes.shape == batched.shape == (21 * k,)
         single = np.concatenate([fn(nodes[i:i + 1]) for i in range(nodes.size)])
         assert batched.tobytes() == single.tobytes()
+
+
+# The float bits of (value, error_bound) of every reference decoration's
+# constant for every default test function, on both carriers at two rates, in
+# that order: any change to the nodes, the rule's sums or the bisection order
+# moves them.
+PREDICTION_DIGEST = "5ea13926a6534595e2704fa870a5cb2772b67601e803c66d4cf553743832d72b"
+PREDICTION_RATES = {"scale": (1.0, 1.5), "shift": (0.6, 1.2)}
+
+
+def test_prediction_bytes_are_pinned(monkeypatch):
+    # every rule covers 21 nodes and every bisection step 42 more, so the nodes
+    # a constant evaluates count its bisection steps, whatever the calls
+    steps = [0]
+    with_corners = functionals._quad_with_corners
+
+    def counted(fn, lo, hi, corners):
+        nodes = [0]
+
+        def fn_counted(x):
+            nodes[0] += np.size(x)
+            return fn(x)
+        out = with_corners(fn_counted, lo, hi, corners)
+        pieces = len({lo, hi, *(c for c in corners if lo < c < hi)}) - 1
+        assert nodes[0] % 21 == 0 and (nodes[0] // 21 - pieces) % 2 == 0
+        steps[0] += (nodes[0] // 21 - pieces) // 2
+        return out
+
+    monkeypatch.setattr(functionals, "_quad_with_corners", counted)
+    digest = hashlib.sha256()
+    for carrier, constant in (("scale", cf_quadrature), ("shift", kappa_quadrature)):
+        for rate in PREDICTION_RATES[carrier]:
+            for kind in sorted(REFERENCE_DECORATIONS[carrier]):
+                for f in default_battery(carrier).values():
+                    pred = constant(rate, REFERENCE_DECORATIONS[carrier][kind], f)
+                    digest.update(struct.pack("<dd", pred.value, pred.error_bound))
+    assert steps[0] > 0
+    assert digest.hexdigest() == PREDICTION_DIGEST
 
 
 @pytest.mark.parametrize("carrier", ["scale", "shift"])
